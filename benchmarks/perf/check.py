@@ -37,11 +37,10 @@ differences cancel).
 workload with spans + metrics enabled.  Any entry above
 ``--max-traced-overhead`` (default 40%) fails the check; this number is
 machine-independent (both modes run in the same process), so no
-regression factor applies to it either.  The budget covers more than
-instrumentation: enabling tracing also disqualifies the count fast path
-(`Counter._fast` requires observability off), so the traced count pays
-the reference-path delta on top of the span/metric cost — ~30% on the
-headline workload, against which 40% leaves regression headroom.
+regression factor applies to it either.  The budget covers the
+span/event/metric cost only: the count fast path (`Counter._fast`)
+stays on under observation and emits the reference walk's events —
+~20% on the headline workload.
 """
 
 from __future__ import annotations

@@ -11,12 +11,21 @@ these metrics?".
   position was found set, and resolves to its leftmost zero at the first
   position that ``lim`` probes could not confirm.
 
-Observed bits are fed into an ordinary local sketch from
-:mod:`repro.sketches`, so the distributed estimate uses byte-identical
-math to the centralized estimators.  Probing any node yields the bit's
-status for *all* bitmaps of *all* requested metrics at once, which is why
-hop counts are independent of ``m`` and of the number of metrics
-(sections 4.2/4.3) while byte counts are not.
+Probing any node yields the bit's status for *all* bitmaps of *all*
+requested metrics at once — a whole ``m``-bit **plane** per metric —
+which is why hop counts are independent of ``m`` and of the number of
+metrics (sections 4.2/4.3) while byte counts are not.
+
+The scan keeps exactly that: per metric, one integer bit plane per
+position (the bitmaps *newly resolved* there on the way down, the
+bitmaps *still confirmed* there on the way up; below ``bit_shift`` the
+assumed-set planes).  The estimate is computed from the planes'
+popcounts by the pure functions of :mod:`repro.sketches.estimators` —
+the same functions the local sketches' ``estimate()`` call, so the
+distributed estimate is bit-identical to the centralized one — in
+O(positions) integer operations per metric.  No sketch object is built
+to count; :attr:`CountResult.sketches` rebuilds one from the planes only
+when a caller reads it (set expressions over metrics, tests).
 
 Hot path: the per-metric bookkeeping (pending / active / found vectors)
 is kept as packed integer bitmaps throughout, so a probe answers "which
@@ -37,7 +46,9 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -58,6 +69,7 @@ from repro.overlay.replication import replica_chain
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 from repro.sketches.base import HashSketch
+from repro.sketches.estimators import HLL_EXACT_KEY_BITS, PLANE_ESTIMATORS
 
 if TYPE_CHECKING:  # annotation only — the facade constructs the arena
     from repro.core.regstore import RegArena
@@ -68,12 +80,50 @@ __all__ = ["Counter", "CountResult"]
 _DOWNWARD_ESTIMATORS = {"sll", "loglog", "hll"}
 
 
+class _PlaneSketches(Mapping[Hashable, HashSketch]):
+    """Metric → local sketch, rebuilt from a scan's bit planes when read.
+
+    Holds plain data only (planes, config, hash family), so a
+    :class:`CountResult` pickles across ``count_parallel`` workers.
+    """
+
+    def __init__(
+        self,
+        planes: Dict[Hashable, List[int]],
+        config: DHSConfig,
+        hash_family: HashFamily,
+    ) -> None:
+        self._planes = planes
+        self._config = config
+        self._hash_family = hash_family
+        self._built: Dict[Hashable, HashSketch] = {}
+
+    def __getitem__(self, metric: Hashable) -> HashSketch:
+        sketch = self._built.get(metric)
+        if sketch is None:
+            planes = self._planes[metric]
+            sketch = self._config.make_sketch(self._hash_family)
+            for position, plane in enumerate(planes):
+                if plane:
+                    sketch.record_mask(plane, position)
+            self._built[metric] = sketch
+        return sketch
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._planes)
+
+    def __len__(self) -> int:
+        return len(self._planes)
+
+
 @dataclass
 class CountResult:
     """Outcome of one counting operation (possibly many metrics)."""
 
     estimates: Dict[Hashable, float]
-    sketches: Dict[Hashable, HashSketch]
+    #: Per-metric local sketch holding exactly the bits the scan observed;
+    #: a count materialises each one from its bit planes on first read.
+    sketches: Mapping[Hashable, HashSketch]
     cost: OpCost
     #: Total node probes performed (the paper's "nodes visited" is
     #: ``unique_probed``: distinct probed nodes).
@@ -240,38 +290,54 @@ class Counter:
         expected_items: Optional[float],
         force_fixed: bool = False,
     ) -> CountResult:
-        sketches = {
-            metric: self.config.make_sketch(self.hash_family) for metric in metric_ids
-        }
         # The array backend's inlined probe walk: sound only when every
         # wrapper it skips is provably a no-op — a no-retry policy means
         # ``policy.call`` is a plain call, no fault layer means lookups
         # cannot drop messages and ``node_responsive`` is ``is_alive``,
-        # read repair off means probes never write, and tracing/metering
-        # off means no spans or counters would be emitted.  Costs,
-        # RNG draws and results are identical either way (the
-        # equivalence suite pins this against the reference walk).
+        # and read repair off means probes never write.  Costs, RNG
+        # draws, results, trace events and counters are identical either
+        # way (the equivalence suite and the golden trace pin this
+        # against the reference walk).
+        config = self.config
         self._fast = (
             self.arena is not None
             and self.policy.is_default
             and self.dht.fault_layer is None
-            and not (self.config.read_repair and self.config.replication > 0)
-            and not obs.TRACING
-            and not obs.METERING
+            and not (config.read_repair and config.replication > 0)
         )
-        adaptive = self.config.lim_policy == "eq6" and not force_fixed
+        adaptive = config.lim_policy == "eq6" and not force_fixed
         prior = expected_items if adaptive else None
         # One probe key per interval, drawn up front: a single pass over
         # the counting RNG per scan, independent of which intervals the
         # scan actually reaches before resolving.
         keys = self._interval_keys()
-        if self.config.estimator in _DOWNWARD_ESTIMATORS:
-            result = self._scan_downward(sketches, origin, now, keys, prior)
+        if config.estimator in _DOWNWARD_ESTIMATORS:
+            scan = self._scan_downward
         else:
-            result = self._scan_upward(sketches, origin, now, keys, prior)
-        result.estimates = {
-            metric: sketch.estimate() for metric, sketch in sketches.items()
+            scan = self._scan_upward
+        planes: Dict[Hashable, List[int]] = {
+            metric: [0] * config.position_bits for metric in metric_ids
         }
+        result = CountResult(
+            estimates={},
+            sketches=_PlaneSketches(planes, config, self.hash_family),
+            cost=OpCost(),
+            confidence={metric: 1.0 for metric in metric_ids},
+        )
+        scan(planes, origin, now, keys, result, prior)
+        if config.estimator == "hll" and config.key_bits > HLL_EXACT_KEY_BITS:
+            # The histogram sum could round differently from the
+            # per-register one: read the rebuilt registers instead.
+            result.estimates = {
+                metric: sketch.estimate() for metric, sketch in result.sketches.items()
+            }
+        else:
+            estimate = PLANE_ESTIMATORS[config.estimator]
+            m = config.num_bitmaps
+            result.estimates = {
+                metric: estimate(metric_planes, m)
+                for metric, metric_planes in planes.items()
+            }
         return result
 
     def _interval_keys(self) -> List[int]:
@@ -309,19 +375,17 @@ class Counter:
     # ------------------------------------------------------------------
     def _scan_downward(
         self,
-        sketches: Dict[Hashable, HashSketch],
+        planes: Dict[Hashable, List[int]],
         origin: int,
         now: int,
         keys: Sequence[int],
+        result: CountResult,
         expected_items: Optional[float] = None,
-    ) -> CountResult:
+    ) -> None:
+        """Fill ``planes[metric][p]`` with the bitmaps whose maximum is ``p``."""
         config = self.config
         full = (1 << config.num_bitmaps) - 1
-        pending: Dict[Hashable, int] = {metric: full for metric in sketches}
-        result = CountResult(
-            estimates={}, sketches=sketches, cost=OpCost(),
-            confidence={metric: 1.0 for metric in sketches},
-        )
+        pending: Dict[Hashable, int] = {metric: full for metric in planes}
         for index in reversed(range(self.mapping.num_intervals)):
             if not any(pending.values()):
                 break
@@ -334,36 +398,35 @@ class Counter:
                 newly = mask & pending[metric]
                 if newly:
                     pending[metric] &= ~newly
-                    sketches[metric].record_mask(newly, position)
+                    planes[metric][position] = newly
         if config.bit_shift > 0:
             # Unresolved bitmaps are assumed set below the shift.
             for metric, mask in pending.items():
-                sketches[metric].record_mask(mask, config.bit_shift - 1)
-        return result
+                planes[metric][config.bit_shift - 1] = mask
 
     # ------------------------------------------------------------------
     # Upward scan (PCSA): advance while every probed bit is confirmed.
     # ------------------------------------------------------------------
     def _scan_upward(
         self,
-        sketches: Dict[Hashable, HashSketch],
+        planes: Dict[Hashable, List[int]],
         origin: int,
         now: int,
         keys: Sequence[int],
+        result: CountResult,
         expected_items: Optional[float] = None,
-    ) -> CountResult:
+    ) -> None:
+        """Fill ``planes[metric][p]`` with the bitmaps confirmed set up to ``p``.
+
+        The planes are nested (a bitmap is probed at ``p`` only while
+        every position below was confirmed) and contiguous from 0.
+        """
         config = self.config
         full = (1 << config.num_bitmaps) - 1
-        active: Dict[Hashable, int] = {metric: full for metric in sketches}
-        if config.bit_shift > 0:
-            # Positions below the shift are assumed set (section 3.5).
-            for sketch in sketches.values():
-                for position in range(config.bit_shift):
-                    sketch.record_mask(full, position)
-        result = CountResult(
-            estimates={}, sketches=sketches, cost=OpCost(),
-            confidence={metric: 1.0 for metric in sketches},
-        )
+        active: Dict[Hashable, int] = {metric: full for metric in planes}
+        # Positions below the shift are assumed set (section 3.5).
+        for metric_planes in planes.values():
+            metric_planes[: config.bit_shift] = [full] * config.bit_shift
         for index in range(self.mapping.num_intervals):
             if not any(active.values()):
                 break
@@ -373,14 +436,10 @@ class Counter:
                 key=keys[index],
             )
             for metric, mask in active.items():
-                confirmed = mask & found.get(metric, 0)
-                if confirmed:
-                    sketches[metric].record_mask(confirmed, position)
                 # Bitmaps whose bit could not be confirmed resolve here:
-                # their leftmost zero is this position (already implicit
-                # in the sketch state — bits above stay unset).
-                active[metric] = confirmed
-        return result
+                # their leftmost zero is this position (implicit in the
+                # planes — they appear in none above).
+                active[metric] = planes[metric][position] = mask & found.get(metric, 0)
 
     # ------------------------------------------------------------------
     # Interval probe: one lookup plus <= lim-1 neighbour walks (Alg. 1).
@@ -502,13 +561,16 @@ class Counter:
             if trace:
                 result.probed_nodes.append(target)
             if fast:
-                # Inlined probe: same semantics as the reference branch
-                # below with every provably-no-op wrapper peeled away —
-                # ``policy.call`` (no-retry policy), ``dht.probe``'s
-                # callback indirection, and the per-metric dict build.
+                # Inlined probe: same semantics (and trace events and
+                # counters) as the reference branch below with every
+                # provably-no-op wrapper peeled away — ``policy.call``
+                # (no-retry policy), ``dht.probe``'s callback
+                # indirection, and the per-metric dict build.
                 node = self.dht.live_node(target)
                 if node is not None:
                     self.dht.load.record(target)
+                    if obs.METERING:
+                        obs.METRICS.inc("dht.probes")
                     store = node.store
                     returned = 0
                     for metric in metrics:
@@ -519,9 +581,17 @@ class Counter:
                                 returned += mask.bit_count()
                                 found[metric] |= mask
                     cost.bytes += returned * size_model.tuple_bytes
+                    if event is not None:
+                        event(
+                            "probe", tick=now, node=target, ok=True, bits=returned
+                        )
                 else:
                     cost.timeouts += 1
                     self.dht.timeout_repair(target)
+                    if event is not None:
+                        event(
+                            "probe", tick=now, node=target, ok=False, timeout=True
+                        )
             elif self.dht.node_responsive(target):
                 masks = self._probe_node(target, metrics, position, now, cost)
                 if masks is not None:

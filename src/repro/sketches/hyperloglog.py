@@ -11,8 +11,7 @@ reconstructed from DHS bits.
 from __future__ import annotations
 
 from repro.errors import EstimationError
-from repro.sketches.constants import hll_alpha
-from repro.sketches.linear_counting import linear_counting_estimate
+from repro.sketches.estimators import hyperloglog_estimate
 from repro.sketches.loglog import LogLogSketch
 
 __all__ = ["HyperLogLogSketch"]
@@ -29,14 +28,11 @@ class HyperLogLogSketch(LogLogSketch):
     name = "hll"
 
     def estimate(self) -> float:
-        if self.is_empty():
-            return 0.0
+        # Summed in register order, the reference any other summation
+        # must match: the rank-histogram sum of the distributed count
+        # does so only up to estimators.HLL_EXACT_KEY_BITS.
         indicator = sum(2.0**-r for r in self._registers)
-        raw = hll_alpha(self.m) * self.m * self.m / indicator
-        zero_buckets = self._registers.count(0)
-        if raw <= 2.5 * self.m and zero_buckets:
-            return linear_counting_estimate(self.m, zero_buckets)
-        return raw
+        return hyperloglog_estimate(indicator, self._registers.count(0), self.m)
 
     @classmethod
     def expected_std_error(cls, m: int) -> float:

@@ -19,10 +19,10 @@ from typing import List
 from repro.errors import EstimationError
 from repro.hashing.family import HashFamily
 from repro.sketches.base import HashSketch
-from repro.sketches.constants import (
-    loglog_alpha,
-    sll_alpha_tilde,
-    sll_truncated_count,
+from repro.sketches.estimators import (
+    loglog_estimate,
+    register_rank_histogram,
+    superloglog_estimate,
 )
 
 __all__ = ["LogLogSketch", "SuperLogLogSketch"]
@@ -87,10 +87,7 @@ class LogLogSketch(HashSketch):
         return list(self._registers)
 
     def estimate(self) -> float:
-        if self.is_empty():
-            return 0.0
-        mean_rank = sum(self._registers) / self.m
-        return loglog_alpha(self.m) * self.m * 2.0**mean_rank
+        return loglog_estimate(register_rank_histogram(self._registers), self.m)
 
     @classmethod
     def expected_std_error(cls, m: int) -> float:
@@ -133,12 +130,7 @@ class SuperLogLogSketch(LogLogSketch):
     name = "sll"
 
     def estimate(self) -> float:
-        if self.is_empty():
-            return 0.0
-        m0 = sll_truncated_count(self.m)
-        smallest = sorted(self._registers)[:m0]
-        mean_rank = sum(smallest) / m0
-        return sll_alpha_tilde(self.m) * m0 * 2.0**mean_rank
+        return superloglog_estimate(register_rank_histogram(self._registers), self.m)
 
     @classmethod
     def expected_std_error(cls, m: int) -> float:

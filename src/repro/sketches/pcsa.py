@@ -18,7 +18,7 @@ from repro.errors import EstimationError
 from repro.hashing.bits import mask, rho
 from repro.hashing.family import HashFamily
 from repro.sketches.base import HashSketch
-from repro.sketches.constants import PCSA_PHI, pcsa_bias_factor
+from repro.sketches.estimators import pcsa_estimate
 
 __all__ = ["PCSASketch"]
 
@@ -99,11 +99,7 @@ class PCSASketch(HashSketch):
     def estimate(self) -> float:
         if self.is_empty():
             return 0.0
-        mean_r = sum(self.observables()) / self.m
-        value = (1.0 / PCSA_PHI) * self.m * 2.0**mean_r
-        if self.bias_correction:
-            value /= pcsa_bias_factor(self.m)
-        return value
+        return pcsa_estimate(sum(self.observables()), self.m, self.bias_correction)
 
     @classmethod
     def expected_std_error(cls, m: int) -> float:
@@ -149,7 +145,10 @@ class PCSASketch(HashSketch):
             raise ValueError(
                 f"expected {width * m} bytes for m={m}, k={key_bits}; got {len(data)}"
             )
-        sketch._bitmaps = [
+        bitmaps = [
             int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(m)
         ]
+        if any(b >> sketch.position_bits for b in bitmaps):
+            raise ValueError("bitmap has bits at or above position_bits")
+        sketch._bitmaps = bitmaps
         return sketch

@@ -1,0 +1,128 @@
+"""A count estimates from bit planes and rebuilds sketches only when read."""
+
+import pickle
+
+import pytest
+
+from repro.core.config import DHSConfig
+from repro.core.count import CountResult
+from repro.core.dhs import DistributedHashSketch
+from repro.overlay.chord import ChordRing
+from repro.overlay.stats import OpCost
+from repro.sketches import SKETCH_TYPES
+from repro.sketches.base import HashSketch
+from repro.sketches.estimators import HLL_EXACT_KEY_BITS
+
+ESTIMATORS = ["sll", "pcsa", "loglog", "hll"]
+METRICS = ["a", "b", "never-written"]
+
+
+def state_of(sketch):
+    return sketch.registers() if hasattr(sketch, "registers") else sketch.bitmaps()
+
+
+def counted(estimator, bit_shift=0, lim=3, key_bits=16, ring_bits=32):
+    """Count three metrics (one empty) on a ring where ``lim`` loses bits."""
+    ring = ChordRing.build(48, bits=ring_bits, seed=3)
+    dhs = DistributedHashSketch(
+        ring,
+        DHSConfig(key_bits=key_bits, num_bitmaps=8, estimator=estimator,
+                  bit_shift=bit_shift, lim=lim),
+        seed=1,
+    )
+    node_ids = list(ring.node_ids())
+    for i in range(900):
+        dhs.insert("a", i, origin=node_ids[i % len(node_ids)])
+        if i % 3 == 0:
+            dhs.insert("b", i, origin=node_ids[i % len(node_ids)])
+    return dhs.count_many(METRICS)
+
+
+@pytest.fixture
+def record_mask_calls(monkeypatch):
+    """Count every ``record_mask`` call on any sketch class."""
+    calls = []
+    for cls in {HashSketch, *SKETCH_TYPES.values()}:
+        if "record_mask" in vars(cls):
+            original = vars(cls)["record_mask"]
+
+            def spy(self, vectors, position, _original=original):
+                calls.append(position)
+                return _original(self, vectors, position)
+
+            monkeypatch.setattr(cls, "record_mask", spy)
+    return calls
+
+
+@pytest.mark.parametrize("bit_shift", [0, 2])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_counting_builds_no_sketch_until_sketches_is_read(
+    estimator, bit_shift, record_mask_calls
+):
+    result = counted(estimator, bit_shift)
+    assert record_mask_calls == []
+    assert result.estimates["a"] > result.estimates["b"] > 0.0
+    for metric in METRICS:
+        # The rebuilt sketch holds exactly the state the estimate used.
+        assert result.sketches[metric].estimate() == result.estimates[metric]
+    assert record_mask_calls
+    rebuilt = len(record_mask_calls)
+    assert result.sketches["a"] is result.sketches["a"]
+    assert len(record_mask_calls) == rebuilt  # built once, then cached
+
+
+@pytest.mark.parametrize("bit_shift", [0, 2])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_lazy_sketches_are_a_read_only_mapping_over_the_metrics(estimator, bit_shift):
+    result = counted(estimator, bit_shift)
+    assert list(result.sketches) == METRICS
+    assert len(result.sketches) == len(METRICS)
+    assert "a" in result.sketches and "z" not in result.sketches
+    with pytest.raises(KeyError):
+        result.sketches["z"]
+    empty = result.sketches["never-written"]
+    # Below the shift every bit is assumed set, written or not.
+    assert empty.is_empty() == (bit_shift == 0)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_exhaustive_budget_rebuilds_the_lossless_sketch(estimator):
+    result = counted(estimator, lim=60)
+    ring = ChordRing.build(48, bits=32, seed=3)
+    local = DistributedHashSketch(
+        ring, DHSConfig(key_bits=16, num_bitmaps=8, estimator=estimator), seed=1
+    ).local_sketch(range(900))
+    if estimator == "pcsa":
+        assert result.sketches["a"].observables() == local.observables()
+    else:
+        assert state_of(result.sketches["a"]) == state_of(local)
+    assert result.estimates["a"] == local.estimate()
+
+
+def test_hll_beyond_the_exact_range_reads_the_rebuilt_registers(record_mask_calls):
+    result = counted("hll", key_bits=HLL_EXACT_KEY_BITS + 4, ring_bits=64)
+    assert record_mask_calls  # estimated through the sketch, not the planes
+    for metric in METRICS:
+        assert result.sketches[metric].estimate() == result.estimates[metric]
+
+
+def test_result_constructs_with_plain_dicts():
+    result = CountResult(estimates={}, sketches={}, cost=OpCost())
+    assert result.sketches == {}
+    assert result.probes == 0 and not result.degraded
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+@pytest.mark.parametrize("estimator", ["sll", "pcsa"])
+def test_result_survives_pickling(estimator, read_first):
+    """``count_parallel`` ships results between processes."""
+    result = counted(estimator, bit_shift=2)
+    if read_first:
+        state_of(result.sketches["a"])
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone.estimates == result.estimates
+    assert clone.cost == result.cost
+    assert list(clone.sketches) == METRICS
+    for metric in METRICS:
+        assert state_of(clone.sketches[metric]) == state_of(result.sketches[metric])
+        assert clone.sketches[metric].estimate() == result.estimates[metric]

@@ -15,6 +15,7 @@ from repro.core.dhs import DistributedHashSketch
 from repro.core.policy import RetryPolicy
 from repro.experiments.common import populate_metric
 from repro.obs import runtime as obs
+from repro.obs.export import dumps_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
 from repro.overlay.chord import ChordRing
@@ -123,3 +124,38 @@ class TestIdentity:
         assert counters["dhs.retry.retries"] > 0
         names = [span.name for span in tracer.spans]
         assert "msg.retry" in names
+
+
+class TestFastPathKeepsItsInstrumentation:
+    """The array store's inlined slot read stays on under observation:
+    it must emit what the reference walk (packed store) emits."""
+
+    def _observed_count(self, store):
+        ring = ChordRing.build(48, seed=derive_seed(7, "ring"))
+        dhs = DistributedHashSketch(
+            ring, DHSConfig(num_bitmaps=32, key_bits=16, hash_seed=7, store=store), seed=7
+        )
+        populate_metric(dhs, "m", np.arange(600, dtype=np.int64), seed=7, now=0)
+        # Corpses for the probe walk to discover: the timeout branch.
+        node_ids = sorted(ring.node_ids())
+        for node_id in node_ids[1::3]:
+            ring.mark_failed(node_id)
+        tracer, registry = Tracer(), MetricsRegistry()
+        with obs.observed(tracer, registry):
+            result = dhs.count("m", origin=node_ids[0], now=5)
+        return dhs, result, tracer, registry
+
+    def test_trace_and_counters_match_the_reference_walk(self):
+        fast_dhs, fast, fast_tracer, fast_registry = self._observed_count("array")
+        _, ref, ref_tracer, ref_registry = self._observed_count("packed")
+        assert fast_dhs._counter._fast
+        assert fast.estimates == ref.estimates
+        assert _cost_tuple(fast.cost) == _cost_tuple(ref.cost)
+        assert dumps_jsonl(fast_tracer.spans) == dumps_jsonl(ref_tracer.spans)
+        assert fast_registry.snapshot() == ref_registry.snapshot()
+        probes = fast_tracer.find("probe")
+        assert len(probes) == fast.probes
+        timed_out = sum(1 for span in probes if span.attrs.get("timeout"))
+        assert 0 < timed_out <= fast.cost.timeouts  # the rest hit lookups
+        counters = fast_registry.snapshot()["counters"]
+        assert counters["dht.probes"] == fast.probes - timed_out

@@ -186,6 +186,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             sketch_cls.from_bytes(b"\x00", m=64)
 
+    def test_pcsa_rejects_bits_above_position_bits(self):
+        """m=512, k=24 leaves 15 usable positions in each 2-byte bitmap."""
+        with pytest.raises(ValueError, match="position_bits"):
+            PCSASketch.from_bytes(b"\x00\x80" * 512, m=512, key_bits=24)
+        top_valid = PCSASketch.from_bytes(b"\x00\x40" * 512, m=512, key_bits=24)
+        assert top_valid.bit(0, 14) and not top_valid.is_empty()
+
     def test_serialized_size_reflects_family(self):
         """LogLog-family state must be smaller than PCSA's (log log vs log)."""
         pcsa, sll = make(PCSASketch, m=64), make(SuperLogLogSketch, m=64)

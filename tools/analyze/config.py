@@ -72,8 +72,12 @@ class Config:
     #: else must go through ``DHTProtocol.store``'s write callback.
     store_write_modules: tuple[str, ...] = ("repro.overlay", "repro.core.tuples")
     #: Modules whose public functions must be provably side-effect-free
-    #: (the sketch-merge algebra, DHS82x).
-    purity_modules: tuple[str, ...] = ("repro.sketches.merge", "repro.sketches.setops")
+    #: (the sketch-merge algebra and the estimator functions, DHS82x).
+    purity_modules: tuple[str, ...] = (
+        "repro.sketches.merge",
+        "repro.sketches.setops",
+        "repro.sketches.estimators",
+    )
     #: Packages whose ``estimate`` methods must be side-effect-free.
     estimator_packages: tuple[str, ...] = ("repro.sketches",)
 
