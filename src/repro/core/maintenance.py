@@ -33,7 +33,7 @@ from repro.overlay.antientropy import AntiEntropyStats, antientropy_round
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
 from repro.overlay.node import Node
-from repro.overlay.replication import live_predecessors, replica_chain
+from repro.overlay.replication import ChainView, entry_expiry, live_predecessors
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 
@@ -90,18 +90,15 @@ def sweep_expired(dht: DHTProtocol, now: int) -> int:
     return removed
 
 
-# The predecessor walk now lives next to replica_chain in
-# repro.overlay.replication; the private alias keeps this module's
-# call sites unchanged.
-_live_predecessors = live_predecessors
-
-
-def _entry_expiry(slot: PackedSlot, vector: int) -> Optional[int]:
-    """Source expiry of ``vector`` in ``slot`` (``None`` = immortal)."""
-    if (slot.mask >> vector) & 1:
-        return None
-    raw = (slot.expiring or {}).get(vector)
-    return int(raw) if raw is not None else None
+def _walk_reaches(
+    dht: DHTProtocol, mapping: BitIntervalMap, index: int, node_id: int
+) -> bool:
+    """Whether interval ``index``'s counting walk can read ``node_id``:
+    the in-interval nodes plus the one overflow owner (of key ``hi - 1``)."""
+    if mapping.contains(index, node_id):
+        return True
+    lo, hi = mapping.interval_for_index(index)
+    return node_id == dht.owner_of(hi - 1)
 
 
 def _handoff_to_interval(
@@ -128,13 +125,6 @@ def _handoff_to_interval(
     bounded: once a visible node holds the bits, ``missing`` is empty
     and later sweeps are free.
     """
-
-    def visible(index: int, node_id: int) -> bool:
-        if mapping.contains(index, node_id):
-            return True
-        lo, hi = mapping.interval_for_index(index)
-        return node_id == dht.owner_of(hi - 1)
-
     for node_id in list(dht.node_ids()):
         if not dht.node_responsive(node_id):
             continue
@@ -146,7 +136,7 @@ def _handoff_to_interval(
         ]
         if not slots:
             continue
-        predecessors = _live_predecessors(dht, node_id, 1)
+        predecessors = live_predecessors(dht, node_id, 1)
         if not predecessors:
             continue
         pred_id = predecessors[0]
@@ -159,9 +149,9 @@ def _handoff_to_interval(
             if not mapping.is_stored(bit):
                 continue
             index = mapping.interval_index(bit)
-            if visible(index, node_id):
+            if _walk_reaches(dht, mapping, index, node_id):
                 continue  # the walk already reaches this holder
-            if not visible(index, pred_id):
+            if not _walk_reaches(dht, mapping, index, pred_id):
                 continue  # predecessor is no closer to the walk's reach
             live = slot.live_mask(now)
             if not live:
@@ -177,7 +167,7 @@ def _handoff_to_interval(
                 # Copies inherit the source slot's backend: a RegSlot
                 # source hands its arena along, a PackedSlot passes None.
                 write_entry(
-                    pred_node, metric, vector, bit, _entry_expiry(slot, vector),
+                    pred_node, metric, vector, bit, entry_expiry(slot, vector),
                     arena=getattr(slot, "arena", None),
                 )
                 wrote += 1
@@ -221,51 +211,31 @@ def stabilize(
     model = size_model if size_model is not None else DEFAULT_SIZE_MODEL
     if mapping is not None:
         _handoff_to_interval(dht, mapping, now, model, cost)
-    for node_id in list(dht.node_ids()):
+    # An unreachable node keeps its chain position; it just sits the sweep out.
+    view = ChainView(dht, now, responsive_only=False)
+    for node_id in view.ids:
         if not dht.node_responsive(node_id):
             continue
-        node = dht.node(node_id)
-        slots = [
-            (key, slot)
-            for key, slot in node.store.items()
-            if isinstance(slot, PackedSlot)
-        ]
-        if not slots:
-            continue
-        predecessors = _live_predecessors(dht, node_id, replication)
-        successors = replica_chain(dht, node_id, replication)
-        for replica_id in successors:
+        store = dht.node(node_id).store
+        for replica_id in view.successors(node_id, replication):
             if not dht.node_responsive(replica_id):
                 continue
             replica = dht.node(replica_id)
+            have = view.table(replica_id)
             wrote = 0
-            for slot_key, slot in slots:
-                # DHS stores one PackedSlot per (metric, bit) key.
-                metric, bit = cast(Tuple[Hashable, int], slot_key)
-                live = slot.live_mask(now)
-                if not live:
+            for key, primary in view.primary(node_id, replication).items():
+                missing = primary & ~have.get(key, 0)
+                if not missing:
                     continue
-                pred_mask = 0
-                for pred_id in predecessors:
-                    pred_slot = dht.node(pred_id).store.get(slot_key)
-                    if isinstance(pred_slot, PackedSlot):
-                        pred_mask |= pred_slot.live_mask(now)
-                primary = live & ~pred_mask
-                if not primary:
-                    continue
-                replica_slot = replica.store.get(slot_key)
-                have = (
-                    replica_slot.live_mask(now)
-                    if isinstance(replica_slot, PackedSlot)
-                    else 0
-                )
-                missing = primary & ~have
+                metric, bit = key
+                slot = cast(PackedSlot, store[key])
                 for vector in bits_of(missing):
                     write_entry(
-                        replica, metric, vector, bit, _entry_expiry(slot, vector),
+                        replica, metric, vector, bit, entry_expiry(slot, vector),
                         arena=getattr(slot, "arena", None),
                     )
                     wrote += 1
+                view.refresh(replica_id, key)
             if wrote:
                 cost.hops += 1
                 cost.messages += 1
@@ -292,9 +262,9 @@ def antientropy_sweep(
     :func:`repro.overlay.antientropy.antientropy_round`: the overlay
     module cannot import the interval geometry or the store writer
     (layering), so both are injected here as closures — walk visibility
-    uses the same in-interval-or-overflow-owner rule as
-    :func:`_handoff_to_interval`, segments are the bit→interval mapping,
-    and writes land on the deployment's storage backend via ``arena``.
+    is :func:`_walk_reaches` (unstored positions are seen everywhere),
+    segments are the bit→interval mapping, and writes land on the
+    deployment's storage backend via ``arena``.
     A no-op (empty stats) when replication is disabled: with no chains
     there is nothing to reconcile, and pushing copies would manufacture
     replication the configuration never asked for.
@@ -304,13 +274,9 @@ def antientropy_sweep(
     model = size_model if size_model is not None else DEFAULT_SIZE_MODEL
 
     def visible(bit: int, node_id: int) -> bool:
-        if not mapping.is_stored(bit):
-            return True
-        index = mapping.interval_index(bit)
-        if mapping.contains(index, node_id):
-            return True
-        lo, hi = mapping.interval_for_index(index)
-        return node_id == dht.owner_of(hi - 1)
+        return not mapping.is_stored(bit) or _walk_reaches(
+            dht, mapping, mapping.interval_index(bit), node_id
+        )
 
     def segment_of(bit: int) -> int:
         return mapping.interval_index(bit) if mapping.is_stored(bit) else -1
@@ -346,42 +312,15 @@ def replica_divergence(dht: DHTProtocol, replication: int, now: int = 0) -> int:
     """
     if replication <= 0:
         return 0
+    view = ChainView(dht, now)
     total = 0
-    for node_id in dht.responsive_node_ids():
-        node = dht.node(node_id)
-        slots = [
-            (key, slot)
-            for key, slot in node.store.items()
-            if isinstance(slot, PackedSlot)
-        ]
-        if not slots:
+    for node_id in view.ids:
+        replicas = [view.table(r) for r in view.successors(node_id, replication)]
+        if not replicas:
             continue
-        predecessors = live_predecessors(
-            dht, node_id, replication, responsive_only=True
-        )
-        chain = replica_chain(dht, node_id, replication, responsive_only=True)
-        if not chain:
-            continue
-        for slot_key, slot in slots:
-            live = slot.live_mask(now)
-            if not live:
-                continue
-            pred_mask = 0
-            for pred_id in predecessors:
-                pred_slot = dht.node(pred_id).store.get(slot_key)
-                if isinstance(pred_slot, PackedSlot):
-                    pred_mask |= pred_slot.live_mask(now)
-            primary = live & ~pred_mask
-            if not primary:
-                continue
-            for replica_id in chain:
-                replica_slot = dht.node(replica_id).store.get(slot_key)
-                have = (
-                    replica_slot.live_mask(now)
-                    if isinstance(replica_slot, PackedSlot)
-                    else 0
-                )
-                total += (primary & ~have).bit_count()
+        for key, primary in view.primary(node_id, replication).items():
+            for have in replicas:
+                total += (primary & ~have.get(key, 0)).bit_count()
     return total
 
 

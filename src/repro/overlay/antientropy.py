@@ -25,14 +25,24 @@ asymmetric directions, chosen so repeated rounds converge without
 flooding copies around the ring:
 
 * **push** — ``X`` offers the bits it is *primary* for (live bits none
-  of its ``R`` live predecessors hold, the same primacy rule
-  ``stabilize`` uses), and ``S`` OR-merges what it misses.  This keeps
-  every replica chain at its configured depth.
+  of its ``R`` live predecessors hold: ``ChainView.primary``, the one
+  rule ``stabilize`` and the divergence gauge use too), and ``S``
+  OR-merges what it misses.  This keeps every replica chain at its
+  configured depth.
 * **homecoming** — ``S`` returns the bits for which ``X`` is *visible*
   to the counting walk (in-interval, per the injected predicate) while
   ``S`` itself is not.  This is how an amnesiac rejoiner pulls its
   spilled state back home, and how bits stranded behind a partition
   reach a reachable in-interval holder.
+
+A round runs on one :class:`~repro.overlay.replication.ChainView`:
+chain peers come off one sorted id list, each store is scanned once
+into a ``{key: live bitmap}`` table the round refreshes where it writes,
+and both views of a direction are dict arithmetic over those tables.
+**Trees are built only for views that differ**: equal views hash to
+equal trees by construction, so a converged direction is charged its
+two roots and hashes nothing.  Reads, writes and charges are exactly
+the pair-by-pair protocol's (``test_antientropy_differential.py``).
 
 Layering note: this module sits in the overlay and must not import the
 core DHS machinery, so slots are duck-typed (:class:`RegisterSlot`) and
@@ -56,7 +66,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     cast,
@@ -66,7 +75,13 @@ from repro.obs import runtime as obs
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
 from repro.overlay.node import Node
-from repro.overlay.replication import live_predecessors, replica_chain
+from repro.overlay.replication import (
+    ChainView,
+    RegisterSlot,
+    SlotKey,
+    entry_expiry,
+    is_slot_key,
+)
 from repro.overlay.stats import OpCost
 
 __all__ = [
@@ -74,7 +89,6 @@ __all__ = [
     "DigestTree",
     "RegisterSlot",
     "antientropy_round",
-    "reconcile_pair",
     "store_digest",
     "sync_stores",
     "view_digest",
@@ -83,22 +97,6 @@ __all__ = [
 #: blake2b output size for every digest in the tree (= SizeModel.digest_bytes).
 _DIGEST_SIZE = 16
 
-
-class RegisterSlot(Protocol):
-    """Duck type of a DHS register slot (``PackedSlot`` / ``RegSlot``).
-
-    The overlay never imports the core slot classes (layering); it only
-    relies on this surface, which both backends provide.
-    """
-
-    mask: int
-    expiring: Optional[Dict[int, float]]
-
-    def live_mask(self, now: int) -> int: ...
-
-
-#: A DHS store key: ``(metric, bit)``.
-SlotKey = Tuple[Hashable, int]
 #: Injected store writer: ``write_fn(node, metric, vector, bit, expiry)``.
 WriteFn = Callable[[Node, Hashable, int, int, Optional[int]], None]
 #: Injected walk-visibility predicate: ``visible(bit, node_id)``.
@@ -141,12 +139,7 @@ class AntiEntropyStats:
 def _dhs_slots(node: Node) -> Iterator[Tuple[SlotKey, RegisterSlot]]:
     """The node's DHS register slots (other applications' values skipped)."""
     for key, value in node.store.items():
-        if (
-            isinstance(key, tuple)
-            and len(key) == 2
-            and isinstance(key[1], int)
-            and hasattr(value, "live_mask")
-        ):
+        if is_slot_key(key) and hasattr(value, "live_mask"):
             yield cast(SlotKey, key), cast(RegisterSlot, value)
 
 
@@ -247,52 +240,35 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
-def _entry_expiry(slot: RegisterSlot, vector: int) -> Optional[int]:
-    """Replication expiry for one live vector: ``None`` if immortal."""
-    if (slot.mask >> vector) & 1:
-        return None
-    expiring = slot.expiring or {}
-    return int(expiring[vector])
-
-
-#: A sync view: per slot key, the bitmap on offer plus the source slot
-#: (consulted for per-vector expiries when bits are actually shipped).
-_View = Dict[SlotKey, Tuple[int, RegisterSlot]]
-
-
 def _sync_direction(
-    dht: DHTProtocol,
+    view: ChainView,
+    src_id: int,
     dst_id: int,
-    view: _View,
-    now: int,
+    offered: Dict[SlotKey, int],
     *,
     model: SizeModel,
     segment_of: SegmentFn,
     write_fn: WriteFn,
     stats: AntiEntropyStats,
 ) -> bool:
-    """One half of a reconciliation: offer ``view`` to ``dst_id``.
+    """One half of a reconciliation: ``src_id`` offers bitmaps to ``dst_id``.
 
     Root digests are exchanged unconditionally (the bandwidth floor);
     on mismatch both sides ship per-segment digest lists, and only the
     mismatched segments degrade to tuple summaries which ``dst``
-    OR-merges.  Returns whether the pair was already converged.
+    OR-merges.  Equal views hash to equal trees by construction, so the
+    trees are built only when the views differ.  Returns whether the
+    pair was already converged.
     """
     cost = stats.cost
     cost.messages += 2
     cost.hops += 2
     cost.bytes += 2 * model.digest_bytes
-    dst = dht.node(dst_id)
-    src_tree = view_digest({key: mask for key, (mask, _) in view.items()}, segment_of)
-    dst_masks: Dict[SlotKey, int] = {}
-    for key, (mask, _) in view.items():
-        other = dst.store.get(key)
-        have = (
-            cast(RegisterSlot, other).live_mask(now)
-            if hasattr(other, "live_mask")
-            else 0
-        )
-        dst_masks[key] = have & mask
+    have = view.table(dst_id)
+    dst_masks = {key: have.get(key, 0) & mask for key, mask in offered.items()}
+    if dst_masks == offered:
+        return True
+    src_tree = view_digest(offered, segment_of)
     dst_tree = view_digest(dst_masks, segment_of)
     if src_tree.root == dst_tree.root:
         return True
@@ -307,18 +283,26 @@ def _sync_direction(
         if src_tree.segments[segment] != dst_tree.segments.get(segment)
     }
     stats.segments_mismatched += len(mismatched)
+    dht = view.dht
+    src_store = dht.node(src_id).store
+    dst = dht.node(dst_id)
     shipped_slots = 0
     shipped_entries = 0
-    for key, (mask, slot) in view.items():
+    for key, mask in offered.items():
         if segment_of(key[1]) not in mismatched:
             continue
         shipped_slots += 1
         shipped_entries += mask.bit_count()
+        missing = mask & ~dst_masks[key]
+        if not missing:
+            continue
         metric, bit = key
-        for vector in _bits(mask & ~dst_masks[key]):
-            write_fn(dst, metric, vector, bit, _entry_expiry(slot, vector))
+        slot = cast(RegisterSlot, src_store[key])
+        for vector in _bits(missing):
+            write_fn(dst, metric, vector, bit, entry_expiry(slot, vector))
             stats.entries_written += 1
             cost.repair_writes += 1
+        view.refresh(dst_id, key)
     stats.entries_sent += shipped_entries
     cost.messages += 1
     cost.hops += 1
@@ -327,94 +311,15 @@ def _sync_direction(
     return False
 
 
-def _primary_view(
-    dht: DHTProtocol, node_id: int, now: int, degree: int
-) -> _View:
-    """Live bits ``node_id`` is primary for (none of its preds hold them).
-
-    Predecessors are consulted through the current fault state: a
-    partitioned predecessor cannot answer, so its bits count as absent
-    and the node steps up as primary for them — which is exactly what
-    lets anti-entropy re-cover a chain *during* an outage.
-    """
-    node = dht.node(node_id)
-    preds = [
-        dht.node(p)
-        for p in live_predecessors(dht, node_id, degree, responsive_only=True)
-    ]
-    view: _View = {}
-    for key, slot in _dhs_slots(node):
-        live = slot.live_mask(now)
-        if not live:
-            continue
-        pred_mask = 0
-        for pred in preds:
-            other = pred.store.get(key)
-            if hasattr(other, "live_mask"):
-                pred_mask |= cast(RegisterSlot, other).live_mask(now)
-        primary = live & ~pred_mask
-        if primary:
-            view[key] = (primary, slot)
-    return view
-
-
-def _homecoming_view(
-    dht: DHTProtocol, holder_id: int, home_id: int, now: int, visible: VisibleFn
-) -> _View:
-    """Bits at ``holder_id`` whose interval sees ``home_id`` but not the holder."""
-    holder = dht.node(holder_id)
-    view: _View = {}
-    for key, slot in _dhs_slots(holder):
-        bit = key[1]
-        if not visible(bit, home_id) or visible(bit, holder_id):
-            continue
-        live = slot.live_mask(now)
-        if live:
-            view[key] = (live, slot)
-    return view
-
-
-def reconcile_pair(
-    dht: DHTProtocol,
-    left_id: int,
-    right_id: int,
-    now: int,
-    *,
-    degree: int,
-    model: SizeModel,
-    visible: VisibleFn,
-    segment_of: SegmentFn,
-    write_fn: WriteFn,
-    stats: Optional[AntiEntropyStats] = None,
-) -> AntiEntropyStats:
-    """Reconcile one replica-chain pair: primary push + homecoming pull."""
-    if stats is None:
-        stats = AntiEntropyStats()
-    stats.pairs += 1
-
-    def _run() -> None:
-        assert stats is not None
-        push = _primary_view(dht, left_id, now, degree)
-        converged = _sync_direction(
-            dht, right_id, push, now,
-            model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-        )
-        home = _homecoming_view(dht, right_id, left_id, now, visible)
-        converged &= _sync_direction(
-            dht, left_id, home, now,
-            model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-        )
-        if converged:
-            stats.pairs_converged += 1
-
-    if obs.TRACING:
-        with obs.TRACER.span(
-            "dhs.antientropy.reconcile", tick=now, left=left_id, right=right_id
-        ):
-            _run()
-    else:
-        _run()
-    return stats
+def _homecoming(
+    view: ChainView, holder_id: int, home_id: int, visible: VisibleFn
+) -> Dict[SlotKey, int]:
+    """Live bits at ``holder_id`` whose interval sees ``home_id`` but not the holder."""
+    return {
+        key: live
+        for key, live in view.table(holder_id).items()
+        if live and visible(key[1], home_id) and not visible(key[1], holder_id)
+    }
 
 
 def sync_stores(
@@ -436,23 +341,14 @@ def sync_stores(
     if stats is None:
         stats = AntiEntropyStats()
     stats.pairs += 1
-
-    def _full_view(node_id: int) -> _View:
-        view: _View = {}
-        for key, slot in _dhs_slots(dht.node(node_id)):
-            live = slot.live_mask(now)
-            if live:
-                view[key] = (live, slot)
-        return view
-
-    converged = _sync_direction(
-        dht, right_id, _full_view(left_id), now,
-        model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-    )
-    converged &= _sync_direction(
-        dht, left_id, _full_view(right_id), now,
-        model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-    )
+    view = ChainView(dht, now)
+    converged = True
+    for src_id, dst_id in ((left_id, right_id), (right_id, left_id)):
+        everything = {k: live for k, live in view.table(src_id).items() if live}
+        converged &= _sync_direction(
+            view, src_id, dst_id, everything,
+            model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
+        )
     if converged:
         stats.pairs_converged += 1
     return stats
@@ -479,19 +375,45 @@ def antientropy_round(
     """
     size_model = model if model is not None else DEFAULT_SIZE_MODEL
     stats = AntiEntropyStats()
-    ids: List[int] = list(dht.responsive_node_ids())
+    view = ChainView(dht, now)
+    ids = view.ids
     if sample is not None and rng is not None and 0 < sample < len(ids):
         ids = sorted(rng.sample(ids, sample))
     degree = max(1, replication)
+    seen: Dict[Tuple[int, int], bool] = {}
+
+    def _visible(bit: int, node_id: int) -> bool:
+        """``visible``, asked once per (bit, node): membership is fixed."""
+        known = seen.get((bit, node_id))
+        if known is None:
+            known = seen[bit, node_id] = visible(bit, node_id)
+        return known
+
+    def _pair(left_id: int, right_id: int) -> None:
+        """Primary push left -> right, then homecoming pull right -> left."""
+        stats.pairs += 1
+        converged = _sync_direction(
+            view, left_id, right_id, view.primary(left_id, degree),
+            model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
+        )
+        converged &= _sync_direction(
+            view, right_id, left_id, _homecoming(view, right_id, left_id, _visible),
+            model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
+        )
+        if converged:
+            stats.pairs_converged += 1
 
     def _run() -> None:
         for left_id in ids:
-            for right_id in replica_chain(dht, left_id, degree, responsive_only=True):
-                reconcile_pair(
-                    dht, left_id, right_id, now,
-                    degree=degree, model=size_model, visible=visible,
-                    segment_of=segment_of, write_fn=write_fn, stats=stats,
-                )
+            for right_id in view.successors(left_id, degree):
+                if obs.TRACING:
+                    with obs.TRACER.span(
+                        "dhs.antientropy.reconcile",
+                        tick=now, left=left_id, right=right_id,
+                    ):
+                        _pair(left_id, right_id)
+                else:
+                    _pair(left_id, right_id)
 
     if obs.TRACING:
         with obs.TRACER.span(

@@ -9,13 +9,63 @@ neighbours), so insertion stays ``O(log N)`` total for constant ``R``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    cast,
+)
 
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.node import Node
 from repro.overlay.stats import OpCost
 
-__all__ = ["replicate_to_successors", "replica_chain", "live_predecessors"]
+__all__ = [
+    "ChainView",
+    "RegisterSlot",
+    "SlotKey",
+    "entry_expiry",
+    "is_slot_key",
+    "live_predecessors",
+    "replica_chain",
+    "replicate_to_successors",
+]
+
+#: A DHS store key: ``(metric, bit)``.
+SlotKey = Tuple[Hashable, int]
+
+
+class RegisterSlot(Protocol):
+    """Duck type of a DHS register slot (``PackedSlot`` / ``RegSlot``).
+
+    The overlay never imports the core slot classes (layering); it only
+    relies on this surface, which both backends provide.
+    """
+
+    mask: int
+    expiring: Optional[Dict[int, float]]
+
+    def live_mask(self, now: int) -> int: ...
+
+
+def is_slot_key(key: object) -> bool:
+    """Whether a store key has the DHS ``(metric, bit)`` shape."""
+    return isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], int)
+
+
+def entry_expiry(slot: RegisterSlot, vector: int) -> Optional[int]:
+    """Expiry a copy of ``vector`` inherits from ``slot``: ``None`` if immortal.
+
+    Raises ``KeyError`` for a vector the slot does not hold — copying an
+    absent entry as immortal would manufacture a bit nobody inserted.
+    """
+    if (slot.mask >> vector) & 1:
+        return None
+    return int((slot.expiring or {})[vector])
 
 
 def replica_chain(
@@ -52,9 +102,9 @@ def live_predecessors(
 ) -> List[int]:
     """The first ``degree`` live predecessors (mirror of :func:`replica_chain`).
 
-    Used to decide chain *primacy*: a node is primary for the bits none
-    of its ``degree`` live predecessors hold, which is what keeps repair
-    sweeps from flooding copies around the whole ring.
+    The one-node form of the chain lookup (the interval handoff asks for
+    a holder's nearest predecessor); a sweep over every node reads the
+    same ids off a :class:`ChainView`, where chain primacy is decided.
     """
     preds: List[int] = []
     current = node_id
@@ -69,6 +119,94 @@ def live_predecessors(
         ):
             preds.append(current)
     return preds
+
+
+class ChainView:
+    """Replica chains and live register state, fixed for one maintenance round.
+
+    A round only writes stores: membership and fault state cannot change
+    under it, so the chain members are listed once and a node's
+    neighbours are read off that sorted list by index — the ids
+    :func:`replica_chain` / :func:`live_predecessors` walk to, wrap-around
+    stop included (a node has at most ``len(ids) - 1`` neighbours).
+    ``responsive_only`` means what it means there: anti-entropy and the
+    divergence gauge chain over the nodes that answer right now,
+    ``stabilize`` over every live one.  A node's ``{key: live_mask(now)}``
+    table is built on first use, in store order; the round's single
+    writer calls :meth:`refresh` after writing a slot, so a table always
+    equals a fresh scan of its store.  Nothing outlives the round.
+    """
+
+    def __init__(
+        self, dht: DHTProtocol, now: int, responsive_only: bool = True
+    ) -> None:
+        self.dht = dht
+        self.now = now
+        #: Chain members, sorted: the nodes the walks would not skip.
+        self.ids: List[int] = (
+            dht.responsive_node_ids()
+            if responsive_only
+            else [node_id for node_id in dht.node_ids() if dht.is_alive(node_id)]
+        )
+        self._index = {node_id: index for index, node_id in enumerate(self.ids)}
+        #: Two laps of the ring, so a chain is one slice even across the wrap.
+        self._laps = self.ids * 2
+        self._tables: Dict[int, Dict[SlotKey, int]] = {}
+
+    def successors(self, node_id: int, degree: int) -> List[int]:
+        """The first ``degree`` chain successors, nearest first."""
+        first = self._index[node_id] + 1
+        return self._laps[first : first + min(degree, len(self.ids) - 1)]
+
+    def predecessors(self, node_id: int, degree: int) -> List[int]:
+        """The first ``degree`` chain predecessors, nearest first."""
+        end = self._index[node_id] + len(self.ids)
+        return self._laps[end - min(degree, len(self.ids) - 1) : end][::-1]
+
+    def table(self, node_id: int) -> Dict[SlotKey, int]:
+        """Live bitmap per DHS key at ``node_id``, in store order.
+
+        Every slot-shaped key is listed (0 for a dead slot or a foreign
+        value) so that a later write lands at the key's store position.
+        """
+        table = self._tables.get(node_id)
+        if table is None:
+            now = self.now
+            table = self._tables[node_id] = {
+                cast(SlotKey, key): (
+                    cast(RegisterSlot, value).live_mask(now)
+                    if hasattr(value, "live_mask")
+                    else 0
+                )
+                for key, value in self.dht.node(node_id).store.items()
+                if is_slot_key(key)
+            }
+        return table
+
+    def refresh(self, node_id: int, key: SlotKey) -> None:
+        """Re-read the slot at ``key`` after the round wrote to it."""
+        slot = cast(RegisterSlot, self.dht.node(node_id).store[key])
+        self.table(node_id)[key] = slot.live_mask(self.now)
+
+    def primary(self, node_id: int, degree: int) -> Dict[SlotKey, int]:
+        """Live bits ``node_id`` is primary for, per key.
+
+        The primary-bit rule, defined here only: a node is primary for
+        the live bits none of its ``degree`` chain predecessors hold —
+        copying only those keeps a chain at ``degree + 1`` holders
+        instead of flooding the ring.  Over a responsive-only view a
+        partitioned predecessor cannot answer, so its bits count as
+        absent and the node steps up as primary for them, which is what
+        lets anti-entropy re-cover a chain *during* an outage.
+        """
+        preds = [self.table(pred) for pred in self.predecessors(node_id, degree)]
+        view: Dict[SlotKey, int] = {}
+        for key, live in self.table(node_id).items():
+            for pred in preds:
+                live &= ~pred.get(key, 0)
+            if live:
+                view[key] = live
+        return view
 
 
 def replicate_to_successors(

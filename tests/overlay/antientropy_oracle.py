@@ -1,0 +1,210 @@
+"""Naive reference for the replica-chain repair paths (not a test module).
+
+A deliberately slow transcription of the per-pair algorithm that
+``repro.overlay.replication.ChainView`` replaced, kept so the fast paths
+are checked against something that shares none of their shortcuts:
+
+* chains are found by scanning the whole sorted membership, corpses and
+  unreachable nodes included, one position at a time;
+* every pair rescans both stores and re-reads every predecessor slot;
+* liveness is recomputed from ``mask`` / ``expiring`` directly, never
+  through ``live_mask`` or a cached table;
+* both digest trees are built for every direction, converged or not.
+
+Only the injected callables (``visible``, ``segment_of``, ``write_fn``),
+``view_digest`` and the stats/cost containers come from the package.
+"""
+
+from repro.core.tuples import write_entry
+from repro.overlay.antientropy import AntiEntropyStats, view_digest
+from repro.overlay.messages import DEFAULT_SIZE_MODEL
+from repro.overlay.stats import OpCost
+
+
+def ring_walk(dht, node_id, degree, step, responsive_only):
+    """First ``degree`` live (and responsive) nodes clockwise (+1) or
+    counter-clockwise (-1) of ``node_id``, by linear membership scan."""
+    ring = [int(n) for n in dht.node_ids()]
+    at = ring.index(node_id)
+    found = []
+    for k in range(1, len(ring)):
+        if len(found) == degree:
+            break
+        candidate = ring[(at + step * k) % len(ring)]
+        if not dht.is_alive(candidate):
+            continue
+        if responsive_only and not dht.node_responsive(candidate):
+            continue
+        found.append(candidate)
+    return found
+
+
+def live_vectors(slot, now):
+    """Vector ids alive in ``slot`` at ``now``, from the raw fields."""
+    alive = {v for v in range(slot.mask.bit_length()) if (slot.mask >> v) & 1}
+    alive.update(v for v, e in (slot.expiring or {}).items() if e >= now)
+    return alive
+
+
+def _mask(vectors):
+    return sum(1 << v for v in vectors)
+
+
+def _slots(node):
+    return [
+        (key, slot)
+        for key, slot in node.store.items()
+        if isinstance(key, tuple)
+        and len(key) == 2
+        and isinstance(key[1], int)
+        and hasattr(slot, "live_mask")
+    ]
+
+
+def _held(dht, node_id, key, now):
+    slot = dict(_slots(dht.node(node_id))).get(key)
+    return live_vectors(slot, now) if slot is not None else set()
+
+
+def _expiry(slot, vector):
+    return None if (slot.mask >> vector) & 1 else int(slot.expiring[vector])
+
+
+def _primary_view(dht, node_id, now, degree, responsive_only=True):
+    preds = ring_walk(dht, node_id, degree, -1, responsive_only)
+    view = {}
+    for key, slot in _slots(dht.node(node_id)):
+        primary = live_vectors(slot, now)
+        for pred in preds:
+            primary -= _held(dht, pred, key, now)
+        if primary:
+            view[key] = (_mask(primary), slot)
+    return view
+
+
+def _homecoming_view(dht, holder_id, home_id, now, visible):
+    view = {}
+    for key, slot in _slots(dht.node(holder_id)):
+        if not visible(key[1], home_id) or visible(key[1], holder_id):
+            continue
+        live = live_vectors(slot, now)
+        if live:
+            view[key] = (_mask(live), slot)
+    return view
+
+
+def _sync_direction(dht, dst_id, view, now, model, segment_of, write_fn, stats):
+    cost = stats.cost
+    cost.messages += 2
+    cost.hops += 2
+    cost.bytes += 2 * model.digest_bytes
+    dst = dht.node(dst_id)
+    offered = {key: mask for key, (mask, _) in view.items()}
+    dst_masks = {
+        key: _mask(_held(dht, dst_id, key, now)) & mask
+        for key, mask in offered.items()
+    }
+    src_tree = view_digest(offered, segment_of)
+    dst_tree = view_digest(dst_masks, segment_of)
+    if src_tree.root == dst_tree.root:
+        assert offered == dst_masks, "digest collision"
+        return True
+    segments = sorted(src_tree.segments)
+    stats.segments_checked += len(segments)
+    cost.messages += 2
+    cost.hops += 2
+    cost.bytes += 2 * len(segments) * model.digest_bytes
+    mismatched = {
+        s for s in segments if src_tree.segments[s] != dst_tree.segments.get(s)
+    }
+    stats.segments_mismatched += len(mismatched)
+    shipped_slots = shipped_entries = 0
+    for key, (mask, slot) in view.items():
+        if segment_of(key[1]) not in mismatched:
+            continue
+        shipped_slots += 1
+        shipped_entries += bin(mask).count("1")
+        metric, bit = key
+        for vector in sorted(live_vectors(slot, now)):
+            if (mask >> vector) & 1 and not (dst_masks[key] >> vector) & 1:
+                write_fn(dst, metric, vector, bit, _expiry(slot, vector))
+                stats.entries_written += 1
+                cost.repair_writes += 1
+    stats.entries_sent += shipped_entries
+    cost.messages += 1
+    cost.hops += 1
+    cost.bytes += model.summary_bytes(shipped_slots, shipped_entries)
+    dht.load.record(dst_id)
+    return False
+
+
+def antientropy_round(
+    dht, replication, now, *, visible, segment_of, write_fn,
+    model=DEFAULT_SIZE_MODEL, rng=None, sample=None,
+):
+    """One round, pair by pair, exactly as it ran before the chain view."""
+    stats = AntiEntropyStats()
+    ids = [int(n) for n in dht.node_ids() if dht.node_responsive(n)]
+    if sample is not None and rng is not None and 0 < sample < len(ids):
+        ids = sorted(rng.sample(ids, sample))
+    degree = max(1, replication)
+    for left_id in ids:
+        for right_id in ring_walk(dht, left_id, degree, +1, True):
+            stats.pairs += 1
+            push = _primary_view(dht, left_id, now, degree)
+            converged = _sync_direction(
+                dht, right_id, push, now, model, segment_of, write_fn, stats
+            )
+            home = _homecoming_view(dht, right_id, left_id, now, visible)
+            converged &= _sync_direction(
+                dht, left_id, home, now, model, segment_of, write_fn, stats
+            )
+            stats.pairs_converged += converged
+    return stats
+
+
+def stabilize(dht, replication, now, model=DEFAULT_SIZE_MODEL):
+    """One stabilize sweep without the interval handoff (``mapping=None``)."""
+    cost = OpCost()
+    for node_id in [int(n) for n in dht.node_ids()]:
+        if not dht.node_responsive(node_id):
+            continue
+        for replica_id in ring_walk(dht, node_id, replication, +1, False):
+            if not dht.node_responsive(replica_id):
+                continue
+            view = _primary_view(dht, node_id, now, replication, False)
+            wrote = 0
+            for key, (mask, slot) in view.items():
+                have = _held(dht, replica_id, key, now)
+                for vector in sorted(live_vectors(slot, now) - have):
+                    if (mask >> vector) & 1:
+                        write_entry(
+                            dht.node(replica_id), key[0], vector, key[1],
+                            _expiry(slot, vector),
+                        )
+                        wrote += 1
+            if wrote:
+                cost.hops += 1
+                cost.messages += 1
+                cost.bytes += wrote * model.tuple_bytes
+                cost.repair_writes += wrote
+                dht.load.record(replica_id)
+    return cost
+
+
+def replica_divergence(dht, replication, now):
+    """Brute-force recount: one missing (replica, key, vector) at a time."""
+    total = 0
+    for node_id in [int(n) for n in dht.node_ids()]:
+        if not dht.node_responsive(node_id):
+            continue
+        preds = ring_walk(dht, node_id, replication, -1, True)
+        chain = ring_walk(dht, node_id, replication, +1, True)
+        for key, slot in _slots(dht.node(node_id)):
+            for vector in live_vectors(slot, now):
+                if any(vector in _held(dht, p, key, now) for p in preds):
+                    continue
+                total += sum(
+                    vector not in _held(dht, r, key, now) for r in chain
+                )
+    return total

@@ -1,0 +1,287 @@
+"""Differential tests: the chain-view repair paths against a naive oracle.
+
+``tests/overlay/antientropy_oracle.py`` transcribes the per-pair
+algorithm (ring scans, per-pair store rescans, always-hash).  Random
+small deployments are built twice from one drawn description; one copy
+runs the package code, the other the oracle, and afterwards everything
+observable must agree: every ``AntiEntropyStats`` field (``cost``
+included), every store (key order, masks, expiries in insertion order)
+and every ``dht.load`` count — plus the divergence gauge against a
+brute-force recount before and after the round.
+
+The second half pins the edge geometry of the index-arithmetic chains
+by name, on all three overlays: rings smaller than the chain, a lone
+reachable node, a corpse between two peers, id-space wrap-around, and
+a homecoming write that must be visible to the initiator's next pair.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import DHSConfig
+from repro.core.maintenance import antientropy_sweep, replica_divergence, stabilize
+from repro.core.mapping import BitIntervalMap
+from repro.core.tuples import vectors_mask, write_entry
+from repro.overlay.chord import ChordRing
+from repro.overlay.dht import FaultHooks
+from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.pastry import PastryOverlay
+from repro.overlay.replication import ChainView, live_predecessors, replica_chain
+from tests.overlay import antientropy_oracle as oracle
+
+BITS = 16
+NOW = 10
+#: 6 bitmap positions, position 0 shifted away (never stored: its
+#: segment is -1 and every node counts as visible for it).
+CONFIG = DHSConfig(key_bits=8, num_bitmaps=4, bit_shift=1)
+OVERLAYS = {
+    "chord": ChordRing.from_ids,
+    "kademlia": KademliaOverlay.from_ids,
+    "pastry": PastryOverlay.from_ids,
+}
+
+
+class Outage(FaultHooks):
+    """A fixed set of alive-but-unreachable nodes."""
+
+    def __init__(self, down):
+        self.down = frozenset(down)
+
+    def responsive(self, node_id):
+        return node_id not in self.down
+
+    def veto_eviction(self, node_id):
+        return node_id in self.down
+
+
+def build(overlay, ids, entries, down=(), failed=()):
+    """A deployment from a plain description (called once per side)."""
+    dht = OVERLAYS[overlay](ids, bits=BITS)
+    ordered = sorted(ids)
+    for owner, metric, bit, vector, expiry in entries:
+        node = dht.node(ordered[owner % len(ordered)])
+        write_entry(node, metric, vector, bit, expiry)
+    for node_id in failed:
+        dht.mark_failed(node_id)  # keeps its ring position; must never be read
+    dht.fault_layer = Outage(down)
+    dht.load.reset()
+    return dht
+
+
+def geometry(dht):
+    """The callables ``antientropy_sweep`` injects, spelled out naively."""
+    mapping = BitIntervalMap(dht.space, CONFIG)
+
+    def visible(bit, node_id):
+        if bit < CONFIG.bit_shift:
+            return True
+        lo, hi = mapping.interval_for_position(bit)
+        return lo <= node_id < hi or node_id == dht.owner_of(hi - 1)
+
+    def segment_of(bit):
+        return bit - CONFIG.bit_shift if bit >= CONFIG.bit_shift else -1
+
+    def write_fn(node, metric, vector, bit, expiry):
+        write_entry(node, metric, vector, bit, expiry)
+
+    return mapping, dict(visible=visible, segment_of=segment_of, write_fn=write_fn)
+
+
+def snapshot(dht):
+    """Everything a round may touch, in comparable form."""
+    stores = {}
+    for node_id in dht.node_ids():
+        stores[int(node_id)] = [
+            (key, slot.mask, list((slot.expiring or {}).items()))
+            for key, slot in dht.node(node_id).store.items()
+        ]
+    return stores, dht.load.counts()
+
+
+node_ids = st.one_of(
+    st.integers(0, 2**BITS - 1),
+    st.integers(0, 2**10),  # crowd the narrow low intervals too
+    st.sampled_from([0, 2**BITS - 1, 2**15, 2**15 - 1, 2**14, 2**13 - 1]),
+)
+entry = st.tuples(
+    st.integers(0, 11),                      # owner: index into sorted ids
+    st.sampled_from(["m", "x"]),             # metric
+    st.integers(0, CONFIG.position_bits - 1),  # bit
+    st.integers(0, 5),                       # vector
+    st.one_of(st.none(), st.integers(NOW - 3, NOW + 4)),  # expiry around now
+)
+
+
+@st.composite
+def deployments(draw):
+    ids = draw(st.lists(node_ids, min_size=1, max_size=12, unique=True))
+    entries = draw(st.lists(entry, max_size=40))
+    troubled = draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids)))
+    cut = draw(st.integers(0, len(troubled)))
+    return dict(
+        overlay=draw(st.sampled_from(sorted(OVERLAYS))),
+        ids=ids,
+        entries=entries,
+        down=troubled[:cut],
+        failed=troubled[cut:],
+    )
+
+
+@given(
+    spec=deployments(),
+    replication=st.integers(1, 3),
+    sample=st.one_of(st.none(), st.integers(1, 12)),
+    rng_seed=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_round_matches_the_per_pair_oracle(spec, replication, sample, rng_seed):
+    fast, slow = build(**spec), build(**spec)
+    mapping, _ = geometry(fast)
+    _, naive = geometry(slow)
+
+    assert replica_divergence(fast, replication, NOW) == oracle.replica_divergence(
+        slow, replication, NOW
+    )
+    got = antientropy_sweep(
+        fast, replication, NOW, mapping=mapping,
+        sample=sample, rng=random.Random(rng_seed),
+    )
+    want = oracle.antientropy_round(
+        slow, replication, NOW, sample=sample, rng=random.Random(rng_seed), **naive
+    )
+    assert got == want
+    assert snapshot(fast) == snapshot(slow)
+    assert replica_divergence(fast, replication, NOW) == oracle.replica_divergence(
+        slow, replication, NOW
+    )
+
+
+@given(spec=deployments(), replication=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_stabilize_matches_the_per_pair_oracle(spec, replication):
+    fast, slow = build(**spec), build(**spec)
+    got = stabilize(fast, replication, NOW)
+    want = oracle.stabilize(slow, replication, NOW)
+    assert got == want
+    assert snapshot(fast) == snapshot(slow)
+
+
+@pytest.mark.parametrize("overlay", sorted(OVERLAYS))
+def test_oracle_itself_converges(overlay):
+    """Sanity of the reference: repeated oracle rounds drain divergence."""
+    ids = [100, 20000, 33000, 40000, 50000, 60000]
+    entries = [(i, "m", 1 + i % 5, i % 4, None) for i in range(12)]
+    dht = build(overlay, ids, entries)
+    _, naive = geometry(dht)
+    assert oracle.replica_divergence(dht, 2, NOW) > 0
+    for _ in range(4):
+        oracle.antientropy_round(dht, 2, NOW, **naive)
+    assert oracle.replica_divergence(dht, 2, NOW) == 0
+
+
+# ----------------------------------------------------------------------
+# Edge geometry, by name.
+# ----------------------------------------------------------------------
+TOP = 2**BITS - 1
+EDGES = {
+    "one node": dict(ids=[7]),
+    "two nodes": dict(ids=[7, 40000]),
+    "three nodes": dict(ids=[7, 40000, TOP]),
+    "lone reachable node": dict(ids=[5, 900, 33000, 60000], down=[5, 900, 60000]),
+    "corpse between peers": dict(ids=[100, 200, 300, 50000], failed=[200]),
+    "corpse and outage": dict(
+        ids=[100, 200, 300, 400, 50000], failed=[200], down=[400]
+    ),
+    "initiator is the highest id": dict(ids=[0, 1, 2, TOP - 1, TOP]),
+}
+#: One entry per node and stored bit, half of them TTL'd: plenty to repair.
+EDGE_ENTRIES = [
+    (owner, "m", bit, (owner + bit) % 4, None if (owner + bit) % 2 else NOW + 2)
+    for owner in range(5)
+    for bit in range(CONFIG.position_bits)
+]
+
+
+@pytest.mark.parametrize("overlay", sorted(OVERLAYS))
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_edge_chains_are_the_ring_walks(overlay, edge):
+    dht = build(overlay, entries=[], **EDGES[edge])
+    for responsive_only in (True, False):
+        view = ChainView(dht, NOW, responsive_only=responsive_only)
+        assert view.ids == [
+            int(n)
+            for n in dht.node_ids()
+            if (dht.node_responsive(n) if responsive_only else dht.is_alive(n))
+        ]
+        for node_id in view.ids:
+            for degree in range(1, len(EDGES[edge]["ids"]) + 2):
+                assert view.successors(node_id, degree) == replica_chain(
+                    dht, node_id, degree, responsive_only=responsive_only
+                )
+                assert view.predecessors(node_id, degree) == live_predecessors(
+                    dht, node_id, degree, responsive_only=responsive_only
+                )
+
+
+@pytest.mark.parametrize("overlay", sorted(OVERLAYS))
+@pytest.mark.parametrize("edge", sorted(EDGES))
+@pytest.mark.parametrize("replication", [1, 2, 3, 4])
+def test_edge_rounds_match_the_oracle(overlay, edge, replication):
+    spec = dict(overlay=overlay, entries=EDGE_ENTRIES, **EDGES[edge])
+    fast, slow = build(**spec), build(**spec)
+    mapping, _ = geometry(fast)
+    _, naive = geometry(slow)
+    for _ in range(3):  # the repairs of one round are the next one's input
+        assert replica_divergence(fast, replication, NOW) == (
+            oracle.replica_divergence(slow, replication, NOW)
+        )
+        got = antientropy_sweep(fast, replication, NOW, mapping=mapping)
+        assert got == oracle.antientropy_round(slow, replication, NOW, **naive)
+        assert snapshot(fast) == snapshot(slow)
+    assert stabilize(fast, replication, NOW) == oracle.stabilize(
+        slow, replication, NOW
+    )
+    assert snapshot(fast) == snapshot(slow)
+
+
+@pytest.mark.parametrize("overlay", sorted(OVERLAYS))
+def test_homecoming_write_reaches_the_next_pair(overlay):
+    """A bit pulled home from the first chain peer is pushed to the second.
+
+    30000 is the last reachable node of bit 2's interval [16384, 32768);
+    the corpse at 32767 owns the interval's top key, so the walk cannot
+    see 40000, which holds the bit.  Pair (30000, 40000) brings it home;
+    pair (30000, 50000) must then find 30000 primary for it.
+    """
+    spec = dict(
+        overlay=overlay,
+        ids=[10, 30000, 32767, 40000, 50000],
+        entries=[(3, "m", 2, 3, None)],  # sorted ids[3] == 40000
+        failed=[32767],
+    )
+    fast, slow = build(**spec), build(**spec)
+    mapping, naive = geometry(fast)
+    assert naive["visible"](2, 30000) and not naive["visible"](2, 40000)
+    assert ChainView(fast, NOW).successors(30000, 2) == [40000, 50000]
+    got = antientropy_sweep(fast, 2, NOW, mapping=mapping)
+    assert vectors_mask(fast.node(30000), "m", 2, NOW) == 0b1000
+    assert vectors_mask(fast.node(50000), "m", 2, NOW) == 0b1000
+    _, naive = geometry(slow)
+    assert got == oracle.antientropy_round(slow, 2, NOW, **naive)
+    assert snapshot(fast) == snapshot(slow)
+
+
+def test_refreshed_table_equals_a_fresh_scan():
+    """A write that revives a dead slot keeps the key's store position."""
+    dht = build("chord", [7, 40000], [(0, "m", 1, 0, NOW - 1), (0, "m", 2, 0, None)])
+    view = ChainView(dht, NOW)
+    assert list(view.table(7).items()) == [(("m", 1), 0), (("m", 2), 1)]
+    write_entry(dht.node(7), "m", 5, 1, NOW + 1)   # revive the dead slot
+    write_entry(dht.node(7), "m", 1, 3, None)      # and create a new one
+    view.refresh(7, ("m", 1))
+    view.refresh(7, ("m", 3))
+    assert list(view.table(7).items()) == list(ChainView(dht, NOW).table(7).items())
+    assert list(view.table(7)) == list(dht.node(7).store)

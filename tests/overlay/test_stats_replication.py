@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.core.tuples import PackedSlot
 from repro.errors import ConfigurationError
 from repro.overlay.chord import ChordRing
 from repro.overlay.failures import fail_fraction, fail_nodes
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
-from repro.overlay.replication import replica_chain, replicate_to_successors
+from repro.overlay.replication import (
+    entry_expiry,
+    replica_chain,
+    replicate_to_successors,
+)
 from repro.overlay.stats import LoadTracker, OpCost
 
 
@@ -146,6 +151,21 @@ class TestReplication:
     def test_zero_degree_is_noop(self):
         ring = ChordRing.from_ids([10, 50], bits=8)
         assert replicate_to_successors(ring, 10, lambda n: None, degree=0) is None
+
+    def test_entry_expiry_of_a_copy(self):
+        """Immortal stays immortal, a TTL travels, an absent vector raises.
+
+        The one definition every repair path copies through: answering
+        ``None`` for a vector the slot does not hold would write it as
+        immortal at the destination — a bit nobody inserted.
+        """
+        slot = PackedSlot(mask=0b01, expiring={3: 17.0})
+        assert entry_expiry(slot, 0) is None
+        assert entry_expiry(slot, 3) == 17
+        with pytest.raises(KeyError):
+            entry_expiry(slot, 2)
+        with pytest.raises(KeyError):
+            entry_expiry(PackedSlot(), 0)
 
 
 class TestFailures:
