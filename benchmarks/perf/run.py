@@ -68,13 +68,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
             "jobs": [1, 2],
             "sweep": {"ms": (32, 64), "n_nodes": 32, "scale": 2e-4, "trials": 1},
         },
-        "parallel_shared": {
-            "jobs": [1, 2],
-            "n_nodes": 64,
-            "m": 64,
-            "items": 50_000,
-            "metrics": 4,
-        },
     },
     "default": {
         "lookup": [{"n_nodes": 1024, "ops": 20_000}, {"n_nodes": 4096, "ops": 10_000}],
@@ -98,13 +91,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "parallel": {
             "jobs": [1, 2, 4, 8],
             "sweep": {"ms": (64, 128, 256), "n_nodes": 64, "scale": 2e-3, "trials": 2},
-        },
-        "parallel_shared": {
-            "jobs": [1, 2, 4],
-            "n_nodes": 256,
-            "m": 128,
-            "items": 250_000,
-            "metrics": 6,
         },
     },
     # Internet-scale families gated by the ``scale-smoke`` CI job against
@@ -152,13 +138,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "parallel": {
             "jobs": [1, 2, 4, 8],
             "sweep": {"ms": (64, 128, 256, 512), "n_nodes": 128, "scale": 1e-2, "trials": 2},
-        },
-        "parallel_shared": {
-            "jobs": [1, 2, 4, 8],
-            "n_nodes": 1024,
-            "m": 512,
-            "items": 1_000_000,
-            "metrics": 8,
         },
     },
 }
@@ -563,92 +542,6 @@ def bench_parallel(jobs_list: List[int], sweep: Dict[str, Any]) -> Dict[str, Dic
     return entries
 
 
-def _store_fingerprint(dhs: DistributedHashSketch) -> Dict[int, Dict[Any, Any]]:
-    """Full logical store state, backend-agnostic (masks + TTL maps)."""
-    return {
-        node_id: {
-            key: (slot.mask, dict(slot.expiring) if slot.expiring else None)
-            for key, slot in dhs.dht.node(node_id).store.items()
-        }
-        for node_id in dhs.dht.node_ids()
-    }
-
-
-def bench_parallel_shared(
-    jobs_list: List[int], n_nodes: int, m: int, items: int, metrics: int
-) -> Dict[str, Dict[str, Any]]:
-    """Zero-copy shared-memory parallelism at several ``DHS_JOBS`` widths.
-
-    Two workloads per width (see :mod:`repro.core.shared`):
-
-    * ``count`` — one populated deployment, its arena migrated into
-      shared memory, every metric counted by forked workers against the
-      same physical register pages;
-    * ``insert`` — a fresh twin deployment per width, workers ORing
-      hashed chunk deltas into shared arenas that the parent tree-merges
-      before performing the serial stores.
-
-    Every width must reproduce the serial results (and, for insert, the
-    full node-store state) exactly; the ``identical_to_serial`` flag is
-    a hard ``check.py`` failure when false.  Speedups only show up on
-    multi-core runners — on one core the flags still verify the
-    contract.
-    """
-    entries: Dict[str, Dict[str, Any]] = {}
-    size = f"n{n_nodes}_m{m}"
-    metric_ids = [f"perf{i}" for i in range(metrics)]
-
-    ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
-    dhs = DistributedHashSketch(
-        ring, DHSConfig(num_bitmaps=m, key_bits=24), seed=SEED
-    )
-    per_metric = max(items // metrics, 1)
-    for i, metric in enumerate(metric_ids):
-        dhs.insert_array(
-            metric,
-            np.arange(i * per_metric, (i + 1) * per_metric, dtype=np.int64),
-        )
-    serial_view = None
-    for jobs in jobs_list:
-        start = time.perf_counter()
-        results = dhs.count_parallel(metric_ids, jobs=jobs)
-        seconds = time.perf_counter() - start
-        view = [(r.estimates, r.cost.hops, r.probes) for r in results]
-        if serial_view is None:
-            serial_view = view
-        entries[f"parallel_shared/count/{size}/jobs{jobs}"] = {
-            "ops": metrics,
-            "seconds": round(seconds, 4),
-            "ops_per_sec": round(metrics / seconds, 2),
-            "jobs": jobs,
-            "identical_to_serial": view == serial_view,
-        }
-    if dhs.arena is not None:
-        dhs.arena.close()  # reclaim the shared segment before the next phase
-
-    ids = np.arange(items, dtype=np.int64)
-    serial_state = None
-    for jobs in jobs_list:
-        ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
-        dhs = DistributedHashSketch(
-            ring, DHSConfig(num_bitmaps=m, key_bits=24), seed=SEED
-        )
-        start = time.perf_counter()
-        cost = dhs.insert_array_parallel("perf", ids, jobs=jobs)
-        seconds = time.perf_counter() - start
-        state = (_store_fingerprint(dhs), cost.hops, round(cost.bytes, 4))
-        if serial_state is None:
-            serial_state = state
-        entries[f"parallel_shared/insert/n{n_nodes}_items{items}/jobs{jobs}"] = {
-            "ops": items,
-            "seconds": round(seconds, 4),
-            "ops_per_sec": round(items / seconds, 1),
-            "jobs": jobs,
-            "identical_to_serial": state == serial_state,
-        }
-    return entries
-
-
 def run_suite(preset: str, only: set | None = None) -> Dict[str, Any]:
     sizes = PRESETS[preset]
     benchmarks: Dict[str, Dict[str, Any]] = {}
@@ -734,19 +627,6 @@ def run_suite(preset: str, only: set | None = None) -> Dict[str, Any]:
         print(f"[perf] parallel_scaling (jobs {parallel['jobs']}) ...", flush=True)
         benchmarks.update(bench_parallel(parallel["jobs"], dict(parallel["sweep"])))
 
-    shared = sizes.get("parallel_shared")
-    if shared is not None and want("parallel_shared"):
-        print(f"[perf] parallel_shared (jobs {shared['jobs']}) ...", flush=True)
-        benchmarks.update(
-            bench_parallel_shared(
-                shared["jobs"],
-                shared["n_nodes"],
-                shared["m"],
-                shared["items"],
-                shared["metrics"],
-            )
-        )
-
     return {
         "schema": 1,
         "preset": preset,
@@ -771,7 +651,7 @@ def main(argv: List[str]) -> int:
         default=None,
         help="comma-separated benchmark families to run "
         "(ringbuild,multitenant,lookup,insert,count,count_faulty,"
-        "count_regstore,count_traced,insert_traced,parallel,parallel_shared)",
+        "count_regstore,count_traced,insert_traced,parallel)",
     )
     args = parser.parse_args(argv)
     only = {part.strip() for part in args.only.split(",") if part.strip()} if args.only else None

@@ -258,7 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)
         for name in sorted(EXPERIMENTS):

@@ -7,7 +7,7 @@ from repro.core.insert import Inserter
 from repro.core.maintenance import refresh, stabilize, sweep_expired
 from repro.core.mapping import BitIntervalMap
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
-from repro.core.regstore import RegArena, RegSlot, tree_merge
+from repro.core.regstore import RegArena, RegSlot
 from repro.core.retries import (
     lim_for_interval,
     lim_with_bitmaps,
@@ -43,7 +43,6 @@ __all__ = [
     "RetryPolicy",
     "RegArena",
     "RegSlot",
-    "tree_merge",
     "lim_for_interval",
     "lim_with_bitmaps",
     "lim_with_replication",

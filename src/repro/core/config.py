@@ -74,8 +74,8 @@ class DHSConfig:
     store:
         Node-store backend.  ``"array"`` (default) keeps immortal bitmap
         masks in one contiguous :class:`~repro.core.regstore.RegArena`
-        row per ``(metric, bit)`` slot — vectorized bulk writes, fast
-        probe walks, and zero-copy shared-memory parallel counting.
+        row per ``(metric, bit)`` slot — vectorized bulk writes and
+        fast probe walks.
         ``"packed"`` is the plain per-object :class:`PackedSlot`
         reference backend; both store bit-identical logical state (see
         tests/core/test_regstore.py).

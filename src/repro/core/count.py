@@ -84,7 +84,7 @@ class _PlaneSketches(Mapping[Hashable, HashSketch]):
     """Metric → local sketch, rebuilt from a scan's bit planes when read.
 
     Holds plain data only (planes, config, hash family), so a
-    :class:`CountResult` pickles across ``count_parallel`` workers.
+    :class:`CountResult` pickles out of a ``run_trials`` worker.
     """
 
     def __init__(

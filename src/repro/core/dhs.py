@@ -225,55 +225,6 @@ class DistributedHashSketch:
         )
 
     # ------------------------------------------------------------------
-    # Zero-copy shared-memory parallelism (DHS_JOBS).
-    # ------------------------------------------------------------------
-    def share_arena(self) -> Optional[str]:
-        """Migrate the register arena into shared memory; returns its name.
-
-        Idempotent; ``None`` on the packed backend (nothing to share).
-        Forked workers attach the segment by name and read the same
-        physical pages — see :mod:`repro.core.shared`.
-        """
-        if self.arena is None:
-            return None
-        return self.arena.migrate_to_shared()
-
-    def count_parallel(
-        self,
-        metric_ids: Sequence[Hashable],
-        now: int = 0,
-        jobs: Optional[int] = None,
-    ) -> List[CountResult]:
-        """Count several metrics concurrently (one worker per chunk).
-
-        Results are bit-identical to counting the metrics one
-        :meth:`count` call at a time with per-metric derived seeds — at
-        any worker count, including the inline ``jobs=1`` path.  See
-        :func:`repro.core.shared.count_parallel`.
-        """
-        from repro.core.shared import count_parallel
-
-        return count_parallel(self, metric_ids, now=now, jobs=jobs)
-
-    def insert_array_parallel(
-        self,
-        metric_id: Hashable,
-        item_ids: "npt.NDArray[np.int64]",
-        origin: Optional[int] = None,
-        now: int = 0,
-        jobs: Optional[int] = None,
-    ) -> OpCost:
-        """Parallel :meth:`insert_array`: workers hash and pack chunk
-        deltas into shared-memory arenas, the parent tree-merges them
-        and performs the stores — bit-identical to the serial path.
-        See :func:`repro.core.shared.insert_array_parallel`."""
-        from repro.core.shared import insert_array_parallel
-
-        return insert_array_parallel(
-            self, metric_id, item_ids, origin=origin, now=now, jobs=jobs
-        )
-
-    # ------------------------------------------------------------------
     # Network-property metrics (section 3.2: "basic network parameters
     # such as the cardinality of the node population").
     # ------------------------------------------------------------------

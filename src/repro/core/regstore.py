@@ -17,21 +17,13 @@ Why contiguous rows matter:
 
 * bulk insertion scatters a whole interval's vector bitmap into a slot
   with one vectorized word-OR instead of up to ``m`` dict writes;
-* whole-store operations (stabilize's replica union, equivalence
-  checks) reduce row slices with ``np.bitwise_or`` instead of walking
-  Python ints (:meth:`RegArena.or_rows`);
-* the matrix can be migrated into ``multiprocessing.shared_memory`` so
-  forked ``DHS_JOBS`` workers read (and parallel inserts accumulate
-  deltas against) the *same physical pages* — the sketchnu
-  ``attach_shared_memory`` / ``parallel_add`` pattern — with
-  :func:`tree_merge` folding per-worker deltas in deterministic
-  pairwise rounds.
+* anti-entropy digests gather the canonical bytes of many immortal
+  slots with one fancy-index copy (:meth:`RegArena.rows_canonical`).
 
-This is the **only** module allowed to touch
-``multiprocessing.shared_memory`` (dhslint rule DHS901): segment
-lifecycle bugs (leaked ``/dev/shm`` files, double unlinks, child
-trackers reaping a parent's segment) are subtle enough that they must
-live behind one audited wrapper.
+The arena is private to its process: every count, probe, merge and
+repair reads the slot's mirrored Python-int bitmap, and experiment
+drivers parallelize over whole trials
+(:func:`repro.sim.parallel.run_trials`), never over one store.
 
 Determinism contract: the arena is storage layout only.  Given the same
 operation sequence, the ``array`` and ``packed`` backends hold
@@ -43,8 +35,6 @@ sequences through both and asserts exactly that, step for step.
 
 from __future__ import annotations
 
-import weakref
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -53,28 +43,12 @@ import numpy.typing as npt
 from repro.core.tuples import PackedSlot
 from repro.errors import ConfigurationError
 
-__all__ = ["RegArena", "RegSlot", "tree_merge"]
+__all__ = ["RegArena", "RegSlot"]
 
-#: Arena header: 8 words (64 bytes) — magic, m, capacity, words, rest 0.
-_HEADER_WORDS = 8
-_HEADER_BYTES = _HEADER_WORDS * 8
-#: "DHSR" — guards :meth:`RegArena.attach` against foreign segments.
-_MAGIC = 0x52534844
 #: Default row capacity of a fresh arena (grows by doubling).
 _DEFAULT_CAPACITY = 256
 
 _U64 = np.uint64
-
-
-# Note on the resource tracker: ``SharedMemory(name, create=False)``
-# registers the segment with the attaching process's tracker (Python
-# gains ``track=False`` only in 3.13).  Under our one sanctioned fan-out
-# (``fork`` via repro.sim.parallel) workers *share the creator's tracker
-# process*, so that extra register is a harmless set-add — and
-# unregistering here would corrupt the owner's bookkeeping (its later
-# ``unlink`` would hit a tracker KeyError).  Attach therefore leaves the
-# tracker alone; ``spawn`` platforms never reach attach (fork_map runs
-# inline there).
 
 
 class RegArena:
@@ -86,13 +60,7 @@ class RegArena:
         Bitmap width in bits (the deployment's ``num_bitmaps``); each
         row spans ``ceil(m / 64)`` words.
     capacity:
-        Initial number of rows; private arenas double on exhaustion,
-        shared arenas reallocate into a fresh segment.
-    shared:
-        When true the matrix is created inside a
-        ``multiprocessing.shared_memory`` segment immediately (the
-        usual path is a private arena later migrated via
-        :meth:`migrate_to_shared`).
+        Initial number of rows; the arena doubles on exhaustion.
     """
 
     __slots__ = (
@@ -102,15 +70,9 @@ class RegArena:
         "_capacity",
         "_next",
         "_free",
-        "_shm",
-        "_owner",
-        "_finalizer",
-        "__weakref__",
     )
 
-    def __init__(
-        self, m: int, capacity: int = _DEFAULT_CAPACITY, shared: bool = False
-    ) -> None:
+    def __init__(self, m: int, capacity: int = _DEFAULT_CAPACITY) -> None:
         if m < 1:
             raise ConfigurationError(f"m must be >= 1, got {m}")
         if capacity < 1:
@@ -120,78 +82,7 @@ class RegArena:
         self._capacity = capacity
         self._next = 0
         self._free: List[int] = []
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        self._owner = True
-        self._finalizer: Optional[weakref.finalize] = None
-        if shared:
-            self._data = self._new_segment(capacity)
-        else:
-            self._data = np.zeros((capacity, self.words), dtype=_U64)
-
-    # ------------------------------------------------------------------
-    # Segment plumbing.
-    # ------------------------------------------------------------------
-    def _new_segment(self, capacity: int) -> npt.NDArray[np.uint64]:
-        """Allocate a fresh shared segment and return its row matrix."""
-        size = _HEADER_BYTES + capacity * self.words * 8
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        header: npt.NDArray[np.uint64] = np.ndarray(
-            (_HEADER_WORDS,), dtype=_U64, buffer=shm.buf
-        )
-        header[:] = 0
-        header[0] = _MAGIC
-        header[1] = self.m
-        header[2] = capacity
-        header[3] = self.words
-        data: npt.NDArray[np.uint64] = np.ndarray(
-            (capacity, self.words), dtype=_U64, buffer=shm.buf, offset=_HEADER_BYTES
-        )
-        data[:] = 0
-        self._shm = shm
-        self._owner = True
-        # Safety net: if the arena is dropped without close()/unlink(),
-        # the finalizer still removes the segment at GC/interpreter exit
-        # so no /dev/shm file outlives the owning process.
-        self._finalizer = weakref.finalize(self, _cleanup_segment, shm, True)
-        return data
-
-    @classmethod
-    def attach(cls, name: str) -> "RegArena":
-        """Map an existing shared arena by segment name (read/write).
-
-        The attached arena does **not** own the segment: :meth:`close`
-        only unmaps it and :meth:`unlink` is forbidden — the creator
-        controls the segment's lifetime (sketchnu's
-        ``attach_shared_memory`` contract).
-        """
-        shm = shared_memory.SharedMemory(name=name, create=False)
-        header: npt.NDArray[np.uint64] = np.ndarray(
-            (_HEADER_WORDS,), dtype=_U64, buffer=shm.buf
-        )
-        if int(header[0]) != _MAGIC:
-            shm.close()
-            raise ConfigurationError(f"segment {name!r} is not a DHS register arena")
-        arena = cls.__new__(cls)
-        arena.m = int(header[1])
-        arena.words = int(header[3])
-        arena._capacity = int(header[2])
-        arena._next = arena._capacity  # attached arenas never allocate
-        arena._free = []
-        arena._shm = shm
-        arena._owner = False
-        arena._finalizer = weakref.finalize(arena, _cleanup_segment, shm, False)
-        arena._data = np.ndarray(
-            (arena._capacity, arena.words),
-            dtype=_U64,
-            buffer=shm.buf,
-            offset=_HEADER_BYTES,
-        )
-        return arena
-
-    @property
-    def shared_name(self) -> Optional[str]:
-        """The shared segment's name, or ``None`` for private arenas."""
-        return self._shm.name if self._shm is not None else None
+        self._data = np.zeros((capacity, self.words), dtype=_U64)
 
     @property
     def capacity(self) -> int:
@@ -207,52 +98,6 @@ class RegArena:
     def nbytes(self) -> int:
         """Size of the register matrix in bytes."""
         return self._capacity * self.words * 8
-
-    @property
-    def data(self) -> npt.NDArray[np.uint64]:
-        """The raw ``(capacity, words)`` row matrix (advanced callers)."""
-        return self._data
-
-    def migrate_to_shared(self) -> str:
-        """Move the matrix into a shared segment in place; returns its name.
-
-        Existing :class:`RegSlot` handles stay valid — they index the
-        arena, not the old buffer.  Idempotent for already-shared arenas.
-        """
-        if self._shm is not None:
-            return self._shm.name
-        old = self._data
-        data = self._new_segment(self._capacity)
-        data[:] = old
-        self._data = data
-        return self.shared_name or ""  # pragma: no cover - name always set
-
-    def close(self) -> None:
-        """Unmap the shared segment (and unlink it if this arena owns it).
-
-        Private arenas are untouched; freeing their memory is the
-        garbage collector's job.
-        """
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-            self._shm = None
-            # The buffer is gone: drop to a zero-row private matrix so
-            # stray reads fail loudly (IndexError) instead of touching
-            # unmapped memory.
-            self._data = np.zeros((0, self.words), dtype=_U64)
-
-    def unlink(self) -> None:
-        """Remove the owned shared segment from the system (idempotent)."""
-        if not self._owner:
-            raise ConfigurationError("attached arenas must not unlink the segment")
-        self.close()
-
-    def __enter__(self) -> "RegArena":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Row allocation.
@@ -273,10 +118,8 @@ class RegArena:
     def free(self, row: int) -> None:
         """Return ``row`` to the free list.
 
-        The row is *not* zeroed here: freeing happens in ``__del__``
-        paths that forked workers also run against their copy-on-write
-        arena object, and a worker must never mutate rows of a shared
-        segment it does not own.  :meth:`alloc` zeroes on reuse instead.
+        The row is *not* zeroed here — :meth:`alloc` zeroes on reuse —
+        so freeing from ``__del__`` never writes row data.
         """
         if 0 <= row < self._next:
             self._free.append(row)
@@ -284,18 +127,9 @@ class RegArena:
     def _grow(self) -> None:
         """Double the row capacity, preserving contents."""
         new_capacity = self._capacity * 2
-        if self._shm is None:
-            grown = np.zeros((new_capacity, self.words), dtype=_U64)
-            grown[: self._capacity] = self._data
-            self._data = grown
-        else:
-            old = self._data.copy()
-            finalizer = self._finalizer
-            data = self._new_segment(new_capacity)
-            data[: self._capacity] = old
-            self._data = data
-            if finalizer is not None:
-                finalizer()  # close + unlink the outgrown segment
+        grown = np.zeros((new_capacity, self.words), dtype=_U64)
+        grown[: self._capacity] = self._data
+        self._data = grown
         self._capacity = new_capacity
 
     def new_slot(self) -> "RegSlot":
@@ -323,13 +157,6 @@ class RegArena:
         """OR a ``(words,)`` delta into one row (vectorized scatter)."""
         np.bitwise_or(self._data[row], delta, out=self._data[row])
 
-    def or_rows(self, rows: Sequence[int]) -> int:
-        """Union of several rows via one ``np.bitwise_or.reduce``."""
-        if not rows:
-            return 0
-        union = np.bitwise_or.reduce(self._data[list(rows)], axis=0)
-        return int.from_bytes(union.tobytes(), "little")
-
     def rows_canonical(self, rows: Sequence[int]) -> List[bytes]:
         """Canonical bytes of each row: little-endian, trailing zeros stripped.
 
@@ -350,19 +177,6 @@ class RegArena:
             raw[i * stride : (i + 1) * stride].rstrip(b"\x00")
             for i in range(len(rows))
         ]
-
-
-def _cleanup_segment(shm: shared_memory.SharedMemory, owner: bool) -> None:
-    """Finalizer body: unmap (and for owners, unlink) a segment."""
-    try:
-        shm.close()
-    except OSError:  # pragma: no cover - already unmapped
-        pass
-    if owner:
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
 
 
 class RegSlot(PackedSlot):
@@ -410,11 +224,8 @@ class RegSlot(PackedSlot):
             self.arena.write_row(self.row, self._mask)
 
     def __del__(self) -> None:
-        # Recycle the row.  ``free`` only touches the (per-process,
-        # copy-on-write) free list and never writes row data, so forked
-        # workers dropping their slot copies cannot corrupt the shared
-        # matrix.  Guard every attribute: ``__del__`` may run on a
-        # partially-initialized instance.
+        # Recycle the row.  Guard every attribute: ``__del__`` may run
+        # on a partially-initialized instance.
         arena = getattr(self, "arena", None)
         row = getattr(self, "row", None)
         if arena is not None and row is not None:
@@ -422,26 +233,3 @@ class RegSlot(PackedSlot):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RegSlot(row={self.row}, mask={self._mask:#x}, expiring={self.expiring!r})"
-
-
-def tree_merge(layers: List[npt.NDArray[np.uint64]]) -> npt.NDArray[np.uint64]:
-    """Fold word matrices pairwise (sketchnu's parallel register merge).
-
-    Each round ORs neighbour pairs left-into-left — ``log2(n)`` rounds
-    of whole-matrix ``np.bitwise_or`` — and the union is independent of
-    both the pairing and the original partitioning (bitwise OR is
-    commutative and associative), which is what keeps parallel insert
-    deltas bit-identical to the serial pass.  The leftmost matrix is
-    mutated in place and returned.
-    """
-    if not layers:
-        raise ConfigurationError("tree_merge needs at least one layer")
-    while len(layers) > 1:
-        merged: List[npt.NDArray[np.uint64]] = []
-        for i in range(0, len(layers) - 1, 2):
-            np.bitwise_or(layers[i], layers[i + 1], out=layers[i])
-            merged.append(layers[i])
-        if len(layers) % 2:
-            merged.append(layers[-1])
-        layers = merged
-    return layers[0]

@@ -19,7 +19,7 @@ Two storage backends share this slot interface
 * ``"array"`` — :class:`~repro.core.regstore.RegSlot` subclasses whose
   immortal bitmap lives in a contiguous
   :class:`~repro.core.regstore.RegArena` row, enabling vectorized bulk
-  writes and zero-copy shared-memory parallelism.
+  writes.
 
 Every function here accepts either slot type; passing an ``arena``
 selects which one a fresh slot becomes.  Node stores also carry an

@@ -49,8 +49,7 @@ core DHS machinery, so slots are duck-typed (:class:`RegisterSlot`) and
 the interval geometry (``segment_of``, ``visible``) plus the store
 writer arrive as callables injected by
 :func:`repro.core.maintenance.antientropy_sweep`.  Digest computation
-over arenas is confined *here* by dhslint rule DHS1001 — the mirror of
-DHS901's shared-memory confinement.
+over arenas is confined *here* by dhslint rule DHS1001.
 """
 
 from __future__ import annotations

@@ -50,10 +50,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry, Snapshot
 
-__all__ = ["TrialSpec", "env_jobs", "fork_map", "run_trials"]
+__all__ = ["TrialSpec", "env_jobs", "run_trials"]
 
 
 @dataclass(frozen=True)
@@ -73,41 +74,21 @@ class TrialSpec:
 
 
 def env_jobs(default: int = 1) -> int:
-    """Worker count from ``DHS_JOBS`` (default 1 = serial)."""
-    return int(os.environ.get("DHS_JOBS", default))
+    """Worker count from ``DHS_JOBS`` (default 1 = serial).
 
-
-def fork_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    jobs: Optional[int] = None,
-) -> List[Any]:
-    """Order-preserving ``fork``-pool map for module-level functions.
-
-    The fan-out primitive behind :mod:`repro.core.shared`'s zero-copy
-    workers: ``fn`` must be a module-level callable (picklable by
-    reference), and because workers are **forked** they inherit any
-    module-global context the caller installed immediately before the
-    call (the shared-arena pattern — closures do not pickle, globals
-    ride the fork for free).  ``jobs=None`` reads ``DHS_JOBS``;
-    ``jobs <= 1``, a single item, or a platform without ``fork`` runs
-    inline — the global-inheritance contract cannot be met by ``spawn``,
-    and the serial path is always equivalent by construction.  Results
-    come back in submission order, exactly as a serial loop would
-    produce them.
+    The variable is outside input: anything but an integer ``>= 1``
+    raises :class:`~repro.errors.ConfigurationError`.
     """
-    if jobs is None:
-        jobs = env_jobs()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
-    context = multiprocessing.get_context("fork")
-    workers = min(jobs, len(items))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+    raw = os.environ.get("DHS_JOBS")
+    if raw is None:
+        return default
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0  # rejected below, quoting the raw text
+    if jobs < 1:
+        raise ConfigurationError(f"DHS_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 def _execute(spec: TrialSpec) -> Any:

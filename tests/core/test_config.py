@@ -71,6 +71,10 @@ class TestValidation:
             DHSConfig(ttl=0)
         assert DHSConfig(ttl=10).ttl == 10
 
+    def test_unknown_store_rejected(self):
+        with pytest.raises(ConfigurationError):
+            DHSConfig(store="bogus")
+
 
 class TestFactories:
     @pytest.mark.parametrize(

@@ -115,7 +115,7 @@ def test_result_constructs_with_plain_dicts():
 @pytest.mark.parametrize("read_first", [False, True])
 @pytest.mark.parametrize("estimator", ["sll", "pcsa"])
 def test_result_survives_pickling(estimator, read_first):
-    """``count_parallel`` ships results between processes."""
+    """A trial returning its result has ``run_trials`` pickle it back."""
     result = counted(estimator, bit_shift=2)
     if read_first:
         state_of(result.sketches["a"])

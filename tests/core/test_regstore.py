@@ -4,8 +4,7 @@ Two layers of coverage:
 
 * Unit tests for :class:`~repro.core.regstore.RegArena` /
   :class:`~repro.core.regstore.RegSlot` — row allocation, growth,
-  integer round-trips, shared-memory migrate/attach/close/unlink and the
-  leak-safety finalizer.
+  integer round-trips and the free list.
 * A hypothesis suite driving random insert / TTL-expiry / graceful-leave
   / count sequences through two twin deployments — ``store="array"`` and
   the ``store="packed"`` reference backend — and asserting identical
@@ -15,7 +14,6 @@ Two layers of coverage:
 """
 
 import gc
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.core.regstore import RegArena, RegSlot, tree_merge
+from repro.core.regstore import RegArena, RegSlot
 from repro.core.tuples import PackedSlot, storage_entries, vectors_mask, write_entry
 from repro.errors import ConfigurationError
 from repro.overlay.chord import ChordRing
@@ -63,13 +61,13 @@ class TestRegArena:
         assert arena.read_row(again) == 0
 
     def test_free_does_not_zero(self):
-        # The __del__-path contract: freeing must never write row data
-        # (forked workers free their slot copies against shared pages).
+        # The __del__-path contract: freeing never writes row data; a
+        # recycled row is zeroed once, by the alloc that reuses it.
         arena = RegArena(64)
         row = arena.alloc()
         arena.write_row(row, 0xBEEF)
         arena.free(row)
-        assert int(arena.data[row][0]) == 0xBEEF
+        assert arena.read_row(row) == 0xBEEF
 
     def test_grow_preserves_rows(self):
         arena = RegArena(128, capacity=2)
@@ -91,16 +89,6 @@ class TestRegArena:
         arena.free(b)
         assert arena.rows_in_use == 0
 
-    def test_or_rows_union(self):
-        arena = RegArena(128)
-        rows = []
-        for mask in (1 << 3, 1 << 90, (1 << 3) | (1 << 127)):
-            row = arena.alloc()
-            arena.write_row(row, mask)
-            rows.append(row)
-        assert arena.or_rows(rows) == (1 << 3) | (1 << 90) | (1 << 127)
-        assert arena.or_rows([]) == 0
-
     def test_or_row_words(self):
         arena = RegArena(128)
         row = arena.alloc()
@@ -109,85 +97,6 @@ class TestRegArena:
         delta[1] = np.uint64(1)  # bit 64
         arena.or_row_words(row, delta)
         assert arena.read_row(row) == (1 << 5) | (1 << 64)
-
-
-class TestSharedSegments:
-    def test_migrate_preserves_rows_and_slots(self):
-        arena = RegArena(64)
-        slot = arena.new_slot()
-        slot.mask = 0b1011
-        assert arena.shared_name is None
-        name = arena.migrate_to_shared()
-        assert name and arena.shared_name == name
-        assert arena.migrate_to_shared() == name  # idempotent
-        assert arena.read_row(slot.row) == 0b1011
-        slot.mask |= 0b100  # handles stay live after the buffer swap
-        assert arena.read_row(slot.row) == 0b1111
-        arena.unlink()
-
-    def test_attach_sees_owner_writes_both_ways(self):
-        owner = RegArena(128, shared=True)
-        row = owner.alloc()
-        owner.write_row(row, 1 << 70)
-        peer = RegArena.attach(owner.shared_name)
-        assert (peer.m, peer.words, peer.capacity) == (128, 2, owner.capacity)
-        assert peer.read_row(row) == 1 << 70
-        peer.data[row][0] |= np.uint64(1)
-        assert owner.read_row(row) == (1 << 70) | 1
-        peer.close()
-        owner.unlink()
-
-    def test_attach_rejects_foreign_segment(self):
-        shm = shared_memory.SharedMemory(create=True, size=256)
-        try:
-            with pytest.raises(ConfigurationError):
-                RegArena.attach(shm.name)
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_attached_arena_must_not_unlink(self):
-        owner = RegArena(64, shared=True)
-        peer = RegArena.attach(owner.shared_name)
-        with pytest.raises(ConfigurationError):
-            peer.unlink()
-        peer.close()
-        owner.unlink()
-
-    def test_unlink_removes_segment(self):
-        arena = RegArena(64, shared=True)
-        name = arena.shared_name
-        arena.unlink()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
-
-    def test_close_is_idempotent_and_fails_loudly_after(self):
-        arena = RegArena(64, shared=True)
-        row = arena.alloc()
-        arena.close()
-        arena.close()
-        with pytest.raises(IndexError):
-            arena.read_row(row)
-
-    def test_finalizer_reclaims_dropped_segment(self):
-        arena = RegArena(64, shared=True)
-        name = arena.shared_name
-        del arena
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
-
-    def test_shared_grow_moves_segment(self):
-        arena = RegArena(64, capacity=2, shared=True)
-        first = arena.shared_name
-        rows = [arena.alloc() for _ in range(3)]  # forces a grow
-        for i, row in enumerate(rows):
-            arena.write_row(row, 1 << i)
-        assert arena.shared_name != first
-        with pytest.raises(FileNotFoundError):  # outgrown segment unlinked
-            shared_memory.SharedMemory(name=first, create=False)
-        assert [arena.read_row(row) for row in rows] == [1, 2, 4]
-        arena.unlink()
 
 
 class TestRegSlot:
@@ -216,30 +125,6 @@ class TestRegSlot:
         del slot
         gc.collect()
         assert arena.alloc() == row
-
-
-class TestTreeMerge:
-    def test_empty_raises(self):
-        with pytest.raises(ConfigurationError):
-            tree_merge([])
-
-    def test_single_layer_returned_as_is(self):
-        layer = np.arange(6, dtype=np.uint64).reshape(3, 2)
-        assert tree_merge([layer]) is layer
-
-    @given(st.integers(2, 7), st.integers(0, 2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_union_independent_of_layer_count(self, n_layers, seed):
-        rng = np.random.default_rng(seed)
-        layers = [
-            rng.integers(0, 2**63, size=(4, 2), dtype=np.int64).astype(np.uint64)
-            for _ in range(n_layers)
-        ]
-        expected = layers[0].copy()
-        for layer in layers[1:]:
-            expected |= layer
-        merged = tree_merge([layer.copy() for layer in layers])
-        assert np.array_equal(merged, expected)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.experiments.accuracy import run_accuracy_sweep
 from repro.sim.parallel import TrialSpec, env_jobs, run_trials
 from repro.sim.seeds import rng_for
@@ -69,6 +70,12 @@ class TestEnvJobs:
     def test_caller_default_wins_when_unset(self, monkeypatch):
         monkeypatch.delenv("DHS_JOBS", raising=False)
         assert env_jobs(default=4) == 4
+
+    @pytest.mark.parametrize("raw", ["", "four", "2.5", "0", "-3"])
+    def test_rejects_non_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("DHS_JOBS", raw)
+        with pytest.raises(ConfigurationError, match=f"DHS_JOBS.*{raw!r}"):
+            env_jobs()
 
     def test_run_trials_honours_env(self, monkeypatch):
         monkeypatch.setenv("DHS_JOBS", "2")

@@ -52,6 +52,12 @@ class TestExecution:
         with pytest.raises(SystemExit):
             main(["table9"])
 
+    def test_rejects_jobs_below_one(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["multidim", "--jobs", "0"])
+        assert exit_info.value.code == 2
+        assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+
     def test_query_opt_command(self, capsys):
         assert main(["query-opt", "--seed", "3", "--scale", "0.0002", "--nodes", "32"]) == 0
         assert "Query optimization" in capsys.readouterr().out

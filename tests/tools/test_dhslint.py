@@ -327,13 +327,15 @@ class TestAdHocProcessPool:
         codes, _ = lint(tmp_path, "import multiprocessing\n")
         assert codes == []
 
+    # ``_exempt`` in the next two ids is historical: only
+    # repro.sim.parallel is exempt, regstore is flagged like any module.
     def test_regstore_shared_memory_import_exempt(self, tmp_path):
         codes, _ = lint(
             tmp_path,
             "from multiprocessing import shared_memory\n",
             module="repro.core.regstore",
         )
-        assert codes == []
+        assert codes == ["DHS501"]
 
     def test_regstore_dotted_shared_memory_import_exempt(self, tmp_path):
         codes, _ = lint(
@@ -341,7 +343,7 @@ class TestAdHocProcessPool:
             "import multiprocessing.shared_memory\n",
             module="repro.core.regstore",
         )
-        assert codes == []
+        assert codes == ["DHS501"]
 
     def test_regstore_pool_import_still_flagged(self, tmp_path):
         codes, _ = lint(
@@ -350,58 +352,6 @@ class TestAdHocProcessPool:
             module="repro.core.regstore",
         )
         assert codes == ["DHS501"]
-
-
-# ----------------------------------------------------------------------
-# DHS901 — shared memory outside repro.core.regstore
-# ----------------------------------------------------------------------
-class TestSharedMemoryOutsideRegstore:
-    def test_from_import_flagged(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing import shared_memory\n",
-            module="repro.core.count",
-        )
-        assert codes == ["DHS501", "DHS901"]
-
-    def test_dotted_import_flagged(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "import multiprocessing.shared_memory\n",
-            module="repro.sim.timeline",
-        )
-        assert codes == ["DHS501", "DHS901"]
-
-    def test_submodule_from_import_flagged(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing.shared_memory import SharedMemory\n",
-            module="repro.obs.metrics",
-        )
-        assert codes == ["DHS501", "DHS901"]
-
-    def test_parallel_root_not_exempt(self, tmp_path):
-        # DHS501 exempts repro.sim.parallel; DHS901 still bans segments.
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing import shared_memory\n"
-            "shm = shared_memory.SharedMemory(create=True, size=64)\n",
-            module="repro.sim.parallel",
-        )
-        assert codes == ["DHS901", "DHS901"]
-
-    def test_regstore_exempt(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing import shared_memory\n"
-            "shm = shared_memory.SharedMemory(create=True, size=64)\n",
-            module="repro.core.regstore",
-        )
-        assert codes == []
-
-    def test_outside_package_not_checked(self, tmp_path):
-        codes, _ = lint(tmp_path, "import multiprocessing.shared_memory\n")
-        assert codes == []
 
 
 # ----------------------------------------------------------------------
@@ -732,7 +682,7 @@ class TestCli:
             "DHS101", "DHS102", "DHS103",
             "DHS201", "DHS202", "DHS203",
             "DHS301", "DHS401", "DHS402", "DHS403",
-            "DHS501", "DHS502", "DHS601", "DHS901", "DHS1001",
+            "DHS501", "DHS502", "DHS601", "DHS1001",
             # Whole-program dataflow rules.
             "DHS801", "DHS802", "DHS803",
             "DHS811", "DHS812", "DHS813",

@@ -21,10 +21,6 @@ from tools.analyze.rules._imports import ImportTable
 #: The one module allowed to spawn worker processes.
 _PARALLEL_ROOT = "repro.sim.parallel"
 
-#: The one module allowed to touch ``multiprocessing.shared_memory``
-#: (segment lifecycle — create/attach/close/unlink — is audited there).
-_REGSTORE_ROOT = "repro.core.regstore"
-
 #: Top-level modules whose import (or use) means process fan-out.
 _POOL_MODULES = ("multiprocessing", "concurrent")
 
@@ -51,15 +47,12 @@ class AdHocProcessPool(Rule):
         "bit-identical to serial ones. An ad-hoc `multiprocessing` / "
         "`concurrent.futures` pool (or raw `os.fork`) elsewhere in the "
         "library reintroduces scheduling-dependent results. Declare "
-        "TrialSpecs and call run_trials instead. (One carve-out: "
-        "repro.core.regstore may import multiprocessing.shared_memory — "
-        "it owns segment lifecycle, enforced separately by DHS901.)"
+        "TrialSpecs and call run_trials instead."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
         if not ctx.in_package() or ctx.module == _PARALLEL_ROOT:
             return []
-        regstore = ctx.module == _REGSTORE_ROOT
         out: List[Violation] = []
         table = ImportTable(ctx.tree)
         for node in ast.walk(ctx.tree):
@@ -68,8 +61,6 @@ class AdHocProcessPool(Rule):
                     root = _pool_import_root(alias.name)
                     if root is None:
                         continue
-                    if regstore and alias.name == "multiprocessing.shared_memory":
-                        continue  # the DHS901 carve-out
                     out.append(
                         self.violation(
                             ctx, node, f"`import {alias.name}` outside "
@@ -80,17 +71,6 @@ class AdHocProcessPool(Rule):
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
                 root = _pool_import_root(node.module)
                 if root is not None:
-                    if regstore and (
-                        node.module == "multiprocessing.shared_memory"
-                        or (
-                            node.module == "multiprocessing"
-                            and all(
-                                alias.name == "shared_memory"
-                                for alias in node.names
-                            )
-                        )
-                    ):
-                        continue  # the DHS901 carve-out
                     out.append(
                         self.violation(
                             ctx, node, f"`from {node.module} import ...` outside "
@@ -105,66 +85,6 @@ class AdHocProcessPool(Rule):
                         self.violation(
                             ctx, node, f"`{origin}()` forks the process directly; "
                             "fan out via repro.sim.parallel.run_trials"
-                        )
-                    )
-        return out
-
-
-@register
-class SharedMemoryOutsideRegstore(Rule):
-    """DHS901 — ``multiprocessing.shared_memory`` outside the arena module."""
-
-    code = "DHS901"
-    name = "shared-memory-outside-regstore"
-    rationale = (
-        "Shared-memory segments are kernel objects with an explicit "
-        "lifecycle: whoever creates one must unlink it, attachers must "
-        "close without unlinking, and a crashed worker must never strand "
-        "a segment in /dev/shm. `repro.core.regstore.RegArena` is the "
-        "one audited owner of that lifecycle (create/attach/close/unlink "
-        "plus finalizer safety nets and the fork-shared resource-tracker "
-        "semantics). Direct `multiprocessing.shared_memory` use anywhere "
-        "else bypasses those guarantees — go through a RegArena."
-    )
-
-    def check(self, ctx: FileContext) -> Iterable[Violation]:
-        if not ctx.in_package() or ctx.module == _REGSTORE_ROOT:
-            return []
-        out: List[Violation] = []
-        table = ImportTable(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith("multiprocessing.shared_memory"):
-                        out.append(
-                            self.violation(
-                                ctx, node, f"`import {alias.name}` outside "
-                                f"{_REGSTORE_ROOT}; segment lifecycle belongs "
-                                "to repro.core.regstore.RegArena"
-                            )
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                if node.module.startswith("multiprocessing.shared_memory") or (
-                    node.module == "multiprocessing"
-                    and any(alias.name == "shared_memory" for alias in node.names)
-                ):
-                    out.append(
-                        self.violation(
-                            ctx, node, f"`from {node.module} import ...` pulls in "
-                            f"shared_memory outside {_REGSTORE_ROOT}; segment "
-                            "lifecycle belongs to repro.core.regstore.RegArena"
-                        )
-                    )
-            elif isinstance(node, ast.Call):
-                origin = table.resolve(node.func)
-                if origin is not None and origin.startswith(
-                    "multiprocessing.shared_memory."
-                ):
-                    out.append(
-                        self.violation(
-                            ctx, node, f"`{origin}()` outside {_REGSTORE_ROOT}; "
-                            "segment lifecycle belongs to "
-                            "repro.core.regstore.RegArena"
                         )
                     )
         return out

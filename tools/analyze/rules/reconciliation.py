@@ -10,8 +10,7 @@ second module hashing arena state independently would fork the
 canonicalization — two nodes could disagree about convergence purely
 because of *how* they hashed, the exact failure mode digest trees exist
 to rule out.  DHS1001 therefore confines digest computation over
-register state to the antientropy module, the same way DHS901 confines
-shared-memory segment lifecycle to ``repro.core.regstore``.
+register state to the antientropy module.
 """
 
 from __future__ import annotations
