@@ -25,22 +25,17 @@ worker count reproduces the serial rows bit for bit).  A false flag in
 the *current* run fails the check outright — that is a correctness bug,
 not a performance regression, so no tolerance factor applies.
 
-``count_regstore/*`` entries carry ``speedup_vs_packed`` — the array
-backend's count throughput relative to the ``store="packed"`` reference
-backend measured in the same process.  A value below 1.0 means the
-contiguous register-array layout lost to the layout it replaced; that is
-a hard failure with no tolerance factor (same-process A/B, machine
-differences cancel).
-
 ``count_traced/*`` and ``insert_traced/*`` entries carry
 ``overhead_vs_disabled_pct`` — the in-process cost of running the same
 workload with spans + metrics enabled.  Any entry above
 ``--max-traced-overhead`` (default 40%) fails the check; this number is
 machine-independent (both modes run in the same process), so no
 regression factor applies to it either.  The budget covers the
-span/event/metric cost only: the count fast path (`Counter._fast`)
-stays on under observation and emits the reference walk's events —
-~20% on the headline workload.
+span/event/metric cost only — traced and untraced counts run the same
+probe walk.  The committed headline figure is 29.43% and the micro
+times a handful of counts: thirteen fresh runs across two adjacent
+commits read 22.0-37.1% (medians 26-30%), so the 40% default is left
+where it is — a tighter one would flap on run-to-run spread.
 """
 
 from __future__ import annotations
@@ -77,20 +72,6 @@ def main(argv: List[str]) -> int:
             "perf-check: parallel runs diverged from serial results: "
             + ", ".join(diverged)
         )
-        return 1
-
-    slower_than_packed = [
-        (name, entry["speedup_vs_packed"])
-        for name, entry in sorted(current.items())
-        if entry.get("speedup_vs_packed") is not None
-        and entry["speedup_vs_packed"] < 1.0
-    ]
-    if slower_than_packed:
-        for name, speedup in slower_than_packed:
-            print(
-                f"perf-check: {name} array backend is slower than the packed "
-                f"reference ({speedup:.2f}x)"
-            )
         return 1
 
     over_budget = [

@@ -59,7 +59,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "insert": [{"n_nodes": 128, "array_items": 100_000, "scalar_items": 10_000}],
         "count": [{"n_nodes": 64, "m": 64, "items": 20_000, "counts": 5}],
         "count_faulty": [{"n_nodes": 64, "m": 64, "items": 20_000, "counts": 5}],
-        "count_regstore": [{"n_nodes": 64, "m": 64, "items": 20_000, "counts": 5}],
         "count_traced": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 3},
         ],
@@ -80,9 +79,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         ],
         "count_faulty": [
             {"n_nodes": 256, "m": 128, "items": 100_000, "counts": 8},
-        ],
-        "count_regstore": [
-            {"n_nodes": 1024, "m": 512, "items": 200_000, "counts": 4},
         ],
         "count_traced": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 8},
@@ -126,10 +122,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         ],
         "count_faulty": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 4},
-        ],
-        "count_regstore": [
-            {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 4},
-            {"n_nodes": 4096, "m": 1024, "items": 1_000_000, "counts": 2},
         ],
         "count_traced": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 4},
@@ -327,78 +319,6 @@ def bench_count_faulty(
     }
 
 
-def bench_count_backend(
-    n_nodes: int, m: int, items: int, counts: int
-) -> Dict[str, Any]:
-    """Array-backend count throughput vs the packed reference backend.
-
-    Runs the exact :func:`bench_count` workload twice in-process — once
-    per ``DHSConfig(store=...)`` backend — and reports the array
-    backend's stats alongside ``speedup_vs_packed`` and an
-    ``identical_to_serial`` flag asserting both backends produced the
-    same estimates and hop counts (the regstore determinism contract).
-    ``check.py`` hard-fails when the array backend is slower than the
-    layout it replaced or the flag flips; both checks are same-process
-    A/B comparisons, so no machine-tolerance factor applies.
-    """
-    deployments: Dict[str, Any] = {}
-    origins_by_store: Dict[str, List[int]] = {}
-    for store in ("array", "packed"):
-        ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
-        dhs = DistributedHashSketch(
-            ring, DHSConfig(num_bitmaps=m, key_bits=24, store=store), seed=SEED
-        )
-        dhs.insert_array("perf", np.arange(items, dtype=np.int64))
-        rng = rng_for(SEED, "perf-count-regstore", n_nodes, m)
-        deployments[store] = dhs
-        origins_by_store[store] = [ring.random_live_node(rng) for _ in range(counts)]
-
-    def one_pass(store: str) -> Any:
-        dhs = deployments[store]
-        hops = 0
-        seen: List[Any] = []
-        start = time.perf_counter()
-        for origin in origins_by_store[store]:
-            result = dhs.count("perf", origin=origin)
-            hops += result.cost.hops
-            seen.append((result.estimates, result.cost.hops, result.probes))
-        return time.perf_counter() - start, hops, seen
-
-    # Alternating best-of repetitions with the collector parked, exactly
-    # like bench_count_traced: the speedup is a same-process A/B ratio
-    # and must not be at the mercy of one scheduler hiccup.
-    best: Dict[str, float] = {"array": float("inf"), "packed": float("inf")}
-    hops_by_store: Dict[str, int] = {}
-    outcomes: Dict[str, List[Any]] = {}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(5):
-            for store in ("array", "packed"):
-                seconds, hops, seen = one_pass(store)
-                best[store] = min(best[store], seconds)
-                hops_by_store[store] = hops
-                outcomes[store] = seen
-    finally:
-        gc.enable()
-    per_store = {
-        store: {
-            "ops": counts,
-            "seconds": round(seconds, 4),
-            "ops_per_sec": round(counts / seconds, 2),
-            "hops_per_op": round(hops_by_store[store] / counts, 1),
-        }
-        for store, seconds in best.items()
-    }
-    entry = per_store["array"]
-    entry["packed_ops_per_sec"] = per_store["packed"]["ops_per_sec"]
-    entry["speedup_vs_packed"] = round(
-        entry["ops_per_sec"] / per_store["packed"]["ops_per_sec"], 2
-    )
-    entry["identical_to_serial"] = outcomes["array"] == outcomes["packed"]
-    return entry
-
-
 def bench_count_traced(
     n_nodes: int, m: int, items: int, counts: int
 ) -> Dict[str, Any]:
@@ -412,9 +332,8 @@ def bench_count_traced(
     overhead exceeds its ``--max-traced-overhead`` budget (40% by
     default); the disabled mode is covered by the ordinary ``count/``
     entry's baseline comparison, pinning the flag-check cost at ~0.
-    The overhead includes losing the array-backend count fast path —
-    ``Counter._fast`` requires observability off — so the traced pass
-    pays the reference probe path plus the span/metric cost.
+    Both modes run the same probe walk, so the overhead is the
+    span/event/metric cost alone.
 
     The specs pin the *representative* deployment (the ``count/n1024_m512``
     headline workload): per-span overhead is a fixed pure-Python cost, so
@@ -603,13 +522,6 @@ def run_suite(preset: str, only: set | None = None) -> Dict[str, Any]:
             spec["n_nodes"], spec["m"], spec["items"], spec["counts"]
         )
 
-    for spec in sizes.get("count_regstore", []) if want("count_regstore") else []:
-        name = f"count_regstore/n{spec['n_nodes']}_m{spec['m']}"
-        print(f"[perf] {name} ...", flush=True)
-        benchmarks[name] = bench_count_backend(
-            spec["n_nodes"], spec["m"], spec["items"], spec["counts"]
-        )
-
     for spec in sizes.get("count_traced", []) if want("count_traced") else []:
         name = f"count_traced/n{spec['n_nodes']}_m{spec['m']}"
         print(f"[perf] {name} ...", flush=True)
@@ -651,7 +563,7 @@ def main(argv: List[str]) -> int:
         default=None,
         help="comma-separated benchmark families to run "
         "(ringbuild,multitenant,lookup,insert,count,count_faulty,"
-        "count_regstore,count_traced,insert_traced,parallel)",
+        "count_traced,insert_traced,parallel)",
     )
     args = parser.parse_args(argv)
     only = {part.strip() for part in args.only.split(",") if part.strip()} if args.only else None

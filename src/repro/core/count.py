@@ -34,16 +34,19 @@ against the node's :class:`~repro.core.tuples.PackedSlot` mask.  The
 per-interval random probe keys are drawn up front (one pass over the
 counting RNG per scan), and per-probe node-id recording is gated behind
 ``dht.trace`` — the ``probes``/``unique_probed`` counters stay exact.
+
+There is one probe walk: every probe contacts the node, reads its slots,
+charges the bytes, read-repairs when configured and emits one ``probe``
+event.  Only the contact is chosen, per interval: under the retry policy
+when the overlay carries a fault layer (the only source of dropped
+messages and of live nodes that do not answer), directly otherwise.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
-    Callable,
     Dict,
     Hashable,
     Iterator,
@@ -52,6 +55,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.core.config import DHSConfig
@@ -63,7 +67,7 @@ from repro.errors import MessageDropped
 from repro.hashing.family import HashFamily
 from repro.obs import runtime as obs
 from repro.obs.metrics import BUCKETS_BITS, BUCKETS_PROBES, Histogram
-from repro.overlay.dht import DHTProtocol, LookupResult
+from repro.overlay.dht import DHTProtocol
 from repro.overlay.node import Node
 from repro.overlay.replication import replica_chain
 from repro.overlay.stats import OpCost
@@ -78,6 +82,11 @@ __all__ = ["Counter", "CountResult"]
 
 #: Estimators that scan from the most significant position downwards.
 _DOWNWARD_ESTIMATORS = {"sll", "loglog", "hll"}
+
+
+def _answering(node: Node) -> Node:
+    """``dht.probe`` reader of the lossy contact: the node that answered."""
+    return node
 
 
 class _PlaneSketches(Mapping[Hashable, HashSketch]):
@@ -177,11 +186,8 @@ class Counter:
         self.mapping = mapping
         self.hash_family = hash_family
         self.policy = policy
-        #: Register arena of the array store backend (``None`` = packed).
+        #: Register arena (``None`` = packed store); only read repair's writes use it.
         self.arena = arena
-        #: Per-scan flag: the current scan may use the inlined
-        #: direct-store probe walk (see :meth:`_run_scan`).
-        self._fast = False
         self._rng = rng_for(seed, "dhs-count")
         # Per-count cached histogram objects (refreshed from the active
         # registry at each metered count; see _count_many_impl) so the
@@ -259,17 +265,21 @@ class Counter:
             registry = obs.METRICS
             self._hist_probes = registry.histogram("dhs.count.probes_per_interval")
             self._hist_bits = registry.histogram("dhs.count.bits_touched")
-        bootstrap_cost: Optional[OpCost] = None
+        bootstrap: Optional[CountResult] = None
         if self.config.lim_policy == "eq6" and expected_items is None:
             bootstrap = self._run_scan(metric_ids, origin, now, expected_items=None,
                                        force_fixed=True)
             estimates = [est for est in bootstrap.estimates.values() if est > 0]
             # The sparsest metric binds the probe budget.
             expected_items = min(estimates) if estimates else 0.0
-            bootstrap_cost = bootstrap.cost
         result = self._run_scan(metric_ids, origin, now, expected_items=expected_items)
-        if bootstrap_cost is not None:
-            result.cost.add(bootstrap_cost)
+        if bootstrap is not None:
+            # The bootstrap pass is part of this count: its cost and visits.
+            result.cost.add(bootstrap.cost)
+            result.probes += bootstrap.probes
+            result.probed_ids |= bootstrap.probed_ids
+            result.probed_nodes[:0] = bootstrap.probed_nodes
+            result.intervals_scanned += bootstrap.intervals_scanned
         result.dropped_messages = result.cost.drops
         result.degraded = (
             result.exhausted_intervals > 0
@@ -290,21 +300,7 @@ class Counter:
         expected_items: Optional[float],
         force_fixed: bool = False,
     ) -> CountResult:
-        # The array backend's inlined probe walk: sound only when every
-        # wrapper it skips is provably a no-op — a no-retry policy means
-        # ``policy.call`` is a plain call, no fault layer means lookups
-        # cannot drop messages and ``node_responsive`` is ``is_alive``,
-        # and read repair off means probes never write.  Costs, RNG
-        # draws, results, trace events and counters are identical either
-        # way (the equivalence suite and the golden trace pin this
-        # against the reference walk).
         config = self.config
-        self._fast = (
-            self.arena is not None
-            and self.policy.is_default
-            and self.dht.fault_layer is None
-            and not (config.read_repair and config.replication > 0)
-        )
         adaptive = config.lim_policy == "eq6" and not force_fixed
         prior = expected_items if adaptive else None
         # One probe key per interval, drawn up front: a single pass over
@@ -453,11 +449,13 @@ class Counter:
         now: int,
         result: CountResult,
         expected_items: Optional[float] = None,
-        key: Optional[int] = None,
+        *,
+        key: int,
     ) -> Dict[Hashable, int]:
         """Probe one interval; ``needed`` maps metric → pending bitmap.
 
-        Returns metric → bitmap of vectors found set at ``position``.
+        ``key`` is the interval's pre-drawn random probe key.  Returns
+        metric → bitmap of vectors found set at ``position``.
         """
         if not obs.TRACING:
             # Metering (when on) happens inside the impl, where the
@@ -498,11 +496,12 @@ class Counter:
         now: int,
         result: CountResult,
         expected_items: Optional[float],
-        key: Optional[int],
+        key: int,
     ) -> Dict[Hashable, int]:
         """The untraced body of :meth:`_probe_interval` (Alg. 1 inner loop)."""
         event = obs.TRACER.event if obs.TRACING else None
         config = self.config
+        dht = self.dht
         budget = self._interval_budget(index, expected_items)
         metrics = [metric for metric, mask in needed.items() if mask]
         found: Dict[Hashable, int] = {metric: 0 for metric in metrics}
@@ -511,21 +510,32 @@ class Counter:
                 self._record_interval_metrics(probes_done=0, bits=0)
             return found
         result.intervals_scanned += 1
-        if key is None:
-            key = self.mapping.random_key_in_interval(index, self._rng)
         cost = result.cost
-        fast = self._fast
-        if fast:
-            # No fault layer and a no-retry policy: the lookup cannot
-            # drop, and ``policy.call`` would be a plain call.
-            lookup = self.dht.lookup(key, origin=origin)
-        else:
-            lookup = self._lookup_interval(
-                key, origin, index, position, metrics, needed, found, result,
-                expected_items, now, event,
-            )
-            if lookup is None:
+        # The walk's one selection: how a node is contacted.  Only a fault
+        # layer drops messages or silences a live node; without one
+        # ``policy.call`` is a plain call for any policy and
+        # ``node_responsive`` is ``is_alive``, so the node is reached directly.
+        lossy = dht.fault_layer is not None
+        if lossy:
+            try:
+                lookup = self.policy.call(
+                    lambda: dht.lookup(key, origin=origin), self._rng, cost
+                )
+            except MessageDropped:
+                # Every lookup attempt was dropped: the interval is
+                # unreachable this scan.  Zero probes happened, so every
+                # still-pending metric takes the full zero-probe eq. 5 hit.
+                if event is not None:
+                    event("count.unreachable", tick=now, index=index)
+                self._charge_exhaustion(
+                    index, position, metrics, needed, found, result,
+                    expected_items, probes_done=0,
+                )
+                if obs.METERING:
+                    self._record_interval_metrics(probes_done=0, bits=0)
                 return found
+        else:
+            lookup = dht.lookup(key, origin=origin)
         size_model = config.size_model
         num_metrics = len(metrics)
         cost.add(lookup.cost)
@@ -542,13 +552,15 @@ class Counter:
         )
 
         repair = config.read_repair and config.replication > 0
-        trace = self.dht.trace
+        trace = dht.trace
         visited: Set[int] = set()
         target = lookup.node_id
         succ_cursor = pred_cursor = target
         go_to_succ = True
         budget_exhausted = False
         probes_done = 0
+        node: Optional[Node]
+        lost = False  # only the lossy contact can lose a probe message
         for attempt in range(budget):
             if attempt > 0:
                 cost.bytes += size_model.probe_bytes(
@@ -560,67 +572,48 @@ class Counter:
             result.probed_ids.add(target)
             if trace:
                 result.probed_nodes.append(target)
-            if fast:
-                # Inlined probe: same semantics (and trace events and
-                # counters) as the reference branch below with every
-                # provably-no-op wrapper peeled away — ``policy.call``
-                # (no-retry policy), ``dht.probe``'s callback
-                # indirection, and the per-metric dict build.
-                node = self.dht.live_node(target)
+            # Contact the node: ``None`` when it did not answer.
+            if lossy:
+                node, lost = None, False
+                if dht.node_responsive(target):
+                    try:
+                        node = self.policy.call(
+                            lambda: dht.probe(target, _answering), self._rng, cost
+                        )
+                    except MessageDropped:
+                        lost = True  # already charged into ``cost`` by the policy
+            else:
+                node = dht.live_node(target)
                 if node is not None:
-                    self.dht.load.record(target)
+                    dht.load.record(target)
                     if obs.METERING:
                         obs.METRICS.inc("dht.probes")
-                    store = node.store
-                    returned = 0
-                    for metric in metrics:
-                        slot = store.get((metric, position))
-                        if isinstance(slot, PackedSlot):
-                            mask = slot.live_mask(now)
-                            if mask:
-                                returned += mask.bit_count()
-                                found[metric] |= mask
-                    cost.bytes += returned * size_model.tuple_bytes
-                    if event is not None:
-                        event(
-                            "probe", tick=now, node=target, ok=True, bits=returned
-                        )
-                else:
-                    cost.timeouts += 1
-                    self.dht.timeout_repair(target)
-                    if event is not None:
-                        event(
-                            "probe", tick=now, node=target, ok=False, timeout=True
-                        )
-            elif self.dht.node_responsive(target):
-                masks = self._probe_node(target, metrics, position, now, cost)
-                if masks is not None:
-                    returned = 0
-                    for metric, mask in masks.items():
-                        returned += mask.bit_count()
-                        found[metric] |= mask
-                    cost.bytes += returned * size_model.tuple_bytes
-                    if repair and returned:
-                        self._read_repair(target, metrics, masks, position, now, cost)
-                    if event is not None:
-                        event(
-                            "probe", tick=now, node=target, ok=True, bits=returned
-                        )
-                elif event is not None:
-                    event(
-                        "probe", tick=now, node=target, ok=False, lost=True
-                    )
-            else:
+            if node is not None:
+                store = node.store
+                returned = 0
+                for metric in metrics:
+                    slot = store.get((metric, position))
+                    if isinstance(slot, PackedSlot):
+                        mask = slot.live_mask(now)
+                        if mask:
+                            returned += mask.bit_count()
+                            found[metric] |= mask
+                cost.bytes += returned * size_model.tuple_bytes
+                if repair and returned:
+                    self._read_repair(node, metrics, position, now, cost)
+                if event is not None:
+                    event("probe", tick=now, node=target, ok=True, bits=returned)
+            elif not lost:
                 # Timed-out probe of a crashed (or transiently down)
                 # node — Alg. 1's failure case.  The walk hop was already
                 # paid; record the timeout and walk on.  Transient nodes
                 # are not evicted (the fault layer vetoes it).
                 cost.timeouts += 1
-                self.dht.timeout_repair(target)
+                dht.timeout_repair(target)
                 if event is not None:
-                    event(
-                        "probe", tick=now, node=target, ok=False, timeout=True
-                    )
+                    event("probe", tick=now, node=target, ok=False, timeout=True)
+            elif event is not None:
+                event("probe", tick=now, node=target, ok=False, lost=True)
             if all(not (needed[metric] & ~found[metric]) for metric in metrics):
                 break
             if attempt + 1 == budget:
@@ -640,7 +633,7 @@ class Counter:
                 # lookup landed there directly): nothing further up.
                 go_to_succ = False
             if go_to_succ:
-                candidate = self.dht.successor_id(succ_cursor)
+                candidate = dht.successor_id(succ_cursor)
                 if candidate in visited:
                     go_to_succ = False
                 elif self.mapping.contains(index, candidate):
@@ -650,7 +643,7 @@ class Counter:
                     succ_cursor = candidate
                     go_to_succ = False
             if next_target is None:
-                candidate = self.dht.predecessor_id(pred_cursor)
+                candidate = dht.predecessor_id(pred_cursor)
                 if self.mapping.contains(index, candidate) and candidate not in visited:
                     pred_cursor = next_target = candidate
                 else:
@@ -666,131 +659,50 @@ class Counter:
                 expected_items, probes_done=probes_done,
             )
         if obs.METERING:
-            # Inlined histogram records against the per-count cached
-            # objects (refreshed in _count_many_impl) — this runs once
-            # per interval on the count hot path.
-            hist = self._hist_probes
-            hist.counts[bisect_left(hist.bounds, probes_done)] += 1
-            hist.total += probes_done
-            hist.count += 1
             bits = sum(map(int.bit_count, found.values()))
-            hist = self._hist_bits
-            hist.counts[bisect_left(hist.bounds, bits)] += 1
-            hist.total += bits
-            hist.count += 1
+            self._record_interval_metrics(probes_done, bits)
         return found
 
-    def _lookup_interval(
-        self,
-        key: int,
-        origin: int,
-        index: int,
-        position: int,
-        metrics: List[Hashable],
-        needed: Dict[Hashable, int],
-        found: Dict[Hashable, int],
-        result: CountResult,
-        expected_items: Optional[float],
-        now: int,
-        event: Optional[Callable[..., Any]],
-    ) -> Optional[LookupResult]:
-        """Route to the interval under the retry policy.
-
-        Returns ``None`` when every lookup attempt was dropped — the
-        interval is unreachable this scan: zero probes happened, so
-        confidence in every still-pending metric takes the full
-        zero-probe eq. 5 hit (already charged here).
-        """
-        try:
-            return self.policy.call(
-                lambda: self.dht.lookup(key, origin=origin), self._rng, result.cost
-            )
-        except MessageDropped:
-            if event is not None:
-                event("count.unreachable", tick=now, index=index)
-            self._charge_exhaustion(
-                index, position, metrics, needed, found, result,
-                expected_items, probes_done=0,
-            )
-            if obs.METERING:
-                self._record_interval_metrics(probes_done=0, bits=0)
-            return None
-
     def _record_interval_metrics(self, probes_done: int, bits: int) -> None:
-        """Record one interval's probe/bit observations (cold paths only;
-        the normal exit of :meth:`_probe_interval_impl` inlines this)."""
-        hist = self._hist_probes
-        hist.counts[bisect_left(hist.bounds, probes_done)] += 1
-        hist.total += probes_done
-        hist.count += 1
-        hist = self._hist_bits
-        hist.counts[bisect_left(hist.bounds, bits)] += 1
-        hist.total += bits
-        hist.count += 1
-
-    def _probe_node(
-        self,
-        target: int,
-        metrics: List[Hashable],
-        position: int,
-        now: int,
-        cost: OpCost,
-    ) -> Optional[Dict[Hashable, int]]:
-        """Probe one node under the retry policy.
-
-        Returns metric → bitmap of vectors set at ``position``, or
-        ``None`` when the probe message was permanently lost (the loss
-        is already charged into ``cost`` by the policy).
-        """
-
-        def read(node: Node) -> Dict[Hashable, int]:
-            return {
-                metric: vectors_mask(node, metric, position, now)
-                for metric in metrics
-            }
-
-        try:
-            masks: Dict[Hashable, int] = self.policy.call(
-                lambda: self.dht.probe(target, read), self._rng, cost
-            )
-        except MessageDropped:
-            return None
-        return masks
+        """Record one interval's probe/bit observations against the
+        per-count cached histograms (refreshed in :meth:`_count_many_impl`)."""
+        self._hist_probes.observe(probes_done)
+        self._hist_bits.observe(bits)
 
     def _read_repair(
         self,
-        target: int,
+        source: Node,
         metrics: List[Hashable],
-        masks: Dict[Hashable, int],
         position: int,
         now: int,
         cost: OpCost,
     ) -> None:
-        """Re-write bits found at ``target`` onto replicas missing them.
+        """Re-write bits found at ``source`` onto replicas missing them.
 
         A crashed-and-rejoined (or amnesiac) successor silently degrades
         ``p_f^R`` bit survival; the counting walk is the natural place to
         notice, because it already read the authoritative bits.  Each
         repaired replica costs one hop plus the copied tuple bytes.
         """
-        source = self.dht.node(target)
+        dht = self.dht
+        held: List[Tuple[Hashable, PackedSlot, int]] = []
+        for metric in metrics:
+            slot = source.store.get((metric, position))
+            if isinstance(slot, PackedSlot):
+                mask = slot.live_mask(now)
+                if mask:
+                    held.append((metric, slot, mask))
         tuple_bytes = self.config.size_model.tuple_bytes
-        for replica_id in replica_chain(self.dht, target, self.config.replication):
-            if not self.dht.node_responsive(replica_id):
+        for replica_id in replica_chain(dht, source.node_id, self.config.replication):
+            if not dht.node_responsive(replica_id):
                 continue
-            replica = self.dht.node(replica_id)
+            replica = dht.node(replica_id)
             wrote = 0
-            for metric in metrics:
-                src_mask = masks.get(metric, 0)
-                if not src_mask:
-                    continue
+            for metric, slot, src_mask in held:
                 missing = src_mask & ~vectors_mask(replica, metric, position, now)
-                if not missing:
-                    continue
-                slot = source.store.get((metric, position))
                 for vector in bits_of(missing):
                     expiry: Optional[int] = None
-                    if isinstance(slot, PackedSlot) and not (slot.mask >> vector) & 1:
+                    if not (slot.mask >> vector) & 1:
                         raw = (slot.expiring or {}).get(vector)
                         expiry = int(raw) if raw is not None else None
                     write_entry(
@@ -802,7 +714,7 @@ class Counter:
                 cost.messages += 1
                 cost.bytes += wrote * tuple_bytes
                 cost.repair_writes += wrote
-                self.dht.load.record(replica_id)
+                dht.load.record(replica_id)
                 if obs.METERING:
                     obs.METRICS.inc("dhs.repair.writes", wrote)
                 if obs.TRACING:

@@ -72,11 +72,6 @@ class RetryPolicy:
                 f"jitter_hops must be >= 0, got {self.jitter_hops}"
             )
 
-    @property
-    def is_default(self) -> bool:
-        """Whether this policy never retries (current-behaviour mode)."""
-        return self.max_attempts == 1
-
     def backoff_cost(self, attempt: int, rng: random.Random) -> int:
         """Logical hops charged for the wait after failed ``attempt``."""
         delay = int(self.backoff_hops * self.backoff_factor**attempt)

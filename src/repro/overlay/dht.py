@@ -93,10 +93,9 @@ class DHTProtocol(ABC):
         #: Optional fault-injection layer (see :mod:`repro.overlay.faults`).
         #: When installed, routing consults it for transient
         #: unresponsiveness and it can veto the eviction of nodes that
-        #: merely timed out.  ``None`` (the default) keeps the bare-ring
-        #: fast path: :meth:`node_responsive` is then exactly
-        #: :meth:`is_alive` and :meth:`timeout_repair` exactly
-        #: :meth:`repair`.
+        #: merely timed out.  With ``None`` (the default, a bare ring)
+        #: :meth:`node_responsive` is exactly :meth:`is_alive` and
+        #: :meth:`timeout_repair` exactly :meth:`repair`.
         self.fault_layer: Optional["FaultHooks"] = None
 
     # ------------------------------------------------------------------
@@ -251,9 +250,10 @@ class DHTProtocol(ABC):
     def live_node(self, node_id: int) -> Optional[Node]:
         """The :class:`Node` for ``node_id`` if present and alive, else ``None``.
 
-        Fuses :meth:`is_alive` + :meth:`node` into one dict probe for the
-        bare-ring (no fault layer) counting fast path; unmaterialized
-        members materialize on demand.
+        Fuses :meth:`is_alive` + :meth:`node` into one dict probe: how
+        the counting walk contacts a node when no fault layer is
+        installed (:meth:`node_responsive` is then :meth:`is_alive`).
+        Unmaterialized members materialize on demand.
         """
         node = self._nodes.get(node_id)
         if node is not None:

@@ -63,6 +63,10 @@ class TestEq6Policy:
         assert result.estimate() > 0
         # Bootstrap cost is folded in: at least two scans' lookups.
         assert result.cost.lookups >= 2
+        # ... and so is what the bootstrap visited: on this drop-free
+        # ring every scanned interval paid exactly one lookup.
+        assert result.cost.lookups == result.intervals_scanned
+        assert result.probes >= result.intervals_scanned
 
     def test_prior_skips_bootstrap(self):
         dhs = make_dhs(n_nodes=64, m=4, lim=5, lim_policy="eq6")

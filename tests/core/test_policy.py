@@ -49,10 +49,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RetryPolicy(jitter_hops=-1)
 
-    def test_default_is_default(self):
-        assert DEFAULT_POLICY.is_default
-        assert not RetryPolicy(max_attempts=2).is_default
-
 
 class TestDefaultPolicy:
     def test_success_is_transparent(self):

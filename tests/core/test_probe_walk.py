@@ -38,13 +38,15 @@ def probed_sequence(dhs, ring, lim, position=0):
 
     result = CountResult(estimates={}, sketches={}, cost=OpCost())
     needed = {"m": 0b1}  # pending bitmap: vector 0 unresolved
+    index = counter.mapping.interval_index(position)
     counter._probe_interval(
-        counter.mapping.interval_index(position),
+        index,
         position,
         needed,
         origin=ring.node_ids()[0],
         now=0,
         result=result,
+        key=counter.mapping.random_key_in_interval(index, counter._rng),
     )
     return result.probed_nodes
 

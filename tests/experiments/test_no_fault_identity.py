@@ -17,6 +17,7 @@ Two gates enforce it:
   for arbitrary seeds (contract style of ``tests/sim/test_parallel.py``).
 """
 
+import itertools
 import json
 import pathlib
 
@@ -27,12 +28,18 @@ from hypothesis import strategies as st
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.core.policy import DEFAULT_POLICY
+from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.experiments.common import populate_metric
 from repro.experiments.accuracy import run_accuracy_sweep
 from repro.experiments.robustness import run_failure_robustness
+from repro.obs import runtime as obs
+from repro.obs.export import dumps_jsonl
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.span import Tracer
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultInjector, FaultPlan
+from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.pastry import PastryOverlay
 from repro.sim.seeds import rng_for
 
 GOLDEN = json.loads(
@@ -119,28 +126,92 @@ class TestGoldenDrivers:
         assert got == GOLDEN["drivers"]["accuracy"]
 
 
-def _count_summary(dht, seed, n_items):
+OVERLAYS = (ChordRing, KademliaOverlay, PastryOverlay)
+STORES = ("array", "packed")
+POLICIES = (
+    DEFAULT_POLICY,
+    RetryPolicy(max_attempts=3, backoff_hops=1, jitter_hops=2),
+)
+
+
+def _count_summary(overlay, store, policy, seed, wrap_in_injector):
+    """Everything one observed two-metric count produces on a ring a third
+    of whose nodes crashed lazily (timeout arm, shifted replica chains).
+
+    The metrics are sparse (a handful of items per bitmap), so intervals
+    take several probes to resolve and the walk — not just the lookup —
+    meets the corpses.
+    """
+    ring = overlay.build(24, seed=seed)
+    dht = (
+        FaultInjector(ring, FaultPlan.empty(), seed=seed)
+        if wrap_in_injector
+        else ring
+    )
     dhs = DistributedHashSketch(
-        dht, DHSConfig(key_bits=12, num_bitmaps=16), seed=seed
+        dht,
+        DHSConfig(
+            key_bits=12, num_bitmaps=16, store=store,
+            replication=2, read_repair=True,
+        ),
+        seed=seed,
+        policy=policy,
     )
-    populate_metric(dhs, "docs", np.arange(n_items), seed=seed)
-    origin = rng_for(seed, "origin").choice(dht.node_ids())
-    res = dhs.count("docs", origin=origin)
-    return (
-        res.estimates["docs"], res.cost.hops, res.cost.bytes,
-        res.cost.messages, res.probes, sorted(res.probed_ids),
-    )
+    populate_metric(dhs, "docs", np.arange(120), seed=seed)
+    populate_metric(dhs, "imgs", np.arange(60, 140), seed=seed)
+    node_ids = sorted(dht.node_ids())
+    origin = rng_for(seed, "origin").choice(node_ids)
+    for node_id in node_ids[1::3]:
+        if node_id != origin:
+            dht.mark_failed(node_id)
+    tracer, registry = Tracer(), MetricsRegistry()
+    with obs.observed(tracer, registry):
+        res = dhs.count_many(["docs", "imgs"], origin=origin)
+    cost = res.cost
+    return {
+        "estimates": res.estimates,
+        "cost": {
+            name: getattr(cost, name)
+            for name in (
+                "hops", "messages", "bytes", "lookups",
+                "timeouts", "retries", "drops", "repair_writes",
+            )
+        },
+        "probes": res.probes,
+        "probe_timeouts": sum(
+            1 for span in tracer.find("probe") if span.attrs.get("timeout")
+        ),
+        "probed_ids": sorted(res.probed_ids),
+        "rng": dhs._counter._rng.getstate(),
+        "load": dht.load.counts(),
+        "trace": dumps_jsonl(tracer.spans),
+        "metrics": registry.snapshot(),
+    }
 
 
 class TestEmptyPlanProperty:
-    """For arbitrary seeds, the no-plan injector is a perfect no-op."""
+    """For arbitrary seeds, the no-plan injector is a perfect no-op.
+
+    The count walk contacts nodes directly on a bare ring and through
+    ``node_responsive`` + the retry policy + ``dht.probe`` behind a
+    fault layer; this is the differential that pins the two contact
+    forms against each other — on every overlay, both slot backends,
+    with and without a retry budget, with corpses to time out on and
+    read repair writing from inside the walk.
+    """
 
     @given(seed=st.integers(0, 2**20))
     @settings(max_examples=5, deadline=None)
     def test_wrapped_equals_bare(self, seed):
-        bare = _count_summary(ChordRing.build(24, seed=seed), seed, 2_000)
-        ring = ChordRing.build(24, seed=seed)
-        wrapped = _count_summary(
-            FaultInjector(ring, FaultPlan.empty(), seed=seed), seed, 2_000
-        )
-        assert wrapped == bare
+        probe_timeouts = repairs = 0
+        for overlay, store, policy in itertools.product(OVERLAYS, STORES, POLICIES):
+            bare = _count_summary(overlay, store, policy, seed, False)
+            wrapped = _count_summary(overlay, store, policy, seed, True)
+            for field, value in bare.items():
+                assert wrapped[field] == value, (
+                    overlay.__name__, store, policy.max_attempts, field,
+                )
+            probe_timeouts += bare["probe_timeouts"]
+            repairs += bare["cost"]["repair_writes"]
+        # The scenario reaches what it is there to compare.
+        assert probe_timeouts > 0 and repairs > 0
