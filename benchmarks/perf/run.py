@@ -137,17 +137,13 @@ PRESETS: Dict[str, Dict[str, Any]] = {
 SEED = 2006  # ICDE 2006 — fixed so runs are workload-identical.
 
 
-def bench_lookup(n_nodes: int, ops: int, finger_cache: bool = True) -> Dict[str, Any]:
+def bench_lookup(n_nodes: int, ops: int) -> Dict[str, Any]:
     """Random-key, random-origin lookup throughput on an idle ring."""
-    ring = ChordRing.build(n_nodes, bits=64, seed=SEED, finger_cache=finger_cache)
+    ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
     rng = rng_for(SEED, "perf-lookup", n_nodes)
     ids = list(ring.node_ids())
     keys = [rng.randrange(2**64) for _ in range(ops)]
     origins = [ids[rng.randrange(len(ids))] for _ in range(ops)]
-    # Warm the finger memo with a small prefix so the steady-state rate
-    # is measured (cold-cache cost is amortized across a real workload).
-    for key, origin in zip(keys[:200], origins[:200]):
-        ring.lookup(key, origin=origin)
     hops = 0
     start = time.perf_counter()
     for key, origin in zip(keys, origins):
@@ -484,11 +480,6 @@ def run_suite(preset: str, only: set | None = None) -> Dict[str, Any]:
         name = f"lookup/n{spec['n_nodes']}"
         print(f"[perf] {name} ...", flush=True)
         benchmarks[name] = bench_lookup(spec["n_nodes"], spec["ops"])
-        uncached = f"lookup_uncached/n{spec['n_nodes']}"
-        print(f"[perf] {uncached} ...", flush=True)
-        benchmarks[uncached] = bench_lookup(
-            spec["n_nodes"], max(spec["ops"] // 4, 500), finger_cache=False
-        )
 
     for spec in sizes.get("insert", []) if want("insert") else []:
         n_nodes = spec["n_nodes"]

@@ -7,25 +7,20 @@ finger preceding the key, where finger ``i`` of node ``n`` is
 same idealization the paper's evaluation makes — so hop counts land at
 the expected ``~0.5 * log2 N`` without simulating stabilization chatter.
 
-Hot-path engineering (see docs/PERFORMANCE.md): fingers are *memoized*
-per node and invalidated incrementally on membership changes, so a
-routed hop costs O(1) dictionary work instead of up to ``L`` bisects.
-The memo is exact — an invalidation-correctness property test asserts
-hop-for-hop agreement with the uncached on-demand computation
-(``finger_cache=False``) under arbitrary join/leave/crash interleavings.
-
-Memory-lean at scale (ROADMAP item 2): per-node finger memos are sparse
-dicts holding only the exponents a route has actually probed (~log2 N
-entries instead of an ``L``-slot list), nodes that never route own no
-memo at all, and :meth:`ChordRing.build` constructs the membership with
-one vectorized bulk merge (:meth:`~repro.overlay.dht.DHTProtocol.add_nodes_bulk`)
-instead of N incremental binary insertions — an N=10^6 ring builds in
-seconds with O(8 bytes) of resident state per untouched node.
+No finger table is stored.  Finger ``i`` of ``n`` lies strictly between
+``n`` and ``key`` exactly when some member lies in ``[n + 2^i, key)``,
+that is when ``2^i <= reach``, where ``reach`` is the clockwise distance
+from ``n`` to the last member before ``key``.  The closest preceding
+finger is therefore ``successor(n + 2^floor(log2 reach))``: one bisect
+on the live membership per hop, hop-for-hop the scan over
+``i = L-1 .. 0`` that ``tests/overlay/chord_oracle.py`` keeps as the
+reference, and nothing to invalidate when nodes join or leave (see
+docs/PERFORMANCE.md section 1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional
 
 from repro.errors import ConfigurationError, EmptyOverlayError
 from repro.obs import runtime as obs
@@ -35,11 +30,6 @@ from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 
 __all__ = ["ChordRing"]
-
-#: Bound on the memoized ``owner_of`` results; when full the cache is
-#: reset wholesale (it is an optimization cache — correctness never
-#: depends on its contents).
-_OWNER_CACHE_MAX = 1 << 16
 
 
 class ChordRing(DHTProtocol):
@@ -53,30 +43,13 @@ class ChordRing(DHTProtocol):
         When true, lookups record the full ``nodes_visited`` path in
         their :class:`~repro.overlay.stats.OpCost` (off by default —
         the counters are kept either way).
-    finger_cache:
-        When false, fingers are recomputed from the live membership on
-        every use (the seed behaviour; kept for equivalence testing).
     """
 
-    def __init__(
-        self,
-        space: IdSpace,
-        trace: bool = False,
-        finger_cache: bool = True,
-    ) -> None:
+    def __init__(self, space: IdSpace, trace: bool = False) -> None:
         super().__init__(space, trace=trace)
-        self._finger_cache_enabled = finger_cache
-        #: ``space.size - 1``, cached: ``wrap`` via ``& mask`` keeps the
-        #: hot routing loops free of property lookups.
+        #: ``space.size - 1``: ``wrap`` via ``& mask`` keeps the routing
+        #: loop free of property lookups.
         self._size_mask = space.size - 1
-        #: node id -> sparse per-exponent finger memo (missing = stale).
-        #: Sparse dicts keep memory proportional to the exponents a
-        #: route actually probed (~log2 N), not the id width ``L``.
-        self._fingers: Dict[int, Dict[int, int]] = {}
-        #: finger value -> {(node, i)} entries currently memoized to it.
-        self._finger_rev: Dict[int, Set[Tuple[int, int]]] = {}
-        #: key -> owner memo; cleared on any membership change.
-        self._owner_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -88,7 +61,6 @@ class ChordRing(DHTProtocol):
         bits: int = 64,
         seed: int = 0,
         trace: bool = False,
-        finger_cache: bool = True,
     ) -> "ChordRing":
         """Create a ring of ``n_nodes`` with pseudo-random ids."""
         if n_nodes < 1:
@@ -98,7 +70,7 @@ class ChordRing(DHTProtocol):
             raise ConfigurationError(
                 f"cannot place {n_nodes} nodes in a {bits}-bit id space"
             )
-        ring = cls(space, trace=trace, finger_cache=finger_cache)
+        ring = cls(space, trace=trace)
         # The id stream must stay byte-identical to the seed behaviour
         # (golden fixtures pin it); only the insertion switched from
         # one-at-a-time joins to a single vectorized bulk merge.
@@ -113,14 +85,10 @@ class ChordRing(DHTProtocol):
 
     @classmethod
     def from_ids(
-        cls,
-        node_ids: Iterable[int],
-        bits: int = 64,
-        trace: bool = False,
-        finger_cache: bool = True,
+        cls, node_ids: Iterable[int], bits: int = 64, trace: bool = False
     ) -> "ChordRing":
         """Create a ring from explicit node ids (tests, edge cases)."""
-        ring = cls(IdSpace(bits), trace=trace, finger_cache=finger_cache)
+        ring = cls(IdSpace(bits), trace=trace)
         ring.add_nodes_bulk(node_ids)
         if ring.size == 0:
             raise ConfigurationError("from_ids needs at least one node id")
@@ -131,181 +99,83 @@ class ChordRing(DHTProtocol):
     # ------------------------------------------------------------------
     def owner_of(self, key: int) -> int:
         """``successor(key)``: the first live node at or after ``key``."""
-        ids = self._ids
-        if not ids:
+        if not self._ids:
             raise EmptyOverlayError("overlay has no live nodes")
-        key &= self._size_mask
-        cache = self._owner_cache
-        owner = cache.get(key)
-        if owner is not None:
-            return owner
-        index = ids.bisect_left(key)
-        owner = ids[index % len(ids)]
-        if len(cache) >= _OWNER_CACHE_MAX:
-            cache.clear()
-        cache[key] = owner
-        return owner
+        return self._ids.first_at_or_after(key & self._size_mask)
 
     def finger(self, node_id: int, i: int) -> int:
-        """Finger ``i`` of ``node_id``: ``successor(node_id + 2^i)``.
-
-        With the cache enabled the value is memoized per ``(node, i)``
-        and invalidated incrementally when membership changes could
-        affect it; stale entries fall back to the on-demand computation.
-        """
-        if not self._finger_cache_enabled:
-            return self.owner_of((node_id + (1 << i)) & self._size_mask)
-        table = self._fingers.setdefault(node_id, {})
-        value = table.get(i)
-        if value is None:
-            value = self.owner_of((node_id + (1 << i)) & self._size_mask)
-            table[i] = value
-            self._finger_rev.setdefault(value, set()).add((node_id, i))
-        return value
-
-    def materialize_fingers(self, node_id: int) -> Dict[int, int]:
-        """Eagerly fill every finger of ``node_id`` and return the memo.
-
-        Normal routing materializes fingers lazily, one probed exponent
-        at a time; this helper forces the full ``L``-entry table (used
-        by equivalence tests and callers that want warm routing state).
-        """
-        if not self._finger_cache_enabled:
-            raise ConfigurationError(
-                "materialize_fingers requires finger_cache=True"
-            )
-        for i in range(self.space.bits):
-            self.finger(node_id, i)
-        return dict(self._fingers.get(node_id, {}))
-
-    # ------------------------------------------------------------------
-    # Cache maintenance (membership-change hooks).
-    # ------------------------------------------------------------------
-    def _on_bulk_join(self) -> None:
-        """Reset routing memos wholesale after a bulk membership merge."""
-        self._owner_cache.clear()
-        self._fingers.clear()
-        self._finger_rev.clear()
-
-    def _on_join(self, node_id: int) -> None:
-        """Invalidate routing memos a join at ``node_id`` may stale.
-
-        A memoized finger ``successor(start)`` changes only if the new
-        node slots between ``start`` and the old successor — and that
-        old successor is exactly ``successor(node_id)`` after the join.
-        Dropping every entry memoized to that one node is a small,
-        conservative superset of the affected entries.
-        """
-        self._owner_cache.clear()
-        if len(self._ids) < 2:
-            return
-        heir = self.successor_id(node_id)
-        self._invalidate_entries_pointing_at(heir)
-
-    def _on_leave(self, node_id: int) -> None:
-        """Drop routing memos referencing the departed ``node_id``."""
-        self._owner_cache.clear()
-        # Entries of other nodes that resolved to the departed node.
-        self._invalidate_entries_pointing_at(node_id)
-        # The departed node's own finger table.
-        table = self._fingers.pop(node_id, None)
-        if table is not None:
-            for i, value in table.items():
-                entries = self._finger_rev.get(value)
-                if entries is not None:
-                    entries.discard((node_id, i))
-                    if not entries:
-                        del self._finger_rev[value]
-
-    def _invalidate_entries_pointing_at(self, value: int) -> None:
-        entries = self._finger_rev.pop(value, None)
-        if entries is None:
-            return
-        fingers = self._fingers
-        for node_id, i in entries:
-            table = fingers.get(node_id)
-            if table is not None:
-                table.pop(i, None)
-
-    def _closest_preceding(self, current: int, key: int) -> Optional[int]:
-        """Best finger of ``current`` strictly inside ``(current, key)``.
-
-        This is the innermost routing loop: the id-space arithmetic
-        (``wrap``/``distance``/``in_open``) is inlined as mask-and-
-        compare operations and the finger memo is indexed directly, so
-        probing a finger costs no Python function call.
-        """
-        size_mask = self.space.size - 1
-        distance = (key - current) & size_mask
-        if distance <= 1:
-            return None
-        if not self._finger_cache_enabled:
-            # Seed behaviour: recompute each finger from the membership.
-            for i in range((distance - 1).bit_length() - 1, -1, -1):
-                candidate = self.owner_of((current + (1 << i)) & size_mask)
-                if 0 < ((candidate - current) & size_mask) < distance:
-                    return candidate
-            return None
-        table = self._fingers.setdefault(current, {})
-        # Largest finger that cannot overshoot starts at 2^i <= distance-1.
-        for i in range((distance - 1).bit_length() - 1, -1, -1):
-            candidate = table.get(i)
-            if candidate is None:
-                candidate = self.owner_of((current + (1 << i)) & size_mask)
-                table[i] = candidate
-                self._finger_rev.setdefault(candidate, set()).add((current, i))
-            # Inlined in_open(candidate, current, key); current != key
-            # because distance > 1.
-            if 0 < ((candidate - current) & size_mask) < distance:
-                return candidate
-        return None
+        """Finger ``i`` of ``node_id``: ``successor(node_id + 2^i)``."""
+        return self.owner_of(node_id + (1 << i))
 
     def lookup(self, key: int, origin: Optional[int] = None) -> LookupResult:
         """Iteratively route ``key`` to its owner, counting hops.
 
-        ``origin`` defaults to the owner's antipode-ish first node, but
-        callers doing cost experiments should pass an explicit querying
-        node.  A lookup starting at the owner itself costs 0 hops.
+        ``origin`` defaults to the lowest live id, but callers doing
+        cost experiments should pass an explicit querying node.  A
+        lookup starting at the owner itself costs 0 hops.
         """
-        if not self._ids:
+        ids = self._ids
+        if not ids:
             raise EmptyOverlayError("overlay has no live nodes")
-        key &= self._size_mask
+        size_mask = self._size_mask
+        key &= size_mask
         if origin is None:
-            origin = self._ids[0]
+            origin = ids[0]
         current = origin
         trace = self.trace
         cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
-        self.load.record(origin)
-        destination = self.owner_of(key)
+        record = self.load.record
+        record(origin)
+        responsive = self.node_responsive
+        # Convergence bound, on the membership at entry (evictions on
+        # the way only shrink it).
+        max_hops = 2 * self.space.bits + len(ids)
+        destination = ids.first_at_or_after(key)
+        # Whether ``destination`` has answered and ``last`` been taken
+        # since the membership last changed.  ``responsive`` is a pure
+        # read and a plain hop mutates nothing, so both hold until a
+        # branch below repairs or re-resolves.
+        resolved = False
         while True:
-            if not self.node_responsive(destination):
-                # Timed-out contact with the owner: pay the probe, evict
-                # it, and re-resolve — repeating for every consecutive
-                # dead heir — before resuming the route.  When the fault
-                # layer vetoes the eviction (transient outage), the
-                # route settles on the owner's first responsive
-                # successor instead, exactly as a Chord successor list
-                # would be used.
-                cost.hops += 1
-                cost.messages += 1
-                cost.timeouts += 1
-                self.timeout_repair(destination)
-                if self.has_node(destination):
-                    destination = self._next_responsive(destination, cost)
-                else:
-                    destination = self.owner_of(key)
-                continue
+            if not resolved:
+                if not responsive(destination):
+                    # Timed-out contact with the owner: pay the probe,
+                    # evict it, and re-resolve — repeating for every
+                    # consecutive dead heir — before resuming the route.
+                    # When the fault layer vetoes the eviction (transient
+                    # outage), the route settles on the owner's first
+                    # responsive successor instead, exactly as a Chord
+                    # successor list would be used.
+                    cost.hops += 1
+                    cost.messages += 1
+                    cost.timeouts += 1
+                    self.timeout_repair(destination)
+                    if self.has_node(destination):
+                        destination = self._next_responsive(destination, cost)
+                    else:
+                        destination = self.owner_of(key)
+                    continue
+                # Last member strictly before ``key``: with it every hop
+                # of the route is one bisect.
+                last = ids.last_before(key)
+                resolved = True
             if current == destination:
                 break
-            nxt = self._closest_preceding(current, key)
-            if nxt is None:
-                # key lies between current and its successor: last hop.
-                nxt = self.successor_id(current)
-            if not self.node_responsive(nxt):
+            reach = (last - current) & size_mask
+            if 0 < reach < ((key - current) & size_mask):
+                # Closest preceding finger: the largest 2^i <= reach.
+                nxt = ids.first_at_or_after(
+                    (current + (1 << (reach.bit_length() - 1))) & size_mask
+                )
+            else:
+                # No member in (current, key): last hop, to the successor.
+                nxt = ids.first_at_or_after(current + 1)
+            if nxt != destination and not responsive(nxt):
                 cost.hops += 1
                 cost.messages += 1
                 cost.timeouts += 1
                 self.timeout_repair(nxt)
+                resolved = False
                 if self.has_node(nxt):
                     # Eviction vetoed: relay through the unresponsive
                     # node's first responsive successor (known from its
@@ -315,17 +185,17 @@ class ChordRing(DHTProtocol):
                     cost.messages += 1
                     if trace:
                         cost.nodes_visited.append(current)
-                    self.load.record(current)
-                    continue
-                destination = self.owner_of(key)
+                    record(current)
+                else:
+                    destination = self.owner_of(key)
                 continue
             current = nxt
             cost.hops += 1
             cost.messages += 1
             if trace:
                 cost.nodes_visited.append(current)
-            self.load.record(current)
-            if cost.hops > 2 * self.space.bits + len(self._ids):
+            record(current)
+            if cost.hops > max_hops:
                 raise RuntimeError("routing failed to converge; ring corrupt?")
         if obs.METERING:
             obs.METRICS.observe("dhs.lookup.hops", cost.hops)

@@ -169,7 +169,6 @@ class DHTProtocol(ABC):
         node = Node(node_id)
         self._nodes[node_id] = node
         self._insert_sorted(node_id)
-        self._on_join(node_id)
         return node
 
     def add_nodes_bulk(self, node_ids: Iterable[int]) -> None:
@@ -198,7 +197,6 @@ class DHTProtocol(ABC):
             raise NodeNotFoundError(node_id)
         node = self._nodes.pop(node_id, None)
         self._delete_sorted(node_id)
-        self._on_leave(node_id)
         if node is None:
             # Never materialized: empty store, no live references —
             # nothing to merge and no alive flag anyone can observe.
@@ -330,14 +328,8 @@ class DHTProtocol(ABC):
             raise NodeNotFoundError(node_id) from None
 
     # ------------------------------------------------------------------
-    # Membership-change hooks (for derived routing-state caches).
+    # Membership-change hook (for derived routing-state caches).
     # ------------------------------------------------------------------
-    def _on_join(self, node_id: int) -> None:
-        """Called after ``node_id`` joined the sorted membership."""
-
-    def _on_leave(self, node_id: int) -> None:
-        """Called after ``node_id`` left the sorted membership."""
-
     def _on_bulk_join(self) -> None:
         """Called once after :meth:`add_nodes_bulk` merged its batch.
 
@@ -357,19 +349,15 @@ class DHTProtocol(ABC):
 
     def successor_id(self, node_id: int) -> int:
         """Clockwise ring neighbour of ``node_id`` (numeric order)."""
-        ids = self._ids
-        if not ids:
+        if not self._ids:
             raise EmptyOverlayError("overlay has no live nodes")
-        index = ids.bisect_right(node_id)
-        return ids[index % len(ids)]
+        return self._ids.first_at_or_after(node_id + 1)
 
     def predecessor_id(self, node_id: int) -> int:
         """Counter-clockwise ring neighbour of ``node_id``."""
-        ids = self._ids
-        if not ids:
+        if not self._ids:
             raise EmptyOverlayError("overlay has no live nodes")
-        index = ids.bisect_left(node_id)
-        return ids[index - 1]
+        return self._ids.last_before(node_id)
 
     # ------------------------------------------------------------------
     # Storage primitives.

@@ -141,11 +141,11 @@ class FaultInjector(DHTProtocol, FaultHooks):
     drivers use it wherever they would use the bare overlay.  Membership
     state (``_nodes`` / ``_ids`` / load tracker) is shared with the
     wrapped overlay by reference and every membership mutation is
-    delegated to it, so geometry-specific caches (Chord's memoized
-    fingers) stay correct.  The injector also installs itself as the
-    overlay's ``fault_layer``, which is how routing learns about
-    transient unresponsiveness and why timed-out transient nodes are
-    not permanently evicted.
+    delegated to it, so geometry-specific caches (the Kademlia and
+    Pastry contact caches) stay correct.  The injector also installs
+    itself as the overlay's ``fault_layer``, which is how routing learns
+    about transient unresponsiveness and why timed-out transient nodes
+    are not permanently evicted.
     """
 
     def __init__(self, inner: DHTProtocol, plan: FaultPlan, seed: int = 0) -> None:
@@ -313,7 +313,7 @@ class FaultInjector(DHTProtocol, FaultHooks):
 
     # ------------------------------------------------------------------
     # DHTProtocol surface (delegated; membership mutations go through
-    # the wrapped overlay so its cache hooks fire).
+    # the wrapped overlay so its contact-cache resets run).
     # ------------------------------------------------------------------
     def owner_of(self, key: int) -> int:
         return self.inner.owner_of(key)

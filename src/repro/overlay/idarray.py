@@ -37,10 +37,19 @@ comparison.  Id spaces wider than 64 bits fall back to a plain sorted
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_left as _bisect_left
 from bisect import bisect_right as _bisect_right
-from typing import Iterable, Iterator, List, Sequence, Union, overload
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    SupportsIndex,
+    Union,
+    overload,
+)
 
 import numpy as np
 
@@ -91,7 +100,11 @@ class SortedIdArray(Sequence[int]):
 
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, int):
-            return False
+            # Other integrals (numpy scalars) are members by their index
+            # value; anything non-integral never is.
+            if not isinstance(value, SupportsIndex):
+                return False
+            value = operator.index(value)
         index = _bisect_left(self._data, value)
         return index < len(self._data) and self._data[index] == value
 
@@ -112,6 +125,20 @@ class SortedIdArray(Sequence[int]):
         if hi is None:
             hi = len(self._data)
         return _bisect_right(self._data, value, lo, hi)
+
+    # ------------------------------------------------------------------
+    # Ring neighbours: the one place wrap-around is written.  Both raise
+    # ``IndexError`` on an empty array.
+    # ------------------------------------------------------------------
+    def first_at_or_after(self, value: int) -> int:
+        """First id ``>= value``, wrapping to the lowest id past the top."""
+        data = self._data
+        index = _bisect_left(data, value)
+        return data[index] if index < len(data) else data[0]
+
+    def last_before(self, value: int) -> int:
+        """Last id ``< value``, wrapping to the highest id below the bottom."""
+        return self._data[_bisect_left(self._data, value) - 1]
 
     # ------------------------------------------------------------------
     # Mutation.

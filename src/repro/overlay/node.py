@@ -2,9 +2,9 @@
 
 A node is deliberately thin: an identifier, a liveness flag, and an
 application-managed key/value store.  All routing intelligence lives in
-the overlay (finger tables are derived on demand from the ring membership,
-modelling an ideally-stabilized DHT, which is also what the paper's
-evaluation assumes).
+the overlay (each hop is computed from the ring membership, never from
+stored finger tables — an ideally-stabilized DHT, which is also what the
+paper's evaluation assumes).
 
 The store is typed through the ``StoreKey``/``StoreValue``/``NodeStore``
 aliases shared with :mod:`repro.core.tuples`: values are opaque to the

@@ -3,8 +3,10 @@
 import bisect
 import random
 
+import numpy as np
 import pytest
 
+from repro.overlay.chord import ChordRing
 from repro.overlay.idarray import SortedIdArray
 
 
@@ -42,6 +44,20 @@ class TestSequenceProtocol:
         assert 5 in ids
         assert 4 not in ids
 
+    def test_contains_accepts_any_integral(self):
+        """Regression: a present id passed as a numpy integer answered
+        False (``ring.has_node(np.uint64(nid))`` on a live member)."""
+        top = (1 << 64) - 1
+        ids = SortedIdArray(ids=[1, 5, top])
+        assert np.uint64(5) in ids and np.int64(5) in ids
+        assert np.uint64(top) in ids
+        assert np.uint64(4) not in ids and np.int64(-1) not in ids
+        assert True in ids  # an int: True == 1
+        assert False not in ids
+        assert 1.0 not in ids and "1" not in ids and None not in ids
+        ring = ChordRing.from_ids([1, 5, top])
+        assert ring.has_node(np.uint64(top)) and ring.is_alive(np.uint64(5))
+
     def test_random_choice_works(self):
         # random_live_node relies on Random.choice over the sequence.
         ids = SortedIdArray(ids=[2, 4, 6])
@@ -70,6 +86,26 @@ class TestBinarySearch:
         assert ids.bisect_left(1 << 64) == 2
         assert ids.bisect_right(1 << 64) == 2
         assert ids.bisect_left(-1) == 0
+
+    @pytest.mark.parametrize("bits", [8, 64, 80])
+    def test_ring_neighbours_wrap(self, bits):
+        top = (1 << bits) - 1
+        ids = SortedIdArray(bits=bits, ids=[0, 7, 40, top])
+        assert ids.first_at_or_after(7) == 7
+        assert ids.first_at_or_after(8) == 40
+        assert ids.first_at_or_after(top) == top
+        assert ids.first_at_or_after(top + 1) == 0  # past the top: wraps
+        assert ids.last_before(7) == 0
+        assert ids.last_before(8) == 7
+        assert ids.last_before(0) == top  # below the bottom: wraps
+        lone = SortedIdArray(bits=bits, ids=[9])
+        assert lone.first_at_or_after(10) == 9 and lone.last_before(9) == 9
+        for empty_call in (
+            SortedIdArray(bits=bits).first_at_or_after,
+            SortedIdArray(bits=bits).last_before,
+        ):
+            with pytest.raises(IndexError):
+                empty_call(3)
 
     def test_wide_spaces_use_object_buffer(self):
         huge = 1 << 200

@@ -11,6 +11,14 @@ from repro.obs.metrics import (
     GAUGE_RING_NODE_HEAP_BYTES,
 )
 from repro.overlay.chord import ChordRing
+from repro.sim.seeds import rng_for
+from tests.overlay import chord_oracle as oracle
+
+#: Traced-heap growth allowed over 5,000 lookups on an N=10^4 ring.
+#: Routing keeps no per-node state, so what grows is the ``LoadTracker``
+#: count per visited node (~0.55 MiB); a finger memo with a reverse
+#: index cost 36 MB here.
+LOOKUP_HEAP_GROWTH_CEILING = 2 * 1024 * 1024
 
 #: tracemalloc-peak budget per node for a bulk-built ring.  The lean
 #: path costs ~150 B/node transiently (the id-dedup set) and 8 B/node
@@ -90,15 +98,24 @@ class TestLazyMaterialization:
         assert len(responsive) == 31
 
     def test_bulk_join_resets_routing_caches(self):
-        ring = ChordRing.build(32, seed=3)
+        """Routes after a bulk merge are the oracle's on the merged
+        membership: nothing learnt before the merge survives it."""
+        ring = ChordRing.build(32, seed=3, trace=True)
         origin = ring.node_ids()[0]
-        ring.lookup(1 << 40, origin=origin)  # warm fingers + owner memo
+        keys = [1 << 40, 150, 1050, 2050, (1 << 63) + 7]
+        for key in keys:
+            ring.lookup(key, origin=origin)
         new_ids = [i for i in range(100, 2100, 100) if not ring.has_node(i)]
         ring.add_nodes_bulk(new_ids)
         assert ring.size == 32 + len(new_ids)
-        assert ring._fingers == {} and ring._owner_cache == {}
-        # Ownership reflects the merged membership.
         assert ring.owner_of(100) == 100
+        ref = ChordRing.from_ids(ring.node_ids(), trace=True)
+        for key in keys:
+            for start in (origin, 100, 2000):
+                got = ring.lookup(key, origin=start)
+                expected = oracle.lookup(ref, key, start)
+                assert got.node_id == expected.node_id
+                assert got.cost.nodes_visited == expected.nodes_visited
 
 
 class TestMemoryRegression:
@@ -120,3 +137,22 @@ class TestMemoryRegression:
         assert ring._nodes == {}
         assert heap_per_node < HEAP_BYTES_PER_NODE_CEILING
         assert membership_per_node <= MEMBERSHIP_BYTES_PER_NODE_CEILING
+
+    def test_lookups_grow_no_routing_state_n1e4(self):
+        """Per-node routing state creeping back in fails here."""
+        ring = ChordRing.build(10_000, seed=13)
+        rng = rng_for(13, "lookup-heap")
+        queries = [
+            (rng.randrange(ring.space.size), ring.random_live_node(rng))
+            for _ in range(5_000)
+        ]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for key, origin in queries:
+                ring.lookup(key, origin=origin)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before <= LOOKUP_HEAP_GROWTH_CEILING
+        assert ring._nodes == {}
