@@ -21,9 +21,9 @@ _U64 = np.uint64
 def splitmix64_np(x: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
     """splitmix64 over a uint64 array (wrap-around semantics)."""
     with np.errstate(over="ignore"):
-        x = (x + _U64(0x9E3779B97F4A7C15)).astype(_U64)
-        x = ((x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)).astype(_U64)
-        x = ((x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)).astype(_U64)
+        x = x + _U64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
         return x ^ (x >> _U64(31))
 
 
@@ -32,7 +32,7 @@ def mix_with_seed_np(x: npt.NDArray[np.uint64], seed: int) -> npt.NDArray[np.uin
     from repro.hashing.mixers import splitmix64
 
     seed_mixed = _U64(splitmix64(seed & 0xFFFFFFFFFFFFFFFF))
-    return splitmix64_np(splitmix64_np(x.astype(_U64) ^ seed_mixed))
+    return splitmix64_np(splitmix64_np(x.astype(_U64, copy=False) ^ seed_mixed))
 
 
 def _popcount64(x: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
@@ -44,7 +44,7 @@ def _popcount64(x: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
     x = (x & _U64(0x3333333333333333)) + ((x >> _U64(2)) & _U64(0x3333333333333333))
     x = (x + (x >> _U64(4))) & _U64(0x0F0F0F0F0F0F0F0F)
     with np.errstate(over="ignore"):
-        x = (x * _U64(0x0101010101010101)).astype(_U64)
+        x = x * _U64(0x0101010101010101)
     return (x >> _U64(56)).astype(np.int64)
 
 
@@ -78,7 +78,7 @@ def observations_np(
     hashed = mix_with_seed_np(np.asarray(item_ids, dtype=np.int64).astype(_U64), seed)
     truncated = hashed & _U64((1 << key_bits) - 1)
     vectors = (truncated & _U64(m - 1)).astype(np.int64)
-    rest = (truncated >> _U64(c)).astype(_U64)
+    rest = truncated >> _U64(c)
     # rho: isolate the lowest set bit, then its index is the popcount of
     # (bit - 1) — integer-exact, no float round-trip.  ``rest == 0``
     # (the all-zero suffix) encodes rho = position_bits.

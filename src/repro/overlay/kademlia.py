@@ -145,7 +145,8 @@ class KademliaOverlay(DHTProtocol):
         if origin is None:
             origin = self._ids[0]
         current = origin
-        cost = OpCost(nodes_visited=[origin], lookups=1)
+        trace = self.trace
+        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
         self.load.record(origin)
         destination = self.owner_of(key)
         #: Greedy-routing goal: the key itself, unless a vetoed-eviction
@@ -186,13 +187,15 @@ class KademliaOverlay(DHTProtocol):
                     current = destination
                     cost.hops += 1
                     cost.messages += 1
-                    cost.nodes_visited.append(current)
+                    if trace:
+                        cost.nodes_visited.append(current)
                     self.load.record(current)
                 continue
             current = contact
             cost.hops += 1
             cost.messages += 1
-            cost.nodes_visited.append(current)
+            if trace:
+                cost.nodes_visited.append(current)
             self.load.record(current)
             if cost.hops > 4 * self.space.bits:
                 raise RuntimeError("XOR routing failed to converge")

@@ -175,7 +175,8 @@ class PastryOverlay(DHTProtocol):
         if origin is None:
             origin = self._ids[0]
         current = origin
-        cost = OpCost(nodes_visited=[origin], lookups=1)
+        trace = self.trace
+        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
         self.load.record(origin)
         destination = self.owner_of(key)
         #: Prefix-routing goal: the key itself, unless a vetoed-eviction
@@ -226,13 +227,15 @@ class PastryOverlay(DHTProtocol):
                     current = destination
                     cost.hops += 1
                     cost.messages += 1
-                    cost.nodes_visited.append(current)
+                    if trace:
+                        cost.nodes_visited.append(current)
                     self.load.record(current)
                 continue
             current = nxt
             cost.hops += 1
             cost.messages += 1
-            cost.nodes_visited.append(current)
+            if trace:
+                cost.nodes_visited.append(current)
             self.load.record(current)
             if cost.hops > 4 * self.space.bits:
                 raise RuntimeError("Pastry routing failed to converge")

@@ -21,8 +21,8 @@ __all__ = ["OpCost", "LoadTracker"]
 class OpCost:
     """Hop/byte/visit tally of one (or many summed) overlay operations.
 
-    ``nodes_visited`` holds the per-hop path only when the overlay was
-    constructed with ``trace=True`` — by default the scalar counters
+    ``nodes_visited`` holds the per-hop path only when the overlay's
+    ``trace`` flag is set — by default the scalar counters
     (hops/messages/bytes/lookups) are maintained without allocating a
     list entry per routing hop (see docs/PERFORMANCE.md).
     """

@@ -29,22 +29,34 @@ def assign_uniform(
     """Uniformly map item indices ``[0, n_items)`` onto nodes.
 
     Returns ``{node_id: array of item indices}`` covering every index
-    exactly once.
+    exactly once: nodes in ``node_ids`` order (nodes that drew nothing
+    are absent), each node's indices ascending.  The arrays are
+    consecutive views of one ``intp`` permutation — the only full-size
+    array that outlives the call.
     """
     if n_items < 0:
         raise ConfigurationError(f"n_items must be >= 0, got {n_items}")
     if not node_ids:
         raise ConfigurationError("need at least one node")
     rng = np.random.default_rng(derive_seed(seed, "assignment") % (2**32))
-    choices = rng.integers(0, len(node_ids), size=n_items)
+    # Drawn as int64 (the dtype selects numpy's stream), held in the
+    # narrowest unsigned type: the stable argsort of 8/16-bit keys is a
+    # radix sort.
+    choices = rng.integers(0, len(node_ids), size=n_items).astype(
+        np.min_scalar_type(len(node_ids) - 1)
+    )
     order = np.argsort(choices, kind="stable")
-    sorted_choices = choices[order]
-    boundaries = np.searchsorted(sorted_choices, np.arange(len(node_ids) + 1))
+    # ends[i] = how many items drew a node <= i, read off the narrow
+    # keys through the permutation (no sorted copy, no upcast).
+    ends = np.searchsorted(
+        choices, np.arange(len(node_ids), dtype=choices.dtype), side="right", sorter=order
+    )
     assignment: Dict[int, npt.NDArray[np.intp]] = {}
-    for i, node_id in enumerate(node_ids):
-        chunk = order[boundaries[i] : boundaries[i + 1]]
-        if chunk.size:
-            assignment[node_id] = chunk
+    start = 0
+    for node_id, end in zip(node_ids, ends.tolist()):
+        if end > start:
+            assignment[node_id] = order[start:end]
+            start = end
     return assignment
 
 

@@ -86,11 +86,18 @@ class TestRouting:
         assert statistics.mean(hops) < 10  # log2(1024) = 10
         assert max(hops) <= 20
 
-    def test_xor_distance_monotone_along_path(self, overlay):
+    def test_xor_distance_monotone_along_path(self, overlay, monkeypatch):
         rng = rng_for(3, "kad-mono")
         key = rng.randrange(2**32)
-        result = overlay.lookup(key, origin=overlay.random_live_node(rng))
-        distances = [node ^ key for node in result.cost.nodes_visited]
+        origin = overlay.random_live_node(rng)
+        # The per-hop path is recorded under ``trace`` only (OpCost).
+        assert overlay.lookup(key, origin=origin).cost.nodes_visited == []
+        monkeypatch.setattr(overlay, "trace", True)
+        result = overlay.lookup(key, origin=origin)
+        path = result.cost.nodes_visited
+        assert result.cost.hops > 0
+        assert len(path) == result.cost.hops + 1
+        distances = [node ^ key for node in path]
         assert all(a > b for a, b in zip(distances, distances[1:]))
 
     def test_routing_after_failures(self):

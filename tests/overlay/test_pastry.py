@@ -126,6 +126,19 @@ class TestRouting:
         owner = overlay.owner_of(key)
         assert overlay.lookup(key, origin=owner).cost.hops == 0
 
+    def test_path_recorded_only_when_traced(self, overlay, monkeypatch):
+        rng = rng_for(7, "pastry-path")
+        key = rng.randrange(2**32)
+        origin = overlay.random_live_node(rng)
+        # The per-hop path is recorded under ``trace`` only (OpCost).
+        assert overlay.lookup(key, origin=origin).cost.nodes_visited == []
+        monkeypatch.setattr(overlay, "trace", True)
+        result = overlay.lookup(key, origin=origin)
+        path = result.cost.nodes_visited
+        assert result.cost.hops > 0
+        assert len(path) == result.cost.hops + 1
+        assert path[0] == origin and path[-1] == result.node_id
+
 
 class TestDHSIntegration:
     def test_dhs_counts_over_pastry(self):
