@@ -100,7 +100,6 @@ def populate_metric(
     item_ids = np.asarray(item_ids)
     if np.any(item_ids < 0):
         raise ValueError("populate_metric requires non-negative item ids")
-    config = dhs.config
     inserter = dhs._inserter
     assignment = assign_uniform(
         len(item_ids), list(dhs.dht.node_ids()), seed=derive_seed(seed, "owners")
@@ -108,15 +107,7 @@ def populate_metric(
     total = OpCost()
     for block in _owner_blocks(assignment):
         ids = item_ids[np.concatenate([indices for _, indices in block])]
-        if config.hash_family_name == "mixer":
-            vectors, positions = observations_np(
-                ids, config.num_bitmaps, config.key_bits, seed=config.hash_seed
-            )
-        else:
-            # Non-mixer families (MD4) have no vectorized twin: scalar path.
-            pairs = [inserter.observation(int(item)) for item in ids]
-            vectors = np.array([v for v, _ in pairs], dtype=np.int64)
-            positions = np.array([p for _, p in pairs], dtype=np.int64)
+        vectors, positions = _observe(dhs, ids)
         lo = 0
         for node_id, indices in block:
             hi = lo + indices.size
@@ -127,6 +118,23 @@ def populate_metric(
             )
             lo = hi
     return total
+
+
+def _observe(
+    dhs: DistributedHashSketch, ids: npt.NDArray[np.int64]
+) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+    """``(vectors, positions)`` of ``ids`` under the deployment's hash family."""
+    config = dhs.config
+    if config.hash_family_name == "mixer":
+        return observations_np(
+            ids, config.num_bitmaps, config.key_bits, seed=config.hash_seed
+        )
+    # Non-mixer families (MD4) have no vectorized twin: scalar path.
+    pairs = [dhs._inserter.observation(int(item)) for item in ids]
+    return (
+        np.array([v for v, _ in pairs], dtype=np.int64),
+        np.array([p for _, p in pairs], dtype=np.int64),
+    )
 
 
 def _owner_blocks(

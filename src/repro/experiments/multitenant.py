@@ -25,9 +25,8 @@ import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring, env_scale, sample_counts
+from repro.experiments.common import _observe, build_ring, env_scale, sample_counts
 from repro.experiments.report import format_table
-from repro.hashing.vectorized import observations_np
 from repro.obs import runtime as obs
 from repro.obs.metrics import GAUGE_RING_MEMBERSHIP_BYTES_PER_NODE
 from repro.overlay.stats import OpCost
@@ -73,14 +72,10 @@ def populate_tenants(
     """Insert every tenant's items, each op from a random inserter node.
 
     ``ops[t]`` distinct items from tenant ``t``'s private id block go in
-    under :func:`~repro.workloads.multitenant.tenant_metric`.  All
-    tenants are hashed in one vectorized pass and the per-(tenant,
-    inserter) groups are bulk-inserted, so cost stays O(total_ops) even
-    with 10^5 tenants on a 10^5-node ring — the per-tenant
-    ``populate_metric`` path would pay O(tenants x nodes) in assignment
-    work alone.
+    under :func:`~repro.workloads.multitenant.tenant_metric`.  It keeps
+    its own owner draw and (tenant, inserter) grouping: folding them onto
+    ``populate_metric``'s would change which node inserts what.
     """
-    config = dhs.config
     active = np.nonzero(ops)[0]
     counts = ops[active]
     total = int(counts.sum())
@@ -91,15 +86,7 @@ def populate_tenants(
     offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     tenant_of = np.repeat(active, counts)
     item_ids = tenant_of.astype(np.int64) * np.int64(TENANT_ID_STRIDE) + offsets
-    if config.hash_family_name == "mixer":
-        vectors, positions = observations_np(
-            item_ids, config.num_bitmaps, config.key_bits, seed=config.hash_seed
-        )
-    else:
-        # Non-mixer families (MD4) have no vectorized twin: scalar path.
-        pairs = [dhs._inserter.observation(int(item)) for item in item_ids]
-        vectors = np.array([v for v, _ in pairs], dtype=np.int64)
-        positions = np.array([p for _, p in pairs], dtype=np.int64)
+    vectors, positions = _observe(dhs, item_ids)
     node_list = list(dhs.dht.node_ids())
     rng = np.random.default_rng(derive_seed(seed, "owners") % (2**32))
     inserter = rng.integers(0, len(node_list), size=total)

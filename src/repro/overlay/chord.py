@@ -27,7 +27,6 @@ from repro.obs import runtime as obs
 from repro.overlay.dht import DHTProtocol, LookupResult
 from repro.overlay.idspace import IdSpace
 from repro.overlay.stats import OpCost
-from repro.sim.seeds import rng_for
 
 __all__ = ["ChordRing"]
 
@@ -63,25 +62,8 @@ class ChordRing(DHTProtocol):
         trace: bool = False,
     ) -> "ChordRing":
         """Create a ring of ``n_nodes`` with pseudo-random ids."""
-        if n_nodes < 1:
-            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
-        space = IdSpace(bits)
-        if n_nodes > space.size:
-            raise ConfigurationError(
-                f"cannot place {n_nodes} nodes in a {bits}-bit id space"
-            )
-        ring = cls(space, trace=trace)
-        # The id stream must stay byte-identical to the seed behaviour
-        # (golden fixtures pin it); only the insertion switched from
-        # one-at-a-time joins to a single vectorized bulk merge.
-        rng = rng_for(seed, "chord-ids")
-        seen: set[int] = set()
-        while len(seen) < n_nodes:
-            candidate = rng.randrange(space.size)
-            if candidate not in seen:
-                seen.add(candidate)
-        ring.add_nodes_bulk(seen)
-        return ring
+        ids = cls._draw_ids(n_nodes, bits, seed, "chord-ids")
+        return cls.from_ids(ids, bits=bits, trace=trace)
 
     @classmethod
     def from_ids(

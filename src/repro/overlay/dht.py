@@ -4,8 +4,13 @@ The paper stresses that DHS is *DHT-agnostic*: it only needs the classic
 ``insert(key, value)`` / ``lookup(key)`` primitives plus the ability to
 walk a node's immediate ring neighbours (used by the counting algorithm's
 retry phase).  :class:`DHTProtocol` captures exactly that contract;
-:mod:`repro.overlay.chord` and :mod:`repro.overlay.kademlia` provide the
-two concrete geometries.
+:mod:`repro.overlay.chord`, :mod:`repro.overlay.kademlia` and
+:mod:`repro.overlay.pastry` are the three concrete geometries.  A
+geometry supplies ``owner_of`` (who is responsible for a key) and a next
+hop (whom a node forwards to); membership, storage, the ring-id draw,
+the contact memo and the timeout / evict / veto protocol of a routed
+lookup (:meth:`DHTProtocol._route`) live here, once.  Chord alone keeps
+its own loop: per-lookup state makes each of its hops one bisect.
 
 Operations return ``(result, OpCost)`` pairs so callers can aggregate the
 hop/bandwidth accounting the evaluation reports.
@@ -18,12 +23,18 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, cast
 
-from repro.errors import EmptyOverlayError, LookupFailedError, NodeNotFoundError
+from repro.errors import (
+    ConfigurationError,
+    EmptyOverlayError,
+    LookupFailedError,
+    NodeNotFoundError,
+)
 from repro.obs import runtime as obs
 from repro.overlay.idarray import SortedIdArray
 from repro.overlay.idspace import IdSpace
 from repro.overlay.node import Node, StoreValue
 from repro.overlay.stats import LoadTracker, OpCost
+from repro.sim.seeds import rng_for
 
 __all__ = ["DHTProtocol", "FaultHooks", "LookupResult"]
 
@@ -97,6 +108,33 @@ class DHTProtocol(ABC):
         #: :meth:`node_responsive` is exactly :meth:`is_alive` and
         #: :meth:`timeout_repair` exactly :meth:`repair`.
         self.fault_layer: Optional["FaultHooks"] = None
+        #: Memo of the routing contacts a geometry derives from the
+        #: membership (Kademlia buckets, Pastry cells; Chord derives
+        #: none).  A contact is a seeded draw over a membership range,
+        #: so any join or leave can stale any entry: the three
+        #: membership mutators clear it, and nothing else does.
+        self._contact_cache: dict[Tuple[int, ...], Optional[int]] = {}
+
+    @staticmethod
+    def _draw_ids(n_nodes: int, bits: int, seed: int, label: str) -> set[int]:
+        """``n_nodes`` distinct pseudo-random ids of a ``bits``-bit space.
+
+        The one ring-id draw behind every ``build``: golden fixtures pin
+        the ``rng_for(seed, label)`` stream, so rejected duplicates must
+        keep consuming it exactly as they always have.
+        """
+        if n_nodes < 1:
+            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
+        space = IdSpace(bits)
+        if n_nodes > space.size:
+            raise ConfigurationError(
+                f"cannot place {n_nodes} nodes in a {bits}-bit id space"
+            )
+        rng = rng_for(seed, label)
+        seen: set[int] = set()
+        while len(seen) < n_nodes:
+            seen.add(rng.randrange(space.size))
+        return seen
 
     # ------------------------------------------------------------------
     # Membership.
@@ -176,13 +214,12 @@ class DHTProtocol(ABC):
 
         The bulk construction path: no Node objects are materialized and
         the sorted id array is rebuilt with a single sort instead of one
-        binary-insertion shift per join.  Derived routing caches are
-        invalidated wholesale via :meth:`_on_bulk_join`.  Raises
-        ``ValueError`` on any duplicate id, leaving membership unchanged.
+        binary-insertion shift per join.  Raises ``ValueError`` on any
+        duplicate id, leaving membership unchanged.
         """
         wrapped = [self.space.wrap(node_id) for node_id in node_ids]
         self._ids.merge(wrapped)
-        self._on_bulk_join()
+        self._contact_cache.clear()
 
     def remove_node(self, node_id: int, graceful: bool = True) -> None:
         """Remove a node.
@@ -320,21 +357,14 @@ class DHTProtocol(ABC):
 
     def _insert_sorted(self, node_id: int) -> None:
         self._ids.insert(node_id)
+        self._contact_cache.clear()
 
     def _delete_sorted(self, node_id: int) -> None:
         try:
             self._ids.remove(node_id)
         except ValueError:
             raise NodeNotFoundError(node_id) from None
-
-    # ------------------------------------------------------------------
-    # Membership-change hook (for derived routing-state caches).
-    # ------------------------------------------------------------------
-    def _on_bulk_join(self) -> None:
-        """Called once after :meth:`add_nodes_bulk` merged its batch.
-
-        Geometries with derived routing caches must invalidate them
-        wholesale here (a bulk join can stale any entry)."""
+        self._contact_cache.clear()
 
     # ------------------------------------------------------------------
     # Geometry.
@@ -346,6 +376,79 @@ class DHTProtocol(ABC):
     @abstractmethod
     def lookup(self, key: int, origin: Optional[int] = None) -> LookupResult:
         """Route ``key`` from ``origin`` to its owner, counting hops."""
+
+    def _route(
+        self,
+        key: int,
+        origin: Optional[int],
+        next_hop: Callable[[int, int, int], int],
+    ) -> LookupResult:
+        """Route ``key`` to its owner over a geometry's ``next_hop``.
+
+        ``next_hop(current, target, destination)`` names the node
+        ``current`` forwards to on the way to ``target``; everything a
+        hop can run into — a dead or unresponsive owner, a timed-out
+        contact, a vetoed eviction — is handled here, identically for
+        every geometry that routes through this loop.
+        """
+        if not self._ids:
+            raise EmptyOverlayError("overlay has no live nodes")
+        key = self.space.wrap(key)
+        if origin is None:
+            origin = self._ids[0]
+        current = origin
+        trace = self.trace
+        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
+        self.load.record(origin)
+        destination = self.owner_of(key)
+        #: Routing goal: the key itself, unless a vetoed-eviction
+        #: fallback re-pins the destination to a nearby responsive node —
+        #: routing then converges on that node's own id.
+        target = key
+        while True:
+            if not self.node_responsive(destination):
+                cost.hops += 1
+                cost.messages += 1
+                cost.timeouts += 1
+                self.timeout_repair(destination)
+                if self.has_node(destination):
+                    # Eviction vetoed (transient outage): settle on the
+                    # first responsive ring neighbour and route to it.
+                    destination = self._next_responsive(destination, cost)
+                    target = destination
+                else:
+                    destination = self.owner_of(key)
+                continue
+            if current == destination:
+                break
+            nxt = next_hop(current, target, destination)
+            if not self.node_responsive(nxt):
+                cost.hops += 1
+                cost.messages += 1
+                cost.timeouts += 1
+                self.timeout_repair(nxt)
+                if self.has_node(nxt):
+                    # Eviction vetoed: the contact stays in the routing
+                    # state and would be picked again, so skip it and
+                    # hop straight to the (responsive) destination.
+                    current = destination
+                    cost.hops += 1
+                    cost.messages += 1
+                    if trace:
+                        cost.nodes_visited.append(current)
+                    self.load.record(current)
+                continue
+            current = nxt
+            cost.hops += 1
+            cost.messages += 1
+            if trace:
+                cost.nodes_visited.append(current)
+            self.load.record(current)
+            if cost.hops > 4 * self.space.bits:
+                raise RuntimeError("routing failed to converge")
+        if obs.METERING:
+            obs.METRICS.observe("dhs.lookup.hops", cost.hops)
+        return LookupResult(node_id=destination, cost=cost)
 
     def successor_id(self, node_id: int) -> int:
         """Clockwise ring neighbour of ``node_id`` (numeric order)."""

@@ -15,14 +15,11 @@ Kademlia deployments add for range support — and is inherited from
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, EmptyOverlayError
-from repro.obs import runtime as obs
 from repro.overlay.dht import DHTProtocol, LookupResult
 from repro.overlay.idspace import IdSpace
-from repro.overlay.node import Node
-from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 
 __all__ = ["KademliaOverlay"]
@@ -34,29 +31,12 @@ class KademliaOverlay(DHTProtocol):
     def __init__(self, space: IdSpace, seed: int = 0) -> None:
         super().__init__(space)
         self._seed = seed
-        self._contact_cache: Dict[Tuple[int, int], Optional[int]] = {}
 
     @classmethod
     def build(cls, n_nodes: int, bits: int = 64, seed: int = 0) -> "KademliaOverlay":
         """Create an overlay of ``n_nodes`` with pseudo-random ids."""
-        if n_nodes < 1:
-            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
-        space = IdSpace(bits)
-        if n_nodes > space.size:
-            raise ConfigurationError(
-                f"cannot place {n_nodes} nodes in a {bits}-bit id space"
-            )
-        overlay = cls(space, seed=seed)
-        # Keep the id stream byte-identical to the seed behaviour; only
-        # the insertion switched to one vectorized bulk merge.
-        rng = rng_for(seed, "kademlia-ids")
-        seen: set[int] = set()
-        while len(seen) < n_nodes:
-            candidate = rng.randrange(space.size)
-            if candidate not in seen:
-                seen.add(candidate)
-        overlay.add_nodes_bulk(seen)
-        return overlay
+        ids = cls._draw_ids(n_nodes, bits, seed, "kademlia-ids")
+        return cls.from_ids(ids, bits=bits, seed=seed)
 
     @classmethod
     def from_ids(cls, node_ids: Iterable[int], bits: int = 64, seed: int = 0) -> "KademliaOverlay":
@@ -66,20 +46,6 @@ class KademliaOverlay(DHTProtocol):
         if overlay.size == 0:
             raise ConfigurationError("from_ids needs at least one node id")
         return overlay
-
-    # ------------------------------------------------------------------
-    # Membership (invalidate bucket contacts on churn).
-    # ------------------------------------------------------------------
-    def add_node(self, node_id: int) -> Node:
-        self._contact_cache.clear()
-        return super().add_node(node_id)
-
-    def remove_node(self, node_id: int, graceful: bool = True) -> None:
-        self._contact_cache.clear()
-        super().remove_node(node_id, graceful=graceful)
-
-    def _on_bulk_join(self) -> None:
-        self._contact_cache.clear()
 
     # ------------------------------------------------------------------
     # Geometry.
@@ -137,68 +103,15 @@ class KademliaOverlay(DHTProtocol):
         self._contact_cache[cache_key] = contact
         return contact
 
+    def _next_hop(self, current: int, target: int, destination: int) -> int:
+        """The bucket contact fixing the top bit ``current`` and ``target`` differ in."""
+        contact = self.bucket_contact(current, (current ^ target).bit_length() - 1)
+        # An empty bucket means no node shares target's bit in this
+        # subtree, yet the destination is closer than current —
+        # impossible unless the owner is current's numeric twin; fall
+        # back directly.
+        return destination if contact is None else contact
+
     def lookup(self, key: int, origin: Optional[int] = None) -> LookupResult:
         """Greedy XOR routing from ``origin`` to the owner of ``key``."""
-        if not self._ids:
-            raise EmptyOverlayError("overlay has no live nodes")
-        key = self.space.wrap(key)
-        if origin is None:
-            origin = self._ids[0]
-        current = origin
-        trace = self.trace
-        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
-        self.load.record(origin)
-        destination = self.owner_of(key)
-        #: Greedy-routing goal: the key itself, unless a vetoed-eviction
-        #: fallback re-pins the destination to a nearby responsive node —
-        #: routing then converges on that node's own id.
-        target = key
-        while True:
-            if not self.node_responsive(destination):
-                cost.hops += 1
-                cost.messages += 1
-                cost.timeouts += 1
-                self.timeout_repair(destination)
-                if self.has_node(destination):
-                    # Eviction vetoed (transient outage): settle on the
-                    # first responsive ring neighbour and route to it.
-                    destination = self._next_responsive(destination, cost)
-                    target = destination
-                else:
-                    destination = self.owner_of(key)
-                continue
-            if current == destination:
-                break
-            i = (current ^ target).bit_length() - 1
-            contact = self.bucket_contact(current, i)
-            if contact is None:
-                # No node shares target's bit i in this subtree, yet the
-                # destination is closer than current — impossible unless
-                # the owner is current's numeric twin; fall back directly.
-                contact = destination
-            if not self.node_responsive(contact):
-                cost.hops += 1
-                cost.messages += 1
-                cost.timeouts += 1
-                self.timeout_repair(contact)
-                if self.has_node(contact):
-                    # Eviction vetoed: skip the cached contact and hop
-                    # straight to the (responsive) destination.
-                    current = destination
-                    cost.hops += 1
-                    cost.messages += 1
-                    if trace:
-                        cost.nodes_visited.append(current)
-                    self.load.record(current)
-                continue
-            current = contact
-            cost.hops += 1
-            cost.messages += 1
-            if trace:
-                cost.nodes_visited.append(current)
-            self.load.record(current)
-            if cost.hops > 4 * self.space.bits:
-                raise RuntimeError("XOR routing failed to converge")
-        if obs.METERING:
-            obs.METRICS.observe("dhs.lookup.hops", cost.hops)
-        return LookupResult(node_id=destination, cost=cost)
+        return self._route(key, origin, self._next_hop)

@@ -14,14 +14,11 @@ structure real Pastry maintains.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, EmptyOverlayError
-from repro.obs import runtime as obs
 from repro.overlay.dht import DHTProtocol, LookupResult
 from repro.overlay.idspace import IdSpace
-from repro.overlay.node import Node
-from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 
 __all__ = ["PastryOverlay"]
@@ -40,31 +37,14 @@ class PastryOverlay(DHTProtocol):
             )
         self.digit_bits = digit_bits
         self._seed = seed
-        self._contact_cache: Dict[Tuple[int, int], Optional[int]] = {}
 
     @classmethod
     def build(
         cls, n_nodes: int, bits: int = 64, digit_bits: int = 4, seed: int = 0
     ) -> "PastryOverlay":
         """Create an overlay of ``n_nodes`` with pseudo-random ids."""
-        if n_nodes < 1:
-            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
-        space = IdSpace(bits)
-        if n_nodes > space.size:
-            raise ConfigurationError(
-                f"cannot place {n_nodes} nodes in a {bits}-bit id space"
-            )
-        overlay = cls(space, digit_bits=digit_bits, seed=seed)
-        # Keep the id stream byte-identical to the seed behaviour; only
-        # the insertion switched to one vectorized bulk merge.
-        rng = rng_for(seed, "pastry-ids")
-        seen: set[int] = set()
-        while len(seen) < n_nodes:
-            candidate = rng.randrange(space.size)
-            if candidate not in seen:
-                seen.add(candidate)
-        overlay.add_nodes_bulk(seen)
-        return overlay
+        ids = cls._draw_ids(n_nodes, bits, seed, "pastry-ids")
+        return cls.from_ids(ids, bits=bits, digit_bits=digit_bits, seed=seed)
 
     @classmethod
     def from_ids(
@@ -76,20 +56,6 @@ class PastryOverlay(DHTProtocol):
         if overlay.size == 0:
             raise ConfigurationError("from_ids needs at least one node id")
         return overlay
-
-    # ------------------------------------------------------------------
-    # Membership (invalidate routing contacts on churn).
-    # ------------------------------------------------------------------
-    def add_node(self, node_id: int) -> Node:
-        self._contact_cache.clear()
-        return super().add_node(node_id)
-
-    def remove_node(self, node_id: int, graceful: bool = True) -> None:
-        self._contact_cache.clear()
-        super().remove_node(node_id, graceful=graceful)
-
-    def _on_bulk_join(self) -> None:
-        self._contact_cache.clear()
 
     # ------------------------------------------------------------------
     # Geometry.
@@ -135,14 +101,18 @@ class PastryOverlay(DHTProtocol):
         """A cached contact sharing one more digit with ``key`` than
         ``node_id`` does (None when that routing-table cell is empty)."""
         digits = self.shared_digits(node_id, key)
-        cache_key = (node_id, (key >> (self.space.bits - (digits + 1) * self.digit_bits)))
+        # The cell is (row, prefix value): the value alone drops leading
+        # zero digits, so row 0 digit d and row 1 digits 0 d would share
+        # a memo entry.  The RNG label keeps the bare value (pinned).
+        cell = key >> (self.space.bits - (digits + 1) * self.digit_bits)
+        cache_key = (node_id, digits, cell)
         if cache_key in self._contact_cache:
             return self._contact_cache[cache_key]
         lo, hi = self._prefix_range(key, digits)
         if lo >= hi:
             contact: Optional[int] = None
         else:
-            rng = rng_for(self._seed, "pastry-cell", node_id, cache_key[1])
+            rng = rng_for(self._seed, "pastry-cell", node_id, cell)
             contact = self._ids[rng.randrange(lo, hi)]
             if contact == node_id:
                 contact = self._ids[lo + (hi - lo) // 2]
@@ -167,78 +137,25 @@ class PastryOverlay(DHTProtocol):
             leaves.append(cursor)
         return leaves or [node_id]
 
+    def _next_hop(self, current: int, target: int, destination: int) -> int:
+        """The routing-table contact one digit closer, else a leaf-set step."""
+        contact = self.routing_contact(current, target)
+        if contact is not None and contact != current and (
+            self.shared_digits(contact, target) > self.shared_digits(current, target)
+        ):
+            return contact
+        # Leaf-set step: Pastry keeps ``2 * LEAF_SET_HALF`` numeric
+        # neighbours; when the routing cell is empty, jump to the leaf
+        # closest to the target (the destination itself once it enters
+        # the leaf set).
+        nxt = min(
+            self._leaf_set(current),
+            key=lambda node: self._circular_distance(node, target),
+        )
+        if self._circular_distance(nxt, target) >= self._circular_distance(current, target):
+            return destination  # equidistant twin: one direct hop
+        return nxt
+
     def lookup(self, key: int, origin: Optional[int] = None) -> LookupResult:
         """Prefix routing with leaf-set fallback, counting hops."""
-        if not self._ids:
-            raise EmptyOverlayError("overlay has no live nodes")
-        key = self.space.wrap(key)
-        if origin is None:
-            origin = self._ids[0]
-        current = origin
-        trace = self.trace
-        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
-        self.load.record(origin)
-        destination = self.owner_of(key)
-        #: Prefix-routing goal: the key itself, unless a vetoed-eviction
-        #: fallback re-pins the destination to a nearby responsive node —
-        #: routing then converges on that node's own id.
-        target = key
-        while True:
-            if not self.node_responsive(destination):
-                cost.hops += 1
-                cost.messages += 1
-                cost.timeouts += 1
-                self.timeout_repair(destination)
-                if self.has_node(destination):
-                    # Eviction vetoed (transient outage): settle on the
-                    # first responsive ring neighbour and route to it.
-                    destination = self._next_responsive(destination, cost)
-                    target = destination
-                else:
-                    destination = self.owner_of(key)
-                continue
-            if current == destination:
-                break
-            contact = self.routing_contact(current, target)
-            if contact is not None and contact != current and (
-                self.shared_digits(contact, target) > self.shared_digits(current, target)
-            ):
-                nxt = contact
-            else:
-                # Leaf-set step: Pastry keeps ``2 * LEAF_SET_HALF``
-                # numeric neighbours; when the routing cell is empty,
-                # jump to the leaf closest to the target (the destination
-                # itself once it enters the leaf set).
-                leaves = self._leaf_set(current)
-                nxt = min(
-                    leaves,
-                    key=lambda node: self._circular_distance(node, target),
-                )
-                if self._circular_distance(nxt, target) >= self._circular_distance(current, target):
-                    nxt = destination  # equidistant twin: one direct hop
-            if not self.node_responsive(nxt):
-                cost.hops += 1
-                cost.messages += 1
-                cost.timeouts += 1
-                self.timeout_repair(nxt)
-                if self.has_node(nxt):
-                    # Eviction vetoed: skip the unresponsive contact and
-                    # hop straight to the (responsive) destination.
-                    current = destination
-                    cost.hops += 1
-                    cost.messages += 1
-                    if trace:
-                        cost.nodes_visited.append(current)
-                    self.load.record(current)
-                continue
-            current = nxt
-            cost.hops += 1
-            cost.messages += 1
-            if trace:
-                cost.nodes_visited.append(current)
-            self.load.record(current)
-            if cost.hops > 4 * self.space.bits:
-                raise RuntimeError("Pastry routing failed to converge")
-        if obs.METERING:
-            obs.METRICS.observe("dhs.lookup.hops", cost.hops)
-        return LookupResult(node_id=destination, cost=cost)
+        return self._route(key, origin, self._next_hop)
