@@ -19,6 +19,7 @@ benchmark suite can be re-run closer to paper scale with one knob.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
@@ -27,6 +28,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.core.dhs import DistributedHashSketch
+from repro.errors import ConfigurationError
 from repro.hashing.vectorized import observations_np
 from repro.overlay.chord import ChordRing
 from repro.overlay.stats import OpCost
@@ -36,7 +38,6 @@ from repro.workloads.relations import Relation
 
 __all__ = [
     "env_scale",
-    "env_int",
     "build_ring",
     "populate_metric",
     "populate_relation",
@@ -53,13 +54,21 @@ DEFAULT_SCALE = 1e-3
 
 
 def env_scale(default: float = DEFAULT_SCALE) -> float:
-    """Workload scale factor from ``DHS_SCALE`` (1.0 = paper size)."""
-    return float(os.environ.get("DHS_SCALE", default))
+    """Workload scale factor from ``DHS_SCALE`` (1.0 = paper size).
 
-
-def env_int(name: str, default: int) -> int:
-    """An integer experiment knob from the environment."""
-    return int(os.environ.get(name, default))
+    The variable is outside input: anything but a finite number ``> 0``
+    raises :class:`~repro.errors.ConfigurationError`.
+    """
+    raw = os.environ.get("DHS_SCALE")
+    if raw is None:
+        return default
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = 0.0  # rejected below, quoting the raw text
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ConfigurationError(f"DHS_SCALE must be a number > 0, got {raw!r}")
+    return scale
 
 
 def build_ring(n_nodes: int = 1024, bits: int = 64, seed: int = 0) -> ChordRing:

@@ -13,10 +13,10 @@ reads two module-level flags first::
 
 Both flags default to ``False`` and the default tracer is the no-op
 :data:`~repro.obs.span.NULL_TRACER`, so the disabled-mode cost of an
-instrumented hot path is one module-attribute read per guard — the
-``count``/``insert`` perf micros pin this at ≈0% overhead against the
-committed baseline (benchmarks/perf/run.py, ``*_traced`` entries carry
-the enabled-mode overhead, gated below 25% by ``check.py``).
+instrumented hot path is one module-attribute read per guard.  What
+the enabled mode costs a count is budgeted in one place, the ``scale``
+test tier (``tests/scale/test_scale_smoke.py``; see
+docs/OBSERVABILITY.md).
 
 State changes go through :func:`enable` / :func:`disable` or the
 :func:`observed` context manager; the latter restores the previous state

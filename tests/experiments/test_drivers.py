@@ -48,6 +48,16 @@ class TestEnvScale:
         monkeypatch.setenv("DHS_SCALE", "0.25")
         assert env_scale(0.5) == 0.25
 
+    def test_scientific_notation(self, monkeypatch):
+        monkeypatch.setenv("DHS_SCALE", "1e-2")
+        assert env_scale() == 0.01
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1"])
+    def test_rejects_anything_but_a_finite_positive_number(self, monkeypatch, raw):
+        monkeypatch.setenv("DHS_SCALE", raw)
+        with pytest.raises(ConfigurationError, match=f"DHS_SCALE.*> 0.*{raw!r}"):
+            env_scale()
+
 
 class TestCountSample:
     def test_aggregates(self):

@@ -2,7 +2,7 @@
 
 ``text`` and ``json`` are the human/scripting formats; ``sarif`` is
 consumed by code-scanning UIs (uploaded as a CI artifact by the
-``dataflow-lint`` workflow step); ``github`` emits
+``lint`` workflow job); ``github`` emits
 ``::error file=...`` workflow commands so violations surface as inline
 PR annotations.
 """

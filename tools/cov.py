@@ -178,13 +178,17 @@ def main(argv: list[str]) -> int:
         collector.stop()
     report = measure(collector, source)
     print(render_table(report))
+    if exit_code:
+        # A run cut short by ``-x`` measured only the tests before the
+        # failure; its figure must not overwrite a real measurement.
+        if args.json_path:
+            print(f"not writing {args.json_path}: pytest exited {int(exit_code)}")
+        return int(exit_code)
     if args.json_path:
         pathlib.Path(args.json_path).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {args.json_path}")
-    if exit_code:
-        return int(exit_code)
     if args.fail_under is not None and report["total"]["percent"] < args.fail_under:
         print(
             f"coverage {report['total']['percent']:.2f}% is below the "

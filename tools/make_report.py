@@ -5,11 +5,11 @@ Usage:  python tools/make_report.py [results_dir] [output_path]
 Collects every ``benchmarks/results/*.txt`` produced by a
 ``pytest benchmarks/ --benchmark-only`` run into a single markdown file
 with a small table of contents — handy for attaching a full reproduction
-run to an issue or a paper-review response.  A perf-microbenchmark table
-(from the repo-root ``BENCH_perf.json`` trajectory, when present) and a
-dhslint summary (rule counts, suppressions) are appended so the hot-path
-throughput and static-analysis trends are visible alongside the measured
-numbers.
+run to an issue or a paper-review response.  One traced run of the
+golden scenario, the coverage table (from the repo-root
+``COVERAGE.json``, when present) and a dhslint summary (rule counts,
+suppressions) are appended so how the numbers were obtained and the
+static-analysis trends are visible alongside them.
 """
 
 from __future__ import annotations
@@ -43,109 +43,6 @@ PREFERRED_ORDER = [
     "ablation_bitshift",
     "overlay_agnosticism",
 ]
-
-
-def perf_summary(bench_path: pathlib.Path) -> list[str]:
-    """Markdown lines rendering the ``BENCH_perf.json`` trajectory.
-
-    Returns an empty list when the file is absent (perf tracking is
-    optional for partial checkouts); see benchmarks/perf/run.py for the
-    file's schema and docs/PERFORMANCE.md for how to read it.
-    """
-    if not bench_path.is_file():
-        return []
-    report = json.loads(bench_path.read_text())
-    benchmarks = report.get("benchmarks", {})
-    if not benchmarks:
-        return []
-    hot_path = {
-        name: entry
-        for name, entry in benchmarks.items()
-        if not name.startswith("parallel_scaling/")
-        and "overhead_vs_disabled_pct" not in entry
-    }
-    traced = {
-        name: entry
-        for name, entry in benchmarks.items()
-        if "overhead_vs_disabled_pct" in entry
-    }
-    scaling = {
-        name: entry
-        for name, entry in benchmarks.items()
-        if name.startswith("parallel_scaling/")
-    }
-    lines = [
-        "## perf_microbenchmarks",
-        "",
-        f"`python benchmarks/perf/run.py --preset {report.get('preset', '?')}` "
-        f"(python {report.get('python', '?')}, seed {report.get('seed', '?')}) — "
-        "see docs/PERFORMANCE.md.",
-        "",
-        "| benchmark | ops/sec | hops/op | seconds |",
-        "|---|---:|---:|---:|",
-    ]
-    for name in sorted(hot_path):
-        entry = hot_path[name]
-        speedup = entry.get("speedup_vs_scalar")
-        suffix = f" ({speedup}x vs scalar)" if speedup is not None else ""
-        lines.append(
-            f"| {name}{suffix} | {entry['ops_per_sec']:,.1f} "
-            f"| {entry['hops_per_op']:.3f} | {entry['seconds']:.3f} |"
-        )
-    lines.append("")
-    if traced:
-        lines.extend(
-            [
-                "### traced modes",
-                "",
-                "The same workload run with spans + metrics enabled; the",
-                "overhead column is an in-process A/B comparison that",
-                "`benchmarks/perf/check.py` caps at 25% "
-                "(see docs/OBSERVABILITY.md).",
-                "",
-                "| benchmark | ops/sec enabled | ops/sec disabled | overhead | spans/op |",
-                "|---|---:|---:|---:|---:|",
-            ]
-        )
-        for name in sorted(traced):
-            entry = traced[name]
-            lines.append(
-                f"| {name} | {entry['ops_per_sec']:,.1f} "
-                f"| {entry['disabled_ops_per_sec']:,.1f} "
-                f"| {entry['overhead_vs_disabled_pct']:+.1f}% "
-                f"| {entry.get('spans_per_op', 0):,.1f} |"
-            )
-        lines.append("")
-    if scaling:
-        serial = next(
-            (entry for entry in scaling.values() if entry.get("jobs") == 1), None
-        )
-        lines.extend(
-            [
-                "### parallel_scaling",
-                "",
-                "Accuracy-sweep wall clock at several `DHS_JOBS` widths; every",
-                "width must reproduce the serial rows bit for bit (the",
-                "`identical` column is a hard CI gate in "
-                "`benchmarks/perf/check.py`).",
-                "",
-                "| workers | seconds | cells/sec | speedup vs serial | identical |",
-                "|---:|---:|---:|---:|---|",
-            ]
-        )
-        for name in sorted(scaling, key=lambda n: scaling[n].get("jobs", 0)):
-            entry = scaling[name]
-            if serial is not None and entry["seconds"] > 0:
-                speedup_text = f"{serial['seconds'] / entry['seconds']:.2f}x"
-            else:
-                speedup_text = "-"
-            lines.append(
-                f"| {entry.get('jobs', '?')} | {entry['seconds']:.3f} "
-                f"| {entry['ops_per_sec']:,.3f} | {speedup_text} "
-                f"| {'yes' if entry.get('identical_to_serial') else 'NO'} |"
-            )
-        lines.append("")
-    return lines
 
 
 def coverage_summary(coverage_path: pathlib.Path) -> list[str]:
@@ -278,13 +175,10 @@ def build_report(results_dir: pathlib.Path) -> str:
         "",
     ]
     repo_root = results_dir.parent.parent
-    perf_lines = perf_summary(repo_root / "BENCH_perf.json")
     coverage_lines = coverage_summary(repo_root / "COVERAGE.json")
     obs_lines = observability_summary()
     for name in ordered:
         lines.append(f"- [{name}](#{name.replace('_', '-')})")
-    if perf_lines:
-        lines.append("- [perf_microbenchmarks](#perf-microbenchmarks)")
     if obs_lines:
         lines.append("- [observability](#observability)")
     if coverage_lines:
@@ -298,7 +192,6 @@ def build_report(results_dir: pathlib.Path) -> str:
         lines.append(available[name].read_text().rstrip())
         lines.append("```")
         lines.append("")
-    lines.extend(perf_lines)
     lines.extend(obs_lines)
     lines.extend(coverage_lines)
     source_dir = repo_root / "src" / "repro"
