@@ -32,9 +32,9 @@ joiners the tick after, so the ring size is stationary while its
 composition churns.  Amnesia, partition and transient events cycle in
 between.  With ``fault_every=None`` the plan is empty, no join RNG is
 ever drawn, and the run is a pure function of the seed — the trace
-digest pins that byte-identity (the CI soak-smoke job and
-tests/experiments/test_soak.py compare digests across runs and worker
-counts).
+digest pins that byte-identity (tests/experiments/test_soak.py, run
+serially and under ``DHS_JOBS=2`` by the CI test job, compares digests
+across runs and worker counts).
 """
 
 from __future__ import annotations

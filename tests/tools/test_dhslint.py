@@ -2,13 +2,13 @@
 
 Each rule code gets a fixture snippet that triggers it and one that is
 clean (or suppressed); a subprocess smoke test asserts the shipped tree
-passes and that the CLI's exit codes / JSON output behave.
+passes and that the CLI's exit codes and rule catalogue behave.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,11 +21,11 @@ from tools.analyze import Config, analyze_file, analyze_paths
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def lint(tmp_path: Path, source: str, module: str | None = None, config: Config | None = None):
+def lint(tmp_path: Path, source: str, module: str | None = None):
     """Write ``source`` to a file and return its violation codes."""
     path = tmp_path / "snippet.py"
     path.write_text(textwrap.dedent(source))
-    violations, suppressed = analyze_file(path, config or Config(), module=module)
+    violations, suppressed = analyze_file(path, Config(), module=module)
     return [v.code for v in violations], suppressed
 
 
@@ -54,8 +54,49 @@ class TestUnseededRng:
         assert codes == ["DHS101"]
 
     def test_seeded_default_rng_clean(self, tmp_path):
-        codes, _ = lint(tmp_path, "import numpy as np\nr = np.random.default_rng(42)\n")
+        # workloads/zipf.py's form: the seed parameter passed straight in.
+        codes, _ = lint(
+            tmp_path,
+            "import numpy as np\ndef f(seed):\n    return np.random.default_rng(seed)\n",
+        )
         assert codes == []
+
+    def test_derived_seed_default_rng_clean(self, tmp_path):
+        # workloads/assignment.py, experiments/multitenant.py and
+        # experiments/histogram_types.py: a derived seed folded to 32 bits.
+        codes, _ = lint(
+            tmp_path,
+            """
+            import numpy as np
+            from repro.sim.seeds import derive_seed
+
+            def f(seed):
+                return np.random.default_rng(derive_seed(seed, "x") % 2**32)
+            """,
+        )
+        assert codes == []
+
+    def test_seed_attribute_default_rng_clean(self, tmp_path):
+        codes, _ = lint(
+            tmp_path,
+            "from numpy.random import default_rng\n"
+            "def f(spec):\n    return default_rng(seed=spec.seed + 1)\n",
+        )
+        assert codes == []
+
+    def test_literal_seed_default_rng_flagged(self, tmp_path):
+        # A constant seed detaches the stream from the master seed: every
+        # run draws the same numbers whatever --seed says.
+        codes, _ = lint(tmp_path, "import numpy as np\nr = np.random.default_rng(1234)\n")
+        assert codes == ["DHS101"]
+
+    def test_unrelated_value_default_rng_flagged(self, tmp_path):
+        codes, _ = lint(
+            tmp_path,
+            "import numpy as np\ndef f(n_nodes):\n"
+            "    return np.random.default_rng(seed=n_nodes * 7)\n",
+        )
+        assert codes == ["DHS101"]
 
     def test_seed_root_module_exempt(self, tmp_path):
         codes, _ = lint(
@@ -589,7 +630,7 @@ class TestAdHocOutput:
 
 
 # ----------------------------------------------------------------------
-# Suppressions and config
+# Suppressions
 # ----------------------------------------------------------------------
 class TestSuppressions:
     def test_inline_disable_suppresses(self, tmp_path):
@@ -616,14 +657,6 @@ class TestSuppressions:
         assert codes == ["DHS102"]
         assert suppressed == 0
 
-    def test_project_wide_disable(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "import time\nnow = time.time()\n",
-            config=Config(disable=("DHS102",)),
-        )
-        assert codes == []
-
 
 # ----------------------------------------------------------------------
 # CLI end-to-end
@@ -648,21 +681,21 @@ class TestCli:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "0 violation(s)" in result.stdout
 
+    def test_shipped_tree_is_dataflow_clean(self):
+        # No flag needed: every run includes the whole-program (DHS8xx)
+        # pass and prints its summary line.
+        result = run_cli("src/repro")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "0 violation(s)" in result.stdout
+        assert "dataflow [" in result.stdout
+        assert re.search(r"worker_roots=[1-9]", result.stdout), result.stdout
+
     def test_violations_exit_nonzero_with_code(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nx = random.random()\n")
         result = run_cli(str(bad))
         assert result.returncode == 1
         assert "DHS101" in result.stdout
-
-    def test_json_format(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        result = run_cli("--format", "json", str(bad))
-        assert result.returncode == 1
-        payload = json.loads(result.stdout)
-        assert payload["counts"] == {"DHS102": 1}
-        assert payload["violations"][0]["line"] == 2
 
     def test_missing_path_is_usage_error(self):
         result = run_cli("does/not/exist")
@@ -682,89 +715,14 @@ class TestCli:
             "DHS101", "DHS102", "DHS103",
             "DHS201", "DHS202", "DHS203",
             "DHS301", "DHS401", "DHS402", "DHS403",
-            "DHS501", "DHS502", "DHS601", "DHS1001",
+            "DHS501", "DHS502", "DHS601", "DHS701", "DHS1001",
             # Whole-program dataflow rules.
-            "DHS801", "DHS802", "DHS803",
             "DHS811", "DHS812", "DHS813",
             "DHS821", "DHS822",
         ):
             assert code in result.stdout
-
-    def test_shipped_tree_is_dataflow_clean(self):
-        result = run_cli("--dataflow", "--no-cache", "src/repro")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "0 violation(s)" in result.stdout
-        assert "dataflow [" in result.stdout
-
-    def test_sarif_format(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        result = run_cli("--format", "sarif", str(bad), cwd=tmp_path)
-        assert result.returncode == 1
-        sarif = json.loads(result.stdout)
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "dhslint"
-        assert run["results"][0]["ruleId"] == "DHS102"
-        region = run["results"][0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 2
-
-    def test_github_format(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        result = run_cli("--format", "github", str(bad), cwd=tmp_path)
-        assert result.returncode == 1
-        assert "::error file=" in result.stdout
-        assert "title=DHS102" in result.stdout
-
-    def test_output_file(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        out = tmp_path / "report.sarif"
-        result = run_cli(
-            "--format", "sarif", "--output", str(out), str(bad), cwd=tmp_path
-        )
-        assert result.returncode == 1
-        assert json.loads(out.read_text())["version"] == "2.1.0"
-
-    def test_cache_hit_rate_printed_and_bypassed(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text("def f():\n    return 1\n")
-        cold = run_cli("--cache-file", str(tmp_path / "c.json"), str(mod), cwd=tmp_path)
-        assert cold.returncode == 0
-        assert "cache 0/1 hit(s) (0%)" in cold.stdout
-        warm = run_cli("--cache-file", str(tmp_path / "c.json"), str(mod), cwd=tmp_path)
-        assert "cache 1/1 hit(s) (100%)" in warm.stdout
-        uncached = run_cli("--no-cache", str(mod), cwd=tmp_path)
-        assert "cache" not in uncached.stdout
-
-    def test_waivers_flag_round_trip(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        waivers = tmp_path / ".dhslint-waivers"
-        waivers.write_text(
-            "DHS102  bad.py  expires=2099-01-01  fixture clock is intentional\n"
-        )
-        result = run_cli(str(bad), cwd=tmp_path)
-        assert result.returncode == 0, result.stdout
-        assert "1 violation(s) waived" in result.stdout
-
-    def test_pyproject_config_is_honoured(self, tmp_path):
-        # A custom layer map in the fixture's pyproject.toml flips the
-        # verdict: `alpha` may import `beta` only if beta sits lower.
-        make_package(tmp_path, {"repro/alpha/a.py": "from repro.beta import b\n"})
-        make_package(tmp_path, {"repro/beta/b.py": "x = 1\n"})
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.dhslint]\npackage = "repro"\nlayers = [["beta"], ["alpha"]]\n'
-        )
-        clean = run_cli(str(tmp_path / "repro"), cwd=tmp_path)
-        assert clean.returncode == 0, clean.stdout
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.dhslint]\npackage = "repro"\nlayers = [["alpha"], ["beta"]]\n'
-        )
-        flagged = run_cli(str(tmp_path / "repro"), cwd=tmp_path)
-        assert flagged.returncode == 1
-        assert "DHS201" in flagged.stdout
+        # The RNG rule is DHS101 alone; the retired taint codes are gone.
+        assert "DHS80" not in result.stdout
 
 
 if __name__ == "__main__":

@@ -8,18 +8,20 @@ silently breaking determinism or the architecture.
 
 Run it as::
 
-    python -m tools.analyze [--format text|json] [paths...]
+    python -m tools.analyze [paths...]
 
 Rules are small :class:`~tools.analyze.engine.Rule` subclasses registered
-by code (``DHS101`` ...).  Per-line suppressions use
-``# dhslint: disable=DHS101`` (comma-separated codes, or ``all``); the
-project-wide configuration lives in ``[tool.dhslint]`` in ``pyproject.toml``.
-See ``docs/STATIC_ANALYSIS.md`` for the full rule catalogue.
+by code (``DHS101`` ...); whole-program rules (DHS8xx) are
+:class:`~tools.analyze.engine.ProjectRule` subclasses, and every run
+applies both.  Per-line suppressions use ``# dhslint: disable=DHS101``
+(comma-separated codes, or ``all``); the project configuration is the
+:class:`~tools.analyze.config.Config` dataclass.  See
+``docs/STATIC_ANALYSIS.md`` for the full rule catalogue.
 """
 
 from __future__ import annotations
 
-from tools.analyze.config import Config, load_config
+from tools.analyze.config import Config
 from tools.analyze.engine import (
     PROJECT_REGISTRY,
     REGISTRY,
@@ -32,10 +34,10 @@ from tools.analyze.engine import (
     analyze_paths,
 )
 
-# Importing the rules package registers every per-file rule class.  The
-# whole-program DHS8xx rules register when ``tools.analyze.dataflow`` is
-# imported (lazily, on the first ``dataflow=True`` run).
+# Importing the rule packages registers every per-file rule class and
+# every whole-program (DHS8xx) rule class.
 from tools.analyze import rules as _rules  # noqa: F401
+from tools.analyze import dataflow as _dataflow  # noqa: F401
 
 __all__ = [
     "Config",
@@ -48,5 +50,4 @@ __all__ = [
     "Violation",
     "analyze_file",
     "analyze_paths",
-    "load_config",
 ]

@@ -1,7 +1,7 @@
-"""Command-line front end: ``python -m tools.analyze [options] [paths...]``.
+"""Command-line front end: ``python -m tools.analyze [paths...]``.
 
-Exit status: 0 clean, 1 violations (or waiver problems) found, 2
-usage/parse errors.
+One run applies every per-file and whole-program rule.  Exit status: 0
+clean, 1 violations found, 2 usage/parse errors.
 """
 
 from __future__ import annotations
@@ -11,13 +11,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from tools.analyze.cache import DEFAULT_CACHE_PATH, AnalysisCache
-from tools.analyze.config import load_config
-from tools.analyze.engine import PROJECT_REGISTRY, REGISTRY, analyze_paths
-from tools.analyze.output import FORMATS, render
-from tools.analyze.waivers import load_waivers
-
-DEFAULT_WAIVER_PATH = Path(".dhslint-waivers")
+from tools.analyze.config import Config
+from tools.analyze.engine import PROJECT_REGISTRY, REGISTRY, Report, analyze_paths
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,42 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src/repro)",
     )
     parser.add_argument(
-        "--format",
-        choices=tuple(FORMATS),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--dataflow",
-        action="store_true",
-        help="additionally run the whole-program dataflow rules (DHS8xx)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the per-file result cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        metavar="FILE",
-        default=str(DEFAULT_CACHE_PATH),
-        help=f"cache location (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--waivers",
-        metavar="FILE",
-        default=str(DEFAULT_WAIVER_PATH),
-        help=(
-            "waiver file acknowledging known findings with expiry dates "
-            f"(default: {DEFAULT_WAIVER_PATH}, ignored when absent)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -76,15 +35,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_rules() -> str:
-    # Importing the dataflow package registers the DHS8xx project rules.
-    import tools.analyze.dataflow  # noqa: F401
-
     lines = []
     catalogue = {**REGISTRY, **PROJECT_REGISTRY}
     for code, rule_cls in sorted(catalogue.items()):
         scope = " [project]" if code in PROJECT_REGISTRY else ""
         lines.append(f"{code} ({rule_cls.name}){scope}")
         lines.append(f"    {rule_cls.rationale}")
+    return "\n".join(lines)
+
+
+def render_text(report: Report) -> str:
+    lines = [violation.render() for violation in report.violations]
+    lines.extend(report.errors)
+    counts = report.counts_by_code
+    summary = ", ".join(f"{code}×{n}" for code, n in counts.items()) or "clean"
+    lines.append(
+        f"dhslint: {len(report.violations)} violation(s) "
+        f"[{summary}], {report.suppressed} suppressed, "
+        f"{report.files} file(s) checked"
+    )
+    stats = ", ".join(f"{key}={value}" for key, value in sorted(report.dataflow.items()))
+    lines.append(f"dhslint: dataflow [{stats}]")
+    lines.append(f"dhslint: finished in {report.elapsed:.2f}s")
     return "\n".join(lines)
 
 
@@ -100,26 +72,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"dhslint: no such path: {raw}", file=sys.stderr)
             return 2
         paths.append(path)
-    config = load_config(paths[0])
-    cache = None if args.no_cache else AnalysisCache(Path(args.cache_file), config)
-    waiver_path = Path(args.waivers)
-    waivers = load_waivers(waiver_path) if waiver_path.is_file() else None
-    report = analyze_paths(
-        paths, config, dataflow=args.dataflow, cache=cache, waivers=waivers
-    )
-    rendered = render(report, args.format)
-    if args.output:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
-        # Keep the one-line summary on stdout so CI logs stay readable.
-        print(
-            f"dhslint: wrote {args.format} report to {args.output} "
-            f"({len(report.violations)} violation(s))"
-        )
-    else:
-        print(rendered)
+    report = analyze_paths(paths, Config())
+    print(render_text(report))
     if report.errors:
         return 2
-    return 1 if report.violations or report.waiver_errors else 0
+    return 1 if report.violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,25 +1,16 @@
 """Configuration for dhslint.
 
-The defaults below mirror the shipped ``[tool.dhslint]`` block in
-``pyproject.toml``, so the analyzer behaves identically whether or not a
-config file is found (e.g. when checking a standalone snippet in a test
-fixture).  ``load_config`` walks upward from the analyzed path looking for
-a ``pyproject.toml`` with a ``[tool.dhslint]`` table.
+The frozen :class:`Config` below is the one place the analyzer's project
+knowledge lives: the layer DAG, the seed root, the float-strict packages
+and the whole-program pass settings.  The CLI runs with ``Config()``;
+tests construct it with overrides to exercise a rule against another
+layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - Python 3.10 without tomli
-    try:
-        import tomli as tomllib  # type: ignore[import-not-found, no-redef]
-    except ImportError:
-        tomllib = None  # type: ignore[assignment]
+from dataclasses import dataclass
+from typing import Optional
 
 #: The import layering DAG, bottom-up.  A module in layer ``i`` may import
 #: from any layer ``j < i`` (and from its own top-level package), never from
@@ -52,12 +43,8 @@ class Config:
         "repro.core",
         "repro.histograms",
     )
-    #: Rule codes disabled project-wide.
-    disable: tuple[str, ...] = ()
-    #: Path substrings to skip entirely.
-    exclude: tuple[str, ...] = field(default_factory=tuple)
     # ------------------------------------------------------------------
-    # Whole-program dataflow (DHS8xx) configuration.
+    # Whole-program (DHS8xx) configuration.
     # ------------------------------------------------------------------
     #: Abstract classes whose method calls dispatch to every declared
     #: implementor when the receiver's concrete type is unknown.
@@ -87,55 +74,3 @@ class Config:
             if segment in group:
                 return index
         return None
-
-
-def _from_table(table: Mapping[str, Any]) -> Config:
-    """Build a :class:`Config` from a ``[tool.dhslint]`` TOML table."""
-    config = Config()
-    if "package" in table:
-        config = replace(config, package=str(table["package"]))
-    if "layers" in table:
-        layers = tuple(tuple(str(name) for name in group) for group in table["layers"])
-        config = replace(config, layers=layers)
-    if "trial-spec" in table:
-        config = replace(config, trial_spec=str(table["trial-spec"]))
-    for toml_key, attr in (
-        ("determinism-exempt", "determinism_exempt"),
-        ("float-strict", "float_strict"),
-        ("disable", "disable"),
-        ("exclude", "exclude"),
-        ("dispatch-roots", "dispatch_roots"),
-        ("worker-exempt", "worker_exempt"),
-        ("store-write-modules", "store_write_modules"),
-        ("purity-modules", "purity_modules"),
-        ("estimator-packages", "estimator_packages"),
-    ):
-        if toml_key in table:
-            values: Sequence[Any] = table[toml_key]
-            config = replace(config, **{attr: tuple(str(v) for v in values)})
-    return config
-
-
-def load_config(start: Path) -> Config:
-    """Find and parse the nearest ``[tool.dhslint]`` above ``start``.
-
-    Falls back to the built-in defaults when no ``pyproject.toml`` declares a
-    ``[tool.dhslint]`` table, or when no TOML parser is available (Python
-    3.10 without ``tomli``) — the defaults match the shipped configuration.
-    """
-    if tomllib is None:
-        return Config()
-    directory = start.resolve()
-    if directory.is_file():
-        directory = directory.parent
-    for candidate in (directory, *directory.parents):
-        pyproject = candidate / "pyproject.toml"
-        if not pyproject.is_file():
-            continue
-        with pyproject.open("rb") as handle:
-            data = tomllib.load(handle)
-        table = data.get("tool", {}).get("dhslint")
-        if table is not None:
-            return _from_table(table)
-        return Config()
-    return Config()

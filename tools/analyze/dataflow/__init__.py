@@ -2,7 +2,6 @@
 
 Importing this package registers the project rules:
 
-* :mod:`tools.analyze.dataflow.taint` — RNG-taint (DHS801–DHS803);
 * :mod:`tools.analyze.dataflow.shared_state` — worker-reachable
   shared-state writes (DHS811–DHS813);
 * :mod:`tools.analyze.dataflow.purity` — purity inference (DHS821–DHS822).
@@ -18,6 +17,5 @@ from tools.analyze.dataflow.project import ProjectContext, build_project
 # Importing the pass modules registers their ProjectRule subclasses.
 from tools.analyze.dataflow import purity as _purity  # noqa: F401
 from tools.analyze.dataflow import shared_state as _shared_state  # noqa: F401
-from tools.analyze.dataflow import taint as _taint  # noqa: F401
 
 __all__ = ["ProjectContext", "build_project"]

@@ -1,10 +1,9 @@
 """ProjectContext: the shared whole-program state behind every DHS8xx rule.
 
-Built once per ``analyze_paths(..., dataflow=True)`` run: the symbol
-table and call graph are constructed eagerly; the three dataflow
-analyses (RNG-taint, worker shared-state, purity effects) are memoized
-lazily so each runs at most once no matter how many rule classes
-consume its result stream.
+Built once per ``analyze_paths`` run: the symbol table and call graph
+are constructed eagerly; the two dataflow analyses (worker shared-state,
+purity effects) are memoized lazily so each runs at most once no matter
+how many rule classes consume its result stream.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from tools.analyze.dataflow.symbols import SymbolTable, build_symbols
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from tools.analyze.dataflow.purity import EffectAnalysis
     from tools.analyze.dataflow.shared_state import WorkerAnalysis
-    from tools.analyze.dataflow.taint import TaintAnalysis
 
 __all__ = ["ProjectContext", "build_project"]
 
@@ -32,20 +30,12 @@ class ProjectContext:
         self.config = config
         self.symbols: SymbolTable = build_symbols(contexts)
         self.graph: CallGraph = build_callgraph(self.symbols, config)
-        self._taint: Optional["TaintAnalysis"] = None
         self._effects: Optional["EffectAnalysis"] = None
         self._worker: Optional["WorkerAnalysis"] = None
 
     # ------------------------------------------------------------------
     # Memoized analyses (each runs once per project build).
     # ------------------------------------------------------------------
-    def taint(self) -> "TaintAnalysis":
-        if self._taint is None:
-            from tools.analyze.dataflow.taint import TaintAnalysis
-
-            self._taint = TaintAnalysis(self)
-        return self._taint
-
     def effects(self) -> "EffectAnalysis":
         if self._effects is None:
             from tools.analyze.dataflow.purity import EffectAnalysis
@@ -70,7 +60,6 @@ class ProjectContext:
             "call_edges": self.graph.edge_count,
             "worker_roots": len(worker.roots),
             "worker_reachable": len(worker.reachable),
-            "rng_constructions": len(self.taint().construction_sites),
             "purity_required": len(self.effects().required),
         }
 

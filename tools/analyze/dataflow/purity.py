@@ -30,13 +30,12 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from tools.analyze.engine import ProjectRule, Violation, register_project
 from tools.analyze.dataflow.callgraph import CallResolver, iter_calls
-from tools.analyze.dataflow.symbols import FunctionInfo, _dotted
-from tools.analyze.dataflow.taint import module_in
+from tools.analyze.dataflow.symbols import FunctionInfo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from tools.analyze.dataflow.project import ProjectContext
 
-__all__ = ["Effect", "EffectAnalysis", "MUTATOR_METHODS"]
+__all__ = ["Effect", "EffectAnalysis", "MUTATOR_METHODS", "module_in"]
 
 WRITES_GLOBAL = "writes_global"
 WRITES_PARAMS = "writes_params"
@@ -133,6 +132,13 @@ def _root_name(node: ast.expr) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
+def module_in(module: Optional[str], prefixes: Iterable[str]) -> bool:
+    """Whether ``module`` is one of ``prefixes`` or inside one of them."""
+    if module is None:
+        return False
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
 class EffectAnalysis:
     """Effect summaries for every function, plus DHS82x violations."""
 
@@ -144,6 +150,10 @@ class EffectAnalysis:
         self.required: Dict[str, str] = {}
         self.violations: Dict[str, List[Violation]] = {"DHS821": [], "DHS822": []}
         self._resolvers: Dict[str, CallResolver] = {}
+        #: Per function, computed once for every fixpoint round: its local
+        #: names and each call site with the callees it resolves to.
+        self._locals: Dict[str, Set[str]] = {}
+        self._sites: Dict[str, List[Tuple[ast.Call, List[FunctionInfo]]]] = {}
         self._run()
 
     # ------------------------------------------------------------------
@@ -151,7 +161,12 @@ class EffectAnalysis:
         symbols = self.project.symbols
         config = self.project.config
         for fn in symbols.functions.values():
-            self._resolvers[fn.qualname] = CallResolver(symbols, config, fn)
+            resolver = CallResolver(symbols, config, fn)
+            self._resolvers[fn.qualname] = resolver
+            self._locals[fn.qualname] = _local_names(fn)
+            self._sites[fn.qualname] = [
+                (call, resolver.resolve_call(call)) for call in iter_calls(fn.node)
+            ]
             self.effects[fn.qualname] = self._direct_effects(fn)
         # Inherit call-site effects to a fixpoint (monotone: effects only grow).
         for _ in range(len(symbols.functions) + 1):
@@ -193,7 +208,7 @@ class EffectAnalysis:
 
     def _direct_effects(self, fn: FunctionInfo) -> Dict[str, Effect]:
         out: Dict[str, Effect] = {}
-        locals_ = _local_names(fn)
+        locals_ = self._locals[fn.qualname]
         declared_global: Set[str] = set()
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Global):
@@ -257,10 +272,9 @@ class EffectAnalysis:
         changed = False
         for fn in self.project.symbols.functions.values():
             mine = self.effects[fn.qualname]
-            resolver = self._resolvers[fn.qualname]
-            locals_ = _local_names(fn)
-            for call in iter_calls(fn.node):
-                for callee in resolver.resolve_call(call):
+            locals_ = self._locals[fn.qualname]
+            for call, callees in self._sites[fn.qualname]:
+                for callee in callees:
                     if callee.qualname == fn.qualname:
                         continue
                     theirs = self.effects.get(callee.qualname, {})

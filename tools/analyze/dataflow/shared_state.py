@@ -30,9 +30,9 @@ from tools.analyze.dataflow.purity import (
     MUTATOR_METHODS,
     WRITES_GLOBAL,
     _root_name,
+    module_in,
 )
 from tools.analyze.dataflow.symbols import FunctionInfo, _dotted
-from tools.analyze.dataflow.taint import module_in
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from tools.analyze.dataflow.project import ProjectContext

@@ -2,10 +2,10 @@
 
 This is the name-resolution layer the dataflow passes sit on.  Every
 analyzed file contributes a :class:`ModuleInfo` (its imports — absolute
-and relative — its top-level defs, classes with methods, module-level
-variable bindings, and ``__all__``); the :class:`SymbolTable` then
-answers the cross-module questions: *what fully-qualified definition
-does this dotted expression refer to from this module?*, following
+and relative — its top-level defs, classes with methods, and module-level
+variable bindings); the :class:`SymbolTable` then answers the
+cross-module questions: *what fully-qualified definition does this
+dotted expression refer to from this module?*, following
 import aliasing and package ``__init__`` re-export chains, and *which
 project classes subclass this base?* for conservative dynamic dispatch.
 
@@ -91,8 +91,6 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: Names bound by top-level assignments (module state candidates).
     variables: Set[str] = field(default_factory=set)
-    #: ``__all__`` entries, when declared.
-    exports: List[str] = field(default_factory=list)
 
 
 def _relative_base(module: str, is_package: bool, level: int) -> Optional[str]:
@@ -152,17 +150,7 @@ def _collect_module(ctx: FileContext) -> ModuleInfo:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    if target.id == "__all__" and isinstance(node, ast.Assign):
-                        value = node.value
-                        if isinstance(value, (ast.List, ast.Tuple)):
-                            info.exports = [
-                                element.value
-                                for element in value.elts
-                                if isinstance(element, ast.Constant)
-                                and isinstance(element.value, str)
-                            ]
-                    else:
-                        info.variables.add(target.id)
+                    info.variables.add(target.id)
     return info
 
 
@@ -175,8 +163,6 @@ class SymbolTable:
         self.functions: Dict[str, FunctionInfo] = {}
         #: Every class by fully-qualified name.
         self.classes: Dict[str, ClassInfo] = {}
-        #: All project methods sharing a bare name (purity fallback).
-        self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
         for module in modules.values():
             for fn in module.functions.values():
                 self.functions[fn.qualname] = fn
@@ -184,7 +170,6 @@ class SymbolTable:
                 self.classes[cls.qualname] = cls
                 for method in cls.methods.values():
                     self.functions[method.qualname] = method
-                    self.methods_by_name.setdefault(method.name, []).append(method)
         # Resolve class bases now that every class is known.
         for module in modules.values():
             for cls in module.classes.values():

@@ -12,7 +12,8 @@ continuation lines.
 
 Whole-program (dataflow) rules subclass :class:`ProjectRule` instead and
 receive a ``ProjectContext`` — a symbol table and call graph built over
-every analyzed file at once (see :mod:`tools.analyze.dataflow`).
+every analyzed file at once (see :mod:`tools.analyze.dataflow`).  Every
+:func:`analyze_paths` run applies both kinds of rule.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tupl
 from tools.analyze.config import Config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataflow imports engine)
-    from tools.analyze.cache import AnalysisCache
     from tools.analyze.dataflow.project import ProjectContext
-    from tools.analyze.waivers import WaiverSet
-
-#: Bumped whenever rule behaviour changes; invalidates `.dhslint_cache.json`.
-TOOL_VERSION = "2.0"
 
 _SUPPRESS_RE = re.compile(r"#\s*dhslint:\s*disable=([A-Za-z0-9,\s]+)")
 
@@ -244,16 +240,10 @@ class Report:
     suppressed: int = 0
     files: int = 0
     errors: List[str] = field(default_factory=list)
-    #: Violations matched (and silenced) by an active waiver.
-    waived: List[Violation] = field(default_factory=list)
-    #: Waiver-file problems (missing reason, expired entries still matching).
-    waiver_errors: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Wall-clock seconds for the whole run (set by :func:`analyze_paths`).
     elapsed: float = 0.0
-    #: Summary statistics of the dataflow pass, when it ran.
-    dataflow: Optional[Dict[str, int]] = None
+    #: Summary statistics of the whole-program pass.
+    dataflow: Dict[str, int] = field(default_factory=dict)
 
     @property
     def counts_by_code(self) -> Dict[str, int]:
@@ -263,14 +253,13 @@ class Report:
         return dict(sorted(counts.items()))
 
 
-def _run_file_rules(ctx: FileContext) -> Tuple[List[Violation], int]:
-    """Run every enabled per-file rule over one parsed file."""
-    suppress = suppression_table(ctx.source, ctx.tree)
+def _run_file_rules(
+    ctx: FileContext, suppress: Dict[int, frozenset]
+) -> Tuple[List[Violation], int]:
+    """Run every per-file rule over one parsed file."""
     kept: List[Violation] = []
     suppressed = 0
-    for code, rule_cls in sorted(REGISTRY.items()):
-        if code in ctx.config.disable:
-            continue
+    for _code, rule_cls in sorted(REGISTRY.items()):
         for violation in rule_cls().check(ctx):
             codes = suppress.get(violation.line, frozenset())
             if "all" in codes or violation.code in codes:
@@ -284,7 +273,7 @@ def _run_file_rules(ctx: FileContext) -> Tuple[List[Violation], int]:
 def analyze_file(
     path: Path, config: Config, module: Optional[str] = None
 ) -> Tuple[List[Violation], int]:
-    """Run every enabled per-file rule over one file.
+    """Run every per-file rule over one file.
 
     Returns ``(violations, suppressed_count)``.  ``module`` overrides the
     filesystem-derived dotted name (useful for fixtures).  Raises
@@ -299,108 +288,71 @@ def analyze_file(
         config=config,
         module=module if module is not None else resolve_module(path),
     )
-    return _run_file_rules(ctx)
+    return _run_file_rules(ctx, suppression_table(source, tree))
 
 
-def iter_python_files(paths: Iterable[Path], config: Config) -> Iterator[Path]:
+def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Expand files/directories into the ``.py`` files to analyze."""
     for path in paths:
         if path.is_dir():
-            for candidate in sorted(path.rglob("*.py")):
-                if not any(part in candidate.parts for part in config.exclude):
-                    yield candidate
+            yield from sorted(path.rglob("*.py"))
         elif path.suffix == ".py":
             yield path
 
 
-def analyze_paths(
-    paths: Iterable[Path],
-    config: Config,
-    *,
-    dataflow: bool = False,
-    cache: Optional["AnalysisCache"] = None,
-    waivers: Optional["WaiverSet"] = None,
-) -> Report:
+def analyze_paths(paths: Iterable[Path], config: Config) -> Report:
     """Analyze every Python file under ``paths`` and aggregate the results.
 
-    ``dataflow=True`` additionally builds a :class:`ProjectContext`
-    (symbol table + call graph over every file) and runs the registered
-    whole-program rules (DHS8xx).  ``cache`` reuses per-file rule results
-    for files whose content hash is unchanged; the dataflow pass itself
-    is never cached (it is whole-program by construction).  ``waivers``
-    moves matching violations into ``report.waived``.
+    Each file is parsed once and checked by every per-file rule; then a
+    :class:`ProjectContext` (symbol table + call graph over every file)
+    is built and the whole-program rules (DHS8xx) run over it.
     """
     started = time.perf_counter()
     report = Report()
     contexts: List[FileContext] = []
-    for file_path in iter_python_files(paths, config):
+    tables: Dict[str, Dict[int, frozenset]] = {}
+    for file_path in iter_python_files(paths):
         report.files += 1
         try:
             source = file_path.read_text(encoding="utf-8")
+            tree = ast.parse(source, filename=str(file_path))
         except OSError as exc:  # pragma: no cover - unreadable file
             report.errors.append(f"{file_path}: {exc}")
             continue
-        cached = cache.lookup(file_path, source) if cache is not None else None
-        ctx: Optional[FileContext] = None
-        if dataflow or cached is None:
-            try:
-                tree = ast.parse(source, filename=str(file_path))
-            except SyntaxError as exc:
-                report.errors.append(
-                    f"{file_path}: syntax error: {exc.msg} (line {exc.lineno})"
-                )
-                continue
-            ctx = FileContext(
-                path=file_path,
-                source=source,
-                tree=tree,
-                config=config,
-                module=resolve_module(file_path),
+        except SyntaxError as exc:
+            report.errors.append(
+                f"{file_path}: syntax error: {exc.msg} (line {exc.lineno})"
             )
-            contexts.append(ctx)
-        if cached is not None:
-            report.cache_hits += 1
-            report.violations.extend(cached[0])
-            report.suppressed += cached[1]
-        else:
-            assert ctx is not None
-            violations, suppressed = _run_file_rules(ctx)
-            if cache is not None:
-                report.cache_misses += 1
-                cache.store(file_path, source, violations, suppressed)
-            report.violations.extend(violations)
-            report.suppressed += suppressed
-    if dataflow:
-        _run_project_rules(contexts, config, report)
-    if waivers is not None:
-        kept: List[Violation] = []
-        for violation in report.violations:
-            if waivers.matches(violation):
-                report.waived.append(violation)
-            else:
-                kept.append(violation)
-        report.violations = kept
-        report.waiver_errors.extend(waivers.problems)
-    if cache is not None:
-        cache.flush()
+            continue
+        ctx = FileContext(
+            path=file_path,
+            source=source,
+            tree=tree,
+            config=config,
+            module=resolve_module(file_path),
+        )
+        contexts.append(ctx)
+        tables[str(file_path)] = suppression_table(source, tree)
+        violations, suppressed = _run_file_rules(ctx, tables[str(file_path)])
+        report.violations.extend(violations)
+        report.suppressed += suppressed
+    _run_project_rules(contexts, config, report, tables)
     report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     report.elapsed = time.perf_counter() - started
     return report
 
 
 def _run_project_rules(
-    contexts: List[FileContext], config: Config, report: Report
+    contexts: List[FileContext],
+    config: Config,
+    report: Report,
+    tables: Dict[str, Dict[int, frozenset]],
 ) -> None:
-    """Build the project context and run every enabled whole-program rule."""
-    from tools.analyze.dataflow import build_project  # lazy: registers rules
+    """Build the project context and run every whole-program rule."""
+    from tools.analyze.dataflow import build_project  # lazy: dataflow imports engine
 
     project = build_project(contexts, config)
-    tables = {
-        str(ctx.path): suppression_table(ctx.source, ctx.tree) for ctx in contexts
-    }
-    for code, rule_cls in sorted(PROJECT_REGISTRY.items()):
-        if code in config.disable:
-            continue
+    for _code, rule_cls in sorted(PROJECT_REGISTRY.items()):
         for violation in rule_cls().check_project(project):
             codes = tables.get(violation.path, {}).get(violation.line, frozenset())
             if "all" in codes or violation.code in codes:

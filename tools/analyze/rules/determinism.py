@@ -9,7 +9,7 @@ wall-clock/entropy reads, and the per-process-salted builtin ``hash``.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 from tools.analyze.engine import FileContext, Rule, Violation, register
 from tools.analyze.rules._imports import ImportTable
@@ -45,6 +45,38 @@ def _calls(tree: ast.Module) -> Iterator[ast.Call]:
             yield node
 
 
+def _seed_argument(call: ast.Call) -> Optional[ast.expr]:
+    """The seed ``default_rng`` is called with, or ``None`` for no seed."""
+    if call.args:
+        return call.args[0]
+    for keyword in call.keywords:
+        if keyword.arg == "seed":
+            return keyword.value
+    return None
+
+
+def _seed_derived(node: ast.expr) -> bool:
+    """Whether an expression visibly carries the master seed.
+
+    A seed-named name or attribute (``seed``, ``spec.seed``), a
+    ``derive_seed(...)`` call, or arithmetic over one
+    (``derive_seed(seed, "x") % 2**32``).  Judged per expression, with
+    no flow tracking: bind the value to a seed-named variable if it
+    comes from further away.
+    """
+    if isinstance(node, ast.Name):
+        return "seed" in node.id.lower()
+    if isinstance(node, ast.Attribute):
+        return "seed" in node.attr.lower()
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "derive_seed"
+    if isinstance(node, ast.BinOp):
+        return _seed_derived(node.left) or _seed_derived(node.right)
+    return False
+
+
 @register
 class UnseededRng(Rule):
     """DHS101 — module-level / directly-constructed RNG outside the seed root."""
@@ -55,8 +87,9 @@ class UnseededRng(Rule):
         "Module-level `random.*` and `numpy.random.*` draw from hidden global "
         "state, and a bare `random.Random()` / `default_rng()` seeds itself "
         "from OS entropy; both break bit-for-bit replay from the master seed. "
-        "Derive all randomness via `repro.sim.seeds.rng_for` (or pass an "
-        "explicitly derived seed to `default_rng`)."
+        "Derive all randomness via `repro.sim.seeds.rng_for`, or pass "
+        "`default_rng` a seed-named value or `derive_seed(...)` (arithmetic "
+        "over one is fine) — a constant seed ignores `--seed`."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
@@ -83,11 +116,20 @@ class UnseededRng(Rule):
                     )
                 )
             elif origin == "numpy.random.default_rng":
-                if not call.args and not call.keywords:
+                seed = _seed_argument(call)
+                if seed is None:
                     out.append(
                         self.violation(
                             ctx, call, "`default_rng()` without a seed draws OS "
                             "entropy; pass a seed derived via repro.sim.seeds.derive_seed"
+                        )
+                    )
+                elif not _seed_derived(seed):
+                    out.append(
+                        self.violation(
+                            ctx, call, "`default_rng(...)` seed is not derived from "
+                            "the master seed; pass a seed-named value or "
+                            "derive_seed(...)"
                         )
                     )
             elif origin.startswith("numpy.random."):

@@ -149,7 +149,7 @@ class HashingSelfContained(Rule):
 
 @register
 class UnassignedLayer(Rule):
-    """DHS203 — sub-package missing from the ``[tool.dhslint]`` layer map."""
+    """DHS203 — sub-package missing from the ``Config.layers`` map."""
 
     code = "DHS203"
     name = "unassigned-layer"
@@ -170,7 +170,7 @@ class UnassignedLayer(Rule):
             return [
                 self.violation(
                     ctx, ctx.tree, f"`{ctx.config.package}.{segment}` is not assigned "
-                    "to a layer in [tool.dhslint] `layers`"
+                    "to a layer in `layers` (tools/analyze/config.py)"
                 )
             ]
         return []

@@ -115,10 +115,9 @@ def observability_summary() -> list[str]:
 
 def dhslint_summary(source_dir: pathlib.Path) -> list[str]:
     """Markdown lines summarizing a dhslint run over ``source_dir``."""
-    from tools.analyze import analyze_paths, load_config
+    from tools.analyze import Config, analyze_paths
 
-    config = load_config(source_dir)
-    report = analyze_paths([source_dir], config, dataflow=True)
+    report = analyze_paths([source_dir], Config())
     try:
         shown = source_dir.resolve().relative_to(_REPO_ROOT)
     except ValueError:
@@ -126,10 +125,10 @@ def dhslint_summary(source_dir: pathlib.Path) -> list[str]:
     lines = [
         "## static_analysis",
         "",
-        f"`python -m tools.analyze --dataflow {shown}` — "
+        f"`python -m tools.analyze {shown}` — "
         f"{len(report.violations)} violation(s), {report.suppressed} "
-        f"suppression(s), {len(report.waived)} waived, {report.files} "
-        f"file(s) checked in {report.elapsed:.2f}s.",
+        f"suppression(s), {report.files} file(s) checked in "
+        f"{report.elapsed:.2f}s.",
         "",
     ]
     if report.counts_by_code:
@@ -141,16 +140,13 @@ def dhslint_summary(source_dir: pathlib.Path) -> list[str]:
         for violation in report.violations:
             lines.append(f"- `{violation.render()}`")
         lines.append("")
-    if report.dataflow:
-        lines.append(
-            "Whole-program dataflow (RNG-taint, worker shared-state, purity):"
-        )
-        lines.append("")
-        lines.append("| dataflow metric | value |")
-        lines.append("|---|---|")
-        for key, value in sorted(report.dataflow.items()):
-            lines.append(f"| {key.replace('_', ' ')} | {value} |")
-        lines.append("")
+    lines.append("Whole-program dataflow (worker shared-state, purity):")
+    lines.append("")
+    lines.append("| dataflow metric | value |")
+    lines.append("|---|---|")
+    for key, value in sorted(report.dataflow.items()):
+        lines.append(f"| {key.replace('_', ' ')} | {value} |")
+    lines.append("")
     return lines
 
 
