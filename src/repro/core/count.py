@@ -1,9 +1,9 @@
 """DHS counting — the paper's Algorithm 1, for both estimator families.
 
 Counting walks the id-space intervals and, per interval, probes up to
-``lim`` nodes (one DHT lookup, then 1-hop successor/predecessor walks
-confined to the interval) asking "which vectors have bit ``r`` set for
-these metrics?".
+``lim`` nodes asking "which vectors have bit ``r`` set for these
+metrics?": one DHT lookup of an interval key, then one hop per node of
+the overlay's :meth:`~repro.overlay.dht.DHTProtocol.interval_owners`.
 
 * super-LogLog / LogLog / HLL scan **high → low** and record, per
   bitmap, the *first* set bit seen — its maximum (Alg. 1).
@@ -553,20 +553,21 @@ class Counter:
 
         repair = config.read_repair and config.replication > 0
         trace = dht.trace
-        visited: Set[int] = set()
-        target = lookup.node_id
-        succ_cursor = pred_cursor = target
-        go_to_succ = True
-        budget_exhausted = False
+        lo, hi = self.mapping.interval_for_index(index)
         probes_done = 0
         node: Optional[Node]
         lost = False  # only the lossy contact can lose a probe message
-        for attempt in range(budget):
-            if attempt > 0:
+        # Lazy: the next node is asked for only after the budget check,
+        # from the membership as this probe's timeout repair left it.
+        for target in dht.interval_owners(lo, hi, lookup.node_id):
+            if probes_done:
+                cost.hops += 1
+                cost.messages += 1
+                if trace:
+                    cost.nodes_visited.append(target)
                 cost.bytes += size_model.probe_bytes(
                     request_hops=1, tuples_returned=0, metrics=num_metrics
                 )
-            visited.add(target)
             result.probes += 1
             probes_done += 1
             result.probed_ids.add(target)
@@ -616,44 +617,10 @@ class Counter:
                 event("probe", tick=now, node=target, ok=False, lost=True)
             if all(not (needed[metric] & ~found[metric]) for metric in metrics):
                 break
-            if attempt + 1 == budget:
-                # Budget exhausted: the walk ends here, so don't pay a
-                # hop for a neighbour that is never contacted.
-                budget_exhausted = True
+            if probes_done == budget:
                 break
-            # Pick the next probe target: successors first, then switch
-            # to predecessors once the interval's upper end is reached.
-            # The successor walk is allowed one node beyond the interval:
-            # keys above the last in-interval node are owned by the next
-            # node on the ring, so that "overflow" node can hold tuples
-            # of this interval too.
-            next_target = None
-            if go_to_succ and not self.mapping.contains(index, succ_cursor):
-                # The walk already sits on the overflow owner (or the
-                # lookup landed there directly): nothing further up.
-                go_to_succ = False
-            if go_to_succ:
-                candidate = dht.successor_id(succ_cursor)
-                if candidate in visited:
-                    go_to_succ = False
-                elif self.mapping.contains(index, candidate):
-                    succ_cursor = next_target = candidate
-                else:
-                    next_target = candidate  # the one overflow owner
-                    succ_cursor = candidate
-                    go_to_succ = False
-            if next_target is None:
-                candidate = dht.predecessor_id(pred_cursor)
-                if self.mapping.contains(index, candidate) and candidate not in visited:
-                    pred_cursor = next_target = candidate
-                else:
-                    break  # interval exhausted in both directions
-            target = next_target
-            cost.hops += 1
-            cost.messages += 1
-            if trace:
-                cost.nodes_visited.append(target)
-        if budget_exhausted:
+        if probes_done == budget:
+            # The walk ended on its budget (a no-op if it also resolved).
             self._charge_exhaustion(
                 index, position, metrics, needed, found, result,
                 expected_items, probes_done=probes_done,

@@ -90,17 +90,6 @@ def sweep_expired(dht: DHTProtocol, now: int) -> int:
     return removed
 
 
-def _walk_reaches(
-    dht: DHTProtocol, mapping: BitIntervalMap, index: int, node_id: int
-) -> bool:
-    """Whether interval ``index``'s counting walk can read ``node_id``:
-    the in-interval nodes plus the one overflow owner (of key ``hi - 1``)."""
-    if mapping.contains(index, node_id):
-        return True
-    lo, hi = mapping.interval_for_index(index)
-    return node_id == dht.owner_of(hi - 1)
-
-
 def _handoff_to_interval(
     dht: DHTProtocol,
     mapping: BitIntervalMap,
@@ -112,10 +101,9 @@ def _handoff_to_interval(
 
     Insert-time replicas live on the primary's ring successors, which
     for keys near an interval's upper end sit *outside* the interval —
-    where the counting walk never looks.  The walk's reach for interval
-    ``[lo, hi)`` is exactly the in-interval nodes plus the one overflow
-    owner (the node owning key ``hi - 1``, which owns every in-interval
-    key when the interval is empty of nodes).  While the primary is
+    where the counting walk never looks.  What the walk can read is the
+    overlay's :meth:`~repro.overlay.dht.DHTProtocol.interval_reach` of
+    ``[lo, hi)``, the same walk a count takes.  While the primary is
     alive a spilled replica is harmless — the walk reads the primary —
     but a crashed-and-rejoined primary comes back empty and masks its
     replicas: the bits survive globally yet the count confidently
@@ -148,11 +136,9 @@ def _handoff_to_interval(
             metric, bit = cast(Tuple[Hashable, int], slot_key)
             if not mapping.is_stored(bit):
                 continue
-            index = mapping.interval_index(bit)
-            if _walk_reaches(dht, mapping, index, node_id):
-                continue  # the walk already reaches this holder
-            if not _walk_reaches(dht, mapping, index, pred_id):
-                continue  # predecessor is no closer to the walk's reach
+            reach = dht.interval_reach(*mapping.interval_for_position(bit))
+            if node_id in reach or pred_id not in reach:
+                continue  # only a holder the walk misses hands to one it reads
             live = slot.live_mask(now)
             if not live:
                 continue
@@ -262,9 +248,10 @@ def antientropy_sweep(
     :func:`repro.overlay.antientropy.antientropy_round`: the overlay
     module cannot import the interval geometry or the store writer
     (layering), so both are injected here as closures — walk visibility
-    is :func:`_walk_reaches` (unstored positions are seen everywhere),
-    segments are the bit→interval mapping, and writes land on the
-    deployment's storage backend via ``arena``.
+    is the overlay's memoised ``interval_reach`` of the bit's interval
+    (unstored positions are seen everywhere), segments are the
+    bit→interval mapping, and writes land on the deployment's storage
+    backend via ``arena``.
     A no-op (empty stats) when replication is disabled: with no chains
     there is nothing to reconcile, and pushing copies would manufacture
     replication the configuration never asked for.
@@ -273,10 +260,15 @@ def antientropy_sweep(
         return AntiEntropyStats()
     model = size_model if size_model is not None else DEFAULT_SIZE_MODEL
 
+    # Per bit, its interval (``None``: never stored, seen everywhere).
+    intervals = [
+        mapping.interval_for_position(bit) if mapping.is_stored(bit) else None
+        for bit in range(mapping.config.position_bits)
+    ]
+
     def visible(bit: int, node_id: int) -> bool:
-        return not mapping.is_stored(bit) or _walk_reaches(
-            dht, mapping, mapping.interval_index(bit), node_id
-        )
+        interval = intervals[bit]
+        return interval is None or node_id in dht.interval_reach(*interval)
 
     def segment_of(bit: int) -> int:
         return mapping.interval_index(bit) if mapping.is_stored(bit) else -1

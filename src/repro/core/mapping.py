@@ -41,9 +41,7 @@ class BitIntervalMap:
         self.config = config
         #: Number of intervals: one per *stored* position.
         self.num_intervals = config.position_bits - config.bit_shift
-        #: Precomputed ``[lo, hi)`` bounds per interval — the counting
-        #: walk tests interval membership per probed node, so the bounds
-        #: are materialized once instead of re-deriving thresholds.
+        #: Precomputed ``[lo, hi)`` bounds per interval.
         bits = space.bits
         self._bounds: Tuple[Tuple[int, int], ...] = tuple(
             (
@@ -105,11 +103,6 @@ class BitIntervalMap:
         """A uniformly random id inside interval ``index``."""
         lo, hi = self.interval_for_index(index)
         return rng.randrange(lo, hi)
-
-    def contains(self, index: int, node_id: int) -> bool:
-        """Whether ``node_id`` falls inside interval ``index``."""
-        lo, hi = self._bounds[index]
-        return lo <= node_id < hi
 
     def expected_nodes(self, index: int, n_nodes: int) -> float:
         """Expected live nodes inside interval ``index`` (uniform ids)."""

@@ -15,6 +15,7 @@ which is exactly what the committed golden fixture pins.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -76,9 +77,10 @@ def build_load_rows(dhs: DistributedHashSketch) -> List[LoadRow]:
     """
     counts = dhs.dht.load.counts()
     rows: List[LoadRow] = []
-    node_ids = list(dhs.dht.node_ids())
+    node_ids = dhs.dht.node_ids()
     for index in range(dhs.mapping.num_intervals):
-        members = [nid for nid in node_ids if dhs.mapping.contains(index, nid)]
+        lo, hi = dhs.mapping.interval_for_index(index)
+        members = node_ids[bisect_left(node_ids, lo) : bisect_left(node_ids, hi)]
         rows.append(
             LoadRow(
                 interval=index,

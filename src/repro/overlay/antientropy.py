@@ -30,10 +30,10 @@ flooding copies around the ring:
   OR-merges what it misses.  This keeps every replica chain at its
   configured depth.
 * **homecoming** — ``S`` returns the bits for which ``X`` is *visible*
-  to the counting walk (in-interval, per the injected predicate) while
-  ``S`` itself is not.  This is how an amnesiac rejoiner pulls its
-  spilled state back home, and how bits stranded behind a partition
-  reach a reachable in-interval holder.
+  to the counting walk (in the overlay's ``interval_reach``, per the
+  injected predicate) while ``S`` itself is not.  This is how an
+  amnesiac rejoiner pulls its spilled state back home, and how bits
+  stranded behind a partition reach a reachable holder the walk reads.
 
 A round runs on one :class:`~repro.overlay.replication.ChainView`:
 chain peers come off one sorted id list, each store is scanned once
@@ -317,7 +317,7 @@ def _homecoming(
     return {
         key: live
         for key, live in view.table(holder_id).items()
-        if live and visible(key[1], home_id) and not visible(key[1], holder_id)
+        if live and not visible(key[1], holder_id) and visible(key[1], home_id)
     }
 
 
@@ -379,14 +379,6 @@ def antientropy_round(
     if sample is not None and rng is not None and 0 < sample < len(ids):
         ids = sorted(rng.sample(ids, sample))
     degree = max(1, replication)
-    seen: Dict[Tuple[int, int], bool] = {}
-
-    def _visible(bit: int, node_id: int) -> bool:
-        """``visible``, asked once per (bit, node): membership is fixed."""
-        known = seen.get((bit, node_id))
-        if known is None:
-            known = seen[bit, node_id] = visible(bit, node_id)
-        return known
 
     def _pair(left_id: int, right_id: int) -> None:
         """Primary push left -> right, then homecoming pull right -> left."""
@@ -396,7 +388,7 @@ def antientropy_round(
             model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
         )
         converged &= _sync_direction(
-            view, right_id, left_id, _homecoming(view, right_id, left_id, _visible),
+            view, right_id, left_id, _homecoming(view, right_id, left_id, visible),
             model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
         )
         if converged:

@@ -1,16 +1,16 @@
 """The DHT abstraction DHS is written against.
 
-The paper stresses that DHS is *DHT-agnostic*: it only needs the classic
-``insert(key, value)`` / ``lookup(key)`` primitives plus the ability to
-walk a node's immediate ring neighbours (used by the counting algorithm's
-retry phase).  :class:`DHTProtocol` captures exactly that contract;
-:mod:`repro.overlay.chord`, :mod:`repro.overlay.kademlia` and
-:mod:`repro.overlay.pastry` are the three concrete geometries.  A
-geometry supplies ``owner_of`` (who is responsible for a key) and a next
-hop (whom a node forwards to); membership, storage, the ring-id draw,
-the contact memo and the timeout / evict / veto protocol of a routed
-lookup (:meth:`DHTProtocol._route`) live here, once.  Chord alone keeps
-its own loop: per-lookup state makes each of its hops one bisect.
+The paper stresses that DHS is *DHT-agnostic*: it asks an overlay
+``owner_of(key)``, ``lookup(key)`` and ``interval_owners(lo, hi,
+start)`` — who holds a key, the hop-counted route there, and which
+nodes can hold an interval's keys, in counting-walk order.
+:class:`DHTProtocol` captures exactly that contract; Chord, Kademlia
+and Pastry are the three concrete geometries.  A geometry supplies
+``owner_of`` and a next hop (whom a node forwards to); membership,
+storage, the ring-id draw, the contact memo, the interval walk and the
+timeout / evict / veto protocol of a routed lookup
+(:meth:`DHTProtocol._route`) live here, once.  Chord alone keeps its
+own loop: per-lookup state makes each of its hops one bisect.
 
 Operations return ``(result, OpCost)`` pairs so callers can aggregate the
 hop/bandwidth accounting the evaluation reports.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, cast
 
 from repro.errors import (
     ConfigurationError,
@@ -114,6 +114,9 @@ class DHTProtocol(ABC):
         #: so any join or leave can stale any entry: the three
         #: membership mutators clear it, and nothing else does.
         self._contact_cache: dict[Tuple[int, ...], Optional[int]] = {}
+        #: Memo of :meth:`interval_reach` per ``(lo, hi)``; a function of
+        #: ``_ids`` alone, cleared with the contact memo.
+        self._reach_cache: dict[Tuple[int, int], frozenset[int]] = {}
 
     @staticmethod
     def _draw_ids(n_nodes: int, bits: int, seed: int, label: str) -> set[int]:
@@ -206,7 +209,8 @@ class DHTProtocol(ABC):
             raise ValueError(f"node id {node_id:#x} already present")
         node = Node(node_id)
         self._nodes[node_id] = node
-        self._insert_sorted(node_id)
+        self._ids.insert(node_id)
+        self._membership_changed()
         return node
 
     def add_nodes_bulk(self, node_ids: Iterable[int]) -> None:
@@ -219,7 +223,7 @@ class DHTProtocol(ABC):
         """
         wrapped = [self.space.wrap(node_id) for node_id in node_ids]
         self._ids.merge(wrapped)
-        self._contact_cache.clear()
+        self._membership_changed()
 
     def remove_node(self, node_id: int, graceful: bool = True) -> None:
         """Remove a node.
@@ -233,7 +237,8 @@ class DHTProtocol(ABC):
         if node_id not in self._ids:
             raise NodeNotFoundError(node_id)
         node = self._nodes.pop(node_id, None)
-        self._delete_sorted(node_id)
+        self._ids.remove(node_id)
+        self._membership_changed()
         if node is None:
             # Never materialized: empty store, no live references —
             # nothing to merge and no alive flag anyone can observe.
@@ -355,16 +360,10 @@ class DHTProtocol(ABC):
             current = candidate
         raise LookupFailedError("no responsive node reachable on the ring")
 
-    def _insert_sorted(self, node_id: int) -> None:
-        self._ids.insert(node_id)
+    def _membership_changed(self) -> None:
+        """Drop the memos derived from ``_ids`` (contacts, interval reach)."""
         self._contact_cache.clear()
-
-    def _delete_sorted(self, node_id: int) -> None:
-        try:
-            self._ids.remove(node_id)
-        except ValueError:
-            raise NodeNotFoundError(node_id) from None
-        self._contact_cache.clear()
+        self._reach_cache.clear()
 
     # ------------------------------------------------------------------
     # Geometry.
@@ -461,6 +460,51 @@ class DHTProtocol(ABC):
         if not self._ids:
             raise EmptyOverlayError("overlay has no live nodes")
         return self._ids.last_before(node_id)
+
+    def interval_owners(self, lo: int, hi: int, start: int) -> Iterator[int]:
+        """The nodes that can hold keys of ``[lo, hi)``, nearest first.
+
+        Algorithm 1's walk order from ``start`` (where a lookup of an
+        interval key landed): ``start``, its successors inside the
+        interval, the one overflow owner past its top (keys above the
+        last in-interval node belong to it), then ``start``'s
+        predecessors inside it; no node twice.  Lazy on purpose: each
+        step bisects the membership as it is when the next node is asked
+        for, so a node the caller evicts mid-walk is walked past.
+        """
+        seen = {start}
+        yield start
+        if lo <= start < hi:
+            cursor = start
+            while True:
+                cursor = self.successor_id(cursor)
+                if cursor in seen:
+                    break
+                seen.add(cursor)
+                yield cursor
+                if not lo <= cursor < hi:
+                    break  # the overflow owner ends the successor run
+        cursor = start
+        while True:
+            cursor = self.predecessor_id(cursor)
+            if cursor in seen or not lo <= cursor < hi:
+                return
+            seen.add(cursor)
+            yield cursor
+
+    def interval_reach(self, lo: int, hi: int) -> frozenset[int]:
+        """Every node the counting walk of ``[lo, hi)`` can read.
+
+        The :meth:`interval_owners` walk from the owner of the interval's
+        top key, memoised until the membership next changes.  Repair
+        sweeps ask it whether a bit's holder is visible to counts.
+        """
+        reach = self._reach_cache.get((lo, hi))
+        if reach is None:
+            reach = self._reach_cache[lo, hi] = frozenset(
+                self.interval_owners(lo, hi, self.owner_of(hi - 1))
+            )
+        return reach
 
     # ------------------------------------------------------------------
     # Storage primitives.

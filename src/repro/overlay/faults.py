@@ -36,7 +36,7 @@ bit-identical at any ``DHS_JOBS`` parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MessageDropped
 from repro.obs import runtime as obs
@@ -140,12 +140,13 @@ class FaultInjector(DHTProtocol, FaultHooks):
     The injector *is* a :class:`DHTProtocol`: DHS cores and experiment
     drivers use it wherever they would use the bare overlay.  Membership
     state (``_nodes`` / ``_ids`` / load tracker) is shared with the
-    wrapped overlay by reference and every membership mutation is
-    delegated to it, so geometry-specific caches (the Kademlia and
-    Pastry contact caches) stay correct.  The injector also installs
-    itself as the overlay's ``fault_layer``, which is how routing learns
-    about transient unresponsiveness and why timed-out transient nodes
-    are not permanently evicted.
+    wrapped overlay by reference; every membership mutation and every
+    geometry question (``owner_of``, ``interval_owners``,
+    ``interval_reach``) is delegated to it, so its caches (contacts,
+    interval reach) stay correct and its answers hold under faults.  The
+    injector also installs itself as the overlay's ``fault_layer``,
+    which is how routing learns about transient unresponsiveness and why
+    timed-out transient nodes are not permanently evicted.
     """
 
     def __init__(self, inner: DHTProtocol, plan: FaultPlan, seed: int = 0) -> None:
@@ -317,6 +318,12 @@ class FaultInjector(DHTProtocol, FaultHooks):
     # ------------------------------------------------------------------
     def owner_of(self, key: int) -> int:
         return self.inner.owner_of(key)
+
+    def interval_owners(self, lo: int, hi: int, start: int) -> Iterator[int]:
+        return self.inner.interval_owners(lo, hi, start)
+
+    def interval_reach(self, lo: int, hi: int) -> frozenset[int]:
+        return self.inner.interval_reach(lo, hi)
 
     def lookup(self, key: int, origin: Optional[int] = None) -> LookupResult:
         self._maybe_drop("lookup")

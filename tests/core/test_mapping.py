@@ -88,12 +88,6 @@ class TestPositionMapping:
         with pytest.raises(ValueError):
             mapping.interval_index(2)
 
-    def test_contains(self):
-        mapping = make_map(bits=32)
-        assert mapping.contains(0, 2**31)
-        assert mapping.contains(0, 2**32 - 1)
-        assert not mapping.contains(0, 2**31 - 1)
-
 
 class TestRandomKeys:
     def test_keys_fall_in_interval(self):

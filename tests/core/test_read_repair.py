@@ -225,3 +225,15 @@ class TestIntervalHandoff:
         dhs = make_dhs(ring, read_repair=False)
         dhs.stabilize()
         assert dhs.stabilize().repair_writes == 0
+
+    def test_overflow_past_a_member_at_the_top_key_is_visible(self):
+        """0xFFFF sits at ``hi - 1`` of [32768, 65536) and owns the top
+        key, yet the walk steps once past it, to 7: a bit held at 7 (and
+        at its R=1 chain successor 40000) is already read, so there is
+        nothing to hand over."""
+        ring = ChordRing.from_ids([7, 40000, 0xFFFF], bits=16)
+        for node_id in (7, 40000):
+            write_entry(ring.node(node_id), "m", 0, 0, None)
+        cost = make_dhs(ring, replication=1, read_repair=False).stabilize()
+        assert cost.repair_writes == 0
+        assert vectors_mask(ring.node(0xFFFF), "m", 0) == 0

@@ -22,6 +22,10 @@ re-pins the routing *target* to the heir's id, and a vetoed contact is
 bypassed by one direct hop to the destination.  Each fault branch taken
 is recorded in ``Route.branches`` so a differential can assert its
 generator reached them all.
+
+``cursor_walk`` is the reference for ``DHTProtocol.interval_owners``:
+Algorithm 1's walk order as the counting loop spelled it with a
+successor and a predecessor cursor, over linear scans.
 """
 
 from dataclasses import dataclass, field
@@ -129,6 +133,11 @@ def routing_contact(ids, n, key, bits, digit_bits, seed):
     return _drawn(ids, group, seed, "pastry-cell", n, value)
 
 
+def predecessor(ids, x):
+    """Last member strictly before ``x``, wrapping to the highest."""
+    return max((m for m in ids if m < x), default=ids[-1])
+
+
 def leaf_set(ids, n, size):
     reach = min(LEAF_SET_HALF, len(ids) - 1)
     leaves, cursor = [], n
@@ -137,7 +146,7 @@ def leaf_set(ids, n, size):
         leaves.append(cursor)
     cursor = n
     for _ in range(reach):
-        cursor = max((m for m in ids if m < cursor), default=ids[-1])
+        cursor = predecessor(ids, cursor)
         leaves.append(cursor)
     return leaves or [n]
 
@@ -203,3 +212,42 @@ def route(dht, key, origin, owner, next_hop):
         _hop(dht, result, current)
         if result.hops > 4 * bits:
             raise RuntimeError("oracle routing failed to converge")
+
+
+# ----------------------------------------------------------------------
+# The interval walk (Algorithm 1's probe order).
+# ----------------------------------------------------------------------
+def cursor_walk(dht, lo, hi, start):
+    """The nodes a count probes for ``[lo, hi)`` from ``start``, in order.
+
+    Two cursors: the successor cursor climbs while inside the interval
+    and takes one step past its top (the overflow owner), then the
+    predecessor cursor descends from ``start`` while inside it; neither
+    revisits a node.  A generator that rescans the membership at every
+    step, so an eviction between two steps is seen by the next one.
+    """
+    size = dht.space.size
+    visited = {start}
+    succ_cursor = pred_cursor = start
+    go_to_succ = True
+    yield start
+    while True:
+        next_target = None
+        if go_to_succ and not lo <= succ_cursor < hi:
+            go_to_succ = False  # sitting on the overflow owner already
+        if go_to_succ:
+            candidate = successor(members(dht), succ_cursor + 1, size)
+            if candidate in visited:
+                go_to_succ = False
+            elif lo <= candidate < hi:
+                succ_cursor = next_target = candidate
+            else:
+                succ_cursor = next_target = candidate  # the overflow owner
+                go_to_succ = False
+        if next_target is None:
+            candidate = predecessor(members(dht), pred_cursor)
+            if not lo <= candidate < hi or candidate in visited:
+                return
+            pred_cursor = next_target = candidate
+        visited.add(next_target)
+        yield next_target

@@ -76,10 +76,20 @@ def geometry(dht):
     mapping = BitIntervalMap(dht.space, CONFIG)
 
     def visible(bit, node_id):
+        """The counting walk's reach: the in-interval nodes, the owner of
+        the top key, and the first member at or after ``hi`` (the walk's
+        overflow step) when the interval has a member."""
         if bit < CONFIG.bit_shift:
             return True
         lo, hi = mapping.interval_for_position(bit)
-        return lo <= node_id < hi or node_id == dht.owner_of(hi - 1)
+        ids = sorted(dht.node_ids())
+        inside = [n for n in ids if lo <= n < hi]
+        overflow = min((n for n in ids if n >= hi), default=ids[0])
+        return (
+            node_id in inside
+            or node_id == dht.owner_of(hi - 1)
+            or (bool(inside) and node_id == overflow)
+        )
 
     def segment_of(bit):
         return bit - CONFIG.bit_shift if bit >= CONFIG.bit_shift else -1
@@ -251,16 +261,16 @@ def test_edge_rounds_match_the_oracle(overlay, edge, replication):
 def test_homecoming_write_reaches_the_next_pair(overlay):
     """A bit pulled home from the first chain peer is pushed to the second.
 
-    30000 is the last reachable node of bit 2's interval [16384, 32768);
-    the corpse at 32767 owns the interval's top key, so the walk cannot
-    see 40000, which holds the bit.  Pair (30000, 40000) brings it home;
-    pair (30000, 50000) must then find 30000 primary for it.
+    30000 is the only node of bit 2's interval [16384, 32768); the
+    corpse at 33000 is the walk's one overflow step, so the walk cannot
+    see 40000, which holds the bit.  Pair (30000, 40000) brings it home; pair (30000, 50000)
+    must then find 30000 primary for it.
     """
     spec = dict(
         overlay=overlay,
-        ids=[10, 30000, 32767, 40000, 50000],
+        ids=[10, 30000, 33000, 40000, 50000],
         entries=[(3, "m", 2, 3, None)],  # sorted ids[3] == 40000
-        failed=[32767],
+        failed=[33000],
     )
     fast, slow = build(**spec), build(**spec)
     mapping, naive = geometry(fast)
