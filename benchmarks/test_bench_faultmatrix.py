@@ -3,7 +3,7 @@
 Extends the paper's §3.5 robustness sweep with the richer fault model of
 ``repro.overlay.faults``: ambient message drops, lazy crashes and
 crash-with-amnesia rejoins, crossed with the recovery stack (retry
-policy, read-repair + stabilize, replication).  The assertions pin the
+policy, read-repair + anti-entropy, replication).  The assertions pin the
 three headline behaviours the machinery exists for: error grows with
 the drop rate when nothing recovers, retries + repair claw the accuracy
 back, and every lossy count flags itself (degraded / confidence).
@@ -31,10 +31,10 @@ def test_bench_faultmatrix(benchmark, report_writer):
         by[("drop", 0.3, "retry+repair", 2)].error_pct
         < by[("drop", 0.3, "none", 2)].error_pct / 2
     )
-    # ...and the stabilize handoff restores amnesiac deployments that
-    # replication alone cannot: a rejoined-empty owner masks replicas
-    # that spilled past its (possibly node-free) home interval, where
-    # the interval-bounded walk never looks.
+    # ...and anti-entropy's homecoming restores amnesiac deployments
+    # that replication alone cannot: a rejoined-empty owner masks
+    # replicas that spilled past its (possibly node-free) home interval,
+    # where the interval-bounded walk never looks.
     assert (
         by[("amnesia", 0.3, "retry+repair", 2)].error_pct
         < by[("amnesia", 0.3, "none", 2)].error_pct / 2

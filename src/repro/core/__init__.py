@@ -4,7 +4,7 @@ from repro.core.config import DEFAULT_LIM, DHSConfig
 from repro.core.count import Counter, CountResult
 from repro.core.dhs import DistributedHashSketch
 from repro.core.insert import Inserter
-from repro.core.maintenance import refresh, stabilize, sweep_expired
+from repro.core.maintenance import refresh, sweep_expired
 from repro.core.mapping import BitIntervalMap
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.core.regstore import RegArena, RegSlot
@@ -36,7 +36,6 @@ __all__ = [
     "DistributedHashSketch",
     "Inserter",
     "refresh",
-    "stabilize",
     "sweep_expired",
     "BitIntervalMap",
     "DEFAULT_POLICY",

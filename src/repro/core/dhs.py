@@ -36,7 +36,6 @@ from repro.core.maintenance import (
     antientropy_sweep,
     refresh,
     replica_divergence,
-    stabilize,
     sweep_expired,
 )
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
@@ -255,20 +254,6 @@ class DistributedHashSketch:
         """Purge aged-out entries network-wide; returns entries freed."""
         return sweep_expired(self.dht, now)
 
-    def stabilize(self, now: int = 0) -> OpCost:
-        """Rebuild successor replica chains after failures (one sweep).
-
-        A no-op (zero cost) when replication is disabled; see
-        :func:`repro.core.maintenance.stabilize`.
-        """
-        return stabilize(
-            self.dht,
-            self.config.replication,
-            now=now,
-            size_model=self.config.size_model,
-            mapping=self.mapping,
-        )
-
     def antientropy(
         self,
         now: int = 0,
@@ -281,7 +266,8 @@ class DistributedHashSketch:
         Digest-tree exchange plus OR-merge between every responsive node
         and its chain successors; a no-op (empty stats) when replication
         is disabled.  ``sample`` with a seeded ``rng`` limits the round
-        to a subset of initiators.  See
+        to a subset of initiators; a ``sample`` below 1 or without an
+        ``rng`` raises ``ValueError``.  See
         :func:`repro.core.maintenance.antientropy_sweep`.
         """
         return antientropy_sweep(

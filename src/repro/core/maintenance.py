@@ -13,27 +13,18 @@ kit); nothing here reads wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Hashable,
-    Iterable,
-    Optional,
-    Tuple,
-    cast,
-)
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Optional
 
 import numpy as np
 
 from repro.core.insert import Inserter
 from repro.core.mapping import BitIntervalMap
-from repro.core.tuples import PackedSlot, bits_of, purge_expired, write_entry
+from repro.core.tuples import purge_expired, write_entry
 from repro.overlay.antientropy import AntiEntropyStats, antientropy_round
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
 from repro.overlay.node import Node
-from repro.overlay.replication import ChainView, entry_expiry, live_predecessors
+from repro.overlay.replication import ChainView
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 
@@ -50,7 +41,6 @@ __all__ = [
     "antientropy_sweep",
     "refresh",
     "replica_divergence",
-    "stabilize",
     "sweep_expired",
 ]
 
@@ -90,147 +80,6 @@ def sweep_expired(dht: DHTProtocol, now: int) -> int:
     return removed
 
 
-def _handoff_to_interval(
-    dht: DHTProtocol,
-    mapping: BitIntervalMap,
-    now: int,
-    model: SizeModel,
-    cost: OpCost,
-) -> None:
-    """Return replica bits that spilled past their home interval.
-
-    Insert-time replicas live on the primary's ring successors, which
-    for keys near an interval's upper end sit *outside* the interval —
-    where the counting walk never looks.  What the walk can read is the
-    overlay's :meth:`~repro.overlay.dht.DHTProtocol.interval_reach` of
-    ``[lo, hi)``, the same walk a count takes.  While the primary is
-    alive a spilled replica is harmless — the walk reads the primary —
-    but a crashed-and-rejoined primary comes back empty and masks its
-    replicas: the bits survive globally yet the count confidently
-    under-reads.  Mirroring Chord's key handoff to a rejoined owner,
-    each holder the walk cannot see offers such bits to its first live
-    predecessor when that predecessor *is* visible.  The migration is
-    bounded: once a visible node holds the bits, ``missing`` is empty
-    and later sweeps are free.
-    """
-    for node_id in list(dht.node_ids()):
-        if not dht.node_responsive(node_id):
-            continue
-        node = dht.node(node_id)
-        slots = [
-            (key, slot)
-            for key, slot in node.store.items()
-            if isinstance(slot, PackedSlot)
-        ]
-        if not slots:
-            continue
-        predecessors = live_predecessors(dht, node_id, 1)
-        if not predecessors:
-            continue
-        pred_id = predecessors[0]
-        if not dht.node_responsive(pred_id):
-            continue
-        pred_node = dht.node(pred_id)
-        wrote = 0
-        for slot_key, slot in slots:
-            metric, bit = cast(Tuple[Hashable, int], slot_key)
-            if not mapping.is_stored(bit):
-                continue
-            reach = dht.interval_reach(*mapping.interval_for_position(bit))
-            if node_id in reach or pred_id not in reach:
-                continue  # only a holder the walk misses hands to one it reads
-            live = slot.live_mask(now)
-            if not live:
-                continue
-            pred_slot = pred_node.store.get(slot_key)
-            have = (
-                pred_slot.live_mask(now)
-                if isinstance(pred_slot, PackedSlot)
-                else 0
-            )
-            missing = live & ~have
-            for vector in bits_of(missing):
-                # Copies inherit the source slot's backend: a RegSlot
-                # source hands its arena along, a PackedSlot passes None.
-                write_entry(
-                    pred_node, metric, vector, bit, entry_expiry(slot, vector),
-                    arena=getattr(slot, "arena", None),
-                )
-                wrote += 1
-        if wrote:
-            cost.hops += 1
-            cost.messages += 1
-            cost.bytes += wrote * model.tuple_bytes
-            cost.repair_writes += wrote
-            dht.load.record(pred_id)
-
-
-def stabilize(
-    dht: DHTProtocol,
-    replication: int,
-    now: int = 0,
-    size_model: Optional[SizeModel] = None,
-    mapping: Optional[BitIntervalMap] = None,
-) -> OpCost:
-    """Rebuild successor replica chains after failures (one sweep).
-
-    Every live node offers its live DHS entries to its first
-    ``replication`` live successors, exactly like Chord's periodic
-    stabilization hands off key ranges.  A node is treated as a chain's
-    *primary* for the bits none of its ``replication`` live predecessors
-    hold — copying only those keeps the chain length bounded at
-    ``replication + 1`` across repeated sweeps instead of flooding the
-    ring.  Each replica that receives writes costs one hop plus the
-    copied tuple bytes; copies preserve the source expiry (immortal
-    stays immortal, TTL'd bits age out on schedule).
-
-    When the bit→interval ``mapping`` is supplied (the
-    :meth:`~repro.core.dhs.DistributedHashSketch.stabilize` facade always
-    passes it), the sweep first hands bits that spilled past their home
-    interval back to it, so replicas masked by a crashed-and-rejoined
-    primary become visible to the counting walk again (see
-    :func:`_handoff_to_interval`).
-    """
-    cost = OpCost()
-    if replication <= 0:
-        return cost
-    model = size_model if size_model is not None else DEFAULT_SIZE_MODEL
-    if mapping is not None:
-        _handoff_to_interval(dht, mapping, now, model, cost)
-    # An unreachable node keeps its chain position; it just sits the sweep out.
-    view = ChainView(dht, now, responsive_only=False)
-    for node_id in view.ids:
-        if not dht.node_responsive(node_id):
-            continue
-        store = dht.node(node_id).store
-        for replica_id in view.successors(node_id, replication):
-            if not dht.node_responsive(replica_id):
-                continue
-            replica = dht.node(replica_id)
-            have = view.table(replica_id)
-            wrote = 0
-            for key, primary in view.primary(node_id, replication).items():
-                missing = primary & ~have.get(key, 0)
-                if not missing:
-                    continue
-                metric, bit = key
-                slot = cast(PackedSlot, store[key])
-                for vector in bits_of(missing):
-                    write_entry(
-                        replica, metric, vector, bit, entry_expiry(slot, vector),
-                        arena=getattr(slot, "arena", None),
-                    )
-                    wrote += 1
-                view.refresh(replica_id, key)
-            if wrote:
-                cost.hops += 1
-                cost.messages += 1
-                cost.bytes += wrote * model.tuple_bytes
-                cost.repair_writes += wrote
-                dht.load.record(replica_id)
-    return cost
-
-
 def antientropy_sweep(
     dht: DHTProtocol,
     replication: int,
@@ -252,6 +101,9 @@ def antientropy_sweep(
     (unstored positions are seen everywhere), segments are the
     bit→interval mapping, and writes land on the deployment's storage
     backend via ``arena``.
+    This round is the only background healer: it re-covers replica
+    chains and brings bits the walk cannot read back to a chain peer it
+    can (homecoming).
     A no-op (empty stats) when replication is disabled: with no chains
     there is nothing to reconcile, and pushing copies would manufacture
     replication the configuration never asked for.
@@ -330,7 +182,6 @@ class MaintenanceConfig:
 
     refresh_every: Optional[int] = None
     sweep_every: Optional[int] = None
-    stabilize_every: Optional[int] = None
     antientropy_every: Optional[int] = None
     antientropy_sample: Optional[int] = None
 
@@ -349,11 +200,11 @@ class MaintenanceReport:
 class MaintenanceScheduler:
     """Deterministic maintenance driver on the logical clock.
 
-    Interleaves the four background duties in a fixed order each tick —
-    refresh, sweep, stabilize, anti-entropy — so a run is a pure
-    function of (initial state, fault plan, seed).  The refresh duty is
-    a caller-supplied callback (only the data owners know which items
-    are still live); the other three go through the
+    Interleaves the three background duties in a fixed order each tick —
+    refresh, sweep, anti-entropy — so a run is a pure function of
+    (initial state, fault plan, seed).  The refresh duty is a
+    caller-supplied callback (only the data owners know which items are
+    still live); the other two go through the
     :class:`~repro.core.dhs.DistributedHashSketch` facade.
     """
 
@@ -382,17 +233,10 @@ class MaintenanceScheduler:
             report.refreshed = True
         if self._due(config.sweep_every, now):
             report.swept = self.dhs.sweep_expired(now)
-        if self._due(config.stabilize_every, now):
-            report.cost.add(self.dhs.stabilize(now))
         if self._due(config.antientropy_every, now):
-            rng = (
-                rng_for(self.seed, "antientropy", now)
-                if config.antientropy_sample
-                else None
-            )
-            stats = self.dhs.antientropy(
-                now, sample=config.antientropy_sample, rng=rng
-            )
+            sample = config.antientropy_sample or None
+            rng = rng_for(self.seed, "antientropy", now) if sample else None
+            stats = self.dhs.antientropy(now, sample=sample, rng=rng)
             report.antientropy = stats
             report.cost.add(stats.cost)
         return report

@@ -10,7 +10,7 @@ handing rows to slots.  The per-node ``(metric, bit) -> row`` index is
 the existing node-store dict, whose values become :class:`RegSlot`
 objects — thin row handles that still duck-type ``PackedSlot`` (they
 *are* ``PackedSlot`` subclasses), so every slow path (maintenance,
-stabilization, graceful-leave merges, read repair) works unchanged on
+anti-entropy, graceful-leave merges, read repair) works unchanged on
 either backend.
 
 Why contiguous rows matter:

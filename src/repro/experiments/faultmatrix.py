@@ -14,20 +14,18 @@ machinery stacked on top of replication:
     :class:`~repro.core.policy.RetryPolicy` with a budget of 3 attempts
     and exponential backoff charged in logical hops.
 ``retry+repair``
-    The retry policy plus self-healing: counting read-repairs stale
-    replicas in passing and one :func:`~repro.core.maintenance.stabilize`
-    sweep runs before the measured counts (both cost-accounted; the
-    repair parts are inert at ``R = 0`` where there are no replicas).
-``retry+readrepair``
-    Retries plus query-driven read-repair *only* — no background sweep.
-    The honest baseline for proactive reconciliation: replicas heal only
-    where a count happens to walk.
-``retry+antientropy``
-    ``retry+readrepair`` plus proactive digest-tree reconciliation:
+    The retry policy plus both healers: counting read-repairs stale
+    replicas in passing, and
     :meth:`~repro.core.dhs.DistributedHashSketch.antientropy` rounds run
-    before the measured counts until the round writes nothing (bounded).
-    The under-read gap between this column and ``retry+readrepair`` on
-    amnesia/partition cells is the tentpole's acceptance gate.
+    before the measured counts until a round writes nothing (at most
+    three).  Both are cost-accounted and inert at ``R = 0``, where there
+    are no replicas.
+``retry+readrepair``
+    Retries plus query-driven read-repair *only* — no background round.
+    The honest baseline for proactive reconciliation: replicas heal only
+    where a count happens to walk.  The under-read gap between
+    ``retry+repair`` and this column on amnesia/partition cells is what
+    anti-entropy buys.
 
 Faults bias the sketch one way only: lost or unreachable registers can
 *hide* bits, never invent them, so the fault signature is an estimate
@@ -77,7 +75,6 @@ class PolicySpec(NamedTuple):
 
     policy: RetryPolicy
     read_repair: bool
-    stabilize: bool
     antientropy: bool
 
 
@@ -85,11 +82,10 @@ _RETRY = RetryPolicy(max_attempts=3, backoff_hops=1)
 
 #: The policy columns (all healers are inert at ``R = 0``).
 POLICIES: Dict[str, PolicySpec] = {
-    "none": PolicySpec(DEFAULT_POLICY, False, False, False),
-    "retry": PolicySpec(_RETRY, False, False, False),
-    "retry+repair": PolicySpec(_RETRY, True, True, False),
-    "retry+readrepair": PolicySpec(_RETRY, True, False, False),
-    "retry+antientropy": PolicySpec(_RETRY, True, False, True),
+    "none": PolicySpec(DEFAULT_POLICY, False, False),
+    "retry": PolicySpec(_RETRY, False, False),
+    "retry+repair": PolicySpec(_RETRY, True, True),
+    "retry+readrepair": PolicySpec(_RETRY, True, False),
 }
 
 #: Fault kinds the matrix can sweep (drop = ambient message loss).
@@ -207,8 +203,6 @@ def _faultmatrix_cell(
     now = _COUNT_TICK[fault_kind]
     injector.advance_to(now)
     repair_writes = 0.0
-    if spec.stabilize and replication > 0:
-        repair_writes += dhs.stabilize(now=now).repair_writes
     if spec.antientropy and replication > 0:
         for _ in range(_ANTIENTROPY_ROUNDS):
             stats = dhs.antientropy(now)

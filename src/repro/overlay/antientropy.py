@@ -1,10 +1,10 @@
 """Proactive anti-entropy reconciliation over replica chains.
 
-PR 4's healing is query-driven: read-repair and ``stabilize()`` only fix
-replicas a counting walk happens to traverse, so after amnesia, a
-partition, or a crash-rejoin, untouched replicas stay divergent
-indefinitely.  This module adds the background half of the paper's
-soft-state story (section 3.3): every maintenance round, each node
+Read-repair is query-driven: it only fixes replicas a counting walk
+happens to traverse, so after amnesia, a partition, or a crash-rejoin,
+untouched replicas stay divergent indefinitely.  This module is the
+background half of the paper's soft-state story (section 3.3) and the
+only background healer: every maintenance round, each node
 exchanges *digest trees* with its replica-chain peers and OR-merges
 whatever turns out to differ — independent of query traffic.
 
@@ -26,7 +26,7 @@ flooding copies around the ring:
 
 * **push** — ``X`` offers the bits it is *primary* for (live bits none
   of its ``R`` live predecessors hold: ``ChainView.primary``, the one
-  rule ``stabilize`` and the divergence gauge use too), and ``S``
+  rule the divergence gauge uses too), and ``S``
   OR-merges what it misses.  This keeps every replica chain at its
   configured depth.
 * **homecoming** — ``S`` returns the bits for which ``X`` is *visible*
@@ -34,6 +34,8 @@ flooding copies around the ring:
   injected predicate) while ``S`` itself is not.  This is how an
   amnesiac rejoiner pulls its spilled state back home, and how bits
   stranded behind a partition reach a reachable holder the walk reads.
+  This is the only code that returns a bit the walk cannot read to a
+  node it can.
 
 A round runs on one :class:`~repro.overlay.replication.ChainView`:
 chain peers come off one sorted id list, each store is scanned once
@@ -370,14 +372,21 @@ def antientropy_round(
     Each responsive node reconciles with its ``max(1, replication)``
     responsive chain successors.  ``sample`` (with a seeded ``rng``)
     limits the round to a deterministic subset of initiators — the
-    scheduler's knob for spreading repair load over several ticks.
+    scheduler's knob for spreading repair load over several ticks.  A
+    ``sample`` below 1 or without an ``rng`` raises ``ValueError``
+    rather than quietly running the full round.
     """
     size_model = model if model is not None else DEFAULT_SIZE_MODEL
     stats = AntiEntropyStats()
     view = ChainView(dht, now)
     ids = view.ids
-    if sample is not None and rng is not None and 0 < sample < len(ids):
-        ids = sorted(rng.sample(ids, sample))
+    if sample is not None:
+        if sample < 1:
+            raise ValueError(f"antientropy sample must be >= 1, got {sample}")
+        if rng is None:
+            raise ValueError("antientropy sample needs a seeded rng")
+        if sample < len(ids):
+            ids = sorted(rng.sample(ids, sample))
     degree = max(1, replication)
 
     def _pair(left_id: int, right_id: int) -> None:

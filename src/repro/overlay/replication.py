@@ -30,7 +30,6 @@ __all__ = [
     "SlotKey",
     "entry_expiry",
     "is_slot_key",
-    "live_predecessors",
     "replica_chain",
     "replicate_to_successors",
 ]
@@ -68,17 +67,12 @@ def entry_expiry(slot: RegisterSlot, vector: int) -> Optional[int]:
     return int((slot.expiring or {})[vector])
 
 
-def replica_chain(
-    dht: DHTProtocol, node_id: int, degree: int, responsive_only: bool = False
-) -> List[int]:
+def replica_chain(dht: DHTProtocol, node_id: int, degree: int) -> List[int]:
     """The first ``degree`` distinct *live* successors of ``node_id``.
 
     Lazily-failed nodes (``mark_failed``) still occupy ring positions but
     have lost their stores — writing a replica there would silently void
     the ``p_f^R`` bit-survival guarantee, so the walk skips them.
-    ``responsive_only`` additionally skips transiently-unreachable nodes
-    (partitions): anti-entropy pairs only with peers it can actually
-    exchange messages with right now.
     """
     chain: List[int] = []
     current = node_id
@@ -90,35 +84,9 @@ def replica_chain(
         current = dht.successor_id(current)
         if current == node_id:
             break  # wrapped around a tiny ring
-        if dht.is_alive(current) and (
-            not responsive_only or dht.node_responsive(current)
-        ):
+        if dht.is_alive(current):
             chain.append(current)
     return chain
-
-
-def live_predecessors(
-    dht: DHTProtocol, node_id: int, degree: int, responsive_only: bool = False
-) -> List[int]:
-    """The first ``degree`` live predecessors (mirror of :func:`replica_chain`).
-
-    The one-node form of the chain lookup (the interval handoff asks for
-    a holder's nearest predecessor); a sweep over every node reads the
-    same ids off a :class:`ChainView`, where chain primacy is decided.
-    """
-    preds: List[int] = []
-    current = node_id
-    for _ in range(dht.size):
-        if len(preds) >= degree:
-            break
-        current = dht.predecessor_id(current)
-        if current == node_id:
-            break
-        if dht.is_alive(current) and (
-            not responsive_only or dht.node_responsive(current)
-        ):
-            preds.append(current)
-    return preds
 
 
 class ChainView:
@@ -126,28 +94,22 @@ class ChainView:
 
     A round only writes stores: membership and fault state cannot change
     under it, so the chain members are listed once and a node's
-    neighbours are read off that sorted list by index — the ids
-    :func:`replica_chain` / :func:`live_predecessors` walk to, wrap-around
-    stop included (a node has at most ``len(ids) - 1`` neighbours).
-    ``responsive_only`` means what it means there: anti-entropy and the
-    divergence gauge chain over the nodes that answer right now,
-    ``stabilize`` over every live one.  A node's ``{key: live_mask(now)}``
-    table is built on first use, in store order; the round's single
-    writer calls :meth:`refresh` after writing a slot, so a table always
-    equals a fresh scan of its store.  Nothing outlives the round.
+    neighbours are read off that sorted list by index, wrap-around stop
+    included (a node has at most ``len(ids) - 1`` neighbours).  The
+    members are the nodes that answer right now: anti-entropy and the
+    divergence gauge chain only over peers they can exchange messages
+    with, so a corpse or a partitioned node is skipped.  A node's
+    ``{key: live_mask(now)}`` table is built on first use, in store
+    order; the round's single writer calls :meth:`refresh` after writing
+    a slot, so a table always equals a fresh scan of its store.  Nothing
+    outlives the round.
     """
 
-    def __init__(
-        self, dht: DHTProtocol, now: int, responsive_only: bool = True
-    ) -> None:
+    def __init__(self, dht: DHTProtocol, now: int) -> None:
         self.dht = dht
         self.now = now
-        #: Chain members, sorted: the nodes the walks would not skip.
-        self.ids: List[int] = (
-            dht.responsive_node_ids()
-            if responsive_only
-            else [node_id for node_id in dht.node_ids() if dht.is_alive(node_id)]
-        )
+        #: Chain members, sorted: the responsive nodes.
+        self.ids: List[int] = dht.responsive_node_ids()
         self._index = {node_id: index for index, node_id in enumerate(self.ids)}
         #: Two laps of the ring, so a chain is one slice even across the wrap.
         self._laps = self.ids * 2
@@ -194,8 +156,8 @@ class ChainView:
         The primary-bit rule, defined here only: a node is primary for
         the live bits none of its ``degree`` chain predecessors hold —
         copying only those keeps a chain at ``degree + 1`` holders
-        instead of flooding the ring.  Over a responsive-only view a
-        partitioned predecessor cannot answer, so its bits count as
+        instead of flooding the ring.  A partitioned predecessor is
+        not in the view (it cannot answer), so its bits count as
         absent and the node steps up as primary for them, which is what
         lets anti-entropy re-cover a chain *during* an outage.
         """

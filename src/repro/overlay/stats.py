@@ -39,7 +39,7 @@ class OpCost:
     retries: int = 0
     #: Messages lost for good after the retry budget ran out.
     drops: int = 0
-    #: DHS entries re-written by read-repair / ``stabilize`` passes.
+    #: DHS entries re-written by read-repair and anti-entropy rounds.
     repair_writes: int = 0
 
     def add(self, other: "OpCost") -> "OpCost":

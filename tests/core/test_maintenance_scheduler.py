@@ -1,7 +1,7 @@
 """Tests for the maintenance scheduler and its duty plumbing.
 
-Covers the deterministic duty cadence (refresh / sweep / stabilize /
-anti-entropy on the logical clock), the vectorized refresh lane
+Covers the deterministic duty cadence (refresh / sweep / anti-entropy
+on the logical clock), the vectorized refresh lane
 (ndarray items must be bit-identical to the scalar bulk path), and the
 sweep-time resync of the incremental ``storage_entries`` bookkeeping.
 """
@@ -146,6 +146,19 @@ class TestScheduler:
             return out
 
         assert trajectory() == trajectory()
+
+    def test_zero_sample_runs_full_rounds(self):
+        """``antientropy_sample=0`` means "no sampling", like ``None``."""
+        rounds = {}
+        for sample in (None, 0):
+            _, dhs = make_dhs()
+            dhs.insert_bulk("docs", range(100), origin=None, now=0)
+            scheduler = dhs.make_scheduler(
+                MaintenanceConfig(antientropy_every=1, antientropy_sample=sample)
+            )
+            rounds[sample] = scheduler.tick(1).antientropy
+        assert rounds[0] == rounds[None]
+        assert rounds[0] is not None and rounds[0].pairs > 0
 
     def test_antientropy_drives_divergence_to_zero(self):
         plan = FaultPlan(events=(FaultEvent("amnesia", at=1, fraction=0.3, duration=2),))

@@ -1,11 +1,10 @@
-"""Tests for the self-healing paths: counting read-repair and stabilize."""
+"""Tests for the self-healing paths: counting read-repair and homecoming."""
 
 import pytest
 
 from repro.core.config import DHSConfig
 from repro.core.count import CountResult
 from repro.core.dhs import DistributedHashSketch
-from repro.core.maintenance import stabilize
 from repro.core.tuples import vectors_mask, write_entry
 from repro.errors import ConfigurationError
 from repro.overlay.chord import ChordRing
@@ -107,75 +106,8 @@ class TestReadRepair:
         assert result.cost.repair_writes == 1
 
 
-class TestStabilize:
-    def _populated_ring(self):
-        ring = ChordRing.from_ids(IDS, bits=16)
-        # The replication-2 steady state for one bit owned by 33000.
-        for node_id in (33000, 40000, 50000):
-            write_entry(ring.node(node_id), "m", 0, 0, None)
-        return ring
-
-    def test_noop_without_replication(self):
-        ring = self._populated_ring()
-        ring.node(40000).store.clear()
-        cost = stabilize(ring, 0)
-        assert cost.hops == 0 and cost.repair_writes == 0
-        assert vectors_mask(ring.node(40000), "m", 0) == 0
-
-    def test_rebuilds_amnesiac_replica(self):
-        ring = self._populated_ring()
-        ring.node(40000).store.clear()  # amnesia: rejoined empty
-        cost = stabilize(ring, 2)
-        assert vectors_mask(ring.node(40000), "m", 0) == 0b1
-        assert cost.repair_writes == 1
-        assert cost.hops == 1
-
-    def test_chain_stays_bounded_across_sweeps(self):
-        # Repeated sweeps must not flood the bit around the ring: only
-        # the primary's R successors may ever hold it.
-        ring = self._populated_ring()
-        for _ in range(3):
-            stabilize(ring, 2)
-        holders = [n for n in IDS if vectors_mask(ring.node(n), "m", 0)]
-        assert holders == [33000, 40000, 50000]
-
-    def test_steady_state_sweep_is_free(self):
-        ring = self._populated_ring()
-        cost = stabilize(ring, 2)
-        assert cost.repair_writes == 0
-        assert cost.bytes == 0
-
-    def test_facade_wrapper_uses_config_replication(self):
-        ring = self._populated_ring()
-        dhs = make_dhs(ring, replication=2)
-        ring.node(50000).store.clear()
-        cost = dhs.stabilize()
-        assert vectors_mask(ring.node(50000), "m", 0) == 0b1
-        assert cost.repair_writes == 1
-
-    def test_preserves_expiry(self):
-        ring = ChordRing.from_ids(IDS, bits=16)
-        write_entry(ring.node(33000), "m", 0, 0, 10)
-        stabilize(ring, 2, now=0)
-        assert vectors_mask(ring.node(40000), "m", 0, now=9) == 0b1
-        assert vectors_mask(ring.node(40000), "m", 0, now=11) == 0
-
-    def test_skips_unresponsive_nodes(self):
-        ring = self._populated_ring()
-        ring.node(40000).store.clear()
-        plan = FaultPlan(
-            events=(FaultEvent("transient", at=1, node_ids=(40000,), duration=9),)
-        )
-        injector = FaultInjector(ring, plan, seed=0)
-        injector.advance_to(1)
-        cost = stabilize(injector, 2)
-        # The down node can be neither a source nor a repair target.
-        assert vectors_mask(ring.node(40000), "m", 0) == 0
-        assert cost.repair_writes == 0
-
-
 class TestIntervalHandoff:
-    """Spilled replicas are handed back to the counting walk's reach.
+    """Spilled replicas are brought back to the counting walk's reach.
 
     With ``key_bits=8`` over this 16-bit ring, the position-2 interval
     ``[8192, 16384)`` holds no nodes: every key in it is owned by the
@@ -183,8 +115,8 @@ class TestIntervalHandoff:
     live on 33000/40000.  If the owner crashes and rejoins empty
     (amnesia), the bits survive only on those replicas — which the
     interval-bounded walk never probes, so a count confidently misses
-    them.  ``stabilize`` with the bit→interval mapping (as the DHS
-    facade passes it) must hand the bits back to the owner.
+    them.  An anti-entropy round's homecoming must return the bits to
+    the owner.
     """
 
     def _spilled_ring(self):
@@ -196,17 +128,13 @@ class TestIntervalHandoff:
     def test_facade_hands_bits_back_to_overflow_owner(self):
         ring = self._spilled_ring()
         dhs = make_dhs(ring, read_repair=False)
-        cost = dhs.stabilize()
-        # Exactly one handoff write: 33000 offers the bit to its live
-        # predecessor 20000, the owner of every key in [8192, 16384);
-        # 40000's predecessor 33000 is no closer to the walk's reach.
+        stats = dhs.antientropy(0)
+        # Exactly one write: pair (20000, 33000) brings the bit home to
+        # 20000, the owner of every key in [8192, 16384).  From then on
+        # 20000 holds it, so pair (20000, 40000) has nothing to return
+        # and 33000 is no longer primary for it.
         assert vectors_mask(ring.node(20000), "docs", 2) == 0b1
-        assert cost.repair_writes == 1
-
-    def test_bare_stabilize_without_mapping_cannot_see_intervals(self):
-        ring = self._spilled_ring()
-        stabilize(ring, 2)
-        assert vectors_mask(ring.node(20000), "docs", 2) == 0
+        assert stats.entries_written == 1
 
     def test_handoff_restores_count_visibility(self):
         ring = self._spilled_ring()
@@ -216,24 +144,24 @@ class TestIntervalHandoff:
         write_entry(ring.node(20000), "docs", 0, 1, None)
         dhs = make_dhs(ring, read_repair=False)
         before = dhs.count("docs").estimate()
-        dhs.stabilize()
+        dhs.antientropy(0)
         after = dhs.count("docs").estimate()
-        assert after > before
+        assert (before, after) == pytest.approx((0.25, 0.5), rel=1e-3)
 
     def test_second_sweep_is_free(self):
         ring = self._spilled_ring()
         dhs = make_dhs(ring, read_repair=False)
-        dhs.stabilize()
-        assert dhs.stabilize().repair_writes == 0
+        dhs.antientropy(0)
+        assert dhs.antientropy(0).entries_written == 0
 
     def test_overflow_past_a_member_at_the_top_key_is_visible(self):
         """0xFFFF sits at ``hi - 1`` of [32768, 65536) and owns the top
         key, yet the walk steps once past it, to 7: a bit held at 7 (and
         at its R=1 chain successor 40000) is already read, so there is
-        nothing to hand over."""
+        nothing to bring home."""
         ring = ChordRing.from_ids([7, 40000, 0xFFFF], bits=16)
         for node_id in (7, 40000):
             write_entry(ring.node(node_id), "m", 0, 0, None)
-        cost = make_dhs(ring, replication=1, read_repair=False).stabilize()
-        assert cost.repair_writes == 0
+        stats = make_dhs(ring, replication=1, read_repair=False).antientropy(0)
+        assert stats.entries_written == 0
         assert vectors_mask(ring.node(0xFFFF), "m", 0) == 0

@@ -129,9 +129,9 @@ class TestKnownGaps:
         replica; 5000 survives with every bit.  Top-up then lands three
         empty joiners — one more than the replication degree — below
         5000: 2500 is the new overflow owner, 5000 is outside its chain,
-        so neither homecoming nor the interval handoff has a visible
-        node to return the bits to, and the walk only ever probes 2500.
-        The gauge reads converged and no interval reports exhausted.
+        so anti-entropy's homecoming has no visible chain peer to return
+        the bits to, and the walk only ever probes 2500.  The gauge reads
+        converged and no interval reports exhausted.
         """
         ring = ChordRing.from_ids(
             [1100, 3000, 5000, 20000, 33000, 40000, 50000, 60000], bits=16
@@ -149,7 +149,6 @@ class TestKnownGaps:
             ring.add_node(joiner)
         for _ in range(6):
             dhs.antientropy(0)
-            dhs.stabilize(0)
         assert dhs.replica_divergence(0) == 0
         after = dhs.count("docs", origin=60000, now=0)
         assert after.estimate() > 0.5 * before  # today: 373 against 16345

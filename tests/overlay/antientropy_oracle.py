@@ -15,10 +15,8 @@ Only the injected callables (``visible``, ``segment_of``, ``write_fn``),
 ``view_digest`` and the stats/cost containers come from the package.
 """
 
-from repro.core.tuples import write_entry
 from repro.overlay.antientropy import AntiEntropyStats, view_digest
 from repro.overlay.messages import DEFAULT_SIZE_MODEL
-from repro.overlay.stats import OpCost
 
 
 def ring_walk(dht, node_id, degree, step, responsive_only):
@@ -70,8 +68,8 @@ def _expiry(slot, vector):
     return None if (slot.mask >> vector) & 1 else int(slot.expiring[vector])
 
 
-def _primary_view(dht, node_id, now, degree, responsive_only=True):
-    preds = ring_walk(dht, node_id, degree, -1, responsive_only)
+def _primary_view(dht, node_id, now, degree):
+    preds = ring_walk(dht, node_id, degree, -1, True)
     view = {}
     for key, slot in _slots(dht.node(node_id)):
         primary = live_vectors(slot, now)
@@ -161,35 +159,6 @@ def antientropy_round(
             )
             stats.pairs_converged += converged
     return stats
-
-
-def stabilize(dht, replication, now, model=DEFAULT_SIZE_MODEL):
-    """One stabilize sweep without the interval handoff (``mapping=None``)."""
-    cost = OpCost()
-    for node_id in [int(n) for n in dht.node_ids()]:
-        if not dht.node_responsive(node_id):
-            continue
-        for replica_id in ring_walk(dht, node_id, replication, +1, False):
-            if not dht.node_responsive(replica_id):
-                continue
-            view = _primary_view(dht, node_id, now, replication, False)
-            wrote = 0
-            for key, (mask, slot) in view.items():
-                have = _held(dht, replica_id, key, now)
-                for vector in sorted(live_vectors(slot, now) - have):
-                    if (mask >> vector) & 1:
-                        write_entry(
-                            dht.node(replica_id), key[0], vector, key[1],
-                            _expiry(slot, vector),
-                        )
-                        wrote += 1
-            if wrote:
-                cost.hops += 1
-                cost.messages += 1
-                cost.bytes += wrote * model.tuple_bytes
-                cost.repair_writes += wrote
-                dht.load.record(replica_id)
-    return cost
 
 
 def replica_divergence(dht, replication, now):

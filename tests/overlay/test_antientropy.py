@@ -8,6 +8,8 @@ order-independence property test (any reconciliation schedule over any
 divergent pair lands on the identical bit state).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,8 +276,6 @@ class TestSweep:
         assert dhs.replica_divergence(0) == 0
 
     def test_sampled_round_is_deterministic(self):
-        import random
-
         results = []
         for _ in range(2):
             injector, dhs = self.make_dhs()
@@ -284,6 +284,18 @@ class TestSweep:
             results.append((stats.pairs, stats.entries_written, stats.cost.bytes))
         assert results[0] == results[1]
         assert results[0][0] <= 2 * 2  # at most sample x degree pairs
+
+    @pytest.mark.parametrize(
+        "sample, rng_seed, names",
+        [(2, None, "rng"), (0, 9, "sample"), (-1, 9, "sample")],
+    )
+    def test_unusable_sample_is_rejected_not_ignored(self, sample, rng_seed, names):
+        """A ``sample`` that cannot be drawn must not become a full round."""
+        injector, dhs = self.make_dhs()
+        injector.advance_to(3)
+        rng = None if rng_seed is None else random.Random(rng_seed)
+        with pytest.raises(ValueError, match=names):
+            dhs.antientropy(3, sample=sample, rng=rng)
 
     def test_estimates_unchanged_by_reconciliation(self):
         """OR-merge adds no (vector, bit) values a count could not see."""
