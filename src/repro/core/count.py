@@ -69,7 +69,7 @@ from repro.obs import runtime as obs
 from repro.obs.metrics import BUCKETS_BITS, BUCKETS_PROBES, Histogram
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.node import Node
-from repro.overlay.replication import replica_chain
+from repro.overlay.replication import entry_expiry, replica_chain
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 from repro.sketches.base import HashSketch
@@ -668,12 +668,9 @@ class Counter:
             for metric, slot, src_mask in held:
                 missing = src_mask & ~vectors_mask(replica, metric, position, now)
                 for vector in bits_of(missing):
-                    expiry: Optional[int] = None
-                    if not (slot.mask >> vector) & 1:
-                        raw = (slot.expiring or {}).get(vector)
-                        expiry = int(raw) if raw is not None else None
                     write_entry(
-                        replica, metric, vector, position, expiry, arena=self.arena
+                        replica, metric, vector, position,
+                        entry_expiry(slot, vector), arena=self.arena,
                     )
                     wrote += 1
             if wrote:

@@ -10,11 +10,17 @@ nodes — the redundancy the counting algorithm's probe phase relies on.
 ``insert_bulk`` implements the paper's batching observation: a node with
 many items groups them by interval and contacts at most ``k`` nodes per
 round, one per interval, instead of one per item.
+
+There is one write path.  Every bulk entry point (``insert_bulk``,
+``insert_array``, the experiment populators) ends in
+``insert_observation_arrays``, which stores each interval's distinct
+vectors as one bitmap; a per-item ``insert`` stores a one-bit bitmap
+through the same ``_store_mask``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -22,7 +28,7 @@ import numpy.typing as npt
 from repro.core.config import DHSConfig
 from repro.core.mapping import BitIntervalMap
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
-from repro.core.tuples import write_entry, write_entry_mask
+from repro.core.tuples import write_entry_mask
 from repro.errors import MessageDropped
 from repro.hashing.family import HashFamily
 from repro.hashing.vectorized import observations_np
@@ -72,6 +78,32 @@ class Inserter:
         )
         return vector, min(position, self.config.position_bits - 1)
 
+    def observations(
+        self, item_ids: npt.ArrayLike
+    ) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+        """``(vectors, positions)`` arrays of non-negative integer ids.
+
+        The ``mixer`` family hashes the whole array at once with
+        :func:`repro.hashing.vectorized.observations_np`, bit-for-bit
+        identical to :meth:`observation`; other families (MD4) have no
+        vectorized twin and hash item by item.
+        """
+        config = self.config
+        ids = np.ascontiguousarray(item_ids, dtype=np.int64)
+        if config.hash_family_name == "mixer":
+            return observations_np(
+                ids, config.num_bitmaps, config.key_bits, seed=config.hash_seed
+            )
+        return self._scalar_observations(int(item) for item in ids)
+
+    def _scalar_observations(
+        self, items: Iterable[Any]
+    ) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+        pairs = np.array(
+            [self.observation(item) for item in items], dtype=np.int64
+        ).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
     # ------------------------------------------------------------------
     # Single-item insertion.
     # ------------------------------------------------------------------
@@ -90,11 +122,9 @@ class Inserter:
         vector, position = self.observation(item)
         if not self.mapping.is_stored(position):
             return OpCost()
-        return self._write_tuples(
+        return self._store_mask(
             self.mapping.interval_index(position),
-            [(metric_id, vector, position)],
-            origin=origin,
-            now=now,
+            metric_id, position, 1 << vector, None, origin, now,
         )
 
     def insert_many(
@@ -131,54 +161,26 @@ class Inserter:
         hop cost is ``O(k log N)`` per caller regardless of item count
         (the byte cost still scales with the distinct tuples sent).
         """
-        by_interval: Dict[int, Dict[Tuple[Hashable, int, int], None]] = {}
-        for item in items:
-            vector, position = self.observation(item)
-            if not self.mapping.is_stored(position):
-                continue
-            index = self.mapping.interval_index(position)
-            # dict-as-ordered-set: one tuple per distinct (vector, bit).
-            by_interval.setdefault(index, {})[(metric_id, vector, position)] = None
-        total = OpCost()
-        for index, tuple_set in sorted(by_interval.items()):
-            total.add(
-                self._write_tuples(index, list(tuple_set), origin=origin, now=now)
-            )
-        return total
+        vectors, positions = self._scalar_observations(items)
+        return self.insert_observation_arrays(
+            metric_id, vectors, positions, origin=origin, now=now
+        )
 
     def insert_array(
         self,
         metric_id: Hashable,
-        item_ids: npt.NDArray[np.int64],
+        item_ids: npt.ArrayLike,
         origin: Optional[int] = None,
         now: int = 0,
     ) -> OpCost:
-        """Vectorized :meth:`insert_bulk` over an array of item ids.
+        """:meth:`insert_bulk` over an array of non-negative integer ids.
 
-        Hashes the whole array once with
-        :func:`repro.hashing.vectorized.observations_np` (bit-for-bit
-        identical to the scalar :meth:`observation` path — tests assert
-        exact agreement), groups the distinct ``(vector, position)``
-        observations by id-space interval with ``np.unique``, and sends
-        each interval's tuples through the same :meth:`_write_tuples`
-        path as the scalar bulk inserter.  Given the same items, seed
-        and overlay state it performs the same stores, draws the same
-        random target keys, and returns an equal
-        :class:`~repro.overlay.stats.OpCost`.
-
-        ``item_ids`` must be non-negative integers (the library's
-        workload convention).  Non-``mixer`` hash families have no
-        vectorized twin and fall back to the scalar path.
+        Hashes with :meth:`observations` and stores through the same
+        grouped write, so given the same items, seed and overlay state it
+        performs the same stores, draws the same random target keys and
+        returns an equal :class:`~repro.overlay.stats.OpCost`.
         """
-        ids = np.ascontiguousarray(item_ids, dtype=np.int64)
-        if self.config.hash_family_name != "mixer":
-            return self.insert_bulk(
-                metric_id, (int(item) for item in ids), origin=origin, now=now
-            )
-        vectors, positions = observations_np(
-            ids, self.config.num_bitmaps, self.config.key_bits,
-            seed=self.config.hash_seed,
-        )
+        vectors, positions = self.observations(item_ids)
         return self.insert_observation_arrays(
             metric_id, vectors, positions, origin=origin, now=now
         )
@@ -186,73 +188,41 @@ class Inserter:
     def insert_observation_arrays(
         self,
         metric_id: Hashable,
-        vectors: npt.NDArray[np.int64],
-        positions: npt.NDArray[np.int64],
+        vectors: npt.ArrayLike,
+        positions: npt.ArrayLike,
         origin: Optional[int] = None,
         now: int = 0,
     ) -> OpCost:
-        """Bulk-insert pre-computed observation *arrays* (numpy twin of
-        :meth:`insert_observations`; same clamping, grouping and store
-        order, so the two paths are byte- and cost-identical)."""
-        config = self.config
-        positions = np.minimum(
-            np.asarray(positions, dtype=np.int64), config.position_bits - 1
-        )
-        vectors = np.asarray(vectors, dtype=np.int64)
-        if config.bit_shift > 0:
-            stored = positions >= config.bit_shift
-            positions = positions[stored]
-            vectors = vectors[stored]
-        if positions.size == 0:
-            return OpCost()
-        if config.expiry(now) is None:
-            return self._insert_mask_arrays(metric_id, vectors, positions, origin, now)
-        m = config.num_bitmaps
-        # One integer per (position, vector) pair; np.unique both dedups
-        # and sorts, and ascending position is ascending interval index —
-        # the same store order as the scalar path's sorted() grouping.
-        combined = np.unique(positions * m + vectors)
-        unique_positions = combined // m
-        unique_vectors = combined - unique_positions * m
-        segment_positions, starts = np.unique(unique_positions, return_index=True)
-        bounds = np.concatenate((starts, np.asarray([combined.size])))
-        total = OpCost()
-        for segment, position in enumerate(segment_positions.tolist()):
-            index = self.mapping.interval_index(position)
-            lo, hi = int(bounds[segment]), int(bounds[segment + 1])
-            tuples: List[Tuple[Hashable, int, int]] = [
-                (metric_id, vector, position)
-                for vector in unique_vectors[lo:hi].tolist()
-            ]
-            total.add(self._write_tuples(index, tuples, origin=origin, now=now))
-        return total
+        """Bulk-insert pre-computed ``(vector, position)`` observations.
 
-    def _insert_mask_arrays(
-        self,
-        metric_id: Hashable,
-        vectors: npt.NDArray[np.int64],
-        positions: npt.NDArray[np.int64],
-        origin: Optional[int],
-        now: int,
-    ) -> OpCost:
-        """Immortal-write twin of :meth:`insert_observation_arrays`.
+        The one grouped write every bulk entry point ends in.  Positions
+        are clamped to ``position_bits - 1`` and those below ``bit_shift``
+        dropped; a boolean scatter over (position, vector) dedups without
+        a sort, ``np.packbits`` packs each position's distinct vectors
+        into register words, and each non-empty interval gets one store
+        of that bitmap, in ascending interval order.  The payload counts
+        one tuple per distinct ``(vector, position)`` pair.
 
-        Dedups the observations with one boolean scatter (no sort),
-        packs each position's distinct vectors into register words with
-        ``np.packbits``, and stores one *bitmap* per non-empty interval
-        via :func:`repro.core.tuples.write_entry_mask` — on the array
-        backend the node-side fold is a single vectorized word-OR.
-        Same ascending-interval order, same per-interval random key
-        draws, and the payload still counts one tuple per distinct
-        ``(vector, position)`` pair, so costs and stored state are
-        identical to the per-tuple path.
+        Raises ``ValueError`` before any store (and any random draw) for
+        a vector outside ``[0, m)`` or a negative position.
         """
-        m = self.config.num_bitmaps
-        n_pos = self.config.position_bits
+        config = self.config
+        m = config.num_bitmaps
+        n_pos = config.position_bits
+        vectors = np.asarray(vectors, dtype=np.int64)
+        positions = np.minimum(np.asarray(positions, dtype=np.int64), n_pos - 1)
+        try:
+            # Flat (position, vector) cell; raises on a negative position
+            # or a vector outside [0, m) instead of aliasing a neighbour.
+            cells = np.ravel_multi_index((positions, vectors), (n_pos, m))
+        except ValueError:
+            raise ValueError(
+                f"observations need 0 <= vector < {m} and position >= 0"
+            ) from None
         # Boolean presence grid over (position, vector): duplicate
         # observations collapse for free, no O(n log n) sort needed.
         grid = np.zeros(n_pos * m, dtype=bool)
-        grid[positions * m + vectors] = True
+        grid[cells] = True
         grid = grid.reshape(n_pos, m)
         packed = np.packbits(grid, axis=1, bitorder="little")
         words = (m + 63) // 64
@@ -261,74 +231,43 @@ class Inserter:
         rows = rows8.view(np.uint64)
         pos_seen = np.zeros(n_pos, dtype=bool)
         pos_seen[positions] = True
+        # Positions below the shift are assumed set: never stored.
+        pos_seen[: config.bit_shift] = False
         total = OpCost()
         for position in np.flatnonzero(pos_seen).tolist():
-            index = self.mapping.interval_index(position)
             delta = rows[position]
             mask = int.from_bytes(delta.tobytes(), "little")
             total.add(
-                self._store_mask(index, metric_id, position, mask, delta, origin, now)
-            )
-        return total
-
-    def _store_mask(
-        self,
-        index: int,
-        metric_id: Hashable,
-        position: int,
-        mask: int,
-        delta: npt.NDArray[np.uint64],
-        origin: Optional[int],
-        now: int,
-    ) -> OpCost:
-        """Store one interval's deduplicated vector bitmap."""
-        arena = self.arena
-
-        def write(node: Node) -> None:
-            write_entry_mask(node, metric_id, position, mask, delta=delta, arena=arena)
-
-        return self._store_write(index, write, mask.bit_count(), origin, now)
-
-    def insert_observations(
-        self,
-        metric_id: Hashable,
-        observations: Iterable[Tuple[int, int]],
-        origin: Optional[int] = None,
-        now: int = 0,
-    ) -> OpCost:
-        """Bulk-insert pre-computed ``(vector, position)`` observations."""
-        by_interval: Dict[int, Dict[Tuple[Hashable, int, int], None]] = {}
-        for vector, position in observations:
-            position = min(position, self.config.position_bits - 1)
-            if not self.mapping.is_stored(position):
-                continue
-            index = self.mapping.interval_index(position)
-            by_interval.setdefault(index, {})[(metric_id, vector, position)] = None
-        total = OpCost()
-        for index, tuple_set in sorted(by_interval.items()):
-            total.add(
-                self._write_tuples(index, list(tuple_set), origin=origin, now=now)
+                self._store_mask(
+                    self.mapping.interval_index(position),
+                    metric_id, position, mask, delta, origin, now,
+                )
             )
         return total
 
     # ------------------------------------------------------------------
     # Shared write path.
     # ------------------------------------------------------------------
-    def _write_tuples(
+    def _store_mask(
         self,
         index: int,
-        tuples: List[Tuple[Hashable, int, int]],
+        metric_id: Hashable,
+        position: int,
+        mask: int,
+        delta: Optional[npt.NDArray[np.uint64]],
         origin: Optional[int],
         now: int,
     ) -> OpCost:
+        """Store one interval's deduplicated vector bitmap."""
         expiry = self.config.expiry(now)
         arena = self.arena
 
         def write(node: Node) -> None:
-            for metric_id, vector, position in tuples:
-                write_entry(node, metric_id, vector, position, expiry, arena=arena)
+            write_entry_mask(
+                node, metric_id, position, mask, delta=delta, arena=arena, expiry=expiry
+            )
 
-        return self._store_write(index, write, len(tuples), origin, now)
+        return self._store_write(index, write, mask.bit_count(), origin, now)
 
     def _store_write(
         self,

@@ -232,16 +232,21 @@ def write_entry_mask(
     add_mask: int,
     delta: Optional["npt.NDArray[np.uint64]"] = None,
     arena: Optional["RegArena"] = None,
+    expiry: Optional[int] = None,
 ) -> None:
-    """Fold a whole immortal vector bitmap into one ``(metric, bit)`` slot.
+    """Write a whole vector bitmap into one ``(metric, bit)`` slot.
 
-    Equivalent to ``write_entry(node, metric_id, v, bit, None)`` for
-    every set bit ``v`` of ``add_mask``, in one operation: the bulk
-    insertion path writes an interval's deduplicated vector set with a
+    Equivalent to ``write_entry(node, metric_id, v, bit, expiry)`` for
+    every set bit ``v`` of ``add_mask``, ascending — the one slot writer
+    of every insert.  An immortal bitmap (``expiry=None``) lands as a
     single mask OR (and, on the array backend, a single vectorized word
     OR of the pre-packed ``delta`` row) instead of up to ``m`` per-vector
-    store writes.
+    writes; a TTL'd one takes ``write_entry`` per vector.
     """
+    if expiry is not None:
+        for vector in bits_of(add_mask):
+            write_entry(node, metric_id, vector, bit, expiry, arena=arena)
+        return
     slot = _slot_for(node, metric_id, bit, arena)
     new_bits = add_mask & ~slot.mask
     if not new_bits:

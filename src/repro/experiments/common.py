@@ -29,7 +29,6 @@ import numpy.typing as npt
 
 from repro.core.dhs import DistributedHashSketch
 from repro.errors import ConfigurationError
-from repro.hashing.vectorized import observations_np
 from repro.overlay.chord import ChordRing
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import derive_seed, rng_for
@@ -76,7 +75,7 @@ def build_ring(n_nodes: int = 1024, bits: int = 64, seed: int = 0) -> ChordRing:
     return ChordRing.build(n_nodes, bits=bits, seed=derive_seed(seed, "ring"))
 
 
-#: Items hashed per ``observations_np`` call.  Large enough that small
+#: Items hashed per ``Inserter.observations`` call.  Large enough that small
 #: owner shares (100 buckets x 64 owners x ~156 items) do not pay one
 #: numpy dispatch chain each, small enough that a hash's dozen ``uint64``
 #: temporaries stay cache-resident instead of being full-size arrays.
@@ -116,7 +115,7 @@ def populate_metric(
     total = OpCost()
     for block in _owner_blocks(assignment):
         ids = item_ids[np.concatenate([indices for _, indices in block])]
-        vectors, positions = _observe(dhs, ids)
+        vectors, positions = inserter.observations(ids)
         lo = 0
         for node_id, indices in block:
             hi = lo + indices.size
@@ -127,23 +126,6 @@ def populate_metric(
             )
             lo = hi
     return total
-
-
-def _observe(
-    dhs: DistributedHashSketch, ids: npt.NDArray[np.int64]
-) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-    """``(vectors, positions)`` of ``ids`` under the deployment's hash family."""
-    config = dhs.config
-    if config.hash_family_name == "mixer":
-        return observations_np(
-            ids, config.num_bitmaps, config.key_bits, seed=config.hash_seed
-        )
-    # Non-mixer families (MD4) have no vectorized twin: scalar path.
-    pairs = [dhs._inserter.observation(int(item)) for item in ids]
-    return (
-        np.array([v for v, _ in pairs], dtype=np.int64),
-        np.array([p for _, p in pairs], dtype=np.int64),
-    )
 
 
 def _owner_blocks(

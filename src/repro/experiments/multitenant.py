@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import _observe, build_ring, env_scale, sample_counts
+from repro.experiments.common import build_ring, env_scale, sample_counts
 from repro.experiments.report import format_table
 from repro.obs import runtime as obs
 from repro.obs.metrics import GAUGE_RING_MEMBERSHIP_BYTES_PER_NODE
@@ -86,7 +86,7 @@ def populate_tenants(
     offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     tenant_of = np.repeat(active, counts)
     item_ids = tenant_of.astype(np.int64) * np.int64(TENANT_ID_STRIDE) + offsets
-    vectors, positions = _observe(dhs, item_ids)
+    vectors, positions = dhs._inserter.observations(item_ids)
     node_list = list(dhs.dht.node_ids())
     rng = np.random.default_rng(derive_seed(seed, "owners") % (2**32))
     inserter = rng.integers(0, len(node_list), size=total)

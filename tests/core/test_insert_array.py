@@ -4,7 +4,9 @@ The vectorized inserter must be *indistinguishable* from
 ``insert_bulk`` given the same items, seed and overlay: same stored
 tuples on the same nodes, same random target keys (hence the same
 ``OpCost``, hop for hop).  These tests pin that equivalence, the md4
-fallback, and the zero-cost contract for positions below ``bit_shift``.
+branch, the grouped write against ``tests/spec/dhs_spec.py``, the
+rejection of out-of-range observations, and the zero-cost contract for
+positions below ``bit_shift``.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ from repro.core.dhs import DistributedHashSketch
 from repro.core.tuples import bits_of
 from repro.overlay.chord import ChordRing
 from repro.overlay.stats import OpCost
+from repro.sim.seeds import rng_for
+from tests.spec import dhs_spec as spec
 
 
 def make_dhs(n_nodes=64, bits=32, key_bits=16, m=16, trace=False, **kwargs):
@@ -45,7 +49,9 @@ def assert_costs_equal(a: OpCost, b: OpCost):
 
 
 class TestArrayVsBulk:
-    @pytest.mark.parametrize("kwargs", [{}, {"bit_shift": 3}, {"replication": 2}])
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"bit_shift": 3}, {"replication": 2}, {"ttl": 5}]
+    )
     def test_exact_equality(self, kwargs):
         scalar = make_dhs(trace=True, **kwargs)
         vectorized = make_dhs(trace=True, **kwargs)
@@ -103,33 +109,36 @@ class TestArrayVsBulk:
 
 class TestObservationArrays:
     def test_matches_insert_observations(self):
-        scalar = make_dhs(bit_shift=2)
+        """The grouped write matches the naive reference insert."""
         vectorized = make_dhs(bit_shift=2)
+        reference = make_dhs(bit_shift=2)
         rng = np.random.default_rng(7)
         vectors = rng.integers(0, 16, size=1500)
         positions = rng.integers(0, 14, size=1500)
-        cost_scalar = scalar._inserter.insert_observations(
-            "docs", zip(vectors.tolist(), positions.tolist())
+        cost_spec = spec.bulk_insert(
+            reference, rng_for(1, "dhs-insert"), "docs",
+            zip(vectors.tolist(), positions.tolist()),
         )
         cost_array = vectorized._inserter.insert_observation_arrays(
             "docs", vectors, positions
         )
-        assert_costs_equal(cost_scalar, cost_array)
-        assert stored_state(scalar) == stored_state(vectorized)
+        assert_costs_equal(cost_spec, cost_array)
+        assert stored_state(reference) == stored_state(vectorized)
 
     def test_clamps_overlong_positions(self):
-        scalar = make_dhs()
         vectorized = make_dhs()
-        position_bits = scalar.config.position_bits
+        reference = make_dhs()
+        position_bits = reference.config.position_bits
         pairs = [(1, position_bits + 40), (2, position_bits - 1), (1, 0)]
-        cost_scalar = scalar._inserter.insert_observations("docs", pairs)
+        cost_spec = spec.bulk_insert(reference, rng_for(1, "dhs-insert"), "docs", pairs)
         cost_array = vectorized._inserter.insert_observation_arrays(
             "docs",
             np.array([v for v, _ in pairs], dtype=np.int64),
             np.array([p for _, p in pairs], dtype=np.int64),
         )
-        assert_costs_equal(cost_scalar, cost_array)
-        assert stored_state(scalar) == stored_state(vectorized)
+        assert_costs_equal(cost_spec, cost_array)
+        assert stored_state(reference) == stored_state(vectorized)
+        assert stored_state(vectorized)
 
     def test_all_below_bit_shift_is_free(self):
         dhs = make_dhs(bit_shift=6)
@@ -141,6 +150,23 @@ class TestObservationArrays:
         assert cost.hops == 0
         assert cost.lookups == 0
         assert stored_state(dhs) == {}
+
+
+class TestOutOfRangeObservations:
+    """A vector outside ``[0, m)`` or a negative position used to alias
+    into a neighbouring slot; it must fail before the first store."""
+
+    @pytest.mark.parametrize("ttl", [None, 5])
+    @pytest.mark.parametrize("bad", [(16, 0), (-1, 4), (3, -1)])
+    def test_raises_before_any_store(self, bad, ttl):
+        dhs = make_dhs(ttl=ttl)
+        rng_before = dhs._inserter._rng.getstate()
+        vectors = np.array([1, 2, bad[0]], dtype=np.int64)
+        positions = np.array([3, 5, bad[1]], dtype=np.int64)
+        with pytest.raises(ValueError, match="observation"):
+            dhs._inserter.insert_observation_arrays("docs", vectors, positions)
+        assert stored_state(dhs) == {}
+        assert dhs._inserter._rng.getstate() == rng_before
 
 
 class TestBitShiftZeroCost:

@@ -4,9 +4,9 @@
 key: an integer mask of immortal vectors plus a lazy ``{vector: expiry}``
 dict for TTL'd entries.  These tests drive the packed implementation and
 an obviously-correct ``{(metric, bit): {vector: expiry}}`` dict model
-through the same operation sequences — including TTL expiry, refresh
-(max-wins), and immortality dominating TTL — and require identical
-observable behaviour at every step.
+through the same operation sequences — per-vector and whole-bitmap
+writes, TTL expiry, refresh (max-wins), and immortality dominating TTL —
+and require identical observable behaviour at every step.
 """
 
 import math
@@ -23,6 +23,7 @@ from repro.core.tuples import (
     vectors_at,
     vectors_mask,
     write_entry,
+    write_entry_mask,
 )
 from repro.overlay.node import Node
 
@@ -77,6 +78,17 @@ def write_op():
     )
 
 
+def mask_op():
+    """A whole-bitmap write, the form every insert reaches a node in."""
+    return st.tuples(
+        st.just("mask"),
+        st.sampled_from(METRICS),
+        st.integers(0, (1 << MAX_VECTOR) - 1),
+        st.integers(0, MAX_BIT - 1),
+        st.one_of(st.none(), st.integers(0, 20)),
+    )
+
+
 def purge_op():
     return st.tuples(st.just("purge"), st.integers(0, 25))
 
@@ -93,7 +105,7 @@ def assert_same_view(node, ref, now):
 
 class TestPackedMatchesReference:
     @given(
-        ops=st.lists(st.one_of(write_op(), purge_op()), max_size=60),
+        ops=st.lists(st.one_of(write_op(), mask_op(), purge_op()), max_size=60),
         now=st.integers(0, 25),
     )
     @settings(max_examples=200, deadline=None)
@@ -105,6 +117,11 @@ class TestPackedMatchesReference:
                 _, metric, vector, bit, expiry = op
                 write_entry(node, metric, vector, bit, expiry)
                 ref.write(metric, vector, bit, expiry)
+            elif op[0] == "mask":
+                _, metric, mask, bit, expiry = op
+                write_entry_mask(node, metric, bit, mask, expiry=expiry)
+                for vector in bits_of(mask):
+                    ref.write(metric, vector, bit, expiry)
             else:
                 _, purge_now = op
                 assert purge_expired(node, purge_now) == ref.purge(purge_now)
