@@ -43,7 +43,22 @@ from repro.sketches.base import split_key
 if TYPE_CHECKING:  # annotation only — the facade constructs the arena
     from repro.core.regstore import RegArena
 
-__all__ = ["Inserter"]
+__all__ = ["Inserter", "item_id_array"]
+
+
+def item_id_array(item_ids: npt.ArrayLike) -> npt.NDArray[np.integer[Any]]:
+    """``item_ids`` as an array, unconverted; ``ValueError`` unless 1-D integer.
+
+    Never cast: an ``int64`` cast truncates ``1.5`` to item 1, reads
+    ``True`` as item 1 and hashes a 2-D array's rows as something else.
+    """
+    ids = np.asarray(item_ids)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ValueError(
+            "item ids must be a 1-D array of integers, "
+            f"got dtype {ids.dtype} with shape {ids.shape}"
+        )
+    return ids
 
 
 class Inserter:
@@ -86,10 +101,11 @@ class Inserter:
         The ``mixer`` family hashes the whole array at once with
         :func:`repro.hashing.vectorized.observations_np`, bit-for-bit
         identical to :meth:`observation`; other families (MD4) have no
-        vectorized twin and hash item by item.
+        vectorized twin and hash item by item.  Ids that are not a 1-D
+        integer array raise ``ValueError`` (see :func:`item_id_array`).
         """
         config = self.config
-        ids = np.ascontiguousarray(item_ids, dtype=np.int64)
+        ids = np.ascontiguousarray(item_id_array(item_ids), dtype=np.int64)
         if config.hash_family_name == "mixer":
             return observations_np(
                 ids, config.num_bitmaps, config.key_bits, seed=config.hash_seed

@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.core.dhs import DistributedHashSketch
+from repro.core.insert import item_id_array
 from repro.errors import ConfigurationError
 from repro.overlay.chord import ChordRing
 from repro.overlay.stats import OpCost
@@ -102,11 +103,13 @@ def populate_metric(
     are block-sized, never metric-sized.  Each owner still inserts
     exactly its own observations in ascending item index.
 
-    ``item_ids`` is any array-like of non-negative integers; a negative
-    id raises ``ValueError`` before anything is stored.
+    ``item_ids`` is a 1-D array-like of non-negative integers; anything
+    else (a negative id, a float, a 2-D array) raises ``ValueError``
+    before owners are drawn or anything is stored.
     """
-    item_ids = np.asarray(item_ids)
-    if np.any(item_ids < 0):
+    item_ids = item_id_array(item_ids)
+    # A reduction, not a metric-sized ``item_ids < 0`` mask.
+    if item_ids.size and item_ids.min() < 0:
         raise ValueError("populate_metric requires non-negative item ids")
     inserter = dhs._inserter
     assignment = assign_uniform(
@@ -129,10 +132,10 @@ def populate_metric(
 
 
 def _owner_blocks(
-    assignment: Dict[int, npt.NDArray[np.intp]],
-) -> Iterator[List[Tuple[int, npt.NDArray[np.intp]]]]:
+    assignment: Dict[int, npt.NDArray[np.unsignedinteger[Any]]],
+) -> Iterator[List[Tuple[int, npt.NDArray[np.unsignedinteger[Any]]]]]:
     """Consecutive owners, cut as soon as a block holds ``_BLOCK_ITEMS`` items."""
-    block: List[Tuple[int, npt.NDArray[np.intp]]] = []
+    block: List[Tuple[int, npt.NDArray[np.unsignedinteger[Any]]]] = []
     held = 0
     for node_id, indices in assignment.items():
         block.append((node_id, indices))

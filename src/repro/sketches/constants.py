@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gamma as _gamma
-
 __all__ = [
     "PCSA_PHI",
     "pcsa_bias_factor",
@@ -54,8 +52,8 @@ def loglog_alpha(m: int) -> float:
         # The closed form degenerates (E[2^M] diverges for a single
         # bucket); fall back to the calibrated truncation-free value.
         return 0.5305263157894737
-    base = _gamma(-1.0 / m) * (1.0 - 2.0 ** (1.0 / m)) / math.log(2.0)
-    return float(base ** (-m))
+    base = math.gamma(-1.0 / m) * (1.0 - 2.0 ** (1.0 / m)) / math.log(2.0)
+    return base ** (-m)
 
 
 #: Monte-Carlo calibrated alpha-tilde for the truncated (super-LogLog)

@@ -169,6 +169,37 @@ class TestOutOfRangeObservations:
         assert dhs._inserter._rng.getstate() == rng_before
 
 
+#: Ids an ``int64`` cast used to misread: ``1.5`` became item 1, ``True``
+#: item 1, a ``(2, 2)`` array and a bare scalar were hashed as something
+#: else, and strings failed with numpy's own error.
+NOT_ONE_D_INTEGER_IDS = [
+    pytest.param([1.5], id="float"),
+    pytest.param(np.arange(4, dtype=np.int64).reshape(2, 2), id="2d"),
+    pytest.param(["a", "b"], id="str"),
+    pytest.param([True, False], id="bool"),
+    pytest.param(7, id="scalar"),
+]
+
+
+class TestRejectsIdsThatAreNotOneDInteger:
+    @pytest.mark.parametrize("hash_family_name", ["mixer", "md4"])
+    @pytest.mark.parametrize("ids", NOT_ONE_D_INTEGER_IDS)
+    def test_insert_array_raises_before_any_store(self, ids, hash_family_name):
+        dhs = make_dhs(hash_family_name=hash_family_name)
+        rng_before = dhs._inserter._rng.getstate()
+        with pytest.raises(ValueError, match="1-D array of integers"):
+            dhs.insert_array("docs", ids)
+        assert stored_state(dhs) == {}
+        assert dhs._inserter._rng.getstate() == rng_before
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64])
+    def test_every_integer_dtype_hashes_like_int64(self, dtype):
+        ids = np.arange(200)
+        expected = make_dhs()._inserter.observations(ids)
+        got = make_dhs()._inserter.observations(ids.astype(dtype))
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
 class TestBitShiftZeroCost:
     """Positions below ``bit_shift`` are assumed set: they must store
     nothing and contribute exactly zero cost (section 3.5) — the

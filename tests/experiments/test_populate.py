@@ -6,8 +6,9 @@ owner *i* ``np.flatnonzero(choices == i)`` — and twin deployments pin
 ``populate_metric`` to it: same node stores in the same store order,
 same ``OpCost``, same inserter-RNG position, same following count.
 ``assign_uniform`` is pinned to the same naive definition at every dtype
-edge of its narrow key, and a ``tracemalloc`` ceiling keeps metric-sized
-observation arrays from coming back.
+edge of its narrow key and across its draw chunks, and ``tracemalloc``
+ceilings keep metric-sized observation arrays and a full-size ``int64``
+draw or ``intp`` owner permutation from coming back.
 """
 
 import dataclasses
@@ -26,19 +27,28 @@ from repro.overlay.kademlia import KademliaOverlay
 from repro.overlay.pastry import PastryOverlay
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import derive_seed
+from repro.workloads import assignment
 from repro.workloads.assignment import assign_uniform
+from tests.core.test_insert_array import NOT_ONE_D_INTEGER_IDS
 
 BLOCK = common._BLOCK_ITEMS
+ASSIGN_CHUNK = assignment._CHUNK_ITEMS
 OVERLAYS = [ChordRing, KademliaOverlay, PastryOverlay]
 
 #: ``tracemalloc`` peak of one ``populate_metric`` call, in multiples of
-#: the id array (7.25 when the whole metric was hashed first, 1.98 now).
-POPULATE_PEAK_CEILING = 3.0
+#: the id array (7.25 when the whole metric was hashed first, 1.98 with
+#: an ``intp`` owner permutation, 1.48 now).
+POPULATE_PEAK_CEILING = 1.75
 #: Heap a finished ``populate_metric`` may retain per item, in bytes
 #: (measured 0.08, all of it node stores; 0.30 under a line tracer, whose
 #: bookkeeping tracemalloc also sees).  Any array of the metric's length
 #: kept alive costs at least 1.
 POPULATE_RETAINED_CEILING = 1.0
+#: ``assign_uniform(2_000_000, 1024 nodes)`` heap per item, in bytes: the
+#: ``uint32`` permutation it returns (4) and, at peak, also the ``uint16``
+#: owner keys and one chunk's temporaries.
+ASSIGN_RETAINED_CEILING = 4.5
+ASSIGN_PEAK_CEILING = 8.0
 
 
 def make_dhs(overlay=ChordRing, n_nodes=48, **config):
@@ -166,29 +176,69 @@ class TestFailsBeforeTheFirstWrite:
         assert node_stores(dhs) == {}
         assert dhs._inserter._rng.getstate() == rng_before
 
+    @pytest.mark.parametrize("ids", NOT_ONE_D_INTEGER_IDS)
+    def test_ids_that_are_not_one_d_integer_store_nothing(self, ids, monkeypatch):
+        """``[1.5]`` used to populate item 1; checked before owners are drawn."""
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("owners drawn for ids that were never valid")
+
+        monkeypatch.setattr(common, "assign_uniform", no_draw)
+        dhs = make_dhs(n_nodes=8)
+        rng_before = dhs._inserter._rng.getstate()
+        with pytest.raises(ValueError, match="1-D array of integers"):
+            populate_metric(dhs, "docs", ids, seed=11)
+        assert node_stores(dhs) == {}
+        assert dhs._inserter._rng.getstate() == rng_before
+
 
 class TestAssignUniformPinned:
     @pytest.mark.parametrize("n_nodes", [1, 255, 256, 257, 65_536, 70_000])
     def test_matches_naive_definition(self, n_nodes):
-        """Every dtype edge of the narrow key: uint8 / uint16 / uint32."""
-        n_items = 4000
+        """Every dtype edge of the narrow key (uint8 / uint16 / uint32),
+        within one draw chunk and across more than three of them."""
         node_ids = [7 * i + 3 for i in range(n_nodes)]
-        choices = naive_choices(n_items, n_nodes, seed=5)
-        assert choices.dtype == np.int64
-        expected = {}
-        for i in np.unique(choices).tolist():
-            expected[node_ids[i]] = np.flatnonzero(choices == i)
-        got = assign_uniform(n_items, node_ids, seed=5)
-        assert list(got) == list(expected)
-        for node_id, indices in got.items():
-            assert indices.dtype == np.intp
-            assert np.array_equal(indices, expected[node_id])
+        for n_items in (4000, 3 * ASSIGN_CHUNK + 2):
+            choices = naive_choices(n_items, n_nodes, seed=5)
+            assert choices.dtype == np.int64
+            # Stable grouping of the one-shot draw: owner i gets
+            # np.flatnonzero(choices == i), owners in node order.
+            order = np.argsort(choices, kind="stable")
+            owners, starts = np.unique(choices[order], return_index=True)
+            expected = {
+                node_ids[i]: indices
+                for i, indices in zip(owners.tolist(), np.split(order, starts[1:]))
+            }
+            got = assign_uniform(n_items, node_ids, seed=5)
+            assert list(got) == list(expected)
+            for node_id, indices in got.items():
+                assert indices.dtype == np.min_scalar_type(n_items - 1)
+                assert np.array_equal(indices, expected[node_id])
 
     def test_no_items(self):
         assert assign_uniform(0, [1, 2, 3], seed=5) == {}
 
 
 class TestMemoryRegression:
+    def test_assignment_holds_a_narrow_permutation(self):
+        """Parent code held 8.1 B/item after return and 10.1 at peak.
+
+        tracemalloc does not see numpy's radix-sort scratch, so RSS shows
+        more than this test does.
+        """
+        n_items, node_ids = 2_000_000, list(range(1024))
+        assign_uniform(1, node_ids)  # numpy.random's lazy import, untraced
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            owners = assign_uniform(n_items, node_ids, seed=4)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(owners) == 1024
+        assert after - before <= ASSIGN_RETAINED_CEILING * n_items
+        assert peak - before <= ASSIGN_PEAK_CEILING * n_items
+
     def test_populate_peak_is_block_sized(self):
         """Hashing the whole metric before the first insert fails here."""
         dhs = make_dhs(n_nodes=64)

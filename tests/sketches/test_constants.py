@@ -14,6 +14,31 @@ from repro.sketches.constants import (
     sll_truncated_count,
 )
 
+#: ``loglog_alpha(2**k)`` for k = 1 … 20, evaluated with scipy 1.17.1's
+#: ``scipy.special.gamma`` before the dependency was dropped.
+SCIPY_LOGLOG_ALPHA = [
+    0.2228396300270748,
+    0.3120159835567853,
+    0.35489069050098704,
+    0.37603269740506934,
+    0.3865412489235148,
+    0.3917811187985748,
+    0.3943975918946954,
+    0.39570497978711844,
+    0.39635846363192967,
+    0.3966851532573614,
+    0.39684848506672454,
+    0.39693014861661824,
+    0.39697097472101156,
+    0.3969914030281065,
+    0.39700164580278585,
+    0.39700656845455584,
+    0.397008393343095,
+    0.3970085791639081,
+    0.3969941096013463,
+    0.396981783860064,
+]
+
 
 class TestPCSAConstants:
     def test_phi_value(self):
@@ -51,6 +76,12 @@ class TestLogLogAlpha:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             loglog_alpha(0)
+
+    @pytest.mark.parametrize("k, expected", enumerate(SCIPY_LOGLOG_ALPHA, start=1))
+    def test_matches_scipy_gamma(self, k, expected):
+        """``math.gamma`` replaced ``scipy.special.gamma``; the closed form
+        multiplies Gamma's last-ulp error by ``m``, hence ``rel=1e-9``."""
+        assert loglog_alpha(2**k) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSLLConstants:
