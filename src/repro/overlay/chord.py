@@ -14,13 +14,21 @@ from ``n`` to the last member before ``key``.  The closest preceding
 finger is therefore ``successor(n + 2^floor(log2 reach))``: one bisect
 on the live membership per hop, hop-for-hop the scan over
 ``i = L-1 .. 0`` that ``tests/overlay/chord_oracle.py`` keeps as the
-reference, and nothing to invalidate when nodes join or leave (see
-docs/PERFORMANCE.md section 1).
+reference (see docs/PERFORMANCE.md section 1).
+
+Every hop is a function of ``current`` and ``last``, the owner's
+predecessor, so from a member origin the whole route is a function of
+``(origin, owner)`` and the membership: the key adds nothing once the
+owner is known.  Counting looks the same few thousand pairs up over and
+over, so :meth:`ChordRing.lookup` memoises the route per pair in
+``DHTProtocol._route_cache`` and, on a hit, charges the stored path hop
+for hop.  The memo has one invalidation: any join, leave or lazy
+failure clears it whole.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, EmptyOverlayError
 from repro.obs import runtime as obs
@@ -29,6 +37,17 @@ from repro.overlay.idspace import IdSpace
 from repro.overlay.stats import OpCost
 
 __all__ = ["ChordRing"]
+
+#: Entries (routes and seen-once marks) at which the route memo is
+#: cleared whole.  A count's working set is a few owners per querying
+#: node: 3,072 pairs at N = 1024.  On larger rings a run rarely sees a
+#: pair again before the clear (docs/PERFORMANCE.md section 14), and the
+#: flat cap keeps the memo's memory the same at any N.
+ROUTE_CACHE_CAP = 4096
+
+#: What the route memo answers for a pair it has never seen (``None``
+#: marks a pair seen once); no route holds a negative id.
+_UNSEEN: Tuple[int, ...] = (-1,)
 
 
 class ChordRing(DHTProtocol):
@@ -43,12 +62,6 @@ class ChordRing(DHTProtocol):
         their :class:`~repro.overlay.stats.OpCost` (off by default —
         the counters are kept either way).
     """
-
-    def __init__(self, space: IdSpace, trace: bool = False) -> None:
-        super().__init__(space, trace=trace)
-        #: ``space.size - 1``: ``wrap`` via ``& mask`` keeps the routing
-        #: loop free of property lookups.
-        self._size_mask = space.size - 1
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -95,6 +108,10 @@ class ChordRing(DHTProtocol):
         ``origin`` defaults to the lowest live id, but callers doing
         cost experiments should pass an explicit querying node.  A
         lookup starting at the owner itself costs 0 hops.
+
+        With no fault layer installed, a route already walked twice
+        from a member origin to the same owner is replayed from the
+        route memo: same hops, messages, path and ``load`` charges.
         """
         ids = self._ids
         if not ids:
@@ -103,16 +120,39 @@ class ChordRing(DHTProtocol):
         key &= size_mask
         if origin is None:
             origin = ids[0]
-        current = origin
+        elif not 0 <= origin <= size_mask:
+            raise ValueError(f"origin {origin} is outside the {self.space.bits}-bit id space")
         trace = self.trace
         cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
         record = self.load.record
         record(origin)
+        destination = ids.first_at_or_after(key)
+        memo = self._route_cache if self.fault_layer is None else None
+        visited = cost.nodes_visited if trace else None
+        admit = False
+        if memo is not None:
+            pair = (origin, destination)
+            path = memo.get(pair, _UNSEEN)
+            if path is not None and path is not _UNSEEN:
+                cost.hops = cost.messages = len(path)
+                for node_id in path:
+                    record(node_id)
+                if trace:
+                    cost.nodes_visited.extend(path)
+                if obs.METERING:
+                    obs.METRICS.observe("dhs.lookup.hops", cost.hops)
+                return LookupResult(node_id=destination, cost=cost)
+            # Second sighting: walk it once more, keeping the path.  A
+            # non-member's first hop depends on the key, so only a
+            # member origin's route is stored.
+            admit = path is None and origin in ids
+            if admit and visited is None:
+                visited = [origin]
+        current = origin
         responsive = self.node_responsive
         # Convergence bound, on the membership at entry (evictions on
         # the way only shrink it).
         max_hops = 2 * self.space.bits + len(ids)
-        destination = ids.first_at_or_after(key)
         # Whether ``destination`` has answered and ``last`` been taken
         # since the membership last changed.  ``responsive`` is a pure
         # read and a plain hop mutates nothing, so both hold until a
@@ -165,8 +205,8 @@ class ChordRing(DHTProtocol):
                     current = self._next_responsive(nxt, cost)
                     cost.hops += 1
                     cost.messages += 1
-                    if trace:
-                        cost.nodes_visited.append(current)
+                    if visited is not None:
+                        visited.append(current)
                     record(current)
                 else:
                     destination = self.owner_of(key)
@@ -174,11 +214,17 @@ class ChordRing(DHTProtocol):
             current = nxt
             cost.hops += 1
             cost.messages += 1
-            if trace:
-                cost.nodes_visited.append(current)
+            if visited is not None:
+                visited.append(current)
             record(current)
             if cost.hops > max_hops:
                 raise RuntimeError("routing failed to converge; ring corrupt?")
+        # With no fault layer every timeout evicted a node, which cleared
+        # the memo: only a clean route is remembered.
+        if memo is not None and not cost.timeouts:
+            if len(memo) >= ROUTE_CACHE_CAP:
+                memo.clear()
+            memo[pair] = tuple(visited[1:]) if admit and visited is not None else None
         if obs.METERING:
             obs.METRICS.observe("dhs.lookup.hops", cost.hops)
         return LookupResult(node_id=destination, cost=cost)

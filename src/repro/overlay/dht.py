@@ -83,6 +83,9 @@ class DHTProtocol(ABC):
 
     def __init__(self, space: IdSpace, trace: bool = False) -> None:
         self.space = space
+        #: ``space.size - 1``: wrapping and range-checking ids via the
+        #: mask keeps the routing loops free of property lookups.
+        self._size_mask = space.size - 1
         #: Materialized nodes only; membership truth lives in ``_ids``.
         self._nodes: dict[int, Node] = {}
         #: Sorted ids of all live members (numpy-backed).
@@ -117,6 +120,12 @@ class DHTProtocol(ABC):
         #: Memo of :meth:`interval_reach` per ``(lo, hi)``; a function of
         #: ``_ids`` alone, cleared with the contact memo.
         self._reach_cache: dict[Tuple[int, int], frozenset[int]] = {}
+        #: Chord's route memo: ``(origin, owner)`` -> the nodes a lookup
+        #: hops through, or ``None`` for a pair seen once (see
+        #: :meth:`ChordRing.lookup`).  A route is a function of the
+        #: membership and of which members are alive, so the membership
+        #: mutators and :meth:`mark_failed` clear it wholesale.
+        self._route_cache: dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
 
     @staticmethod
     def _draw_ids(n_nodes: int, bits: int, seed: int, label: str) -> set[int]:
@@ -274,6 +283,7 @@ class DHTProtocol(ABC):
         ``p_f`` model).  Its stored data is lost either way.
         """
         self.node(node_id).alive = False
+        self._route_cache.clear()
 
     def is_alive(self, node_id: int) -> bool:
         """Whether ``node_id`` is present and not lazily failed.
@@ -361,9 +371,11 @@ class DHTProtocol(ABC):
         raise LookupFailedError("no responsive node reachable on the ring")
 
     def _membership_changed(self) -> None:
-        """Drop the memos derived from ``_ids`` (contacts, interval reach)."""
+        """Drop the memos derived from ``_ids`` (contacts, interval reach,
+        routes)."""
         self._contact_cache.clear()
         self._reach_cache.clear()
+        self._route_cache.clear()
 
     # ------------------------------------------------------------------
     # Geometry.
@@ -392,9 +404,11 @@ class DHTProtocol(ABC):
         """
         if not self._ids:
             raise EmptyOverlayError("overlay has no live nodes")
-        key = self.space.wrap(key)
+        key &= self._size_mask
         if origin is None:
             origin = self._ids[0]
+        elif not 0 <= origin <= self._size_mask:
+            raise ValueError(f"origin {origin} is outside the {self.space.bits}-bit id space")
         current = origin
         trace = self.trace
         cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)

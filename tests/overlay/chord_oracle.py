@@ -105,10 +105,11 @@ def lookup(dht, key, origin):
     bits = dht.space.bits
     size = 2**bits
     key %= size
+    # An empty ring fails before anything is charged: no node took part.
+    destination = successor(members(dht), key, size)
     route = Route(node_id=-1, nodes_visited=[origin])
     dht.load.record(origin)
     current = origin
-    destination = successor(members(dht), key, size)
     while True:
         if not dht.node_responsive(destination):
             _timeout(route)

@@ -16,6 +16,12 @@ ids ``0`` and ``2^L - 1`` present, keys on and next to member ids,
 failures interleaved with lookups, and a ``FaultInjector`` whose
 transient victims take the veto-and-relay branches while its lazy
 crashes take the eviction ones.
+
+Every lookup is routed three times on both copies: a miss, the second
+sighting that stores the route in the package's route memo, and a hit
+that replays it.  So every generator above also holds memo hits to the
+oracle, and ``TestRouteMemo`` adds the cases a memo keyed by
+``(origin, owner)`` could get wrong.
 """
 
 import itertools
@@ -55,7 +61,7 @@ def _both(ring, ref, method, *args, **kwargs):
     getattr(ref, method)(*args, **kwargs)
 
 
-def _assert_lookup_identical(ring, ref, key, origin, naive=oracle.lookup):
+def _route_once(ring, ref, key, origin, naive):
     """Route on both copies; returns the oracle's route (None if it raised)."""
     try:
         expected = naive(ref, key, origin)
@@ -73,6 +79,15 @@ def _assert_lookup_identical(ring, ref, key, origin, naive=oracle.lookup):
     assert list(ring.node_ids()) == list(ref.node_ids())
     assert ring.load.counts() == ref.load.counts()
     return expected
+
+
+def _assert_lookup_identical(ring, ref, key, origin, naive=oracle.lookup):
+    """Route three times (miss, memo admission, memo hit); returns the
+    oracle's first route (None if it raised)."""
+    first = _route_once(ring, ref, key, origin, naive)
+    for _ in range(2):
+        _route_once(ring, ref, key, origin, naive)
+    return first
 
 
 def _edge_keys(ring, origin):
@@ -338,3 +353,64 @@ class TestFingerDefinition:
         rng = rng_for(bits, "fingers")
         ids = _draw_ids(rng, size, 8, include=(0, size - 1))
         _assert_fingers_match_oracle(ChordRing.from_ids(ids, bits=bits))
+
+
+class TestRouteMemo:
+    """The route memo keys on ``(origin, owner)``: exact for a member
+    origin, and cleared by anything that can change a route."""
+
+    def test_non_member_origin_is_never_replayed(self):
+        """From a non-member origin the first hop depends on the key:
+        on ``{0, 100}`` origin 50 reaches owner 100 in one hop for key
+        60 but in two, via 0, for key 40."""
+        ring, ref = _pair([0, 100], bits=8)
+        assert _assert_lookup_identical(ring, ref, 60, 50).nodes_visited == [50, 100]
+        assert _assert_lookup_identical(ring, ref, 40, 50).nodes_visited == [50, 0, 100]
+        assert all(path is None for path in ring._route_cache.values())
+
+    def test_mark_failed_on_a_memoised_path(self):
+        """A lazy crash on a replayed route: the next lookup times out
+        on it and evicts it, exactly as the oracle does."""
+        ring, ref = _pair(range(0, 2**16, 397))
+        origin, key = 0, 2**15 + 5
+        route = _assert_lookup_identical(ring, ref, key, origin)
+        assert len(route.nodes_visited) > 3
+        assert ring._route_cache[origin, route.node_id] == tuple(route.nodes_visited[1:])
+        victim = route.nodes_visited[1]
+        _both(ring, ref, "mark_failed", victim)
+        after = _assert_lookup_identical(ring, ref, key, origin)
+        assert after.timeouts == 1 and not ring.has_node(victim)
+
+    def test_outage_on_a_walked_route_under_a_fault_layer(self):
+        """Behind a fault layer a node can stop answering with no
+        membership change or lazy crash, so a route walked before the
+        outage must not be replayed after it."""
+        plan = FaultPlan(
+            events=(FaultEvent("transient", at=1, node_ids=(128,), duration=9),)
+        )
+        ring, ref = _pair([0, 128, 160, 200], bits=8, plan=plan)
+        assert _assert_lookup_identical(ring, ref, 190, 0).nodes_visited == [0, 128, 160, 200]
+        _both(ring, ref, "advance_to", 1)
+        route = _assert_lookup_identical(ring, ref, 190, 0)
+        assert route.nodes_visited == [0, 160, 200] and route.timeouts == 1
+
+    def test_lookup_on_a_ring_failures_emptied_charges_nothing(self):
+        """The first lookup times out on every member and evicts it; a
+        repeat on the now-empty ring raises before charging its origin,
+        in the oracle as in the package."""
+        ring, ref = _pair([0, 100], bits=8)
+        for node_id in (0, 100):
+            _both(ring, ref, "mark_failed", node_id)
+        assert _route_once(ring, ref, 40, 0, oracle.lookup) is None
+        assert list(ring.node_ids()) == []
+        charged = ring.load.counts()
+        assert _route_once(ring, ref, 40, 0, oracle.lookup) is None
+        assert ring.load.counts() == charged
+
+    @pytest.mark.parametrize("origin", [256, 356, -1, -256])
+    def test_origin_outside_the_space_is_rejected(self, origin):
+        """356 would alias the owner 100 (0 hops); nothing is charged."""
+        ring = ChordRing.from_ids([10, 100, 200], bits=8)
+        with pytest.raises(ValueError, match="outside the 8-bit id space"):
+            ring.lookup(50, origin=origin)
+        assert ring.load.counts() == {} and ring._route_cache == {}

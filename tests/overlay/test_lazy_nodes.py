@@ -15,8 +15,10 @@ from repro.sim.seeds import rng_for
 from tests.overlay import chord_oracle as oracle
 
 #: Traced-heap growth allowed over 5,000 lookups on an N=10^4 ring.
-#: Routing keeps no per-node state, so what grows is the ``LoadTracker``
-#: count per visited node (~0.55 MiB); a finger memo with a reverse
+#: Routing keeps no per-node state: what grows is the ``LoadTracker``
+#: count per visited node (~0.55 MiB) and the route memo, at most
+#: ``ROUTE_CACHE_CAP`` ``(origin, owner)`` entries and mostly seen-once
+#: marks on random keys (~0.15 MiB).  A finger memo with a reverse
 #: index cost 36 MB here.
 LOOKUP_HEAP_GROWTH_CEILING = 2 * 1024 * 1024
 

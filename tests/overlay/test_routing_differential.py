@@ -16,7 +16,8 @@ one to three nodes, ids ``0`` and ``2^L - 1``, ``key == origin``,
 ``origin == owner``, joins and leaves between lookups (a stale contact
 memo routes differently), and a ``FaultInjector`` whose transient
 victims take the veto branches (re-pin, direct hop) while its lazy
-crashes take the eviction ones.
+crashes take the eviction ones.  Each case routes once: unlike Chord,
+neither geometry keeps a route memo that a repeat could hit.
 """
 
 import functools
@@ -32,10 +33,10 @@ from repro.overlay.pastry import PastryOverlay
 from repro.sim.seeds import rng_for
 from tests.overlay import routing_oracle as oracle
 from tests.overlay.test_chord_routing_differential import (
-    _assert_lookup_identical,
     _both,
     _draw_ids,
     _edge_keys,
+    _route_once,
 )
 
 KINDS = ["kademlia", "pastry"]
@@ -71,7 +72,7 @@ class TestRoutingEquivalence:
         for _ in range(300):
             key = rng.randrange(2**16)
             origin = ring.random_live_node(rng)
-            _assert_lookup_identical(ring, ref, key, origin, naive)
+            _route_once(ring, ref, key, origin, naive)
 
     def test_equivalent_through_churn(self, kind):
         """Joins, bulk joins and leaves between lookups: the contact memo
@@ -97,7 +98,7 @@ class TestRoutingEquivalence:
             for _ in range(3):  # warm the memo the next step must drop
                 key = rng.randrange(2**16)
                 origin = ring.random_live_node(rng)
-                _assert_lookup_identical(ring, ref, key, origin, naive)
+                _route_once(ring, ref, key, origin, naive)
         assert joins > 10 and leaves > 10 and bulk > 5
 
     def test_lookup_does_not_depend_on_earlier_lookups(self, kind):
@@ -130,13 +131,20 @@ class TestEdgeGeometry:
                 ring, ref, naive = _pair(kind, ids, bits=3, digit_bits=1)
                 for origin in ids:
                     for key in range(8):
-                        _assert_lookup_identical(ring, ref, key, origin, naive)
+                        _route_once(ring, ref, key, origin, naive)
 
     def test_origin_defaults_to_the_lowest_id(self, kind):
         ring, ref, naive = _pair(kind, [7, 90, 200], bits=8)
         got, want = ring.lookup(150), naive(ref, 150, 7)
         assert got.node_id == want.node_id
         assert got.cost.nodes_visited == want.nodes_visited
+
+    @pytest.mark.parametrize("origin", [256, 356, -1])
+    def test_origin_outside_the_space_is_rejected(self, kind, origin):
+        ring, _, _ = _pair(kind, [10, 100, 200], bits=8)
+        with pytest.raises(ValueError, match="outside the 8-bit id space"):
+            ring.lookup(50, origin=origin)
+        assert ring.load.counts() == {}
 
     @pytest.mark.parametrize("bits", WIDTHS)
     @pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 20])
@@ -150,7 +158,7 @@ class TestEdgeGeometry:
             ring, ref, naive = _pair(kind, ids, bits=bits)
             for origin in rng.sample(ids, min(len(ids), 5)):
                 for key in _edge_keys(ring, origin):
-                    _assert_lookup_identical(ring, ref, key, origin, naive)
+                    _route_once(ring, ref, key, origin, naive)
 
     @pytest.mark.parametrize("bits", WIDTHS)
     def test_random_rings_every_width(self, kind, bits):
@@ -162,7 +170,7 @@ class TestEdgeGeometry:
             for _ in range(40):
                 key = rng.randrange(size)
                 origin = ring.random_live_node(rng)
-                _assert_lookup_identical(ring, ref, key, origin, naive)
+                _route_once(ring, ref, key, origin, naive)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -197,7 +205,7 @@ class TestFaults:
                             break
                         origin = rng.choice(reachable)
                         key = rng.choice(_edge_keys(ring, origin) + [rng.randrange(size)])
-                        route = _assert_lookup_identical(ring, ref, key, origin, naive)
+                        route = _route_once(ring, ref, key, origin, naive)
                         if route is not None:
                             branches += route.branches
         # The generator must actually reach the branches it is here for.
@@ -212,7 +220,7 @@ class TestFaults:
             events=(FaultEvent("transient", at=0, node_ids=(128,), duration=9),)
         )
         ring, ref, naive = _pair(kind, [3, 128, 200], bits=8, plan=plan, digit_bits=1)
-        route = _assert_lookup_identical(ring, ref, 200, 3, naive)
+        route = _route_once(ring, ref, 200, 3, naive)
         assert route.branches == ["contact-vetoed"] and ring.has_node(128)
         assert route.nodes_visited == [3, 200]
         assert (route.hops, route.timeouts) == (2, 1)
@@ -222,7 +230,7 @@ class TestFaults:
             events=(FaultEvent("partition", at=0, node_ids=(128, 160), duration=9),)
         )
         ring, ref, naive = _pair(kind, [0, 128, 160, 200], bits=8, plan=plan)
-        route = _assert_lookup_identical(ring, ref, 130, 0, naive)
+        route = _route_once(ring, ref, 130, 0, naive)
         assert route.branches == ["owner-vetoed"]
         assert route.node_id == 200 and route.timeouts == 2 and ring.size == 4
 
@@ -230,7 +238,7 @@ class TestFaults:
         ring, ref, naive = _pair(kind, [10, 50, 60, 70, 200], bits=8)
         for victim in (50, 60, 70):
             _both(ring, ref, "mark_failed", victim)
-        route = _assert_lookup_identical(ring, ref, 52, 10, naive)
+        route = _route_once(ring, ref, 52, 10, naive)
         assert route.branches.count("owner-evicted") >= 1
         assert route.node_id in (10, 200) and ring.size < 5
 
@@ -238,7 +246,7 @@ class TestFaults:
         ring, ref, naive = _pair(kind, [10, 50], bits=8)
         _both(ring, ref, "mark_failed", 10)
         _both(ring, ref, "mark_failed", 50)
-        assert _assert_lookup_identical(ring, ref, 40, 10, naive) is None
+        assert _route_once(ring, ref, 40, 10, naive) is None
         with pytest.raises(EmptyOverlayError):
             ring.lookup(40, origin=10)
         with pytest.raises(EmptyOverlayError):
