@@ -13,7 +13,7 @@ kit); nothing here reads wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, Optional
 
 import numpy as np
 
@@ -97,7 +97,8 @@ def antientropy_sweep(
     :func:`repro.overlay.antientropy.antientropy_round`: the overlay
     module cannot import the interval geometry or the store writer
     (layering), so both are injected here as closures — walk visibility
-    is the overlay's memoised ``interval_reach`` of the bit's interval
+    is the overlay's memoised ``interval_reach`` of each bit's interval,
+    folded once per round into a bitmask of positions per node
     (unstored positions are seen everywhere), segments are the
     bit→interval mapping, and writes land on the deployment's storage
     backend via ``arena``.
@@ -112,15 +113,20 @@ def antientropy_sweep(
         return AntiEntropyStats()
     model = size_model if size_model is not None else DEFAULT_SIZE_MODEL
 
-    # Per bit, its interval (``None``: never stored, seen everywhere).
-    intervals = [
-        mapping.interval_for_position(bit) if mapping.is_stored(bit) else None
-        for bit in range(mapping.config.position_bits)
-    ]
+    # Per node, the positions whose counting walk reads it: the reach
+    # of each stored position's interval, plus the never-stored
+    # positions, which every node sees.
+    everywhere = 0
+    reads: Dict[int, int] = {}
+    for bit in range(mapping.config.position_bits):
+        if not mapping.is_stored(bit):
+            everywhere |= 1 << bit
+            continue
+        for node_id in dht.interval_reach(*mapping.interval_for_position(bit)):
+            reads[node_id] = reads.get(node_id, 0) | 1 << bit
 
-    def visible(bit: int, node_id: int) -> bool:
-        interval = intervals[bit]
-        return interval is None or node_id in dht.interval_reach(*interval)
+    def visible(node_id: int) -> int:
+        return everywhere | reads.get(node_id, 0)
 
     def segment_of(bit: int) -> int:
         return mapping.interval_index(bit) if mapping.is_stored(bit) else -1
@@ -157,14 +163,12 @@ def replica_divergence(dht: DHTProtocol, replication: int, now: int = 0) -> int:
     if replication <= 0:
         return 0
     view = ChainView(dht, now)
+    view.pack(view.ids)  # the gauge reads every node: no int goes stale
     total = 0
     for node_id in view.ids:
-        replicas = [view.table(r) for r in view.successors(node_id, replication)]
-        if not replicas:
-            continue
-        for key, primary in view.primary(node_id, replication).items():
-            for have in replicas:
-                total += (primary & ~have.get(key, 0)).bit_count()
+        primary = view.primary(node_id, replication)
+        for replica in view.successors(node_id, replication):
+            total += (primary & ~view.packed(replica)).bit_count()
     return total
 
 

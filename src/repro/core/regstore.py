@@ -13,12 +13,9 @@ objects — thin row handles that still duck-type ``PackedSlot`` (they
 anti-entropy, graceful-leave merges, read repair) works unchanged on
 either backend.
 
-Why contiguous rows matter:
-
-* bulk insertion scatters a whole interval's vector bitmap into a slot
-  with one vectorized word-OR instead of up to ``m`` dict writes;
-* anti-entropy digests gather the canonical bytes of many immortal
-  slots with one fancy-index copy (:meth:`RegArena.rows_canonical`).
+Why contiguous rows matter: bulk insertion scatters a whole interval's
+vector bitmap into a slot with one vectorized word-OR instead of up to
+``m`` dict writes.
 
 The arena is private to its process: every count, probe, merge and
 repair reads the slot's mirrored Python-int bitmap, and experiment
@@ -35,7 +32,7 @@ sequences through both and asserts exactly that, step for step.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 import numpy.typing as npt
@@ -156,27 +153,6 @@ class RegArena:
     def or_row_words(self, row: int, delta: npt.NDArray[np.uint64]) -> None:
         """OR a ``(words,)`` delta into one row (vectorized scatter)."""
         np.bitwise_or(self._data[row], delta, out=self._data[row])
-
-    def rows_canonical(self, rows: Sequence[int]) -> List[bytes]:
-        """Canonical bytes of each row: little-endian, trailing zeros stripped.
-
-        One fancy-index gather copies all requested rows out of the
-        matrix at once; the per-row strip makes the encoding identical
-        to ``mask.to_bytes((mask.bit_length() + 7) // 8, "little")`` of
-        the equivalent ``PackedSlot`` bitmap, so digests computed over
-        either backend agree bit for bit.  Hashing the bytes is the
-        anti-entropy module's job (dhslint rule DHS1001) — this is pure
-        layout canonicalization.
-        """
-        if not rows:
-            return []
-        block = self._data[list(rows)]
-        raw = block.tobytes()
-        stride = self.words * 8
-        return [
-            raw[i * stride : (i + 1) * stride].rstrip(b"\x00")
-            for i in range(len(rows))
-        ]
 
 
 class RegSlot(PackedSlot):

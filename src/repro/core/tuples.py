@@ -241,11 +241,13 @@ def write_entry_mask(
     of every insert.  An immortal bitmap (``expiry=None``) lands as a
     single mask OR (and, on the array backend, a single vectorized word
     OR of the pre-packed ``delta`` row) instead of up to ``m`` per-vector
-    writes; a TTL'd one takes ``write_entry`` per vector.
+    writes; a TTL'd one is one pass over the slot's expiry map, new
+    vectors appended in ascending order, existing ones refreshed
+    max-wins.  An empty ``add_mask`` creates no slot.
     """
     if expiry is not None:
-        for vector in bits_of(add_mask):
-            write_entry(node, metric_id, vector, bit, expiry, arena=arena)
+        if add_mask:
+            _write_ttl_mask(node, _slot_for(node, metric_id, bit, arena), add_mask, expiry)
         return
     slot = _slot_for(node, metric_id, bit, arena)
     new_bits = add_mask & ~slot.mask
@@ -259,6 +261,29 @@ def write_entry_mask(
                 promoted += 1
     slot.or_mask(add_mask, delta)
     node.app_entries += new_bits.bit_count() - promoted
+
+
+def _write_ttl_mask(node: Node, slot: PackedSlot, add_mask: int, expiry: int) -> None:
+    """``write_entry`` of every vector in ``add_mask`` at ``expiry``, ascending."""
+    ttl_bits = add_mask & ~slot.mask  # immortal vectors cannot be shortened
+    if not ttl_bits:
+        return
+    expiring = slot.expiring
+    if expiring is None:
+        expiring = slot.expiring = {}
+    new_expiry = float(expiry)
+    before = len(expiring)
+    for vector in bits_of(ttl_bits):
+        if expiring.get(vector, -_NEVER) < new_expiry:
+            expiring[vector] = new_expiry
+    added = len(expiring) - before
+    if added:
+        # Every vector of ``ttl_bits`` is now TTL'd; the ones already
+        # there were in ``_ttl_or``, so the OR adds exactly the new ones.
+        slot._ttl_or |= ttl_bits
+        if new_expiry < slot._ttl_min:
+            slot._ttl_min = new_expiry
+        node.app_entries += added
 
 
 def vectors_mask(node: Node, metric_id: Hashable, bit: int, now: int = 0) -> int:

@@ -14,11 +14,10 @@ state: one leaf per ``(metric, bit)`` slot, leaves grouped into
 mapping) whose digests roll up into a single node root.  A converged
 pair exchanges two roots and stops — the steady-state bandwidth floor
 is ``2 * SizeModel.digest_bytes`` per pair — and only mismatched
-segments degrade to shipping their state as tuples.  On the ``"array"``
-backend the leaf bytes come out of the register arena in one vectorized
-row gather (:meth:`~repro.core.regstore.RegArena.rows_canonical`); the
-packed backend encodes its Python-int bitmaps to the identical
-canonical form, so digests are storage-layout independent.
+segments degrade to shipping their state as tuples.  A leaf hashes the
+slot's live bitmap as a Python int in one canonical form (little-endian,
+no trailing zeros) whichever backend holds the slot, so digests are
+storage-layout independent.
 
 Reconciliation between a node ``X`` and a chain peer ``S`` is two
 asymmetric directions, chosen so repeated rounds converge without
@@ -31,20 +30,23 @@ flooding copies around the ring:
   configured depth.
 * **homecoming** — ``S`` returns the bits for which ``X`` is *visible*
   to the counting walk (in the overlay's ``interval_reach``, per the
-  injected predicate) while ``S`` itself is not.  This is how an
+  injected per-node position mask) while ``S`` itself is not.  This is how an
   amnesiac rejoiner pulls its spilled state back home, and how bits
   stranded behind a partition reach a reachable holder the walk reads.
   This is the only code that returns a bit the walk cannot read to a
   node it can.
 
 A round runs on one :class:`~repro.overlay.replication.ChainView`:
-chain peers come off one sorted id list, each store is scanned once
-into a ``{key: live bitmap}`` table the round refreshes where it writes,
-and both views of a direction are dict arithmetic over those tables.
-**Trees are built only for views that differ**: equal views hash to
-equal trees by construction, so a converged direction is charged its
-two roots and hashes nothing.  Reads, writes and charges are exactly
-the pair-by-pair protocol's (``test_antientropy_differential.py``).
+chain peers come off one sorted id list, and each store is scanned once
+into one packed int (a fixed slice per ``(metric, bit)`` key) the round
+refreshes where it writes.  Both checks of a pair are then a few big-int
+operations: the push is converged iff ``primary & ~dst == 0``, the
+homecoming iff ``src & expand(vis(dst) & ~vis(src)) & ~dst == 0``.
+**Only a direction that fails its check spells its views out**: equal
+views hash to equal trees by construction, so a converged direction is
+charged its two roots and builds no dict, tree or summary.  Reads,
+writes and charges are exactly the pair-by-pair protocol's
+(``test_antientropy_differential.py``).
 
 Layering note: this module sits in the overlay and must not import the
 core DHS machinery, so slots are duck-typed (:class:`RegisterSlot`) and
@@ -63,11 +65,9 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterator,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     cast,
 )
@@ -81,7 +81,6 @@ from repro.overlay.replication import (
     RegisterSlot,
     SlotKey,
     entry_expiry,
-    is_slot_key,
 )
 from repro.overlay.stats import OpCost
 
@@ -90,7 +89,6 @@ __all__ = [
     "DigestTree",
     "RegisterSlot",
     "antientropy_round",
-    "store_digest",
     "sync_stores",
     "view_digest",
 ]
@@ -100,8 +98,9 @@ _DIGEST_SIZE = 16
 
 #: Injected store writer: ``write_fn(node, metric, vector, bit, expiry)``.
 WriteFn = Callable[[Node, Hashable, int, int, Optional[int]], None]
-#: Injected walk-visibility predicate: ``visible(bit, node_id)``.
-VisibleFn = Callable[[int, int], bool]
+#: Injected walk visibility: ``visible(node_id)`` is the bitmask of the
+#: bit positions whose counting walk reads ``node_id``.
+VisibleFn = Callable[[int], int]
 #: Injected interval geometry: ``segment_of(bit) -> segment index``.
 SegmentFn = Callable[[int], int]
 
@@ -137,32 +136,17 @@ class AntiEntropyStats:
         self.entries_written += other.entries_written
 
 
-def _dhs_slots(node: Node) -> Iterator[Tuple[SlotKey, RegisterSlot]]:
-    """The node's DHS register slots (other applications' values skipped)."""
-    for key, value in node.store.items():
-        if is_slot_key(key) and hasattr(value, "live_mask"):
-            yield cast(SlotKey, key), cast(RegisterSlot, value)
-
-
 def _canonical(mask: int) -> bytes:
-    """Canonical bitmap bytes: little-endian, no trailing zeros.
-
-    Matches :meth:`repro.core.regstore.RegArena.rows_canonical` exactly,
-    which is what makes digests backend-independent.
-    """
+    """Canonical bitmap bytes: little-endian, no trailing zeros."""
     return mask.to_bytes((mask.bit_length() + 7) // 8, "little")
 
 
-def _leaf(
-    key: SlotKey, mask_bytes: bytes, ttl_items: Sequence[Tuple[int, float]]
-) -> Tuple[bytes, bytes]:
+def _leaf(key: SlotKey, mask: int) -> Tuple[bytes, bytes]:
     """One slot's ``(sort key, digest)`` leaf."""
     key_repr = repr(key).encode()
     digest = blake2b(key_repr, digest_size=_DIGEST_SIZE)
     digest.update(b"\x00")
-    digest.update(mask_bytes)
-    for vector, expiry in ttl_items:
-        digest.update(f"|{vector}:{expiry!r}".encode())
+    digest.update(_canonical(mask))
     return key_repr, digest.digest()
 
 
@@ -182,52 +166,11 @@ def _rollup(leaves: Dict[int, List[Tuple[bytes, bytes]]]) -> DigestTree:
     return DigestTree(root.digest(), segments)
 
 
-def _live_ttl_items(slot: RegisterSlot, now: int) -> Tuple[Tuple[int, float], ...]:
-    """The slot's live TTL'd ``(vector, expiry)`` pairs, sorted."""
-    expiring = slot.expiring
-    if not expiring:
-        return ()
-    return tuple(sorted((v, e) for v, e in expiring.items() if e >= now))
-
-
-def store_digest(node: Node, now: int, segment_of: SegmentFn) -> DigestTree:
-    """Digest tree over ``node``'s full live register state.
-
-    Two stores hold bit-identical live state iff their roots agree.
-    Arena-backed TTL-free slots take the vectorized path: their rows are
-    gathered out of the register matrix in one fancy-index slice per
-    arena instead of round-tripping each bitmap through a Python int.
-    """
-    leaves: Dict[int, List[Tuple[bytes, bytes]]] = {}
-    arena_groups: Dict[int, Tuple[object, List[int], List[Tuple[int, SlotKey]]]] = {}
-    for key, slot in _dhs_slots(node):
-        segment = segment_of(key[1])
-        arena = getattr(slot, "arena", None)
-        if arena is not None and not slot.expiring:
-            group = arena_groups.setdefault(id(arena), (arena, [], []))
-            group[1].append(cast(int, getattr(slot, "row")))
-            group[2].append((segment, key))
-            continue
-        ttl_items = _live_ttl_items(slot, now)
-        leaves.setdefault(segment, []).append(
-            _leaf(key, _canonical(slot.mask), ttl_items)
-        )
-    for arena, rows, metas in arena_groups.values():
-        row_bytes = cast(
-            List[bytes], getattr(arena, "rows_canonical")(rows)
-        )
-        for mask_bytes, (segment, key) in zip(row_bytes, metas):
-            leaves.setdefault(segment, []).append(_leaf(key, mask_bytes, ()))
-    return _rollup(leaves)
-
-
 def view_digest(view: Mapping[SlotKey, int], segment_of: SegmentFn) -> DigestTree:
     """Digest tree over a plain ``{key: bitmap}`` view (protocol messages)."""
     leaves: Dict[int, List[Tuple[bytes, bytes]]] = {}
     for key, mask in view.items():
-        leaves.setdefault(segment_of(key[1]), []).append(
-            _leaf(key, _canonical(mask), ())
-        )
+        leaves.setdefault(segment_of(key[1]), []).append(_leaf(key, mask))
     return _rollup(leaves)
 
 
@@ -241,35 +184,38 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
+def _charge_roots(stats: AntiEntropyStats, model: SizeModel, directions: int) -> None:
+    """The bandwidth floor: each direction exchanges two root digests."""
+    cost = stats.cost
+    cost.messages += 2 * directions
+    cost.hops += 2 * directions
+    cost.bytes += 2 * directions * model.digest_bytes
+
+
 def _sync_direction(
     view: ChainView,
     src_id: int,
     dst_id: int,
-    offered: Dict[SlotKey, int],
+    offered: int,
     *,
     model: SizeModel,
     segment_of: SegmentFn,
     write_fn: WriteFn,
     stats: AntiEntropyStats,
 ) -> bool:
-    """One half of a reconciliation: ``src_id`` offers bitmaps to ``dst_id``.
+    """The digest path of a direction whose offer ``dst_id`` does not hold.
 
-    Root digests are exchanged unconditionally (the bandwidth floor);
-    on mismatch both sides ship per-segment digest lists, and only the
-    mismatched segments degrade to tuple summaries which ``dst``
-    OR-merges.  Equal views hash to equal trees by construction, so the
-    trees are built only when the views differ.  Returns whether the
-    pair was already converged.
+    After the root exchange (charged by the caller), both sides spell
+    their views out key by key in ``src_id``'s store order and hash
+    them; on a root mismatch they ship per-segment digest lists, and
+    only the mismatched segments degrade to tuple summaries which
+    ``dst`` OR-merges.  Returns ``True`` only on a root collision.
     """
     cost = stats.cost
-    cost.messages += 2
-    cost.hops += 2
-    cost.bytes += 2 * model.digest_bytes
-    have = view.table(dst_id)
-    dst_masks = {key: have.get(key, 0) & mask for key, mask in offered.items()}
-    if dst_masks == offered:
-        return True
-    src_tree = view_digest(offered, segment_of)
+    offered_view = view.unpack(src_id, offered)
+    held = view.unpack(src_id, offered & view.packed(dst_id))
+    dst_masks = {key: held.get(key, 0) for key in offered_view}
+    src_tree = view_digest(offered_view, segment_of)
     dst_tree = view_digest(dst_masks, segment_of)
     if src_tree.root == dst_tree.root:
         return True
@@ -289,7 +235,7 @@ def _sync_direction(
     dst = dht.node(dst_id)
     shipped_slots = 0
     shipped_entries = 0
-    for key, mask in offered.items():
+    for key, mask in offered_view.items():
         if segment_of(key[1]) not in mismatched:
             continue
         shipped_slots += 1
@@ -312,17 +258,6 @@ def _sync_direction(
     return False
 
 
-def _homecoming(
-    view: ChainView, holder_id: int, home_id: int, visible: VisibleFn
-) -> Dict[SlotKey, int]:
-    """Live bits at ``holder_id`` whose interval sees ``home_id`` but not the holder."""
-    return {
-        key: live
-        for key, live in view.table(holder_id).items()
-        if live and not visible(key[1], holder_id) and visible(key[1], home_id)
-    }
-
-
 def sync_stores(
     dht: DHTProtocol,
     left_id: int,
@@ -342,14 +277,17 @@ def sync_stores(
     if stats is None:
         stats = AntiEntropyStats()
     stats.pairs += 1
+    _charge_roots(stats, model, 2)
     view = ChainView(dht, now)
+    view.pack((left_id, right_id))
     converged = True
     for src_id, dst_id in ((left_id, right_id), (right_id, left_id)):
-        everything = {k: live for k, live in view.table(src_id).items() if live}
-        converged &= _sync_direction(
-            view, src_id, dst_id, everything,
-            model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-        )
+        offered = view.packed(src_id)
+        if offered & ~view.packed(dst_id):
+            converged &= _sync_direction(
+                view, src_id, dst_id, offered,
+                model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
+            )
     if converged:
         stats.pairs_converged += 1
     return stats
@@ -388,24 +326,39 @@ def antientropy_round(
         if sample < len(ids):
             ids = sorted(rng.sample(ids, sample))
     degree = max(1, replication)
+    packed = view.packed
+
+    def _sync(src_id: int, dst_id: int, offered: int) -> bool:
+        return _sync_direction(
+            view, src_id, dst_id, offered,
+            model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
+        )
 
     def _pair(left_id: int, right_id: int) -> None:
-        """Primary push left -> right, then homecoming pull right -> left."""
-        stats.pairs += 1
-        converged = _sync_direction(
-            view, left_id, right_id, view.primary(left_id, degree),
-            model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-        )
-        converged &= _sync_direction(
-            view, right_id, left_id, _homecoming(view, right_id, left_id, visible),
-            model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-        )
-        if converged:
-            stats.pairs_converged += 1
+        """Primary push left -> right, then homecoming pull right -> left.
+
+        A direction whose offer the receiver already holds is converged;
+        only the others take the digest path (:func:`_sync_direction`).
+        """
+        push = view.primary(left_id, degree)
+        converged = not push & ~packed(right_id) or _sync(left_id, right_id, push)
+        # The live bits at right whose interval's walk reads left but
+        # not right: the ones to bring home.  Most neighbours are seen
+        # by the same walks, so there are no such positions at all.
+        positions = visible(left_id) & ~visible(right_id)
+        if positions:
+            home = packed(right_id) & view.expand(positions)
+            if home & ~packed(left_id):
+                converged = _sync(right_id, left_id, home) and converged
+        stats.pairs_converged += converged
 
     def _run() -> None:
         for left_id in ids:
-            for right_id in view.successors(left_id, degree):
+            successors = view.successors(left_id, degree)
+            # Every int a pair reads is packed before the first is read.
+            view.pack(successors)
+            stats.pairs += len(successors)
+            for right_id in successors:
                 if obs.TRACING:
                     with obs.TRACER.span(
                         "dhs.antientropy.reconcile",
@@ -422,6 +375,7 @@ def antientropy_round(
             _run()
     else:
         _run()
+    _charge_roots(stats, size_model, 2 * stats.pairs)
     if obs.METERING:
         obs.METRICS.inc("dhs.antientropy.pairs", stats.pairs)
         obs.METRICS.inc("dhs.antientropy.repair_writes", stats.entries_written)

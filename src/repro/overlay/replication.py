@@ -13,6 +13,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Protocol,
@@ -36,6 +37,8 @@ __all__ = [
 
 #: A DHS store key: ``(metric, bit)``.
 SlotKey = Tuple[Hashable, int]
+#: A node store as the DHS reads it (other keys are skipped at runtime).
+_SlotStore = Dict[SlotKey, object]
 
 
 class RegisterSlot(Protocol):
@@ -98,11 +101,22 @@ class ChainView:
     included (a node has at most ``len(ids) - 1`` neighbours).  The
     members are the nodes that answer right now: anti-entropy and the
     divergence gauge chain only over peers they can exchange messages
-    with, so a corpse or a partitioned node is skipped.  A node's
-    ``{key: live_mask(now)}`` table is built on first use, in store
-    order; the round's single writer calls :meth:`refresh` after writing
-    a slot, so a table always equals a fresh scan of its store.  Nothing
-    outlives the round.
+    with, so a corpse or a partitioned node is skipped.
+
+    A node's live register state is one packed Python int
+    (:meth:`packed`): every ``(metric, bit)`` key the round meets gets a
+    fixed slice of ``width`` bits, at an offset assigned the first time
+    the key is seen, so the same key sits at the same bits on every
+    node and chain arithmetic is a handful of big-int operations.
+    ``width`` is the widest live bitmap seen so far; a wider one
+    re-packs every int once, so an int read off the view is only valid
+    until the next node is packed: :meth:`pack` every node a check
+    involves before reading any of them.  The int is built on first use
+    in one store scan, and the round's single writer calls :meth:`refresh`
+    after writing a slot, so it always equals a fresh scan.  The
+    ``{key: live}`` dict (:meth:`table`) is built only where a view must
+    be spelled out key by key, in store order.  Nothing outlives the
+    round.
     """
 
     def __init__(self, dht: DHTProtocol, now: int) -> None:
@@ -114,6 +128,17 @@ class ChainView:
         #: Two laps of the ring, so a chain is one slice even across the wrap.
         self._laps = self.ids * 2
         self._tables: Dict[int, Dict[SlotKey, int]] = {}
+        self._packed: Dict[int, int] = {}
+        #: Bit offset of each key's slice, in order of first sighting.
+        self._shifts: Dict[SlotKey, int] = {}
+        self._width = 0
+        #: ``(1 << width) - 1``: one whole slice.
+        self._full = 0
+        #: :meth:`expand` memo; stale once a key or the width changes.
+        self._expanded: Dict[int, int] = {}
+        #: :meth:`primary` memo per ``(node, degree)``; stale after any
+        #: write or a change of width.
+        self._primaries: Dict[Tuple[int, int], int] = {}
 
     def successors(self, node_id: int, degree: int) -> List[int]:
         """The first ``degree`` chain successors, nearest first."""
@@ -122,8 +147,12 @@ class ChainView:
 
     def predecessors(self, node_id: int, degree: int) -> List[int]:
         """The first ``degree`` chain predecessors, nearest first."""
+        return self._chain_to(node_id, degree)[-2::-1]
+
+    def _chain_to(self, node_id: int, degree: int) -> List[int]:
+        """``node_id``'s first ``degree`` predecessors, farthest first, then itself."""
         end = self._index[node_id] + len(self.ids)
-        return self._laps[end - min(degree, len(self.ids) - 1) : end][::-1]
+        return self._laps[end - min(degree, len(self.ids) - 1) : end + 1]
 
     def table(self, node_id: int) -> Dict[SlotKey, int]:
         """Live bitmap per DHS key at ``node_id``, in store order.
@@ -145,13 +174,105 @@ class ChainView:
             }
         return table
 
+    def packed(self, node_id: int) -> int:
+        """``node_id``'s live register state, one slice per key."""
+        try:
+            return self._packed[node_id]
+        except KeyError:
+            packed = self._packed[node_id] = self._pack(node_id)
+            return packed
+
+    def pack(self, node_ids: Iterable[int]) -> None:
+        """Pack ``node_ids`` now, so no later read re-packs an int in hand."""
+        packed = self._packed
+        for node_id in node_ids:
+            if node_id not in packed:
+                packed[node_id] = self._pack(node_id)
+
+    def _pack(self, node_id: int) -> int:
+        """One store scan; a foreign value under a slot key packs as 0."""
+        now = self.now
+        shifts = self._shifts
+        store = cast(_SlotStore, self.dht.node(node_id).store)
+        packed = widest = 0
+        for key, value in store.items():
+            shift = shifts.get(key)
+            if shift is None:
+                if not is_slot_key(key):
+                    continue
+                shift = self._add_key(key)
+            live_mask = getattr(value, "live_mask", None)
+            if live_mask is not None:
+                live = live_mask(now)
+                widest |= live
+                packed |= live << shift
+        if widest > self._full:  # a slice bled into its neighbour
+            self._widen(widest.bit_length())
+            return self._pack(node_id)
+        return packed
+
+    def _add_key(self, key: SlotKey) -> int:
+        shift = self._shifts[key] = len(self._shifts) * self._width
+        self._expanded.clear()
+        return shift
+
+    def _widen(self, width: int) -> None:
+        """Re-pack every int at ``width`` bits per slice."""
+        old = [(shift, index * width) for index, shift in enumerate(self._shifts.values())]
+        full = self._full
+        for node_id, packed in self._packed.items():
+            self._packed[node_id] = sum(
+                ((packed >> shift) & full) << new for shift, new in old
+            )
+        self._shifts = {key: index * width for index, key in enumerate(self._shifts)}
+        self._width = width
+        self._full = (1 << width) - 1
+        self._expanded.clear()
+        self._primaries.clear()
+
+    def unpack(self, node_id: int, packed: int) -> Dict[SlotKey, int]:
+        """``packed``'s non-empty slices, keyed in ``node_id``'s store order."""
+        shifts, full = self._shifts, self._full
+        view: Dict[SlotKey, int] = {}
+        for key in self.table(node_id):
+            live = (packed >> shifts[key]) & full
+            if live:
+                view[key] = live
+        return view
+
+    def expand(self, positions: int) -> int:
+        """Whole slices of every key whose bit is set in ``positions``."""
+        slices = self._expanded.get(positions)
+        if slices is None:
+            full = self._full
+            slices = 0
+            for key, shift in self._shifts.items():
+                if (positions >> key[1]) & 1:
+                    slices |= full << shift
+            self._expanded[positions] = slices
+        return slices
+
     def refresh(self, node_id: int, key: SlotKey) -> None:
         """Re-read the slot at ``key`` after the round wrote to it."""
         slot = cast(RegisterSlot, self.dht.node(node_id).store[key])
-        self.table(node_id)[key] = slot.live_mask(self.now)
+        live = slot.live_mask(self.now)
+        self._primaries.clear()
+        table = self._tables.get(node_id)
+        if table is not None:
+            table[key] = live
+        packed = self._packed.get(node_id)
+        if packed is None:
+            return  # packed from a fresh scan on first use
+        shift = self._shifts.get(key)
+        if shift is None:
+            shift = self._add_key(key)
+        if live > self._full:
+            self._widen(live.bit_length())
+            packed, shift = self._packed[node_id], self._shifts[key]
+        self._packed[node_id] = (packed & ~(self._full << shift)) | (live << shift)
 
-    def primary(self, node_id: int, degree: int) -> Dict[SlotKey, int]:
-        """Live bits ``node_id`` is primary for, per key.
+    def primary(self, node_id: int, degree: int) -> int:
+        """Live bits ``node_id`` is primary for, packed.
 
         The primary-bit rule, defined here only: a node is primary for
         the live bits none of its ``degree`` chain predecessors hold —
@@ -161,14 +282,16 @@ class ChainView:
         absent and the node steps up as primary for them, which is what
         lets anti-entropy re-cover a chain *during* an outage.
         """
-        preds = [self.table(pred) for pred in self.predecessors(node_id, degree)]
-        view: Dict[SlotKey, int] = {}
-        for key, live in self.table(node_id).items():
-            for pred in preds:
-                live &= ~pred.get(key, 0)
-            if live:
-                view[key] = live
-        return view
+        primary = self._primaries.get((node_id, degree))
+        if primary is None:
+            chain = self._chain_to(node_id, degree)
+            self.pack(chain)
+            packed = self._packed
+            primary = packed[node_id]
+            for pred in chain[:-1]:
+                primary &= ~packed[pred]
+            self._primaries[node_id, degree] = primary
+        return primary
 
 
 def replicate_to_successors(

@@ -138,9 +138,13 @@ def _sync_direction(dht, dst_id, view, now, model, segment_of, write_fn, stats):
 
 def antientropy_round(
     dht, replication, now, *, visible, segment_of, write_fn,
-    model=DEFAULT_SIZE_MODEL, rng=None, sample=None,
+    model=DEFAULT_SIZE_MODEL, rng=None, sample=None, log=None,
 ):
-    """One round, pair by pair, exactly as it ran before the chain view."""
+    """One round, pair by pair, exactly as it ran before the chain view.
+
+    ``log``, if given, collects ``(src, dst)`` of every direction whose
+    two views differed, in round order.
+    """
     stats = AntiEntropyStats()
     ids = [int(n) for n in dht.node_ids() if dht.node_responsive(n)]
     if sample is not None and rng is not None and 0 < sample < len(ids):
@@ -150,14 +154,22 @@ def antientropy_round(
         for right_id in ring_walk(dht, left_id, degree, +1, True):
             stats.pairs += 1
             push = _primary_view(dht, left_id, now, degree)
-            converged = _sync_direction(
+            pushed = _sync_direction(
                 dht, right_id, push, now, model, segment_of, write_fn, stats
             )
             home = _homecoming_view(dht, right_id, left_id, now, visible)
-            converged &= _sync_direction(
+            homed = _sync_direction(
                 dht, left_id, home, now, model, segment_of, write_fn, stats
             )
-            stats.pairs_converged += converged
+            if log is not None:
+                log.extend(
+                    direction
+                    for direction, held in (
+                        ((left_id, right_id), pushed), ((right_id, left_id), homed)
+                    )
+                    if not held
+                )
+            stats.pairs_converged += pushed and homed
     return stats
 
 

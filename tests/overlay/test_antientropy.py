@@ -5,7 +5,9 @@ locality), the pairwise reconciliation protocol (push / homecoming,
 OR-merge, expiry preservation, digest-floor bandwidth) and the
 convergence property the whole subsystem exists for — including the
 order-independence property test (any reconciliation schedule over any
-divergent pair lands on the identical bit state).
+divergent pair lands on the identical bit state).  A store's digest is
+``view_digest`` over its ``ChainView`` table, the live state a round
+hashes.
 """
 
 import random
@@ -18,15 +20,11 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.maintenance import antientropy_sweep, replica_divergence
 from repro.core.tuples import vectors_mask, write_entry
-from repro.overlay.antientropy import (
-    AntiEntropyStats,
-    store_digest,
-    sync_stores,
-    view_digest,
-)
+from repro.overlay.antientropy import AntiEntropyStats, sync_stores, view_digest
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.overlay.messages import DEFAULT_SIZE_MODEL
+from repro.overlay.replication import ChainView
 
 # 16-bit space, same geometry as tests/core/test_read_repair.py.
 IDS = [100, 20000, 33000, 40000, 50000, 60000]
@@ -38,6 +36,11 @@ def make_ring():
 
 def segment_of(bit: int) -> int:
     return bit // 4
+
+
+def store_root(dht, node_id, now=0, segments=segment_of):
+    """Digest tree over ``node_id``'s live register state at ``now``."""
+    return view_digest(ChainView(dht, now).table(node_id), segments)
 
 
 def write_fn(node, metric, vector, bit, expiry):
@@ -57,8 +60,8 @@ class TestDigests:
         for node_id in (100, 20000):
             write_entry(ring.node(node_id), "m", 3, 5, None)
             write_entry(ring.node(node_id), "m", 1, 9, None)
-        left = store_digest(ring.node(100), 0, segment_of)
-        right = store_digest(ring.node(20000), 0, segment_of)
+        left = store_root(ring, 100)
+        right = store_root(ring, 20000)
         assert left.root == right.root
         assert left.segments == right.segments
 
@@ -68,8 +71,8 @@ class TestDigests:
             write_entry(ring.node(node_id), "m", 3, 1, None)   # segment 0
             write_entry(ring.node(node_id), "m", 1, 9, None)   # segment 2
         write_entry(ring.node(100), "m", 5, 9, None)           # diverge seg 2
-        left = store_digest(ring.node(100), 0, segment_of)
-        right = store_digest(ring.node(20000), 0, segment_of)
+        left = store_root(ring, 100)
+        right = store_root(ring, 20000)
         assert left.root != right.root
         assert left.segments[0] == right.segments[0]
         assert left.segments[2] != right.segments[2]
@@ -78,13 +81,13 @@ class TestDigests:
         ring = make_ring()
         write_entry(ring.node(100), "m", 0, 1, 5)
         write_entry(ring.node(20000), "m", 0, 1, 9)
-        # Different expiries hash differently while live...
-        now_live = store_digest(ring.node(100), 0, segment_of)
-        assert now_live.root != store_digest(ring.node(20000), 0, segment_of).root
-        # ...but once both are dead the stores digest as empty and agree.
-        left = store_digest(ring.node(100), 10, segment_of)
-        right = store_digest(ring.node(20000), 10, segment_of)
-        assert left.root == right.root
+        # Live state is what digests: both entries live agree whatever
+        # their expiries...
+        assert store_root(ring, 100, now=5).root == store_root(ring, 20000, now=5).root
+        # ...an entry dead on one side only is a difference...
+        assert store_root(ring, 100, now=7).root != store_root(ring, 20000, now=7).root
+        # ...and once both are dead the stores digest alike.
+        assert store_root(ring, 100, now=10).root == store_root(ring, 20000, now=10).root
 
     def test_view_digest_matches_store_digest(self):
         ring = make_ring()
@@ -94,10 +97,7 @@ class TestDigests:
             ("m", 3): vectors_mask(ring.node(100), "m", 3),
             ("x", 7): vectors_mask(ring.node(100), "x", 7),
         }
-        assert (
-            view_digest(view, segment_of).root
-            == store_digest(ring.node(100), 0, segment_of).root
-        )
+        assert view_digest(view, segment_of).root == store_root(ring, 100).root
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_backend_independence(self, seed):
@@ -112,9 +112,7 @@ class TestDigests:
             )
             dhs.insert_bulk("docs", range(200), origin=100, now=0)
             roots[store] = [
-                store_digest(
-                    ring.node(node_id), 0, dhs.mapping.interval_index
-                ).root
+                store_root(ring, node_id, segments=dhs.mapping.interval_index).root
                 for node_id in ring.node_ids()
             ]
         assert roots["packed"] == roots["array"]
@@ -168,10 +166,7 @@ class TestSyncStores:
         again = full_sync(ring, 100, 20000)
         assert again.pairs_converged == 1
         assert again.entries_written == 0
-        assert (
-            store_digest(ring.node(100), 0, segment_of).root
-            == store_digest(ring.node(20000), 0, segment_of).root
-        )
+        assert store_root(ring, 100).root == store_root(ring, 20000).root
 
 
 # Entries to seed each side with: (vector, bit) pairs in a small range.
@@ -214,10 +209,7 @@ class TestConvergenceProperty:
         for node_id in (100, 20000):
             for bit, mask in expected.items():
                 assert vectors_mask(ring.node(node_id), "m", bit) == mask
-        assert (
-            store_digest(ring.node(100), 0, segment_of).root
-            == store_digest(ring.node(20000), 0, segment_of).root
-        )
+        assert store_root(ring, 100).root == store_root(ring, 20000).root
 
 
 class TestSweep:

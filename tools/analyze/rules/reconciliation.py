@@ -2,9 +2,9 @@
 
 Anti-entropy correctness hinges on one invariant: **both register
 backends digest to identical bytes**.  ``repro.overlay.antientropy``
-canonicalizes a register row the same way whether it lives as a Python
-``int`` mask or as an arena row (``RegArena.rows_canonical`` mirrors
-``mask.to_bytes(..., "little")`` with trailing zeros stripped), and
+hashes a slot's live bitmap as a Python ``int`` (an arena-backed slot
+mirrors its row into one), canonicalized one way only —
+``mask.to_bytes(..., "little")`` with trailing zeros stripped — and
 every digest in the system is built from that one canonical form.  A
 second module hashing arena state independently would fork the
 canonicalization — two nodes could disagree about convergence purely
@@ -54,13 +54,14 @@ class DigestOutsideAntientropy(Rule):
         "Anti-entropy digests are only meaningful if every node computes "
         "them from the identical canonical bytes: "
         "`repro.overlay.antientropy` owns that canonicalization "
-        "(`RegArena.rows_canonical` <-> `mask.to_bytes`, little-endian, "
-        "trailing zeros stripped) and the blake2b leaf/segment/root "
+        "(the live bitmap as `mask.to_bytes`, little-endian, trailing "
+        "zeros stripped, whichever backend holds the slot) and the "
+        "blake2b leaf/segment/root "
         "construction over it. A module that imports repro.core.regstore "
         "and hashes on its own forks the canonical form — two replicas "
         "could then disagree about convergence because of how they "
         "hashed, not what they store. Compute digests via "
-        "repro.overlay.antientropy (store_digest / view_digest) instead."
+        "repro.overlay.antientropy (view_digest) instead."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
