@@ -31,9 +31,15 @@ Hot path: the per-metric bookkeeping (pending / active / found vectors)
 is kept as packed integer bitmaps throughout, so a probe answers "which
 of these pending vectors are set here?" with one ``int &`` per metric
 against the node's :class:`~repro.core.tuples.PackedSlot` mask.  The
-per-interval random probe keys are drawn up front (one pass over the
-counting RNG per scan), and per-probe node-id recording is gated behind
-``dht.trace`` — the ``probes``/``unique_probed`` counters stay exact.
+per-interval random probe keys are drawn up front, one per interval,
+by :meth:`~repro.core.mapping.BitIntervalMap.random_keys`: one pass
+over the counting RNG per scan, straight from the mapping's
+``(lo, width, bits)`` table, consuming the RNG exactly as one
+``randrange(lo, hi)`` per interval would.  Per-probe node-id recording
+is gated behind ``dht.trace`` — the ``probes``/``unique_probed``
+counters stay exact.  Whether a scan is traced is decided once per
+scan, and an interval's budget, bounds and per-hop probe bytes once per
+interval.
 
 There is one probe walk: every probe contacts the node, reads its slots,
 charges the bytes, read-repairs when configured and emits one ``probe``
@@ -274,8 +280,9 @@ class Counter:
             expected_items = min(estimates) if estimates else 0.0
         result = self._run_scan(metric_ids, origin, now, expected_items=expected_items)
         if bootstrap is not None:
-            # The bootstrap pass is part of this count: its cost and visits.
-            result.cost.add(bootstrap.cost)
+            # The bootstrap pass is part of this count and ran first: its
+            # cost and visits go before the main pass's.
+            result.cost = bootstrap.cost.add(result.cost)
             result.probes += bootstrap.probes
             result.probed_ids |= bootstrap.probed_ids
             result.probed_nodes[:0] = bootstrap.probed_nodes
@@ -306,7 +313,7 @@ class Counter:
         # One probe key per interval, drawn up front: a single pass over
         # the counting RNG per scan, independent of which intervals the
         # scan actually reaches before resolving.
-        keys = self._interval_keys()
+        keys = self.mapping.random_keys(self._rng)
         if config.estimator in _DOWNWARD_ESTIMATORS:
             scan = self._scan_downward
         else:
@@ -336,24 +343,12 @@ class Counter:
             }
         return result
 
-    def _interval_keys(self) -> List[int]:
-        """Random probe key for every interval (ascending interval order)."""
-        mapping = self.mapping
-        rng = self._rng
-        return [
-            mapping.random_key_in_interval(index, rng)
-            for index in range(mapping.num_intervals)
-        ]
-
     # ------------------------------------------------------------------
-    # Per-interval probe budget (fixed lim, or eq. 6 from a prior).
+    # Per-interval probe budget under eq. 6 (a fixed lim is ``config.lim``).
     # ------------------------------------------------------------------
-    def _interval_budget(self, index: int, expected_items: Optional[float]) -> int:
-        """Probe budget for one interval under the active lim policy."""
+    def _interval_budget(self, index: int, position: int, expected_items: float) -> int:
+        """Eq. 6 probe budget for one interval, from a prior cardinality."""
         config = self.config
-        if expected_items is None:
-            return config.lim
-        position = self.mapping.position_for_index(index)
         items_here = expected_items * 2.0 ** -(position + 1)
         nodes_here = max(1.0, self.mapping.expected_nodes(index, self.dht.size))
         budget = lim_with_replication(
@@ -382,11 +377,13 @@ class Counter:
         config = self.config
         full = (1 << config.num_bitmaps) - 1
         pending: Dict[Hashable, int] = {metric: full for metric in planes}
+        probe = self._probe_interval if obs.TRACING else self._probe_interval_impl
+        shift = config.bit_shift
         for index in reversed(range(self.mapping.num_intervals)):
             if not any(pending.values()):
                 break
-            position = self.mapping.position_for_index(index)
-            found = self._probe_interval(
+            position = index + shift
+            found = probe(
                 index, position, pending, origin, now, result, expected_items,
                 key=keys[index],
             )
@@ -423,11 +420,13 @@ class Counter:
         # Positions below the shift are assumed set (section 3.5).
         for metric_planes in planes.values():
             metric_planes[: config.bit_shift] = [full] * config.bit_shift
+        probe = self._probe_interval if obs.TRACING else self._probe_interval_impl
+        shift = config.bit_shift
         for index in range(self.mapping.num_intervals):
             if not any(active.values()):
                 break
-            position = self.mapping.position_for_index(index)
-            found = self._probe_interval(
+            position = index + shift
+            found = probe(
                 index, position, active, origin, now, result, expected_items,
                 key=keys[index],
             )
@@ -502,7 +501,10 @@ class Counter:
         event = obs.TRACER.event if obs.TRACING else None
         config = self.config
         dht = self.dht
-        budget = self._interval_budget(index, expected_items)
+        budget = (
+            config.lim if expected_items is None
+            else self._interval_budget(index, position, expected_items)
+        )
         metrics = [metric for metric, mask in needed.items() if mask]
         found: Dict[Hashable, int] = {metric: 0 for metric in metrics}
         if not metrics:
@@ -537,23 +539,26 @@ class Counter:
         else:
             lookup = dht.lookup(key, origin=origin)
         size_model = config.size_model
-        num_metrics = len(metrics)
+        tuple_bytes = size_model.tuple_bytes
+        # One hop of a probe request; ``probe_bytes`` is linear in its
+        # hops, so ``hops * hop_bytes`` is its exact value for any hops.
+        hop_bytes = size_model.probe_bytes(
+            request_hops=1, tuples_returned=0, metrics=len(metrics)
+        )
+        lookup_hops = lookup.cost.hops
         cost.add(lookup.cost)
         if event is not None:
             event(
-                "dht.lookup",
-                tick=now,
-                key=key,
-                node=lookup.node_id,
-                hops=lookup.cost.hops,
+                "dht.lookup", tick=now, key=key, node=lookup.node_id, hops=lookup_hops
             )
-        cost.bytes += size_model.probe_bytes(
-            request_hops=lookup.cost.hops, tuples_returned=0, metrics=num_metrics
-        )
+        cost.bytes += lookup_hops * hop_bytes
 
         repair = config.read_repair and config.replication > 0
         trace = dht.trace
-        lo, hi = self.mapping.interval_for_index(index)
+        live_node = dht.live_node
+        record = dht.load.record
+        probed_ids = result.probed_ids
+        lo, hi = self.mapping.bounds[index]
         probes_done = 0
         node: Optional[Node]
         lost = False  # only the lossy contact can lose a probe message
@@ -565,12 +570,9 @@ class Counter:
                 cost.messages += 1
                 if trace:
                     cost.nodes_visited.append(target)
-                cost.bytes += size_model.probe_bytes(
-                    request_hops=1, tuples_returned=0, metrics=num_metrics
-                )
-            result.probes += 1
+                cost.bytes += hop_bytes
             probes_done += 1
-            result.probed_ids.add(target)
+            probed_ids.add(target)
             if trace:
                 result.probed_nodes.append(target)
             # Contact the node: ``None`` when it did not answer.
@@ -584,9 +586,9 @@ class Counter:
                     except MessageDropped:
                         lost = True  # already charged into ``cost`` by the policy
             else:
-                node = dht.live_node(target)
+                node = live_node(target)
                 if node is not None:
-                    dht.load.record(target)
+                    record(target)
                     if obs.METERING:
                         obs.METRICS.inc("dht.probes")
             if node is not None:
@@ -599,11 +601,19 @@ class Counter:
                         if mask:
                             returned += mask.bit_count()
                             found[metric] |= mask
-                cost.bytes += returned * size_model.tuple_bytes
+                cost.bytes += returned * tuple_bytes
                 if repair and returned:
                     self._read_repair(node, metrics, position, now, cost)
                 if event is not None:
                     event("probe", tick=now, node=target, ok=True, bits=returned)
+                # Only new bits can resolve the walk: before the first
+                # hit every metric still pends (``metrics`` holds only
+                # pending ones), and a probe that adds none leaves the
+                # answer as the last hit left it.
+                if returned and all(
+                    not (needed[metric] & ~found[metric]) for metric in metrics
+                ):
+                    break
             elif not lost:
                 # Timed-out probe of a crashed (or transiently down)
                 # node — Alg. 1's failure case.  The walk hop was already
@@ -615,10 +625,9 @@ class Counter:
                     event("probe", tick=now, node=target, ok=False, timeout=True)
             elif event is not None:
                 event("probe", tick=now, node=target, ok=False, lost=True)
-            if all(not (needed[metric] & ~found[metric]) for metric in metrics):
-                break
             if probes_done == budget:
                 break
+        result.probes += probes_done
         if probes_done == budget:
             # The walk ended on its budget (a no-op if it also resolved).
             self._charge_exhaustion(

@@ -14,12 +14,20 @@ property that lets DHS claim total access/storage balance.
 With the fault-tolerance shift ``b`` (section 3.5), stored position
 ``r`` is mapped to the interval of position ``r - b``; positions below
 ``b`` are never stored and assumed set.
+
+Random keys inside an interval are drawn from a per-interval table of
+``(lo, width, width.bit_length())``: ``getrandbits`` of that many bits,
+redrawn while the draw is not below ``width``.  That is the loop
+CPython's ``randrange(lo, hi)`` runs (``_randbelow_with_getrandbits``),
+so the stream is the same call for call, without the wrapper's argument
+checks.  Every interval width is a power of two, so about half the
+draws are redrawn, as they are under ``randrange``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.core.config import DHSConfig
 from repro.errors import ConfigurationError
@@ -43,12 +51,16 @@ class BitIntervalMap:
         self.num_intervals = config.position_bits - config.bit_shift
         #: Precomputed ``[lo, hi)`` bounds per interval.
         bits = space.bits
-        self._bounds: Tuple[Tuple[int, int], ...] = tuple(
+        self.bounds: Tuple[Tuple[int, int], ...] = tuple(
             (
                 0 if index == self.num_intervals - 1 else 1 << (bits - index - 1),
                 1 << (bits - index),
             )
             for index in range(self.num_intervals)
+        )
+        #: ``(lo, width, width.bit_length())`` per interval: the key draw's table.
+        self._draws: Tuple[Tuple[int, int, int], ...] = tuple(
+            (lo, hi - lo, (hi - lo).bit_length()) for lo, hi in self.bounds
         )
 
     def threshold(self, r: int) -> int:
@@ -76,16 +88,20 @@ class BitIntervalMap:
             )
         return index
 
+    def _checked(self, index: int) -> int:
+        """``index``, or ``ValueError`` when no interval has it."""
+        if not 0 <= index < self.num_intervals:
+            raise ValueError(
+                f"interval index {index} out of range [0, {self.num_intervals})"
+            )
+        return index
+
     def interval_for_index(self, index: int) -> Tuple[int, int]:
         """Half-open id range ``[lo, hi)`` of interval ``index``.
 
         The last interval absorbs ``[0, thr(last - 1))``.
         """
-        if not 0 <= index < self.num_intervals:
-            raise ValueError(
-                f"interval index {index} out of range [0, {self.num_intervals})"
-            )
-        return self._bounds[index]
+        return self.bounds[self._checked(index)]
 
     def interval_for_position(self, position: int) -> Tuple[int, int]:
         """Id range storing bitmap ``position`` (after the shift)."""
@@ -93,16 +109,35 @@ class BitIntervalMap:
 
     def position_for_index(self, index: int) -> int:
         """Inverse of :meth:`interval_index`."""
-        if not 0 <= index < self.num_intervals:
-            raise ValueError(
-                f"interval index {index} out of range [0, {self.num_intervals})"
-            )
-        return index + self.config.bit_shift
+        return self._checked(index) + self.config.bit_shift
 
     def random_key_in_interval(self, index: int, rng: random.Random) -> int:
-        """A uniformly random id inside interval ``index``."""
-        lo, hi = self.interval_for_index(index)
-        return rng.randrange(lo, hi)
+        """A uniformly random id inside interval ``index``.
+
+        Consumes ``rng`` exactly as ``rng.randrange(lo, hi)`` would and
+        returns the same key.
+        """
+        lo, width, k = self._draws[self._checked(index)]
+        getrandbits = rng.getrandbits
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return lo + r
+
+    def random_keys(self, rng: random.Random) -> List[int]:
+        """One random key per interval, in ascending interval order.
+
+        The same keys, from the same ``rng`` calls, as
+        :meth:`random_key_in_interval` over every index in turn.
+        """
+        getrandbits = rng.getrandbits
+        keys = []
+        for lo, width, k in self._draws:
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            keys.append(lo + r)
+        return keys
 
     def expected_nodes(self, index: int, n_nodes: int) -> float:
         """Expected live nodes inside interval ``index`` (uniform ids)."""

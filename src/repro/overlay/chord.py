@@ -21,9 +21,12 @@ predecessor, so from a member origin the whole route is a function of
 ``(origin, owner)`` and the membership: the key adds nothing once the
 owner is known.  Counting looks the same few thousand pairs up over and
 over, so :meth:`ChordRing.lookup` memoises the route per pair in
-``DHTProtocol._route_cache`` and, on a hit, charges the stored path hop
-for hop.  The memo has one invalidation: any join, leave or lazy
-failure clears it whole.
+``DHTProtocol._route_cache``, as the tuple of nodes it visits from the
+origin on.  A hit charges that tuple with one
+:meth:`~repro.overlay.stats.LoadTracker.record_path` call (the same
+per-node counts, in the same order, as one ``record`` per hop) and
+builds its cost once, with its final hops and messages.  The memo has
+one invalidation: any join, leave or lazy failure clears it whole.
 """
 
 from __future__ import annotations
@@ -123,31 +126,35 @@ class ChordRing(DHTProtocol):
         elif not 0 <= origin <= size_mask:
             raise ValueError(f"origin {origin} is outside the {self.space.bits}-bit id space")
         trace = self.trace
-        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
-        record = self.load.record
-        record(origin)
         destination = ids.first_at_or_after(key)
         memo = self._route_cache if self.fault_layer is None else None
-        visited = cost.nodes_visited if trace else None
         admit = False
         if memo is not None:
             pair = (origin, destination)
             path = memo.get(pair, _UNSEEN)
             if path is not None and path is not _UNSEEN:
-                cost.hops = cost.messages = len(path)
-                for node_id in path:
-                    record(node_id)
-                if trace:
-                    cost.nodes_visited.extend(path)
+                # The stored path starts at the origin.
+                self.load.record_path(path)
+                hops = len(path) - 1
                 if obs.METERING:
-                    obs.METRICS.observe("dhs.lookup.hops", cost.hops)
-                return LookupResult(node_id=destination, cost=cost)
+                    obs.METRICS.observe("dhs.lookup.hops", hops)
+                return LookupResult(
+                    node_id=destination,
+                    cost=OpCost(
+                        hops=hops,
+                        messages=hops,
+                        nodes_visited=list(path) if trace else [],
+                        lookups=1,
+                    ),
+                )
             # Second sighting: walk it once more, keeping the path.  A
             # non-member's first hop depends on the key, so only a
             # member origin's route is stored.
             admit = path is None and origin in ids
-            if admit and visited is None:
-                visited = [origin]
+        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
+        visited = cost.nodes_visited if trace else ([origin] if admit else None)
+        record = self.load.record
+        record(origin)
         current = origin
         responsive = self.node_responsive
         # Convergence bound, on the membership at entry (evictions on
@@ -224,7 +231,7 @@ class ChordRing(DHTProtocol):
         if memo is not None and not cost.timeouts:
             if len(memo) >= ROUTE_CACHE_CAP:
                 memo.clear()
-            memo[pair] = tuple(visited[1:]) if admit and visited is not None else None
+            memo[pair] = tuple(visited) if admit and visited is not None else None
         if obs.METERING:
             obs.METRICS.observe("dhs.lookup.hops", cost.hops)
         return LookupResult(node_id=destination, cost=cost)

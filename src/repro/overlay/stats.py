@@ -88,6 +88,15 @@ class LoadTracker:
         """Charge ``amount`` accesses to ``node_id``."""
         self._counts[node_id] += amount
 
+    def record_path(self, node_ids: Iterable[int]) -> None:
+        """Charge one access to every node of ``node_ids``, in order.
+
+        The same per-node counts, first seen in the same order, as one
+        :meth:`record` call per id: a replayed route is charged with one
+        call instead of one per hop.
+        """
+        self._counts.update(node_ids)
+
     def count(self, node_id: int) -> int:
         """Accesses charged to ``node_id`` so far."""
         return self._counts[node_id]

@@ -1,6 +1,7 @@
 """Tests for the eq6 adaptive lim policy, MD4-backed DHS, and
 node-population counting."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import DHSConfig
@@ -67,6 +68,35 @@ class TestEq6Policy:
         # ring every scanned interval paid exactly one lookup.
         assert result.cost.lookups == result.intervals_scanned
         assert result.probes >= result.intervals_scanned
+
+    def test_traced_count_lists_the_bootstrap_pass_first(self):
+        """Both traced visit lists give the bootstrap pass, then the main
+        pass, each exactly as a twin deployment walks it on its own."""
+
+        def deployment():
+            ring = ChordRing.build(512, bits=32, seed=3, trace=True)
+            config = DHSConfig(key_bits=20, num_bitmaps=16, lim_policy="eq6")
+            dhs = DistributedHashSketch(ring, config, seed=1)
+            dhs.insert_array("docs", np.arange(20_000, dtype=np.int64))
+            return dhs
+
+        dhs, twin = deployment(), deployment()
+        origin = dhs.dht.node_ids()[5]
+        result = dhs.count("docs", origin=origin)
+        counter = twin._counter
+        bootstrap = counter._run_scan(
+            ["docs"], origin, 0, expected_items=None, force_fixed=True
+        )
+        main = counter._run_scan(
+            ["docs"], origin, 0, expected_items=bootstrap.estimates["docs"]
+        )
+        assert bootstrap.cost.nodes_visited and main.cost.nodes_visited
+        assert result.cost.nodes_visited == (
+            bootstrap.cost.nodes_visited + main.cost.nodes_visited
+        )
+        assert result.probed_nodes == bootstrap.probed_nodes + main.probed_nodes
+        assert result.cost.bytes == bootstrap.cost.bytes + main.cost.bytes
+        assert result.estimates == main.estimates
 
     def test_prior_skips_bootstrap(self):
         dhs = make_dhs(n_nodes=64, m=4, lim=5, lim_policy="eq6")

@@ -99,6 +99,35 @@ class TestRandomKeys:
                 key = mapping.random_key_in_interval(index, rng)
                 assert lo <= key < hi
 
+    @pytest.mark.parametrize(
+        "space_bits, config",
+        [
+            (64, DHSConfig()),
+            (32, DHSConfig(key_bits=16, num_bitmaps=4, bit_shift=3)),
+            (32, DHSConfig(key_bits=32, num_bitmaps=16)),
+            (96, DHSConfig(key_bits=80, num_bitmaps=8, bit_shift=2)),
+        ],
+        ids=["default", "bit-shift", "key-bits-equal-space", "wider-than-64"],
+    )
+    def test_key_stream_is_randrange_stream(self, space_bits, config):
+        """Both draws return exactly ``randrange(lo, hi)``'s keys and leave
+        the RNG exactly where a twin ``random.Random`` ends up."""
+        mapping = BitIntervalMap(IdSpace(space_bits), config)
+        bounds = [mapping.interval_for_index(i) for i in range(mapping.num_intervals)]
+        rng, twin = rng_for(5, "keys"), rng_for(5, "keys")
+        for _ in range(50):
+            for index, (lo, hi) in enumerate(bounds):
+                assert mapping.random_key_in_interval(index, rng) == twin.randrange(lo, hi)
+            assert rng.getstate() == twin.getstate()
+            assert mapping.random_keys(rng) == [twin.randrange(lo, hi) for lo, hi in bounds]
+            assert rng.getstate() == twin.getstate()
+
+    def test_key_outside_the_table_raises(self):
+        mapping = make_map(bits=32, key_bits=16)
+        for index in (-1, mapping.num_intervals):
+            with pytest.raises(ValueError):
+                mapping.random_key_in_interval(index, rng_for(1, "keys"))
+
     def test_expected_nodes_halve(self):
         mapping = make_map(bits=32, key_bits=16)
         assert mapping.expected_nodes(0, 1024) == pytest.approx(512)
