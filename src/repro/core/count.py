@@ -27,32 +27,50 @@ O(positions) integer operations per metric.  No sketch object is built
 to count; :attr:`CountResult.sketches` rebuilds one from the planes only
 when a caller reads it (set expressions over metrics, tests).
 
-Hot path: the per-metric bookkeeping (pending / active / found vectors)
-is kept as packed integer bitmaps throughout, so a probe answers "which
-of these pending vectors are set here?" with one ``int &`` per metric
-against the node's :class:`~repro.core.tuples.PackedSlot` mask.  The
-per-interval random probe keys are drawn up front, one per interval,
-by :meth:`~repro.core.mapping.BitIntervalMap.random_keys`: one pass
-over the counting RNG per scan, straight from the mapping's
+Hot path: a count reads every requested metric with one ``&`` per
+block of 64 metrics.  The counter numbers metrics in the order they are
+first requested, 64 to a block, one ``m``-bit *lane* per member; a scan
+keeps its pending (downward) or active (upward) vectors and the vectors
+found at the current position as one packed integer per touched block.
+A probed node answers from its *read rows* (``Node.read_rows``): one
+packed integer per (block, position) holding every member's live
+bitmap at that position in its lane.  A row is built from the slots
+(``store.get`` once per member) on its first probe; every store
+mutation drops the node's rows, a row holding a TTL'd entry serves only
+the ``now`` it was built at, and a block that gained members since
+rebuilds.  A probe is then one ``&`` against the interval's pending
+lanes and one popcount per touched block, and the walk stops when
+``pending & ~found`` is zero in every block.  Per-metric work is left
+to where a per-metric answer is needed: the confidence discount of an
+exhausted interval, read repair, and each metric's planes, cut from
+its block's packed planes once after the scan.
+
+The per-interval random probe keys are drawn up front, one per
+interval, by :meth:`~repro.core.mapping.BitIntervalMap.random_keys`:
+one pass over the counting RNG per scan, straight from the mapping's
 ``(lo, width, bits)`` table, consuming the RNG exactly as one
 ``randrange(lo, hi)`` per interval would.  Per-probe node-id recording
 is gated behind ``dht.trace`` — the ``probes``/``unique_probed``
-counters stay exact.  Whether a scan is traced is decided once per
-scan, and an interval's budget, bounds and per-hop probe bytes once per
+counters stay exact.  What a scan decides once — whether it is traced,
+whether its contact is lossy, whether it read-repairs, and the overlay
+bindings its probes call — lives on its :class:`_Scan`; an interval's
+budget, bounds, pending lanes and per-hop probe bytes are set once per
 interval.
 
-There is one probe walk: every probe contacts the node, reads its slots,
+There is one probe walk: every probe contacts the node, reads its rows,
 charges the bytes, read-repairs when configured and emits one ``probe``
-event.  Only the contact is chosen, per interval: under the retry policy
+event.  Only the contact is chosen, per scan: under the retry policy
 when the overlay carries a fault layer (the only source of dropped
 messages and of live nodes that do not answer), directly otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Hashable,
     Iterator,
@@ -74,7 +92,7 @@ from repro.hashing.family import HashFamily
 from repro.obs import runtime as obs
 from repro.obs.metrics import BUCKETS_BITS, BUCKETS_PROBES, Histogram
 from repro.overlay.dht import DHTProtocol
-from repro.overlay.node import Node
+from repro.overlay.node import Node, NodeStore
 from repro.overlay.replication import entry_expiry, replica_chain
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
@@ -89,10 +107,141 @@ __all__ = ["Counter", "CountResult"]
 #: Estimators that scan from the most significant position downwards.
 _DOWNWARD_ESTIMATORS = {"sll", "loglog", "hll"}
 
+#: Metrics per block of a counter's metric table.  A read row holds one
+#: ``m``-bit lane per member, so it is at most ``64 * m`` bits wide.
+_BLOCK = 64
+
+#: Read-row key bases, unique across every counter whose rows may share
+#: a node: the row of (block, position) is keyed ``row_base + position``.
+_ROW_BASES = itertools.count(1 << 16, 1 << 16)
+
+
+class _Block:
+    """Up to :data:`_BLOCK` metrics of one counter, in first-request order.
+
+    Member ``k`` owns bits ``[k * m, (k + 1) * m)`` of every packed mask
+    and read row of the block.
+    """
+
+    __slots__ = ("members", "row_base")
+
+    def __init__(self) -> None:
+        self.members: List[Hashable] = []
+        self.row_base = next(_ROW_BASES)
+
+
+#: Request layouts a counter keeps for reuse; the cache empties when full.
+_REQUESTS_KEPT = 256
+
+#: How a probe reads one block: (index into the scan's blocks, row key
+#: base, span of the lanes read, members, member count, TTL'd-row stamp).
+_BlockRead = Tuple[int, int, int, List[Hashable], int, Tuple[int, int]]
+
+
+class _Request:
+    """Where one request's metrics sit in the metric table.
+
+    ``blocks`` are the blocks the request touches; ``lanes[k]`` places
+    its ``k``-th metric as (index into ``blocks``, bit offset of its
+    lane, whether a requested lane sits above it); ``spans[i]`` sets
+    every bit of every requested lane of ``blocks[i]`` — a scan's
+    starting pending/active masks; and ``lane_masks[i]`` holds the
+    :func:`_nonzero_lanes` constants of those lanes and their count.  A
+    metric never changes lane, so the layout holds for as long as the
+    counter lives.
+    """
+
+    __slots__ = ("blocks", "lanes", "spans", "lane_masks")
+
+    def __init__(
+        self,
+        blocks: List[_Block],
+        lanes: List[Tuple[int, int]],
+        spans: List[int],
+        lane_tops: int,
+        m: int,
+    ) -> None:
+        self.blocks = blocks
+        self.lanes = [(i, offset, spans[i] >> (offset + m) != 0) for i, offset in lanes]
+        self.spans = spans
+        self.lane_masks: List[Tuple[int, int, int, int]] = []
+        for span in spans:
+            tops = span & lane_tops
+            self.lane_masks.append(
+                (span ^ tops, tops - (tops >> (m - 1)), tops, tops.bit_count())
+            )
+
+
+class _Scan:
+    """One scan: its request, and what its probes decide only once.
+
+    ``full_reads[i]`` reads every requested lane of the request's
+    ``blocks[i]``, with the stamps a current row of it carries now.
+    """
+
+    __slots__ = (
+        "metrics", "blocks", "lanes", "spans", "full_reads", "lane_masks",
+        "origin", "now", "result", "expected_items", "lossy", "repair",
+        "event", "trace", "live_node", "record", "probed_ids",
+    )
+
+    def __init__(
+        self,
+        metrics: Sequence[Hashable],
+        request: _Request,
+        dht: DHTProtocol,
+        config: DHSConfig,
+        origin: int,
+        now: int,
+        result: "CountResult",
+        expected_items: Optional[float],
+    ) -> None:
+        self.metrics = metrics
+        self.blocks = blocks = request.blocks
+        self.lanes = request.lanes
+        self.spans = spans = request.spans
+        self.lane_masks = request.lane_masks
+        self.full_reads: List[_BlockRead] = []
+        for i, block in enumerate(blocks):
+            size = len(block.members)
+            self.full_reads.append(
+                (i, block.row_base, spans[i], block.members, size, (size, now))
+            )
+        self.origin = origin
+        self.now = now
+        self.result = result
+        self.expected_items = expected_items
+        # Only a fault layer drops messages or silences a live node;
+        # without one ``policy.call`` is a plain call for any policy and
+        # ``node_responsive`` is ``is_alive``, so nodes are reached directly.
+        self.lossy = dht.fault_layer is not None
+        self.repair = config.read_repair and config.replication > 0
+        self.event: Optional[Callable[..., None]] = (
+            obs.TRACER.event if obs.TRACING else None
+        )
+        self.trace = dht.trace
+        self.live_node = dht.live_node
+        self.record = dht.load.record
+        self.probed_ids = result.probed_ids
+
 
 def _answering(node: Node) -> Node:
     """``dht.probe`` reader of the lossy contact: the node that answered."""
     return node
+
+
+def _nonzero_lanes(mask: int, lows: int, rests: int, tops: int) -> int:
+    """The top bit of every lane of ``mask`` that has any bit set.
+
+    ``tops`` holds the top bit of each lane ``mask`` may use, ``lows``
+    the other bits of those lanes and ``rests`` ``2^(m-1) - 1`` in each.
+    Adding ``rests`` to a lane's other bits carries into its top bit
+    exactly when they are not all zero, and never out of the lane;
+    OR-ing ``mask`` back adds the lanes whose top bit was set.  Every
+    operand is non-negative: CPython's bitwise operations on negative
+    ints cost a two's-complement copy each.
+    """
+    return (((mask & lows) + rests) | mask) & tops
 
 
 class _PlaneSketches(Mapping[Hashable, HashSketch]):
@@ -200,6 +349,17 @@ class Counter:
         # interval loop skips the registry's name lookup.
         self._hist_probes = Histogram(BUCKETS_PROBES)
         self._hist_bits = Histogram(BUCKETS_BITS)
+        # The metric table: metric -> (block, lane offset), numbered in
+        # the order first requested, _BLOCK metrics to a block.
+        self._blocks: List[_Block] = []
+        self._places: Dict[Hashable, Tuple[_Block, int]] = {}
+        m = config.num_bitmaps
+        self._lane = (1 << m) - 1
+        # The top bit of every lane of a full block.
+        self._lane_tops = sum(1 << (lane * m + m - 1) for lane in range(_BLOCK))
+        # Per-hop probe request bytes, by the number of metrics asked.
+        self._hop_bytes: Dict[int, float] = {}
+        self._requests: Dict[Tuple[Hashable, ...], _Request] = {}
 
     # ------------------------------------------------------------------
     # Public API.
@@ -314,20 +474,34 @@ class Counter:
         # the counting RNG per scan, independent of which intervals the
         # scan actually reaches before resolving.
         keys = self.mapping.random_keys(self._rng)
-        if config.estimator in _DOWNWARD_ESTIMATORS:
-            scan = self._scan_downward
-        else:
-            scan = self._scan_upward
-        planes: Dict[Hashable, List[int]] = {
-            metric: [0] * config.position_bits for metric in metric_ids
-        }
         result = CountResult(
             estimates={},
-            sketches=_PlaneSketches(planes, config, self.hash_family),
+            sketches={},
             cost=OpCost(),
             confidence={metric: 1.0 for metric in metric_ids},
         )
-        scan(planes, origin, now, keys, result, prior)
+        scan = self._begin_scan(metric_ids, origin, now, result, prior)
+        # Per touched block, one packed plane per position.
+        packed = [[0] * config.position_bits for _ in scan.blocks]
+        if config.estimator in _DOWNWARD_ESTIMATORS:
+            self._scan_downward(scan, packed, keys)
+        else:
+            self._scan_upward(scan, packed, keys)
+        # Each metric's planes, cut from its block's once.  The top
+        # requested lane of a block needs no mask, and one at offset 0
+        # no shift either: its planes are the block's.
+        lane = self._lane
+        planes: Dict[Hashable, List[int]] = {}
+        for metric, (i, offset, masked) in zip(metric_ids, scan.lanes):
+            if masked:
+                planes[metric] = [
+                    (plane >> offset) & lane if plane else 0 for plane in packed[i]
+                ]
+            elif offset:
+                planes[metric] = [plane >> offset for plane in packed[i]]
+            else:
+                planes[metric] = packed[i]
+        result.sketches = _PlaneSketches(planes, config, self.hash_family)
         if config.estimator == "hll" and config.key_bits > HLL_EXACT_KEY_BITS:
             # The histogram sum could round differently from the
             # per-register one: read the rebuilt registers instead.
@@ -342,6 +516,83 @@ class Counter:
                 for metric, metric_planes in planes.items()
             }
         return result
+
+    def _begin_scan(
+        self,
+        metric_ids: Sequence[Hashable],
+        origin: int,
+        now: int,
+        result: CountResult,
+        expected_items: Optional[float],
+    ) -> _Scan:
+        """The request's layout in the metric table, and the scan's choices."""
+        return _Scan(
+            metric_ids, self._request(metric_ids), self.dht, self.config,
+            origin, now, result, expected_items,
+        )
+
+    def _request(self, metric_ids: Sequence[Hashable]) -> _Request:
+        """Place a request in the metric table (or reuse its layout).
+
+        A metric seen for the first time joins the last block, or opens
+        a new one when that block is full.
+        """
+        key = tuple(metric_ids)
+        request = self._requests.get(key)
+        if request is not None:
+            return request
+        m = self.config.num_bitmaps
+        lane = self._lane
+        places = self._places
+        table = self._blocks
+        blocks: List[_Block] = []
+        index_of: Dict[_Block, int] = {}
+        lanes: List[Tuple[int, int]] = []
+        spans: List[int] = []
+        for metric in metric_ids:
+            place = places.get(metric)
+            if place is None:
+                if not table or len(table[-1].members) == _BLOCK:
+                    table.append(_Block())
+                block = table[-1]
+                place = places[metric] = (block, len(block.members) * m)
+                block.members.append(metric)
+            block, offset = place
+            i = index_of.get(block)
+            if i is None:
+                i = index_of[block] = len(blocks)
+                blocks.append(block)
+                spans.append(0)
+            spans[i] |= lane << offset
+            lanes.append((i, offset))
+        request = _Request(blocks, lanes, spans, self._lane_tops, m)
+        if len(self._requests) == _REQUESTS_KEPT:
+            self._requests.clear()
+        self._requests[key] = request
+        return request
+
+    def _read_row(
+        self, store: NodeStore, members: Sequence[Hashable], position: int, now: int
+    ) -> Tuple[int, Hashable]:
+        """One read row, from the slots: ``(row, stamp)``.
+
+        The row holds member ``k``'s live bitmap at ``position`` in lane
+        ``k``.  The stamp is the member count, paired with ``now`` when a
+        TTL'd entry makes the row valid at that ``now`` only.
+        """
+        m = self.config.num_bitmaps
+        row = 0
+        ttl = False
+        offset = 0
+        for metric in members:
+            slot = store.get((metric, position))
+            if isinstance(slot, PackedSlot):
+                if slot.expiring:
+                    ttl = True
+                row |= slot.live_mask(now) << offset
+            offset += m
+        size = len(members)
+        return row, ((size, now) if ttl else size)
 
     # ------------------------------------------------------------------
     # Per-interval probe budget under eq. 6 (a fixed lim is ``config.lim``).
@@ -365,76 +616,54 @@ class Counter:
     # Downward scan (LogLog family): first set bit seen is the maximum.
     # ------------------------------------------------------------------
     def _scan_downward(
-        self,
-        planes: Dict[Hashable, List[int]],
-        origin: int,
-        now: int,
-        keys: Sequence[int],
-        result: CountResult,
-        expected_items: Optional[float] = None,
+        self, scan: _Scan, packed: List[List[int]], keys: Sequence[int]
     ) -> None:
-        """Fill ``planes[metric][p]`` with the bitmaps whose maximum is ``p``."""
-        config = self.config
-        full = (1 << config.num_bitmaps) - 1
-        pending: Dict[Hashable, int] = {metric: full for metric in planes}
+        """Fill ``packed[i][p]`` with block ``i``'s bitmaps whose maximum is ``p``."""
+        pending = list(scan.spans)
         probe = self._probe_interval if obs.TRACING else self._probe_interval_impl
-        shift = config.bit_shift
+        shift = self.config.bit_shift
         for index in reversed(range(self.mapping.num_intervals)):
-            if not any(pending.values()):
+            if not any(pending):
                 break
             position = index + shift
-            found = probe(
-                index, position, pending, origin, now, result, expected_items,
-                key=keys[index],
-            )
-            for metric, mask in found.items():
-                newly = mask & pending[metric]
+            found = probe(index, position, pending, scan, key=keys[index])
+            for i, mask in enumerate(found):
+                newly = mask & pending[i]
                 if newly:
-                    pending[metric] &= ~newly
-                    planes[metric][position] = newly
-        if config.bit_shift > 0:
+                    pending[i] ^= newly
+                    packed[i][position] = newly
+        if shift > 0:
             # Unresolved bitmaps are assumed set below the shift.
-            for metric, mask in pending.items():
-                planes[metric][config.bit_shift - 1] = mask
+            for i, mask in enumerate(pending):
+                packed[i][shift - 1] = mask
 
     # ------------------------------------------------------------------
     # Upward scan (PCSA): advance while every probed bit is confirmed.
     # ------------------------------------------------------------------
     def _scan_upward(
-        self,
-        planes: Dict[Hashable, List[int]],
-        origin: int,
-        now: int,
-        keys: Sequence[int],
-        result: CountResult,
-        expected_items: Optional[float] = None,
+        self, scan: _Scan, packed: List[List[int]], keys: Sequence[int]
     ) -> None:
-        """Fill ``planes[metric][p]`` with the bitmaps confirmed set up to ``p``.
+        """Fill ``packed[i][p]`` with block ``i``'s bitmaps confirmed set up to ``p``.
 
         The planes are nested (a bitmap is probed at ``p`` only while
         every position below was confirmed) and contiguous from 0.
         """
-        config = self.config
-        full = (1 << config.num_bitmaps) - 1
-        active: Dict[Hashable, int] = {metric: full for metric in planes}
+        active = list(scan.spans)
+        shift = self.config.bit_shift
         # Positions below the shift are assumed set (section 3.5).
-        for metric_planes in planes.values():
-            metric_planes[: config.bit_shift] = [full] * config.bit_shift
+        for i, span in enumerate(scan.spans):
+            packed[i][:shift] = [span] * shift
         probe = self._probe_interval if obs.TRACING else self._probe_interval_impl
-        shift = config.bit_shift
         for index in range(self.mapping.num_intervals):
-            if not any(active.values()):
+            if not any(active):
                 break
             position = index + shift
-            found = probe(
-                index, position, active, origin, now, result, expected_items,
-                key=keys[index],
-            )
-            for metric, mask in active.items():
+            found = probe(index, position, active, scan, key=keys[index])
+            for i, mask in enumerate(active):
                 # Bitmaps whose bit could not be confirmed resolve here:
                 # their leftmost zero is this position (implicit in the
                 # planes — they appear in none above).
-                active[metric] = planes[metric][position] = mask & found.get(metric, 0)
+                active[i] = packed[i][position] = mask & found[i]
 
     # ------------------------------------------------------------------
     # Interval probe: one lookup plus <= lim-1 neighbour walks (Alg. 1).
@@ -443,26 +672,23 @@ class Counter:
         self,
         index: int,
         position: int,
-        needed: Dict[Hashable, int],
-        origin: int,
-        now: int,
-        result: CountResult,
-        expected_items: Optional[float] = None,
+        needed: List[int],
+        scan: _Scan,
         *,
         key: int,
-    ) -> Dict[Hashable, int]:
-        """Probe one interval; ``needed`` maps metric → pending bitmap.
+    ) -> List[int]:
+        """Probe one interval; ``needed[i]`` is block ``i``'s pending mask.
 
-        ``key`` is the interval's pre-drawn random probe key.  Returns
-        metric → bitmap of vectors found set at ``position``.
+        ``key`` is the interval's pre-drawn random probe key.  Returns,
+        per block of the scan, the packed vectors found set at
+        ``position`` in its pending lanes.
         """
         if not obs.TRACING:
             # Metering (when on) happens inside the impl, where the
             # probe count and found masks are already locals — the
             # delta bookkeeping below is only needed for span attrs.
-            return self._probe_interval_impl(
-                index, position, needed, origin, now, result, expected_items, key
-            )
+            return self._probe_interval_impl(index, position, needed, scan, key)
+        result = scan.result
         cost = result.cost
         probes_before = result.probes
         hops_before = cost.hops
@@ -470,12 +696,10 @@ class Counter:
         timeouts_before = cost.timeouts
         exhausted_before = result.exhausted_intervals
         span = obs.TRACER.start(
-            "count.interval", tick=now, index=index, position=position
+            "count.interval", tick=scan.now, index=index, position=position
         )
         try:
-            found = self._probe_interval_impl(
-                index, position, needed, origin, now, result, expected_items, key
-            )
+            found = self._probe_interval_impl(index, position, needed, scan, key)
         finally:
             attrs = span.attrs
             attrs["probes"] = result.probes - probes_before
@@ -490,34 +714,51 @@ class Counter:
         self,
         index: int,
         position: int,
-        needed: Dict[Hashable, int],
-        origin: int,
-        now: int,
-        result: CountResult,
-        expected_items: Optional[float],
+        needed: List[int],
+        scan: _Scan,
         key: int,
-    ) -> Dict[Hashable, int]:
+    ) -> List[int]:
         """The untraced body of :meth:`_probe_interval` (Alg. 1 inner loop)."""
-        event = obs.TRACER.event if obs.TRACING else None
         config = self.config
         dht = self.dht
+        result = scan.result
+        now = scan.now
+        event = scan.event
+        expected_items = scan.expected_items
         budget = (
             config.lim if expected_items is None
             else self._interval_budget(index, position, expected_items)
         )
-        metrics = [metric for metric, mask in needed.items() if mask]
-        found: Dict[Hashable, int] = {metric: 0 for metric in metrics}
+        found = [0] * len(needed)
+        # The blocks read here, each over its pending lanes: while every
+        # requested lane of a block pends, the scan's own full read.
+        top = config.num_bitmaps - 1
+        full_reads = scan.full_reads
+        lane_masks = scan.lane_masks
+        reads: List[_BlockRead] = []
+        metrics = 0
+        for i, mask in enumerate(needed):
+            if mask:
+                lows, rests, tops, requested = lane_masks[i]
+                # _nonzero_lanes, inlined: this runs once per interval.
+                lanes = (((mask & lows) + rests) | mask) & tops
+                read = full_reads[i]
+                if lanes == tops:
+                    metrics += requested
+                else:
+                    metrics += lanes.bit_count()
+                    # A lane with top bit t spans (t << 1) - (t >> (m - 1)).
+                    span = (lanes << 1) - (lanes >> top)
+                    read = (i, read[1], span, read[3], read[4], read[5])
+                reads.append(read)
         if not metrics:
             if obs.METERING:
                 self._record_interval_metrics(probes_done=0, bits=0)
             return found
         result.intervals_scanned += 1
         cost = result.cost
-        # The walk's one selection: how a node is contacted.  Only a fault
-        # layer drops messages or silences a live node; without one
-        # ``policy.call`` is a plain call for any policy and
-        # ``node_responsive`` is ``is_alive``, so the node is reached directly.
-        lossy = dht.fault_layer is not None
+        lossy = scan.lossy
+        origin = scan.origin
         if lossy:
             try:
                 lookup = self.policy.call(
@@ -530,8 +771,7 @@ class Counter:
                 if event is not None:
                     event("count.unreachable", tick=now, index=index)
                 self._charge_exhaustion(
-                    index, position, metrics, needed, found, result,
-                    expected_items, probes_done=0,
+                    index, position, needed, found, scan, probes_done=0
                 )
                 if obs.METERING:
                     self._record_interval_metrics(probes_done=0, bits=0)
@@ -542,9 +782,11 @@ class Counter:
         tuple_bytes = size_model.tuple_bytes
         # One hop of a probe request; ``probe_bytes`` is linear in its
         # hops, so ``hops * hop_bytes`` is its exact value for any hops.
-        hop_bytes = size_model.probe_bytes(
-            request_hops=1, tuples_returned=0, metrics=len(metrics)
-        )
+        hop_bytes = self._hop_bytes.get(metrics)
+        if hop_bytes is None:
+            hop_bytes = self._hop_bytes[metrics] = size_model.probe_bytes(
+                request_hops=1, tuples_returned=0, metrics=metrics
+            )
         lookup_hops = lookup.cost.hops
         cost.add(lookup.cost)
         if event is not None:
@@ -553,11 +795,13 @@ class Counter:
             )
         cost.bytes += lookup_hops * hop_bytes
 
-        repair = config.read_repair and config.replication > 0
-        trace = dht.trace
-        live_node = dht.live_node
-        record = dht.load.record
-        probed_ids = result.probed_ids
+        repair = scan.repair
+        repair_metrics: Optional[List[Hashable]] = None
+        trace = scan.trace
+        live_node = scan.live_node
+        record = scan.record
+        probed_ids = scan.probed_ids
+        read_row = self._read_row
         lo, hi = self.mapping.bounds[index]
         probes_done = 0
         node: Optional[Node]
@@ -592,26 +836,37 @@ class Counter:
                     if obs.METERING:
                         obs.METRICS.inc("dht.probes")
             if node is not None:
-                store = node.store
+                rows = node.read_rows
+                if rows is None:
+                    rows = node.read_rows = {}
                 returned = 0
-                for metric in metrics:
-                    slot = store.get((metric, position))
-                    if isinstance(slot, PackedSlot):
-                        mask = slot.live_mask(now)
-                        if mask:
-                            returned += mask.bit_count()
-                            found[metric] |= mask
+                for i, row_base, span, members, size, ttl_stamp in reads:
+                    row = rows.get(row_base + position)
+                    if row is None or (row[1] != size and row[1] != ttl_stamp):
+                        row = rows[row_base + position] = read_row(
+                            node.store, members, position, now
+                        )
+                    hit = row[0] & span
+                    if hit:
+                        returned += hit.bit_count()
+                        found[i] |= hit
                 cost.bytes += returned * tuple_bytes
                 if repair and returned:
-                    self._read_repair(node, metrics, position, now, cost)
+                    if repair_metrics is None:
+                        lane = self._lane
+                        repair_metrics = [
+                            metric
+                            for metric, (i, offset, _) in zip(scan.metrics, scan.lanes)
+                            if (needed[i] >> offset) & lane
+                        ]
+                    self._read_repair(node, repair_metrics, position, now, cost)
                 if event is not None:
                     event("probe", tick=now, node=target, ok=True, bits=returned)
                 # Only new bits can resolve the walk: before the first
-                # hit every metric still pends (``metrics`` holds only
-                # pending ones), and a probe that adds none leaves the
-                # answer as the last hit left it.
+                # hit every pending lane still pends, and a probe that
+                # adds none leaves the answer as the last hit left it.
                 if returned and all(
-                    not (needed[metric] & ~found[metric]) for metric in metrics
+                    pending & got == pending for pending, got in zip(needed, found)
                 ):
                     break
             elif not lost:
@@ -631,12 +886,10 @@ class Counter:
         if probes_done == budget:
             # The walk ended on its budget (a no-op if it also resolved).
             self._charge_exhaustion(
-                index, position, metrics, needed, found, result,
-                expected_items, probes_done=probes_done,
+                index, position, needed, found, scan, probes_done=probes_done
             )
         if obs.METERING:
-            bits = sum(map(int.bit_count, found.values()))
-            self._record_interval_metrics(probes_done, bits)
+            self._record_interval_metrics(probes_done, sum(map(int.bit_count, found)))
         return found
 
     def _record_interval_metrics(self, probes_done: int, bits: int) -> None:
@@ -699,11 +952,9 @@ class Counter:
         self,
         index: int,
         position: int,
-        metrics: List[Hashable],
-        needed: Dict[Hashable, int],
-        found: Dict[Hashable, int],
-        result: CountResult,
-        expected_items: Optional[float],
+        needed: List[int],
+        found: List[int],
+        scan: _Scan,
         probes_done: int,
     ) -> None:
         """Record a budget-exhausted interval and discount confidence.
@@ -713,13 +964,13 @@ class Counter:
         those probes would have found live data had there been any, so
         each unresolved metric's confidence is multiplied by it.
         """
-        unresolved = [
-            metric for metric in metrics if needed[metric] & ~found[metric]
-        ]
-        if not unresolved:
+        unresolved = [pending ^ (pending & got) for pending, got in zip(needed, found)]
+        if not any(unresolved):
             return
+        result = scan.result
         result.exhausted_intervals += 1
         nodes_here = max(1.0, self.mapping.expected_nodes(index, self.dht.size))
+        expected_items = scan.expected_items
         if expected_items is not None:
             items_here = expected_items * 2.0 ** -(position + 1)
         else:
@@ -731,5 +982,12 @@ class Counter:
         p = success_probability(
             (self.config.replication + 1) * items_here, nodes_here, probes_done
         )
-        for metric in unresolved:
-            result.confidence[metric] = result.confidence.get(metric, 1.0) * p
+        confidence = result.confidence
+        m = self.config.num_bitmaps
+        for i, mask in enumerate(unresolved):
+            if mask:
+                members = scan.blocks[i].members
+                lows, rests, tops, _ = scan.lane_masks[i]
+                for bit in bits_of(_nonzero_lanes(mask, lows, rests, tops)):
+                    metric = members[bit // m]
+                    confidence[metric] = confidence.get(metric, 1.0) * p

@@ -26,7 +26,9 @@ selects which one a fresh slot becomes.  Node stores also carry an
 incrementally-maintained entry count (``Node.app_entries``) so
 :func:`storage_entries` — hit once per node per load-balance snapshot —
 is O(1) instead of a full store scan; bulk merges mark the count stale
-and the next query rescans once.
+and the next query rescans once.  Every writer here, and a sweep that
+removes an entry, also drops the node's derived counting rows
+(``Node.read_rows``, see :mod:`repro.core.count`).
 """
 
 from __future__ import annotations
@@ -169,7 +171,12 @@ def _live(expiry: float, now: int) -> bool:
 def _slot_for(
     node: Node, metric_id: Hashable, bit: int, arena: Optional["RegArena"]
 ) -> PackedSlot:
-    """The slot for ``(metric_id, bit)``, created on the chosen backend."""
+    """The slot for ``(metric_id, bit)``, created on the chosen backend.
+
+    Every writer gets its slot here, about to change it: the node's
+    derived read rows are dropped here too.
+    """
+    node.read_rows = None
     key = (metric_id, bit)
     raw = node.store.get(key)
     if isinstance(raw, PackedSlot):
@@ -369,6 +376,8 @@ def purge_expired(node: Node, now: int) -> int:
             surviving += slot.entries()
     for slot_key in dead_slots:
         del node.store[slot_key]
+    if removed:
+        node.read_rows = None
     node.app_entries = surviving
     node.app_entries_stale = False
     return removed

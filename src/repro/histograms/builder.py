@@ -117,12 +117,20 @@ class DHSHistogramBuilder:
 
         Unqueried buckets are reported as zero; the histogram returned is
         only meaningful over the requested indices (the paper highlights
-        this partial-reconstruction saving in section 5.2).
+        this partial-reconstruction saving in section 5.2).  Raises
+        ``ValueError``, before anything is counted, for an index outside
+        ``[0, n_buckets)``.
         """
         wanted = sorted(set(indices))
+        n_buckets = self.spec.n_buckets
+        bad = [index for index in wanted if not 0 <= index < n_buckets]
+        if bad:
+            raise ValueError(
+                f"bucket index {bad[0]} out of range [0, {n_buckets})"
+            )
         metrics = [self.metric_for_bucket(i) for i in wanted]
         result = self.dhs.count_many(metrics, origin=origin, now=now)
-        counts = [0.0] * self.spec.n_buckets
+        counts = [0.0] * n_buckets
         for index, metric in zip(wanted, metrics):
             counts[index] = result.estimates[metric]
         return HistogramReconstruction(

@@ -268,8 +268,10 @@ class DHTProtocol(ABC):
                         heir.store[key] = value
             if node.store:
                 # Bulk merge bypasses the incremental entry accounting;
-                # the heir recounts lazily on the next load snapshot.
+                # the heir recounts lazily on the next load snapshot,
+                # and its read rows are rebuilt on the next probe.
                 heir.app_entries_stale = True
+                heir.read_rows = None
 
     def fail_node(self, node_id: int) -> None:
         """Crash ``node_id`` (data lost)."""

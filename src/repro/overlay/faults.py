@@ -282,6 +282,7 @@ class FaultInjector(DHTProtocol, FaultHooks):
             # until something forces a rescan.
             node.app_entries = 0
             node.app_entries_stale = False
+            node.read_rows = None
             node.alive = True
         else:
             # Evicted while down (a lookup discovered the corpse):

@@ -15,9 +15,9 @@ key, the baselines keep their own counter/set slots.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Optional, Tuple
 
-__all__ = ["Node", "NodeStore", "StoreKey", "StoreValue"]
+__all__ = ["Node", "NodeStore", "ReadRows", "StoreKey", "StoreValue"]
 
 #: Store keys are application-defined hashables (DHS uses ``(metric, bit)``).
 StoreKey = Hashable
@@ -25,12 +25,26 @@ StoreKey = Hashable
 StoreValue = object
 #: The per-node key/value store shared by every overlay geometry.
 NodeStore = Dict[StoreKey, StoreValue]
+#: Rows derived from the store by a reader: row key -> (packed row, stamp).
+ReadRows = Dict[int, Tuple[int, Hashable]]
 
 
 class Node:
-    """One overlay node."""
+    """One overlay node.
 
-    __slots__ = ("node_id", "alive", "store", "app_entries", "app_entries_stale")
+    ``read_rows`` caches what the counting walk reads here, derived from
+    ``store``: one packed integer per (block of up to 64 metrics,
+    position), holding each member's live vector bitmap at that position
+    in its own ``m``-bit lane (see :mod:`repro.core.count`).  The store
+    stays the source of truth.  Every store mutation resets the cache to
+    ``None`` (the writers of :mod:`repro.core.tuples`, the graceful-leave
+    merge into an heir, the amnesia wipe), and a departed node's rows
+    leave with it.
+    """
+
+    __slots__ = (
+        "node_id", "alive", "store", "app_entries", "app_entries_stale", "read_rows",
+    )
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
@@ -45,6 +59,9 @@ class Node:
         #: Set by bulk store merges (graceful leaves); the next
         #: ``storage_entries`` query rescans once to resynchronize.
         self.app_entries_stale = False
+        #: Derived read rows; ``None`` until the first probe, and again
+        #: after every store mutation.
+        self.read_rows: Optional[ReadRows] = None
 
     @property
     def storage_entries(self) -> int:

@@ -37,15 +37,14 @@ def probed_sequence(dhs, ring, lim, position=0):
     from repro.overlay.stats import OpCost
 
     result = CountResult(estimates={}, sketches={}, cost=OpCost())
-    needed = {"m": 0b1}  # pending bitmap: vector 0 unresolved
+    scan = counter._begin_scan(["m"], ring.node_ids()[0], 0, result, None)
+    needed = [0b1]  # pending bitmap: vector 0 unresolved
     index = counter.mapping.interval_index(position)
     counter._probe_interval(
         index,
         position,
         needed,
-        origin=ring.node_ids()[0],
-        now=0,
-        result=result,
+        scan,
         key=counter.mapping.random_key_in_interval(index, counter._rng),
     )
     return result.probed_nodes
@@ -98,10 +97,8 @@ def run_probe(dhs, origin, key):
     counter._probe_interval(
         counter.mapping.interval_index(0),
         0,
-        {"m": 0b1},
-        origin=origin,
-        now=0,
-        result=result,
+        [0b1],
+        counter._begin_scan(["m"], origin, 0, result, None),
         key=key,
     )
     return result

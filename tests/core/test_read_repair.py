@@ -30,8 +30,8 @@ def probe_once(dhs, origin=33000):
         estimates={}, sketches={}, cost=OpCost(), confidence={"m": 1.0}
     )
     counter._probe_interval(
-        counter.mapping.interval_index(0), 0, {"m": 0b1},
-        origin=origin, now=0, result=result, key=KEY,
+        counter.mapping.interval_index(0), 0, [0b1],
+        counter._begin_scan(["m"], origin, 0, result, None), key=KEY,
     )
     return result
 

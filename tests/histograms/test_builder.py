@@ -94,3 +94,25 @@ class TestReconstruction:
         full = builder.reconstruct()
         partial = builder.reconstruct_buckets([2])
         assert partial.cost.bytes < full.cost.bytes
+
+
+class TestBucketIndices:
+    """``reconstruct_buckets`` rejects an index outside ``[0, n_buckets)``
+    before it counts: ``-1`` used to count a never-written metric and
+    write its zero into the last bucket, ``n_buckets`` to pay for a count
+    and then raise ``IndexError``."""
+
+    @pytest.mark.parametrize("indices", [[-1], [5], [0, 5], [2, -3]])
+    def test_out_of_range_index_raises_before_any_count(self, indices):
+        ring = ChordRing.build(32, bits=32, seed=1)
+        dhs = DistributedHashSketch(ring, DHSConfig(num_bitmaps=16), seed=1)
+        builder = DHSHistogramBuilder(dhs, BucketSpec.equi_width(1, 100, 5), "sales")
+        with pytest.raises(ValueError, match="bucket index"):
+            builder.reconstruct_buckets(indices)
+        assert ring.load.counts() == {}
+
+    def test_indices_may_be_any_iterable(self, deployment):
+        _, builder, _, _ = deployment
+        partial = builder.reconstruct_buckets(iter([3, 1, 3]))
+        assert partial.histogram.counts[0] == partial.histogram.counts[2] == 0.0
+        assert partial.histogram.counts[1] > 0 and partial.histogram.counts[3] > 0

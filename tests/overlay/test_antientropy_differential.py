@@ -21,6 +21,10 @@ The second half pins the edge geometry of the index-arithmetic chains
 by name, on all three overlays: rings smaller than the chain, a lone
 reachable node, a corpse between two peers, id-space wrap-around, and
 a homecoming write that must be visible to the initiator's next pair.
+
+After every step the counting layer's read rows on the package side
+must still equal their slots (``tests/core/read_rows_oracle.py``): a
+repair write drops the rows of the node it writes to.
 """
 
 import random
@@ -38,6 +42,7 @@ from repro.overlay.dht import FaultHooks
 from repro.overlay.kademlia import KademliaOverlay
 from repro.overlay.pastry import PastryOverlay
 from repro.overlay.replication import ChainView
+from tests.core.read_rows_oracle import assert_rows_match_slots, rows_counter
 from tests.overlay import antientropy_oracle as oracle
 
 BITS = 16
@@ -171,12 +176,15 @@ def deployments(draw):
 @settings(max_examples=300, deadline=None)
 def test_round_matches_the_per_pair_oracle(spec, replication, sample, rng_seed):
     fast, slow = build(**spec), build(**spec)
+    rows = rows_counter(fast, CONFIG, ["m", "x"])
+    assert_rows_match_slots(rows, fast, NOW)
     mapping, _ = geometry(fast)
     _, naive = geometry(slow)
 
     assert replica_divergence(fast, replication, NOW) == oracle.replica_divergence(
         slow, replication, NOW
     )
+    assert_rows_match_slots(rows, fast, NOW)
     got = antientropy_sweep(
         fast, replication, NOW, mapping=mapping,
         sample=sample, rng=random.Random(rng_seed),
@@ -185,10 +193,12 @@ def test_round_matches_the_per_pair_oracle(spec, replication, sample, rng_seed):
         slow, replication, NOW, sample=sample, rng=random.Random(rng_seed), **naive
     )
     assert got == want
+    assert_rows_match_slots(rows, fast, NOW)
     assert snapshot(fast) == snapshot(slow)
     assert replica_divergence(fast, replication, NOW) == oracle.replica_divergence(
         slow, replication, NOW
     )
+    assert_rows_match_slots(rows, fast, NOW)
 
 
 @pytest.mark.parametrize("overlay", sorted(OVERLAYS))
@@ -249,6 +259,8 @@ def test_edge_chains_are_the_ring_walks(overlay, edge):
 def test_edge_rounds_match_the_oracle(overlay, edge, replication):
     spec = dict(overlay=overlay, entries=EDGE_ENTRIES, **EDGES[edge])
     fast, slow = build(**spec), build(**spec)
+    rows = rows_counter(fast, CONFIG, ["m"])
+    assert_rows_match_slots(rows, fast, NOW)
     mapping, _ = geometry(fast)
     _, naive = geometry(slow)
     for _ in range(3):  # the repairs of one round are the next one's input
@@ -257,6 +269,7 @@ def test_edge_rounds_match_the_oracle(overlay, edge, replication):
         )
         got = antientropy_sweep(fast, replication, NOW, mapping=mapping)
         assert got == oracle.antientropy_round(slow, replication, NOW, **naive)
+        assert_rows_match_slots(rows, fast, NOW)
         assert snapshot(fast) == snapshot(slow)
 
 
@@ -276,10 +289,13 @@ def test_homecoming_write_reaches_the_next_pair(overlay):
         failed=[33000],
     )
     fast, slow = build(**spec), build(**spec)
+    rows = rows_counter(fast, CONFIG, ["m"])
+    assert_rows_match_slots(rows, fast, NOW)
     mapping, naive = geometry(fast)
     assert naive["visible"](2, 30000) and not naive["visible"](2, 40000)
     assert ChainView(fast, NOW).successors(30000, 2) == [40000, 50000]
     got = antientropy_sweep(fast, 2, NOW, mapping=mapping)
+    assert_rows_match_slots(rows, fast, NOW)
     assert vectors_mask(fast.node(30000), "m", 2, NOW) == 0b1000
     assert vectors_mask(fast.node(50000), "m", 2, NOW) == 0b1000
     _, naive = geometry(slow)
@@ -291,11 +307,15 @@ def test_refreshed_table_equals_a_fresh_scan():
     """A write that revives a dead slot keeps the key's store position,
     and a wider one re-packs the node's int."""
     dht = build("chord", [7, 40000], [(0, "m", 1, 0, NOW - 1), (0, "m", 2, 0, None)])
+    rows = rows_counter(dht, CONFIG, ["m"])
+    assert_rows_match_slots(rows, dht, NOW)
     view = ChainView(dht, NOW)
     assert list(view.table(7).items()) == [(("m", 1), 0), (("m", 2), 1)]
     assert view.packed(7) == 0b10  # ("m", 1) dead, ("m", 2) at width 1
     write_entry(dht.node(7), "m", 5, 1, NOW + 1)   # revive the dead slot
+    assert_rows_match_slots(rows, dht, NOW)
     write_entry(dht.node(7), "m", 1, 3, None)      # and create a new one
+    assert_rows_match_slots(rows, dht, NOW)
     view.refresh(7, ("m", 1))
     view.refresh(7, ("m", 3))
     fresh = ChainView(dht, NOW)

@@ -165,7 +165,7 @@ def test_fault_layer_walks_the_wrapped_geometry():
         estimates={}, sketches={}, cost=OpCost(), confidence={"m": 1.0}
     )
     counter._probe_interval(
-        0, 0, {"m": 0b1}, origin=33000, now=0, result=result, key=32900
+        0, 0, [0b1], counter._begin_scan(["m"], 33000, 0, result, None), key=32900
     )
     assert result.probed_nodes == [33000, 60000, 100, 20000]
     # The owner of the top key is 100 (the ring wraps): its walk is
