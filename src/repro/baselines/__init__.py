@@ -1,6 +1,6 @@
 """Related-work baselines: one representative per family the paper surveys."""
 
-from repro.baselines.base import BaselineResult, Scenario, distinct_count, total_count
+from repro.baselines.base import BaselineResult, Scenario, distinct_count
 from repro.baselines.convergecast import ConvergecastAggregator
 from repro.baselines.gossip import GossipTrace, PushSumGossip
 from repro.baselines.sampling import SamplingEstimator
@@ -11,7 +11,6 @@ __all__ = [
     "BaselineResult",
     "Scenario",
     "distinct_count",
-    "total_count",
     "ConvergecastAggregator",
     "GossipTrace",
     "PushSumGossip",

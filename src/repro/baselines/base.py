@@ -16,7 +16,7 @@ from typing import Dict, List
 
 from repro.overlay.stats import OpCost
 
-__all__ = ["Scenario", "BaselineResult", "distinct_count", "total_count"]
+__all__ = ["Scenario", "BaselineResult", "distinct_count"]
 
 #: Items held per node: the common input of every baseline.
 Scenario = Dict[int, List]
@@ -30,11 +30,6 @@ def distinct_count(scenario: Scenario) -> int:
     return len(seen)
 
 
-def total_count(scenario: Scenario) -> int:
-    """Ground-truth number of item *occurrences* (duplicates included)."""
-    return sum(len(items) for items in scenario.values())
-
-
 @dataclass
 class BaselineResult:
     """Outcome of one baseline estimation run."""
@@ -45,9 +40,3 @@ class BaselineResult:
     rounds: int = 1
     #: True when the estimator counts distinct items (constraint 6).
     duplicate_insensitive: bool = False
-
-    def relative_error(self, truth: float) -> float:
-        """|estimate - truth| / truth."""
-        if truth == 0:
-            return 0.0 if self.estimate == 0 else float("inf")
-        return abs(self.estimate - truth) / truth

@@ -100,14 +100,6 @@ class SingleNodeCounter:
             estimate=value, cost=cost, duplicate_insensitive=self.distinct
         )
 
-    def counter_storage_entries(self) -> int:
-        """Items stored at the counter node (O(n) for distinct mode)."""
-        raw = self.dht.node(self.counter_node).store.get(("counter", self.counter_id))
-        if raw is None:
-            return 0
-        slot = cast(Dict[str, Any], raw)
-        return len(slot["set"]) if self.distinct else 1
-
 
 class PartitionedCounter:
     """Hash-partitioned distinct counter over ``P`` fixed partitions.
@@ -135,10 +127,6 @@ class PartitionedCounter:
             self.hash_family(("partition", counter_id, i)) & (dht.space.size - 1)
             for i in range(partitions)
         ]
-
-    def partition_nodes(self) -> list:
-        """Current owner of every partition."""
-        return [self.dht.owner_of(key) for key in self._keys]
 
     def add(self, item: Hashable, origin: Optional[int] = None) -> OpCost:
         """Record one item in its hash partition."""

@@ -10,19 +10,16 @@ from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.core.regstore import RegArena, RegSlot
 from repro.core.retries import (
     lim_for_interval,
-    lim_with_bitmaps,
     lim_with_replication,
     prob_all_probes_empty,
     success_probability,
 )
 from repro.core.tuples import (
-    DHSTuple,
     PackedSlot,
     bits_of,
     merge_store_values,
     purge_expired,
     storage_entries,
-    vectors_at,
     vectors_mask,
     write_entry,
     write_entry_mask,
@@ -43,17 +40,14 @@ __all__ = [
     "RegArena",
     "RegSlot",
     "lim_for_interval",
-    "lim_with_bitmaps",
     "lim_with_replication",
     "prob_all_probes_empty",
     "success_probability",
-    "DHSTuple",
     "PackedSlot",
     "bits_of",
     "merge_store_values",
     "purge_expired",
     "storage_entries",
-    "vectors_at",
     "vectors_mask",
     "write_entry",
     "write_entry_mask",

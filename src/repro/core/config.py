@@ -74,8 +74,8 @@ class DHSConfig:
     store:
         Node-store backend.  ``"array"`` (default) keeps immortal bitmap
         masks in one contiguous :class:`~repro.core.regstore.RegArena`
-        row per ``(metric, bit)`` slot — vectorized bulk writes and
-        fast probe walks.
+        row per ``(metric, bit)`` slot, for vectorized bulk writes;
+        probes read the node's derived ``read_rows`` on either backend.
         ``"packed"`` is the plain per-object :class:`PackedSlot`
         reference backend; both store bit-identical logical state (see
         tests/core/test_regstore.py).
@@ -164,10 +164,6 @@ class DHSConfig:
         EXPERIMENTS.md).
         """
         return self.num_bitmaps * (1 << max(0, self.position_bits - 3))
-
-    def supports_cardinality(self, n_max: int) -> bool:
-        """Whether eq. 3 holds for cardinalities up to ``n_max``."""
-        return n_max <= self.max_supported_cardinality
 
     def hash_family(self, bits: int) -> HashFamily:
         """The item-hash family for an overlay with ``bits``-bit ids."""

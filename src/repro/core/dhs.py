@@ -15,8 +15,7 @@ public API a downstream user works with::
 
 from __future__ import annotations
 
-import bisect
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:  # annotation only
     import random
@@ -44,8 +43,6 @@ from repro.core.tuples import merge_store_values, storage_entries
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.stats import OpCost
 from repro.sketches.base import HashSketch
-from repro.sketches.merge import union_all
-from repro.sketches.setops import estimate_intersection
 
 __all__ = ["DistributedHashSketch"]
 
@@ -189,41 +186,6 @@ class DistributedHashSketch:
         )
 
     # ------------------------------------------------------------------
-    # Set expressions over metrics (union is exact sketch merge;
-    # intersection via inclusion-exclusion — see repro.sketches.setops).
-    # ------------------------------------------------------------------
-    def count_union(
-        self,
-        metric_ids: Sequence[Hashable],
-        origin: Optional[int] = None,
-        now: int = 0,
-    ) -> float:
-        """Estimate ``|M1 ∪ M2 ∪ ...|`` with a single scan.
-
-        The per-metric sketches are reconstructed once and merged
-        locally — union costs nothing extra on the network.
-        """
-        result = self.count_many(metric_ids, origin=origin, now=now)
-        return union_all(list(result.sketches.values())).estimate()
-
-    def count_intersection(
-        self,
-        metric_a: Hashable,
-        metric_b: Hashable,
-        origin: Optional[int] = None,
-        now: int = 0,
-    ) -> float:
-        """Estimate ``|A ∩ B|`` via inclusion-exclusion (one scan).
-
-        Subject to the usual sketch caveat: absolute error scales with
-        the sizes of the operands, not of the intersection.
-        """
-        result = self.count_many([metric_a, metric_b], origin=origin, now=now)
-        return estimate_intersection(
-            result.sketches[metric_a], result.sketches[metric_b]
-        )
-
-    # ------------------------------------------------------------------
     # Network-property metrics (section 3.2: "basic network parameters
     # such as the cardinality of the node population").
     # ------------------------------------------------------------------
@@ -330,12 +292,3 @@ class DistributedHashSketch:
         sketch = self.config.make_sketch(self.hash_family)
         sketch.add_all(items)
         return sketch
-
-    def interval_node_counts(self) -> List[int]:
-        """Live nodes per id-space interval (for load diagnostics)."""
-        counts = []
-        for index in range(self.mapping.num_intervals):
-            lo, hi = self.mapping.interval_for_index(index)
-            ids = self.dht.node_ids()
-            counts.append(bisect.bisect_left(ids, hi) - bisect.bisect_left(ids, lo))
-        return counts

@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "prob_all_probes_empty",
     "lim_for_interval",
-    "lim_with_bitmaps",
     "lim_with_replication",
     "success_probability",
 ]
@@ -54,19 +53,12 @@ def lim_for_interval(p: float, n_items: float, n_bins: float) -> int:
     return max(1, min(lim, math.ceil(n_bins)))
 
 
-def lim_with_bitmaps(p: float, n_items: float, n_bins: float, m: int) -> int:
-    """``lim_m``: eq. 6 without replication — items split over m bitmaps.
-
-    Only ``n'/m`` items of an interval belong to any one bitmap, so the
-    probe budget must grow with ``m``.
-    """
+def lim_with_replication(p: float, n_items: float, n_bins: float, m: int, replication: int) -> int:
+    """``lim^R_m``: eq. 6 — items split over ``m`` bitmaps, and
+    replication multiplies the stored copies (``replication=1`` is the
+    unreplicated ``lim_m``)."""
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m}")
-    return lim_for_interval(p, n_items / m, n_bins)
-
-
-def lim_with_replication(p: float, n_items: float, n_bins: float, m: int, replication: int) -> int:
-    """``lim^R_m``: eq. 6 — replication multiplies the stored copies."""
     if replication < 1:
         raise ConfigurationError(f"replication must be >= 1, got {replication}")
     return lim_for_interval(p, replication * n_items / m, n_bins)

@@ -22,18 +22,14 @@ Two storage backends share this slot interface
   writes.
 
 Every function here accepts either slot type; passing an ``arena``
-selects which one a fresh slot becomes.  Node stores also carry an
-incrementally-maintained entry count (``Node.app_entries``) so
-:func:`storage_entries` — hit once per node per load-balance snapshot —
-is O(1) instead of a full store scan; bulk merges mark the count stale
-and the next query rescans once.  Every writer here, and a sweep that
-removes an entry, also drops the node's derived counting rows
+selects which one a fresh slot becomes.  Every writer here, and a sweep
+that removes an entry, also drops the node's derived counting rows
 (``Node.read_rows``, see :mod:`repro.core.count`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
 
 import numpy as np
 import numpy.typing as npt
@@ -44,13 +40,11 @@ if TYPE_CHECKING:  # imported for annotations only — no runtime cycle
     from repro.core.regstore import RegArena
 
 __all__ = [
-    "DHSTuple",
     "PackedSlot",
     "bits_of",
     "write_entry",
     "write_entry_mask",
     "vectors_mask",
-    "vectors_at",
     "merge_store_values",
     "purge_expired",
     "storage_entries",
@@ -58,15 +52,6 @@ __all__ = [
 
 #: Expiry sentinel for entries that never age out.
 _NEVER = float("inf")
-
-
-class DHSTuple(NamedTuple):
-    """One DHS record as it travels on the wire."""
-
-    metric_id: Hashable
-    vector_id: int
-    bit: int
-    time_out: Optional[int] = None
 
 
 class PackedSlot:
@@ -208,9 +193,8 @@ def write_entry(
             return  # already immortal — nothing to change
         slot.mask |= vector_bit
         expiring = slot.expiring
-        if expiring and expiring.pop(vector_id, None) is not None:
-            return  # TTL'd entry promoted: net entry count unchanged
-        node.app_entries += 1
+        if expiring:
+            expiring.pop(vector_id, None)  # a TTL'd entry is promoted
         return
     if slot.mask & vector_bit:
         return  # already stored forever; a TTL refresh cannot shorten it
@@ -224,7 +208,6 @@ def write_entry(
         slot._ttl_or |= vector_bit
         if new_expiry < slot._ttl_min:
             slot._ttl_min = new_expiry
-        node.app_entries += 1
     elif new_expiry > current:
         # Refresh (max-wins): ``_ttl_min`` may now be a stale lower
         # bound, which only makes the live_mask short-circuit fire less
@@ -254,23 +237,20 @@ def write_entry_mask(
     """
     if expiry is not None:
         if add_mask:
-            _write_ttl_mask(node, _slot_for(node, metric_id, bit, arena), add_mask, expiry)
+            _write_ttl_mask(_slot_for(node, metric_id, bit, arena), add_mask, expiry)
         return
     slot = _slot_for(node, metric_id, bit, arena)
     new_bits = add_mask & ~slot.mask
     if not new_bits:
         return
-    promoted = 0
     expiring = slot.expiring
     if expiring:
         for vector in bits_of(new_bits & slot._ttl_or):
-            if expiring.pop(vector, None) is not None:
-                promoted += 1
+            expiring.pop(vector, None)
     slot.or_mask(add_mask, delta)
-    node.app_entries += new_bits.bit_count() - promoted
 
 
-def _write_ttl_mask(node: Node, slot: PackedSlot, add_mask: int, expiry: int) -> None:
+def _write_ttl_mask(slot: PackedSlot, add_mask: int, expiry: int) -> None:
     """``write_entry`` of every vector in ``add_mask`` at ``expiry``, ascending."""
     ttl_bits = add_mask & ~slot.mask  # immortal vectors cannot be shortened
     if not ttl_bits:
@@ -278,19 +258,17 @@ def _write_ttl_mask(node: Node, slot: PackedSlot, add_mask: int, expiry: int) ->
     expiring = slot.expiring
     if expiring is None:
         expiring = slot.expiring = {}
+    # ``_ttl_or``'s extra bits are all in ``mask``, so these are exactly
+    # the vectors not yet in ``expiring``.
+    new_vectors = ttl_bits & ~slot._ttl_or
     new_expiry = float(expiry)
-    before = len(expiring)
     for vector in bits_of(ttl_bits):
         if expiring.get(vector, -_NEVER) < new_expiry:
             expiring[vector] = new_expiry
-    added = len(expiring) - before
-    if added:
-        # Every vector of ``ttl_bits`` is now TTL'd; the ones already
-        # there were in ``_ttl_or``, so the OR adds exactly the new ones.
-        slot._ttl_or |= ttl_bits
+    if new_vectors:
+        slot._ttl_or |= new_vectors
         if new_expiry < slot._ttl_min:
             slot._ttl_min = new_expiry
-        node.app_entries += added
 
 
 def vectors_mask(node: Node, metric_id: Hashable, bit: int, now: int = 0) -> int:
@@ -299,11 +277,6 @@ def vectors_mask(node: Node, metric_id: Hashable, bit: int, now: int = 0) -> int
     if not isinstance(slot, PackedSlot):
         return 0
     return slot.live_mask(now)
-
-
-def vectors_at(node: Node, metric_id: Hashable, bit: int, now: int = 0) -> List[int]:
-    """Vector ids with a live bit ``bit`` for ``metric_id`` at ``node``."""
-    return bits_of(vectors_mask(node, metric_id, bit, now))
 
 
 def merge_store_values(
@@ -345,16 +318,8 @@ def merge_store_values(
 
 
 def purge_expired(node: Node, now: int) -> int:
-    """Drop expired entries from ``node``; returns how many were removed.
-
-    The sweep already visits every slot, so it also recomputes the
-    incremental ``app_entries`` count from what actually survives
-    (rather than decrementing a possibly-stale value): any divergence
-    introduced outside ``write_entry`` — an amnesia rejoin wiping the
-    store, a bulk merge — is resynchronized here for free.
-    """
+    """Drop expired entries from ``node``; returns how many were removed."""
     removed = 0
-    surviving = 0
     dead_slots = []
     for slot_key, slot in node.store.items():
         if not isinstance(slot, PackedSlot):
@@ -372,30 +337,23 @@ def purge_expired(node: Node, now: int) -> int:
             slot._recompute_ttl_cache()
         if slot.mask == 0 and not slot.expiring:
             dead_slots.append(slot_key)
-        else:
-            surviving += slot.entries()
     for slot_key in dead_slots:
         del node.store[slot_key]
     if removed:
         node.read_rows = None
-    node.app_entries = surviving
-    node.app_entries_stale = False
     return removed
 
 
 def storage_entries(node: Node) -> int:
     """Number of live-or-stale DHS entries stored at ``node``.
 
-    O(1): reads the count ``write_entry``/``purge_expired`` maintain
-    incrementally.  Bulk store merges (graceful leaves) set
-    ``node.app_entries_stale``, and the next query rescans once to
-    resynchronize.
+    The paper's storage load (section 5.1): a count of the node's
+    ``<metric, vector, bit, time_out>`` tuples, summed over its slots
+    when asked.  Its readers run once per experiment cell, after the
+    operations.
     """
-    if node.app_entries_stale:
-        node.app_entries = sum(
-            slot.entries()
-            for slot in node.store.values()
-            if isinstance(slot, PackedSlot)
-        )
-        node.app_entries_stale = False
-    return node.app_entries
+    return sum(
+        slot.entries()
+        for slot in node.store.values()
+        if isinstance(slot, PackedSlot)
+    )

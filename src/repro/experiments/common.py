@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -162,18 +162,28 @@ def bucket_metric(relation_name: str, bucket: int) -> Hashable:
     return (relation_name, "hist", bucket)
 
 
-def populate_histogram_metrics(
+def _populate_buckets(
     dhs: DistributedHashSketch,
     relation: Relation,
+    values: npt.NDArray[np.int64],
+    lo: int,
+    hi: int,
     n_buckets: int,
-    seed: int = 0,
-    now: int = 0,
+    metric_of: Callable[[str, int], Hashable],
+    seed_label: str,
+    seed: int,
+    now: int,
 ) -> OpCost:
-    """Insert a relation's tuples under per-bucket metrics (section 4.3)."""
+    """Insert a relation's tuples under one metric per equi-width bucket.
+
+    ``values`` are bucketed over ``[lo, hi]``; bucket ``b`` is metric
+    ``metric_of(relation.name, b)``, populated under the seed
+    ``derive_seed(seed, seed_label, b)``.  Empty buckets are skipped.
+    """
     from repro.histograms.buckets import BucketSpec
 
-    spec = BucketSpec.equi_width(relation.domain[0], relation.domain[1], n_buckets)
-    bucket_of = spec.bucket_indices(relation.values)
+    spec = BucketSpec.equi_width(lo, hi, n_buckets)
+    bucket_of = spec.bucket_indices(values)
     item_ids = relation.item_ids()
     total = OpCost()
     for bucket in range(n_buckets):
@@ -183,13 +193,27 @@ def populate_histogram_metrics(
         total.add(
             populate_metric(
                 dhs,
-                bucket_metric(relation.name, bucket),
+                metric_of(relation.name, bucket),
                 item_ids[mask],
-                seed=derive_seed(seed, "bucket", bucket),
+                seed=derive_seed(seed, seed_label, bucket),
                 now=now,
             )
         )
     return total
+
+
+def populate_histogram_metrics(
+    dhs: DistributedHashSketch,
+    relation: Relation,
+    n_buckets: int,
+    seed: int = 0,
+    now: int = 0,
+) -> OpCost:
+    """Insert a relation's tuples under per-bucket metrics (section 4.3)."""
+    return _populate_buckets(
+        dhs, relation, relation.values, relation.domain[0], relation.domain[1],
+        n_buckets, bucket_metric, "bucket", seed, now,
+    )
 
 
 def filter_bucket_metric(relation_name: str, bucket: int) -> Hashable:
@@ -205,30 +229,13 @@ def populate_filter_histogram_metrics(
     now: int = 0,
 ) -> OpCost:
     """Insert tuples under per-bucket metrics of the filter attribute."""
-    from repro.histograms.buckets import BucketSpec
-
     if relation.filter_values is None:
         raise ValueError(f"relation {relation.name!r} has no filter attribute")
-    spec = BucketSpec.equi_width(
-        relation.filter_domain[0], relation.filter_domain[1], n_buckets
+    return _populate_buckets(
+        dhs, relation, relation.filter_values,
+        relation.filter_domain[0], relation.filter_domain[1],
+        n_buckets, filter_bucket_metric, "filter-bucket", seed, now,
     )
-    bucket_of = spec.bucket_indices(relation.filter_values)
-    item_ids = relation.item_ids()
-    total = OpCost()
-    for bucket in range(n_buckets):
-        mask = bucket_of == bucket
-        if not mask.any():
-            continue
-        total.add(
-            populate_metric(
-                dhs,
-                filter_bucket_metric(relation.name, bucket),
-                item_ids[mask],
-                seed=derive_seed(seed, "filter-bucket", bucket),
-                now=now,
-            )
-        )
-    return total
 
 
 @dataclass

@@ -73,8 +73,11 @@ def populate_tenants(
 
     ``ops[t]`` distinct items from tenant ``t``'s private id block go in
     under :func:`~repro.workloads.multitenant.tenant_metric`.  It keeps
-    its own owner draw and (tenant, inserter) grouping: folding them onto
-    ``populate_metric``'s would change which node inserts what.
+    its own owner draw (one for all tenants) and (tenant, inserter)
+    grouping rather than calling ``populate_metric`` per tenant: that
+    would run ``assign_uniform`` once per tenant, and each run bincounts
+    over all N nodes, so the preset's 10^6 tenants would cost
+    10^6 × N work.
     """
     active = np.nonzero(ops)[0]
     counts = ops[active]

@@ -11,7 +11,7 @@ generalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -100,7 +100,3 @@ class BucketSpec:
         if values.size and (values.min() < self.amin or values.max() >= self.amax):
             raise HistogramError("some values fall outside the bucketed domain")
         return np.searchsorted(self.boundaries, values, side="right") - 1
-
-    def all_ranges(self) -> List[Tuple[float, float]]:
-        """Every bucket's half-open range, in order."""
-        return [self.bucket_range(i) for i in range(self.n_buckets)]

@@ -10,7 +10,7 @@ bytes scaling with the bucket count — the property Table 3 demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Optional, Tuple
+from typing import Any, Hashable, Iterable, Optional
 
 from repro.core.count import CountResult
 from repro.core.dhs import DistributedHashSketch
@@ -71,25 +71,6 @@ class DHSHistogramBuilder:
         """Record one tuple (id + attribute value) into its bucket."""
         index = self.spec.bucket_index(value)
         return self.dhs.insert(self.metric_for_bucket(index), item, origin=origin, now=now)
-
-    def record_bulk(
-        self,
-        pairs: Iterable[Tuple[Any, float]],
-        origin: Optional[int] = None,
-        now: int = 0,
-    ) -> OpCost:
-        """Record many (item, value) pairs, bulk-inserted per bucket."""
-        by_bucket: dict[int, list] = {}
-        for item, value in pairs:
-            by_bucket.setdefault(self.spec.bucket_index(value), []).append(item)
-        total = OpCost()
-        for index, items in sorted(by_bucket.items()):
-            total.add(
-                self.dhs.insert_bulk(
-                    self.metric_for_bucket(index), items, origin=origin, now=now
-                )
-            )
-        return total
 
     # ------------------------------------------------------------------
     # Reconstruction.

@@ -53,12 +53,6 @@ class Histogram:
         """Total tuple count represented by the histogram."""
         return float(sum(self.counts))
 
-    def count_in_bucket(self, index: int) -> float:
-        """Estimated tuples in bucket ``index``."""
-        if not 0 <= index < self.spec.n_buckets:
-            raise HistogramError(f"bucket {index} out of range")
-        return self.counts[index]
-
     # ------------------------------------------------------------------
     # Selectivity estimation (uniform-within-bucket assumption).
     # ------------------------------------------------------------------
@@ -77,13 +71,6 @@ class Histogram:
             if overlap > 0:
                 total += self.counts[index] * overlap / (b_hi - b_lo)
         return total
-
-    def estimate_equal(self, value: float) -> float:
-        """Estimated tuples with the exact ``value``."""
-        if not self.spec.amin <= value < self.spec.amax:
-            return 0.0
-        index = self.spec.bucket_index(value)
-        return self.counts[index] / self.spec.bucket_width(index)
 
     def selectivity_range(self, lo: float, hi: float) -> float:
         """Fraction of tuples in ``[lo, hi)`` (0 when histogram empty)."""

@@ -25,7 +25,6 @@ the determinism contract.
 
 from repro.obs.export import (
     LoadRow,
-    dump_jsonl,
     dumps_jsonl,
     format_load_table,
     format_snapshot,
@@ -55,7 +54,6 @@ __all__ = [
     "disable",
     "observed",
     "span_to_dict",
-    "dump_jsonl",
     "dumps_jsonl",
     "render_span_tree",
     "LoadRow",

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.obs.metrics import Snapshot
 from repro.obs.span import AttrValue, Span
 
 __all__ = [
     "span_to_dict",
-    "dump_jsonl",
     "dumps_jsonl",
     "render_span_tree",
     "LoadRow",
@@ -51,13 +50,6 @@ def dumps_jsonl(spans: Iterable[Span]) -> str:
         for span in spans
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def dump_jsonl(spans: Iterable[Span], fp: IO[str]) -> int:
-    """Write the JSONL dump to ``fp``; returns the number of spans."""
-    text = dumps_jsonl(spans)
-    fp.write(text)
-    return text.count("\n")
 
 
 def render_span_tree(spans: Sequence[Span], max_attrs: int = 6) -> str:

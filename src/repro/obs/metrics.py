@@ -17,15 +17,16 @@ Determinism contract (see docs/OBSERVABILITY.md):
   per-trial snapshots **in spec order** — the serial path uses the same
   capture-and-merge sequence, so ``snapshot()`` is bit-identical at any
   worker count;
-* ``reset()`` clears every value (and cascades to attached resettables
-  like :class:`~repro.overlay.stats.LoadTracker`), so experiment cells
-  sharing a process cannot cross-contaminate.
+* ``reset()`` clears every value, so experiment cells sharing a
+  process cannot cross-contaminate (per-node load lives on the overlay's
+  :class:`~repro.overlay.stats.LoadTracker`, and every cell builds its
+  own deployment).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Protocol, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "BUCKETS_HOPS",
@@ -39,7 +40,6 @@ __all__ = [
     "METRIC_BUCKETS",
     "Histogram",
     "MetricsRegistry",
-    "Resettable",
     "Snapshot",
 ]
 
@@ -99,12 +99,6 @@ GAUGE_RING_NODE_HEAP_BYTES = "dhs.ring.node_heap_bytes"
 #: Peak resident set size observed around a ring build (benchmarks/tests
 #: only; 0.0 where the platform cannot report it).
 GAUGE_RING_PEAK_RSS_BYTES = "dhs.ring.peak_rss_bytes"
-
-
-class Resettable(Protocol):
-    """Anything with a ``reset()`` (e.g. ``LoadTracker``)."""
-
-    def reset(self) -> None: ...
 
 
 class Histogram:
@@ -184,7 +178,6 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._attached: List[Resettable] = []
 
     # ------------------------------------------------------------------
     # Recording.
@@ -282,24 +275,12 @@ class MetricsRegistry:
             assert isinstance(bounds, list)
             self.histogram(name, bounds=bounds).merge_dict(data)
 
-    def attach(self, resettable: Resettable) -> None:
-        """Cascade :meth:`reset` to ``resettable`` (e.g. a LoadTracker).
-
-        Lets an experiment driver wire the overlay's per-node access
-        tallies to the registry so one ``reset()`` call cleans every
-        tally between cells — the fault-matrix policy columns must never
-        see each other's load.
-        """
-        self._attached.append(resettable)
-
     def reset(self) -> None:
-        """Zero all values (histogram bounds survive); cascade to attached."""
+        """Zero all values (histogram bounds survive)."""
         self._counters.clear()
         self._gauges.clear()
         for hist in self._histograms.values():
             hist.reset()
-        for child in self._attached:
-            child.reset()
 
     def is_empty(self) -> bool:
         """Whether nothing has been recorded since creation/reset."""

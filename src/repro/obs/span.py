@@ -190,11 +190,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-    @property
-    def open_spans(self) -> int:
-        """Number of spans started but not yet ended."""
-        return len(self._stack)
-
     def current(self) -> Optional[Span]:
         """The innermost open span, or ``None`` at top level."""
         return self._stack[-1] if self._stack else None

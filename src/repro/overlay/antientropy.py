@@ -89,7 +89,6 @@ __all__ = [
     "DigestTree",
     "RegisterSlot",
     "antientropy_round",
-    "sync_stores",
     "view_digest",
 ]
 
@@ -256,41 +255,6 @@ def _sync_direction(
     cost.bytes += model.summary_bytes(shipped_slots, shipped_entries)
     dht.load.record(dst_id)
     return False
-
-
-def sync_stores(
-    dht: DHTProtocol,
-    left_id: int,
-    right_id: int,
-    now: int,
-    *,
-    model: SizeModel = DEFAULT_SIZE_MODEL,
-    segment_of: SegmentFn,
-    write_fn: WriteFn,
-    stats: Optional[AntiEntropyStats] = None,
-) -> AntiEntropyStats:
-    """Full bidirectional sync: both stores end at the OR of their live state.
-
-    The degenerate (chain-oblivious) exchange — used by tests to prove
-    convergence properties and available as a forced whole-store repair.
-    """
-    if stats is None:
-        stats = AntiEntropyStats()
-    stats.pairs += 1
-    _charge_roots(stats, model, 2)
-    view = ChainView(dht, now)
-    view.pack((left_id, right_id))
-    converged = True
-    for src_id, dst_id in ((left_id, right_id), (right_id, left_id)):
-        offered = view.packed(src_id)
-        if offered & ~view.packed(dst_id):
-            converged &= _sync_direction(
-                view, src_id, dst_id, offered,
-                model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
-            )
-    if converged:
-        stats.pairs_converged += 1
-    return stats
 
 
 def antientropy_round(

@@ -267,10 +267,7 @@ class DHTProtocol(ABC):
                     except TypeError:
                         heir.store[key] = value
             if node.store:
-                # Bulk merge bypasses the incremental entry accounting;
-                # the heir recounts lazily on the next load snapshot,
-                # and its read rows are rebuilt on the next probe.
-                heir.app_entries_stale = True
+                # The heir's read rows are rebuilt on the next probe.
                 heir.read_rows = None
 
     def fail_node(self, node_id: int) -> None:

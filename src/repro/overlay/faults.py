@@ -277,11 +277,6 @@ class FaultInjector(DHTProtocol, FaultHooks):
             # marked failed (hence materialized), but be robust anyway.
             node = self.node(node_id)
             node.store.clear()
-            # The store is gone, so the incremental entry count must
-            # follow — otherwise storage_entries reports phantom load
-            # until something forces a rescan.
-            node.app_entries = 0
-            node.app_entries_stale = False
             node.read_rows = None
             node.alive = True
         else:

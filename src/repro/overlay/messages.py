@@ -43,10 +43,6 @@ class SizeModel:
     probe_request_bytes: int = 8
     digest_bytes: int = 16
 
-    def insert_bytes(self, hops: int, tuples: int = 1) -> float:
-        """Bytes to route ``tuples`` DHS tuples over ``hops`` hops."""
-        return float(hops * tuples * self.tuple_bytes)
-
     def probe_bytes(self, request_hops: int, tuples_returned: int, metrics: int = 1) -> float:
         """Bytes for one probe: routed request + direct response.
 

@@ -42,9 +42,7 @@ class Node:
     leave with it.
     """
 
-    __slots__ = (
-        "node_id", "alive", "store", "app_entries", "app_entries_stale", "read_rows",
-    )
+    __slots__ = ("node_id", "alive", "store", "read_rows")
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
@@ -52,21 +50,9 @@ class Node:
         #: Application-level storage; DHS keeps one packed
         #: ``(metric_id, bit) -> PackedSlot`` slot per key here.
         self.store: NodeStore = {}
-        #: Application-maintained entry count (DHS tuples stored here).
-        #: Kept incrementally by ``repro.core.tuples.write_entry`` /
-        #: ``purge_expired`` so load snapshots avoid a full store scan.
-        self.app_entries = 0
-        #: Set by bulk store merges (graceful leaves); the next
-        #: ``storage_entries`` query rescans once to resynchronize.
-        self.app_entries_stale = False
         #: Derived read rows; ``None`` until the first probe, and again
         #: after every store mutation.
         self.read_rows: Optional[ReadRows] = None
-
-    @property
-    def storage_entries(self) -> int:
-        """Number of stored slots (the per-node storage-load metric)."""
-        return len(self.store)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

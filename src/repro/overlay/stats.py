@@ -9,7 +9,6 @@ load-balancing analysis (constraint 3 of the paper's introduction).
 
 from __future__ import annotations
 
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
@@ -114,10 +113,6 @@ class LoadTracker:
         """Total accesses across all nodes."""
         return sum(self._counts.values())
 
-    def max_load(self) -> int:
-        """Largest per-node access count (0 when nothing recorded)."""
-        return max(self._counts.values(), default=0)
-
     def imbalance(self, population: Iterable[int]) -> float:
         """``max / mean`` access load over ``population`` (1.0 = perfect).
 
@@ -132,13 +127,3 @@ class LoadTracker:
         if mean == 0:
             return 0.0
         return max(loads) / mean
-
-    def coefficient_of_variation(self, population: Iterable[int]) -> float:
-        """stddev / mean of access load over ``population``."""
-        loads = [self._counts.get(node, 0) for node in population]
-        if len(loads) < 2:
-            return 0.0
-        mean = sum(loads) / len(loads)
-        if mean == 0:
-            return 0.0
-        return statistics.pstdev(loads) / mean

@@ -3,7 +3,7 @@
 from repro.query.catalog import Catalog, CatalogEntry
 from repro.query.engine import ExecutionResult, execute_plan
 from repro.query.join import estimate_join_size, true_join_size
-from repro.query.optimizer import cost_of_plan, optimize
+from repro.query.optimizer import optimize
 from repro.query.plans import BaseRel, JoinNode, Plan, leaves, left_deep_plan
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "execute_plan",
     "estimate_join_size",
     "true_join_size",
-    "cost_of_plan",
     "optimize",
     "BaseRel",
     "JoinNode",

@@ -17,7 +17,7 @@ from repro.query.catalog import Catalog, CatalogEntry
 from repro.query.join import estimate_join_size
 from repro.query.plans import BaseRel, JoinNode, Plan, PlanNode
 
-__all__ = ["optimize", "cost_of_plan", "apply_predicates"]
+__all__ = ["optimize", "apply_predicates"]
 
 _MAX_RELATIONS = 12
 
@@ -151,33 +151,3 @@ def optimize(
 
     cost, root = best[universe]
     return Plan(root=root, estimated_cost_bytes=cost, estimated_rows=rows[universe])
-
-
-def cost_of_plan(
-    catalog: Catalog,
-    root: PlanNode,
-    predicates: Optional[Predicates] = None,
-) -> Plan:
-    """Estimated cost/rows of an externally supplied join tree."""
-    catalog = apply_predicates(catalog, predicates)
-
-    def walk(node: PlanNode) -> Tuple[FrozenSet[str], float, float]:
-        """Returns (subset, rows, accumulated cost)."""
-        if isinstance(node, BaseRel):
-            subset = frozenset([node.name])
-            return subset, _subset_rows(catalog, subset), 0.0
-        left_set, left_rows, left_cost = walk(node.left)
-        right_set, right_rows, right_cost = walk(node.right)
-        if left_set & right_set:
-            raise QueryError("plan joins a relation with itself")
-        subset = left_set | right_set
-        cost = (
-            left_cost
-            + right_cost
-            + _subset_bytes(catalog, left_set, left_rows)
-            + _subset_bytes(catalog, right_set, right_rows)
-        )
-        return subset, _subset_rows(catalog, subset), cost
-
-    subset, rows, cost = walk(root)
-    return Plan(root=root, estimated_cost_bytes=cost, estimated_rows=rows)

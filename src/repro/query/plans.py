@@ -63,10 +63,6 @@ class Plan:
     estimated_cost_bytes: float
     estimated_rows: float
 
-    def relation_order(self) -> List[str]:
-        """The leaf order of the tree."""
-        return leaves(self.root)
-
     def describe(self) -> str:
         """Parenthesized rendering, e.g. ``((Q ⋈ R) ⋈ T)``."""
 

@@ -1,7 +1,7 @@
 """Simulation kit: deterministic seeds, cost metrics, experiment runners."""
 
 from repro.sim.parallel import TrialSpec, env_jobs, run_trials
-from repro.sim.seeds import derive_seed, rng_for, spawn_seeds
+from repro.sim.seeds import derive_seed, rng_for
 
 __all__ = [
     "TrialSpec",
@@ -9,5 +9,4 @@ __all__ = [
     "env_jobs",
     "rng_for",
     "run_trials",
-    "spawn_seeds",
 ]

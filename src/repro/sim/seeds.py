@@ -10,11 +10,10 @@ statistically decoupled without manual seed bookkeeping.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from repro.hashing.mixers import mix_with_seed
 
-__all__ = ["derive_seed", "rng_for", "spawn_seeds"]
+__all__ = ["derive_seed", "rng_for"]
 
 _LABEL_SALT = 0x5DEECE66D
 
@@ -44,7 +43,3 @@ def rng_for(master: int, *labels: object) -> random.Random:
     return random.Random(derive_seed(master, *labels))
 
 
-def spawn_seeds(master: int, count: int, *labels: object) -> Iterable[int]:
-    """Yield ``count`` independent sub-seeds under the given label path."""
-    for i in range(count):
-        yield derive_seed(master, *labels, i)

@@ -13,7 +13,7 @@ from repro.sketches.constants import (
 from repro.sketches.hyperloglog import HyperLogLogSketch
 from repro.sketches.linear_counting import LinearCounter, linear_counting_estimate
 from repro.sketches.loglog import LogLogSketch, SuperLogLogSketch
-from repro.sketches.merge import estimate_union, union_all
+from repro.sketches.merge import union_all
 from repro.sketches.pcsa import PCSASketch
 from repro.sketches.setops import (
     estimate_difference,
@@ -46,7 +46,6 @@ __all__ = [
     "linear_counting_estimate",
     "LogLogSketch",
     "SuperLogLogSketch",
-    "estimate_union",
     "union_all",
     "PCSASketch",
     "estimate_difference",

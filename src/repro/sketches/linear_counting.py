@@ -59,11 +59,6 @@ class LinearCounter:
         for item in items:
             self.add(item)
 
-    @property
-    def set_bits(self) -> int:
-        """Number of 1-bits in the bitmap."""
-        return self._set_count
-
     def is_empty(self) -> bool:
         """True when no item has been recorded."""
         return self._set_count == 0

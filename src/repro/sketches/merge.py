@@ -1,19 +1,19 @@
-"""Union helpers over collections of sketches.
+"""Union over a collection of sketches.
 
 Duplicate-insensitive distributed counting hinges on sketch union being
-exactly the sketch of the set union; these helpers make the common
-"combine per-node sketches" pattern a one-liner and are reused by the
+exactly the sketch of the set union; :func:`union_all` makes the common
+"combine per-node sketches" pattern a one-liner and is reused by the
 convergecast baseline.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, TypeVar
 
 from repro.errors import SketchError
 from repro.sketches.base import HashSketch
 
-__all__ = ["union_all", "estimate_union"]
+__all__ = ["union_all"]
 
 S = TypeVar("S", bound=HashSketch)
 
@@ -31,6 +31,3 @@ def union_all(sketches: Iterable[S]) -> S:
     return result
 
 
-def estimate_union(sketches: Sequence[S]) -> float:
-    """Cardinality estimate of the union of all input sketches."""
-    return union_all(sketches).estimate()

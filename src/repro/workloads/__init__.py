@@ -2,7 +2,7 @@
 multisets, multi-tenant traffic."""
 
 from repro.workloads.assignment import assign_items, assign_uniform
-from repro.workloads.multisets import replicated_multiset, zipf_duplicated_multiset
+from repro.workloads.multisets import zipf_duplicated_multiset
 from repro.workloads.multitenant import (
     LoadBalance,
     gini_coefficient,
@@ -22,7 +22,6 @@ from repro.workloads.zipf import ZipfGenerator
 __all__ = [
     "assign_items",
     "assign_uniform",
-    "replicated_multiset",
     "zipf_duplicated_multiset",
     "LoadBalance",
     "gini_coefficient",

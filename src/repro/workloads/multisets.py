@@ -1,7 +1,7 @@
 """Multiset workloads with controlled duplication.
 
-Duplicate insensitivity is the paper's constraint (6); these generators
-produce multisets whose distinct-count is known exactly, with duplicates
+Duplicate insensitivity is the paper's constraint (6); this generator
+produces multisets whose distinct-count is known exactly, with duplicates
 modelling replicated documents in a file-sharing network or the same
 event reported by several sensors.
 """
@@ -13,19 +13,7 @@ from typing import List
 from repro.errors import ConfigurationError
 from repro.sim.seeds import rng_for
 
-__all__ = ["replicated_multiset", "zipf_duplicated_multiset"]
-
-
-def replicated_multiset(n_distinct: int, copies: int, seed: int = 0) -> List[int]:
-    """``n_distinct`` items, each appearing exactly ``copies`` times,
-    shuffled deterministically."""
-    if n_distinct < 0:
-        raise ConfigurationError(f"n_distinct must be >= 0, got {n_distinct}")
-    if copies < 1:
-        raise ConfigurationError(f"copies must be >= 1, got {copies}")
-    items = [item for item in range(n_distinct) for _ in range(copies)]
-    rng_for(seed, "replicated").shuffle(items)
-    return items
+__all__ = ["zipf_duplicated_multiset"]
 
 
 def zipf_duplicated_multiset(

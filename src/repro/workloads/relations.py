@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -70,16 +70,6 @@ class Relation:
         return (np.int64(self.tag) << np.int64(40)) | np.arange(
             self.size, dtype=np.int64
         )
-
-    def iter_items(self) -> Iterator[int]:
-        """Iterate tuple ids as Python ints."""
-        base = self.tag << 40
-        for index in range(self.size):
-            yield base | index
-
-    def value_of(self, index: int) -> int:
-        """Attribute value of tuple ``index``."""
-        return int(self.values[index])
 
 
 def _tag_for(name: str) -> int:

@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.baselines.base import distinct_count, total_count
+from repro.baselines.base import distinct_count
 from repro.baselines.gossip import PushSumGossip
 from repro.baselines.sketch_gossip import SketchGossip
 from repro.core.config import DHSConfig
 from repro.errors import ConfigurationError
 from repro.overlay.chord import ChordRing
+from repro.sim.seeds import rng_for
 from repro.workloads.assignment import assign_items
-from repro.workloads.multisets import replicated_multiset
+
+
+def total_count(scenario):
+    """Ground-truth number of item occurrences (duplicates included)."""
+    return sum(len(items) for items in scenario.values())
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +24,8 @@ def ring():
 
 @pytest.fixture(scope="module")
 def scenario(ring):
-    items = replicated_multiset(800, copies=3, seed=1)
+    items = [item for item in range(800) for _ in range(3)]
+    rng_for(1, "replicated").shuffle(items)
     return assign_items(items, list(ring.node_ids()), seed=2)
 
 

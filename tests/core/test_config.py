@@ -113,13 +113,12 @@ class TestEq3Capacity:
 
     def test_paper_relation_T_exceeds_its_own_config(self):
         # The paper's 80M-tuple relation T violates eq. 3 at k=24, m=512.
-        assert not DHSConfig().supports_cardinality(80_000_000)
+        assert 80_000_000 > DHSConfig().max_supported_cardinality
 
     def test_wider_keys_restore_capacity(self):
-        assert DHSConfig(key_bits=32).supports_cardinality(80_000_000)
+        assert 80_000_000 <= DHSConfig(key_bits=32).max_supported_cardinality
 
     def test_supports_boundary(self):
+        # k=20, m=16: 16 position bits -> 16 * 2^13 = 131,072.
         config = DHSConfig(key_bits=20, num_bitmaps=16)
-        cap = config.max_supported_cardinality
-        assert config.supports_cardinality(cap)
-        assert not config.supports_cardinality(cap + 1)
+        assert config.max_supported_cardinality == 16 * 2**13

@@ -32,14 +32,6 @@ class TestStorageIntrospection:
         for node_id in entries:
             assert bytes_[node_id] == entries[node_id] * tuple_bytes
 
-    def test_interval_node_counts(self, dhs):
-        counts = dhs.interval_node_counts()
-        assert len(counts) == dhs.mapping.num_intervals
-        # Interval sizes halve, so node counts must sum to <= N and the
-        # first interval holds about half the nodes.
-        assert sum(counts) <= dhs.dht.size
-        assert counts[0] == pytest.approx(dhs.dht.size / 2, rel=0.5)
-
 
 class TestLocalSketch:
     def test_local_sketch_matches_config(self, dhs):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.core.tuples import storage_entries, vectors_at
+from repro.core.tuples import bits_of, storage_entries, vectors_mask
 from repro.overlay.chord import ChordRing
 
 
@@ -19,7 +19,7 @@ def find_entry_nodes(dhs, metric, vector, bit):
     return [
         node_id
         for node_id in dhs.dht.node_ids()
-        if vector in vectors_at(dhs.dht.node(node_id), metric, bit)
+        if vector in bits_of(vectors_mask(dhs.dht.node(node_id), metric, bit))
     ]
 
 
@@ -169,5 +169,5 @@ class TestTTLInsertion:
         dhs.insert("docs", 1, now=5)
         node = dhs.dht.node(dhs.dht.node_ids()[0])
         vector, position = dhs._inserter.observation(1)
-        assert vectors_at(node, "docs", position, now=15) == [vector]
-        assert vectors_at(node, "docs", position, now=16) == []
+        assert bits_of(vectors_mask(node, "docs", position, now=15)) == [vector]
+        assert bits_of(vectors_mask(node, "docs", position, now=16)) == []

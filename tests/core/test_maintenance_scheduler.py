@@ -2,8 +2,7 @@
 
 Covers the deterministic duty cadence (refresh / sweep / anti-entropy
 on the logical clock), the vectorized refresh lane
-(ndarray items must be bit-identical to the scalar bulk path), and the
-sweep-time resync of the incremental ``storage_entries`` bookkeeping.
+(ndarray items must be bit-identical to the scalar bulk path).
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.maintenance import MaintenanceConfig, MaintenanceScheduler
-from repro.core.tuples import purge_expired, storage_entries, write_entry
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.overlay.stats import OpCost
@@ -56,40 +54,6 @@ class TestRefreshArrayLane:
             states[lane] = store_state(dhs.dht)
         assert states["bulk"] == states["array"]
         assert costs["bulk"] == costs["array"]
-
-
-class TestSweepBookkeeping:
-    def test_sweep_resyncs_drifted_entry_count(self):
-        """Satellite 2: a sweep rebuilds ``app_entries`` from survivors.
-
-        Bookkeeping can drift when a store mutates outside write_entry
-        (amnesia wipes, bulk merges); the sweep is the natural resync
-        point, so after it the incremental count must equal a rescan.
-        """
-        ring = ChordRing.from_ids([100, 20000, 40000], bits=16)
-        node = ring.node(100)
-        write_entry(node, "m", 0, 2, 5)    # expires at 5
-        write_entry(node, "m", 1, 2, None)
-        write_entry(node, "m", 0, 9, None)
-        node.app_entries += 50  # simulated drift
-        removed = purge_expired(node, now=10)
-        assert removed == 1
-        assert node.app_entries == 2
-        assert not node.app_entries_stale
-        assert storage_entries(node) == 2
-
-    def test_sweep_after_amnesia_rejoin_matches_rescan(self):
-        plan = FaultPlan(events=(FaultEvent("amnesia", at=1, fraction=0.4, duration=2),))
-        dht, dhs = make_dhs(ttl=50, plan=plan)
-        dhs.insert_bulk("docs", range(400), origin=None, now=0)
-        dht.advance_to(3)
-        dhs.antientropy(3)
-        dhs.sweep_expired(3)
-        for node_id in dht.node_ids():
-            node = dht.node(node_id)
-            incremental = node.app_entries
-            node.app_entries_stale = True
-            assert storage_entries(node) == incremental
 
 
 class TestScheduler:

@@ -20,7 +20,6 @@ from repro.core.tuples import (
     merge_store_values,
     purge_expired,
     storage_entries,
-    vectors_at,
     vectors_mask,
     write_entry,
     write_entry_mask,
@@ -97,7 +96,7 @@ def assert_same_view(node, ref, now):
     for metric in METRICS:
         for bit in range(MAX_BIT):
             expected = ref.vectors(metric, bit, now)
-            assert vectors_at(node, metric, bit, now) == expected
+            assert bits_of(vectors_mask(node, metric, bit, now)) == expected
             mask = vectors_mask(node, metric, bit, now)
             assert bits_of(mask) == expected
     assert storage_entries(node) == ref.entries()
@@ -151,29 +150,29 @@ class TestTTLSemantics:
     def test_entry_expires(self):
         node = Node(0)
         write_entry(node, "docs", 2, 1, expiry=10)
-        assert vectors_at(node, "docs", 1, now=10) == [2]  # inclusive bound
-        assert vectors_at(node, "docs", 1, now=11) == []
+        assert bits_of(vectors_mask(node, "docs", 1, now=10)) == [2]  # inclusive bound
+        assert bits_of(vectors_mask(node, "docs", 1, now=11)) == []
 
     def test_refresh_extends_max_wins(self):
         node = Node(0)
         write_entry(node, "docs", 2, 1, expiry=10)
         write_entry(node, "docs", 2, 1, expiry=30)
-        assert vectors_at(node, "docs", 1, now=20) == [2]
+        assert bits_of(vectors_mask(node, "docs", 1, now=20)) == [2]
         # A later, shorter TTL must not shorten the stored expiry.
         write_entry(node, "docs", 2, 1, expiry=5)
-        assert vectors_at(node, "docs", 1, now=20) == [2]
+        assert bits_of(vectors_mask(node, "docs", 1, now=20)) == [2]
 
     def test_immortal_dominates_ttl(self):
         node = Node(0)
         write_entry(node, "docs", 2, 1, expiry=10)
         write_entry(node, "docs", 2, 1, expiry=None)
         assert purge_expired(node, now=1000) == 0
-        assert vectors_at(node, "docs", 1, now=10**6) == [2]
+        assert bits_of(vectors_mask(node, "docs", 1, now=10**6)) == [2]
         # ... and a TTL written after immortality is a no-op.
         write_entry(node, "docs", 2, 1, expiry=3)
         slot = node.store[("docs", 1)]
         assert not slot.expiring
-        assert vectors_at(node, "docs", 1, now=10**6) == [2]
+        assert bits_of(vectors_mask(node, "docs", 1, now=10**6)) == [2]
 
     def test_purge_drops_empty_slots(self):
         node = Node(0)

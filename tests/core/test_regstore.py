@@ -128,52 +128,6 @@ class TestRegSlot:
 
 
 # ----------------------------------------------------------------------
-# Incremental storage_entries (no full-store scan on the hot path).
-# ----------------------------------------------------------------------
-class TestIncrementalStorageEntries:
-    def test_query_does_not_scan_slots(self, monkeypatch):
-        ring = ChordRing.build(8, bits=16, seed=3)
-        dhs = DistributedHashSketch(
-            ring, DHSConfig(key_bits=12, num_bitmaps=16), seed=1
-        )
-        dhs.insert_array("docs", np.arange(200, dtype=np.int64))
-        before = dhs.storage_per_node()
-        assert sum(before.values()) > 0
-
-        def boom(self):  # pragma: no cover - must never run
-            raise AssertionError("storage_entries scanned a slot")
-
-        monkeypatch.setattr(PackedSlot, "entries", boom)
-        assert dhs.storage_per_node() == before  # O(1) counter reads only
-
-    def test_stale_flag_triggers_one_rescan(self):
-        ring = ChordRing.build(8, bits=16, seed=3)
-        dhs = DistributedHashSketch(
-            ring, DHSConfig(key_bits=12, num_bitmaps=16), seed=1
-        )
-        dhs.insert_array("docs", np.arange(100, dtype=np.int64))
-        node = ring.node(ring.node_ids()[0])
-        true_count = storage_entries(node)
-        node.app_entries = -1  # corrupt the counter, then mark stale
-        node.app_entries_stale = True
-        assert storage_entries(node) == true_count
-        assert not node.app_entries_stale
-
-    def test_graceful_leave_marks_heir_stale(self):
-        ring = ChordRing.build(8, bits=16, seed=5)
-        dhs = DistributedHashSketch(
-            ring, DHSConfig(key_bits=12, num_bitmaps=16), seed=2
-        )
-        dhs.insert_array("docs", np.arange(500, dtype=np.int64))
-        total = sum(dhs.storage_per_node().values())
-        leaver = next(
-            node_id for node_id in ring.node_ids() if ring.node(node_id).store
-        )
-        ring.remove_node(leaver, graceful=True)
-        assert sum(dhs.storage_per_node().values()) == total
-
-
-# ----------------------------------------------------------------------
 # live_mask TTL short-circuit.
 # ----------------------------------------------------------------------
 class _CountingDict(dict):

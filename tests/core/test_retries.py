@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.retries import (
     lim_for_interval,
-    lim_with_bitmaps,
     lim_with_replication,
     prob_all_probes_empty,
     success_probability,
@@ -82,8 +81,8 @@ class TestLim:
 class TestEq6Extensions:
     def test_bitmaps_dilute_items(self):
         # Items split over m bitmaps: the probe budget must grow.
-        base = lim_with_bitmaps(0.99, 1000, 100, m=1)
-        split = lim_with_bitmaps(0.99, 1000, 100, m=64)
+        base = lim_with_replication(0.99, 1000, 100, m=1, replication=1)
+        split = lim_with_replication(0.99, 1000, 100, m=64, replication=1)
         assert split > base
         assert base == lim_for_interval(0.99, 1000, 100)
 
@@ -91,11 +90,13 @@ class TestEq6Extensions:
         unreplicated = lim_with_replication(0.99, 1000, 100, m=64, replication=1)
         replicated = lim_with_replication(0.99, 1000, 100, m=64, replication=8)
         assert replicated <= unreplicated
-        assert replicated == lim_with_bitmaps(0.99, 8 * 1000, 100, m=64)
+        assert replicated == lim_with_replication(
+            0.99, 8 * 1000, 100, m=64, replication=1
+        )
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            lim_with_bitmaps(0.99, 10, 10, m=0)
+            lim_with_replication(0.99, 10, 10, m=0, replication=1)
         with pytest.raises(ConfigurationError):
             lim_with_replication(0.99, 10, 10, m=1, replication=0)
 

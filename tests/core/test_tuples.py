@@ -1,11 +1,11 @@
 """Tests for DHS node-store entries and soft-state semantics."""
 
 from repro.core.tuples import (
-    DHSTuple,
+    bits_of,
     merge_store_values,
     purge_expired,
     storage_entries,
-    vectors_at,
+    vectors_mask,
     write_entry,
 )
 from repro.overlay.node import Node
@@ -15,25 +15,25 @@ class TestWriteRead:
     def test_round_trip(self):
         node = Node(1)
         write_entry(node, "docs", vector_id=3, bit=2, expiry=None)
-        assert vectors_at(node, "docs", 2) == [3]
+        assert bits_of(vectors_mask(node, "docs", 2)) == [3]
 
     def test_missing_is_empty(self):
         node = Node(1)
-        assert vectors_at(node, "docs", 0) == []
+        assert bits_of(vectors_mask(node, "docs", 0)) == []
 
     def test_metrics_isolated(self):
         node = Node(1)
         write_entry(node, "a", 1, 0, None)
         write_entry(node, "b", 2, 0, None)
-        assert vectors_at(node, "a", 0) == [1]
-        assert vectors_at(node, "b", 0) == [2]
+        assert bits_of(vectors_mask(node, "a", 0)) == [1]
+        assert bits_of(vectors_mask(node, "b", 0)) == [2]
 
     def test_bits_isolated(self):
         node = Node(1)
         write_entry(node, "a", 1, 0, None)
         write_entry(node, "a", 1, 5, None)
-        assert vectors_at(node, "a", 0) == [1]
-        assert vectors_at(node, "a", 5) == [1]
+        assert bits_of(vectors_mask(node, "a", 0)) == [1]
+        assert bits_of(vectors_mask(node, "a", 5)) == [1]
 
     def test_duplicate_write_is_single_entry(self):
         node = Node(1)
@@ -53,25 +53,25 @@ class TestTTL:
     def test_live_until_expiry(self):
         node = Node(1)
         write_entry(node, "a", 1, 0, expiry=10)
-        assert vectors_at(node, "a", 0, now=10) == [1]
-        assert vectors_at(node, "a", 0, now=11) == []
+        assert bits_of(vectors_mask(node, "a", 0, now=10)) == [1]
+        assert bits_of(vectors_mask(node, "a", 0, now=11)) == []
 
     def test_refresh_extends(self):
         node = Node(1)
         write_entry(node, "a", 1, 0, expiry=10)
         write_entry(node, "a", 1, 0, expiry=30)
-        assert vectors_at(node, "a", 0, now=20) == [1]
+        assert bits_of(vectors_mask(node, "a", 0, now=20)) == [1]
 
     def test_refresh_never_shortens(self):
         node = Node(1)
         write_entry(node, "a", 1, 0, expiry=30)
         write_entry(node, "a", 1, 0, expiry=10)
-        assert vectors_at(node, "a", 0, now=20) == [1]
+        assert bits_of(vectors_mask(node, "a", 0, now=20)) == [1]
 
     def test_none_expiry_is_immortal(self):
         node = Node(1)
         write_entry(node, "a", 1, 0, expiry=None)
-        assert vectors_at(node, "a", 0, now=10**9) == [1]
+        assert bits_of(vectors_mask(node, "a", 0, now=10**9)) == [1]
 
     def test_purge_removes_expired_only(self):
         node = Node(1)
@@ -79,7 +79,7 @@ class TestTTL:
         write_entry(node, "a", 2, 0, expiry=50)
         removed = purge_expired(node, now=10)
         assert removed == 1
-        assert vectors_at(node, "a", 0, now=10) == [2]
+        assert bits_of(vectors_mask(node, "a", 0, now=10)) == [2]
 
     def test_purge_drops_empty_slots(self):
         node = Node(1)
@@ -105,15 +105,3 @@ class TestMerge:
         merge_store_values(existing, incoming)
         assert existing == {1: 5.0}
         assert incoming == {2: 7.0}
-
-
-class TestDHSTuple:
-    def test_fields(self):
-        record = DHSTuple("docs", 3, 7, 100)
-        assert record.metric_id == "docs"
-        assert record.vector_id == 3
-        assert record.bit == 7
-        assert record.time_out == 100
-
-    def test_default_timeout(self):
-        assert DHSTuple("docs", 0, 0).time_out is None

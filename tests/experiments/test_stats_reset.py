@@ -7,9 +7,8 @@ mechanisms guarantee that and both are pinned here:
 * cells rebuild their deployment, so a rebuilt (seed-identical) ring
   starts from an empty :class:`~repro.overlay.stats.LoadTracker` and two
   reruns of the same cell produce identical per-node counts;
-* within a cell, phases are separated by an explicit ``reset()`` —
-  either directly on the tracker (``run_traced_count`` does this between
-  populate and count) or through ``MetricsRegistry.attach``'s cascade.
+* within a cell, phases are separated by an explicit ``reset()`` on the
+  tracker (``run_traced_count`` does this between populate and count).
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ import pytest
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.experiments.tracing import TraceScenario, run_traced_count
-from repro.obs.metrics import MetricsRegistry
 from repro.overlay.chord import ChordRing
 from repro.sim.seeds import rng_for
 
@@ -81,35 +79,6 @@ class TestCellIsolation:
         for _ in range(3):
             clean_dhs.count("docs", origin=clean_dhs.dht.random_live_node(clean_rng))
         assert clean_ring.load.counts() == query_counts
-
-    def test_registry_reset_cascades_to_ring_tracker(self):
-        """A registry-attached tracker is cleaned by one registry.reset()."""
-        ring, dhs = build_cell()
-        registry = MetricsRegistry()
-        registry.attach(ring.load)
-        run_cell(dhs)
-        registry.inc("dhs.count.ops", 3)
-        assert ring.load.total > 0
-        registry.reset()
-        assert ring.load.total == 0
-        assert ring.load.counts() == {}
-        assert registry.counter("dhs.count.ops") == 0
-
-    def test_second_attached_cell_starts_from_zero(self):
-        """Registry-driven cell transitions: after reset() the tracker is
-        empty, so the second cell's tallies are its own operations only."""
-        ring, dhs = build_cell()
-        registry = MetricsRegistry()
-        registry.attach(ring.load)
-        run_cell(dhs)
-        first_total = ring.load.total
-        assert first_total > 0
-        registry.reset()
-        assert ring.load.counts() == {}
-        run_cell(dhs)
-        # Everything tallied now was recorded after the reset.
-        assert ring.load.total > 0
-        assert ring.load.total == sum(ring.load.counts().values())
 
 
 class TestTracedRunLoadTable:

@@ -88,7 +88,7 @@ class TestBucketIndex:
 class TestRanges:
     def test_all_ranges_cover_domain(self):
         spec = BucketSpec.equi_width(1, 997, 13)
-        ranges = spec.all_ranges()
+        ranges = [spec.bucket_range(i) for i in range(spec.n_buckets)]
         assert ranges[0][0] == 1.0
         assert ranges[-1][1] == 998.0
         for (a_lo, a_hi), (b_lo, b_hi) in zip(ranges, ranges[1:]):

@@ -9,6 +9,7 @@ from repro.histograms.builder import DHSHistogramBuilder
 from repro.histograms.histogram import Histogram
 from repro.overlay.chord import ChordRing
 from repro.sim.seeds import rng_for
+from tests.histograms.recording import record_pairs
 
 import numpy as np
 
@@ -28,7 +29,7 @@ def deployment():
     # Record from many origins so bit copies spread over the intervals.
     for start in range(0, len(pairs), 40):
         origin = node_ids[(start // 40) % len(node_ids)]
-        builder.record_bulk(pairs[start : start + 40], origin=origin)
+        record_pairs(builder, pairs[start : start + 40], origin=origin)
     return dhs, builder, spec, np.array(values)
 
 

@@ -73,17 +73,6 @@ class TestRangeEstimation:
         assert histogram.estimate_range(21, 41) == pytest.approx(20.0)
 
 
-class TestEqualityEstimation:
-    def test_uniform_within_bucket(self):
-        histogram = Histogram.from_counts(SPEC, [50.0] + [0.0] * 9)
-        assert histogram.estimate_equal(5) == pytest.approx(5.0)
-
-    def test_outside_domain_is_zero(self):
-        histogram = Histogram.from_counts(SPEC, [50.0] * 10)
-        assert histogram.estimate_equal(0) == 0.0
-        assert histogram.estimate_equal(101) == 0.0
-
-
 class TestErrorMetrics:
     def test_identical_histograms_zero_error(self):
         histogram = Histogram.from_counts(SPEC, [7.0] * 10)

@@ -21,6 +21,7 @@ from repro.sim.seeds import rng_for
 from repro.workloads.assignment import assign_items
 from repro.workloads.multisets import zipf_duplicated_multiset
 from repro.workloads.relations import make_relation
+from tests.histograms.recording import record_pairs
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).resolve().parents[2] / "examples").glob("*.py")
@@ -110,7 +111,7 @@ class TestHistogramToOptimizerPipeline:
             ]
             for start in range(0, len(pairs), 500):
                 origin = node_ids[(start // 500) % len(node_ids)]
-                builder.record_bulk(pairs[start : start + 500], origin=origin)
+                record_pairs(builder, pairs[start : start + 500], origin=origin)
 
         catalog = Catalog.from_dhs(dhs, relations, spec)
         assert catalog.acquisition_cost.hops > 0
@@ -143,7 +144,7 @@ class TestHistogramToOptimizerPipeline:
         rng = rng_for(7, "spread")
         pairs = [(relation.item_id(i), float(relation.values[i])) for i in range(relation.size)]
         for start in range(0, len(pairs), 400):
-            builder.record_bulk(pairs[start : start + 400], origin=rng.choice(node_ids))
+            record_pairs(builder, pairs[start : start + 400], origin=rng.choice(node_ids))
         reconstruction = builder.reconstruct()
         truth = Histogram.exact(spec, relation.values)
         # Zipf data: bucket 0 dominates; the reconstruction must agree

@@ -1,11 +1,9 @@
 """Exporter tests: JSONL stability, span-tree rendering, load table."""
 
-import io
 import json
 
 from repro.obs.export import (
     LoadRow,
-    dump_jsonl,
     dumps_jsonl,
     format_load_table,
     format_snapshot,
@@ -50,12 +48,6 @@ class TestJsonl:
 
     def test_dumps_empty(self):
         assert dumps_jsonl([]) == ""
-
-    def test_dump_writes_and_counts(self):
-        buffer = io.StringIO()
-        count = dump_jsonl(_sample_tracer().spans, buffer)
-        assert count == 4
-        assert buffer.getvalue() == dumps_jsonl(_sample_tracer().spans)
 
     def test_byte_stability_across_runs(self):
         assert dumps_jsonl(_sample_tracer().spans) == dumps_jsonl(

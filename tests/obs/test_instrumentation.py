@@ -63,7 +63,7 @@ class TestIdentity:
         assert _cost_tuple(traced_insert) == _cost_tuple(base_insert)
         assert traced.probes == base.probes
         assert traced.probed_ids == base.probed_ids
-        assert tracer.open_spans == 0
+        assert tracer.current() is None
         assert tracer.spans
 
     def test_faulty_run_identical(self):
@@ -87,7 +87,7 @@ class TestIdentity:
         assert _cost_tuple(traced_insert) == _cost_tuple(base_insert)
         assert traced.degraded == base.degraded
         assert traced.confidence == base.confidence
-        assert tracer.open_spans == 0
+        assert tracer.current() is None
         # Fault machinery showed up in the trace and the metrics.
         names = {span.name for span in tracer.spans}
         assert "fault.lazy_crash" in names

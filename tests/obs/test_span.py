@@ -35,20 +35,20 @@ class TestTracer:
         assert root.parent_id is None
         assert child.parent_id == root.span_id
         assert [s.seq for s in tracer.spans] == [0, 1]
-        assert tracer.open_spans == 0
+        assert tracer.current() is None
 
     def test_span_context_manager_closes(self):
         tracer = Tracer()
         with tracer.span("op", tick=1, hops=0) as span:
             assert tracer.current() is span
-        assert tracer.open_spans == 0
+        assert tracer.current() is None
 
     def test_context_manager_closes_on_exception(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("op"):
                 raise RuntimeError("boom")
-        assert tracer.open_spans == 0
+        assert tracer.current() is None
 
     def test_end_enforces_lifo(self):
         tracer = Tracer()
@@ -66,7 +66,7 @@ class TestTracer:
         assert event.parent_id == parent.span_id
         assert event.attrs == {"node": 7}
         # Events never join the open stack.
-        assert tracer.open_spans == 0
+        assert tracer.current() is None
 
     def test_roots_children_find(self):
         tracer = Tracer()
@@ -101,7 +101,7 @@ class TestNullTracer:
             inner = tracer.start("inner")
             tracer.end(inner)
         assert tracer.spans == []
-        assert tracer.open_spans == 0
+        assert tracer.current() is None
         assert span is inner  # the shared dummy span
 
     def test_singleton_is_null(self):

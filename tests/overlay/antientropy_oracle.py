@@ -13,10 +13,20 @@ are checked against something that shares none of their shortcuts:
 
 Only the injected callables (``visible``, ``segment_of``, ``write_fn``),
 ``view_digest`` and the stats/cost containers come from the package.
+
+:func:`sync_stores` is the exception: a whole-store pair exchange that
+only the tests drive, built on the package's own ``ChainView`` and
+direction sync rather than on the naive paths above.
 """
 
-from repro.overlay.antientropy import AntiEntropyStats, view_digest
+from repro.overlay.antientropy import (
+    AntiEntropyStats,
+    _charge_roots,
+    view_digest,
+)
+from repro.overlay.antientropy import _sync_direction as _packed_sync_direction
 from repro.overlay.messages import DEFAULT_SIZE_MODEL
+from repro.overlay.replication import ChainView
 
 
 def ring_walk(dht, node_id, degree, step, responsive_only):
@@ -189,3 +199,31 @@ def replica_divergence(dht, replication, now):
                     vector not in _held(dht, r, key, now) for r in chain
                 )
     return total
+
+
+def sync_stores(
+    dht, left_id, right_id, now, *,
+    model=DEFAULT_SIZE_MODEL, segment_of, write_fn, stats=None,
+):
+    """Full bidirectional sync: both stores end at the OR of their live state.
+
+    The degenerate (chain-oblivious) exchange the tests use to prove
+    convergence properties.
+    """
+    if stats is None:
+        stats = AntiEntropyStats()
+    stats.pairs += 1
+    _charge_roots(stats, model, 2)
+    view = ChainView(dht, now)
+    view.pack((left_id, right_id))
+    converged = True
+    for src_id, dst_id in ((left_id, right_id), (right_id, left_id)):
+        offered = view.packed(src_id)
+        if offered & ~view.packed(dst_id):
+            converged &= _packed_sync_direction(
+                view, src_id, dst_id, offered,
+                model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
+            )
+    if converged:
+        stats.pairs_converged += 1
+    return stats

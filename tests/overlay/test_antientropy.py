@@ -20,11 +20,12 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.maintenance import antientropy_sweep, replica_divergence
 from repro.core.tuples import vectors_mask, write_entry
-from repro.overlay.antientropy import AntiEntropyStats, sync_stores, view_digest
+from repro.overlay.antientropy import AntiEntropyStats, view_digest
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.overlay.messages import DEFAULT_SIZE_MODEL
 from repro.overlay.replication import ChainView
+from tests.overlay.antientropy_oracle import sync_stores
 
 # 16-bit space, same geometry as tests/core/test_read_repair.py.
 IDS = [100, 20000, 33000, 40000, 50000, 60000]

@@ -6,7 +6,7 @@ from repro.core.tuples import PackedSlot
 from repro.errors import ConfigurationError
 from repro.overlay.chord import ChordRing
 from repro.overlay.failures import fail_fraction, fail_nodes
-from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
+from repro.overlay.messages import SizeModel
 from repro.overlay.replication import (
     entry_expiry,
     replica_chain,
@@ -63,20 +63,6 @@ class TestLoadTracker:
         assert LoadTracker().imbalance(range(5)) == 0.0
         assert LoadTracker().imbalance([]) == 0.0
 
-    def test_cv_uniform_is_zero(self):
-        tracker = LoadTracker()
-        for node in range(8):
-            tracker.record(node, amount=3)
-        assert tracker.coefficient_of_variation(range(8)) == pytest.approx(0.0)
-
-    def test_cv_increases_with_skew(self):
-        even, skewed = LoadTracker(), LoadTracker()
-        for node in range(8):
-            even.record(node, amount=10)
-            skewed.record(node, amount=1)
-        skewed.record(0, amount=100)
-        assert skewed.coefficient_of_variation(range(8)) > even.coefficient_of_variation(range(8))
-
     def test_reset(self):
         tracker = LoadTracker()
         tracker.record(1)
@@ -85,10 +71,6 @@ class TestLoadTracker:
 
 
 class TestSizeModel:
-    def test_insert_bytes(self):
-        assert DEFAULT_SIZE_MODEL.insert_bytes(hops=3) == 24.0
-        assert DEFAULT_SIZE_MODEL.insert_bytes(hops=3, tuples=2) == 48.0
-
     def test_probe_bytes(self):
         model = SizeModel(tuple_bytes=8, probe_request_bytes=8, key_bytes=8)
         assert model.probe_bytes(request_hops=5, tuples_returned=3) == 5 * 8 + 24

@@ -7,11 +7,28 @@ from repro.errors import QueryError
 from repro.histograms.buckets import BucketSpec
 from repro.query.catalog import Catalog
 from repro.query.engine import execute_plan
-from repro.query.optimizer import cost_of_plan, optimize
-from repro.query.plans import BaseRel, JoinNode, left_deep_plan, leaves
+from repro.query.join import estimate_join_size
+from repro.query.optimizer import optimize
+from repro.query.plans import BaseRel, JoinNode, Plan, left_deep_plan, leaves
 from repro.workloads.relations import make_relation
 
 SPEC = BucketSpec.equi_width(1, 1000, 20)
+
+
+def left_deep_cost(catalog, order):
+    """Estimated shipping cost of the left-deep plan over ``order``.
+
+    The optimizer's cost model, walked by hand: every join ships both of
+    its inputs, each sized from the catalog's histograms.
+    """
+
+    def shipped(names):
+        rows = estimate_join_size([catalog.entry(name).histogram for name in names])
+        return rows * sum(catalog.entry(name).tuple_bytes for name in names)
+
+    return sum(
+        shipped(order[:i]) + shipped(order[i:i + 1]) for i in range(1, len(order))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +58,10 @@ class TestPlans:
         with pytest.raises(ValueError):
             left_deep_plan([])
 
-    def test_describe(self, workload):
-        _, catalog = workload
-        plan = cost_of_plan(catalog, left_deep_plan(["Q", "R"]))
+    def test_describe(self):
+        plan = Plan(
+            root=left_deep_plan(["Q", "R"]), estimated_cost_bytes=0.0, estimated_rows=0.0
+        )
         assert plan.describe() == "(Q ⋈ R)"
 
 
@@ -51,7 +69,7 @@ class TestOptimizer:
     def test_optimal_covers_all_relations(self, workload):
         _, catalog = workload
         plan = optimize(catalog, ["Q", "R", "S"])
-        assert sorted(plan.relation_order()) == ["Q", "R", "S"]
+        assert sorted(leaves(plan.root)) == ["Q", "R", "S"]
 
     def test_optimal_no_worse_than_any_left_deep(self, workload):
         """DP must beat (or match) every left-deep enumeration."""
@@ -61,8 +79,9 @@ class TestOptimizer:
         names = ["Q", "R", "S", "T"]
         best = optimize(catalog, names)
         for order in permutations(names):
-            candidate = cost_of_plan(catalog, left_deep_plan(list(order)))
-            assert best.estimated_cost_bytes <= candidate.estimated_cost_bytes + 1e-6
+            candidate = left_deep_cost(catalog, list(order))
+            # Relative slack: the walk sums the same terms in another order.
+            assert best.estimated_cost_bytes <= candidate * (1 + 1e-9)
 
     def test_single_relation_plan_free(self, workload):
         _, catalog = workload
@@ -86,11 +105,6 @@ class TestOptimizer:
             optimize(catalog, ["Q", "Q"])
         with pytest.raises(QueryError):
             optimize(catalog, ["Q", "NOPE"])
-
-    def test_cost_of_plan_rejects_self_join(self, workload):
-        _, catalog = workload
-        with pytest.raises(QueryError):
-            cost_of_plan(catalog, JoinNode(BaseRel("Q"), BaseRel("Q")))
 
 
 class TestEngine:

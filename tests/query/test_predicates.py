@@ -127,10 +127,8 @@ class TestOptimizerWithPredicates:
 
 class TestCostOfPlanWithPredicates:
     def test_predicates_shrink_plan_cost(self, workload):
-        from repro.query.optimizer import cost_of_plan
-
         _, catalog = workload
-        plan = left_deep_plan(["A", "B", "C"])
-        full = cost_of_plan(catalog, plan)
-        filtered = cost_of_plan(catalog, plan, predicates={"C": (1, 30)})
+        names = ["A", "B", "C"]
+        full = optimize(catalog, names)
+        filtered = optimize(catalog, names, predicates={"C": (1, 30)})
         assert filtered.estimated_cost_bytes < full.estimated_cost_bytes

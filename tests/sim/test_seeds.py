@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.seeds import derive_seed, rng_for, spawn_seeds
+from repro.sim.seeds import derive_seed, rng_for
 
 
 class TestDeriveSeed:
@@ -41,12 +41,3 @@ class TestRngFor:
         a = rng_for(7, "s1")
         b = rng_for(7, "s2")
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
-
-
-class TestSpawnSeeds:
-    def test_count_and_determinism(self):
-        first = list(spawn_seeds(3, 10, "workers"))
-        second = list(spawn_seeds(3, 10, "workers"))
-        assert len(first) == 10
-        assert first == second
-        assert len(set(first)) == 10

@@ -9,7 +9,6 @@ from repro.sketches import (
     LogLogSketch,
     PCSASketch,
     SuperLogLogSketch,
-    estimate_union,
     union_all,
 )
 from repro.errors import SketchError
@@ -113,7 +112,7 @@ class TestUnionSemantics:
             shard.add_all(f"it-{i}" for i in range(node * 2000, node * 2000 + 3000))
             shards.append(shard)
         truth = 9000  # ranges overlap by 1000 each
-        assert estimate_union(shards) == pytest.approx(truth, rel=0.25)
+        assert union_all(shards).estimate() == pytest.approx(truth, rel=0.25)
 
 
 class TestCopy:

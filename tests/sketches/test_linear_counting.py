@@ -9,6 +9,11 @@ from repro.hashing.family import MixerHash
 from repro.sketches.linear_counting import LinearCounter, linear_counting_estimate
 
 
+def set_bits(counter):
+    """1-bits in the counter's bitmap, read from its serialized bytes."""
+    return int.from_bytes(counter.to_bytes(), "little").bit_count()
+
+
 class TestFormula:
     def test_empty_bitmap(self):
         assert linear_counting_estimate(100, 100) == 0.0
@@ -40,11 +45,11 @@ class TestCounter:
 
     def test_set_bits_tracking(self):
         counter = LinearCounter(size=1 << 12)
-        assert counter.set_bits == 0
+        assert set_bits(counter) == 0
         counter.add("a")
-        assert counter.set_bits == 1
+        assert set_bits(counter) == 1
         counter.add("a")
-        assert counter.set_bits == 1
+        assert set_bits(counter) == 1
 
     def test_is_empty(self):
         counter = LinearCounter(size=64)
@@ -69,7 +74,7 @@ class TestCounter:
         a.add_all(range(10))
         b = a.copy()
         b.add_all(range(10, 200))
-        assert a.set_bits < b.set_bits
+        assert set_bits(a) < set_bits(b)
 
     def test_invalid_size(self):
         with pytest.raises(ConfigurationError):
@@ -98,7 +103,7 @@ class TestSerialization:
         rebuilt = LinearCounter.from_bytes(
             counter.to_bytes(), size=1 << 10, hash_family=MixerHash(seed=3)
         )
-        assert rebuilt.set_bits == counter.set_bits
+        assert set_bits(rebuilt) == set_bits(counter)
         assert rebuilt.estimate() == counter.estimate()
 
     def test_wrong_length_rejected(self):

@@ -17,7 +17,7 @@ from repro.sketches import (
     PCSASketch,
     SuperLogLogSketch,
 )
-from repro.sketches.merge import estimate_union, union_all
+from repro.sketches.merge import union_all
 from repro.sketches.setops import (
     estimate_difference,
     estimate_intersection,
@@ -87,8 +87,8 @@ class TestUnionAllAlgebra:
             data.draw(items_strategy, label=f"items[{i}]") for i in range(3)
         ]
         sketches = [build(cls, items) for items in item_lists]
-        reference = estimate_union(sketches)
-        assert estimate_union([sketches[i] for i in order]) == reference
+        reference = union_all(sketches).estimate()
+        assert union_all([sketches[i] for i in order]).estimate() == reference
 
     def test_empty_iterable_rejected(self):
         with pytest.raises(SketchError):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import IncompatibleSketchError
 from repro.hashing.family import MixerHash
 from repro.sketches import PCSASketch, SuperLogLogSketch
+from repro.sketches.merge import union_all
 from repro.sketches.setops import (
     estimate_difference,
     estimate_intersection,
@@ -108,7 +109,8 @@ class TestDHSSetOps:
             dhs.insert("A", i, origin=node_ids[i % 64])
         for i in range(2_000, 5_000):
             dhs.insert("B", i, origin=node_ids[i % 64])
-        union = dhs.count_union(["A", "B"])
-        intersection = dhs.count_intersection("A", "B")
+        sketches = dhs.count_many(["A", "B"]).sketches
+        union = union_all([sketches["A"], sketches["B"]]).estimate()
+        intersection = estimate_intersection(sketches["A"], sketches["B"])
         assert union == pytest.approx(5_000, rel=0.5)
         assert intersection < union

@@ -52,7 +52,7 @@ def twins(overlay, n_nodes, ring_seed, seed, **config):
 
 
 def snapshot(dhs):
-    """Every node's slots in store order, its entry count and its load."""
+    """Every node's slots in store order, and the load."""
     nodes = []
     for node_id in dhs.dht.node_ids():
         node = dhs.dht.node(node_id)
@@ -61,7 +61,7 @@ def snapshot(dhs):
             if isinstance(slot, RegSlot):
                 assert slot.arena.read_row(slot.row) == slot.mask, key
             slots.append((key, slot.mask, list((slot.expiring or {}).items())))
-        nodes.append((node_id, node.app_entries, slots))
+        nodes.append((node_id, slots))
     return nodes, dict(dhs.dht.load._counts)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.workloads.assignment import assign_items, assign_uniform
-from repro.workloads.multisets import replicated_multiset, zipf_duplicated_multiset
+from repro.workloads.multisets import zipf_duplicated_multiset
 from repro.workloads.relations import PAPER_SIZES, make_relation, standard_relations
 from repro.workloads.zipf import ZipfGenerator
 
@@ -69,15 +69,13 @@ class TestRelations:
 
     def test_item_ids_match_iter(self):
         relation = make_relation("C", 50)
-        assert relation.item_ids().tolist() == list(relation.iter_items())
+        assert relation.item_ids().tolist() == [
+            relation.item_id(i) for i in range(relation.size)
+        ]
 
     def test_item_id_scalar(self):
         relation = make_relation("D", 10)
         assert relation.item_id(3) == relation.item_ids()[3]
-
-    def test_value_of(self):
-        relation = make_relation("E", 10)
-        assert relation.value_of(0) == int(relation.values[0])
 
     def test_standard_relations_scaled(self):
         relations = standard_relations(scale=1e-4)
@@ -135,17 +133,6 @@ class TestAssignment:
 
 
 class TestMultisets:
-    def test_replicated_counts(self):
-        multiset = replicated_multiset(100, copies=5, seed=1)
-        assert len(multiset) == 500
-        assert len(set(multiset)) == 100
-
-    def test_replicated_each_item_exact_copies(self):
-        from collections import Counter
-
-        counts = Counter(replicated_multiset(50, copies=3, seed=2))
-        assert all(c == 3 for c in counts.values())
-
     def test_zipf_duplicated_distinct_exact(self):
         multiset = zipf_duplicated_multiset(200, total=1000, seed=3)
         assert len(multiset) == 1000
@@ -159,9 +146,5 @@ class TestMultisets:
         assert most_common > 10_000 / 100  # popular item well above average
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            replicated_multiset(-1, 1)
-        with pytest.raises(ConfigurationError):
-            replicated_multiset(10, 0)
         with pytest.raises(ConfigurationError):
             zipf_duplicated_multiset(10, total=5)
