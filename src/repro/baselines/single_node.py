@@ -44,11 +44,6 @@ class SingleNodeCounter:
         self.hash_family = hash_family or default_hash_family(bits=dht.space.bits)
         self._key = self.hash_family(("counter", counter_id)) & (dht.space.size - 1)
 
-    @property
-    def counter_node(self) -> int:
-        """The (current) node hosting the counter."""
-        return self.dht.owner_of(self._key)
-
     # ------------------------------------------------------------------
     # Updates.
     # ------------------------------------------------------------------

@@ -288,9 +288,8 @@ def merge_store_values(
     TTL'd expiries, immortality dominating) and the merge is folded into
     ``incoming`` in place — for an array-backed
     :class:`~repro.core.regstore.RegSlot` that moves the leaver's arena
-    row to the heir zero-copy.  Plain ``{vector: expiry}`` dicts — the
-    pre-packed layout — still merge max-wins so mixed-era stores and the
-    reference implementation keep working.
+    row to the heir zero-copy.  Any other value is another application's
+    (a baseline counter, say) and passes to the heir unchanged.
     """
     if isinstance(incoming, PackedSlot):
         mask = incoming.mask
@@ -305,15 +304,6 @@ def merge_store_values(
             expiring.pop(vector, None)
         incoming.reset(mask, expiring or None)
         return incoming
-    if isinstance(incoming, dict):
-        if not isinstance(existing, dict):
-            return dict(incoming)
-        merged = dict(existing)
-        for vector, expiry in incoming.items():
-            current = merged.get(vector)
-            if current is None or expiry > current:
-                merged[vector] = expiry
-        return merged
     return incoming
 
 

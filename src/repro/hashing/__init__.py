@@ -1,17 +1,15 @@
 """Hashing substrate: bit utilities, MD4, fast mixers, hash families."""
 
-from repro.hashing.bits import bit, lsb, mask, msb_position, rank, reverse_bits, rho
+from repro.hashing.bits import bit, lsb, mask, rank, rho
 from repro.hashing.family import HashFamily, MD4Hash, MixerHash, default_hash_family
 from repro.hashing.md4 import MD4, md4_digest, md4_hexdigest, md4_int
-from repro.hashing.mixers import fmix64, mix_with_seed, splitmix64
+from repro.hashing.mixers import mix_with_seed, splitmix64
 
 __all__ = [
     "bit",
     "lsb",
     "mask",
-    "msb_position",
     "rank",
-    "reverse_bits",
     "rho",
     "HashFamily",
     "MD4Hash",
@@ -21,7 +19,6 @@ __all__ = [
     "md4_digest",
     "md4_hexdigest",
     "md4_int",
-    "fmix64",
     "mix_with_seed",
     "splitmix64",
 ]

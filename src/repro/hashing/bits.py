@@ -13,8 +13,6 @@ __all__ = [
     "rho",
     "rank",
     "lsb",
-    "msb_position",
-    "reverse_bits",
     "mask",
 ]
 
@@ -60,24 +58,3 @@ def rank(y: int, width: int) -> int:
 def lsb(y: int, width: int) -> int:
     """Return the ``width`` low-order bits of ``y`` (the paper's lsb_k)."""
     return y & mask(width)
-
-
-def msb_position(y: int) -> int:
-    """0-indexed position of the most-significant 1-bit; -1 for ``y == 0``."""
-    if y < 0:
-        raise ValueError(f"y must be non-negative, got {y}")
-    return y.bit_length() - 1
-
-
-def reverse_bits(y: int, width: int) -> int:
-    """Reverse the ``width`` low-order bits of ``y``.
-
-    Useful for mapping between "leftmost zero" and "rightmost one"
-    formulations when testing the PCSA/LogLog duality.
-    """
-    y &= mask(width)
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (y & 1)
-        y >>= 1
-    return out

@@ -2,13 +2,13 @@
 
 Hash sketches only require a hash whose output bits are individually
 unbiased and jointly well mixed; ``splitmix64`` (Steele, Lea & Flood 2014)
-and the MurmurHash3 finalizer both pass this bar and are orders of
-magnitude faster in pure Python than a full digest such as MD4.
+passes this bar and is orders of magnitude faster in pure Python than a
+full digest such as MD4.
 """
 
 from __future__ import annotations
 
-__all__ = ["splitmix64", "fmix64", "mix_with_seed"]
+__all__ = ["splitmix64", "mix_with_seed"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -23,14 +23,6 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def fmix64(x: int) -> int:
-    """MurmurHash3's 64-bit finalizer (also bijective)."""
-    x &= _MASK64
-    x = ((x ^ (x >> 33)) * 0xFF51AFD7ED558CCD) & _MASK64
-    x = ((x ^ (x >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
-    return x ^ (x >> 33)
 
 
 def mix_with_seed(x: int, seed: int) -> int:

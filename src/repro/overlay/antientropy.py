@@ -5,19 +5,19 @@ happens to traverse, so after amnesia, a partition, or a crash-rejoin,
 untouched replicas stay divergent indefinitely.  This module is the
 background half of the paper's soft-state story (section 3.3) and the
 only background healer: every maintenance round, each node
-exchanges *digest trees* with its replica-chain peers and OR-merges
+exchanges *digests* with its replica-chain peers and OR-merges
 whatever turns out to differ — independent of query traffic.
 
-The digest tree is two levels of blake2b-128 over a node's register
-state: one leaf per ``(metric, bit)`` slot, leaves grouped into
-*segments* (one per stored DHS interval, via an injected ``segment_of``
-mapping) whose digests roll up into a single node root.  A converged
-pair exchanges two roots and stops — the steady-state bandwidth floor
-is ``2 * SizeModel.digest_bytes`` per pair — and only mismatched
-segments degrade to shipping their state as tuples.  A leaf hashes the
-slot's live bitmap as a Python int in one canonical form (little-endian,
-no trailing zeros) whichever backend holds the slot, so digests are
-storage-layout independent.
+The exchange is charged as a two-level digest protocol: one leaf per
+``(metric, bit)`` slot, leaves grouped into *segments* (one per stored
+DHS interval, via an injected ``segment_of`` mapping) under a single
+node root.  A converged pair exchanges two roots and stops — the
+steady-state bandwidth floor is ``2 * SizeModel.digest_bytes`` per
+pair.  An unconverged direction also exchanges the digests of its
+offered segments, and only the mismatched segments degrade to shipping
+their state as tuples.  The simulator builds no digest: whether two
+digests would match is decided from the packed live views they
+summarise, which is what a collision-free digest compares.
 
 Reconciliation between a node ``X`` and a chain peer ``S`` is two
 asymmetric directions, chosen so repeated rounds converge without
@@ -42,58 +42,37 @@ into one packed int (a fixed slice per ``(metric, bit)`` key) the round
 refreshes where it writes.  Both checks of a pair are then a few big-int
 operations: the push is converged iff ``primary & ~dst == 0``, the
 homecoming iff ``src & expand(vis(dst) & ~vis(src)) & ~dst == 0``.
-**Only a direction that fails its check spells its views out**: equal
-views hash to equal trees by construction, so a converged direction is
-charged its two roots and builds no dict, tree or summary.  Reads,
-writes and charges are exactly the pair-by-pair protocol's
-(``test_antientropy_differential.py``).
+**Only a direction that fails its check spells its views out**: a
+converged direction is charged its two roots and builds no dict or
+summary.  A segment mismatches iff it holds an offered bit the
+receiver lacks.  Reads, writes and charges are exactly the
+pair-by-pair protocol's (``test_antientropy_differential.py``).
 
 Layering note: this module sits in the overlay and must not import the
 core DHS machinery, so slots are duck-typed (:class:`RegisterSlot`) and
 the interval geometry (``segment_of``, ``visible``) plus the store
 writer arrive as callables injected by
-:func:`repro.core.maintenance.antientropy_sweep`.  Digest computation
-over arenas is confined *here* by dhslint rule DHS1001.
+:func:`repro.core.maintenance.antientropy_sweep`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from hashlib import blake2b
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    cast,
-)
+from typing import Callable, Hashable, List, Optional, cast
 
 from repro.obs import runtime as obs
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
 from repro.overlay.node import Node
-from repro.overlay.replication import (
-    ChainView,
-    RegisterSlot,
-    SlotKey,
-    entry_expiry,
-)
+from repro.overlay.replication import ChainView, RegisterSlot, entry_expiry
 from repro.overlay.stats import OpCost
 
 __all__ = [
     "AntiEntropyStats",
-    "DigestTree",
     "RegisterSlot",
     "antientropy_round",
-    "view_digest",
 ]
-
-#: blake2b output size for every digest in the tree (= SizeModel.digest_bytes).
-_DIGEST_SIZE = 16
 
 #: Injected store writer: ``write_fn(node, metric, vector, bit, expiry)``.
 WriteFn = Callable[[Node, Hashable, int, int, Optional[int]], None]
@@ -102,14 +81,6 @@ WriteFn = Callable[[Node, Hashable, int, int, Optional[int]], None]
 VisibleFn = Callable[[int], int]
 #: Injected interval geometry: ``segment_of(bit) -> segment index``.
 SegmentFn = Callable[[int], int]
-
-
-@dataclass(frozen=True)
-class DigestTree:
-    """A node root plus its per-segment digests."""
-
-    root: bytes
-    segments: Dict[int, bytes]
 
 
 @dataclass
@@ -133,44 +104,6 @@ class AntiEntropyStats:
         self.segments_mismatched += other.segments_mismatched
         self.entries_sent += other.entries_sent
         self.entries_written += other.entries_written
-
-
-def _canonical(mask: int) -> bytes:
-    """Canonical bitmap bytes: little-endian, no trailing zeros."""
-    return mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-
-
-def _leaf(key: SlotKey, mask: int) -> Tuple[bytes, bytes]:
-    """One slot's ``(sort key, digest)`` leaf."""
-    key_repr = repr(key).encode()
-    digest = blake2b(key_repr, digest_size=_DIGEST_SIZE)
-    digest.update(b"\x00")
-    digest.update(_canonical(mask))
-    return key_repr, digest.digest()
-
-
-def _rollup(leaves: Dict[int, List[Tuple[bytes, bytes]]]) -> DigestTree:
-    """Per-segment digests and the node root over sorted leaves."""
-    segments: Dict[int, bytes] = {}
-    for segment, pairs in leaves.items():
-        digest = blake2b(digest_size=_DIGEST_SIZE)
-        for key_repr, leaf in sorted(pairs):
-            digest.update(key_repr)
-            digest.update(leaf)
-        segments[segment] = digest.digest()
-    root = blake2b(digest_size=_DIGEST_SIZE)
-    for segment in sorted(segments):
-        root.update(segment.to_bytes(4, "little", signed=True))
-        root.update(segments[segment])
-    return DigestTree(root.digest(), segments)
-
-
-def view_digest(view: Mapping[SlotKey, int], segment_of: SegmentFn) -> DigestTree:
-    """Digest tree over a plain ``{key: bitmap}`` view (protocol messages)."""
-    leaves: Dict[int, List[Tuple[bytes, bytes]]] = {}
-    for key, mask in view.items():
-        leaves.setdefault(segment_of(key[1]), []).append(_leaf(key, mask))
-    return _rollup(leaves)
 
 
 def _bits(mask: int) -> List[int]:
@@ -201,34 +134,25 @@ def _sync_direction(
     segment_of: SegmentFn,
     write_fn: WriteFn,
     stats: AntiEntropyStats,
-) -> bool:
-    """The digest path of a direction whose offer ``dst_id`` does not hold.
+) -> None:
+    """Repair a direction whose offer ``dst_id`` does not hold.
 
-    After the root exchange (charged by the caller), both sides spell
-    their views out key by key in ``src_id``'s store order and hash
-    them; on a root mismatch they ship per-segment digest lists, and
-    only the mismatched segments degrade to tuple summaries which
-    ``dst`` OR-merges.  Returns ``True`` only on a root collision.
+    After the root exchange (charged by the caller), both sides ship
+    per-segment digest lists over the segments of the offered keys; a
+    segment mismatches iff it holds a key with an offered bit ``dst``
+    lacks, and only those segments degrade to tuple summaries, in
+    ``src_id``'s store order, which ``dst`` OR-merges.
     """
     cost = stats.cost
     offered_view = view.unpack(src_id, offered)
-    held = view.unpack(src_id, offered & view.packed(dst_id))
-    dst_masks = {key: held.get(key, 0) for key in offered_view}
-    src_tree = view_digest(offered_view, segment_of)
-    dst_tree = view_digest(dst_masks, segment_of)
-    if src_tree.root == dst_tree.root:
-        return True
-    segments = sorted(src_tree.segments)
+    missing_view = view.unpack(src_id, offered & ~view.packed(dst_id))
+    segments = {segment_of(key[1]) for key in offered_view}
+    mismatched = {segment_of(key[1]) for key in missing_view}
     stats.segments_checked += len(segments)
+    stats.segments_mismatched += len(mismatched)
     cost.messages += 2
     cost.hops += 2
     cost.bytes += 2 * len(segments) * model.digest_bytes
-    mismatched = {
-        segment
-        for segment in segments
-        if src_tree.segments[segment] != dst_tree.segments.get(segment)
-    }
-    stats.segments_mismatched += len(mismatched)
     dht = view.dht
     src_store = dht.node(src_id).store
     dst = dht.node(dst_id)
@@ -239,7 +163,7 @@ def _sync_direction(
             continue
         shipped_slots += 1
         shipped_entries += mask.bit_count()
-        missing = mask & ~dst_masks[key]
+        missing = missing_view.get(key)
         if not missing:
             continue
         metric, bit = key
@@ -254,7 +178,6 @@ def _sync_direction(
     cost.hops += 1
     cost.bytes += model.summary_bytes(shipped_slots, shipped_entries)
     dht.load.record(dst_id)
-    return False
 
 
 def antientropy_round(
@@ -293,27 +216,29 @@ def antientropy_round(
     packed = view.packed
 
     def _sync(src_id: int, dst_id: int, offered: int) -> bool:
-        return _sync_direction(
+        """Repair one direction; ``True`` iff ``dst_id`` already held the offer."""
+        if not offered & ~packed(dst_id):
+            return True
+        _sync_direction(
             view, src_id, dst_id, offered,
             model=size_model, segment_of=segment_of, write_fn=write_fn, stats=stats,
         )
+        return False
 
     def _pair(left_id: int, right_id: int) -> None:
         """Primary push left -> right, then homecoming pull right -> left.
 
         A direction whose offer the receiver already holds is converged;
-        only the others take the digest path (:func:`_sync_direction`).
+        only the others take the repair path (:func:`_sync_direction`).
         """
-        push = view.primary(left_id, degree)
-        converged = not push & ~packed(right_id) or _sync(left_id, right_id, push)
+        converged = _sync(left_id, right_id, view.primary(left_id, degree))
         # The live bits at right whose interval's walk reads left but
         # not right: the ones to bring home.  Most neighbours are seen
         # by the same walks, so there are no such positions at all.
         positions = visible(left_id) & ~visible(right_id)
         if positions:
             home = packed(right_id) & view.expand(positions)
-            if home & ~packed(left_id):
-                converged = _sync(right_id, left_id, home) and converged
+            converged = _sync(right_id, left_id, home) and converged
         stats.pairs_converged += converged
 
     def _run() -> None:

@@ -1,9 +1,8 @@
 """Circular identifier-space arithmetic for DHT overlays.
 
 All DHTs in this library share an ``L``-bit identifier ring
-``[0, 2^L)``; this module centralizes the wrap-around interval tests and
-distances that Chord-style routing needs, so the routing code reads like
-the protocol pseudo-code.
+``[0, 2^L)``; this module centralizes its wrap-around arithmetic, so the
+routing code reads like the protocol pseudo-code.
 """
 
 from __future__ import annotations
@@ -39,25 +38,3 @@ class IdSpace:
     def distance(self, src: int, dst: int) -> int:
         """Clockwise distance from ``src`` to ``dst``."""
         return self.wrap(dst - src)
-
-    def in_open(self, x: int, a: int, b: int) -> bool:
-        """Whether ``x`` lies in the clockwise-open interval ``(a, b)``.
-
-        ``(a, a)`` denotes the whole ring minus ``a`` (Chord convention).
-        """
-        if a == b:
-            return x != a
-        return 0 < self.distance(a, x) < self.distance(a, b)
-
-    def in_half_open(self, x: int, a: int, b: int) -> bool:
-        """Whether ``x`` lies in ``(a, b]`` clockwise.
-
-        ``(a, a]`` denotes the whole ring (every key has a successor).
-        """
-        if a == b:
-            return True
-        return 0 < self.distance(a, x) <= self.distance(a, b)
-
-    def xor_distance(self, a: int, b: int) -> int:
-        """Kademlia's XOR metric."""
-        return a ^ b

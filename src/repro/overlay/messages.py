@@ -31,11 +31,12 @@ class SizeModel:
     probe_request_bytes:
         A counting probe: metric id(s) + bit position + flags.
     digest_bytes:
-        One anti-entropy digest (blake2b-128 over a register segment or
-        a node root).  Digests are the bandwidth *floor* of a
-        reconciliation round: a converged pair exchanges two roots and
-        stops, so steady-state repair traffic is ``2 * digest_bytes``
-        per pair instead of a full register transfer.
+        One anti-entropy digest (128 bits, of a register segment or a
+        node root; charged, never computed).  Digests are the bandwidth
+        *floor* of a reconciliation round: a converged pair exchanges
+        two roots and stops, so steady-state repair traffic is
+        ``2 * digest_bytes`` per pair instead of a full register
+        transfer.
     """
 
     tuple_bytes: int = 8

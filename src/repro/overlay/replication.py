@@ -113,10 +113,10 @@ class ChainView:
     until the next node is packed: :meth:`pack` every node a check
     involves before reading any of them.  The int is built on first use
     in one store scan, and the round's single writer calls :meth:`refresh`
-    after writing a slot, so it always equals a fresh scan.  The
-    ``{key: live}`` dict (:meth:`table`) is built only where a view must
-    be spelled out key by key, in store order.  Nothing outlives the
-    round.
+    after writing a slot, so it always equals a fresh scan.  A
+    ``{key: live}`` dict (:meth:`unpack`) is built only where a view
+    must be spelled out key by key, in store order.  Nothing outlives
+    the round.
     """
 
     def __init__(self, dht: DHTProtocol, now: int) -> None:
@@ -127,7 +127,6 @@ class ChainView:
         self._index = {node_id: index for index, node_id in enumerate(self.ids)}
         #: Two laps of the ring, so a chain is one slice even across the wrap.
         self._laps = self.ids * 2
-        self._tables: Dict[int, Dict[SlotKey, int]] = {}
         self._packed: Dict[int, int] = {}
         #: Bit offset of each key's slice, in order of first sighting.
         self._shifts: Dict[SlotKey, int] = {}
@@ -153,26 +152,6 @@ class ChainView:
         """``node_id``'s first ``degree`` predecessors, farthest first, then itself."""
         end = self._index[node_id] + len(self.ids)
         return self._laps[end - min(degree, len(self.ids) - 1) : end + 1]
-
-    def table(self, node_id: int) -> Dict[SlotKey, int]:
-        """Live bitmap per DHS key at ``node_id``, in store order.
-
-        Every slot-shaped key is listed (0 for a dead slot or a foreign
-        value) so that a later write lands at the key's store position.
-        """
-        table = self._tables.get(node_id)
-        if table is None:
-            now = self.now
-            table = self._tables[node_id] = {
-                cast(SlotKey, key): (
-                    cast(RegisterSlot, value).live_mask(now)
-                    if hasattr(value, "live_mask")
-                    else 0
-                )
-                for key, value in self.dht.node(node_id).store.items()
-                if is_slot_key(key)
-            }
-        return table
 
     def packed(self, node_id: int) -> int:
         """``node_id``'s live register state, one slice per key."""
@@ -231,13 +210,18 @@ class ChainView:
         self._primaries.clear()
 
     def unpack(self, node_id: int, packed: int) -> Dict[SlotKey, int]:
-        """``packed``'s non-empty slices, keyed in ``node_id``'s store order."""
+        """``packed``'s non-empty slices, keyed in ``node_id``'s store order.
+
+        Only store keys with a slice are read: ``node_id`` must be packed.
+        """
         shifts, full = self._shifts, self._full
         view: Dict[SlotKey, int] = {}
-        for key in self.table(node_id):
-            live = (packed >> shifts[key]) & full
-            if live:
-                view[key] = live
+        for key in cast(_SlotStore, self.dht.node(node_id).store):
+            shift = shifts.get(key)
+            if shift is not None:
+                live = (packed >> shift) & full
+                if live:
+                    view[key] = live
         return view
 
     def expand(self, positions: int) -> int:
@@ -257,9 +241,6 @@ class ChainView:
         slot = cast(RegisterSlot, self.dht.node(node_id).store[key])
         live = slot.live_mask(self.now)
         self._primaries.clear()
-        table = self._tables.get(node_id)
-        if table is not None:
-            table[key] = live
         packed = self._packed.get(node_id)
         if packed is None:
             return  # packed from a fresh scan on first use

@@ -15,12 +15,7 @@ from repro.sketches.linear_counting import LinearCounter, linear_counting_estima
 from repro.sketches.loglog import LogLogSketch, SuperLogLogSketch
 from repro.sketches.merge import union_all
 from repro.sketches.pcsa import PCSASketch
-from repro.sketches.setops import (
-    estimate_difference,
-    estimate_intersection,
-    intersection_error_bound,
-    jaccard_estimate,
-)
+from repro.sketches.setops import estimate_intersection
 
 #: Registry of the sketch estimators usable inside DHS, by short name.
 SKETCH_TYPES = {
@@ -48,9 +43,6 @@ __all__ = [
     "SuperLogLogSketch",
     "union_all",
     "PCSASketch",
-    "estimate_difference",
     "estimate_intersection",
-    "intersection_error_bound",
-    "jaccard_estimate",
     "SKETCH_TYPES",
 ]

@@ -1,10 +1,9 @@
-"""Set-expression estimates over sketches (union, intersection, difference).
+"""Set-expression estimates over sketches: intersection by inclusion–exclusion.
 
 Sketch union is exact-by-construction (register-wise merge); intersection
-and difference come from inclusion–exclusion::
+comes from inclusion–exclusion::
 
     |A ∩ B| = |A| + |B| - |A ∪ B|
-    |A \\ B| = |A| - |A ∩ B|
 
 The caveat every user must know: inclusion–exclusion subtracts large
 noisy numbers, so the *absolute* error of an intersection estimate is on
@@ -13,22 +12,16 @@ unrecoverable.  (This is inherent to LogLog-family sketches, not to the
 distribution; it is why stream-processing works cited by the paper pair
 sketches with other synopses for set expressions.)
 
-These operate on reconstructed local sketches, so the same helpers serve
+This operates on reconstructed local sketches, so the same helper serves
 both centralized sketches and DHS count results.
 """
 
 from __future__ import annotations
 
-from repro.errors import IncompatibleSketchError
 from repro.sketches.base import HashSketch
 from repro.sketches.merge import union_all
 
-__all__ = [
-    "estimate_intersection",
-    "estimate_difference",
-    "jaccard_estimate",
-    "intersection_error_bound",
-]
+__all__ = ["estimate_intersection"]
 
 
 def estimate_intersection(a: HashSketch, b: HashSketch) -> float:
@@ -36,31 +29,3 @@ def estimate_intersection(a: HashSketch, b: HashSketch) -> float:
     a.check_compatible(b)
     union = union_all([a, b]).estimate()
     return max(0.0, a.estimate() + b.estimate() - union)
-
-
-def estimate_difference(a: HashSketch, b: HashSketch) -> float:
-    """Estimate of ``|A \\ B|`` (clamped at 0)."""
-    return max(0.0, a.estimate() - estimate_intersection(a, b))
-
-
-def jaccard_estimate(a: HashSketch, b: HashSketch) -> float:
-    """Estimated Jaccard similarity ``|A ∩ B| / |A ∪ B|`` in [0, 1]."""
-    a.check_compatible(b)
-    union = union_all([a, b]).estimate()
-    if union <= 0:
-        return 0.0
-    intersection = max(0.0, a.estimate() + b.estimate() - union)
-    return min(1.0, intersection / union)
-
-
-def intersection_error_bound(a: HashSketch, b: HashSketch) -> float:
-    """One-sigma absolute error of :func:`estimate_intersection`.
-
-    Conservative sum of the three constituent sigmas; use it to decide
-    whether an intersection estimate is meaningful at all.
-    """
-    if type(a) is not type(b):
-        raise IncompatibleSketchError("sketches of different estimators")
-    sigma = type(a).expected_std_error(a.m)
-    union = union_all([a, b]).estimate()
-    return sigma * (a.estimate() + b.estimate() + union)

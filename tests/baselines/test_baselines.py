@@ -56,14 +56,17 @@ class TestSingleNode:
         ring.load.reset()
         counter = SingleNodeCounter(ring, "hotspot-check", distinct=True)
         counter.populate(scenario)
-        hot = ring.load.count(counter.counter_node)
+        hot = max(ring.load.counts().values())
         assert hot >= total_count(scenario)  # every update landed there
         assert ring.load.imbalance(ring.node_ids()) > 5
 
     def test_distinct_mode_stores_whole_set(self, ring, scenario):
         counter = SingleNodeCounter(ring, "storage-check", distinct=True)
         counter.populate(scenario)
-        slot = ring.node(counter.counter_node).store[("counter", counter.counter_id)]
+        key = ("counter", counter.counter_id)
+        (slot,) = [
+            ring.node(n).store[key] for n in ring.node_ids() if key in ring.node(n).store
+        ]
         assert len(slot["set"]) == 800
 
     def test_empty_counter_reads_zero(self, ring):

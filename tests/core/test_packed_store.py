@@ -206,10 +206,6 @@ class TestMergeStoreValues:
         assert merged.mask == 0b101
         assert merged.expiring == {4: 7.0}
 
-    def test_legacy_dict_slots_merge_max_wins(self):
-        merged = merge_store_values({1: 5.0}, {1: 3.0, 2: 9.0})
-        assert merged == {1: 5.0, 2: 9.0}
-
     @given(
         mask_a=st.integers(0, 2**MAX_VECTOR - 1),
         mask_b=st.integers(0, 2**MAX_VECTOR - 1),

@@ -1,13 +1,16 @@
 """Tests for DHS node-store entries and soft-state semantics."""
 
+from repro.baselines.single_node import SingleNodeCounter
+from repro.core.config import DHSConfig
+from repro.core.dhs import DistributedHashSketch
 from repro.core.tuples import (
     bits_of,
-    merge_store_values,
     purge_expired,
     storage_entries,
     vectors_mask,
     write_entry,
 )
+from repro.overlay.chord import ChordRing
 from repro.overlay.node import Node
 
 
@@ -88,20 +91,35 @@ class TestTTL:
         assert node.store == {}
 
 
-class TestMerge:
-    def test_merge_none_existing(self):
-        assert merge_store_values(None, {1: 5.0}) == {1: 5.0}
+class TestLeaveMerge:
+    def test_heir_keeps_a_foreign_value_and_merges_dhs_slots(self):
+        """A graceful leave on a ring carrying a DHS and a baseline counter.
 
-    def test_merge_unions_vectors(self):
-        merged = merge_store_values({1: 5.0}, {2: 7.0})
-        assert merged == {1: 5.0, 2: 7.0}
-
-    def test_merge_keeps_later_expiry(self):
-        assert merge_store_values({1: 5.0}, {1: 9.0}) == {1: 9.0}
-        assert merge_store_values({1: 9.0}, {1: 5.0}) == {1: 9.0}
-
-    def test_merge_does_not_mutate_inputs(self):
-        existing, incoming = {1: 5.0}, {2: 7.0}
-        merge_store_values(existing, incoming)
-        assert existing == {1: 5.0}
-        assert incoming == {2: 7.0}
+        The counter's ``{"n", "set"}`` dict is not a register slot: the
+        DHS leave merge hands it to the heir as it is, while every DHS
+        slot the two nodes share is OR-merged.
+        """
+        ring = ChordRing.build(4, bits=16, seed=3)
+        dhs = DistributedHashSketch(
+            ring, DHSConfig(key_bits=8, num_bitmaps=4, replication=1), seed=1
+        )
+        dhs.insert_bulk("docs", range(300), origin=ring.node_ids()[0], now=0)
+        counter = SingleNodeCounter(ring, "docs", distinct=True)
+        for item in range(50):
+            counter.add(item)
+        key = ("counter", "docs")
+        (leaver,) = [n for n in ring.node_ids() if key in ring.node(n).store]
+        heir = ring.successor_id(leaver)
+        value = ring.node(leaver).store[key]
+        slots = [k for k in ring.node(leaver).store if k != key]
+        shared = [k for k in slots if k in ring.node(heir).store]
+        assert shared
+        expected = {
+            k: vectors_mask(ring.node(leaver), *k) | vectors_mask(ring.node(heir), *k)
+            for k in slots
+        }
+        ring.remove_node(leaver, graceful=True)
+        assert ring.node(heir).store[key] is value
+        assert value == {"n": 0, "set": set(range(50))}
+        assert {k: vectors_mask(ring.node(heir), *k) for k in slots} == expected
+        assert counter.query().estimate == 50

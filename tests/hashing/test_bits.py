@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hashing.bits import bit, lsb, mask, msb_position, rank, reverse_bits, rho
+from repro.hashing.bits import bit, lsb, mask, rank, rho
 
 
 class TestMask:
@@ -103,32 +103,3 @@ class TestLsb:
     @given(st.integers(min_value=0), st.integers(min_value=0, max_value=64))
     def test_result_fits_width(self, y, width):
         assert lsb(y, width) < max(1, 1 << width) or width == 0
-
-
-class TestMsbPosition:
-    def test_zero(self):
-        assert msb_position(0) == -1
-
-    def test_powers(self):
-        for k in range(64):
-            assert msb_position(1 << k) == k
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            msb_position(-3)
-
-
-class TestReverseBits:
-    def test_simple(self):
-        assert reverse_bits(0b0001, 4) == 0b1000
-        assert reverse_bits(0b1101, 4) == 0b1011
-
-    @given(st.integers(min_value=0, max_value=2**16 - 1))
-    def test_involution(self, y):
-        assert reverse_bits(reverse_bits(y, 16), 16) == y
-
-    def test_rho_msb_duality(self):
-        # rho of the reversed word relates to the MSB of the original.
-        y = 0b0010_1100
-        width = 8
-        assert rho(reverse_bits(y, width), width) == width - 1 - msb_position(y)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.hashing.bits import rho
-from repro.hashing.mixers import fmix64, mix_with_seed, splitmix64
+from repro.hashing.mixers import mix_with_seed, splitmix64
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -16,10 +16,6 @@ class TestRange:
     def test_splitmix64_in_range(self, x):
         assert 0 <= splitmix64(x) < 2**64
 
-    @given(U64)
-    def test_fmix64_in_range(self, x):
-        assert 0 <= fmix64(x) < 2**64
-
     @given(U64, U64)
     def test_mix_with_seed_in_range(self, x, seed):
         assert 0 <= mix_with_seed(x, seed) < 2**64
@@ -28,10 +24,6 @@ class TestRange:
 class TestBijectivity:
     def test_splitmix64_injective_on_sample(self):
         outputs = {splitmix64(i) for i in range(100_000)}
-        assert len(outputs) == 100_000
-
-    def test_fmix64_injective_on_sample(self):
-        outputs = {fmix64(i) for i in range(100_000)}
         assert len(outputs) == 100_000
 
 

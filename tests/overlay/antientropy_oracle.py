@@ -8,22 +8,21 @@ are checked against something that shares none of their shortcuts:
   unreachable nodes included, one position at a time;
 * every pair rescans both stores and re-reads every predecessor slot;
 * liveness is recomputed from ``mask`` / ``expiring`` directly, never
-  through ``live_mask`` or a cached table;
-* both digest trees are built for every direction, converged or not.
+  through ``live_mask`` or a packed int;
+* both sides' ``{key: mask}`` views are built for every direction,
+  converged or not, and compared key by key: a direction is converged
+  iff they are equal, and a segment mismatches iff one of its keys'
+  masks differs — what equal or unequal digests of those views say.
 
-Only the injected callables (``visible``, ``segment_of``, ``write_fn``),
-``view_digest`` and the stats/cost containers come from the package.
+Only the injected callables (``visible``, ``segment_of``, ``write_fn``)
+and the stats/cost containers come from the package.
 
 :func:`sync_stores` is the exception: a whole-store pair exchange that
 only the tests drive, built on the package's own ``ChainView`` and
 direction sync rather than on the naive paths above.
 """
 
-from repro.overlay.antientropy import (
-    AntiEntropyStats,
-    _charge_roots,
-    view_digest,
-)
+from repro.overlay.antientropy import AntiEntropyStats, _charge_roots
 from repro.overlay.antientropy import _sync_direction as _packed_sync_direction
 from repro.overlay.messages import DEFAULT_SIZE_MODEL
 from repro.overlay.replication import ChainView
@@ -112,18 +111,15 @@ def _sync_direction(dht, dst_id, view, now, model, segment_of, write_fn, stats):
         key: _mask(_held(dht, dst_id, key, now)) & mask
         for key, mask in offered.items()
     }
-    src_tree = view_digest(offered, segment_of)
-    dst_tree = view_digest(dst_masks, segment_of)
-    if src_tree.root == dst_tree.root:
-        assert offered == dst_masks, "digest collision"
+    if offered == dst_masks:
         return True
-    segments = sorted(src_tree.segments)
+    segments = {segment_of(key[1]) for key in offered}
     stats.segments_checked += len(segments)
     cost.messages += 2
     cost.hops += 2
     cost.bytes += 2 * len(segments) * model.digest_bytes
     mismatched = {
-        s for s in segments if src_tree.segments[s] != dst_tree.segments.get(s)
+        segment_of(key[1]) for key in offered if offered[key] != dst_masks[key]
     }
     stats.segments_mismatched += len(mismatched)
     shipped_slots = shipped_entries = 0
@@ -220,7 +216,8 @@ def sync_stores(
     for src_id, dst_id in ((left_id, right_id), (right_id, left_id)):
         offered = view.packed(src_id)
         if offered & ~view.packed(dst_id):
-            converged &= _packed_sync_direction(
+            converged = False
+            _packed_sync_direction(
                 view, src_id, dst_id, offered,
                 model=model, segment_of=segment_of, write_fn=write_fn, stats=stats,
             )

@@ -1,13 +1,12 @@
-"""Tests for digest-tree anti-entropy (repro.overlay.antientropy).
+"""Tests for replica-chain anti-entropy (repro.overlay.antientropy).
 
-Covers the digest canonicalization (backend independence, segment
-locality), the pairwise reconciliation protocol (push / homecoming,
-OR-merge, expiry preservation, digest-floor bandwidth) and the
-convergence property the whole subsystem exists for — including the
-order-independence property test (any reconciliation schedule over any
-divergent pair lands on the identical bit state).  A store's digest is
-``view_digest`` over its ``ChainView`` table, the live state a round
-hashes.
+Covers the pairwise reconciliation protocol (push / homecoming,
+OR-merge, expiry preservation, digest-floor bandwidth, segment
+locality of what is shipped) and the convergence property the whole
+subsystem exists for — including the order-independence property test
+(any reconciliation schedule over any divergent pair lands on the
+identical bit state).  A store's live state is its ``ChainView``
+unpacked, what a round compares.
 """
 
 import random
@@ -20,7 +19,7 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.maintenance import antientropy_sweep, replica_divergence
 from repro.core.tuples import vectors_mask, write_entry
-from repro.overlay.antientropy import AntiEntropyStats, view_digest
+from repro.overlay.antientropy import AntiEntropyStats
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.overlay.messages import DEFAULT_SIZE_MODEL
@@ -39,9 +38,10 @@ def segment_of(bit: int) -> int:
     return bit // 4
 
 
-def store_root(dht, node_id, now=0, segments=segment_of):
-    """Digest tree over ``node_id``'s live register state at ``now``."""
-    return view_digest(ChainView(dht, now).table(node_id), segments)
+def live_view(dht, node_id, now=0):
+    """``node_id``'s live register state at ``now``: ``{key: bitmap}``."""
+    view = ChainView(dht, now)
+    return view.unpack(node_id, view.packed(node_id))
 
 
 def write_fn(node, metric, vector, bit, expiry):
@@ -53,70 +53,6 @@ def full_sync(dht, left, right, now=0, stats=None):
         dht, left, right, now,
         segment_of=segment_of, write_fn=write_fn, stats=stats,
     )
-
-
-class TestDigests:
-    def test_equal_stores_equal_roots(self):
-        ring = make_ring()
-        for node_id in (100, 20000):
-            write_entry(ring.node(node_id), "m", 3, 5, None)
-            write_entry(ring.node(node_id), "m", 1, 9, None)
-        left = store_root(ring, 100)
-        right = store_root(ring, 20000)
-        assert left.root == right.root
-        assert left.segments == right.segments
-
-    def test_difference_localized_to_segment(self):
-        ring = make_ring()
-        for node_id in (100, 20000):
-            write_entry(ring.node(node_id), "m", 3, 1, None)   # segment 0
-            write_entry(ring.node(node_id), "m", 1, 9, None)   # segment 2
-        write_entry(ring.node(100), "m", 5, 9, None)           # diverge seg 2
-        left = store_root(ring, 100)
-        right = store_root(ring, 20000)
-        assert left.root != right.root
-        assert left.segments[0] == right.segments[0]
-        assert left.segments[2] != right.segments[2]
-
-    def test_expired_entries_do_not_digest(self):
-        ring = make_ring()
-        write_entry(ring.node(100), "m", 0, 1, 5)
-        write_entry(ring.node(20000), "m", 0, 1, 9)
-        # Live state is what digests: both entries live agree whatever
-        # their expiries...
-        assert store_root(ring, 100, now=5).root == store_root(ring, 20000, now=5).root
-        # ...an entry dead on one side only is a difference...
-        assert store_root(ring, 100, now=7).root != store_root(ring, 20000, now=7).root
-        # ...and once both are dead the stores digest alike.
-        assert store_root(ring, 100, now=10).root == store_root(ring, 20000, now=10).root
-
-    def test_view_digest_matches_store_digest(self):
-        ring = make_ring()
-        write_entry(ring.node(100), "m", 2, 3, None)
-        write_entry(ring.node(100), "x", 1, 7, None)
-        view = {
-            ("m", 3): vectors_mask(ring.node(100), "m", 3),
-            ("x", 7): vectors_mask(ring.node(100), "x", 7),
-        }
-        assert view_digest(view, segment_of).root == store_root(ring, 100).root
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_backend_independence(self, seed):
-        """Packed and arena-backed deployments digest identically."""
-        roots = {}
-        for store in ("packed", "array"):
-            ring = make_ring()
-            dhs = DistributedHashSketch(
-                ring,
-                DHSConfig(key_bits=8, num_bitmaps=4, store=store, hash_seed=seed),
-                seed=1,
-            )
-            dhs.insert_bulk("docs", range(200), origin=100, now=0)
-            roots[store] = [
-                store_root(ring, node_id, segments=dhs.mapping.interval_index).root
-                for node_id in ring.node_ids()
-            ]
-        assert roots["packed"] == roots["array"]
 
 
 class TestSyncStores:
@@ -159,6 +95,43 @@ class TestSyncStores:
         assert stats.segments_mismatched >= 1
         assert stats.entries_sent == stats.entries_written == 1
 
+    def test_mismatch_ships_only_its_segment(self):
+        ring = make_ring()
+        for node_id in (100, 20000):
+            write_entry(ring.node(node_id), "m", 3, 1, None)   # segment 0
+            write_entry(ring.node(node_id), "m", 1, 9, None)   # segment 2
+        write_entry(ring.node(100), "m", 5, 9, None)           # diverge seg 2
+        stats = full_sync(ring, 100, 20000)
+        assert stats.segments_checked == 2
+        assert stats.segments_mismatched == 1
+        # Segment 2's offered entries: vectors 1 and 5 of ("m", 9).
+        assert stats.entries_sent == 2
+        assert stats.entries_written == 1
+        assert live_view(ring, 100) == live_view(ring, 20000)
+
+    def test_expired_entries_are_not_offered(self):
+        """Live state is what a round compares: an entry live on both
+        sides (whatever its expiries), dead on both, or dead on its
+        only holder is no difference."""
+        for expiries, now in [((5, 9), 5), ((5, 9), 10), ((5, None), 7)]:
+            ring = make_ring()
+            for node_id, expiry in zip((100, 20000), expiries):
+                if expiry is not None:
+                    write_entry(ring.node(node_id), "m", 0, 1, expiry)
+            stats = full_sync(ring, 100, 20000, now=now)
+            assert stats.pairs_converged == 1
+            assert stats.entries_written == 0
+            assert live_view(ring, 100, now) == live_view(ring, 20000, now)
+
+    def test_entry_expired_on_one_side_is_shipped_from_the_other(self):
+        ring = make_ring()
+        write_entry(ring.node(100), "m", 0, 1, 5)
+        write_entry(ring.node(20000), "m", 0, 1, 9)
+        stats = full_sync(ring, 100, 20000, now=7)
+        assert stats.entries_written == 1
+        assert ring.node(100).store[("m", 1)].expiring[0] == 9
+        assert live_view(ring, 100, 7) == live_view(ring, 20000, 7)
+
     def test_sync_reaches_digest_fixed_point(self):
         ring = make_ring()
         write_entry(ring.node(100), "m", 0, 2, None)
@@ -167,7 +140,7 @@ class TestSyncStores:
         again = full_sync(ring, 100, 20000)
         assert again.pairs_converged == 1
         assert again.entries_written == 0
-        assert store_root(ring, 100).root == store_root(ring, 20000).root
+        assert live_view(ring, 100) == live_view(ring, 20000)
 
 
 # Entries to seed each side with: (vector, bit) pairs in a small range.
@@ -186,7 +159,7 @@ class TestConvergenceProperty:
         Two replicas start divergent; syncs run in an arbitrary order,
         with more inserts interleaved between them; after a final full
         exchange both stores hold the identical live state — the OR of
-        everything either side ever saw — and their digests agree.
+        everything either side ever saw — and their live views agree.
         """
         ring = make_ring()
         for vector, bit in left:
@@ -210,7 +183,7 @@ class TestConvergenceProperty:
         for node_id in (100, 20000):
             for bit, mask in expected.items():
                 assert vectors_mask(ring.node(node_id), "m", bit) == mask
-        assert store_root(ring, 100).root == store_root(ring, 20000).root
+        assert live_view(ring, 100) == live_view(ring, 20000)
 
 
 class TestSweep:

@@ -2,14 +2,14 @@
 
 A round checks both directions of a chain pair on one packed int per
 node, and only a direction whose offer the receiver does not already
-hold spells its views out: ``_sync_direction`` builds ``ChainView``
-tables, digest trees and tuple summaries.  On a converged deployment of
-each overlay one round therefore calls ``_sync_direction`` zero times
-and builds no table, and the divergence gauge builds none either.
+hold spells its views out: ``_sync_direction`` unpacks ``ChainView``
+dicts and builds tuple summaries.  On a converged deployment of each
+overlay one round therefore calls ``_sync_direction`` zero times and
+unpacks nothing, and the divergence gauge unpacks nothing either.
 After deleting one entry from each of ``k`` chain replicas, exactly the
 ``k`` pushes to those replicas take the dict path — the directions the
 per-pair oracle (``tests/overlay/antientropy_oracle.py``) finds
-unconverged — and only their senders' tables are built.
+unconverged — and only their senders' views are unpacked.
 """
 
 import pytest
@@ -52,22 +52,22 @@ def converged(overlay):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Start recording every dict-path direction and every table build."""
+    """Start recording every dict-path direction and every unpacked view."""
 
     def start():
-        calls = {"directions": [], "tables": []}
-        sync_direction, table = antientropy._sync_direction, ChainView.table
+        calls = {"directions": [], "unpacked": []}
+        sync_direction, unpack = antientropy._sync_direction, ChainView.unpack
 
         def _sync_direction(view, src_id, dst_id, *args, **kwargs):
             calls["directions"].append((src_id, dst_id))
             return sync_direction(view, src_id, dst_id, *args, **kwargs)
 
-        def _table(self, node_id):
-            calls["tables"].append(node_id)
-            return table(self, node_id)
+        def _unpack(self, node_id, packed):
+            calls["unpacked"].append(node_id)
+            return unpack(self, node_id, packed)
 
         monkeypatch.setattr(antientropy, "_sync_direction", _sync_direction)
-        monkeypatch.setattr(ChainView, "table", _table)
+        monkeypatch.setattr(ChainView, "unpack", _unpack)
         return calls
 
     return start
@@ -119,9 +119,9 @@ def test_converged_round_and_gauge_build_no_dict_views(overlay, spy):
     stats = dhs.antientropy(NOW)
     assert stats.pairs > 0
     assert stats.pairs_converged == stats.pairs
-    assert calls == {"directions": [], "tables": []}
+    assert calls == {"directions": [], "unpacked": []}
     assert dhs.replica_divergence(NOW) == 0
-    assert calls["tables"] == []
+    assert calls["unpacked"] == []
 
 
 @pytest.mark.parametrize("overlay", sorted(OVERLAYS))
@@ -131,7 +131,7 @@ def test_only_the_affected_directions_take_the_dict_path(overlay, spy):
     assert drop_replicas(slow, 3) == seeded
     calls = spy()
     assert replica_divergence(fast.dht, REPLICATION, NOW) > 0
-    assert calls["tables"] == []  # the gauge stays packed on a divergent ring too
+    assert calls["unpacked"] == []  # the gauge stays packed on a divergent ring too
 
     log = []
     want = oracle.antientropy_round(
@@ -141,6 +141,6 @@ def test_only_the_affected_directions_take_the_dict_path(overlay, spy):
     assert got == want
     # Each deletion breaks exactly one push: its primary to that replica.
     assert calls["directions"] == log == seeded
-    assert set(calls["tables"]) == {src for src, _ in log}
+    assert set(calls["unpacked"]) == {src for src, _ in log}
     assert fast.dht.load.counts() == slow.dht.load.counts()
     assert replica_divergence(fast.dht, REPLICATION, NOW) == 0

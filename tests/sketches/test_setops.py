@@ -1,4 +1,4 @@
-"""Tests for set-expression estimates (union/intersection/difference)."""
+"""Tests for set-expression estimates (union/intersection)."""
 
 import pytest
 
@@ -6,12 +6,7 @@ from repro.errors import IncompatibleSketchError
 from repro.hashing.family import MixerHash
 from repro.sketches import PCSASketch, SuperLogLogSketch
 from repro.sketches.merge import union_all
-from repro.sketches.setops import (
-    estimate_difference,
-    estimate_intersection,
-    intersection_error_bound,
-    jaccard_estimate,
-)
+from repro.sketches.setops import estimate_intersection
 
 
 def make_pair(cls=SuperLogLogSketch, m=1024, seed=2, a_range=(0, 30_000), b_range=(20_000, 50_000)):
@@ -51,47 +46,6 @@ class TestIntersection:
     def test_works_for_pcsa_too(self):
         a, b = make_pair(cls=PCSASketch)
         assert estimate_intersection(a, b) == pytest.approx(10_000, rel=0.6)
-
-
-class TestDifference:
-    def test_proper_subset(self):
-        a, b = make_pair(a_range=(0, 30_000), b_range=(0, 10_000))
-        # A \ B should be ~20k; B \ A ~0.
-        assert estimate_difference(a, b) == pytest.approx(20_000, rel=0.5)
-        assert estimate_difference(b, a) < 6_000
-
-
-class TestJaccard:
-    def test_range(self):
-        a, b = make_pair()
-        assert 0.0 <= jaccard_estimate(a, b) <= 1.0
-
-    def test_identical_sets_near_one(self):
-        a, b = make_pair(a_range=(0, 25_000), b_range=(0, 25_000))
-        assert jaccard_estimate(a, b) > 0.8
-
-    def test_empty_sketches(self):
-        a = SuperLogLogSketch(m=16)
-        b = SuperLogLogSketch(m=16)
-        assert jaccard_estimate(a, b) == 0.0
-
-    def test_ordering_tracks_similarity(self):
-        similar = make_pair(a_range=(0, 30_000), b_range=(5_000, 35_000))
-        dissimilar = make_pair(a_range=(0, 30_000), b_range=(28_000, 58_000))
-        assert jaccard_estimate(*similar) > jaccard_estimate(*dissimilar)
-
-
-class TestErrorBound:
-    def test_scales_with_operand_sizes(self):
-        small = make_pair(a_range=(0, 1_000), b_range=(500, 1_500))
-        large = make_pair(a_range=(0, 100_000), b_range=(50_000, 150_000))
-        assert intersection_error_bound(*large) > intersection_error_bound(*small)
-
-    def test_mixed_estimators_rejected(self):
-        a = SuperLogLogSketch(m=16)
-        b = PCSASketch(m=16)
-        with pytest.raises(IncompatibleSketchError):
-            intersection_error_bound(a, b)
 
 
 class TestDHSSetOps:

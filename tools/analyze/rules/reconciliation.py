@@ -1,16 +1,16 @@
 """Reconciliation rules (DHS10xx).
 
-Anti-entropy correctness hinges on one invariant: **both register
-backends digest to identical bytes**.  ``repro.overlay.antientropy``
-hashes a slot's live bitmap as a Python ``int`` (an arena-backed slot
-mirrors its row into one), canonicalized one way only —
-``mask.to_bytes(..., "little")`` with trailing zeros stripped — and
-every digest in the system is built from that one canonical form.  A
-second module hashing arena state independently would fork the
-canonicalization — two nodes could disagree about convergence purely
-because of *how* they hashed, the exact failure mode digest trees exist
-to rule out.  DHS1001 therefore confines digest computation over
-register state to the antientropy module.
+Anti-entropy correctness hinges on one invariant: **replicas are
+compared by their live register state, whichever backend holds it**.
+``repro.overlay.antientropy`` reads a slot's live bitmap as a Python
+``int`` (an arena-backed slot mirrors its row into one) and decides
+convergence from those ints; the digests it charges on the wire are
+never computed.  A second module hashing arena state independently
+would compare replicas by one backend's layout — two nodes could
+disagree about convergence purely because of *how* they hashed, not
+what they store.  DHS1001 therefore flags hashing in any module other
+than the antientropy module that imports the register arena; the rule
+retires with ``repro.core.regstore``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from typing import Iterable, List
 from tools.analyze.engine import FileContext, Rule, Violation, register
 from tools.analyze.rules._imports import ImportTable
 
-#: The one module allowed to hash register-store state.
+#: The one module exempt from the rule: it compares register state.
 _ANTIENTROPY_ROOT = "repro.overlay.antientropy"
 
-#: The register-arena module whose state is being digested.
+#: The register-arena module whose state must not be hashed.
 _REGSTORE_ROOT = "repro.core.regstore"
 
 
@@ -51,17 +51,15 @@ class DigestOutsideAntientropy(Rule):
     code = "DHS1001"
     name = "digest-outside-antientropy"
     rationale = (
-        "Anti-entropy digests are only meaningful if every node computes "
-        "them from the identical canonical bytes: "
-        "`repro.overlay.antientropy` owns that canonicalization "
-        "(the live bitmap as `mask.to_bytes`, little-endian, trailing "
-        "zeros stripped, whichever backend holds the slot) and the "
-        "blake2b leaf/segment/root "
-        "construction over it. A module that imports repro.core.regstore "
-        "and hashes on its own forks the canonical form — two replicas "
-        "could then disagree about convergence because of how they "
-        "hashed, not what they store. Compute digests via "
-        "repro.overlay.antientropy (view_digest) instead."
+        "Anti-entropy compares replicas by their live bitmaps, read as "
+        "Python ints whichever backend holds the slot: "
+        "`repro.overlay.antientropy` decides convergence from those ints "
+        "and charges its digests without computing them. A module that "
+        "imports repro.core.regstore and hashes arena state compares "
+        "replicas by one backend's layout — two replicas could then "
+        "disagree about convergence because of how they hashed, not "
+        "what they store. Compare live state through the packed views "
+        "of repro.overlay.replication.ChainView instead."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
@@ -78,8 +76,8 @@ class DigestOutsideAntientropy(Rule):
                         out.append(
                             self.violation(
                                 ctx, node, f"`import {alias.name}` next to a "
-                                f"{_REGSTORE_ROOT} import; digesting register "
-                                f"state belongs to {_ANTIENTROPY_ROOT}"
+                                f"{_REGSTORE_ROOT} import; replicas are compared "
+                                f"by live state in {_ANTIENTROPY_ROOT}"
                             )
                         )
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
@@ -87,8 +85,8 @@ class DigestOutsideAntientropy(Rule):
                     out.append(
                         self.violation(
                             ctx, node, f"`from {node.module} import ...` next to "
-                            f"a {_REGSTORE_ROOT} import; digesting register "
-                            f"state belongs to {_ANTIENTROPY_ROOT}"
+                            f"a {_REGSTORE_ROOT} import; replicas are compared "
+                            f"by live state in {_ANTIENTROPY_ROOT}"
                         )
                     )
             elif isinstance(node, ast.Call):
@@ -97,8 +95,8 @@ class DigestOutsideAntientropy(Rule):
                     out.append(
                         self.violation(
                             ctx, node, f"`{origin}()` hashes in a module that "
-                            f"imports {_REGSTORE_ROOT}; compute register "
-                            f"digests via {_ANTIENTROPY_ROOT} instead"
+                            f"imports {_REGSTORE_ROOT}; compare register "
+                            f"state via {_ANTIENTROPY_ROOT} instead"
                         )
                     )
         return out
