@@ -1,77 +1,1 @@
 """Experiment drivers: one per table/figure of the paper's evaluation."""
-
-from repro.experiments.accuracy import AccuracyRow, format_accuracy, run_accuracy_sweep
-from repro.experiments.baselines import (
-    BaselineRow,
-    format_baselines,
-    run_baseline_comparison,
-)
-from repro.experiments.common import (
-    CountSample,
-    build_ring,
-    bucket_metric,
-    env_scale,
-    populate_histogram_metrics,
-    populate_metric,
-    populate_relation,
-    sample_counts,
-)
-from repro.experiments.faultmatrix import (
-    FaultMatrixRow,
-    format_faultmatrix,
-    run_faultmatrix,
-)
-from repro.experiments.histogram_accuracy import (
-    HistogramAccuracyRow,
-    format_histogram_accuracy,
-    run_histogram_accuracy,
-)
-from repro.experiments.insertion import InsertionReport, run_insertion_experiment
-from repro.experiments.multidim import MultiDimRow, format_multidim, run_multidim
-from repro.experiments.query_opt import QueryOptReport, run_query_opt
-from repro.experiments.scalability import (
-    ScalabilityRow,
-    format_scalability,
-    run_scalability,
-)
-from repro.experiments.table2 import Table2Row, format_table2, run_table2
-from repro.experiments.table3 import Table3Row, format_table3, run_table3
-
-__all__ = [
-    "AccuracyRow",
-    "format_accuracy",
-    "run_accuracy_sweep",
-    "BaselineRow",
-    "format_baselines",
-    "run_baseline_comparison",
-    "CountSample",
-    "build_ring",
-    "bucket_metric",
-    "env_scale",
-    "populate_histogram_metrics",
-    "populate_metric",
-    "populate_relation",
-    "sample_counts",
-    "FaultMatrixRow",
-    "format_faultmatrix",
-    "run_faultmatrix",
-    "HistogramAccuracyRow",
-    "format_histogram_accuracy",
-    "run_histogram_accuracy",
-    "InsertionReport",
-    "run_insertion_experiment",
-    "MultiDimRow",
-    "format_multidim",
-    "run_multidim",
-    "QueryOptReport",
-    "run_query_opt",
-    "ScalabilityRow",
-    "format_scalability",
-    "run_scalability",
-    "Table2Row",
-    "format_table2",
-    "run_table2",
-    "Table3Row",
-    "format_table3",
-    "run_table3",
-]

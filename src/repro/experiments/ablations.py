@@ -1,43 +1,47 @@
 """Ablation experiments for the design choices DESIGN.md calls out.
 
-* ``run_lim_ablation`` — the retry budget ``lim`` (section 4.1): more
-  probes per interval buy accuracy with a linear hop surcharge.
-* ``run_replication_ablation`` — replication degree ``R`` under node
-  failures (section 3.5): replicas restore accuracy lost to crashes.
-* ``run_bitshift_ablation`` — the bit-shift mapping ``b`` (section 3.5):
-  skipping the first ``b`` positions cuts write traffic while keeping
-  estimates usable for cardinalities above ``2^b``.
-* ``run_overlay_comparison`` — DHS over Chord versus Kademlia: the
-  DHT-agnosticism claim, measured.
+The ``ablations`` entry runs four studies, each its own result file and
+its own param dict (``None`` skips a study):
+
+* ``retries`` — the retry budget ``lim`` (section 4.1): more probes per
+  interval buy accuracy with a linear hop surcharge.  Every cell
+  rebuilds the same populated overlay from the same sub-seeds, so only
+  the counting configuration varies; the defaults sit in the sensitive
+  regime (``alpha = n/(2mN) < 1``) with the PCSA scan order, where the
+  budget visibly buys accuracy — the trade-off eq. 6 models.
+* ``replication`` — replication degree ``R`` under crashes of a
+  ``failure_fraction`` of the nodes (section 3.5): replicas restore
+  accuracy lost to crashes.  PCSA in a sparse-copy regime, where each
+  logical bit has few copies (super-LogLog's truncation rule discards
+  the largest registers, which makes it insensitive to losing rare
+  high-bit copies).
+* ``bitshift`` — the bit-shift mapping ``b`` (section 3.5): skipping the
+  first ``b`` positions cuts write traffic while keeping estimates
+  usable for cardinalities above ``2^b``.
+* ``overlays`` — the same DHS deployment over Chord, Kademlia and
+  Pastry: the DHT-agnosticism claim, measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import populate_metric, sample_counts
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, Params, populate_metric, sample_counts
+from repro.experiments.report import format_rows
 from repro.overlay.chord import ChordRing
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.failures import fail_fraction
 from repro.overlay.kademlia import KademliaOverlay
 from repro.overlay.pastry import PastryOverlay
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 
-__all__ = [
-    "AblationRow",
-    "run_lim_ablation",
-    "run_replication_ablation",
-    "run_bitshift_ablation",
-    "run_overlay_comparison",
-    "format_ablation",
-]
+__all__ = ["ABLATIONS", "AblationRow", "format_ablation"]
 
 
 @dataclass
@@ -53,13 +57,14 @@ class AblationRow:
 
 def format_ablation(title: str, extra_header: str, rows: List[AblationRow]) -> str:
     """Render an ablation sweep."""
-    return format_table(
+    return format_rows(
         title,
-        ["config", "error %", "hops", "BW (kB)", extra_header],
         [
-            [row.label, f"{row.error_pct:.1f}", f"{row.hops:.0f}", f"{row.bytes_kb:.1f}", f"{row.extra:.1f}"]
-            for row in rows
+            ("config", "{0.label}"), ("error %", "{0.error_pct:.1f}"),
+            ("hops", "{0.hops:.0f}"), ("BW (kB)", "{0.bytes_kb:.1f}"),
+            (extra_header, "{0.extra:.1f}"),
         ],
+        rows,
     )
 
 
@@ -100,44 +105,6 @@ def _lim_cell(
         bytes_kb=sample.mean_bytes() / 1024,
         extra=sample.mean_nodes(),
     )
-
-
-def run_lim_ablation(
-    lims: Sequence[int] = (1, 2, 5, 10),
-    n_nodes: int = 256,
-    n_items: int = 200_000,
-    num_bitmaps: int = 512,
-    estimator: str = "pcsa",
-    trials: int = 3,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[AblationRow]:
-    """Accuracy/cost versus the per-interval probe budget.
-
-    Only the counting configuration varies across cells (every cell
-    rebuilds the same populated overlay from the same sub-seeds),
-    isolating the retry budget's effect.  Defaults put the deployment in
-    the sensitive regime (``alpha = n/(2mN) < 1``) with the PCSA scan
-    order, where the budget visibly buys accuracy — exactly the
-    trade-off eq. 6 models.
-    """
-    specs = [
-        TrialSpec(
-            fn=_lim_cell,
-            seed=seed,
-            kwargs={
-                "lim": lim,
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "num_bitmaps": num_bitmaps,
-                "estimator": estimator,
-                "trials": trials,
-            },
-            label=f"ablation/lim{lim}",
-        )
-        for lim in lims
-    ]
-    return list(run_trials(specs, jobs=jobs))
 
 
 def _replication_cell(
@@ -183,45 +150,6 @@ def _replication_cell(
     )
 
 
-def run_replication_ablation(
-    degrees: Sequence[int] = (0, 2, 4),
-    failure_fraction: float = 0.25,
-    n_nodes: int = 256,
-    n_items: int = 50_000,
-    num_bitmaps: int = 512,
-    estimator: str = "pcsa",
-    trials: int = 3,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[AblationRow]:
-    """Accuracy under crashes versus the replication degree ``R``.
-
-    Defaults use the PCSA scan in a sparse-copy regime, where each
-    logical bit has few copies and crashes genuinely erase information —
-    the scenario eq. 6's ``R * alpha`` term is about.  (super-LogLog's
-    truncation rule discards the largest registers, which makes it
-    naturally insensitive to losing rare high-bit copies.)
-    """
-    specs = [
-        TrialSpec(
-            fn=_replication_cell,
-            seed=seed,
-            kwargs={
-                "degree": degree,
-                "failure_fraction": failure_fraction,
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "num_bitmaps": num_bitmaps,
-                "estimator": estimator,
-                "trials": trials,
-            },
-            label=f"ablation/R{degree}",
-        )
-        for degree in degrees
-    ]
-    return list(run_trials(specs, jobs=jobs))
-
-
 def _bitshift_cell(
     seed: int,
     *,
@@ -255,34 +183,6 @@ def _bitshift_cell(
         bytes_kb=sample.mean_bytes() / 1024,
         extra=insert_cost.bytes / 1024,
     )
-
-
-def run_bitshift_ablation(
-    shifts: Sequence[int] = (0, 2, 4),
-    n_nodes: int = 128,
-    n_items: int = 200_000,
-    num_bitmaps: int = 64,
-    trials: int = 3,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[AblationRow]:
-    """Accuracy/write-cost versus the bit-shift mapping ``b``."""
-    specs = [
-        TrialSpec(
-            fn=_bitshift_cell,
-            seed=seed,
-            kwargs={
-                "shift": shift,
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "num_bitmaps": num_bitmaps,
-                "trials": trials,
-            },
-            label=f"ablation/b{shift}",
-        )
-        for shift in shifts
-    ]
-    return list(run_trials(specs, jobs=jobs))
 
 
 def _overlay_cell(
@@ -326,28 +226,88 @@ def _overlay_cell(
     )
 
 
-def run_overlay_comparison(
-    n_nodes: int = 128,
-    n_items: int = 200_000,
-    num_bitmaps: int = 256,
-    trials: int = 3,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[AblationRow]:
-    """The same DHS deployment over Chord, Kademlia and Pastry."""
-    specs = [
-        TrialSpec(
-            fn=_overlay_cell,
-            seed=seed,
-            kwargs={
-                "overlay_label": overlay_label,
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "num_bitmaps": num_bitmaps,
-                "trials": trials,
-            },
-            label=f"ablation/overlay-{overlay_label}",
+#: study -> (the param it sweeps, the cell's keyword for one value of it).
+_AXES: Dict[str, Tuple[str, str]] = {
+    "retries": ("lims", "lim"),
+    "replication": ("degrees", "degree"),
+    "bitshift": ("shifts", "shift"),
+    "overlays": ("overlays", "overlay_label"),
+}
+
+
+def _sweep(params: Params, study: str) -> List[Dict[str, Any]]:
+    """One cell's kwargs per value of the study's axis; none when it is off."""
+    config = params[study]
+    if config is None:
+        return []
+    axis, keyword = _AXES[study]
+    fixed = {key: value for key, value in config.items() if key != axis}
+    return [{keyword: value, **fixed} for value in config[axis]]
+
+
+def _cells(params: Params) -> List[TrialSpec]:
+    seed = params["seed"]
+    kws = {study: _sweep(params, study) for study in _AXES}
+    return (
+        [TrialSpec(fn=_lim_cell, seed=seed, kwargs=kw) for kw in kws["retries"]]
+        + [TrialSpec(fn=_replication_cell, seed=seed, kwargs=kw) for kw in kws["replication"]]
+        + [TrialSpec(fn=_bitshift_cell, seed=seed, kwargs=kw) for kw in kws["bitshift"]]
+        + [TrialSpec(fn=_overlay_cell, seed=seed, kwargs=kw) for kw in kws["overlays"]]
+    )
+
+
+def _reduce(results: List[AblationRow], params: Params) -> Dict[str, List[AblationRow]]:
+    """Each study's rows, in grid order."""
+    rows: Dict[str, List[AblationRow]] = {}
+    cursor = 0
+    for study, (axis, _) in _AXES.items():
+        if params[study] is not None:
+            width = len(params[study][axis])
+            rows[study] = results[cursor : cursor + width]
+            cursor += width
+    return rows
+
+
+def _render(rows: Dict[str, List[AblationRow]], params: Params) -> Dict[str, str]:
+    texts: Dict[str, str] = {}
+    if "retries" in rows:
+        texts["ablation_retries"] = format_ablation(
+            "Retry budget ablation (section 4.1)", "nodes visited", rows["retries"]
         )
-        for overlay_label in ("chord", "kademlia", "pastry")
-    ]
-    return list(run_trials(specs, jobs=jobs))
+    if "replication" in rows:
+        crashes = params["replication"]["failure_fraction"]
+        texts["ablation_replication"] = format_ablation(
+            f"Replication under {crashes:.0%} crashes (section 3.5)",
+            "hops/insert",
+            rows["replication"],
+        )
+    if "bitshift" in rows:
+        texts["ablation_bitshift"] = format_ablation(
+            "Bit-shift mapping ablation (section 3.5)", "insert kB", rows["bitshift"]
+        )
+    if "overlays" in rows:
+        names = " vs ".join(name.capitalize() for name in params["overlays"]["overlays"])
+        texts["overlay_agnosticism"] = format_ablation(
+            f"DHS over {names}", "nodes visited", rows["overlays"]
+        )
+    return texts
+
+
+ABLATIONS = Experiment(
+    "ablations", "lim / replication / bit-shift / overlay ablations",
+    ("ablation_retries", "ablation_replication", "ablation_bitshift", "overlay_agnosticism"),
+    dict(
+        seed=1,
+        retries=dict(lims=(1, 2, 5, 10), n_nodes=256, n_items=200_000, num_bitmaps=512,
+                     estimator="pcsa", trials=3),
+        replication=dict(degrees=(0, 2, 4), failure_fraction=0.25, n_nodes=256,
+                         n_items=50_000, num_bitmaps=512, estimator="pcsa", trials=3),
+        bitshift=dict(shifts=(0, 2, 4), n_nodes=128, n_items=200_000, num_bitmaps=64,
+                      trials=3),
+        overlays=dict(overlays=("chord", "kademlia", "pastry"), n_nodes=128,
+                      n_items=200_000, num_bitmaps=256, trials=3),
+    ),
+    cells=_cells,
+    reduce=_reduce,
+    render=_render,
+)

@@ -6,7 +6,7 @@ the sparse per-bitmap bits — at m = 4096 PCSA degrades to ~44% while sLL
 only reaches ~15%, because sLL probes the higher-order (better
 replicated, relative to what it needs) bits first.
 
-``run_accuracy_sweep`` reproduces the sweep; the crossover point depends
+The ``accuracy`` entry reproduces the sweep; the crossover point depends
 on the items-per-node ratio, so at reduced workload scale the collapse
 arrives at proportionally smaller ``m`` — the *shape* (PCSA degrading
 much faster than sLL past the collapse) is the reproduced claim.
@@ -15,23 +15,16 @@ much faster than sLL past the collapse) is the reproduced claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.core.config import DHSConfig
-from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import (
-    CountSample,
-    build_ring,
-    env_scale,
-    populate_relation,
-    sample_counts,
-)
-from repro.experiments.report import format_table
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.experiments.common import CountSample, Experiment, Params, build_ring, count_both
+from repro.experiments.report import estimator_pairs, format_rows
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import make_relation
 
-__all__ = ["AccuracyRow", "run_accuracy_sweep", "format_accuracy"]
+__all__ = ["ACCURACY", "AccuracyRow", "format_accuracy"]
 
 
 @dataclass
@@ -50,71 +43,37 @@ def _accuracy_cell(
     m: int,
     hash_seed: int,
     n_nodes: int,
-    n_items: int,
+    scale: float,
     trials: int,
     lim: int,
 ) -> Dict[str, CountSample]:
     """One independent ``(m, hash_seed)`` cell: populate, count both ways."""
+    n_items = max(2000, int(20_000_000 * scale))
     relation = make_relation("R", n_items, seed=derive_seed(seed, "rel", hash_seed))
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring", m, hash_seed))
-    writer = DistributedHashSketch(
-        ring,
-        DHSConfig(num_bitmaps=m, lim=lim, hash_seed=hash_seed),
-        seed=derive_seed(seed, "writer", m, hash_seed),
-    )
-    populate_relation(writer, relation, seed=derive_seed(seed, "load", m, hash_seed))
-    samples: Dict[str, CountSample] = {}
-    for estimator in ("sll", "pcsa"):
-        counter = DistributedHashSketch(
-            ring,
-            DHSConfig(num_bitmaps=m, lim=lim, hash_seed=hash_seed, estimator=estimator),
-            seed=derive_seed(seed, "counter", m, hash_seed, estimator),
-        )
-        samples[estimator] = sample_counts(
-            counter,
-            {relation.name: float(relation.size)},
-            trials=trials,
-            seed=derive_seed(seed, "origins", m, hash_seed),
-        )
-    return samples
+    config = DHSConfig(num_bitmaps=m, lim=lim, hash_seed=hash_seed)
+    return count_both(ring, config, [relation], seed, trials, m, hash_seed)[1]
 
 
-def run_accuracy_sweep(
-    ms: Sequence[int] = (64, 128, 256, 512, 1024, 2048, 4096),
-    n_nodes: int = 128,
-    scale: float | None = None,
-    trials: int = 2,
-    hash_seeds: Sequence[int] = (0, 1),
-    lim: int = 5,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[AccuracyRow]:
-    """Error versus ``m`` for both estimators with the default lim."""
-    scale = env_scale(1e-2) if scale is None else scale
-    n_items = max(2000, int(20_000_000 * scale))
-    specs = [
+def _cells(params: Params) -> List[TrialSpec]:
+    return [
         TrialSpec(
             fn=_accuracy_cell,
-            seed=seed,
-            kwargs={
-                "m": m,
-                "hash_seed": hash_seed,
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "trials": trials,
-                "lim": lim,
-            },
-            label=f"accuracy/m{m}/h{hash_seed}",
+            seed=params["seed"],
+            kwargs={"m": m, "hash_seed": hash_seed},
         )
-        for m in ms
-        for hash_seed in hash_seeds
+        for m in params["ms"]
+        for hash_seed in params["hash_seeds"]
     ]
-    results = run_trials(specs, jobs=jobs)
+
+
+def _reduce(results: List[Dict[str, CountSample]], params: Params) -> List[AccuracyRow]:
+    """Average each (m, estimator) over its hash seeds."""
     rows: List[AccuracyRow] = []
     cursor = 0
-    for m in ms:
+    for m in params["ms"]:
         samples: Dict[str, List[CountSample]] = {"sll": [], "pcsa": []}
-        for _ in hash_seeds:
+        for _ in params["hash_seeds"]:
             cell = results[cursor]
             cursor += 1
             for estimator in ("sll", "pcsa"):
@@ -133,25 +92,27 @@ def run_accuracy_sweep(
     return rows
 
 
-def format_accuracy(rows: List[AccuracyRow]) -> str:
+def format_accuracy(rows: List[AccuracyRow], lim: int = 5) -> str:
     """Render the sweep with sLL/PCSA columns side by side."""
-    by_m: dict[int, dict[str, AccuracyRow]] = {}
-    for row in rows:
-        by_m.setdefault(row.m, {})[row.estimator] = row
-    table_rows = []
-    for m in sorted(by_m):
-        sll, pcsa = by_m[m]["sll"], by_m[m]["pcsa"]
-        table_rows.append(
-            [
-                m,
-                f"{sll.error_pct:.1f}",
-                f"{pcsa.error_pct:.1f}",
-                f"{sll.bias_pct:+.1f}",
-                f"{pcsa.bias_pct:+.1f}",
-            ]
-        )
-    return format_table(
-        "Accuracy vs number of bitmaps (lim = 5)",
-        ["m", "sLL err %", "PCSA err %", "sLL bias %", "PCSA bias %"],
-        table_rows,
+    return format_rows(
+        f"Accuracy vs number of bitmaps (lim = {lim})",
+        [
+            ("m", "{0[0]}"), ("sLL err %", "{0[1].error_pct:.1f}"),
+            ("PCSA err %", "{0[2].error_pct:.1f}"),
+            ("sLL bias %", "{0[1].bias_pct:+.1f}"),
+            ("PCSA bias %", "{0[2].bias_pct:+.1f}"),
+        ],
+        estimator_pairs(rows, "m"),
     )
+
+
+ACCURACY = Experiment(
+    "accuracy", "§5.2 accuracy vs m (collapse at large m)", ("accuracy_vs_m",),
+    dict(seed=1, ms=(64, 128, 256, 512, 1024, 2048, 4096), n_nodes=128, scale=1e-2,
+         trials=2, hash_seeds=(0, 1), lim=5),
+    cells=_cells,
+    reduce=_reduce,
+    render=lambda rows, params: {
+        "accuracy_vs_m": format_accuracy(rows, params["lim"])
+    },
+)

@@ -20,16 +20,16 @@ from repro.baselines.single_node import PartitionedCounter, SingleNodeCounter
 from repro.baselines.sketch_gossip import SketchGossip
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring
+from repro.experiments.common import Experiment, Params, build_ring
 from repro.overlay.chord import ChordRing
 from repro.overlay.stats import OpCost
-from repro.experiments.report import format_table
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.experiments.report import format_rows
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 from repro.workloads.assignment import assign_items
 from repro.workloads.multisets import zipf_duplicated_multiset
 
-__all__ = ["BaselineRow", "run_baseline_comparison", "format_baselines"]
+__all__ = ["BASELINES", "BaselineRow", "format_baselines"]
 
 
 @dataclass
@@ -175,78 +175,56 @@ def _baseline_cell(
     raise ValueError(f"unknown baseline method {method!r}")
 
 
-def run_baseline_comparison(
-    n_nodes: int = 128,
-    n_distinct: int = 20_000,
-    total_items: int = 60_000,
-    num_bitmaps: int = 128,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[BaselineRow]:
-    """Run every family (plus DHS) on one duplicated-items scenario."""
+#: Every family, plus DHS, in table order.
+_METHODS = (
+    "dhs", "single", "gossip", "partitioned", "sketch-gossip", "convergecast", "sampling"
+)
+
+
+def _cells(params: Params) -> List[TrialSpec]:
     # The serial driver drew three origins from one sequential rng (DHS,
     # then single-node, then partitioned).  Draw them up front in that
     # exact order so per-method cells are scheduling-independent.
-    ring, _, _ = _baseline_scenario(seed, n_nodes, n_distinct, total_items)
+    seed = params["seed"]
+    ring, _, _ = _baseline_scenario(
+        seed, params["n_nodes"], params["n_distinct"], params["total_items"]
+    )
     query_rng = rng_for(seed, "query-origin")
     origins = {
         method: ring.random_live_node(query_rng)
         for method in ("dhs", "single", "partitioned")
     }
-    methods = (
-        "dhs",
-        "single",
-        "gossip",
-        "partitioned",
-        "sketch-gossip",
-        "convergecast",
-        "sampling",
-    )
-    specs = [
+    return [
         TrialSpec(
             fn=_baseline_cell,
             seed=seed,
-            kwargs={
-                "method": method,
-                "n_nodes": n_nodes,
-                "n_distinct": n_distinct,
-                "total_items": total_items,
-                "num_bitmaps": num_bitmaps,
-                "origin": origins.get(method),
-            },
-            label=f"baselines/{method}",
+            kwargs={"method": method, "origin": origins.get(method)},
         )
-        for method in methods
+        for method in _METHODS
     ]
-    return list(run_trials(specs, jobs=jobs))
 
 
 def format_baselines(rows: List[BaselineRow], truth_hint: str = "") -> str:
     """Render the cross-family comparison."""
-    table_rows = [
-        [
-            row.method,
-            f"{row.estimate:,.0f}",
-            f"{row.error_pct:.1f}",
-            row.query_hops,
-            f"{row.query_bytes / 1024:.1f}",
-            row.rounds,
-            f"{row.load_imbalance:.1f}",
-            "yes" if row.duplicate_insensitive else "NO",
-        ]
-        for row in rows
-    ]
-    return format_table(
+    return format_rows(
         f"DHS vs related-work families {truth_hint}".rstrip(),
         [
-            "method",
-            "estimate",
-            "err %",
-            "hops",
-            "kB",
-            "rounds",
-            "load max/mean",
-            "dup-insens.",
+            ("method", "{0.method}"), ("estimate", "{0.estimate:,.0f}"),
+            ("err %", "{0.error_pct:.1f}"), ("hops", "{0.query_hops}"),
+            ("kB", lambda row: f"{row.query_bytes / 1024:.1f}"),
+            ("rounds", "{0.rounds}"), ("load max/mean", "{0.load_imbalance:.1f}"),
+            ("dup-insens.", lambda row: "yes" if row.duplicate_insensitive else "NO"),
         ],
-        table_rows,
+        rows,
     )
+
+
+BASELINES = Experiment(
+    "baselines", "§1 related-work families comparison", ("baselines",),
+    dict(seed=1, n_nodes=128, n_distinct=20_000, total_items=60_000, num_bitmaps=128),
+    cells=_cells,
+    # Every distinct item appears at least once: the truth is n_distinct.
+    render=lambda rows, params: {
+        "baselines": format_baselines(rows, f"(distinct truth: {params['n_distinct']:,})")
+    },
+)

@@ -13,16 +13,17 @@ cardinality drifts), under different (ttl, refresh period) policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, Params
+from repro.experiments.report import format_rows
 from repro.overlay.chord import ChordRing
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
-__all__ = ["ChurnRow", "run_churn_experiment", "format_churn"]
+__all__ = ["CHURN", "ChurnRow", "format_churn"]
 
 
 @dataclass
@@ -104,49 +105,38 @@ def _churn_cell(
     )
 
 
-def run_churn_experiment(
-    policies: Sequence[Tuple[Optional[int], Optional[int]]] = (
-        (4, 2),      # short TTL, frequent refresh: tracks closely
-        (16, 8),     # longer TTL, lazy refresh: cheaper, staler
-        (4, None),   # TTL without refresh: decays to zero
-        (None, None) # immortal entries: over-counts departed items
-    ),
-    rounds: int = 24,
-    churn_fraction: float = 0.06,
-    n_nodes: int = 128,
-    items_per_node: int = 150,
-    num_bitmaps: int = 64,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[ChurnRow]:
-    """Estimate-tracking quality of maintenance policies under churn."""
-    specs = [
+def _cells(params: Params) -> List[TrialSpec]:
+    return [
         TrialSpec(
             fn=_churn_cell,
-            seed=seed,
-            kwargs={
-                "ttl": ttl,
-                "refresh_every": refresh_every,
-                "rounds": rounds,
-                "churn_fraction": churn_fraction,
-                "n_nodes": n_nodes,
-                "items_per_node": items_per_node,
-                "num_bitmaps": num_bitmaps,
-            },
-            label=f"churn/{_policy_label(ttl, refresh_every)}",
+            seed=params["seed"],
+            kwargs={"ttl": ttl, "refresh_every": refresh_every},
         )
-        for ttl, refresh_every in policies
+        for ttl, refresh_every in params["policies"]
     ]
-    return list(run_trials(specs, jobs=jobs))
 
 
 def format_churn(rows: List[ChurnRow]) -> str:
     """Render the churn-policy comparison."""
-    return format_table(
+    return format_rows(
         "Soft-state maintenance under churn (section 3.3)",
-        ["policy", "mean err %", "final err %", "refresh kB"],
         [
-            [row.label, f"{row.mean_error_pct:.1f}", f"{row.final_error_pct:.1f}", f"{row.refresh_kb:.0f}"]
-            for row in rows
+            ("policy", "{0.label}"), ("mean err %", "{0.mean_error_pct:.1f}"),
+            ("final err %", "{0.final_error_pct:.1f}"),
+            ("refresh kB", "{0.refresh_kb:.0f}"),
         ],
+        rows,
     )
+
+
+CHURN = Experiment(
+    "churn", "§3.3 soft-state maintenance under churn", ("churn_policies",),
+    # policies: (ttl, refresh period), None = immortal / never.  Short TTL
+    # with frequent refresh tracks closely; a lazy refresh is cheaper and
+    # staler; TTL without refresh decays to zero; immortal entries
+    # over-count departed items.
+    dict(seed=1, policies=((4, 2), (16, 8), (4, None), (None, None)), rounds=24,
+         churn_fraction=0.06, n_nodes=128, items_per_node=150, num_bitmaps=64),
+    cells=_cells,
+    render=lambda rows, params: {"churn_policies": format_churn(rows)},
+)

@@ -19,34 +19,33 @@ benchmark suite can be re-run closer to paper scale with one knob.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.insert import item_id_array
 from repro.errors import ConfigurationError
 from repro.overlay.chord import ChordRing
 from repro.overlay.stats import OpCost
+from repro.sim.parallel import TrialSpec, run_trials
 from repro.sim.seeds import derive_seed, rng_for
 from repro.workloads.assignment import assign_uniform
 from repro.workloads.relations import Relation
 
 __all__ = [
-    "env_scale",
-    "build_ring",
-    "populate_metric",
-    "populate_relation",
-    "populate_histogram_metrics",
-    "filter_bucket_metric",
-    "populate_filter_histogram_metrics",
-    "bucket_metric",
-    "CountSample",
-    "sample_counts",
+    "Experiment", "Params", "concat", "env_scale", "build_ring", "populate_metric",
+    "populate_relation", "populate_histogram_metrics", "filter_bucket_metric",
+    "populate_filter_histogram_metrics", "bucket_metric", "CountSample",
+    "sample_counts", "count_both",
 ]
 
 #: Default workload scale relative to the paper (10/20/40/80 M tuples).
@@ -69,6 +68,94 @@ def env_scale(default: float = DEFAULT_SCALE) -> float:
     if not (math.isfinite(scale) and scale > 0.0):
         raise ConfigurationError(f"DHS_SCALE must be a number > 0, got {raw!r}")
     return scale
+
+
+#: Resolved experiment params: an entry's defaults with overrides applied.
+Params = Dict[str, Any]
+
+
+def concat(results: List[Any], params: Params) -> Any:
+    """Reduce cells that each return a list of rows to one list."""
+    return [row for rows in results for row in rows]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI command: its params, its cells and its result files.
+
+    ``params`` holds every keyword it takes, defaults pinned to what its
+    committed files under ``benchmarks/results/`` (stems ``results``)
+    used, seed included.  ``cells(params)`` gives one
+    :class:`~repro.sim.parallel.TrialSpec` per independent cell, called
+    with its seed and kwargs plus every other param its keyword-only
+    signature names; ``reduce`` folds their results, in grid order, into
+    rows (default: the list).  A single-shot experiment gives
+    ``run(**params)`` instead.  ``render(rows, params)`` maps each result
+    stem to its text.  ``--nodes N`` sets the ``nodes`` param to
+    ``node_value(N)`` (default: N).
+    """
+
+    name: str
+    description: str
+    results: Tuple[str, ...]
+    params: Mapping[str, Any]
+    render: Callable[[Any, Params], Dict[str, str]]
+    cells: Optional[Callable[[Params], List[TrialSpec]]] = None
+    reduce: Optional[Callable[[List[Any], Params], Any]] = None
+    run: Optional[Callable[..., Any]] = None
+    nodes: str = "n_nodes"
+    node_value: Optional[Callable[[int], Any]] = None
+
+    def resolve(self, overrides: Mapping[str, Any]) -> Params:
+        """Defaults plus ``overrides``, an unknown name being an error.
+
+        A ``scale`` not overridden is resolved here, once, through
+        :func:`env_scale`, so run and render see the same value.  A dict
+        default takes a dict override key by key (``None`` switches
+        that part off).
+        """
+        params = _merge(self.name, self.params, overrides)
+        if "scale" in params and "scale" not in overrides:
+            params["scale"] = env_scale(params["scale"])
+        return params
+
+    def grid(self, params: Params) -> List[TrialSpec]:
+        """The cells of resolved ``params``, each given the params it names."""
+        assert self.cells is not None, f"{self.name} is single-shot"
+        return [
+            replace(spec, kwargs={**_named(spec.fn, params), **spec.kwargs})
+            for spec in self.cells(params)
+        ]
+
+    def execute(self, params: Params, jobs: Optional[int] = None) -> Any:
+        """Rows of resolved ``params``; cells fan out through ``run_trials``."""
+        if self.run is not None:
+            return self.run(**params)
+        return self.fold(run_trials(self.grid(params), jobs=jobs), params)
+
+    def fold(self, results: List[Any], params: Params) -> Any:
+        """Rows of the cell results, in grid order."""
+        return results if self.reduce is None else self.reduce(results, params)
+
+
+def _merge(name: str, defaults: Mapping[str, Any], overrides: Mapping[str, Any]) -> Params:
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ConfigurationError(
+            f"{name} takes no param {unknown[0]!r}; expected one of {sorted(defaults)}"
+        )
+    merged = dict(defaults)
+    for key, value in overrides.items():
+        if isinstance(defaults[key], Mapping) and isinstance(value, Mapping):
+            value = _merge(f"{name} {key}", defaults[key], value)
+        merged[key] = value
+    return merged
+
+
+def _named(fn: Callable[..., Any], params: Params) -> Params:
+    """The params, seed aside, that ``fn``'s signature names."""
+    names = inspect.signature(fn).parameters
+    return {name: params[name] for name in names if name in params and name != "seed"}
 
 
 def build_ring(n_nodes: int = 1024, bits: int = 64, seed: int = 0) -> ChordRing:
@@ -308,3 +395,34 @@ def sample_counts(
                     sample.estimates.append(result.estimate())
                     sample.truths.append(truth)
     return sample
+
+
+def count_both(
+    ring: ChordRing,
+    config: DHSConfig,
+    relations: Sequence[Relation],
+    seed: int,
+    trials: int,
+    *path: Hashable,
+) -> Tuple[DistributedHashSketch, Dict[str, CountSample]]:
+    """Populate ``relations`` once, then count them with each estimator.
+
+    Every sub-seed is ``derive_seed(seed, <label>, *path)``, so ``path``
+    names the cell's deployment.  Returns the writer and one
+    ``trials``-count sample per estimator over the same stored bits.
+    """
+    writer = DistributedHashSketch(ring, config, seed=derive_seed(seed, "writer", *path))
+    for relation in relations:
+        populate_relation(writer, relation, seed=derive_seed(seed, "load", *path))
+    truths = {relation.name: float(relation.size) for relation in relations}
+    samples: Dict[str, CountSample] = {}
+    for estimator in ("sll", "pcsa"):
+        counter = DistributedHashSketch(
+            ring,
+            replace(config, estimator=estimator),
+            seed=derive_seed(seed, "counter", *path, estimator),
+        )
+        samples[estimator] = sample_counts(
+            counter, truths, trials=trials, seed=derive_seed(seed, "origins", *path)
+        )
+    return writer, samples

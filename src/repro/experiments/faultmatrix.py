@@ -45,7 +45,7 @@ budget-exhausted intervals).  A lossy run should *know* it is lossy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -53,19 +53,15 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.common import populate_metric
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, Params, populate_metric
+from repro.experiments.report import format_rows
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
 __all__ = [
-    "FAULT_MATRIX_KINDS",
-    "POLICIES",
-    "FaultMatrixRow",
-    "PolicySpec",
-    "run_faultmatrix",
+    "FAULTMATRIX", "FAULT_MATRIX_KINDS", "POLICIES", "FaultMatrixRow", "PolicySpec",
     "format_faultmatrix",
 ]
 
@@ -235,107 +231,87 @@ def _faultmatrix_cell(
     )
 
 
-def run_faultmatrix(
-    fault_kinds: Sequence[str] = ("drop", "lazy_crash", "amnesia"),
-    intensities: Sequence[float] = (0.1, 0.3),
-    policies: Sequence[str] = ("none", "retry+repair"),
-    replications: Sequence[int] = (0, 2),
-    n_nodes: int = 64,
-    n_items: int = 10_000,
-    num_bitmaps: int = 32,
-    estimator: str = "sll",
-    trials: int = 2,
-    draws: int = 2,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[FaultMatrixRow]:
-    """Sweep the fault matrix; every cell is an independent deployment.
-
-    Cells are fanned out through :func:`~repro.sim.parallel.run_trials`
-    and every random choice flows through ``derive_seed`` label paths,
-    so the grid is bit-identical at any ``DHS_JOBS`` width.
-    """
-    for name in policies:
+def _cells(params: Params) -> List[TrialSpec]:
+    """One independent deployment per (kind, intensity, policy, R, draw)."""
+    for name in params["policies"]:
         if name not in POLICIES:
             raise ConfigurationError(
                 f"unknown policy {name!r}; expected one of {sorted(POLICIES)}"
             )
-    specs = [
+    return [
         TrialSpec(
             fn=_faultmatrix_cell,
-            seed=seed,
+            seed=params["seed"],
             kwargs={
                 "fault_kind": kind,
                 "intensity": intensity,
                 "policy_name": policy,
                 "replication": replication,
                 "draw": draw,
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "num_bitmaps": num_bitmaps,
-                "estimator": estimator,
-                "trials": trials,
             },
-            label=f"faultmatrix/{kind}/i{intensity}/{policy}/R{replication}/d{draw}",
         )
-        for kind in fault_kinds
-        for intensity in intensities
-        for policy in policies
-        for replication in replications
-        for draw in range(draws)
+        for kind, intensity, policy, replication in _points(params)
+        for draw in range(params["draws"])
     ]
-    results = run_trials(specs, jobs=jobs)
-    accum: Dict[Tuple[str, float, str, int], List[Tuple[float, ...]]] = {}
-    for spec, point in zip(specs, results):
-        key = (
-            spec.kwargs["fault_kind"],
-            spec.kwargs["intensity"],
-            spec.kwargs["policy_name"],
-            spec.kwargs["replication"],
-        )
-        accum.setdefault(key, []).append(point)
+
+
+def _points(params: Params) -> List[Tuple[str, float, str, int]]:
+    return [
+        (kind, intensity, policy, replication)
+        for kind in params["fault_kinds"]
+        for intensity in params["intensities"]
+        for policy in params["policies"]
+        for replication in params["replications"]
+    ]
+
+
+def _reduce(results: List[Tuple[float, ...]], params: Params) -> List[FaultMatrixRow]:
+    """Average every matrix point over its draws."""
+    draws = params["draws"]
     rows: List[FaultMatrixRow] = []
-    for kind in fault_kinds:
-        for intensity in intensities:
-            for policy in policies:
-                for replication in replications:
-                    points = accum[(kind, intensity, policy, replication)]
-                    mean = [sum(column) / len(points) for column in zip(*points)]
-                    rows.append(
-                        FaultMatrixRow(
-                            fault=kind,
-                            intensity=intensity,
-                            policy=policy,
-                            replication=replication,
-                            error_pct=100 * mean[0],
-                            underread_pct=100 * mean[1],
-                            hops=mean[2],
-                            degraded_pct=100 * mean[3],
-                            confidence=mean[4],
-                            repair_writes=mean[5],
-                        )
-                    )
+    for index, (kind, intensity, policy, replication) in enumerate(_points(params)):
+        points = results[index * draws : (index + 1) * draws]
+        mean = [sum(column) / len(points) for column in zip(*points)]
+        rows.append(
+            FaultMatrixRow(
+                fault=kind,
+                intensity=intensity,
+                policy=policy,
+                replication=replication,
+                error_pct=100 * mean[0],
+                underread_pct=100 * mean[1],
+                hops=mean[2],
+                degraded_pct=100 * mean[3],
+                confidence=mean[4],
+                repair_writes=mean[5],
+            )
+        )
     return rows
 
 
 def format_faultmatrix(rows: List[FaultMatrixRow]) -> str:
     """Render the fault matrix grid."""
-    return format_table(
+    return format_rows(
         "Fault matrix: fault x intensity x policy x replication",
-        ["fault", "p", "policy", "R", "error %", "under %", "hops", "degr %", "conf", "repairs"],
         [
-            [
-                row.fault,
-                f"{row.intensity:.2f}",
-                row.policy,
-                row.replication,
-                f"{row.error_pct:.1f}",
-                f"{row.underread_pct:.1f}",
-                f"{row.hops:.0f}",
-                f"{row.degraded_pct:.0f}",
-                f"{row.confidence:.3f}",
-                f"{row.repair_writes:.1f}",
-            ]
-            for row in rows
+            ("fault", "{0.fault}"), ("p", "{0.intensity:.2f}"),
+            ("policy", "{0.policy}"), ("R", "{0.replication}"),
+            ("error %", "{0.error_pct:.1f}"), ("under %", "{0.underread_pct:.1f}"),
+            ("hops", "{0.hops:.0f}"), ("degr %", "{0.degraded_pct:.0f}"),
+            ("conf", "{0.confidence:.3f}"), ("repairs", "{0.repair_writes:.1f}"),
         ],
+        rows,
     )
+
+
+#: Every random choice flows through ``derive_seed`` label paths, so the
+#: grid is bit-identical at any ``DHS_JOBS`` width.
+FAULTMATRIX = Experiment(
+    "faultmatrix", "fault kind x intensity x policy x R matrix", ("fault_matrix",),
+    dict(seed=3, fault_kinds=("drop", "lazy_crash", "amnesia"), intensities=(0.1, 0.3),
+         policies=("none", "retry+repair"), replications=(0, 2), n_nodes=64,
+         n_items=10_000, num_bitmaps=32, estimator="sll", trials=2, draws=2),
+    cells=_cells,
+    reduce=_reduce,
+    render=lambda rows, params: {"fault_matrix": format_faultmatrix(rows)},
+)

@@ -14,20 +14,14 @@ declining-error-with-m shape at laptop scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.core.config import DHSConfig
-from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring, populate_histogram_metrics
-from repro.experiments.report import format_table
-from repro.histograms.buckets import BucketSpec
-from repro.histograms.builder import DHSHistogramBuilder
-from repro.histograms.histogram import Histogram
-from repro.sim.parallel import TrialSpec, run_trials
-from repro.sim.seeds import derive_seed, rng_for
-from repro.workloads.relations import make_relation
+from repro.experiments.common import Experiment, Params, concat
+from repro.experiments.report import estimator_pairs, format_rows
+from repro.experiments.table3 import reconstruct_both
+from repro.sim.parallel import TrialSpec
 
-__all__ = ["HistogramAccuracyRow", "run_histogram_accuracy", "format_histogram_accuracy"]
+__all__ = ["HISTOGRAM_ACCURACY", "HistogramAccuracyRow", "format_histogram_accuracy"]
 
 
 @dataclass
@@ -41,101 +35,53 @@ class HistogramAccuracyRow:
 
 
 def _histogram_accuracy_cell(
-    seed: int,
-    *,
-    m: int,
-    n_nodes: int,
-    n_buckets: int,
-    n_items: int,
-    trials: int,
+    seed: int, *, m: int, n_nodes: int, n_buckets: int, n_items: int, trials: int
 ) -> List[HistogramAccuracyRow]:
     """One ``m``: rebuild the (seed-identical) workload, measure both estimators."""
-    relation = make_relation("R", n_items, seed=derive_seed(seed, "rel"))
-    spec = BucketSpec.equi_width(relation.domain[0], relation.domain[1], n_buckets)
-    truth = Histogram.exact(spec, relation.values)
-    ring = build_ring(n_nodes, seed=derive_seed(seed, "ring", m))
-    writer = DistributedHashSketch(
-        ring,
-        DHSConfig(num_bitmaps=m, hash_seed=seed),
-        seed=derive_seed(seed, "writer", m),
-    )
-    populate_histogram_metrics(
-        writer, relation, n_buckets, seed=derive_seed(seed, "load", m)
-    )
-    rows: List[HistogramAccuracyRow] = []
-    for estimator in ("sll", "pcsa"):
-        counter = DistributedHashSketch(
-            ring,
-            DHSConfig(num_bitmaps=m, hash_seed=seed, estimator=estimator),
-            seed=derive_seed(seed, "counter", m, estimator),
+    return [
+        HistogramAccuracyRow(
+            m=m,
+            estimator=estimator,
+            cell_error_pct=100
+            * sum(run.histogram.mean_cell_error(truth) for run in runs)
+            / trials,
+            sketch_sigma_pct=100 * counter.config.sketch_class().expected_std_error(m),
         )
-        builder = DHSHistogramBuilder(counter, spec, relation.name)
-        rng = rng_for(seed, "origins", m, estimator)
-        errors = []
-        for _ in range(trials):
-            reconstruction = builder.reconstruct(origin=ring.random_live_node(rng))
-            errors.append(reconstruction.histogram.mean_cell_error(truth))
-        sketch_cls = counter.config.sketch_class()
-        rows.append(
-            HistogramAccuracyRow(
-                m=m,
-                estimator=estimator,
-                cell_error_pct=100 * sum(errors) / len(errors),
-                sketch_sigma_pct=100 * sketch_cls.expected_std_error(m),
-            )
+        for estimator, counter, truth, runs in reconstruct_both(
+            seed, m=m, n_nodes=n_nodes, n_buckets=n_buckets, n_items=n_items,
+            trials=trials, origins="origins",
         )
-    return rows
-
-
-def run_histogram_accuracy(
-    ms: Sequence[int] = (64, 128, 256),
-    n_nodes: int = 64,
-    n_buckets: int = 20,
-    n_items: int = 2_400_000,
-    trials: int = 2,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[HistogramAccuracyRow]:
-    """Cell error versus ``m`` in the miss-free regime."""
-    specs = [
-        TrialSpec(
-            fn=_histogram_accuracy_cell,
-            seed=seed,
-            kwargs={
-                "m": m,
-                "n_nodes": n_nodes,
-                "n_buckets": n_buckets,
-                "n_items": n_items,
-                "trials": trials,
-            },
-            label=f"histogram_accuracy/m{m}",
-        )
-        for m in ms
     ]
-    rows: List[HistogramAccuracyRow] = []
-    for cell in run_trials(specs, jobs=jobs):
-        rows.extend(cell)
-    return rows
+
+
+def _cells(params: Params) -> List[TrialSpec]:
+    return [
+        TrialSpec(fn=_histogram_accuracy_cell, seed=params["seed"], kwargs={"m": m})
+        for m in params["ms"]
+    ]
 
 
 def format_histogram_accuracy(rows: List[HistogramAccuracyRow]) -> str:
     """Render the per-cell error sweep."""
-    by_m: dict[int, dict[str, HistogramAccuracyRow]] = {}
-    for row in rows:
-        by_m.setdefault(row.m, {})[row.estimator] = row
-    table_rows = []
-    for m in sorted(by_m):
-        sll, pcsa = by_m[m]["sll"], by_m[m]["pcsa"]
-        table_rows.append(
-            [
-                m,
-                f"{sll.cell_error_pct:.1f}",
-                f"{pcsa.cell_error_pct:.1f}",
-                f"{sll.sketch_sigma_pct:.1f} / {pcsa.sketch_sigma_pct:.1f}",
-            ]
-        )
-    return format_table(
+    return format_rows(
         "Histogram per-cell error vs m",
-        ["m", "sLL cell err %", "PCSA cell err %", "theory sigma % (sLL/PCSA)"],
-        table_rows,
+        [
+            ("m", "{0[0]}"), ("sLL cell err %", "{0[1].cell_error_pct:.1f}"),
+            ("PCSA cell err %", "{0[2].cell_error_pct:.1f}"),
+            (
+                "theory sigma % (sLL/PCSA)",
+                "{0[1].sketch_sigma_pct:.1f} / {0[2].sketch_sigma_pct:.1f}",
+            ),
+        ],
+        estimator_pairs(rows, "m"),
     )
+
+
+HISTOGRAM_ACCURACY = Experiment(
+    "histogram-accuracy", "§5.2 per-cell histogram error", ("histogram_accuracy",),
+    # Miss-free regime: a small overlay and a moderately large relation.
+    dict(seed=1, ms=(64, 128, 256), n_nodes=64, n_buckets=20, n_items=2_400_000, trials=2),
+    cells=_cells,
+    reduce=concat,
+    render=lambda rows, params: {"histogram_accuracy": format_histogram_accuracy(rows)},
+)

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring, populate_histogram_metrics
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, build_ring, populate_histogram_metrics
+from repro.experiments.report import format_rows
 from repro.histograms.advanced import derive_histogram
 from repro.histograms.buckets import BucketSpec
 from repro.histograms.builder import DHSHistogramBuilder
@@ -25,7 +25,7 @@ from repro.histograms.histogram import Histogram
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import make_relation
 
-__all__ = ["HistogramTypeRow", "run_histogram_types", "format_histogram_types"]
+__all__ = ["HISTOGRAM_TYPES", "HistogramTypeRow", "format_histogram_types"]
 
 
 @dataclass
@@ -39,16 +39,17 @@ class HistogramTypeRow:
     oracle_error_pct: float
 
 
-def run_histogram_types(
-    kinds: Sequence[str] = ("equi_width", "equi_depth", "compressed", "maxdiff", "v_optimal"),
-    n_nodes: int = 64,
-    n_micro: int = 100,
-    budget: int = 10,
-    n_items: int = 1_000_000,
-    num_bitmaps: int = 64,
-    theta: float = 1.0,
-    n_queries: int = 300,
-    seed: int = 0,
+def _run(
+    *,
+    kinds: Sequence[str],
+    n_nodes: int,
+    n_micro: int,
+    budget: int,
+    n_items: int,
+    num_bitmaps: int,
+    theta: float,
+    n_queries: int,
+    seed: int,
 ) -> List[HistogramTypeRow]:
     """Compare derived histogram kinds at an equal bucket budget."""
     relation = make_relation(
@@ -101,11 +102,22 @@ def run_histogram_types(
 
 def format_histogram_types(rows: List[HistogramTypeRow]) -> str:
     """Render the histogram-kind comparison."""
-    return format_table(
+    return format_rows(
         "Histogram types derived from DHS micro-buckets (footnote 5)",
-        ["kind", "buckets", "range err % (DHS)", "range err % (exact micro)"],
         [
-            [row.kind, row.buckets, f"{row.mean_range_error_pct:.1f}", f"{row.oracle_error_pct:.1f}"]
-            for row in rows
+            ("kind", "{0.kind}"), ("buckets", "{0.buckets}"),
+            ("range err % (DHS)", "{0.mean_range_error_pct:.1f}"),
+            ("range err % (exact micro)", "{0.oracle_error_pct:.1f}"),
         ],
+        rows,
     )
+
+
+HISTOGRAM_TYPES = Experiment(
+    "histogram-types", "footnote 5: v-optimal/maxdiff/compressed", ("histogram_types",),
+    dict(seed=1, kinds=("equi_width", "equi_depth", "compressed", "maxdiff", "v_optimal"),
+         n_nodes=64, n_micro=100, budget=10, n_items=1_000_000, num_bitmaps=64, theta=1.0,
+         n_queries=300),
+    run=_run,
+    render=lambda rows, params: {"histogram_types": format_histogram_types(rows)},
+)

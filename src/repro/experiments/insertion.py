@@ -7,7 +7,7 @@ The paper reports, for the 1024-node / 512-bitmap setup:
   histogram buckets with 512 bitmaps each (theoretical worst case
   ~400 kB = 100 buckets x 512 vectors x 8 B).
 
-``run_insertion_experiment`` measures the same three quantities: mean
+The ``insertion`` entry measures the same three quantities: mean
 hops and bytes over per-item insertions, and the per-node storage
 distribution after loading a relation's histogram metrics.
 """
@@ -20,16 +20,12 @@ from typing import List
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import (
-    build_ring,
-    env_scale,
-    populate_histogram_metrics,
-)
+from repro.experiments.common import Experiment, build_ring, populate_histogram_metrics
 from repro.experiments.report import format_kv
 from repro.sim.seeds import rng_for
 from repro.workloads.relations import make_relation
 
-__all__ = ["InsertionReport", "run_insertion_experiment"]
+__all__ = ["INSERTION", "InsertionReport"]
 
 
 @dataclass
@@ -66,16 +62,16 @@ class InsertionReport:
         )
 
 
-def run_insertion_experiment(
-    n_nodes: int = 1024,
-    num_bitmaps: int = 512,
-    n_buckets: int = 100,
-    scale: float | None = None,
-    probe_inserts: int = 2000,
-    seed: int = 0,
+def _run(
+    *,
+    n_nodes: int,
+    num_bitmaps: int,
+    n_buckets: int,
+    scale: float,
+    probe_inserts: int,
+    seed: int,
 ) -> InsertionReport:
     """Measure per-insertion cost and per-node storage for one relation."""
-    scale = env_scale(1e-2) if scale is None else scale
     ring = build_ring(n_nodes, seed=seed)
     config = DHSConfig(num_bitmaps=num_bitmaps)
     dhs = DistributedHashSketch(ring, config, seed=seed)
@@ -109,3 +105,12 @@ def run_insertion_experiment(
             n_buckets * num_bitmaps * config.size_model.tuple_bytes
         ),
     )
+
+
+INSERTION = Experiment(
+    "insertion", "§5.2 insertion & maintenance costs", ("insertion_costs",),
+    dict(seed=1, n_nodes=1024, num_bitmaps=512, n_buckets=100, scale=1e-2,
+         probe_inserts=2000),
+    run=_run,
+    render=lambda report, params: {"insertion_costs": report.format()},
+)

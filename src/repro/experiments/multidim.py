@@ -14,13 +14,13 @@ from typing import List, Sequence
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring, populate_metric
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, build_ring, populate_metric
+from repro.experiments.report import format_rows
 from repro.sim.seeds import derive_seed, rng_for
 
 import numpy as np
 
-__all__ = ["MultiDimRow", "run_multidim", "format_multidim"]
+__all__ = ["MULTIDIM", "MultiDimRow", "format_multidim"]
 
 
 @dataclass
@@ -33,13 +33,14 @@ class MultiDimRow:
     lookups: float
 
 
-def run_multidim(
-    metric_counts: Sequence[int] = (1, 4, 16, 64),
-    n_nodes: int = 128,
-    items_per_metric: int = 20_000,
-    num_bitmaps: int = 64,
-    trials: int = 3,
-    seed: int = 0,
+def _run(
+    *,
+    metric_counts: Sequence[int],
+    n_nodes: int,
+    items_per_metric: int,
+    num_bitmaps: int,
+    trials: int,
+    seed: int,
 ) -> List[MultiDimRow]:
     """Hop/byte cost versus number of metrics per counting operation."""
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring"))
@@ -82,8 +83,20 @@ def run_multidim(
 
 def format_multidim(rows: List[MultiDimRow]) -> str:
     """Render the metric-count sweep."""
-    return format_table(
+    return format_rows(
         "Multi-dimension counting: cost vs metrics per operation",
-        ["metrics", "hops", "BW (kB)", "DHT lookups"],
-        [[r.metrics, f"{r.hops:.0f}", f"{r.bytes_kb:.1f}", f"{r.lookups:.0f}"] for r in rows],
+        [
+            ("metrics", "{0.metrics}"), ("hops", "{0.hops:.0f}"),
+            ("BW (kB)", "{0.bytes_kb:.1f}"), ("DHT lookups", "{0.lookups:.0f}"),
+        ],
+        rows,
     )
+
+
+MULTIDIM = Experiment(
+    "multidim", "§4.2 multi-dimension counting", ("multidim",),
+    dict(seed=1, metric_counts=(1, 4, 16, 64), n_nodes=128, items_per_metric=20_000,
+         num_bitmaps=64, trials=3),
+    run=_run,
+    render=lambda rows, params: {"multidim": format_multidim(rows)},
+)

@@ -19,32 +19,24 @@ function of the deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring, env_scale, sample_counts
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, Params, build_ring, sample_counts
+from repro.experiments.report import format_rows
 from repro.obs import runtime as obs
 from repro.obs.metrics import GAUGE_RING_MEMBERSHIP_BYTES_PER_NODE
 from repro.overlay.stats import OpCost
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.multitenant import (
-    TENANT_ID_STRIDE,
-    load_balance,
-    tenant_metric,
-    tenant_op_counts,
+    TENANT_ID_STRIDE, load_balance, tenant_metric, tenant_op_counts,
 )
 
-__all__ = [
-    "MultitenantRow",
-    "format_multitenant",
-    "populate_tenants",
-    "run_multitenant",
-]
+__all__ = ["MULTITENANT", "MultitenantRow", "format_multitenant", "populate_tenants"]
 
 
 @dataclass
@@ -173,78 +165,53 @@ def _multitenant_cell(
     )
 
 
-def run_multitenant(
-    node_counts: Sequence[int] = (256, 1024),
-    n_tenants: Optional[int] = None,
-    total_ops: Optional[int] = None,
-    theta: float = 0.7,
-    num_bitmaps: int = 64,
-    count_tenants: int = 4,
-    trials: int = 2,
-    scale: float | None = None,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[MultitenantRow]:
-    """Storage balance and counting cost versus overlay size.
+def _cells(params: Params) -> List[TrialSpec]:
+    """One cell per overlay size.
 
     At ``scale=1.0`` the workload is the ROADMAP target — 10^6 tenants,
-    2x10^7 operations; the default CI scale (``DHS_SCALE`` or 1e-2)
-    shrinks both proportionally with a floor that keeps the Zipf shape
-    measurable.
+    2x10^7 operations; smaller scales shrink both proportionally with a
+    floor that keeps the Zipf shape measurable.
     """
-    scale = env_scale(1e-2) if scale is None else scale
+    scale = params["scale"]
+    n_tenants = params["n_tenants"]
     if n_tenants is None:
         n_tenants = max(64, int(1_000_000 * scale))
+    total_ops = params["total_ops"]
     if total_ops is None:
         total_ops = max(8 * n_tenants, int(20_000_000 * scale))
-    specs = [
+    return [
         TrialSpec(
             fn=_multitenant_cell,
-            seed=seed,
-            kwargs={
-                "n_nodes": n_nodes,
-                "n_tenants": n_tenants,
-                "total_ops": total_ops,
-                "theta": theta,
-                "num_bitmaps": num_bitmaps,
-                "count_tenants": count_tenants,
-                "trials": trials,
-            },
-            label=f"multitenant/n{n_nodes}",
+            seed=params["seed"],
+            kwargs={"n_nodes": n_nodes, "n_tenants": n_tenants, "total_ops": total_ops},
         )
-        for n_nodes in node_counts
+        for n_nodes in params["node_counts"]
     ]
-    return list(run_trials(specs, jobs=jobs))
 
 
 def format_multitenant(rows: List[MultitenantRow]) -> str:
     """Render the multi-tenant balance sweep."""
-    table_rows = []
-    for row in sorted(rows, key=lambda r: r.n_nodes):
-        table_rows.append(
-            [
-                row.n_nodes,
-                f"{row.active_tenants}/{row.n_tenants}",
-                row.total_ops,
-                f"{row.storage_max_mean:.2f}",
-                f"{row.storage_gini:.3f}",
-                f"{row.hops:.0f}",
-                f"{100.0 * row.error:.1f}%",
-                f"{row.membership_bytes_per_node:.1f}",
-            ]
-        )
-    return format_table(
+    return format_rows(
         f"Multi-tenant Zipf workload (theta={rows[0].theta:g})" if rows else
         "Multi-tenant Zipf workload",
         [
-            "nodes",
-            "tenants",
-            "ops",
-            "storage max/mean",
-            "gini",
-            "hops",
-            "err",
-            "B/node",
+            ("nodes", "{0.n_nodes}"), ("tenants", "{0.active_tenants}/{0.n_tenants}"),
+            ("ops", "{0.total_ops}"), ("storage max/mean", "{0.storage_max_mean:.2f}"),
+            ("gini", "{0.storage_gini:.3f}"), ("hops", "{0.hops:.0f}"),
+            ("err", lambda row: f"{100.0 * row.error:.1f}%"),
+            ("B/node", "{0.membership_bytes_per_node:.1f}"),
         ],
-        table_rows,
+        sorted(rows, key=lambda r: r.n_nodes),
     )
+
+
+MULTITENANT = Experiment(
+    "multitenant", "multi-tenant Zipf workload: storage balance at scale", (),
+    # n_tenants and total_ops None: derived from scale.
+    dict(seed=1, node_counts=(256, 1024), n_tenants=None, total_ops=None, theta=0.7,
+         num_bitmaps=64, count_tenants=4, trials=2, scale=1e-2),
+    cells=_cells,
+    render=lambda rows, params: {"multitenant": format_multitenant(rows)},
+    nodes="node_counts",
+    node_value=lambda n_nodes: (n_nodes,),
+)

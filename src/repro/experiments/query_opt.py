@@ -6,7 +6,7 @@ transfers far fewer bytes than a naive order, and the one-off cost of
 reconstructing the histograms over DHS (~1 MB at paper scale) is orders
 of magnitude below the savings.
 
-``run_query_opt`` measures, for a join over Q/R/S/T:
+The ``query-opt`` entry measures, for a join over Q/R/S/T:
 
 * actual bytes shipped by the plan the optimizer picks from
   DHS-reconstructed histograms;
@@ -22,7 +22,7 @@ from typing import List
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring, env_scale, populate_histogram_metrics
+from repro.experiments.common import Experiment, build_ring, populate_histogram_metrics
 from repro.experiments.report import format_kv
 from repro.histograms.buckets import BucketSpec
 from repro.query.catalog import Catalog
@@ -32,7 +32,7 @@ from repro.query.plans import left_deep_plan
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import standard_relations
 
-__all__ = ["QueryOptReport", "run_query_opt"]
+__all__ = ["QUERY_OPT", "QueryOptReport"]
 
 
 @dataclass
@@ -70,15 +70,15 @@ class QueryOptReport:
         )
 
 
-def run_query_opt(
-    n_nodes: int = 128,
-    num_bitmaps: int = 128,
-    n_buckets: int = 20,
-    scale: float | None = None,
-    seed: int = 0,
+def _run(
+    *,
+    n_nodes: int,
+    num_bitmaps: int,
+    n_buckets: int,
+    scale: float,
+    seed: int,
 ) -> QueryOptReport:
     """Compare DHS-informed, naive, and oracle join orders."""
-    scale = env_scale(2e-3) if scale is None else scale
     relations = standard_relations(scale=scale, seed=derive_seed(seed, "relations"))
     by_name = {relation.name: relation for relation in relations}
     names = [relation.name for relation in relations]
@@ -122,3 +122,11 @@ def run_query_opt(
         histogram_cost_mb=dhs_catalog.acquisition_cost.bytes / (1024 * 1024),
         histogram_cost_hops=dhs_catalog.acquisition_cost.hops,
     )
+
+
+QUERY_OPT = Experiment(
+    "query-opt", "§5.2 join-ordering savings", ("query_opt",),
+    dict(seed=1, n_nodes=128, num_bitmaps=128, n_buckets=20, scale=2e-3),
+    run=_run,
+    render=lambda report, params: {"query_opt": report.format()},
+)

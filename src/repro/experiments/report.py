@@ -7,9 +7,13 @@ rows the same way the paper lays them out.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, Callable, Iterable, List, Sequence, Tuple, Union
 
-__all__ = ["format_table", "format_kv"]
+__all__ = ["estimator_pairs", "format_table", "format_rows", "format_kv"]
+
+#: A column's cell: a ``str.format`` template of the row (``"{0.hops:.0f}"``)
+#: or a function of it.
+Column = Union[str, Callable[[Any], str]]
 
 
 def format_table(title: str, headers: Sequence[str], rows: List[Sequence[object]]) -> str:
@@ -24,6 +28,28 @@ def format_table(title: str, headers: Sequence[str], rows: List[Sequence[object]
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def format_rows(
+    title: str, columns: Sequence[Tuple[str, Column]], rows: Iterable[Any]
+) -> str:
+    """Render one line per row under ``(header, cell)`` columns."""
+    return format_table(
+        title,
+        [header for header, _ in columns],
+        [
+            [cell.format(row) if isinstance(cell, str) else cell(row) for _, cell in columns]
+            for row in rows
+        ],
+    )
+
+
+def estimator_pairs(rows: Iterable[Any], key: str) -> List[Tuple[Any, Any, Any]]:
+    """``(value, sLL row, PCSA row)`` per value of the ``key`` field, ascending."""
+    by: dict[Any, dict[str, Any]] = {}
+    for row in rows:
+        by.setdefault(getattr(row, key), {})[row.estimator] = row
+    return [(value, by[value]["sll"], by[value]["pcsa"]) for value in sorted(by)]
 
 
 def format_kv(title: str, pairs: Sequence[tuple[str, object]]) -> str:

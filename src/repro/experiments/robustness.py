@@ -11,19 +11,19 @@ overhead of routing around the corpses, for several replication degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import populate_metric, sample_counts
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, Params, populate_metric, sample_counts
+from repro.experiments.report import format_rows
 from repro.overlay.chord import ChordRing
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
-__all__ = ["RobustnessRow", "run_failure_robustness", "format_robustness"]
+__all__ = ["ROBUSTNESS", "RobustnessRow", "format_robustness"]
 
 
 @dataclass
@@ -88,19 +88,8 @@ def _robustness_cell(
     return points
 
 
-def run_failure_robustness(
-    failure_fractions: Sequence[float] = (0.0, 0.15, 0.3),
-    replications: Sequence[int] = (0, 3),
-    n_nodes: int = 256,
-    n_items: int = 300_000,
-    num_bitmaps: int = 512,
-    estimator: str = "pcsa",
-    trials: int = 2,
-    draws: int = 3,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[RobustnessRow]:
-    """Counting error/hops versus the undetected-failure fraction.
+def _cells(params: Params) -> List[TrialSpec]:
+    """One cell per (replication, draw).
 
     Failure fractions must be ascending: each deployment is populated
     once per random draw and failures accumulate, which both matches how
@@ -108,43 +97,35 @@ def run_failure_robustness(
     averaged over ``draws`` independent failure patterns (the PCSA
     collapse is bimodal, so single draws are noisy).
     """
-    if list(failure_fractions) != sorted(failure_fractions):
+    fractions = tuple(params["failure_fractions"])
+    if list(fractions) != sorted(fractions):
         raise ValueError("failure_fractions must be ascending")
-    specs = [
+    return [
         TrialSpec(
             fn=_robustness_cell,
-            seed=seed,
-            kwargs={
-                "replication": replication,
-                "draw": draw,
-                "failure_fractions": tuple(failure_fractions),
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "num_bitmaps": num_bitmaps,
-                "estimator": estimator,
-                "trials": trials,
-            },
-            label=f"robustness/R{replication}/d{draw}",
+            seed=params["seed"],
+            kwargs={"replication": replication, "draw": draw, "failure_fractions": fractions},
         )
-        for replication in replications
-        for draw in range(draws)
+        for replication in params["replications"]
+        for draw in range(params["draws"])
     ]
-    results = run_trials(specs, jobs=jobs)
-    accum: dict[tuple[float, int], list[tuple[float, float]]] = {}
-    for spec, points in zip(specs, results):
-        replication = spec.kwargs["replication"]
-        for p_f, error, hops in points:
-            accum.setdefault((p_f, replication), []).append((error, hops))
+
+
+def _reduce(
+    results: List[List[Tuple[float, float, float]]], params: Params
+) -> List[RobustnessRow]:
+    """Average every (p_f, R) point over its draws."""
+    draws = params["draws"]
     rows: List[RobustnessRow] = []
-    for replication in replications:
-        for p_f in failure_fractions:
-            samples = accum[(p_f, replication)]
+    for index, replication in enumerate(params["replications"]):
+        # One tuple per p_f, holding that point of every draw.
+        for points in zip(*results[index * draws : (index + 1) * draws]):
             rows.append(
                 RobustnessRow(
-                    p_f=p_f,
+                    p_f=points[0][0],
                     replication=replication,
-                    error_pct=100 * sum(e for e, _ in samples) / len(samples),
-                    hops=sum(h for _, h in samples) / len(samples),
+                    error_pct=100 * sum(error for _, error, _ in points) / draws,
+                    hops=sum(hops for _, _, hops in points) / draws,
                 )
             )
     return rows
@@ -152,11 +133,21 @@ def run_failure_robustness(
 
 def format_robustness(rows: List[RobustnessRow]) -> str:
     """Render the (p_f x R) grid."""
-    return format_table(
+    return format_rows(
         "Counting under undetected failures (section 3.5, lazy p_f model)",
-        ["p_f", "R", "error %", "hops"],
         [
-            [f"{row.p_f:.2f}", row.replication, f"{row.error_pct:.1f}", f"{row.hops:.0f}"]
-            for row in rows
+            ("p_f", "{0.p_f:.2f}"), ("R", "{0.replication}"),
+            ("error %", "{0.error_pct:.1f}"), ("hops", "{0.hops:.0f}"),
         ],
+        rows,
     )
+
+
+ROBUSTNESS = Experiment(
+    "robustness", "§3.5 undetected failures vs replication", ("failure_robustness",),
+    dict(seed=1, failure_fractions=(0.0, 0.15, 0.3), replications=(0, 3), n_nodes=256,
+         n_items=300_000, num_bitmaps=512, estimator="pcsa", trials=2, draws=3),
+    cells=_cells,
+    reduce=_reduce,
+    render=lambda rows, params: {"failure_robustness": format_robustness(rows)},
+)

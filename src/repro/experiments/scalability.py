@@ -2,7 +2,7 @@
 
 The paper's (omitted) figure: average counting hop-count grows only
 logarithmically, from ~109/97 hops (sLL/PCSA) at 1024 nodes to ~112/103
-at 10240 nodes — and then *extrapolates*.  ``run_scalability`` sweeps
+at 10240 nodes — and then *extrapolates*.  The ``scalability`` entry sweeps
 the node count with the workload held fixed and reports mean counting
 hops, accuracy, and per-node storage balance per estimator; with the
 memory-lean overlay the sweep extends to the N=10^5–10^6 deployments
@@ -21,25 +21,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import DHSConfig
-from repro.core.dhs import DistributedHashSketch
 from repro.errors import ConfigurationError
-from repro.experiments.common import build_ring, env_scale, populate_relation, sample_counts
-from repro.experiments.report import format_table
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.experiments.common import Experiment, Params, build_ring, concat, count_both
+from repro.experiments.report import estimator_pairs, format_rows
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.multitenant import load_balance
 from repro.workloads.relations import make_relation
 
 __all__ = [
-    "ScalabilityRow",
-    "fit_log2_coefficient",
-    "format_scalability",
-    "run_scalability",
+    "SCALABILITY", "ScalabilityRow", "fit_log2_coefficient", "format_scalability",
     "sweep_node_counts",
 ]
 
@@ -86,80 +82,41 @@ def _scalability_cell(
     *,
     n_nodes: int,
     num_bitmaps: int,
-    n_items: int,
+    scale: float,
     trials: int,
 ) -> List[ScalabilityRow]:
     """One network size: same workload (same ``rel`` sub-seed) every cell."""
+    n_items = max(1000, int(20_000_000 * scale))
     relation = make_relation("R", n_items, seed=derive_seed(seed, "rel"))
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring", n_nodes))
-    writer = DistributedHashSketch(
-        ring,
-        DHSConfig(num_bitmaps=num_bitmaps, hash_seed=seed),
-        seed=derive_seed(seed, "writer", n_nodes),
-    )
-    populate_relation(writer, relation, seed=derive_seed(seed, "load", n_nodes))
+    config = DHSConfig(num_bitmaps=num_bitmaps, hash_seed=seed)
+    writer, samples = count_both(ring, config, [relation], seed, trials, n_nodes)
+    # Counting writes nothing, so this is the storage population left.
     balance = load_balance(
         np.fromiter(
             writer.storage_per_node().values(), dtype=np.float64, count=ring.size
         )
     )
-    rows: List[ScalabilityRow] = []
-    for estimator in ("sll", "pcsa"):
-        counter = DistributedHashSketch(
-            ring,
-            DHSConfig(num_bitmaps=num_bitmaps, hash_seed=seed, estimator=estimator),
-            seed=derive_seed(seed, "counter", n_nodes, estimator),
+    return [
+        ScalabilityRow(
+            n_nodes=n_nodes,
+            estimator=estimator,
+            hops=sample.mean_hops(),
+            nodes_visited=sample.mean_nodes(),
+            lookups=sum(sample.lookups) / len(sample.lookups),
+            error=sample.mean_abs_rel_error(),
+            load_max_mean=balance.max_mean,
+            load_gini=balance.gini,
         )
-        sample = sample_counts(
-            counter,
-            {relation.name: float(relation.size)},
-            trials=trials,
-            seed=derive_seed(seed, "origins", n_nodes),
-        )
-        rows.append(
-            ScalabilityRow(
-                n_nodes=n_nodes,
-                estimator=estimator,
-                hops=sample.mean_hops(),
-                nodes_visited=sample.mean_nodes(),
-                lookups=sum(sample.lookups) / len(sample.lookups),
-                error=sample.mean_abs_rel_error(),
-                load_max_mean=balance.max_mean,
-                load_gini=balance.gini,
-            )
-        )
-    return rows
-
-
-def run_scalability(
-    node_counts: Sequence[int] = (256, 1024, 4096),
-    num_bitmaps: int = 512,
-    scale: float | None = None,
-    trials: int = 3,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[ScalabilityRow]:
-    """Counting hops versus overlay size, workload held fixed."""
-    scale = env_scale(1e-2) if scale is None else scale
-    n_items = max(1000, int(20_000_000 * scale))
-    specs = [
-        TrialSpec(
-            fn=_scalability_cell,
-            seed=seed,
-            kwargs={
-                "n_nodes": n_nodes,
-                "num_bitmaps": num_bitmaps,
-                "n_items": n_items,
-                "trials": trials,
-            },
-            label=f"scalability/n{n_nodes}",
-        )
-        for n_nodes in node_counts
+        for estimator, sample in samples.items()
     ]
-    rows: List[ScalabilityRow] = []
-    for cell in run_trials(specs, jobs=jobs):
-        rows.extend(cell)
-    return rows
+
+
+def _cells(params: Params) -> List[TrialSpec]:
+    return [
+        TrialSpec(fn=_scalability_cell, seed=params["seed"], kwargs={"n_nodes": n_nodes})
+        for n_nodes in params["node_counts"]
+    ]
 
 
 def fit_log2_coefficient(
@@ -185,36 +142,29 @@ def fit_log2_coefficient(
 def format_scalability(rows: List[ScalabilityRow]) -> str:
     """Render the scalability sweep against the O(log N) fit."""
     coefficient = fit_log2_coefficient(rows)
-    by_n: dict[int, dict[str, ScalabilityRow]] = {}
-    for row in rows:
-        by_n.setdefault(row.n_nodes, {})[row.estimator] = row
-    table_rows = []
-    for n_nodes in sorted(by_n):
-        sll, pcsa = by_n[n_nodes]["sll"], by_n[n_nodes]["pcsa"]
-        predicted = coefficient * math.log2(n_nodes)
-        table_rows.append(
-            [
-                n_nodes,
-                f"{sll.hops:.0f} / {pcsa.hops:.0f}",
-                f"{predicted:.0f}",
-                f"{sll.nodes_visited:.0f} / {pcsa.nodes_visited:.0f}",
-                f"{sll.lookups:.0f} / {pcsa.lookups:.0f}",
-                f"{100.0 * sll.error:.1f} / {100.0 * pcsa.error:.1f}%",
-                f"{sll.load_max_mean:.2f}",
-                f"{sll.load_gini:.3f}",
-            ]
-        )
-    return format_table(
+    return format_rows(
         "Scalability: counting cost vs network size (sLL/PCSA)",
         [
-            "nodes",
-            "hops",
-            "c*log2N",
-            "nodes visited",
-            "DHT lookups",
-            "err",
-            "load max/mean",
-            "gini",
+            ("nodes", "{0[0]}"), ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
+            ("c*log2N", lambda pair: f"{coefficient * math.log2(pair[0]):.0f}"),
+            ("nodes visited", "{0[1].nodes_visited:.0f} / {0[2].nodes_visited:.0f}"),
+            ("DHT lookups", "{0[1].lookups:.0f} / {0[2].lookups:.0f}"),
+            ("err", lambda p: f"{100.0 * p[1].error:.1f} / {100.0 * p[2].error:.1f}%"),
+            ("load max/mean", "{0[1].load_max_mean:.2f}"),
+            ("gini", "{0[1].load_gini:.3f}"),
         ],
-        table_rows,
+        estimator_pairs(rows, "n_nodes"),
     )
+
+
+SCALABILITY = Experiment(
+    "scalability", "§5.2 scalability (hops vs N)", ("scalability",),
+    dict(seed=1, node_counts=(256, 1024, 4096), num_bitmaps=512, scale=1e-2, trials=3),
+    cells=_cells,
+    reduce=concat,
+    render=lambda rows, params: {"scalability": format_scalability(rows)},
+    # --nodes N caps the geometric N=10^3 -> N ladder (1000000 runs the
+    # full 1e3/1e4/1e5/1e6 sweep); the workload stays fixed.
+    nodes="node_counts",
+    node_value=sweep_node_counts,
+)

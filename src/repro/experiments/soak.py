@@ -22,7 +22,7 @@ the robustness machinery exposes:
 
 Two maintenance policies face the *identical* ring, fault schedule and
 traffic (policy-independent seed paths): ``readrepair`` heals only where
-a count happens to walk; ``antientropy`` additionally runs digest-tree
+a count happens to walk; ``antientropy`` additionally runs anti-entropy
 reconciliation through the :class:`~repro.core.maintenance.MaintenanceScheduler`
 every ``antientropy_every`` ticks.
 
@@ -41,25 +41,23 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.maintenance import MaintenanceConfig
 from repro.core.policy import RetryPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.report import format_table
+from repro.experiments.common import Experiment, Params
+from repro.experiments.faultmatrix import FAULTMATRIX, FaultMatrixRow
+from repro.experiments.report import format_rows
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
 __all__ = [
-    "SOAK_FAULT_CYCLE",
-    "SOAK_POLICIES",
-    "SoakRow",
-    "run_soak",
-    "format_soak",
+    "GATE", "SOAK", "SOAK_FAULT_CYCLE", "SOAK_POLICIES", "SoakRow", "format_soak",
     "soak_plan",
 ]
 
@@ -279,86 +277,103 @@ def _soak_cell(
     )
 
 
-def run_soak(
-    policies: Sequence[str] = ("readrepair", "antientropy"),
-    ticks: int = 60,
-    fault_every: Optional[int] = 12,
-    fraction: float = 0.15,
-    duration: int = 4,
-    n_nodes: int = 64,
-    items_per_tick: int = 50,
-    num_bitmaps: int = 32,
-    estimator: str = "sll",
-    replication: int = 2,
-    count_every: int = 2,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[SoakRow]:
-    """Soak every policy against the identical churn schedule."""
-    for name in policies:
+def _cells(params: Params) -> List[TrialSpec]:
+    """Every policy against the identical churn schedule, then the gate."""
+    for name in params["policies"]:
         if name not in SOAK_POLICIES:
             raise ConfigurationError(
                 f"unknown soak policy {name!r}; expected one of {sorted(SOAK_POLICIES)}"
             )
-    specs = [
-        TrialSpec(
-            fn=_soak_cell,
-            seed=seed,
-            kwargs={
-                "policy_name": name,
-                "ticks": ticks,
-                "fault_every": fault_every,
-                "fraction": fraction,
-                "duration": duration,
-                "n_nodes": n_nodes,
-                "items_per_tick": items_per_tick,
-                "num_bitmaps": num_bitmaps,
-                "estimator": estimator,
-                "replication": replication,
-                "count_every": count_every,
-            },
-            label=f"soak/{name}/t{ticks}",
-        )
-        for name in policies
+    soak = [
+        TrialSpec(fn=_soak_cell, seed=params["seed"], kwargs={"policy_name": name})
+        for name in params["policies"]
     ]
-    return list(run_trials(specs, jobs=jobs))
+    gate = _gate_params(params)
+    return soak + (FAULTMATRIX.grid(gate) if gate is not None else [])
+
+
+def _gate_params(params: Params) -> Optional[Params]:
+    if params["gate"] is None:
+        return None
+    return FAULTMATRIX.resolve({**params["gate"], "seed": params["seed"]})
+
+
+def _reduce(
+    results: List[Any], params: Params
+) -> Tuple[List[SoakRow], Optional[List[FaultMatrixRow]]]:
+    """The soak rows, and the gate's fault-matrix rows (``None`` when off)."""
+    split = len(params["policies"])
+    gate = _gate_params(params)
+    return results[:split], (
+        FAULTMATRIX.fold(results[split:], gate) if gate is not None else None
+    )
 
 
 def format_soak(rows: List[SoakRow]) -> str:
     """Render the soak comparison."""
-    return format_table(
+    return format_rows(
         "Continuous-churn soak: divergence, convergence and repair cost",
         [
-            "policy",
-            "ticks",
-            "faults",
-            "div mean",
-            "div peak",
-            "div end",
-            "conv ticks",
-            "repair kB",
-            "writes",
-            "under %",
-            "end under %",
-            "degr %",
-            "min conf",
+            ("policy", "{0.policy}"), ("ticks", "{0.ticks}"), ("faults", "{0.faults}"),
+            ("div mean", "{0.mean_divergence:.1f}"),
+            ("div peak", "{0.peak_divergence}"), ("div end", "{0.final_divergence}"),
+            ("conv ticks", "{0.mean_convergence_ticks:.1f}"),
+            ("repair kB", "{0.repair_kb:.1f}"), ("writes", "{0.repair_writes}"),
+            ("under %", "{0.mean_underread_pct:.1f}"),
+            ("end under %", "{0.final_underread_pct:.1f}"),
+            ("degr %", "{0.degraded_pct:.0f}"), ("min conf", "{0.min_confidence:.3f}"),
         ],
-        [
-            [
-                row.policy,
-                row.ticks,
-                row.faults,
-                f"{row.mean_divergence:.1f}",
-                row.peak_divergence,
-                row.final_divergence,
-                f"{row.mean_convergence_ticks:.1f}",
-                f"{row.repair_kb:.1f}",
-                row.repair_writes,
-                f"{row.mean_underread_pct:.1f}",
-                f"{row.final_underread_pct:.1f}",
-                f"{row.degraded_pct:.0f}",
-                f"{row.min_confidence:.3f}",
-            ]
-            for row in rows
-        ],
+        rows,
     )
+
+
+def _render(
+    rows: Tuple[List[SoakRow], Optional[List[FaultMatrixRow]]], params: Params
+) -> Dict[str, str]:
+    soak, gate = rows
+    by = {row.policy: row for row in soak}
+    texts = {"soak": format_soak(soak)}
+    if "antientropy" in by:
+        ae = by["antientropy"]
+        rounds = max(1, ae.ticks)  # antientropy_every=1: one round per tick
+        texts["soak"] += (
+            f"\nanti-entropy repair bandwidth: {ae.repair_kb:.1f} kB over "
+            f"{rounds} rounds ({1024 * ae.repair_kb / rounds:.0f} B/round, "
+            f"{ae.repair_writes} entries rewritten)"
+        )
+    if gate is not None:
+        cells = {(row.fault, row.intensity, row.policy): row for row in gate}
+        lines: List[str] = []
+        for fault in params["gate"]["fault_kinds"]:
+            for intensity in params["gate"]["intensities"]:
+                rr = cells[(fault, intensity, "retry+readrepair")]
+                ae = cells[(fault, intensity, "retry+repair")]
+                lines.append(
+                    f"{fault:10s} p={intensity:.2f}  "
+                    f"readrepair under-read {rr.underread_pct:5.1f}%  ->  "
+                    f"antientropy {ae.underread_pct:5.1f}%"
+                )
+        texts["soak_gate"] = "Anti-entropy under-read gate\n" + "\n".join(lines)
+    return texts
+
+
+#: The anti-entropy acceptance gate: fault-matrix params of the paired
+#: cells where, at this deployment size, every amnesia and partition
+#: cell leaves walk-invisible replicas for read-repair while
+#: anti-entropy's homecoming pass heals them (see docs/ROBUSTNESS.md).
+#: It runs at the soak's seed.
+GATE: Dict[str, Any] = dict(
+    fault_kinds=("amnesia", "partition"), intensities=(0.3, 0.4),
+    policies=("retry+readrepair", "retry+repair"), replications=(2,), n_nodes=96,
+    n_items=6_000, num_bitmaps=32, estimator="sll", trials=3, draws=3,
+)
+
+SOAK = Experiment(
+    "soak", "continuous-churn soak: divergence & repair bandwidth", ("soak", "soak_gate"),
+    dict(seed=3, policies=("readrepair", "antientropy"), ticks=60, fault_every=12,
+         fraction=0.15, duration=4, n_nodes=64, items_per_tick=50, num_bitmaps=32,
+         estimator="sll", replication=2, count_every=2, gate=GATE),
+    cells=_cells,
+    reduce=_reduce,
+    render=_render,
+)

@@ -13,26 +13,16 @@ setup of evaluating DHS-sLL and DHS-PCSA "within DHS".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from repro.core.config import DHSConfig
-from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import (
-    CountSample,
-    build_ring,
-    env_scale,
-    populate_relation,
-    sample_counts,
-)
-from repro.experiments.report import format_table
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.experiments.common import Experiment, Params, build_ring, concat, count_both
+from repro.experiments.report import estimator_pairs, format_rows
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import standard_relations
 
-__all__ = ["Table2Row", "run_table2", "format_table2"]
-
-ESTIMATORS = ("sll", "pcsa")
-
+__all__ = ["TABLE2", "Table2Row", "format_table2"]
 
 @dataclass
 class Table2Row:
@@ -60,98 +50,53 @@ def _table2_cell(
     relations = standard_relations(scale=scale, seed=derive_seed(seed, "relations"))
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring", m))
     config = DHSConfig(key_bits=key_bits, num_bitmaps=m, lim=lim, hash_seed=seed)
-    writer = DistributedHashSketch(ring, config, seed=derive_seed(seed, "writer", m))
-    truths: Dict[str, float] = {}
-    for relation in relations:
-        populate_relation(writer, relation, seed=derive_seed(seed, "load", m))
-        truths[relation.name] = float(relation.size)
-    rows: List[Table2Row] = []
-    for estimator in ESTIMATORS:
-        counter = DistributedHashSketch(
-            ring,
-            DHSConfig(
-                key_bits=key_bits, num_bitmaps=m, lim=lim,
-                hash_seed=seed, estimator=estimator,
-            ),
-            seed=derive_seed(seed, "counter", m, estimator),
+    _, samples = count_both(ring, config, relations, seed, trials, m)
+    return [
+        Table2Row(
+            m=m,
+            estimator=estimator,
+            nodes_visited=sample.mean_nodes(),
+            hops=sample.mean_hops(),
+            bw_kbytes=sample.mean_bytes() / 1024,
+            error_pct=sample.mean_abs_rel_error() * 100,
         )
-        sample: CountSample = sample_counts(
-            counter, truths, trials=trials, seed=derive_seed(seed, "origins", m)
-        )
-        rows.append(
-            Table2Row(
-                m=m,
-                estimator=estimator,
-                nodes_visited=sample.mean_nodes(),
-                hops=sample.mean_hops(),
-                bw_kbytes=sample.mean_bytes() / 1024,
-                error_pct=sample.mean_abs_rel_error() * 100,
-            )
-        )
-    return rows
-
-
-def run_table2(
-    n_nodes: int = 128,
-    ms: Sequence[int] = (128, 256, 512, 1024),
-    scale: float | None = None,
-    trials: int = 2,
-    lim: int = 5,
-    key_bits: int = 24,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> List[Table2Row]:
-    """Reproduce Table 2 at the configured workload scale.
-
-    Default network size is scaled down alongside the workload: retry
-    success is governed by the items-per-(bitmap x node) ratio
-    ``alpha ~ n / (2 m N)``, so shrinking ``n`` by 1000x while keeping
-    ``N = 1024`` would push every configuration past the paper's m=4096
-    collapse point.  ``N = 128`` with a 1/50 workload preserves the
-    regime Table 2 was measured in (see EXPERIMENTS.md).
-    """
-    scale = env_scale(2e-2) if scale is None else scale
-    specs = [
-        TrialSpec(
-            fn=_table2_cell,
-            seed=seed,
-            kwargs={
-                "m": m,
-                "n_nodes": n_nodes,
-                "scale": scale,
-                "trials": trials,
-                "lim": lim,
-                "key_bits": key_bits,
-            },
-            label=f"table2/m{m}",
-        )
-        for m in ms
+        for estimator, sample in samples.items()
     ]
-    rows: List[Table2Row] = []
-    for cell in run_trials(specs, jobs=jobs):
-        rows.extend(cell)
-    return rows
 
 
 def format_table2(rows: List[Table2Row], scale: float) -> str:
     """Render the rows like the paper's Table 2 (sLL/PCSA pairs)."""
-    by_m: Dict[int, Dict[str, Table2Row]] = {}
-    for row in rows:
-        by_m.setdefault(row.m, {})[row.estimator] = row
-    table_rows = []
-    for m in sorted(by_m):
-        sll, pcsa = by_m[m].get("sll"), by_m[m].get("pcsa")
-        table_rows.append(
-            [
-                m,
-                f"{sll.nodes_visited:.0f} / {pcsa.nodes_visited:.0f}",
-                f"{sll.hops:.0f} / {pcsa.hops:.0f}",
-                f"{sll.bw_kbytes:.1f} / {pcsa.bw_kbytes:.1f}",
-                f"{sll.error_pct:.1f} / {pcsa.error_pct:.1f}",
-            ]
-        )
-    return format_table(
+    return format_rows(
         f"Table 2: counting costs, sLL/PCSA (workload scale {scale:g})",
-        ["m", "nodes visited", "hops", "BW (kBytes)", "error (%)"],
-        table_rows,
+        [
+            ("m", "{0[0]}"),
+            ("nodes visited", "{0[1].nodes_visited:.0f} / {0[2].nodes_visited:.0f}"),
+            ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
+            ("BW (kBytes)", "{0[1].bw_kbytes:.1f} / {0[2].bw_kbytes:.1f}"),
+            ("error (%)", "{0[1].error_pct:.1f} / {0[2].error_pct:.1f}"),
+        ],
+        estimator_pairs(rows, "m"),
     )
+
+
+def _cells(params: Params) -> List[TrialSpec]:
+    return [
+        TrialSpec(fn=_table2_cell, seed=params["seed"], kwargs={"m": m})
+        for m in params["ms"]
+    ]
+
+
+#: The network is scaled down alongside the workload: retry success is
+#: governed by the items-per-(bitmap x node) ratio ``alpha ~ n / (2 m N)``,
+#: so shrinking ``n`` 1000x while keeping ``N = 1024`` would push every
+#: configuration past the paper's m=4096 collapse point.  ``N = 128``
+#: with a 1/50 workload preserves the regime Table 2 was measured in
+#: (see EXPERIMENTS.md).
+TABLE2 = Experiment(
+    "table2", "Table 2: counting costs and accuracy", ("table2_counting",),
+    dict(seed=1, n_nodes=128, ms=(128, 256, 512, 1024), scale=2e-2, trials=2, lim=5,
+         key_bits=24),
+    cells=_cells,
+    reduce=concat,
+    render=lambda rows, params: {"table2_counting": format_table2(rows, params["scale"])},
+)

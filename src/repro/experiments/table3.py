@@ -5,30 +5,29 @@ equi-width histogram of a relation stored in the overlay: nodes visited,
 hops, and bandwidth.  The paper's headline is structural: hop count
 matches a single-metric count (the bit→interval map is shared across
 buckets), while bandwidth scales with the bucket count — ~1.4/1.0 MB at
-paper scale.
+paper scale.  The entry also runs the bucket-count pair behind that
+claim: one ``m``, 10 and 100 buckets, at ``seed + 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.experiments.common import (
-    build_ring,
-    env_scale,
-    populate_histogram_metrics,
+    Experiment, Params, build_ring, populate_histogram_metrics,
 )
-from repro.experiments.report import format_table
+from repro.experiments.report import estimator_pairs, format_rows
 from repro.histograms.buckets import BucketSpec
 from repro.histograms.builder import DHSHistogramBuilder
 from repro.histograms.histogram import Histogram
-from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 from repro.workloads.relations import make_relation
 
-__all__ = ["Table3Row", "run_table3", "format_table3"]
+__all__ = ["TABLE3", "Table3Row", "format_table3", "reconstruct_both"]
 
 
 @dataclass
@@ -43,16 +42,13 @@ class Table3Row:
     mean_cell_error_pct: float
 
 
-def _table3_cell(
-    seed: int,
-    *,
-    m: int,
-    n_nodes: int,
-    n_buckets: int,
-    n_items: int,
-    trials: int,
-) -> List[Table3Row]:
-    """One ``m``: rebuild the workload, reconstruct with both estimators."""
+def reconstruct_both(
+    seed: int, *, m: int, n_nodes: int, n_buckets: int, n_items: int, trials: int,
+    origins: str,
+) -> Iterator[Tuple[str, DistributedHashSketch, Histogram, List[Any]]]:
+    """Store one relation's ``n_buckets`` histogram with ``m`` bitmaps, then
+    per estimator rebuild it ``trials`` times from ``origins``-seeded random
+    nodes: ``(estimator, counter, exact histogram, reconstructions)``."""
     relation = make_relation("R", n_items, seed=derive_seed(seed, "rel"))
     spec = BucketSpec.equi_width(relation.domain[0], relation.domain[1], n_buckets)
     truth = Histogram.exact(spec, relation.values)
@@ -65,7 +61,6 @@ def _table3_cell(
     populate_histogram_metrics(
         writer, relation, n_buckets, seed=derive_seed(seed, "load", m)
     )
-    rows: List[Table3Row] = []
     for estimator in ("sll", "pcsa"):
         counter = DistributedHashSketch(
             ring,
@@ -73,80 +68,98 @@ def _table3_cell(
             seed=derive_seed(seed, "counter", m, estimator),
         )
         builder = DHSHistogramBuilder(counter, spec, relation.name)
-        rng = rng_for(seed, "hist-origins", m, estimator)
-        hops, nodes, bw, errors = [], [], [], []
-        for _ in range(trials):
-            origin = ring.random_live_node(rng)
-            reconstruction = builder.reconstruct(origin=origin)
-            hops.append(reconstruction.cost.hops)
-            nodes.append(reconstruction.count_result.unique_probed)
-            bw.append(reconstruction.cost.bytes)
-            errors.append(reconstruction.histogram.mean_cell_error(truth))
-        rows.append(
-            Table3Row(
-                m=m,
-                estimator=estimator,
-                nodes_visited=sum(nodes) / len(nodes),
-                hops=sum(hops) / len(hops),
-                bw_kbytes=sum(bw) / len(bw) / 1024,
-                mean_cell_error_pct=100 * sum(errors) / len(errors),
-            )
-        )
-    return rows
+        rng = rng_for(seed, origins, m, estimator)
+        runs = [builder.reconstruct(origin=ring.random_live_node(rng)) for _ in range(trials)]
+        yield estimator, counter, truth, runs
 
 
-def run_table3(
-    n_nodes: int = 1024,
-    ms: Sequence[int] = (128, 256, 512, 1024),
-    n_buckets: int = 100,
-    scale: float | None = None,
-    trials: int = 2,
-    seed: int = 0,
-    jobs: Optional[int] = None,
+def _table3_cell(
+    seed: int, *, m: int, n_nodes: int, n_buckets: int, scale: float, trials: int
 ) -> List[Table3Row]:
-    """Reconstruction cost/accuracy of a relation's histogram per ``m``."""
-    scale = env_scale(1e-2) if scale is None else scale
+    """One ``m``: rebuild the workload, reconstruct with both estimators."""
     n_items = max(2000, int(20_000_000 * scale))
-    specs = [
-        TrialSpec(
-            fn=_table3_cell,
-            seed=seed,
-            kwargs={
-                "m": m,
-                "n_nodes": n_nodes,
-                "n_buckets": n_buckets,
-                "n_items": n_items,
-                "trials": trials,
-            },
-            label=f"table3/m{m}",
+    return [
+        Table3Row(
+            m=m,
+            estimator=estimator,
+            nodes_visited=sum(run.count_result.unique_probed for run in runs) / trials,
+            hops=sum(run.cost.hops for run in runs) / trials,
+            bw_kbytes=sum(run.cost.bytes for run in runs) / trials / 1024,
+            mean_cell_error_pct=100
+            * sum(run.histogram.mean_cell_error(truth) for run in runs)
+            / trials,
         )
-        for m in ms
+        for estimator, _, truth, runs in reconstruct_both(
+            seed, m=m, n_nodes=n_nodes, n_buckets=n_buckets, n_items=n_items,
+            trials=trials, origins="hist-origins",
+        )
     ]
-    rows: List[Table3Row] = []
-    for cell in run_trials(specs, jobs=jobs):
-        rows.extend(cell)
-    return rows
 
 
 def format_table3(rows: List[Table3Row], scale: float) -> str:
     """Render like the paper's Table 3 (sLL/PCSA pairs) + accuracy."""
-    by_m: Dict[int, Dict[str, Table3Row]] = {}
-    for row in rows:
-        by_m.setdefault(row.m, {})[row.estimator] = row
-    table_rows = []
-    for m in sorted(by_m):
-        sll, pcsa = by_m[m]["sll"], by_m[m]["pcsa"]
-        table_rows.append(
-            [
-                m,
-                f"{sll.nodes_visited:.0f} / {pcsa.nodes_visited:.0f}",
-                f"{sll.hops:.0f} / {pcsa.hops:.0f}",
-                f"{sll.bw_kbytes:.1f} / {pcsa.bw_kbytes:.1f}",
-                f"{sll.mean_cell_error_pct:.1f} / {pcsa.mean_cell_error_pct:.1f}",
-            ]
-        )
-    return format_table(
+    return format_rows(
         f"Table 3: histogram reconstruction, sLL/PCSA (scale {scale:g})",
-        ["m", "nodes visited", "hops", "BW (kBytes)", "cell err (%)"],
-        table_rows,
+        [
+            ("m", "{0[0]}"),
+            ("nodes visited", "{0[1].nodes_visited:.0f} / {0[2].nodes_visited:.0f}"),
+            ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
+            ("BW (kBytes)", "{0[1].bw_kbytes:.1f} / {0[2].bw_kbytes:.1f}"),
+            (
+                "cell err (%)",
+                "{0[1].mean_cell_error_pct:.1f} / {0[2].mean_cell_error_pct:.1f}",
+            ),
+        ],
+        estimator_pairs(rows, "m"),
     )
+
+
+def _cells(params: Params) -> List[TrialSpec]:
+    table = [
+        TrialSpec(fn=_table3_cell, seed=params["seed"], kwargs={"m": m})
+        for m in params["ms"]
+    ]
+    pair = [
+        TrialSpec(
+            fn=_table3_cell,
+            seed=params["seed"] + 1,
+            kwargs={"m": params["bucket_m"], "n_buckets": n_buckets},
+        )
+        for n_buckets in params["bucket_counts"]
+    ]
+    return table + pair
+
+
+def _reduce(
+    results: List[List[Table3Row]], params: Params
+) -> Tuple[List[Table3Row], List[Table3Row]]:
+    """The table's rows, and the sLL row of each bucket count."""
+    split = len(params["ms"])
+    table = [row for rows in results[:split] for row in rows]
+    pair = [row for rows in results[split:] for row in rows if row.estimator == "sll"]
+    return table, pair
+
+
+def _render(rows: Tuple[List[Table3Row], List[Table3Row]], params: Params) -> Dict[str, str]:
+    table, pair = rows
+    counts = params["bucket_counts"]
+    return {
+        "table3_histograms": format_table3(table, params["scale"]),
+        "table3_bucket_independence": (
+            f"Histogram reconstruction: {' vs '.join(map(str, counts))} buckets "
+            f"(m={params['bucket_m']}, sLL)\n"
+            f"hops:  {' -> '.join(f'{row.hops:.0f}' for row in pair)}\n"
+            f"bytes: {' -> '.join(f'{row.bw_kbytes:.1f} kB' for row in pair)}"
+        ),
+    }
+
+
+TABLE3 = Experiment(
+    "table3", "Table 3: histogram building costs",
+    ("table3_histograms", "table3_bucket_independence"),
+    dict(seed=1, n_nodes=256, ms=(128, 256, 512, 1024), n_buckets=100, scale=1e-2,
+         trials=2, bucket_m=256, bucket_counts=(10, 100)),
+    cells=_cells,
+    reduce=_reduce,
+    render=_render,
+)

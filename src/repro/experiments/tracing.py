@@ -16,21 +16,25 @@ which is exactly what the committed golden fixture pins.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, List
+import pathlib
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import build_ring, populate_metric
+from repro.experiments.common import Experiment, build_ring, populate_metric
 from repro.obs import runtime as obs
 from repro.obs.export import LoadRow, dumps_jsonl, format_load_table, format_snapshot, render_span_tree
 from repro.obs.metrics import MetricsRegistry, Snapshot
 from repro.obs.span import Span, Tracer
 from repro.sim.seeds import derive_seed, rng_for
 
-__all__ = ["TraceScenario", "TraceRun", "run_traced_count", "build_load_rows", "format_trace"]
+__all__ = [
+    "TRACE", "TraceScenario", "TraceRun", "run_traced_count", "build_load_rows",
+    "format_trace",
+]
 
 
 @dataclass(frozen=True)
@@ -164,3 +168,21 @@ def format_trace(run: TraceRun, max_spans: int = 120) -> str:
         )
     )
     return "\n".join(parts)
+
+
+def _run(trace_jsonl: Optional[str] = None, **scenario: Any) -> TraceRun:
+    """The traced run; ``trace_jsonl`` also dumps its spans to that path."""
+    run = run_traced_count(TraceScenario(**scenario))
+    if trace_jsonl is not None:
+        path = pathlib.Path(trace_jsonl)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(run.jsonl())
+    return run
+
+
+TRACE = Experiment(
+    "trace", "traced count: span tree, metrics, Fig. 7 load table", (),
+    {**asdict(TraceScenario()), "trace_jsonl": None},
+    run=_run,
+    render=lambda run, params: {"trace": format_trace(run)},
+)

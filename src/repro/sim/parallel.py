@@ -2,9 +2,10 @@
 
 Every experiment in :mod:`repro.experiments` evaluates a grid of
 independent ``(config, trial)`` cells.  Instead of looping inline, a
-driver declares one picklable :class:`TrialSpec` per cell and hands the
-list to :func:`run_trials`, which either runs them in-process (the
-default) or fans them across a ``ProcessPoolExecutor``.
+driver's registry entry declares one picklable :class:`TrialSpec` per
+cell, and the entry's runner hands the list to :func:`run_trials`, which
+either runs them in-process (the default) or fans them across a
+``ProcessPoolExecutor``.
 
 Determinism contract
 --------------------
@@ -133,8 +134,8 @@ def run_trials(specs: Sequence[TrialSpec], jobs: Optional[int] = None) -> List[A
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         workers = min(jobs, len(specs))
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            # ``map`` preserves submission order, so the aggregation loop
-            # in each driver sees results exactly as the serial loop would.
+            # ``map`` preserves submission order, so each experiment's
+            # reduce sees results exactly as the serial loop would.
             if not metered:
                 return list(pool.map(_execute, specs, chunksize=1))
             outputs = list(pool.map(_execute_metered, specs, chunksize=1))

@@ -1,17 +1,21 @@
-"""Shape tests for the ablation drivers (tiny configurations)."""
+"""Shape tests for the ablation studies (tiny configurations)."""
 
-from repro.experiments.ablations import (
-    format_ablation,
-    run_bitshift_ablation,
-    run_lim_ablation,
-    run_overlay_comparison,
-    run_replication_ablation,
-)
+from repro.experiments.ablations import format_ablation
+from repro.experiments.registry import run
+
+STUDIES = ("retries", "replication", "bitshift", "overlays")
+
+
+def run_study(study, seed, **params):
+    """Rows of one ablation study, the other three switched off."""
+    others = {name: None for name in STUDIES if name != study}
+    return run("ablations", seed=seed, **others, **{study: params})[study]
 
 
 class TestLimAblation:
     def test_budget_buys_accuracy(self):
-        rows = run_lim_ablation(
+        rows = run_study(
+            "retries",
             lims=(1, 8),
             n_nodes=64,
             n_items=10_000,
@@ -26,7 +30,8 @@ class TestLimAblation:
 
 class TestReplicationAblation:
     def test_rows_shape(self):
-        rows = run_replication_ablation(
+        rows = run_study(
+            "replication",
             degrees=(0, 3),
             failure_fraction=0.2,
             n_nodes=64,
@@ -43,7 +48,8 @@ class TestReplicationAblation:
 
 class TestBitShiftAblation:
     def test_shift_saves_write_bytes(self):
-        rows = run_bitshift_ablation(
+        rows = run_study(
+            "bitshift",
             shifts=(0, 3),
             n_nodes=64,
             n_items=20_000,
@@ -57,8 +63,8 @@ class TestBitShiftAblation:
 
 class TestOverlayComparison:
     def test_both_overlays_reported(self):
-        rows = run_overlay_comparison(
-            n_nodes=64, n_items=20_000, num_bitmaps=64, trials=2, seed=4
+        rows = run_study(
+            "overlays", n_nodes=64, n_items=20_000, num_bitmaps=64, trials=2, seed=4
         )
         labels = {row.label for row in rows}
         assert labels == {"chord", "kademlia", "pastry"}

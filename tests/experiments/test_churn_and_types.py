@@ -1,15 +1,14 @@
 """Shape tests for the churn and histogram-type drivers (tiny scale)."""
 
-from repro.experiments.churn import format_churn, run_churn_experiment
-from repro.experiments.histogram_types import (
-    format_histogram_types,
-    run_histogram_types,
-)
+from repro.experiments.churn import format_churn
+from repro.experiments.histogram_types import format_histogram_types
+from repro.experiments.registry import run
 
 
 class TestChurnDriver:
     def test_policies_reported(self):
-        rows = run_churn_experiment(
+        rows = run(
+            "churn",
             policies=((4, 2), (4, None)),
             rounds=6,
             n_nodes=32,
@@ -27,7 +26,8 @@ class TestChurnDriver:
 
     def test_truth_drifts_with_churn(self):
         """Sanity: mean error is finite and rounds complete."""
-        rows = run_churn_experiment(
+        rows = run(
+            "churn",
             policies=((None, None),),
             rounds=4,
             n_nodes=24,
@@ -40,7 +40,8 @@ class TestChurnDriver:
 
 class TestHistogramTypesDriver:
     def test_all_kinds_reported(self):
-        rows = run_histogram_types(
+        rows = run(
+            "histogram-types",
             kinds=("equi_width", "v_optimal"),
             n_nodes=24,
             n_micro=20,
@@ -60,12 +61,10 @@ class TestHistogramTypesDriver:
 
 class TestRobustnessDriver:
     def test_replication_flattens_degradation(self):
-        from repro.experiments.robustness import (
-            format_robustness,
-            run_failure_robustness,
-        )
+        from repro.experiments.robustness import format_robustness
 
-        rows = run_failure_robustness(
+        rows = run(
+            "robustness",
             failure_fractions=(0.0, 0.3),
             replications=(0, 3),
             n_nodes=64,
@@ -82,7 +81,5 @@ class TestRobustnessDriver:
     def test_fractions_must_ascend(self):
         import pytest
 
-        from repro.experiments.robustness import run_failure_robustness
-
         with pytest.raises(ValueError):
-            run_failure_robustness(failure_fractions=(0.3, 0.1))
+            run("robustness", failure_fractions=(0.3, 0.1))

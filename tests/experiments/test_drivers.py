@@ -8,20 +8,16 @@ at miniature scale so the suite stays fast.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.accuracy import format_accuracy, run_accuracy_sweep
-from repro.experiments.baselines import format_baselines, run_baseline_comparison
+from repro.experiments.accuracy import format_accuracy
+from repro.experiments.baselines import format_baselines
 from repro.experiments.common import CountSample, env_scale
-from repro.experiments.histogram_accuracy import (
-    format_histogram_accuracy,
-    run_histogram_accuracy,
-)
-from repro.experiments.insertion import run_insertion_experiment
-from repro.experiments.multidim import format_multidim, run_multidim
-from repro.experiments.query_opt import run_query_opt
+from repro.experiments.histogram_accuracy import format_histogram_accuracy
+from repro.experiments.multidim import format_multidim
+from repro.experiments.registry import run
 from repro.experiments.report import format_kv, format_table
-from repro.experiments.scalability import format_scalability, run_scalability
-from repro.experiments.table2 import format_table2, run_table2
-from repro.experiments.table3 import format_table3, run_table3
+from repro.experiments.scalability import format_scalability
+from repro.experiments.table2 import format_table2
+from repro.experiments.table3 import format_table3
 
 
 class TestReport:
@@ -78,7 +74,7 @@ class TestCountSample:
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    return run_table2(n_nodes=32, ms=(16, 64), scale=5e-4, trials=1, seed=3)
+    return run("table2", n_nodes=32, ms=(16, 64), scale=5e-4, trials=1, seed=3)
 
 
 class TestTable2:
@@ -102,7 +98,7 @@ class TestTable2:
         assert "64" in text
 
     def test_deterministic(self, table2_rows):
-        again = run_table2(n_nodes=32, ms=(16, 64), scale=5e-4, trials=1, seed=3)
+        again = run("table2", n_nodes=32, ms=(16, 64), scale=5e-4, trials=1, seed=3)
         assert [(r.m, r.estimator, r.hops) for r in again] == [
             (r.m, r.estimator, r.hops) for r in table2_rows
         ]
@@ -110,8 +106,9 @@ class TestTable2:
 
 class TestTable3:
     def test_shape_and_format(self):
-        rows = run_table3(
-            n_nodes=32, ms=(16,), n_buckets=5, scale=2e-4, trials=1, seed=3
+        rows, _ = run(
+            "table3", n_nodes=32, ms=(16,), n_buckets=5, scale=2e-4, trials=1, seed=3,
+            bucket_counts=(),
         )
         assert len(rows) == 2
         text = format_table3(rows, 2e-4)
@@ -123,7 +120,8 @@ class TestTable3:
 
 class TestScalability:
     def test_hops_grow_slowly(self):
-        rows = run_scalability(
+        rows = run(
+            "scalability",
             node_counts=(16, 256), num_bitmaps=16, scale=2e-4, trials=2, seed=3
         )
         by = {(r.n_nodes, r.estimator): r for r in rows}
@@ -133,7 +131,8 @@ class TestScalability:
         assert "Scalability" in format_scalability(rows)
 
     def test_rows_carry_error_and_load_balance(self):
-        rows = run_scalability(
+        rows = run(
+            "scalability",
             node_counts=(32,), num_bitmaps=16, scale=2e-4, trials=2, seed=3
         )
         for row in rows:
@@ -171,9 +170,10 @@ class TestScalability:
 
 class TestMultitenant:
     def test_small_run_balances_and_counts(self):
-        from repro.experiments.multitenant import format_multitenant, run_multitenant
+        from repro.experiments.multitenant import format_multitenant
 
-        rows = run_multitenant(
+        rows = run(
+            "multitenant",
             node_counts=(32,),
             n_tenants=64,
             total_ops=1024,
@@ -192,8 +192,6 @@ class TestMultitenant:
         assert "Multi-tenant" in format_multitenant(rows)
 
     def test_parallel_identity(self):
-        from repro.experiments.multitenant import run_multitenant
-
         kwargs = dict(
             node_counts=(16, 64),
             n_tenants=48,
@@ -203,15 +201,15 @@ class TestMultitenant:
             trials=1,
             seed=9,
         )
-        assert run_multitenant(jobs=1, **kwargs) == run_multitenant(
-            jobs=3, **kwargs
+        assert run("multitenant", jobs=1, **kwargs) == run(
+            "multitenant", jobs=3, **kwargs
         )
 
 
 class TestAccuracy:
     def test_sweep_shape(self):
-        rows = run_accuracy_sweep(
-            ms=(16, 64), n_nodes=32, scale=1e-3, trials=1, hash_seeds=(0,), seed=3
+        rows = run(
+            "accuracy", ms=(16, 64), n_nodes=32, scale=1e-3, trials=1, hash_seeds=(0,), seed=3
         )
         assert len(rows) == 4
         assert "Accuracy" in format_accuracy(rows)
@@ -219,8 +217,8 @@ class TestAccuracy:
 
 class TestHistogramAccuracy:
     def test_small_run(self):
-        rows = run_histogram_accuracy(
-            ms=(16,), n_nodes=16, n_buckets=4, n_items=30_000, trials=1, seed=3
+        rows = run(
+            "histogram-accuracy", ms=(16,), n_nodes=16, n_buckets=4, n_items=30_000, trials=1, seed=3
         )
         assert len(rows) == 2
         for row in rows:
@@ -231,8 +229,8 @@ class TestHistogramAccuracy:
 
 class TestInsertion:
     def test_report(self):
-        report = run_insertion_experiment(
-            n_nodes=64, num_bitmaps=16, n_buckets=5, scale=2e-4, probe_inserts=100, seed=3
+        report = run(
+            "insertion", n_nodes=64, num_bitmaps=16, n_buckets=5, scale=2e-4, probe_inserts=100, seed=3
         )
         assert 1 < report.mean_hops_per_insert < 12
         assert report.mean_bytes_per_insert == pytest.approx(
@@ -244,8 +242,8 @@ class TestInsertion:
 
 class TestQueryOpt:
     def test_report_shape(self):
-        report = run_query_opt(
-            n_nodes=32, num_bitmaps=32, n_buckets=5, scale=2e-4, seed=3
+        report = run(
+            "query-opt", n_nodes=32, num_bitmaps=32, n_buckets=5, scale=2e-4, seed=3
         )
         assert report.oracle_shipped_mb <= report.naive_shipped_mb + 1e-9
         assert report.chosen_shipped_mb > 0
@@ -255,8 +253,9 @@ class TestQueryOpt:
 
 class TestBaselinesComparison:
     def test_all_methods_present(self):
-        rows = run_baseline_comparison(
-            n_nodes=32, n_distinct=2000, total_items=5000, num_bitmaps=32, seed=3
+        rows = run(
+            "baselines", n_nodes=32, n_distinct=2000, total_items=5000, num_bitmaps=32,
+            seed=3,
         )
         methods = {row.method for row in rows}
         assert methods == {
@@ -271,8 +270,9 @@ class TestBaselinesComparison:
         assert "DHS" in format_baselines(rows)
 
     def test_duplicate_sensitivity_flags(self):
-        rows = run_baseline_comparison(
-            n_nodes=32, n_distinct=2000, total_items=5000, num_bitmaps=32, seed=3
+        rows = run(
+            "baselines", n_nodes=32, n_distinct=2000, total_items=5000, num_bitmaps=32,
+            seed=3,
         )
         flags = {row.method: row.duplicate_insensitive for row in rows}
         assert flags["DHS (sLL)"]
@@ -283,8 +283,8 @@ class TestBaselinesComparison:
 
 class TestMultiDim:
     def test_bytes_grow_hops_do_not(self):
-        rows = run_multidim(
-            metric_counts=(1, 8), n_nodes=32, items_per_metric=2000,
+        rows = run(
+            "multidim", metric_counts=(1, 8), n_nodes=32, items_per_metric=2000,
             num_bitmaps=16, trials=2, seed=3,
         )
         one, eight = rows[0], rows[1]

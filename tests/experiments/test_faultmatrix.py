@@ -3,11 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.faultmatrix import (
-    _plan_for,
-    format_faultmatrix,
-    run_faultmatrix,
-)
+from repro.experiments.faultmatrix import _plan_for, format_faultmatrix
+from repro.experiments.registry import run
 
 SMOKE = dict(
     n_nodes=32, n_items=4_000, num_bitmaps=32,
@@ -17,7 +14,8 @@ SMOKE = dict(
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_faultmatrix(
+    return run(
+        "faultmatrix",
         fault_kinds=("drop", "lazy_crash", "amnesia"),
         intensities=(0.1, 0.3),
         policies=("none", "retry+repair"),
@@ -75,7 +73,8 @@ class TestAntiEntropyGate:
     def gate(self):
         return {
             (r.fault, r.intensity, r.policy): r
-            for r in run_faultmatrix(
+            for r in run(
+                "faultmatrix",
                 fault_kinds=("amnesia", "partition"),
                 intensities=(0.3, 0.4),
                 policies=("retry+readrepair", "retry+repair"),
@@ -109,11 +108,11 @@ class TestHarness:
             n_nodes=16, n_items=1_000, num_bitmaps=16,
             trials=1, draws=2, seed=5,
         )
-        assert run_faultmatrix(jobs=2, **kwargs) == run_faultmatrix(jobs=1, **kwargs)
+        assert run("faultmatrix", jobs=2, **kwargs) == run("faultmatrix", jobs=1, **kwargs)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_faultmatrix(policies=("wishful",), **SMOKE)
+            run("faultmatrix", policies=("wishful",), **SMOKE)
 
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ConfigurationError):

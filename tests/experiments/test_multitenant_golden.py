@@ -14,7 +14,8 @@ import json
 import pathlib
 from dataclasses import asdict
 
-from repro.experiments.multitenant import format_multitenant, run_multitenant
+from repro.experiments.multitenant import format_multitenant
+from repro.experiments.registry import run
 from repro.workloads.multitenant import tenant_op_counts
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "multitenant_golden.json"
@@ -35,7 +36,8 @@ class TestMultitenantGolden:
     def test_summary_rows_pinned_byte_for_byte(self):
         golden = json.loads(FIXTURE.read_text())
         params = golden["params"]
-        rows = run_multitenant(
+        rows = run(
+            "multitenant",
             node_counts=tuple(params["node_counts"]),
             n_tenants=params["n_tenants"],
             total_ops=params["total_ops"],

@@ -30,8 +30,7 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.experiments.common import populate_metric
-from repro.experiments.accuracy import run_accuracy_sweep
-from repro.experiments.robustness import run_failure_robustness
+from repro.experiments.registry import run
 from repro.obs import runtime as obs
 from repro.obs.export import dumps_jsonl
 from repro.obs.metrics import MetricsRegistry
@@ -108,7 +107,8 @@ class TestGoldenDrivers:
     """Whole experiment drivers pinned against their recorded tables."""
 
     def test_robustness_driver_unchanged(self):
-        rows = run_failure_robustness(
+        rows = run(
+            "robustness",
             failure_fractions=(0.0, 0.2), replications=(0, 2),
             n_nodes=64, n_items=20_000, num_bitmaps=64, estimator="sll",
             trials=2, draws=2, seed=9,
@@ -117,7 +117,8 @@ class TestGoldenDrivers:
         assert got == GOLDEN["drivers"]["robustness"]
 
     def test_accuracy_driver_unchanged(self):
-        rows = run_accuracy_sweep(
+        rows = run(
+            "accuracy",
             seed=9, jobs=1, ms=(16, 32), n_nodes=32, scale=2e-4,
             trials=2, hash_seeds=(0, 1),
         )

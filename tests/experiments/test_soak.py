@@ -2,28 +2,24 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.errors import ConfigurationError
-from repro.experiments.soak import (
-    SOAK_FAULT_CYCLE,
-    format_soak,
-    run_soak,
-    soak_plan,
-)
+from repro.experiments.registry import EXPERIMENTS, run
+from repro.experiments.soak import SOAK_FAULT_CYCLE, format_soak, soak_plan
 from repro.overlay.chord import ChordRing
 
 SMOKE = dict(
     ticks=40, fault_every=10, fraction=0.15, duration=3,
     n_nodes=48, items_per_tick=40, num_bitmaps=32,
-    estimator="sll", replication=2, count_every=2, seed=3,
+    estimator="sll", replication=2, count_every=2, seed=3, gate=None,
 )
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_soak(**SMOKE)
+    rows, _ = run("soak", **SMOKE)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +75,12 @@ class TestAcceptance:
 class TestHarness:
     def test_parallel_matches_serial(self):
         kwargs = dict(SMOKE, ticks=16, n_nodes=24)
-        assert run_soak(jobs=2, **kwargs) == run_soak(jobs=1, **kwargs)
+        assert run("soak", jobs=2, **kwargs) == run("soak", jobs=1, **kwargs)
 
     def test_no_fault_run_is_byte_identical(self):
         kwargs = dict(SMOKE, ticks=16, n_nodes=24, fault_every=None)
-        first = run_soak(jobs=1, **kwargs)
-        second = run_soak(jobs=2, **kwargs)
+        first, _ = run("soak", jobs=1, **kwargs)
+        second, _ = run("soak", jobs=2, **kwargs)
         assert [r.trace_digest for r in first] == [r.trace_digest for r in second]
         for row in first:
             assert row.faults == 0
@@ -92,7 +88,7 @@ class TestHarness:
 
     def test_no_fault_policies_estimate_identically(self):
         kwargs = dict(SMOKE, ticks=16, n_nodes=24, fault_every=None)
-        rows = {r.policy: r for r in run_soak(**kwargs)}
+        rows = {r.policy: r for r in run("soak", **kwargs)[0]}
         # Reconciliation OR-merges existing values only, so with no
         # faults the two policies' counts cannot differ.
         assert (
@@ -102,7 +98,7 @@ class TestHarness:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_soak(policies=("wishful",), **SMOKE)
+            run("soak", policies=("wishful",), **SMOKE)
 
     def test_format_renders_every_row(self, rows):
         table = format_soak(rows)

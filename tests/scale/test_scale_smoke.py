@@ -26,8 +26,8 @@ import pytest
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.experiments.multitenant import populate_tenants
-from repro.experiments.scalability import fit_log2_coefficient, run_scalability
-from repro.experiments.soak import run_soak
+from repro.experiments.registry import run
+from repro.experiments.scalability import fit_log2_coefficient
 from repro.obs import runtime as obs
 from repro.obs.metrics import (
     GAUGE_RING_BUILD_SECONDS,
@@ -95,8 +95,8 @@ class TestScaleSmoke:
             trials=2,
             seed=7,
         )
-        serial = run_scalability(jobs=1, **kwargs)
-        parallel = run_scalability(jobs=4, **kwargs)
+        serial = run("scalability", jobs=1, **kwargs)
+        parallel = run("scalability", jobs=4, **kwargs)
         assert serial == parallel  # byte-identity at any DHS_JOBS width
         coefficient = fit_log2_coefficient(serial)
         assert coefficient > 0.0
@@ -197,14 +197,14 @@ def test_zipf_populate_of_1e5_tenants_balance_and_budget():
 
 
 def test_long_soak_heals_and_is_byte_identical_across_jobs():
-    base = dict(ticks=200, n_nodes=128, items_per_tick=40, seed=3)
-    rows = {r.policy: r for r in run_soak(fault_every=25, **base)}
+    base = dict(ticks=200, n_nodes=128, items_per_tick=40, seed=3, gate=None)
+    rows = {r.policy: r for r in run("soak", fault_every=25, **base)[0]}
     antientropy = rows["antientropy"]
     assert antientropy.faults > 0
     assert antientropy.final_divergence == 0, "soak ended with standing divergence"
     assert antientropy.mean_underread_pct < rows["readrepair"].mean_underread_pct
 
-    first = run_soak(fault_every=None, jobs=1, **base)
-    second = run_soak(fault_every=None, jobs=2, **base)
+    first, _ = run("soak", fault_every=None, jobs=1, **base)
+    second, _ = run("soak", fault_every=None, jobs=2, **base)
     assert [r.trace_digest for r in first] == [r.trace_digest for r in second]
     assert all(r.final_divergence == 0 for r in first)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.experiments.accuracy import run_accuracy_sweep
+from repro.experiments.registry import run
 from repro.sim.parallel import TrialSpec, env_jobs, run_trials
 from repro.sim.seeds import rng_for
 
@@ -91,11 +91,11 @@ class TestDriverDeterminism:
     @given(seed=st.integers(0, 2**20))
     @settings(max_examples=3, deadline=None)
     def test_accuracy_sweep_bit_identical_at_four_workers(self, seed):
-        serial = run_accuracy_sweep(seed=seed, jobs=1, **self.SWEEP)
+        serial = run("accuracy", seed=seed, jobs=1, **self.SWEEP)
         previous = os.environ.get("DHS_JOBS")
         os.environ["DHS_JOBS"] = "4"
         try:
-            parallel = run_accuracy_sweep(seed=seed, **self.SWEEP)
+            parallel = run("accuracy", seed=seed, **self.SWEEP)
         finally:
             if previous is None:
                 os.environ.pop("DHS_JOBS", None)
