@@ -68,22 +68,22 @@ def _overrides(
     parser: argparse.ArgumentParser, entry: Experiment, args: argparse.Namespace
 ) -> Dict[str, Any]:
     """The params the flags set; a flag the entry does not take exits 2."""
-    nodes = args.nodes
-    if nodes is not None and entry.node_value is not None:
-        nodes = entry.node_value(nodes)
-    flags = (
-        ("--seed", "seed", args.seed),
-        ("--scale", "scale", args.scale),
-        ("--nodes", entry.nodes, nodes),
-        ("--trace-jsonl", "trace_jsonl", args.trace_jsonl),
-    )
+    by_flag = {
+        flag: {param: value}
+        for flag, param, value in (
+            ("--seed", "seed", args.seed),
+            ("--scale", "scale", args.scale),
+            ("--trace-jsonl", "trace_jsonl", args.trace_jsonl),
+        )
+        if value is not None
+    }
+    if args.nodes is not None:
+        by_flag["--nodes"] = entry.node_params(args.nodes)
     overrides: Dict[str, Any] = {}
-    for flag, param, value in flags:
-        if value is None:
-            continue
-        if param not in entry.params:
+    for flag, params in by_flag.items():
+        if not set(params) <= set(entry.params):
             parser.error(f"{entry.name} does not take {flag}")
-        overrides[param] = value
+        overrides.update(params)
     return overrides
 
 
@@ -116,7 +116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print()
             first = False
             print(text, flush=True)
-            if output_dir is not None:
+            if output_dir is not None and stem in entry.results:
                 (output_dir / f"{stem}.txt").write_text(text + "\n")
     return 0
 

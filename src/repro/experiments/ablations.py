@@ -1,7 +1,7 @@
 """Ablation experiments for the design choices DESIGN.md calls out.
 
 The ``ablations`` entry runs four studies, each its own result file and
-its own param dict (``None`` skips a study):
+its own param dict:
 
 * ``retries`` — the retry budget ``lim`` (section 4.1): more probes per
   interval buy accuracy with a linear hop surcharge.  Every cell
@@ -25,7 +25,7 @@ its own param dict (``None`` skips a study):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,11 +60,35 @@ def format_ablation(title: str, extra_header: str, rows: List[AblationRow]) -> s
     return format_rows(
         title,
         [
-            ("config", "{0.label}"), ("error %", "{0.error_pct:.1f}"),
-            ("hops", "{0.hops:.0f}"), ("BW (kB)", "{0.bytes_kb:.1f}"),
+            ("config", "{0.label}"),
+            ("error %", "{0.error_pct:.1f}"),
+            ("hops", "{0.hops:.0f}"),
+            ("BW (kB)", "{0.bytes_kb:.1f}"),
             (extra_header, "{0.extra:.1f}"),
         ],
         rows,
+    )
+
+
+def _measure(
+    dhs: DistributedHashSketch,
+    label: str,
+    n_items: int,
+    trials: int,
+    seed: int,
+    extra: Optional[float] = None,
+) -> AblationRow:
+    """Count ``docs`` from ``trials`` random origins drawn under ``seed``.
+
+    ``extra`` defaults to the mean number of nodes a count visited.
+    """
+    sample = sample_counts(dhs, {"docs": float(n_items)}, trials=trials, seed=seed)
+    return AblationRow(
+        label=label,
+        error_pct=100 * sample.mean_abs_rel_error(),
+        hops=sample.mean_hops(),
+        bytes_kb=sample.mean_bytes() / 1024,
+        extra=sample.mean_nodes() if extra is None else extra,
     )
 
 
@@ -92,19 +116,8 @@ def _lim_cell(
         ),
         seed=derive_seed(seed, "counter", lim),
     )
-    sample = sample_counts(
-        counter,
-        {"docs": float(n_items)},
-        trials=trials,
-        seed=derive_seed(seed, "origins", lim),
-    )
-    return AblationRow(
-        label=f"lim={lim}",
-        error_pct=100 * sample.mean_abs_rel_error(),
-        hops=sample.mean_hops(),
-        bytes_kb=sample.mean_bytes() / 1024,
-        extra=sample.mean_nodes(),
-    )
+    origins = derive_seed(seed, "origins", lim)
+    return _measure(counter, f"lim={lim}", n_items, trials, origins)
 
 
 def _replication_cell(
@@ -135,19 +148,9 @@ def _replication_cell(
         dhs, "docs", items, seed=derive_seed(seed, "load", degree)
     )
     fail_fraction(ring, failure_fraction, seed=derive_seed(seed, "fail", degree))
-    sample = sample_counts(
-        dhs,
-        {"docs": float(n_items)},
-        trials=trials,
-        seed=derive_seed(seed, "origins", degree),
-    )
-    return AblationRow(
-        label=f"R={degree}",
-        error_pct=100 * sample.mean_abs_rel_error(),
-        hops=sample.mean_hops(),
-        bytes_kb=sample.mean_bytes() / 1024,
-        extra=insert_cost.hops / max(1, insert_cost.lookups),
-    )
+    origins = derive_seed(seed, "origins", degree)
+    hops_per_insert = insert_cost.hops / max(1, insert_cost.lookups)
+    return _measure(dhs, f"R={degree}", n_items, trials, origins, hops_per_insert)
 
 
 def _bitshift_cell(
@@ -170,19 +173,9 @@ def _bitshift_cell(
     insert_cost = populate_metric(
         dhs, "docs", items, seed=derive_seed(seed, "load", shift)
     )
-    sample = sample_counts(
-        dhs,
-        {"docs": float(n_items)},
-        trials=trials,
-        seed=derive_seed(seed, "origins", shift),
-    )
-    return AblationRow(
-        label=f"b={shift}",
-        error_pct=100 * sample.mean_abs_rel_error(),
-        hops=sample.mean_hops(),
-        bytes_kb=sample.mean_bytes() / 1024,
-        extra=insert_cost.bytes / 1024,
-    )
+    origins = derive_seed(seed, "origins", shift)
+    insert_kb = insert_cost.bytes / 1024
+    return _measure(dhs, f"b={shift}", n_items, trials, origins, insert_kb)
 
 
 def _overlay_cell(
@@ -211,19 +204,8 @@ def _overlay_cell(
         seed=derive_seed(seed, "dhs", overlay_label),
     )
     populate_metric(dhs, "docs", items, seed=derive_seed(seed, "load", overlay_label))
-    sample = sample_counts(
-        dhs,
-        {"docs": float(n_items)},
-        trials=trials,
-        seed=derive_seed(seed, "origins", overlay_label),
-    )
-    return AblationRow(
-        label=overlay_label,
-        error_pct=100 * sample.mean_abs_rel_error(),
-        hops=sample.mean_hops(),
-        bytes_kb=sample.mean_bytes() / 1024,
-        extra=sample.mean_nodes(),
-    )
+    origins = derive_seed(seed, "origins", overlay_label)
+    return _measure(dhs, overlay_label, n_items, trials, origins)
 
 
 #: study -> (the param it sweeps, the cell's keyword for one value of it).
@@ -235,24 +217,29 @@ _AXES: Dict[str, Tuple[str, str]] = {
 }
 
 
-def _sweep(params: Params, study: str) -> List[Dict[str, Any]]:
-    """One cell's kwargs per value of the study's axis; none when it is off."""
-    config = params[study]
-    if config is None:
-        return []
-    axis, keyword = _AXES[study]
-    fixed = {key: value for key, value in config.items() if key != axis}
-    return [{keyword: value, **fixed} for value in config[axis]]
-
-
 def _cells(params: Params) -> List[TrialSpec]:
+    """One cell per value of each study's axis, studies in ``_AXES`` order."""
+    sweep: Dict[str, List[Dict[str, Any]]] = {}
+    for study, (axis, keyword) in _AXES.items():
+        fixed = {key: value for key, value in params[study].items() if key != axis}
+        sweep[study] = [{keyword: value, **fixed} for value in params[study][axis]]
     seed = params["seed"]
-    kws = {study: _sweep(params, study) for study in _AXES}
+    # Each cell function is named in its TrialSpec: that is where dhslint
+    # finds the worker roots whose shared-state writes it checks.
     return (
-        [TrialSpec(fn=_lim_cell, seed=seed, kwargs=kw) for kw in kws["retries"]]
-        + [TrialSpec(fn=_replication_cell, seed=seed, kwargs=kw) for kw in kws["replication"]]
-        + [TrialSpec(fn=_bitshift_cell, seed=seed, kwargs=kw) for kw in kws["bitshift"]]
-        + [TrialSpec(fn=_overlay_cell, seed=seed, kwargs=kw) for kw in kws["overlays"]]
+        [TrialSpec(fn=_lim_cell, seed=seed, kwargs=kw) for kw in sweep["retries"]]
+        + [
+            TrialSpec(fn=_replication_cell, seed=seed, kwargs=kw)
+            for kw in sweep["replication"]
+        ]
+        + [
+            TrialSpec(fn=_bitshift_cell, seed=seed, kwargs=kw)
+            for kw in sweep["bitshift"]
+        ]
+        + [
+            TrialSpec(fn=_overlay_cell, seed=seed, kwargs=kw)
+            for kw in sweep["overlays"]
+        ]
     )
 
 
@@ -261,51 +248,75 @@ def _reduce(results: List[AblationRow], params: Params) -> Dict[str, List[Ablati
     rows: Dict[str, List[AblationRow]] = {}
     cursor = 0
     for study, (axis, _) in _AXES.items():
-        if params[study] is not None:
-            width = len(params[study][axis])
-            rows[study] = results[cursor : cursor + width]
-            cursor += width
+        width = len(params[study][axis])
+        rows[study] = results[cursor : cursor + width]
+        cursor += width
     return rows
 
 
 def _render(rows: Dict[str, List[AblationRow]], params: Params) -> Dict[str, str]:
-    texts: Dict[str, str] = {}
-    if "retries" in rows:
-        texts["ablation_retries"] = format_ablation(
+    crashes = params["replication"]["failure_fraction"]
+    overlays = " vs ".join(name.capitalize() for name in params["overlays"]["overlays"])
+    return {
+        "ablation_retries": format_ablation(
             "Retry budget ablation (section 4.1)", "nodes visited", rows["retries"]
-        )
-    if "replication" in rows:
-        crashes = params["replication"]["failure_fraction"]
-        texts["ablation_replication"] = format_ablation(
+        ),
+        "ablation_replication": format_ablation(
             f"Replication under {crashes:.0%} crashes (section 3.5)",
             "hops/insert",
             rows["replication"],
-        )
-    if "bitshift" in rows:
-        texts["ablation_bitshift"] = format_ablation(
+        ),
+        "ablation_bitshift": format_ablation(
             "Bit-shift mapping ablation (section 3.5)", "insert kB", rows["bitshift"]
-        )
-    if "overlays" in rows:
-        names = " vs ".join(name.capitalize() for name in params["overlays"]["overlays"])
-        texts["overlay_agnosticism"] = format_ablation(
-            f"DHS over {names}", "nodes visited", rows["overlays"]
-        )
-    return texts
+        ),
+        "overlay_agnosticism": format_ablation(
+            f"DHS over {overlays}", "nodes visited", rows["overlays"]
+        ),
+    }
 
 
 ABLATIONS = Experiment(
-    "ablations", "lim / replication / bit-shift / overlay ablations",
-    ("ablation_retries", "ablation_replication", "ablation_bitshift", "overlay_agnosticism"),
-    dict(
+    name="ablations",
+    description="lim / replication / bit-shift / overlay ablations",
+    results=(
+        "ablation_retries",
+        "ablation_replication",
+        "ablation_bitshift",
+        "overlay_agnosticism",
+    ),
+    params=dict(
         seed=1,
-        retries=dict(lims=(1, 2, 5, 10), n_nodes=256, n_items=200_000, num_bitmaps=512,
-                     estimator="pcsa", trials=3),
-        replication=dict(degrees=(0, 2, 4), failure_fraction=0.25, n_nodes=256,
-                         n_items=50_000, num_bitmaps=512, estimator="pcsa", trials=3),
-        bitshift=dict(shifts=(0, 2, 4), n_nodes=128, n_items=200_000, num_bitmaps=64,
-                      trials=3),
-        overlays=dict(overlays=("chord", "kademlia", "pastry"), n_nodes=128,
-                      n_items=200_000, num_bitmaps=256, trials=3),
+        retries=dict(
+            lims=(1, 2, 5, 10),
+            n_nodes=256,
+            n_items=200_000,
+            num_bitmaps=512,
+            estimator="pcsa",
+            trials=3,
+        ),
+        replication=dict(
+            degrees=(0, 2, 4),
+            failure_fraction=0.25,
+            n_nodes=256,
+            n_items=50_000,
+            num_bitmaps=512,
+            estimator="pcsa",
+            trials=3,
+        ),
+        bitshift=dict(
+            shifts=(0, 2, 4),
+            n_nodes=128,
+            n_items=200_000,
+            num_bitmaps=64,
+            trials=3,
+        ),
+        overlays=dict(
+            overlays=("chord", "kademlia", "pastry"),
+            n_nodes=128,
+            n_items=200_000,
+            num_bitmaps=256,
+            trials=3,
+        ),
     ),
     cells=_cells,
     reduce=_reduce,

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.config import DHSConfig
-from repro.experiments.common import CountSample, Experiment, Params, build_ring, count_both
+from repro.experiments.common import (
+    CountSample,
+    Experiment,
+    Params,
+    build_ring,
+    count_both,
+)
 from repro.experiments.report import estimator_pairs, format_rows
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
@@ -67,7 +73,9 @@ def _cells(params: Params) -> List[TrialSpec]:
     ]
 
 
-def _reduce(results: List[Dict[str, CountSample]], params: Params) -> List[AccuracyRow]:
+def _reduce(
+    results: List[Dict[str, CountSample]], params: Params
+) -> List[AccuracyRow]:
     """Average each (m, estimator) over its hash seeds."""
     rows: List[AccuracyRow] = []
     cursor = 0
@@ -97,7 +105,8 @@ def format_accuracy(rows: List[AccuracyRow], lim: int = 5) -> str:
     return format_rows(
         f"Accuracy vs number of bitmaps (lim = {lim})",
         [
-            ("m", "{0[0]}"), ("sLL err %", "{0[1].error_pct:.1f}"),
+            ("m", "{0[0]}"),
+            ("sLL err %", "{0[1].error_pct:.1f}"),
             ("PCSA err %", "{0[2].error_pct:.1f}"),
             ("sLL bias %", "{0[1].bias_pct:+.1f}"),
             ("PCSA bias %", "{0[2].bias_pct:+.1f}"),
@@ -107,9 +116,18 @@ def format_accuracy(rows: List[AccuracyRow], lim: int = 5) -> str:
 
 
 ACCURACY = Experiment(
-    "accuracy", "§5.2 accuracy vs m (collapse at large m)", ("accuracy_vs_m",),
-    dict(seed=1, ms=(64, 128, 256, 512, 1024, 2048, 4096), n_nodes=128, scale=1e-2,
-         trials=2, hash_seeds=(0, 1), lim=5),
+    name="accuracy",
+    description="§5.2 accuracy vs m (collapse at large m)",
+    results=("accuracy_vs_m",),
+    params=dict(
+        seed=1,
+        ms=(64, 128, 256, 512, 1024, 2048, 4096),
+        n_nodes=128,
+        scale=1e-2,
+        trials=2,
+        hash_seeds=(0, 1),
+        lim=5,
+    ),
     cells=_cells,
     reduce=_reduce,
     render=lambda rows, params: {

@@ -177,7 +177,13 @@ def _baseline_cell(
 
 #: Every family, plus DHS, in table order.
 _METHODS = (
-    "dhs", "single", "gossip", "partitioned", "sketch-gossip", "convergecast", "sampling"
+    "dhs",
+    "single",
+    "gossip",
+    "partitioned",
+    "sketch-gossip",
+    "convergecast",
+    "sampling",
 )
 
 
@@ -209,10 +215,13 @@ def format_baselines(rows: List[BaselineRow], truth_hint: str = "") -> str:
     return format_rows(
         f"DHS vs related-work families {truth_hint}".rstrip(),
         [
-            ("method", "{0.method}"), ("estimate", "{0.estimate:,.0f}"),
-            ("err %", "{0.error_pct:.1f}"), ("hops", "{0.query_hops}"),
+            ("method", "{0.method}"),
+            ("estimate", "{0.estimate:,.0f}"),
+            ("err %", "{0.error_pct:.1f}"),
+            ("hops", "{0.query_hops}"),
             ("kB", lambda row: f"{row.query_bytes / 1024:.1f}"),
-            ("rounds", "{0.rounds}"), ("load max/mean", "{0.load_imbalance:.1f}"),
+            ("rounds", "{0.rounds}"),
+            ("load max/mean", "{0.load_imbalance:.1f}"),
             ("dup-insens.", lambda row: "yes" if row.duplicate_insensitive else "NO"),
         ],
         rows,
@@ -220,11 +229,21 @@ def format_baselines(rows: List[BaselineRow], truth_hint: str = "") -> str:
 
 
 BASELINES = Experiment(
-    "baselines", "§1 related-work families comparison", ("baselines",),
-    dict(seed=1, n_nodes=128, n_distinct=20_000, total_items=60_000, num_bitmaps=128),
+    name="baselines",
+    description="§1 related-work families comparison",
+    results=("baselines",),
+    params=dict(
+        seed=1,
+        n_nodes=128,
+        n_distinct=20_000,
+        total_items=60_000,
+        num_bitmaps=128,
+    ),
     cells=_cells,
     # Every distinct item appears at least once: the truth is n_distinct.
     render=lambda rows, params: {
-        "baselines": format_baselines(rows, f"(distinct truth: {params['n_distinct']:,})")
+        "baselines": format_baselines(
+            rows, f"(distinct truth: {params['n_distinct']:,})"
+        )
     },
 )

@@ -121,7 +121,8 @@ def format_churn(rows: List[ChurnRow]) -> str:
     return format_rows(
         "Soft-state maintenance under churn (section 3.3)",
         [
-            ("policy", "{0.label}"), ("mean err %", "{0.mean_error_pct:.1f}"),
+            ("policy", "{0.label}"),
+            ("mean err %", "{0.mean_error_pct:.1f}"),
             ("final err %", "{0.final_error_pct:.1f}"),
             ("refresh kB", "{0.refresh_kb:.0f}"),
         ],
@@ -130,13 +131,22 @@ def format_churn(rows: List[ChurnRow]) -> str:
 
 
 CHURN = Experiment(
-    "churn", "§3.3 soft-state maintenance under churn", ("churn_policies",),
-    # policies: (ttl, refresh period), None = immortal / never.  Short TTL
-    # with frequent refresh tracks closely; a lazy refresh is cheaper and
-    # staler; TTL without refresh decays to zero; immortal entries
-    # over-count departed items.
-    dict(seed=1, policies=((4, 2), (16, 8), (4, None), (None, None)), rounds=24,
-         churn_fraction=0.06, n_nodes=128, items_per_node=150, num_bitmaps=64),
+    name="churn",
+    description="§3.3 soft-state maintenance under churn",
+    results=("churn_policies",),
+    params=dict(
+        seed=1,
+        # (ttl, refresh period), None = immortal / never.  Short TTL with
+        # frequent refresh tracks closely; a lazy refresh is cheaper and
+        # staler; TTL without refresh decays to zero; immortal entries
+        # over-count departed items.
+        policies=((4, 2), (16, 8), (4, None), (None, None)),
+        rounds=24,
+        churn_fraction=0.06,
+        n_nodes=128,
+        items_per_node=150,
+        num_bitmaps=64,
+    ),
     cells=_cells,
     render=lambda rows, params: {"churn_policies": format_churn(rows)},
 )

@@ -24,7 +24,16 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import (
-    Any, Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -42,10 +51,20 @@ from repro.workloads.assignment import assign_uniform
 from repro.workloads.relations import Relation
 
 __all__ = [
-    "Experiment", "Params", "concat", "env_scale", "build_ring", "populate_metric",
-    "populate_relation", "populate_histogram_metrics", "filter_bucket_metric",
-    "populate_filter_histogram_metrics", "bucket_metric", "CountSample",
-    "sample_counts", "count_both",
+    "Experiment",
+    "Params",
+    "concat",
+    "env_scale",
+    "build_ring",
+    "populate_metric",
+    "populate_relation",
+    "populate_histogram_metrics",
+    "filter_bucket_metric",
+    "populate_filter_histogram_metrics",
+    "bucket_metric",
+    "CountSample",
+    "sample_counts",
+    "count_both",
 ]
 
 #: Default workload scale relative to the paper (10/20/40/80 M tuples).
@@ -90,9 +109,9 @@ class Experiment:
     with its seed and kwargs plus every other param its keyword-only
     signature names; ``reduce`` folds their results, in grid order, into
     rows (default: the list).  A single-shot experiment gives
-    ``run(**params)`` instead.  ``render(rows, params)`` maps each result
-    stem to its text.  ``--nodes N`` sets the ``nodes`` param to
-    ``node_value(N)`` (default: N).
+    ``run(**params)`` instead.  ``render(rows, params)`` maps a stem to
+    each text it prints; ``--output`` writes only the ``results`` stems.
+    ``--nodes N`` sets the params ``node_params(N)`` returns.
     """
 
     name: str
@@ -103,18 +122,21 @@ class Experiment:
     cells: Optional[Callable[[Params], List[TrialSpec]]] = None
     reduce: Optional[Callable[[List[Any], Params], Any]] = None
     run: Optional[Callable[..., Any]] = None
-    nodes: str = "n_nodes"
-    node_value: Optional[Callable[[int], Any]] = None
+    node_params: Callable[[int], Params] = lambda n_nodes: {"n_nodes": n_nodes}
 
     def resolve(self, overrides: Mapping[str, Any]) -> Params:
         """Defaults plus ``overrides``, an unknown name being an error.
 
         A ``scale`` not overridden is resolved here, once, through
-        :func:`env_scale`, so run and render see the same value.  A dict
-        default takes a dict override key by key (``None`` switches
-        that part off).
+        :func:`env_scale`, so run and render see the same value.
         """
-        params = _merge(self.name, self.params, overrides)
+        unknown = sorted(set(overrides) - set(self.params))
+        if unknown:
+            raise ConfigurationError(
+                f"{self.name} takes no param {unknown[0]!r}; "
+                f"expected one of {sorted(self.params)}"
+            )
+        params = {**self.params, **overrides}
         if "scale" in params and "scale" not in overrides:
             params["scale"] = env_scale(params["scale"])
         return params
@@ -136,20 +158,6 @@ class Experiment:
     def fold(self, results: List[Any], params: Params) -> Any:
         """Rows of the cell results, in grid order."""
         return results if self.reduce is None else self.reduce(results, params)
-
-
-def _merge(name: str, defaults: Mapping[str, Any], overrides: Mapping[str, Any]) -> Params:
-    unknown = sorted(set(overrides) - set(defaults))
-    if unknown:
-        raise ConfigurationError(
-            f"{name} takes no param {unknown[0]!r}; expected one of {sorted(defaults)}"
-        )
-    merged = dict(defaults)
-    for key, value in overrides.items():
-        if isinstance(defaults[key], Mapping) and isinstance(value, Mapping):
-            value = _merge(f"{name} {key}", defaults[key], value)
-        merged[key] = value
-    return merged
 
 
 def _named(fn: Callable[..., Any], params: Params) -> Params:
@@ -411,7 +419,9 @@ def count_both(
     names the cell's deployment.  Returns the writer and one
     ``trials``-count sample per estimator over the same stored bits.
     """
-    writer = DistributedHashSketch(ring, config, seed=derive_seed(seed, "writer", *path))
+    writer = DistributedHashSketch(
+        ring, config, seed=derive_seed(seed, "writer", *path)
+    )
     for relation in relations:
         populate_relation(writer, relation, seed=derive_seed(seed, "load", *path))
     truths = {relation.name: float(relation.size) for relation in relations}

@@ -61,7 +61,11 @@ from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
 __all__ = [
-    "FAULTMATRIX", "FAULT_MATRIX_KINDS", "POLICIES", "FaultMatrixRow", "PolicySpec",
+    "FAULTMATRIX",
+    "FAULT_MATRIX_KINDS",
+    "POLICIES",
+    "FaultMatrixRow",
+    "PolicySpec",
     "format_faultmatrix",
 ]
 
@@ -265,7 +269,9 @@ def _points(params: Params) -> List[Tuple[str, float, str, int]]:
     ]
 
 
-def _reduce(results: List[Tuple[float, ...]], params: Params) -> List[FaultMatrixRow]:
+def _reduce(
+    results: List[Tuple[float, ...]], params: Params
+) -> List[FaultMatrixRow]:
     """Average every matrix point over its draws."""
     draws = params["draws"]
     rows: List[FaultMatrixRow] = []
@@ -294,11 +300,16 @@ def format_faultmatrix(rows: List[FaultMatrixRow]) -> str:
     return format_rows(
         "Fault matrix: fault x intensity x policy x replication",
         [
-            ("fault", "{0.fault}"), ("p", "{0.intensity:.2f}"),
-            ("policy", "{0.policy}"), ("R", "{0.replication}"),
-            ("error %", "{0.error_pct:.1f}"), ("under %", "{0.underread_pct:.1f}"),
-            ("hops", "{0.hops:.0f}"), ("degr %", "{0.degraded_pct:.0f}"),
-            ("conf", "{0.confidence:.3f}"), ("repairs", "{0.repair_writes:.1f}"),
+            ("fault", "{0.fault}"),
+            ("p", "{0.intensity:.2f}"),
+            ("policy", "{0.policy}"),
+            ("R", "{0.replication}"),
+            ("error %", "{0.error_pct:.1f}"),
+            ("under %", "{0.underread_pct:.1f}"),
+            ("hops", "{0.hops:.0f}"),
+            ("degr %", "{0.degraded_pct:.0f}"),
+            ("conf", "{0.confidence:.3f}"),
+            ("repairs", "{0.repair_writes:.1f}"),
         ],
         rows,
     )
@@ -307,10 +318,22 @@ def format_faultmatrix(rows: List[FaultMatrixRow]) -> str:
 #: Every random choice flows through ``derive_seed`` label paths, so the
 #: grid is bit-identical at any ``DHS_JOBS`` width.
 FAULTMATRIX = Experiment(
-    "faultmatrix", "fault kind x intensity x policy x R matrix", ("fault_matrix",),
-    dict(seed=3, fault_kinds=("drop", "lazy_crash", "amnesia"), intensities=(0.1, 0.3),
-         policies=("none", "retry+repair"), replications=(0, 2), n_nodes=64,
-         n_items=10_000, num_bitmaps=32, estimator="sll", trials=2, draws=2),
+    name="faultmatrix",
+    description="fault kind x intensity x policy x R matrix",
+    results=("fault_matrix",),
+    params=dict(
+        seed=3,
+        fault_kinds=("drop", "lazy_crash", "amnesia"),
+        intensities=(0.1, 0.3),
+        policies=("none", "retry+repair"),
+        replications=(0, 2),
+        n_nodes=64,
+        n_items=10_000,
+        num_bitmaps=32,
+        estimator="sll",
+        trials=2,
+        draws=2,
+    ),
     cells=_cells,
     reduce=_reduce,
     render=lambda rows, params: {"fault_matrix": format_faultmatrix(rows)},

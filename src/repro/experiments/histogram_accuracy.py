@@ -21,7 +21,11 @@ from repro.experiments.report import estimator_pairs, format_rows
 from repro.experiments.table3 import reconstruct_both
 from repro.sim.parallel import TrialSpec
 
-__all__ = ["HISTOGRAM_ACCURACY", "HistogramAccuracyRow", "format_histogram_accuracy"]
+__all__ = [
+    "HISTOGRAM_ACCURACY",
+    "HistogramAccuracyRow",
+    "format_histogram_accuracy",
+]
 
 
 @dataclass
@@ -35,7 +39,13 @@ class HistogramAccuracyRow:
 
 
 def _histogram_accuracy_cell(
-    seed: int, *, m: int, n_nodes: int, n_buckets: int, n_items: int, trials: int
+    seed: int,
+    *,
+    m: int,
+    n_nodes: int,
+    n_buckets: int,
+    n_items: int,
+    trials: int,
 ) -> List[HistogramAccuracyRow]:
     """One ``m``: rebuild the (seed-identical) workload, measure both estimators."""
     return [
@@ -48,15 +58,22 @@ def _histogram_accuracy_cell(
             sketch_sigma_pct=100 * counter.config.sketch_class().expected_std_error(m),
         )
         for estimator, counter, truth, runs in reconstruct_both(
-            seed, m=m, n_nodes=n_nodes, n_buckets=n_buckets, n_items=n_items,
-            trials=trials, origins="origins",
+            seed,
+            m=m,
+            n_nodes=n_nodes,
+            n_buckets=n_buckets,
+            n_items=n_items,
+            trials=trials,
+            origins="origins",
         )
     ]
 
 
 def _cells(params: Params) -> List[TrialSpec]:
     return [
-        TrialSpec(fn=_histogram_accuracy_cell, seed=params["seed"], kwargs={"m": m})
+        TrialSpec(
+            fn=_histogram_accuracy_cell, seed=params["seed"], kwargs={"m": m}
+        )
         for m in params["ms"]
     ]
 
@@ -66,7 +83,8 @@ def format_histogram_accuracy(rows: List[HistogramAccuracyRow]) -> str:
     return format_rows(
         "Histogram per-cell error vs m",
         [
-            ("m", "{0[0]}"), ("sLL cell err %", "{0[1].cell_error_pct:.1f}"),
+            ("m", "{0[0]}"),
+            ("sLL cell err %", "{0[1].cell_error_pct:.1f}"),
             ("PCSA cell err %", "{0[2].cell_error_pct:.1f}"),
             (
                 "theory sigma % (sLL/PCSA)",
@@ -78,10 +96,21 @@ def format_histogram_accuracy(rows: List[HistogramAccuracyRow]) -> str:
 
 
 HISTOGRAM_ACCURACY = Experiment(
-    "histogram-accuracy", "§5.2 per-cell histogram error", ("histogram_accuracy",),
+    name="histogram-accuracy",
+    description="§5.2 per-cell histogram error",
+    results=("histogram_accuracy",),
     # Miss-free regime: a small overlay and a moderately large relation.
-    dict(seed=1, ms=(64, 128, 256), n_nodes=64, n_buckets=20, n_items=2_400_000, trials=2),
+    params=dict(
+        seed=1,
+        ms=(64, 128, 256),
+        n_nodes=64,
+        n_buckets=20,
+        n_items=2_400_000,
+        trials=2,
+    ),
     cells=_cells,
     reduce=concat,
-    render=lambda rows, params: {"histogram_accuracy": format_histogram_accuracy(rows)},
+    render=lambda rows, params: {
+        "histogram_accuracy": format_histogram_accuracy(rows)
+    },
 )

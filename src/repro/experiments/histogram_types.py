@@ -16,7 +16,11 @@ import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, build_ring, populate_histogram_metrics
+from repro.experiments.common import (
+    Experiment,
+    build_ring,
+    populate_histogram_metrics,
+)
 from repro.experiments.report import format_rows
 from repro.histograms.advanced import derive_histogram
 from repro.histograms.buckets import BucketSpec
@@ -105,7 +109,8 @@ def format_histogram_types(rows: List[HistogramTypeRow]) -> str:
     return format_rows(
         "Histogram types derived from DHS micro-buckets (footnote 5)",
         [
-            ("kind", "{0.kind}"), ("buckets", "{0.buckets}"),
+            ("kind", "{0.kind}"),
+            ("buckets", "{0.buckets}"),
             ("range err % (DHS)", "{0.mean_range_error_pct:.1f}"),
             ("range err % (exact micro)", "{0.oracle_error_pct:.1f}"),
         ],
@@ -114,10 +119,20 @@ def format_histogram_types(rows: List[HistogramTypeRow]) -> str:
 
 
 HISTOGRAM_TYPES = Experiment(
-    "histogram-types", "footnote 5: v-optimal/maxdiff/compressed", ("histogram_types",),
-    dict(seed=1, kinds=("equi_width", "equi_depth", "compressed", "maxdiff", "v_optimal"),
-         n_nodes=64, n_micro=100, budget=10, n_items=1_000_000, num_bitmaps=64, theta=1.0,
-         n_queries=300),
+    name="histogram-types",
+    description="footnote 5: v-optimal/maxdiff/compressed",
+    results=("histogram_types",),
+    params=dict(
+        seed=1,
+        kinds=("equi_width", "equi_depth", "compressed", "maxdiff", "v_optimal"),
+        n_nodes=64,
+        n_micro=100,
+        budget=10,
+        n_items=1_000_000,
+        num_bitmaps=64,
+        theta=1.0,
+        n_queries=300,
+    ),
     run=_run,
     render=lambda rows, params: {"histogram_types": format_histogram_types(rows)},
 )

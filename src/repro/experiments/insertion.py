@@ -20,7 +20,11 @@ from typing import List
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, build_ring, populate_histogram_metrics
+from repro.experiments.common import (
+    Experiment,
+    build_ring,
+    populate_histogram_metrics,
+)
 from repro.experiments.report import format_kv
 from repro.sim.seeds import rng_for
 from repro.workloads.relations import make_relation
@@ -108,9 +112,17 @@ def _run(
 
 
 INSERTION = Experiment(
-    "insertion", "§5.2 insertion & maintenance costs", ("insertion_costs",),
-    dict(seed=1, n_nodes=1024, num_bitmaps=512, n_buckets=100, scale=1e-2,
-         probe_inserts=2000),
+    name="insertion",
+    description="§5.2 insertion & maintenance costs",
+    results=("insertion_costs",),
+    params=dict(
+        seed=1,
+        n_nodes=1024,
+        num_bitmaps=512,
+        n_buckets=100,
+        scale=1e-2,
+        probe_inserts=2000,
+    ),
     run=_run,
     render=lambda report, params: {"insertion_costs": report.format()},
 )

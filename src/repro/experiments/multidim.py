@@ -86,17 +86,27 @@ def format_multidim(rows: List[MultiDimRow]) -> str:
     return format_rows(
         "Multi-dimension counting: cost vs metrics per operation",
         [
-            ("metrics", "{0.metrics}"), ("hops", "{0.hops:.0f}"),
-            ("BW (kB)", "{0.bytes_kb:.1f}"), ("DHT lookups", "{0.lookups:.0f}"),
+            ("metrics", "{0.metrics}"),
+            ("hops", "{0.hops:.0f}"),
+            ("BW (kB)", "{0.bytes_kb:.1f}"),
+            ("DHT lookups", "{0.lookups:.0f}"),
         ],
         rows,
     )
 
 
 MULTIDIM = Experiment(
-    "multidim", "§4.2 multi-dimension counting", ("multidim",),
-    dict(seed=1, metric_counts=(1, 4, 16, 64), n_nodes=128, items_per_metric=20_000,
-         num_bitmaps=64, trials=3),
+    name="multidim",
+    description="§4.2 multi-dimension counting",
+    results=("multidim",),
+    params=dict(
+        seed=1,
+        metric_counts=(1, 4, 16, 64),
+        n_nodes=128,
+        items_per_metric=20_000,
+        num_bitmaps=64,
+        trials=3,
+    ),
     run=_run,
     render=lambda rows, params: {"multidim": format_multidim(rows)},
 )

@@ -25,7 +25,12 @@ import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, Params, build_ring, sample_counts
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    build_ring,
+    sample_counts,
+)
 from repro.experiments.report import format_rows
 from repro.obs import runtime as obs
 from repro.obs.metrics import GAUGE_RING_MEMBERSHIP_BYTES_PER_NODE
@@ -33,10 +38,18 @@ from repro.overlay.stats import OpCost
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.multitenant import (
-    TENANT_ID_STRIDE, load_balance, tenant_metric, tenant_op_counts,
+    TENANT_ID_STRIDE,
+    load_balance,
+    tenant_metric,
+    tenant_op_counts,
 )
 
-__all__ = ["MULTITENANT", "MultitenantRow", "format_multitenant", "populate_tenants"]
+__all__ = [
+    "MULTITENANT",
+    "MultitenantRow",
+    "format_multitenant",
+    "populate_tenants",
+]
 
 
 @dataclass
@@ -183,7 +196,11 @@ def _cells(params: Params) -> List[TrialSpec]:
         TrialSpec(
             fn=_multitenant_cell,
             seed=params["seed"],
-            kwargs={"n_nodes": n_nodes, "n_tenants": n_tenants, "total_ops": total_ops},
+            kwargs={
+                "n_nodes": n_nodes,
+                "n_tenants": n_tenants,
+                "total_ops": total_ops,
+            },
         )
         for n_nodes in params["node_counts"]
     ]
@@ -195,9 +212,12 @@ def format_multitenant(rows: List[MultitenantRow]) -> str:
         f"Multi-tenant Zipf workload (theta={rows[0].theta:g})" if rows else
         "Multi-tenant Zipf workload",
         [
-            ("nodes", "{0.n_nodes}"), ("tenants", "{0.active_tenants}/{0.n_tenants}"),
-            ("ops", "{0.total_ops}"), ("storage max/mean", "{0.storage_max_mean:.2f}"),
-            ("gini", "{0.storage_gini:.3f}"), ("hops", "{0.hops:.0f}"),
+            ("nodes", "{0.n_nodes}"),
+            ("tenants", "{0.active_tenants}/{0.n_tenants}"),
+            ("ops", "{0.total_ops}"),
+            ("storage max/mean", "{0.storage_max_mean:.2f}"),
+            ("gini", "{0.storage_gini:.3f}"),
+            ("hops", "{0.hops:.0f}"),
             ("err", lambda row: f"{100.0 * row.error:.1f}%"),
             ("B/node", "{0.membership_bytes_per_node:.1f}"),
         ],
@@ -206,12 +226,22 @@ def format_multitenant(rows: List[MultitenantRow]) -> str:
 
 
 MULTITENANT = Experiment(
-    "multitenant", "multi-tenant Zipf workload: storage balance at scale", (),
-    # n_tenants and total_ops None: derived from scale.
-    dict(seed=1, node_counts=(256, 1024), n_tenants=None, total_ops=None, theta=0.7,
-         num_bitmaps=64, count_tenants=4, trials=2, scale=1e-2),
+    name="multitenant",
+    description="multi-tenant Zipf workload: storage balance at scale",
+    results=(),
+    params=dict(
+        seed=1,
+        node_counts=(256, 1024),
+        # None: derived from scale.
+        n_tenants=None,
+        total_ops=None,
+        theta=0.7,
+        num_bitmaps=64,
+        count_tenants=4,
+        trials=2,
+        scale=1e-2,
+    ),
     cells=_cells,
     render=lambda rows, params: {"multitenant": format_multitenant(rows)},
-    nodes="node_counts",
-    node_value=lambda n_nodes: (n_nodes,),
+    node_params=lambda n_nodes: {"node_counts": (n_nodes,)},
 )

@@ -22,7 +22,11 @@ from typing import List
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, build_ring, populate_histogram_metrics
+from repro.experiments.common import (
+    Experiment,
+    build_ring,
+    populate_histogram_metrics,
+)
 from repro.experiments.report import format_kv
 from repro.histograms.buckets import BucketSpec
 from repro.query.catalog import Catalog
@@ -125,8 +129,10 @@ def _run(
 
 
 QUERY_OPT = Experiment(
-    "query-opt", "§5.2 join-ordering savings", ("query_opt",),
-    dict(seed=1, n_nodes=128, num_bitmaps=128, n_buckets=20, scale=2e-3),
+    name="query-opt",
+    description="§5.2 join-ordering savings",
+    results=("query_opt",),
+    params=dict(seed=1, n_nodes=128, num_bitmaps=128, n_buckets=20, scale=2e-3),
     run=_run,
     render=lambda report, params: {"query_opt": report.format()},
 )

@@ -38,7 +38,10 @@ def format_rows(
         title,
         [header for header, _ in columns],
         [
-            [cell.format(row) if isinstance(cell, str) else cell(row) for _, cell in columns]
+            [
+                cell.format(row) if isinstance(cell, str) else cell(row)
+                for _, cell in columns
+            ]
             for row in rows
         ],
     )

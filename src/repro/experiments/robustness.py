@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, Params, populate_metric, sample_counts
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    populate_metric,
+    sample_counts,
+)
 from repro.experiments.report import format_rows
 from repro.overlay.chord import ChordRing
 from repro.sim.parallel import TrialSpec
@@ -104,7 +109,11 @@ def _cells(params: Params) -> List[TrialSpec]:
         TrialSpec(
             fn=_robustness_cell,
             seed=params["seed"],
-            kwargs={"replication": replication, "draw": draw, "failure_fractions": fractions},
+            kwargs={
+                "replication": replication,
+                "draw": draw,
+                "failure_fractions": fractions,
+            },
         )
         for replication in params["replications"]
         for draw in range(params["draws"])
@@ -136,17 +145,30 @@ def format_robustness(rows: List[RobustnessRow]) -> str:
     return format_rows(
         "Counting under undetected failures (section 3.5, lazy p_f model)",
         [
-            ("p_f", "{0.p_f:.2f}"), ("R", "{0.replication}"),
-            ("error %", "{0.error_pct:.1f}"), ("hops", "{0.hops:.0f}"),
+            ("p_f", "{0.p_f:.2f}"),
+            ("R", "{0.replication}"),
+            ("error %", "{0.error_pct:.1f}"),
+            ("hops", "{0.hops:.0f}"),
         ],
         rows,
     )
 
 
 ROBUSTNESS = Experiment(
-    "robustness", "§3.5 undetected failures vs replication", ("failure_robustness",),
-    dict(seed=1, failure_fractions=(0.0, 0.15, 0.3), replications=(0, 3), n_nodes=256,
-         n_items=300_000, num_bitmaps=512, estimator="pcsa", trials=2, draws=3),
+    name="robustness",
+    description="§3.5 undetected failures vs replication",
+    results=("failure_robustness",),
+    params=dict(
+        seed=1,
+        failure_fractions=(0.0, 0.15, 0.3),
+        replications=(0, 3),
+        n_nodes=256,
+        n_items=300_000,
+        num_bitmaps=512,
+        estimator="pcsa",
+        trials=2,
+        draws=3,
+    ),
     cells=_cells,
     reduce=_reduce,
     render=lambda rows, params: {"failure_robustness": format_robustness(rows)},

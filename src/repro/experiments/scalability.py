@@ -27,7 +27,13 @@ import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.errors import ConfigurationError
-from repro.experiments.common import Experiment, Params, build_ring, concat, count_both
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    build_ring,
+    concat,
+    count_both,
+)
 from repro.experiments.report import estimator_pairs, format_rows
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
@@ -35,7 +41,10 @@ from repro.workloads.multitenant import load_balance
 from repro.workloads.relations import make_relation
 
 __all__ = [
-    "SCALABILITY", "ScalabilityRow", "fit_log2_coefficient", "format_scalability",
+    "SCALABILITY",
+    "ScalabilityRow",
+    "fit_log2_coefficient",
+    "format_scalability",
     "sweep_node_counts",
 ]
 
@@ -114,7 +123,9 @@ def _scalability_cell(
 
 def _cells(params: Params) -> List[TrialSpec]:
     return [
-        TrialSpec(fn=_scalability_cell, seed=params["seed"], kwargs={"n_nodes": n_nodes})
+        TrialSpec(
+            fn=_scalability_cell, seed=params["seed"], kwargs={"n_nodes": n_nodes}
+        )
         for n_nodes in params["node_counts"]
     ]
 
@@ -145,7 +156,8 @@ def format_scalability(rows: List[ScalabilityRow]) -> str:
     return format_rows(
         "Scalability: counting cost vs network size (sLL/PCSA)",
         [
-            ("nodes", "{0[0]}"), ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
+            ("nodes", "{0[0]}"),
+            ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
             ("c*log2N", lambda pair: f"{coefficient * math.log2(pair[0]):.0f}"),
             ("nodes visited", "{0[1].nodes_visited:.0f} / {0[2].nodes_visited:.0f}"),
             ("DHT lookups", "{0[1].lookups:.0f} / {0[2].lookups:.0f}"),
@@ -158,13 +170,20 @@ def format_scalability(rows: List[ScalabilityRow]) -> str:
 
 
 SCALABILITY = Experiment(
-    "scalability", "§5.2 scalability (hops vs N)", ("scalability",),
-    dict(seed=1, node_counts=(256, 1024, 4096), num_bitmaps=512, scale=1e-2, trials=3),
+    name="scalability",
+    description="§5.2 scalability (hops vs N)",
+    results=("scalability",),
+    params=dict(
+        seed=1,
+        node_counts=(256, 1024, 4096),
+        num_bitmaps=512,
+        scale=1e-2,
+        trials=3,
+    ),
     cells=_cells,
     reduce=concat,
     render=lambda rows, params: {"scalability": format_scalability(rows)},
     # --nodes N caps the geometric N=10^3 -> N ladder (1000000 runs the
     # full 1e3/1e4/1e5/1e6 sweep); the workload stays fixed.
-    nodes="node_counts",
-    node_value=sweep_node_counts,
+    node_params=lambda n_nodes: {"node_counts": sweep_node_counts(n_nodes)},
 )

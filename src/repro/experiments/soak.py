@@ -57,7 +57,12 @@ from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
 __all__ = [
-    "GATE", "SOAK", "SOAK_FAULT_CYCLE", "SOAK_POLICIES", "SoakRow", "format_soak",
+    "GATE",
+    "SOAK",
+    "SOAK_FAULT_CYCLE",
+    "SOAK_POLICIES",
+    "SoakRow",
+    "format_soak",
     "soak_plan",
 ]
 
@@ -288,25 +293,19 @@ def _cells(params: Params) -> List[TrialSpec]:
         TrialSpec(fn=_soak_cell, seed=params["seed"], kwargs={"policy_name": name})
         for name in params["policies"]
     ]
-    gate = _gate_params(params)
-    return soak + (FAULTMATRIX.grid(gate) if gate is not None else [])
+    return soak + FAULTMATRIX.grid(_gate_params(params))
 
 
-def _gate_params(params: Params) -> Optional[Params]:
-    if params["gate"] is None:
-        return None
+def _gate_params(params: Params) -> Params:
     return FAULTMATRIX.resolve({**params["gate"], "seed": params["seed"]})
 
 
 def _reduce(
     results: List[Any], params: Params
-) -> Tuple[List[SoakRow], Optional[List[FaultMatrixRow]]]:
-    """The soak rows, and the gate's fault-matrix rows (``None`` when off)."""
+) -> Tuple[List[SoakRow], List[FaultMatrixRow]]:
+    """The soak rows, and the gate's fault-matrix rows."""
     split = len(params["policies"])
-    gate = _gate_params(params)
-    return results[:split], (
-        FAULTMATRIX.fold(results[split:], gate) if gate is not None else None
-    )
+    return results[:split], FAULTMATRIX.fold(results[split:], _gate_params(params))
 
 
 def format_soak(rows: List[SoakRow]) -> str:
@@ -314,21 +313,26 @@ def format_soak(rows: List[SoakRow]) -> str:
     return format_rows(
         "Continuous-churn soak: divergence, convergence and repair cost",
         [
-            ("policy", "{0.policy}"), ("ticks", "{0.ticks}"), ("faults", "{0.faults}"),
+            ("policy", "{0.policy}"),
+            ("ticks", "{0.ticks}"),
+            ("faults", "{0.faults}"),
             ("div mean", "{0.mean_divergence:.1f}"),
-            ("div peak", "{0.peak_divergence}"), ("div end", "{0.final_divergence}"),
+            ("div peak", "{0.peak_divergence}"),
+            ("div end", "{0.final_divergence}"),
             ("conv ticks", "{0.mean_convergence_ticks:.1f}"),
-            ("repair kB", "{0.repair_kb:.1f}"), ("writes", "{0.repair_writes}"),
+            ("repair kB", "{0.repair_kb:.1f}"),
+            ("writes", "{0.repair_writes}"),
             ("under %", "{0.mean_underread_pct:.1f}"),
             ("end under %", "{0.final_underread_pct:.1f}"),
-            ("degr %", "{0.degraded_pct:.0f}"), ("min conf", "{0.min_confidence:.3f}"),
+            ("degr %", "{0.degraded_pct:.0f}"),
+            ("min conf", "{0.min_confidence:.3f}"),
         ],
         rows,
     )
 
 
 def _render(
-    rows: Tuple[List[SoakRow], Optional[List[FaultMatrixRow]]], params: Params
+    rows: Tuple[List[SoakRow], List[FaultMatrixRow]], params: Params
 ) -> Dict[str, str]:
     soak, gate = rows
     by = {row.policy: row for row in soak}
@@ -341,19 +345,19 @@ def _render(
             f"{rounds} rounds ({1024 * ae.repair_kb / rounds:.0f} B/round, "
             f"{ae.repair_writes} entries rewritten)"
         )
-    if gate is not None:
-        cells = {(row.fault, row.intensity, row.policy): row for row in gate}
-        lines: List[str] = []
-        for fault in params["gate"]["fault_kinds"]:
-            for intensity in params["gate"]["intensities"]:
-                rr = cells[(fault, intensity, "retry+readrepair")]
-                ae = cells[(fault, intensity, "retry+repair")]
-                lines.append(
-                    f"{fault:10s} p={intensity:.2f}  "
-                    f"readrepair under-read {rr.underread_pct:5.1f}%  ->  "
-                    f"antientropy {ae.underread_pct:5.1f}%"
-                )
-        texts["soak_gate"] = "Anti-entropy under-read gate\n" + "\n".join(lines)
+    cells = {(row.fault, row.intensity, row.policy): row for row in gate}
+    gate_params = _gate_params(params)
+    lines: List[str] = []
+    for fault in gate_params["fault_kinds"]:
+        for intensity in gate_params["intensities"]:
+            rr = cells[(fault, intensity, "retry+readrepair")]
+            ae = cells[(fault, intensity, "retry+repair")]
+            lines.append(
+                f"{fault:10s} p={intensity:.2f}  "
+                f"readrepair under-read {rr.underread_pct:5.1f}%  ->  "
+                f"antientropy {ae.underread_pct:5.1f}%"
+            )
+    texts["soak_gate"] = "Anti-entropy under-read gate\n" + "\n".join(lines)
     return texts
 
 
@@ -363,16 +367,37 @@ def _render(
 #: anti-entropy's homecoming pass heals them (see docs/ROBUSTNESS.md).
 #: It runs at the soak's seed.
 GATE: Dict[str, Any] = dict(
-    fault_kinds=("amnesia", "partition"), intensities=(0.3, 0.4),
-    policies=("retry+readrepair", "retry+repair"), replications=(2,), n_nodes=96,
-    n_items=6_000, num_bitmaps=32, estimator="sll", trials=3, draws=3,
+    fault_kinds=("amnesia", "partition"),
+    intensities=(0.3, 0.4),
+    policies=("retry+readrepair", "retry+repair"),
+    replications=(2,),
+    n_nodes=96,
+    n_items=6_000,
+    num_bitmaps=32,
+    estimator="sll",
+    trials=3,
+    draws=3,
 )
 
 SOAK = Experiment(
-    "soak", "continuous-churn soak: divergence & repair bandwidth", ("soak", "soak_gate"),
-    dict(seed=3, policies=("readrepair", "antientropy"), ticks=60, fault_every=12,
-         fraction=0.15, duration=4, n_nodes=64, items_per_tick=50, num_bitmaps=32,
-         estimator="sll", replication=2, count_every=2, gate=GATE),
+    name="soak",
+    description="continuous-churn soak: divergence & repair bandwidth",
+    results=("soak", "soak_gate"),
+    params=dict(
+        seed=3,
+        policies=("readrepair", "antientropy"),
+        ticks=60,
+        fault_every=12,
+        fraction=0.15,
+        duration=4,
+        n_nodes=64,
+        items_per_tick=50,
+        num_bitmaps=32,
+        estimator="sll",
+        replication=2,
+        count_every=2,
+        gate=GATE,
+    ),
     cells=_cells,
     reduce=_reduce,
     render=_render,

@@ -16,13 +16,20 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.config import DHSConfig
-from repro.experiments.common import Experiment, Params, build_ring, concat, count_both
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    build_ring,
+    concat,
+    count_both,
+)
 from repro.experiments.report import estimator_pairs, format_rows
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import standard_relations
 
 __all__ = ["TABLE2", "Table2Row", "format_table2"]
+
 
 @dataclass
 class Table2Row:
@@ -93,10 +100,21 @@ def _cells(params: Params) -> List[TrialSpec]:
 #: with a 1/50 workload preserves the regime Table 2 was measured in
 #: (see EXPERIMENTS.md).
 TABLE2 = Experiment(
-    "table2", "Table 2: counting costs and accuracy", ("table2_counting",),
-    dict(seed=1, n_nodes=128, ms=(128, 256, 512, 1024), scale=2e-2, trials=2, lim=5,
-         key_bits=24),
+    name="table2",
+    description="Table 2: counting costs and accuracy",
+    results=("table2_counting",),
+    params=dict(
+        seed=1,
+        n_nodes=128,
+        ms=(128, 256, 512, 1024),
+        scale=2e-2,
+        trials=2,
+        lim=5,
+        key_bits=24,
+    ),
     cells=_cells,
     reduce=concat,
-    render=lambda rows, params: {"table2_counting": format_table2(rows, params["scale"])},
+    render=lambda rows, params: {
+        "table2_counting": format_table2(rows, params["scale"])
+    },
 )

@@ -17,7 +17,10 @@ from typing import Any, Dict, Iterator, List, Tuple
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.experiments.common import (
-    Experiment, Params, build_ring, populate_histogram_metrics,
+    Experiment,
+    Params,
+    build_ring,
+    populate_histogram_metrics,
 )
 from repro.experiments.report import estimator_pairs, format_rows
 from repro.histograms.buckets import BucketSpec
@@ -43,12 +46,22 @@ class Table3Row:
 
 
 def reconstruct_both(
-    seed: int, *, m: int, n_nodes: int, n_buckets: int, n_items: int, trials: int,
+    seed: int,
+    *,
+    m: int,
+    n_nodes: int,
+    n_buckets: int,
+    n_items: int,
+    trials: int,
     origins: str,
 ) -> Iterator[Tuple[str, DistributedHashSketch, Histogram, List[Any]]]:
-    """Store one relation's ``n_buckets`` histogram with ``m`` bitmaps, then
-    per estimator rebuild it ``trials`` times from ``origins``-seeded random
-    nodes: ``(estimator, counter, exact histogram, reconstructions)``."""
+    """Store one relation's histogram, rebuild it with each estimator.
+
+    The relation's ``n_buckets`` buckets are stored with ``m`` bitmaps;
+    each estimator then reconstructs them ``trials`` times from random
+    nodes drawn under the ``origins`` label.  Yields ``(estimator,
+    counter, exact histogram, reconstructions)``.
+    """
     relation = make_relation("R", n_items, seed=derive_seed(seed, "rel"))
     spec = BucketSpec.equi_width(relation.domain[0], relation.domain[1], n_buckets)
     truth = Histogram.exact(spec, relation.values)
@@ -69,12 +82,21 @@ def reconstruct_both(
         )
         builder = DHSHistogramBuilder(counter, spec, relation.name)
         rng = rng_for(seed, origins, m, estimator)
-        runs = [builder.reconstruct(origin=ring.random_live_node(rng)) for _ in range(trials)]
+        runs = [
+            builder.reconstruct(origin=ring.random_live_node(rng))
+            for _ in range(trials)
+        ]
         yield estimator, counter, truth, runs
 
 
 def _table3_cell(
-    seed: int, *, m: int, n_nodes: int, n_buckets: int, scale: float, trials: int
+    seed: int,
+    *,
+    m: int,
+    n_nodes: int,
+    n_buckets: int,
+    scale: float,
+    trials: int,
 ) -> List[Table3Row]:
     """One ``m``: rebuild the workload, reconstruct with both estimators."""
     n_items = max(2000, int(20_000_000 * scale))
@@ -90,8 +112,13 @@ def _table3_cell(
             / trials,
         )
         for estimator, _, truth, runs in reconstruct_both(
-            seed, m=m, n_nodes=n_nodes, n_buckets=n_buckets, n_items=n_items,
-            trials=trials, origins="hist-origins",
+            seed,
+            m=m,
+            n_nodes=n_nodes,
+            n_buckets=n_buckets,
+            n_items=n_items,
+            trials=trials,
+            origins="hist-origins",
         )
     ]
 
@@ -136,11 +163,15 @@ def _reduce(
     """The table's rows, and the sLL row of each bucket count."""
     split = len(params["ms"])
     table = [row for rows in results[:split] for row in rows]
-    pair = [row for rows in results[split:] for row in rows if row.estimator == "sll"]
+    pair = [
+        row for rows in results[split:] for row in rows if row.estimator == "sll"
+    ]
     return table, pair
 
 
-def _render(rows: Tuple[List[Table3Row], List[Table3Row]], params: Params) -> Dict[str, str]:
+def _render(
+    rows: Tuple[List[Table3Row], List[Table3Row]], params: Params
+) -> Dict[str, str]:
     table, pair = rows
     counts = params["bucket_counts"]
     return {
@@ -155,10 +186,21 @@ def _render(rows: Tuple[List[Table3Row], List[Table3Row]], params: Params) -> Di
 
 
 TABLE3 = Experiment(
-    "table3", "Table 3: histogram building costs",
-    ("table3_histograms", "table3_bucket_independence"),
-    dict(seed=1, n_nodes=256, ms=(128, 256, 512, 1024), n_buckets=100, scale=1e-2,
-         trials=2, bucket_m=256, bucket_counts=(10, 100)),
+    name="table3",
+    description="Table 3: histogram building costs",
+    results=("table3_histograms", "table3_bucket_independence"),
+    params=dict(
+        seed=1,
+        n_nodes=256,
+        ms=(128, 256, 512, 1024),
+        n_buckets=100,
+        scale=1e-2,
+        trials=2,
+        # Bucket independence: bucket_m bitmaps at each bucket count,
+        # run at seed + 1.
+        bucket_m=256,
+        bucket_counts=(10, 100),
+    ),
     cells=_cells,
     reduce=_reduce,
     render=_render,

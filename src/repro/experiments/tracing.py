@@ -15,8 +15,8 @@ which is exactly what the committed golden fixture pins.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 import pathlib
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -32,7 +32,11 @@ from repro.obs.span import Span, Tracer
 from repro.sim.seeds import derive_seed, rng_for
 
 __all__ = [
-    "TRACE", "TraceScenario", "TraceRun", "run_traced_count", "build_load_rows",
+    "TRACE",
+    "TraceScenario",
+    "TraceRun",
+    "run_traced_count",
+    "build_load_rows",
     "format_trace",
 ]
 
@@ -181,8 +185,10 @@ def _run(trace_jsonl: Optional[str] = None, **scenario: Any) -> TraceRun:
 
 
 TRACE = Experiment(
-    "trace", "traced count: span tree, metrics, Fig. 7 load table", (),
-    {**asdict(TraceScenario()), "trace_jsonl": None},
+    name="trace",
+    description="traced count: span tree, metrics, Fig. 7 load table",
+    results=(),
+    params={**asdict(TraceScenario()), "trace_jsonl": None},
     run=_run,
     render=lambda run, params: {"trace": format_trace(run)},
 )

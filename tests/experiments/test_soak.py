@@ -6,13 +6,14 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, run
-from repro.experiments.soak import SOAK_FAULT_CYCLE, format_soak, soak_plan
+from repro.experiments.soak import GATE, SOAK_FAULT_CYCLE, format_soak, soak_plan
 from repro.overlay.chord import ChordRing
 
 SMOKE = dict(
     ticks=40, fault_every=10, fraction=0.15, duration=3,
     n_nodes=48, items_per_tick=40, num_bitmaps=32,
-    estimator="sll", replication=2, count_every=2, seed=3, gate=None,
+    estimator="sll", replication=2, count_every=2, seed=3,
+    gate={**GATE, "n_nodes": 24, "n_items": 500, "trials": 1, "draws": 1},
 )
 
 

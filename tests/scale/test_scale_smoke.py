@@ -28,6 +28,7 @@ from repro.core.dhs import DistributedHashSketch
 from repro.experiments.multitenant import populate_tenants
 from repro.experiments.registry import run
 from repro.experiments.scalability import fit_log2_coefficient
+from repro.experiments.soak import GATE
 from repro.obs import runtime as obs
 from repro.obs.metrics import (
     GAUGE_RING_BUILD_SECONDS,
@@ -197,7 +198,8 @@ def test_zipf_populate_of_1e5_tenants_balance_and_budget():
 
 
 def test_long_soak_heals_and_is_byte_identical_across_jobs():
-    base = dict(ticks=200, n_nodes=128, items_per_tick=40, seed=3, gate=None)
+    gate = {**GATE, "n_nodes": 24, "n_items": 500, "trials": 1, "draws": 1}
+    base = dict(ticks=200, n_nodes=128, items_per_tick=40, seed=3, gate=gate)
     rows = {r.policy: r for r in run("soak", fault_every=25, **base)[0]}
     antientropy = rows["antientropy"]
     assert antientropy.faults > 0

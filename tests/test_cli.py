@@ -6,9 +6,19 @@ import pytest
 
 from repro.cli import _build_parser, main
 from repro.errors import ConfigurationError
+from repro.experiments.ablations import ABLATIONS
 from repro.experiments.registry import EXPERIMENTS, run
+from repro.experiments.soak import GATE
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+#: Each ablation study shrunk to two or three small cells.
+TINY_STUDIES = dict(
+    retries=dict(lims=(1, 2), n_nodes=32, n_items=2_000, trials=1),
+    replication=dict(degrees=(0, 1), n_nodes=32, n_items=2_000, trials=1),
+    bitshift=dict(shifts=(0, 1), n_nodes=32, n_items=2_000, trials=1),
+    overlays=dict(n_nodes=32, n_items=2_000, num_bitmaps=16, trials=1),
+)
 
 
 class TestCatalogue:
@@ -57,14 +67,17 @@ class TestCatalogue:
         [
             ("table3", dict(n_nodes=32, ms=(16,), n_buckets=5, scale=2e-4, trials=1,
                             bucket_m=16, bucket_counts=(2, 4))),
-            ("soak", dict(ticks=12, fault_every=4, n_nodes=24, items_per_tick=20,
-                          gate=dict(n_nodes=24, n_items=500, trials=1, draws=1))),
-            ("ablations", dict(
-                retries=dict(lims=(1, 2), n_nodes=32, n_items=2_000, trials=1),
-                replication=dict(degrees=(0, 1), n_nodes=32, n_items=2_000, trials=1),
-                bitshift=dict(shifts=(0, 1), n_nodes=32, n_items=2_000, trials=1),
-                overlays=dict(n_nodes=32, n_items=2_000, num_bitmaps=16, trials=1),
+            ("soak", dict(
+                ticks=12,
+                fault_every=4,
+                n_nodes=24,
+                items_per_tick=20,
+                gate={**GATE, "n_nodes": 24, "n_items": 500, "trials": 1, "draws": 1},
             )),
+            ("ablations", {
+                study: {**ABLATIONS.params[study], **tiny}
+                for study, tiny in TINY_STUDIES.items()
+            }),
         ],
     )
     def test_every_result_file_renders(self, name, params):
@@ -140,6 +153,12 @@ class TestOutputOption:
         golden = pathlib.Path(__file__).parent / "obs" / "golden_trace.jsonl"
         assert path.read_bytes() == golden.read_bytes()
         assert "Traced DHS count" in capsys.readouterr().out
+
+    def test_output_writes_only_archived_files(self, tmp_path, capsys):
+        # trace prints a report but archives no file under benchmarks/results/.
+        assert main(["trace", "--output", str(tmp_path)]) == 0
+        assert "Traced DHS count" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_reports_written_to_directory(self, tmp_path, capsys):
         assert main(
