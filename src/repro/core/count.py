@@ -24,8 +24,9 @@ popcounts by the pure functions of :mod:`repro.sketches.estimators` —
 the same functions the local sketches' ``estimate()`` call, so the
 distributed estimate is bit-identical to the centralized one — in
 O(positions) integer operations per metric.  No sketch object is built
-to count; :attr:`CountResult.sketches` rebuilds one from the planes only
-when a caller reads it (set expressions over metrics, tests).
+to count, and no metric's planes are cut out of its block's:
+:attr:`CountResult.sketches` cuts them and rebuilds a sketch only when
+a caller reads one (set expressions over metrics, tests).
 
 Hot path: a count reads every requested metric with one ``&`` per
 block of 64 metrics.  The counter numbers metrics in the order they are
@@ -42,8 +43,11 @@ rebuilds.  A probe is then one ``&`` against the interval's pending
 lanes and one popcount per touched block, and the walk stops when
 ``pending & ~found`` is zero in every block.  Per-metric work is left
 to where a per-metric answer is needed: the confidence discount of an
-exhausted interval, read repair, and each metric's planes, cut from
-its block's packed planes once after the scan.
+exhausted interval, read repair, and each metric's popcount vector,
+read once after the scan from its block's packed planes: a block with
+one requested lane takes one ``bit_count`` per plane (its planes hold
+bits in that lane only), one with more joins its planes into one
+buffer and popcounts every lane of every position in one numpy pass.
 
 The per-interval random probe keys are drawn up front, one per
 interval, by :meth:`~repro.core.mapping.BitIntervalMap.random_keys`:
@@ -82,6 +86,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.config import DHSConfig
 from repro.core.mapping import BitIntervalMap
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
@@ -89,6 +95,7 @@ from repro.core.retries import lim_with_replication, success_probability
 from repro.core.tuples import PackedSlot, bits_of, vectors_mask, write_entry
 from repro.errors import MessageDropped
 from repro.hashing.family import HashFamily
+from repro.hashing.vectorized import popcount64
 from repro.obs import runtime as obs
 from repro.obs.metrics import BUCKETS_BITS, BUCKETS_PROBES, Histogram
 from repro.overlay.dht import DHTProtocol
@@ -143,12 +150,11 @@ class _Request:
 
     ``blocks`` are the blocks the request touches; ``lanes[k]`` places
     its ``k``-th metric as (index into ``blocks``, bit offset of its
-    lane, whether a requested lane sits above it); ``spans[i]`` sets
-    every bit of every requested lane of ``blocks[i]`` — a scan's
-    starting pending/active masks; and ``lane_masks[i]`` holds the
-    :func:`_nonzero_lanes` constants of those lanes and their count.  A
-    metric never changes lane, so the layout holds for as long as the
-    counter lives.
+    lane); ``spans[i]`` sets every bit of every requested lane of
+    ``blocks[i]`` — a scan's starting pending/active masks; and
+    ``lane_masks[i]`` holds the :func:`_nonzero_lanes` constants of
+    those lanes and their count.  A metric never changes lane, so the
+    layout holds for as long as the counter lives.
     """
 
     __slots__ = ("blocks", "lanes", "spans", "lane_masks")
@@ -162,7 +168,7 @@ class _Request:
         m: int,
     ) -> None:
         self.blocks = blocks
-        self.lanes = [(i, offset, spans[i] >> (offset + m) != 0) for i, offset in lanes]
+        self.lanes = lanes
         self.spans = spans
         self.lane_masks: List[Tuple[int, int, int, int]] = []
         for span in spans:
@@ -244,20 +250,46 @@ def _nonzero_lanes(mask: int, lows: int, rests: int, tops: int) -> int:
     return (((mask & lows) + rests) | mask) & tops
 
 
+def _lane_popcounts(planes: Sequence[int], lanes: int, m: int) -> List[List[int]]:
+    """``[lane][position]``: the set bits of each ``m``-bit lane of each plane.
+
+    The planes hold ``lanes`` lanes from bit 0 up.  They are joined into
+    one buffer of 64-bit words and popcounted in one numpy pass; a lane
+    of 64 bits or more sums its words, narrower lanes share a word and
+    are popcounted one lane slot of the word at a time.
+    """
+    words = -(-lanes * m // 64)
+    buffer = b"".join(plane.to_bytes(8 * words, "little") for plane in planes)
+    matrix = np.frombuffer(buffer, dtype="<u8").reshape(len(planes), words)
+    if m >= 64:
+        counts = popcount64(matrix).reshape(len(planes), lanes, m // 64).sum(axis=2)
+    else:
+        lane = np.uint64((1 << m) - 1)
+        slots = [popcount64((matrix >> np.uint64(s)) & lane) for s in range(0, 64, m)]
+        counts = np.stack(slots, axis=2).reshape(len(planes), -1)[:, :lanes]
+    result: List[List[int]] = counts.T.tolist()
+    return result
+
+
 class _PlaneSketches(Mapping[Hashable, HashSketch]):
     """Metric → local sketch, rebuilt from a scan's bit planes when read.
 
-    Holds plain data only (planes, config, hash family), so a
-    :class:`CountResult` pickles out of a ``run_trials`` worker.
+    Keeps the scan's packed planes per block and each metric's place in
+    them, (block index, lane offset); a metric's planes are cut out only
+    when its sketch is read.  Holds plain data only (planes, config, hash
+    family), so a :class:`CountResult` pickles out of a ``run_trials``
+    worker.
     """
 
     def __init__(
         self,
-        planes: Dict[Hashable, List[int]],
+        packed: List[List[int]],
+        places: Dict[Hashable, Tuple[int, int]],
         config: DHSConfig,
         hash_family: HashFamily,
     ) -> None:
-        self._planes = planes
+        self._packed = packed
+        self._places = places
         self._config = config
         self._hash_family = hash_family
         self._built: Dict[Hashable, HashSketch] = {}
@@ -265,19 +297,21 @@ class _PlaneSketches(Mapping[Hashable, HashSketch]):
     def __getitem__(self, metric: Hashable) -> HashSketch:
         sketch = self._built.get(metric)
         if sketch is None:
-            planes = self._planes[metric]
+            i, offset = self._places[metric]
+            lane = (1 << self._config.num_bitmaps) - 1
             sketch = self._config.make_sketch(self._hash_family)
-            for position, plane in enumerate(planes):
+            for position, plane in enumerate(self._packed[i]):
+                plane = (plane >> offset) & lane
                 if plane:
                     sketch.record_mask(plane, position)
             self._built[metric] = sketch
         return sketch
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._planes)
+        return iter(self._places)
 
     def __len__(self) -> int:
-        return len(self._planes)
+        return len(self._places)
 
 
 @dataclass
@@ -487,34 +521,30 @@ class Counter:
             self._scan_downward(scan, packed, keys)
         else:
             self._scan_upward(scan, packed, keys)
-        # Each metric's planes, cut from its block's once.  The top
-        # requested lane of a block needs no mask, and one at offset 0
-        # no shift either: its planes are the block's.
-        lane = self._lane
-        planes: Dict[Hashable, List[int]] = {}
-        for metric, (i, offset, masked) in zip(metric_ids, scan.lanes):
-            if masked:
-                planes[metric] = [
-                    (plane >> offset) & lane if plane else 0 for plane in packed[i]
-                ]
-            elif offset:
-                planes[metric] = [plane >> offset for plane in packed[i]]
-            else:
-                planes[metric] = packed[i]
-        result.sketches = _PlaneSketches(planes, config, self.hash_family)
+        places = dict(zip(metric_ids, scan.lanes))
+        result.sketches = _PlaneSketches(packed, places, config, self.hash_family)
         if config.estimator == "hll" and config.key_bits > HLL_EXACT_KEY_BITS:
             # The histogram sum could round differently from the
             # per-register one: read the rebuilt registers instead.
             result.estimates = {
                 metric: sketch.estimate() for metric, sketch in result.sketches.items()
             }
-        else:
-            estimate = PLANE_ESTIMATORS[config.estimator]
-            m = config.num_bitmaps
-            result.estimates = {
-                metric: estimate(metric_planes, m)
-                for metric, metric_planes in planes.items()
-            }
+            return result
+        # Each metric's plane popcounts.  A block's planes hold bits in
+        # requested lanes only, so with one requested lane they are its.
+        m = config.num_bitmaps
+        matrices = [
+            None if lanes == 1 else _lane_popcounts(planes, tops.bit_length() // m, m)
+            for planes, (_, _, tops, lanes) in zip(packed, scan.lane_masks)
+        ]
+        estimate = PLANE_ESTIMATORS[config.estimator]
+        for metric, (i, offset) in places.items():
+            matrix = matrices[i]
+            result.estimates[metric] = estimate(
+                list(map(int.bit_count, packed[i])) if matrix is None
+                else matrix[offset // m],
+                m,
+            )
         return result
 
     def _begin_scan(
@@ -856,7 +886,7 @@ class Counter:
                         lane = self._lane
                         repair_metrics = [
                             metric
-                            for metric, (i, offset, _) in zip(scan.metrics, scan.lanes)
+                            for metric, (i, offset) in zip(scan.metrics, scan.lanes)
                             if (needed[i] >> offset) & lane
                         ]
                     self._read_repair(node, repair_metrics, position, now, cost)

@@ -127,15 +127,22 @@ class Experiment:
     def resolve(self, overrides: Mapping[str, Any]) -> Params:
         """Defaults plus ``overrides``, an unknown name being an error.
 
-        A ``scale`` not overridden is resolved here, once, through
-        :func:`env_scale`, so run and render see the same value.
+        An override of a dict-valued param replaces the whole dict, so
+        it must name every key of the default and no other.  A ``scale``
+        not overridden is resolved here, once, through :func:`env_scale`,
+        so run and render see the same value.
         """
-        unknown = sorted(set(overrides) - set(self.params))
-        if unknown:
-            raise ConfigurationError(
-                f"{self.name} takes no param {unknown[0]!r}; "
-                f"expected one of {sorted(self.params)}"
-            )
+        _reject_unknown(self.name, overrides, self.params)
+        for name, value in overrides.items():
+            default = self.params[name]
+            if isinstance(default, Mapping) and isinstance(value, Mapping):
+                _reject_unknown(f"{self.name} {name}", value, default)
+                missing = sorted(set(default) - set(value))
+                if missing:
+                    raise ConfigurationError(
+                        f"{self.name} {name} misses key {missing[0]!r}: an "
+                        f"override replaces the whole default {sorted(default)}"
+                    )
         params = {**self.params, **overrides}
         if "scale" in params and "scale" not in overrides:
             params["scale"] = env_scale(params["scale"])
@@ -158,6 +165,17 @@ class Experiment:
     def fold(self, results: List[Any], params: Params) -> Any:
         """Rows of the cell results, in grid order."""
         return results if self.reduce is None else self.reduce(results, params)
+
+
+def _reject_unknown(
+    owner: str, given: Mapping[str, Any], known: Mapping[str, Any]
+) -> None:
+    """Raise :class:`ConfigurationError` on the first name not in ``known``."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"{owner} takes no param {unknown[0]!r}; expected one of {sorted(known)}"
+        )
 
 
 def _named(fn: Callable[..., Any], params: Params) -> Params:

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["splitmix64_np", "mix_with_seed_np", "observations_np"]
+__all__ = ["splitmix64_np", "mix_with_seed_np", "observations_np", "popcount64"]
 
 _U64 = np.uint64
 
@@ -35,7 +35,7 @@ def mix_with_seed_np(x: npt.NDArray[np.uint64], seed: int) -> npt.NDArray[np.uin
     return splitmix64_np(splitmix64_np(x.astype(_U64, copy=False) ^ seed_mixed))
 
 
-def _popcount64(x: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
+def popcount64(x: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
     """Per-element population count of a uint64 array."""
     if hasattr(np, "bitwise_count"):  # numpy >= 2.0
         return np.bitwise_count(x).astype(np.int64)
@@ -86,7 +86,7 @@ def observations_np(
     positions = np.where(
         rest == 0,
         np.int64(position_bits),
-        _popcount64(np.maximum(lowest, _U64(1)) - _U64(1)),
+        popcount64(np.maximum(lowest, _U64(1)) - _U64(1)),
     )
     positions = np.minimum(positions, position_bits - 1)
     return vectors, positions

@@ -13,13 +13,13 @@ is needed to evaluate one:
   of exactly this state, arXiv 2208.10578).
 
 The sketch classes compute the statistic from their registers and the
-distributed count (:mod:`repro.core.count`) computes it from **bit
-planes** — ``planes[p]`` is an ``m``-bit integer whose bit ``j`` says
-bucket ``j`` has position ``p`` — by one popcount per plane; both then
-call the same function here, so each formula exists once.  The LogLog
-truncated sum and the PCSA rank sum are integer sums and the HyperLogLog
-indicator is an exact float sum inside :data:`HLL_EXACT_KEY_BITS`, so
-the two routes agree to the last bit.
+distributed count (:mod:`repro.core.count`) from the **popcounts of its
+bit planes** — ``planes[p]`` is an ``m``-bit integer whose bit ``j``
+says bucket ``j`` has position ``p``, and ``popcounts[p]`` its number of
+set bits; both then call the same function here, so each formula exists
+once.  The LogLog truncated sum and the PCSA rank sum are integer sums
+and the HyperLogLog indicator is an exact float sum inside
+:data:`HLL_EXACT_KEY_BITS`, so the two routes agree to the last bit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "loglog_estimate",
     "pcsa_estimate",
     "plane_rank_histogram",
-    "plane_rank_sum",
     "register_rank_histogram",
     "superloglog_estimate",
 ]
@@ -68,26 +67,13 @@ def register_rank_histogram(registers: Sequence[int]) -> List[int]:
     return counts
 
 
-def plane_rank_histogram(planes: Sequence[int], m: int) -> List[int]:
+def plane_rank_histogram(popcounts: Sequence[int], m: int) -> List[int]:
     """Rank histogram of ``m`` buckets given as *disjoint* bit planes.
 
-    ``planes[p]`` holds the buckets whose maximum observed position is
-    ``p`` (rank ``p + 1``); buckets in no plane were never hit.
+    ``popcounts[p]`` counts the buckets whose maximum observed position
+    is ``p`` (rank ``p + 1``); buckets in no plane were never hit.
     """
-    counts = [0, *map(int.bit_count, planes)]
-    counts[0] = m - sum(counts)
-    return counts
-
-
-def plane_rank_sum(planes: Sequence[int]) -> int:
-    """PCSA's ``sum_j R_j`` from *nested* bit planes.
-
-    ``planes[p]`` holds the buckets with bit ``p`` set; when every plane
-    is a subset of the one below it a bucket's leftmost zero is the
-    number of planes containing it, so the sum of the ``R_j`` is the sum
-    of the plane popcounts.
-    """
-    return sum(map(int.bit_count, planes))
+    return [m - sum(popcounts), *popcounts]
 
 
 # ----------------------------------------------------------------------
@@ -105,14 +91,14 @@ def superloglog_estimate(counts: Sequence[int], m: int) -> float:
     """super-LogLog (paper eq. 2): LogLog over the ``m0`` smallest registers."""
     if counts[0] == m:
         return 0.0
-    m0 = sll_truncated_count(m)
-    kept = rank_sum = 0
+    m0 = left = sll_truncated_count(m)
+    rank_sum = 0
     for rank, count in enumerate(counts):
-        take = min(count, m0 - kept)
-        rank_sum += rank * take
-        kept += take
-        if kept == m0:
+        if count >= left:
+            rank_sum += rank * left
             break
+        rank_sum += rank * count
+        left -= count
     return sll_alpha_tilde(m) * m0 * 2.0 ** (rank_sum / m0)
 
 
@@ -154,29 +140,33 @@ def pcsa_estimate(rank_sum: int, m: int, bias_correction: bool = True) -> float:
 
 
 # ----------------------------------------------------------------------
-# Estimates straight from one metric's bit planes (the DHS count).
+# Estimates straight from one metric's plane popcounts (the DHS count).
 # ----------------------------------------------------------------------
-def _loglog_from_planes(planes: Sequence[int], m: int) -> float:
-    return loglog_estimate(plane_rank_histogram(planes, m), m)
+def _loglog_from_planes(popcounts: Sequence[int], m: int) -> float:
+    return loglog_estimate(plane_rank_histogram(popcounts, m), m)
 
 
-def _superloglog_from_planes(planes: Sequence[int], m: int) -> float:
-    return superloglog_estimate(plane_rank_histogram(planes, m), m)
+def _superloglog_from_planes(popcounts: Sequence[int], m: int) -> float:
+    return superloglog_estimate(plane_rank_histogram(popcounts, m), m)
 
 
-def _hyperloglog_from_planes(planes: Sequence[int], m: int) -> float:
-    counts = plane_rank_histogram(planes, m)
+def _hyperloglog_from_planes(popcounts: Sequence[int], m: int) -> float:
+    counts = plane_rank_histogram(popcounts, m)
     return hyperloglog_estimate(hyperloglog_indicator(counts), counts[0], m)
 
 
-def _pcsa_from_planes(planes: Sequence[int], m: int) -> float:
-    # Nested planes are empty exactly when no bucket has position 0.
-    rank_sum = plane_rank_sum(planes)
+def _pcsa_from_planes(popcounts: Sequence[int], m: int) -> float:
+    # Nested planes: when every plane is a subset of the one below it, a
+    # bucket's leftmost zero is the number of planes holding it, so the
+    # popcounts sum to ``sum_j R_j`` — which is zero exactly when no
+    # bucket has position 0, i.e. the planes are empty.
+    rank_sum = sum(popcounts)
     return pcsa_estimate(rank_sum, m) if rank_sum else 0.0
 
 
-#: Estimator name → ``(planes, m) -> estimate``.  The LogLog family takes
-#: disjoint planes (one per maximum position), PCSA nested ones.
+#: Estimator name → ``(plane popcounts, m) -> estimate``.  The LogLog
+#: family counts disjoint planes (one per maximum position), PCSA nested
+#: ones.
 PLANE_ESTIMATORS: Dict[str, Callable[[Sequence[int], int], float]] = {
     "loglog": _loglog_from_planes,
     "sll": _superloglog_from_planes,

@@ -1,13 +1,17 @@
 """A count estimates from bit planes and rebuilds sketches only when read."""
 
 import pickle
+import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import DHSConfig
-from repro.core.count import CountResult
+from repro.core.count import CountResult, _lane_popcounts
 from repro.core.dhs import DistributedHashSketch
 from repro.overlay.chord import ChordRing
+from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.pastry import PastryOverlay
 from repro.overlay.stats import OpCost
 from repro.sketches import SKETCH_TYPES
 from repro.sketches.base import HashSketch
@@ -126,3 +130,67 @@ def test_result_survives_pickling(estimator, read_first):
     for metric in METRICS:
         assert state_of(clone.sketches[metric]) == state_of(result.sketches[metric])
         assert clone.sketches[metric].estimate() == result.estimates[metric]
+
+
+def lane_layouts(m, rng):
+    """Requested-lane sets of a block: lane 0, a top lane, masked middles."""
+    lanes = rng.randint(2, 64)
+    middle = rng.sample(range(1, lanes - 1), min(lanes - 2, 5))
+    yield lanes, {0}
+    yield lanes, {lanes - 1}
+    yield lanes, {0, lanes - 1, *middle}
+    yield lanes, set(middle) or {lanes - 1}
+
+
+@pytest.mark.parametrize("swar", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 64, 128, 512])
+def test_lane_popcounts_equal_bit_count_of_cut_planes(m, swar, monkeypatch):
+    if swar:  # numpy < 2.0 has no bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+    rng = random.Random(m)
+    lane = (1 << m) - 1
+    for _ in range(5):
+        for lanes, requested in lane_layouts(m, rng):
+            # One requested lane stays all zero in every plane.
+            silent = rng.choice(sorted(requested))
+            planes = [
+                sum(
+                    rng.getrandbits(m) << (k * m)
+                    for k in requested if k != silent and rng.random() < 0.8
+                )
+                for _ in range(rng.randint(1, 20))
+            ]
+            counts = _lane_popcounts(planes, lanes, m)
+            assert len(counts) == lanes
+            for k in range(lanes):
+                cut = [((plane >> (k * m)) & lane).bit_count() for plane in planes]
+                assert counts[k] == cut
+                assert type(counts[k][0]) is int
+            assert counts[silent] == [0] * len(planes)
+
+
+OVERLAY_BUILDERS = {
+    "chord": ChordRing.build,
+    "kademlia": KademliaOverlay.build,
+    "pastry": PastryOverlay.build,
+}
+
+
+@pytest.mark.parametrize("m", [4, 128])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("overlay", sorted(OVERLAY_BUILDERS))
+def test_many_metric_estimates_equal_their_rebuilt_sketches(overlay, estimator, m):
+    """100 metrics span two blocks; later requests mask middle lanes and
+    read one lane of one block, two of the other."""
+    dht = OVERLAY_BUILDERS[overlay](48, bits=32, seed=5)
+    config = DHSConfig(key_bits=16, num_bitmaps=m, lim=2, estimator=estimator,
+                       bit_shift=2, lim_policy="eq6")
+    dhs = DistributedHashSketch(dht, config, seed=2)
+    metrics = [f"bucket-{k}" for k in range(100)]
+    for k, metric in enumerate(metrics[:-1]):  # the last stays empty
+        dhs.insert_array(metric, np.arange(k * 1_000, k * 1_000 + 20 + 13 * k))
+    requests = [metrics, metrics[3::7] + metrics[-1:], metrics[7:8] + metrics[70::29]]
+    for request in requests:
+        result = dhs.count_many(request)
+        for metric in request:
+            assert result.estimates[metric] == result.sketches[metric].estimate()

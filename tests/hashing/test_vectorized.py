@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.hashing.family import MixerHash
 from repro.hashing.mixers import mix_with_seed, splitmix64
 from repro.hashing.vectorized import (
-    _popcount64,
     mix_with_seed_np,
     observations_np,
+    popcount64,
     splitmix64_np,
 )
 from repro.sketches.base import HashSketch, split_key
@@ -87,7 +87,7 @@ class TestPopcount:
 
     def _assert_exact(self, values):
         xs = np.array(values, dtype=np.uint64)
-        got = _popcount64(xs)
+        got = popcount64(xs)
         assert got.dtype == np.int64
         for x, count in zip(values, got.tolist()):
             assert count == int(x).bit_count()

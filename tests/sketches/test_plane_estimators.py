@@ -1,11 +1,12 @@
-"""Estimates from bit planes equal ``estimate()`` of the rebuilt sketch.
+"""Estimates from plane popcounts equal ``estimate()`` of the rebuilt sketch.
 
-The distributed count never builds a sketch: it hands each metric's bit
-planes to :data:`repro.sketches.estimators.PLANE_ESTIMATORS`.  These
-properties generate plane sets of the two shapes a scan produces —
-disjoint (LogLog family: the bitmaps whose maximum is each position) and
-nested (PCSA: the bitmaps confirmed up to each position) — and require
-the plane route and the ``record_mask`` + ``estimate()`` route to agree
+The distributed count never builds a sketch: it hands the popcount of
+each of a metric's bit planes to
+:data:`repro.sketches.estimators.PLANE_ESTIMATORS`.  These properties
+generate plane sets of the two shapes a scan produces — disjoint
+(LogLog family: the bitmaps whose maximum is each position) and nested
+(PCSA: the bitmaps confirmed up to each position) — and require the
+popcount route and the ``record_mask`` + ``estimate()`` route to agree
 *exactly*, not approximately.
 """
 
@@ -14,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketches import SKETCH_TYPES
+from repro.sketches.constants import sll_alpha_tilde, sll_truncated_count
 from repro.sketches.estimators import (
     HLL_EXACT_KEY_BITS,
     PLANE_ESTIMATORS,
     hyperloglog_indicator,
     plane_rank_histogram,
-    plane_rank_sum,
     register_rank_histogram,
+    superloglog_estimate,
 )
 
 LOGLOG_FAMILY = ["loglog", "sll", "hll"]
@@ -34,6 +36,10 @@ def rebuilt(estimator, planes, m):
     for position, plane in enumerate(planes):
         sketch.record_mask(plane, position)
     return sketch
+
+
+def popcounts(planes):
+    return [plane.bit_count() for plane in planes]
 
 
 @st.composite
@@ -86,10 +92,10 @@ def nested_planes(draw):
 def test_loglog_family_planes_equal_rebuilt_sketch(estimator, case):
     m, planes = case
     sketch = rebuilt(estimator, planes, m)
-    assert PLANE_ESTIMATORS[estimator](planes, m) == sketch.estimate()
+    assert PLANE_ESTIMATORS[estimator](popcounts(planes), m) == sketch.estimate()
     counts = register_rank_histogram(sketch.registers())
     counts += [0] * (POSITION_BITS + 1 - len(counts))  # sized by the max rank
-    assert plane_rank_histogram(planes, m) == counts
+    assert plane_rank_histogram(popcounts(planes), m) == counts
 
 
 @given(nested_planes())
@@ -97,15 +103,15 @@ def test_loglog_family_planes_equal_rebuilt_sketch(estimator, case):
 def test_pcsa_planes_equal_rebuilt_sketch(case):
     m, planes = case
     sketch = rebuilt("pcsa", planes, m)
-    assert plane_rank_sum(planes) == sum(sketch.observables())
-    assert PLANE_ESTIMATORS["pcsa"](planes, m) == sketch.estimate()
+    assert sum(popcounts(planes)) == sum(sketch.observables())
+    assert PLANE_ESTIMATORS["pcsa"](popcounts(planes), m) == sketch.estimate()
 
 
 @pytest.mark.parametrize("m", [2, 64, 512])
 @pytest.mark.parametrize("estimator", sorted(PLANE_ESTIMATORS))
 def test_all_empty_planes_estimate_zero(estimator, m):
     planes = [0] * POSITION_BITS
-    assert PLANE_ESTIMATORS[estimator](planes, m) == 0.0
+    assert PLANE_ESTIMATORS[estimator](popcounts(planes), m) == 0.0
     assert rebuilt(estimator, planes, m).estimate() == 0.0
 
 
@@ -119,7 +125,7 @@ def test_all_resolved_at_top_position(estimator, m):
         planes = [0] * (POSITION_BITS - 1) + [full]  # every maximum at the top
     expected = rebuilt(estimator, planes, m).estimate()
     assert expected > 0.0
-    assert PLANE_ESTIMATORS[estimator](planes, m) == expected
+    assert PLANE_ESTIMATORS[estimator](popcounts(planes), m) == expected
 
 
 def test_hll_histogram_sum_is_exact_up_to_the_documented_key_bits():
@@ -132,3 +138,47 @@ def test_hll_histogram_sum_is_exact_up_to_the_documented_key_bits():
     ascending = sum(2.0**-r for r in registers)
     descending = sum(2.0**-r for r in reversed(registers))
     assert hyperloglog_indicator(counts) == ascending == descending
+
+
+def min_loop_superloglog(counts, m):
+    """super-LogLog as first written: one ``min()`` per rank."""
+    if counts[0] == m:
+        return 0.0
+    m0 = sll_truncated_count(m)
+    kept = rank_sum = 0
+    for rank, count in enumerate(counts):
+        take = min(count, m0 - kept)
+        rank_sum += rank * take
+        kept += take
+        if kept == m0:
+            break
+    return sll_alpha_tilde(m) * m0 * 2.0 ** (rank_sum / m0)
+
+
+@st.composite
+def rank_histograms(draw):
+    m = draw(st.sampled_from([1, 2, 4, 64, 512]))
+    ranks = st.integers(min_value=0, max_value=POSITION_BITS)
+    registers = draw(st.lists(ranks, min_size=m, max_size=m))
+    return m, register_rank_histogram(registers)
+
+
+@given(rank_histograms())
+@settings(max_examples=200, deadline=None)
+def test_superloglog_running_remainder_equals_min_loop(case):
+    m, counts = case
+    assert superloglog_estimate(counts, m) == min_loop_superloglog(counts, m)
+
+
+@pytest.mark.parametrize("m", [2, 64, 512])
+def test_superloglog_running_remainder_at_the_truncation_edges(m):
+    m0 = sll_truncated_count(m)
+    cases = [
+        [m0, 0, 0, m - m0],  # counts[0] reaches m0 exactly
+        [m - 1, 0, 1],  # counts[0] beyond m0
+        [0, 1, m0 - 1, m - m0],  # m0 reached exactly at the end of rank 2
+        [0, 0, 0, m],  # m0 inside the only non-empty rank
+    ]
+    for counts in cases:
+        assert sum(counts) == m
+        assert superloglog_estimate(counts, m) == min_loop_superloglog(counts, m)

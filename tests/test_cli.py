@@ -95,6 +95,13 @@ class TestCatalogue:
         with pytest.raises(ConfigurationError, match="table9"):
             run("table9")
 
+    def test_nested_override_missing_a_key_is_a_configuration_error(self):
+        # Raised before any cell runs, naming the first missing key.
+        with pytest.raises(ConfigurationError, match="retries misses key 'estimator'"):
+            run("ablations", retries={"lims": (1,)})
+        with pytest.raises(ConfigurationError, match="gate misses key 'draws'"):
+            run("soak", gate={"n_nodes": 24})
+
 
 class TestExecution:
     def test_runs_small_experiment(self, capsys):
