@@ -400,6 +400,17 @@ class DHTProtocol(ABC):
         hop can run into — a dead or unresponsive owner, a timed-out
         contact, a vetoed eviction — is handled here, identically for
         every geometry that routes through this loop.
+
+        The destination is asked whether it answers before the first
+        hop, and again only after a branch re-resolved it: a contact's
+        eviction moves no owner, and liveness does not change inside a
+        lookup.  ``next_hop`` answers with a member, so a clean hop's
+        liveness is one ``_nodes`` probe (an unmaterialized member is
+        alive), plus ``fault.responsive`` when a fault layer is
+        installed.  The visited nodes, origin first, are one list,
+        charged to ``load`` with one ``record_path`` — also when the
+        route raises — and ``hops``/``messages`` are its length plus the
+        timeouts.
         """
         if not self._ids:
             raise EmptyOverlayError("overlay has no live nodes")
@@ -408,33 +419,48 @@ class DHTProtocol(ABC):
             origin = self._ids[0]
         elif not 0 <= origin <= self._size_mask:
             raise ValueError(f"origin {origin} is outside the {self.space.bits}-bit id space")
+        nodes = self._nodes
+        fault = self.fault_layer
         current = origin
-        trace = self.trace
-        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
-        self.load.record(origin)
-        destination = self.owner_of(key)
-        #: Routing goal: the key itself, unless a vetoed-eviction
-        #: fallback re-pins the destination to a nearby responsive node —
-        #: routing then converges on that node's own id.
-        target = key
-        while True:
-            if not self.node_responsive(destination):
-                cost.hops += 1
-                cost.messages += 1
-                cost.timeouts += 1
-                self.timeout_repair(destination)
-                if self.has_node(destination):
-                    # Eviction vetoed (transient outage): settle on the
-                    # first responsive ring neighbour and route to it.
-                    destination = self._next_responsive(destination, cost)
-                    target = destination
-                else:
-                    destination = self.owner_of(key)
-                continue
-            if current == destination:
-                break
-            nxt = next_hop(current, target, destination)
-            if not self.node_responsive(nxt):
+        path = [origin]
+        # Only timeouts charge ``cost.hops`` inside the loop: the routed
+        # hops are ``len(path) - 1``, added once at the end.
+        cost = OpCost(nodes_visited=path if self.trace else [], lookups=1)
+        max_visits = 4 * self.space.bits + 1
+        try:
+            destination = self.owner_of(key)
+            #: Routing goal: the key itself, unless a vetoed-eviction
+            #: fallback re-pins the destination to a nearby responsive
+            #: node — routing then converges on that node's own id.
+            target = key
+            resolved = False
+            while True:
+                if not resolved:
+                    if not self.node_responsive(destination):
+                        cost.hops += 1
+                        cost.messages += 1
+                        cost.timeouts += 1
+                        self.timeout_repair(destination)
+                        if self.has_node(destination):
+                            # Eviction vetoed (transient outage): settle
+                            # on the first responsive ring neighbour and
+                            # route to it.
+                            destination = self._next_responsive(destination, cost)
+                            target = destination
+                        else:
+                            destination = self.owner_of(key)
+                        continue
+                    resolved = True
+                if current == destination:
+                    break
+                nxt = next_hop(current, target, destination)
+                node = nodes.get(nxt)
+                if (node is None or node.alive) and (fault is None or fault.responsive(nxt)):
+                    current = nxt
+                    path.append(nxt)
+                    if len(path) + cost.hops > max_visits:
+                        raise RuntimeError("routing failed to converge")
+                    continue
                 cost.hops += 1
                 cost.messages += 1
                 cost.timeouts += 1
@@ -444,20 +470,12 @@ class DHTProtocol(ABC):
                     # state and would be picked again, so skip it and
                     # hop straight to the (responsive) destination.
                     current = destination
-                    cost.hops += 1
-                    cost.messages += 1
-                    if trace:
-                        cost.nodes_visited.append(current)
-                    self.load.record(current)
-                continue
-            current = nxt
-            cost.hops += 1
-            cost.messages += 1
-            if trace:
-                cost.nodes_visited.append(current)
-            self.load.record(current)
-            if cost.hops > 4 * self.space.bits:
-                raise RuntimeError("routing failed to converge")
+                    path.append(current)
+        finally:
+            self.load.record_path(path)
+        routed = len(path) - 1
+        cost.hops += routed
+        cost.messages += routed
         if obs.METERING:
             obs.METRICS.observe("dhs.lookup.hops", cost.hops)
         return LookupResult(node_id=destination, cost=cost)

@@ -111,6 +111,15 @@ class SortedIdArray(Sequence[int]):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SortedIdArray(n={len(self._data)}, nbytes={self.nbytes})"
 
+    @property
+    def buffer(self) -> Union["array[int]", List[int]]:
+        """The sorted backing store itself (``array('Q')`` or a list).
+
+        For a hot loop that bisects and indexes it directly, skipping
+        the per-item wrapper; read only — mutate through the methods.
+        """
+        return self._data
+
     # ------------------------------------------------------------------
     # Binary search (stdlib C bisect on the raw buffer).
     # ------------------------------------------------------------------

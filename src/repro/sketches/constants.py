@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 
 __all__ = [
     "PCSA_PHI",
@@ -81,13 +82,19 @@ _SLL_ALPHA_TILDE: dict[int, float] = {
 _SLL_ALPHA_ASYMPTOTIC = 1.0915
 
 
+@cache
 def sll_truncated_count(m: int) -> int:
-    """Number of registers kept by the truncation rule, ``max(1, ⌊θ0·m⌋)``."""
+    """Number of registers kept by the truncation rule, ``max(1, ⌊θ0·m⌋)``.
+
+    Cached per ``m``, like :func:`sll_alpha_tilde`: every super-LogLog
+    estimate asks for both.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return max(1, int(SLL_THETA0 * m))
 
 
+@cache
 def sll_alpha_tilde(m: int) -> float:
     """Calibrated alpha-tilde for ``m`` buckets.
 

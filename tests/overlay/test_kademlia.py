@@ -38,6 +38,51 @@ class TestOwnership:
         for node_id in list(overlay.node_ids())[:20]:
             assert overlay.owner_of(node_id) == node_id
 
+    def test_owner_is_neither_numeric_neighbour(self):
+        """Key 0b0100 sits between 0b0011 and 0b1000, but shares its top
+        bit with 0b0000 and 0b0011 only, and of those 0b0000 is closer."""
+        ids = [0b0000, 0b0011, 0b1000]
+        overlay = KademliaOverlay.from_ids(ids, bits=4)
+        assert overlay.owner_of(0b0100) == 0b0000 == brute_force_owner(ids, 0b0100)
+
+    def test_owner_after_several_flips(self):
+        """Keys 0 and 0b11 first differ from 0b1_1100 and 0b1_1111 at
+        bit 4, and neither member is alone below bit 4, 3 or 2: the
+        descent flips the key three times before it lands on the owner."""
+        ids = [0b0001_1100, 0b0001_1111, 0b1000_0000]
+        overlay = KademliaOverlay.from_ids(ids, bits=8)
+        assert overlay.owner_of(0b0000) == 0b0001_1100
+        assert overlay.owner_of(0b0011) == 0b0001_1111
+        for key in range(2**8):
+            assert overlay.owner_of(key) == brute_force_owner(ids, key)
+
+    def test_single_node_owns_everything(self):
+        overlay = KademliaOverlay.from_ids([0b1010], bits=4)
+        assert {overlay.owner_of(key) for key in range(16)} == {0b1010}
+
+    @pytest.mark.parametrize("bits", [8, 16, 64, 80])
+    def test_member_keys_and_extreme_keys(self, bits):
+        """A member owns its own id, and keys 0 and ``2^L - 1`` (present
+        or not) go to the XOR minimum; 80 bits is the list-backed ring."""
+        rng = rng_for(bits, "kad-edges")
+        top = 2**bits - 1
+        for corners in ((), (0,), (top,), (0, top)):
+            ids = sorted({rng.randrange(2**bits) for _ in range(25)} | set(corners))
+            overlay = KademliaOverlay.from_ids(ids, bits=bits)
+            for member in ids:
+                assert overlay.owner_of(member) == member
+            for key in (0, top, top + 1, -1):
+                assert overlay.owner_of(key) == brute_force_owner(ids, key & top)
+
+    def test_wide_ring_matches_brute_force(self):
+        rng = rng_for(6, "kad-wide")
+        ids = sorted({rng.randrange(2**80) for _ in range(200)})
+        overlay = KademliaOverlay.from_ids(ids, bits=80)
+        assert isinstance(overlay.node_ids().buffer, list)
+        for _ in range(300):
+            key = rng.randrange(2**80)
+            assert overlay.owner_of(key) == brute_force_owner(ids, key)
+
     @settings(max_examples=40, deadline=None)
     @given(
         ids=st.sets(st.integers(min_value=0, max_value=2**12 - 1), min_size=1, max_size=30),
