@@ -791,9 +791,7 @@ class Counter:
         origin = scan.origin
         if lossy:
             try:
-                lookup = self.policy.call(
-                    lambda: dht.lookup(key, origin=origin), self._rng, cost
-                )
+                lookup = self.policy.call(dht.lookup, self._rng, cost, key, origin)
             except MessageDropped:
                 # Every lookup attempt was dropped: the interval is
                 # unreachable this scan.  Zero probes happened, so every
@@ -855,7 +853,7 @@ class Counter:
                 if dht.node_responsive(target):
                     try:
                         node = self.policy.call(
-                            lambda: dht.probe(target, _answering), self._rng, cost
+                            dht.probe, self._rng, cost, target, _answering
                         )
                     except MessageDropped:
                         lost = True  # already charged into ``cost`` by the policy

@@ -136,11 +136,13 @@ class Inserter:
         are assumed set and cost nothing (section 3.5).
         """
         vector, position = self.observation(item)
-        if not self.mapping.is_stored(position):
+        # ``observation`` clamps the position, so only the shift can
+        # leave it without an interval.
+        index = position - self.config.bit_shift
+        if index < 0:
             return OpCost()
         return self._store_mask(
-            self.mapping.interval_index(position),
-            metric_id, position, 1 << vector, None, origin, now,
+            index, metric_id, position, 1 << vector, None, origin, now
         )
 
     def insert_many(
@@ -327,37 +329,37 @@ class Inserter:
         now: int,
     ) -> OpCost:
         key = self.mapping.random_key_in_interval(index, self._rng)
-        loss_cost = OpCost()
-        try:
-            storing_node, cost = self.policy.call(
-                lambda: self.dht.store(
-                    key,
-                    write,
-                    origin=origin,
-                    payload_bytes=count * self.config.size_model.tuple_bytes,
-                ),
-                self._rng,
-                loss_cost,
-            )
-        except MessageDropped:
-            # The write is lost for good: the tuples were never stored.
-            # Soft-state refresh (or read-repair) re-creates them later;
-            # the timeout/backoff accounting survives in the cost.
-            if obs.TRACING:
-                obs.TRACER.event("insert.lost", tick=now, interval=index)
-            return loss_cost
-        cost.add(loss_cost)
+        dht = self.dht
+        payload = count * self.config.size_model.tuple_bytes
+        if dht.fault_layer is None:
+            # Only a fault layer drops messages: a plain call, no loss.
+            storing_node, cost = dht.store(key, write, origin, payload)
+        else:
+            loss_cost = OpCost()
+            try:
+                storing_node, cost = self.policy.call(
+                    dht.store, self._rng, loss_cost, key, write, origin, payload
+                )
+            except MessageDropped:
+                # Lost for good: the tuples were never stored.  Soft-state
+                # refresh (or read-repair) re-creates them later; the
+                # timeout/backoff accounting survives in the cost.
+                if obs.TRACING:
+                    obs.TRACER.event("insert.lost", tick=now, interval=index)
+                return loss_cost
+            if loss_cost.timeouts:
+                cost.add(loss_cost)
         if obs.TRACING:
             obs.TRACER.event(
                 "dht.store", tick=now, key=key, node=storing_node, hops=cost.hops
             )
         if self.config.replication > 0:
             extra = replicate_to_successors(
-                self.dht,
+                dht,
                 storing_node,
                 write,
                 degree=self.config.replication,
-                payload_bytes=count * self.config.size_model.tuple_bytes,
+                payload_bytes=payload,
             )
             if extra is not None:
                 cost.add(extra)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.errors import ConfigurationError, MessageDropped
 from repro.obs import runtime as obs
@@ -81,22 +81,25 @@ class RetryPolicy:
 
     def call(
         self,
-        op: Callable[[], T],
+        op: Callable[..., T],
         rng: random.Random,
         cost: OpCost,
+        *args: Any,
     ) -> T:
-        """Run ``op`` under this policy, charging losses into ``cost``.
+        """Run ``op(*args)`` under this policy, charging losses into ``cost``.
 
-        Each dropped message costs one timeout hop (the send that never
-        came back); each retry additionally charges the backoff wait.
-        When the budget is exhausted the final :class:`MessageDropped`
-        is re-raised — after recording the permanent loss in
-        ``cost.drops`` — so callers can degrade gracefully.
+        The callee's arguments ride along, so a call site needs no
+        closure per operation.  Each dropped message costs one timeout
+        hop (the send that never came back); each retry additionally
+        charges the backoff wait.  When the budget is exhausted the final
+        :class:`MessageDropped` is re-raised — after recording the
+        permanent loss in ``cost.drops`` — so callers can degrade
+        gracefully.
         """
         last: Optional[MessageDropped] = None
         for attempt in range(self.max_attempts):
             try:
-                return op()
+                return op(*args)
             except MessageDropped as exc:
                 last = exc
                 cost.hops += 1

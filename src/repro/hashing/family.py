@@ -2,8 +2,8 @@
 
 Both DHTs and hash sketches assume a pseudo-uniform hash
 ``h: D -> [0, 2^L)`` (section 2.2 of the paper).  :class:`HashFamily`
-provides exactly that contract for arbitrary Python items (ints, strings,
-bytes) with two interchangeable back-ends:
+provides exactly that contract for arbitrary Python items (ints, numpy
+integers, strings, bytes) with two interchangeable back-ends:
 
 * :class:`MixerHash` — seeded splitmix64 family; the default, fast enough
   to hash millions of items in a simulation run.
@@ -16,9 +16,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
+import numpy as np
+
 from repro.hashing.bits import mask
 from repro.hashing.md4 import md4_int
-from repro.hashing.mixers import mix_with_seed, splitmix64
+from repro.hashing.mixers import splitmix64
 
 __all__ = ["HashFamily", "MixerHash", "MD4Hash", "default_hash_family"]
 
@@ -33,7 +35,8 @@ def _to_bytes(item: Any) -> bytes:
         # bool is an int subclass; give it a distinct tag to avoid aliasing
         # True with the integer 1 in string-keyed workloads.
         return b"bool:\x01" if item else b"bool:\x00"
-    if isinstance(item, int):
+    if isinstance(item, (int, np.integer)):
+        item = int(item)  # a numpy integer hashes as its value
         width = max(8, (item.bit_length() + 8) // 8 * 8)
         return item.to_bytes(width // 8, "little", signed=True)
     if isinstance(item, tuple):
@@ -50,8 +53,8 @@ def _to_int(item: Any) -> int:
     """Map an item onto an integer for the mixer back-end."""
     if isinstance(item, bool):
         return 0x626F6F6C_00000000 | int(item)
-    if isinstance(item, int):
-        return item
+    if isinstance(item, (int, np.integer)):
+        return int(item)
     data = _to_bytes(item)
     # Fold the bytes FNV-1a style, then rely on the mixer for avalanche.
     acc = 0xCBF29CE484222325
@@ -97,10 +100,14 @@ class HashFamily(ABC):
 
 
 class MixerHash(HashFamily):
-    """splitmix64-based family; the library default."""
+    """splitmix64 family, the library default; mixes its seed once, not per item."""
+
+    def __init__(self, bits: int = 64, seed: int = 0) -> None:
+        super().__init__(bits, seed)
+        self._seed_mix = splitmix64(seed)
 
     def hash(self, item: Any) -> int:
-        value = mix_with_seed(_to_int(item), self.seed)
+        value = splitmix64(splitmix64(_to_int(item) ^ self._seed_mix))
         if self.bits > 64:
             value |= splitmix64(value) << 64
         return value & self._mask

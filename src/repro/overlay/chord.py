@@ -22,15 +22,16 @@ predecessor, so from a member origin the whole route is a function of
 owner is known.  Counting looks the same few thousand pairs up over and
 over, so :meth:`ChordRing.lookup` memoises the route per pair in
 ``DHTProtocol._route_cache``, as the tuple of nodes it visits from the
-origin on.  A hit charges that tuple with one
-:meth:`~repro.overlay.stats.LoadTracker.record_path` call (the same
-per-node counts, in the same order, as one ``record`` per hop) and
-builds its cost once, with its final hops and messages.  The memo has
-one invalidation: any join, leave or lazy failure clears it whole.
+origin on.  The memo has one invalidation: any join, leave or lazy
+failure clears it whole.  Every lookup, walked (in a ``finally``) or
+replayed, charges its nodes, origin first, with one
+:meth:`~repro.overlay.stats.LoadTracker.record_path` call: the same
+counts, in the same order, as one ``record`` per hop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, EmptyOverlayError
@@ -127,15 +128,16 @@ class ChordRing(DHTProtocol):
             raise ValueError(f"origin {origin} is outside the {self.space.bits}-bit id space")
         trace = self.trace
         destination = ids.first_at_or_after(key)
-        memo = self._route_cache if self.fault_layer is None else None
+        fault = self.fault_layer
+        memo = self._route_cache if fault is None else None
         admit = False
         if memo is not None:
             pair = (origin, destination)
-            path = memo.get(pair, _UNSEEN)
-            if path is not None and path is not _UNSEEN:
+            stored = memo.get(pair, _UNSEEN)
+            if stored is not None and stored is not _UNSEEN:
                 # The stored path starts at the origin.
-                self.load.record_path(path)
-                hops = len(path) - 1
+                self.load.record_path(stored)
+                hops = len(stored) - 1
                 if obs.METERING:
                     obs.METRICS.observe("dhs.lookup.hops", hops)
                 return LookupResult(
@@ -143,95 +145,99 @@ class ChordRing(DHTProtocol):
                     cost=OpCost(
                         hops=hops,
                         messages=hops,
-                        nodes_visited=list(path) if trace else [],
+                        nodes_visited=list(stored) if trace else [],
                         lookups=1,
                     ),
                 )
             # Second sighting: walk it once more, keeping the path.  A
             # non-member's first hop depends on the key, so only a
             # member origin's route is stored.
-            admit = path is None and origin in ids
-        cost = OpCost(nodes_visited=[origin] if trace else [], lookups=1)
-        visited = cost.nodes_visited if trace else ([origin] if admit else None)
-        record = self.load.record
-        record(origin)
+            admit = stored is None and origin in ids
+        # The visited nodes: the trace, the memo's route, the load charge.
+        path = [origin]
+        cost = OpCost(nodes_visited=path if trace else [], lookups=1)
         current = origin
         responsive = self.node_responsive
+        nodes = self._nodes
+        buf = ids.buffer
         # Convergence bound, on the membership at entry (evictions on
-        # the way only shrink it).
-        max_hops = 2 * self.space.bits + len(ids)
+        # the way only shrink it).  Only timeouts charge ``cost.hops``
+        # inside the loop: the routed hops are ``len(path) - 1``.
+        max_visits = 2 * self.space.bits + len(ids) + 1
         # Whether ``destination`` has answered and ``last`` been taken
         # since the membership last changed.  ``responsive`` is a pure
         # read and a plain hop mutates nothing, so both hold until a
         # branch below repairs or re-resolves.
         resolved = False
-        while True:
-            if not resolved:
-                if not responsive(destination):
-                    # Timed-out contact with the owner: pay the probe,
-                    # evict it, and re-resolve — repeating for every
-                    # consecutive dead heir — before resuming the route.
-                    # When the fault layer vetoes the eviction (transient
-                    # outage), the route settles on the owner's first
-                    # responsive successor instead, exactly as a Chord
-                    # successor list would be used.
+        try:
+            while True:
+                if not resolved:
+                    if not responsive(destination):
+                        # Timed-out contact with the owner: pay the probe,
+                        # evict it, and re-resolve — repeating for every
+                        # consecutive dead heir — before resuming the
+                        # route.  When the fault layer vetoes the eviction
+                        # (transient outage), the route settles on the
+                        # owner's first responsive successor instead,
+                        # exactly as a Chord successor list would be used.
+                        cost.hops += 1
+                        cost.messages += 1
+                        cost.timeouts += 1
+                        self.timeout_repair(destination)
+                        if self.has_node(destination):
+                            destination = self._next_responsive(destination, cost)
+                        else:
+                            destination = self.owner_of(key)
+                        continue
+                    # Last member strictly before ``key``: with it every
+                    # hop of the route is one bisect.
+                    last = ids.last_before(key)
+                    resolved = True
+                if current == destination:
+                    break
+                reach = (last - current) & size_mask
+                if 0 < reach < ((key - current) & size_mask):
+                    # Closest preceding finger: the largest 2^i <= reach.
+                    at = (current + (1 << (reach.bit_length() - 1))) & size_mask
+                else:
+                    # No member in (current, key): last hop, to the successor.
+                    at = current + 1
+                index = bisect_left(buf, at)
+                nxt = buf[index] if index < len(buf) else buf[0]
+                # ``nxt`` is a member: unmaterialized, it is alive.
+                if nxt != destination and not (
+                    (node := nodes.get(nxt)) is None or node.alive
+                    if fault is None else responsive(nxt)
+                ):
                     cost.hops += 1
                     cost.messages += 1
                     cost.timeouts += 1
-                    self.timeout_repair(destination)
-                    if self.has_node(destination):
-                        destination = self._next_responsive(destination, cost)
+                    self.timeout_repair(nxt)
+                    resolved = False
+                    if self.has_node(nxt):
+                        # Eviction vetoed: relay through the unresponsive
+                        # node's first responsive successor (known from
+                        # its successor list), paying the routed hop to it.
+                        current = self._next_responsive(nxt, cost)
+                        path.append(current)
                     else:
                         destination = self.owner_of(key)
                     continue
-                # Last member strictly before ``key``: with it every hop
-                # of the route is one bisect.
-                last = ids.last_before(key)
-                resolved = True
-            if current == destination:
-                break
-            reach = (last - current) & size_mask
-            if 0 < reach < ((key - current) & size_mask):
-                # Closest preceding finger: the largest 2^i <= reach.
-                nxt = ids.first_at_or_after(
-                    (current + (1 << (reach.bit_length() - 1))) & size_mask
-                )
-            else:
-                # No member in (current, key): last hop, to the successor.
-                nxt = ids.first_at_or_after(current + 1)
-            if nxt != destination and not responsive(nxt):
-                cost.hops += 1
-                cost.messages += 1
-                cost.timeouts += 1
-                self.timeout_repair(nxt)
-                resolved = False
-                if self.has_node(nxt):
-                    # Eviction vetoed: relay through the unresponsive
-                    # node's first responsive successor (known from its
-                    # successor list), paying the routed hop to it.
-                    current = self._next_responsive(nxt, cost)
-                    cost.hops += 1
-                    cost.messages += 1
-                    if visited is not None:
-                        visited.append(current)
-                    record(current)
-                else:
-                    destination = self.owner_of(key)
-                continue
-            current = nxt
-            cost.hops += 1
-            cost.messages += 1
-            if visited is not None:
-                visited.append(current)
-            record(current)
-            if cost.hops > max_hops:
-                raise RuntimeError("routing failed to converge; ring corrupt?")
+                current = nxt
+                path.append(current)
+                if len(path) + cost.hops > max_visits:
+                    raise RuntimeError("routing failed to converge; ring corrupt?")
+        finally:
+            self.load.record_path(path)
+        routed = len(path) - 1
+        cost.hops += routed
+        cost.messages += routed
         # With no fault layer every timeout evicted a node, which cleared
         # the memo: only a clean route is remembered.
         if memo is not None and not cost.timeouts:
             if len(memo) >= ROUTE_CACHE_CAP:
                 memo.clear()
-            memo[pair] = tuple(visited) if admit and visited is not None else None
+            memo[pair] = tuple(path) if admit else None
         if obs.METERING:
             obs.METRICS.observe("dhs.lookup.hops", cost.hops)
         return LookupResult(node_id=destination, cost=cost)

@@ -39,7 +39,7 @@ from repro.sim.seeds import rng_for
 __all__ = ["DHTProtocol", "FaultHooks", "LookupResult"]
 
 
-@dataclass
+@dataclass(slots=True)
 class LookupResult:
     """Outcome of routing a key to its responsible node."""
 

@@ -9,14 +9,13 @@ load-balancing analysis (constraint 3 of the paper's introduction).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
 __all__ = ["OpCost", "LoadTracker"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpCost:
     """Hop/byte/visit tally of one (or many summed) overlay operations.
 
@@ -74,31 +73,35 @@ class OpCost:
 class LoadTracker:
     """Per-node access counter with simple imbalance statistics.
 
-    ``record(node)`` is called by the overlay whenever a node handles a
-    message (routing step, store, or probe).  The summary statistics feed
+    The overlay charges a store or probe with :meth:`record` and a
+    lookup's route with one :meth:`record_path`; a plain dict keeps
+    :meth:`counts` in first-charged order.  The summary statistics feed
     the access-load-balance comparison between DHS and the
     one-node-per-counter baseline.
     """
 
     def __init__(self) -> None:
-        self._counts: Counter[int] = Counter()
+        self._counts: Dict[int, int] = {}
 
     def record(self, node_id: int, amount: int = 1) -> None:
         """Charge ``amount`` accesses to ``node_id``."""
-        self._counts[node_id] += amount
+        self._counts[node_id] = self._counts.get(node_id, 0) + amount
 
     def record_path(self, node_ids: Iterable[int]) -> None:
         """Charge one access to every node of ``node_ids``, in order.
 
         The same per-node counts, first seen in the same order, as one
-        :meth:`record` call per id: a replayed route is charged with one
-        call instead of one per hop.
+        :meth:`record` call per id: a route is charged with one call
+        instead of one per hop.
         """
-        self._counts.update(node_ids)
+        counts = self._counts
+        get = counts.get
+        for node_id in node_ids:
+            counts[node_id] = get(node_id, 0) + 1
 
     def count(self, node_id: int) -> int:
         """Accesses charged to ``node_id`` so far."""
-        return self._counts[node_id]
+        return self._counts.get(node_id, 0)
 
     def counts(self) -> Dict[int, int]:
         """A copy of the whole access map."""

@@ -106,6 +106,28 @@ class TestArrayVsBulk:
         assert_costs_equal(cost_scalar, cost_array)
         assert stored_state(scalar) == stored_state(vectorized)
 
+    @pytest.mark.parametrize("hash_family_name", ["mixer", "md4"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int8])
+    def test_bulk_takes_numpy_integer_items(self, hash_family_name, dtype):
+        """``insert_bulk`` over numpy integers is ``insert_array`` over
+        the same ids: same stores, cost and key-RNG state."""
+        scalar = make_dhs(trace=True, hash_family_name=hash_family_name)
+        vectorized = make_dhs(trace=True, hash_family_name=hash_family_name)
+        ids = np.arange(120).astype(dtype)
+        cost_scalar = scalar.insert_bulk("docs", ids)
+        cost_array = vectorized.insert_array("docs", ids)
+        assert cost_scalar == cost_array
+        assert stored_state(scalar) == stored_state(vectorized)
+        assert scalar._inserter._rng.getstate() == vectorized._inserter._rng.getstate()
+
+    @pytest.mark.parametrize("hash_family_name", ["mixer", "md4"])
+    def test_insert_takes_a_numpy_integer(self, hash_family_name):
+        native = make_dhs(trace=True, hash_family_name=hash_family_name)
+        numpy = make_dhs(trace=True, hash_family_name=hash_family_name)
+        for item in range(40):
+            assert numpy.insert("docs", np.int64(item)) == native.insert("docs", item)
+        assert stored_state(numpy) == stored_state(native)
+
 
 class TestObservationArrays:
     def test_matches_insert_observations(self):

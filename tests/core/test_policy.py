@@ -85,6 +85,19 @@ class TestRetries:
         assert cost.hops == 2 + 6
         assert cost.drops == 0
 
+    def test_every_attempt_gets_the_callee_arguments(self):
+        policy = RetryPolicy(max_attempts=3)
+        seen = []
+
+        def op(key, origin=None):
+            seen.append((key, origin))
+            if len(seen) < 3:
+                raise MessageDropped("store")
+            return key + origin
+
+        assert policy.call(op, rng_for(0, "t"), OpCost(), 40, 2) == 42
+        assert seen == [(40, 2)] * 3
+
     def test_exhausted_budget_reraises_and_counts_drop(self):
         policy = RetryPolicy(max_attempts=3, backoff_hops=1)
         cost = OpCost()

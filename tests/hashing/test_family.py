@@ -1,5 +1,6 @@
 """Tests for the HashFamily abstraction."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +40,21 @@ class TestContract:
         h = family_cls(bits=64)
         with pytest.raises(TypeError):
             h(3.14)
+
+    def test_numpy_integers_hash_as_the_equal_int(self, family_cls):
+        h = family_cls(bits=64, seed=7)
+        for value in (0, 1, 5, -3, 2**31 - 1, -(2**63), 2**63 - 1):
+            assert h(np.int64(value)) == h(value)
+        for dtype in (np.int8, np.uint8, np.int32, np.uint32, np.uint64):
+            assert h(dtype(5)) == h(5)
+        assert h(np.uint64(2**64 - 1)) == h(2**64 - 1)
+        assert h(("a", np.int32(3))) == h(("a", 3))
+
+    def test_bool_keeps_its_tag_and_numpy_floats_raise(self, family_cls):
+        h = family_cls(bits=64)
+        assert h(True) != h(1) and h(False) != h(np.int64(0))
+        with pytest.raises(TypeError):
+            h(np.float64(3.0))
 
     def test_tuples_supported(self, family_cls):
         h = family_cls(bits=64)

@@ -6,14 +6,15 @@ through ``insert``, ``insert_bulk``, ``insert_array`` or
 with the naive reference and its own ``rng_for(seed, "dhs-insert")``.
 Afterwards everything observable must agree: every node's slots in
 store order (mask and ``expiring`` items in insertion order), its entry
-count, every ``OpCost`` field, the per-node access load and the key
-RNG's state — and every array-backed slot's arena row must equal its
-mask.
+count, every ``OpCost`` field, the per-node access load (counts and
+first-seen order) and the key RNG's state — and every array-backed
+slot's arena row must equal its mask.
 
 The grid is the write path's whole configuration space: three overlays,
 ``ttl`` None/5, ``bit_shift`` 0/2, ``R`` 0/2, ``m`` 1/16/128, both slot
 stores and both hash families, with duplicate items and positions past
-``position_bits``.
+``position_bits`` — each with the overlay's ``trace`` flag off and on,
+since the traced and untraced routes keep their visited nodes apart.
 """
 
 import dataclasses
@@ -39,12 +40,12 @@ METRICS = ["docs", ("hist", 3)]
 KEY_BITS = 16
 
 
-def twins(overlay, n_nodes, ring_seed, seed, **config):
+def twins(overlay, n_nodes, ring_seed, seed, trace, **config):
     """The package deployment and its spec twin (same overlay, config)."""
     made = []
     for _ in range(2):
         dht = overlay.build(n_nodes, bits=32, seed=ring_seed)
-        dht.trace = True
+        dht.trace = trace
         made.append(
             DistributedHashSketch(dht, DHSConfig(key_bits=KEY_BITS, **config), seed=seed)
         )
@@ -52,7 +53,7 @@ def twins(overlay, n_nodes, ring_seed, seed, **config):
 
 
 def snapshot(dhs):
-    """Every node's slots in store order, and the load."""
+    """Every node's slots in store order, and the load in first-seen order."""
     nodes = []
     for node_id in dhs.dht.node_ids():
         node = dhs.dht.node(node_id)
@@ -62,7 +63,7 @@ def snapshot(dhs):
                 assert slot.arena.read_row(slot.row) == slot.mask, key
             slots.append((key, slot.mask, list((slot.expiring or {}).items())))
         nodes.append((node_id, slots))
-    return nodes, dict(dhs.dht.load._counts)
+    return nodes, list(dhs.dht.load.counts().items())
 
 
 def package_write(dhs, entry, metric, batch, origin, now):
@@ -126,6 +127,7 @@ def scenarios(draw):
         n_nodes=draw(st.integers(1, 20)),
         ring_seed=draw(st.integers(0, 3)),
         seed=draw(st.integers(0, 3)),
+        trace=draw(st.booleans()),
         config=dict(
             num_bitmaps=m,
             ttl=draw(st.sampled_from([None, 5])),
@@ -138,8 +140,8 @@ def scenarios(draw):
     )
 
 
-def assert_matches_spec(overlay, n_nodes, ring_seed, seed, config, batches):
-    package, reference = twins(overlay, n_nodes, ring_seed, seed, **config)
+def assert_matches_spec(overlay, n_nodes, ring_seed, seed, trace, config, batches):
+    package, reference = twins(overlay, n_nodes, ring_seed, seed, trace, **config)
     rng = rng_for(seed, "dhs-insert")
     node_ids = package.dht.node_ids()
     for entry, metric, origin_slot, now, batch in batches:
@@ -163,12 +165,25 @@ def test_every_entry_point_matches_the_spec(scenario):
 @pytest.mark.parametrize("store", ["array", "packed"])
 def test_grid_corners(overlay, ttl, m, store):
     """Every overlay x ttl x m x store once, with shift and replicas on."""
+    grid_corner(overlay, ttl, m, store, trace=True)
+
+
+@pytest.mark.parametrize("overlay", OVERLAYS)
+@pytest.mark.parametrize("ttl", [None, 5])
+@pytest.mark.parametrize("m", [1, 16, 128])
+@pytest.mark.parametrize("store", ["array", "packed"])
+def test_grid_corners_untraced(overlay, ttl, m, store):
+    """The same grid on the untraced route, which keeps no per-hop path."""
+    grid_corner(overlay, ttl, m, store, trace=False)
+
+
+def grid_corner(overlay, ttl, m, store, trace):
     position_bits = KEY_BITS - (m.bit_length() - 1)
     observations = [
         (v % m, p) for v in range(0, 40, 3) for p in (0, 2, 5, position_bits + 9)
     ]
     assert_matches_spec(
-        overlay, 12, 1, 2,
+        overlay, 12, 1, 2, trace,
         dict(num_bitmaps=m, ttl=ttl, bit_shift=2, replication=2, store=store),
         [
             ("insert_observation_arrays", "docs", 0, 0, observations * 2),
