@@ -12,15 +12,10 @@ import pytest
 from repro.hashing.family import MixerHash
 from repro.hashing.md4 import md4_digest
 from repro.hashing.vectorized import observations_np
-from repro.sketches import (
-    HyperLogLogSketch,
-    LinearCounter,
-    PCSASketch,
-    SuperLogLogSketch,
-)
+from repro.sketches import PCSASketch, SuperLogLogSketch
 
 N_ITEMS = 20_000
-ALL_SKETCHES = [PCSASketch, SuperLogLogSketch, HyperLogLogSketch]
+ALL_SKETCHES = [PCSASketch, SuperLogLogSketch]
 
 
 @pytest.mark.parametrize("sketch_cls", ALL_SKETCHES, ids=lambda c: c.name)
@@ -51,18 +46,6 @@ def test_bench_sketch_merge(benchmark):
     b.add_all(range(N_ITEMS, 2 * N_ITEMS))
     merged = benchmark(a.union, b)
     assert merged.estimate() == pytest.approx(2 * N_ITEMS, rel=0.3)
-
-
-def test_bench_linear_counter_insert(benchmark):
-    items = list(range(N_ITEMS))
-
-    def insert_all():
-        counter = LinearCounter(size=1 << 16, hash_family=MixerHash(seed=1))
-        counter.add_all(items)
-        return counter
-
-    counter = benchmark(insert_all)
-    assert counter.estimate() == pytest.approx(N_ITEMS, rel=0.2)
 
 
 def test_bench_vectorized_hashing(benchmark):

@@ -25,13 +25,7 @@ from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.overlay.kademlia import KademliaOverlay
 from repro.overlay.pastry import PastryOverlay
-from repro.sketches import (
-    HyperLogLogSketch,
-    LinearCounter,
-    LogLogSketch,
-    PCSASketch,
-    SuperLogLogSketch,
-)
+from repro.sketches import PCSASketch, SuperLogLogSketch
 
 __version__ = "1.0.0"
 
@@ -47,9 +41,6 @@ __all__ = [
     "ChordRing",
     "KademliaOverlay",
     "PastryOverlay",
-    "HyperLogLogSketch",
-    "LinearCounter",
-    "LogLogSketch",
     "PCSASketch",
     "SuperLogLogSketch",
     "__version__",

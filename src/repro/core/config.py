@@ -36,8 +36,8 @@ class DHSConfig:
     num_bitmaps:
         The paper's ``m``: number of bitmap vectors; power of two.
     estimator:
-        ``"sll"`` (super-LogLog), ``"pcsa"``, or the extension estimators
-        ``"loglog"`` / ``"hll"``.
+        ``"sll"`` (super-LogLog, scanned downward) or ``"pcsa"``
+        (scanned upward): the paper's two estimators.
     lim:
         Max nodes probed per id-space interval during counting (the
         constant-``lim`` policy; also the hard cap for the eq6 policy).

@@ -1,12 +1,12 @@
-"""DHS counting — the paper's Algorithm 1, for both estimator families.
+"""DHS counting — the paper's Algorithm 1, for both of its estimators.
 
 Counting walks the id-space intervals and, per interval, probes up to
 ``lim`` nodes asking "which vectors have bit ``r`` set for these
 metrics?": one DHT lookup of an interval key, then one hop per node of
 the overlay's :meth:`~repro.overlay.dht.DHTProtocol.interval_owners`.
 
-* super-LogLog / LogLog / HLL scan **high → low** and record, per
-  bitmap, the *first* set bit seen — its maximum (Alg. 1).
+* super-LogLog scans **high → low** and records, per bitmap, the
+  *first* set bit seen — its maximum (Alg. 1).
 * PCSA scans **low → high**; a bitmap stays *active* while every probed
   position was found set, and resolves to its leftmost zero at the first
   position that ``lim`` probes could not confirm.
@@ -104,15 +104,12 @@ from repro.overlay.replication import entry_expiry, replica_chain
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 from repro.sketches.base import HashSketch
-from repro.sketches.estimators import HLL_EXACT_KEY_BITS, PLANE_ESTIMATORS
+from repro.sketches.estimators import PLANE_ESTIMATORS
 
 if TYPE_CHECKING:  # annotation only — the facade constructs the arena
     from repro.core.regstore import RegArena
 
 __all__ = ["Counter", "CountResult"]
-
-#: Estimators that scan from the most significant position downwards.
-_DOWNWARD_ESTIMATORS = {"sll", "loglog", "hll"}
 
 #: Metrics per block of a counter's metric table.  A read row holds one
 #: ``m``-bit lane per member, so it is at most ``64 * m`` bits wide.
@@ -517,19 +514,12 @@ class Counter:
         scan = self._begin_scan(metric_ids, origin, now, result, prior)
         # Per touched block, one packed plane per position.
         packed = [[0] * config.position_bits for _ in scan.blocks]
-        if config.estimator in _DOWNWARD_ESTIMATORS:
+        if config.estimator == "sll":
             self._scan_downward(scan, packed, keys)
         else:
             self._scan_upward(scan, packed, keys)
         places = dict(zip(metric_ids, scan.lanes))
         result.sketches = _PlaneSketches(packed, places, config, self.hash_family)
-        if config.estimator == "hll" and config.key_bits > HLL_EXACT_KEY_BITS:
-            # The histogram sum could round differently from the
-            # per-register one: read the rebuilt registers instead.
-            result.estimates = {
-                metric: sketch.estimate() for metric, sketch in result.sketches.items()
-            }
-            return result
         # Each metric's plane popcounts.  A block's planes hold bits in
         # requested lanes only, so with one requested lane they are its.
         m = config.num_bitmaps
@@ -643,7 +633,7 @@ class Counter:
         return max(1, min(budget, 8 * config.lim))
 
     # ------------------------------------------------------------------
-    # Downward scan (LogLog family): first set bit seen is the maximum.
+    # Downward scan (super-LogLog): first set bit seen is the maximum.
     # ------------------------------------------------------------------
     def _scan_downward(
         self, scan: _Scan, packed: List[List[int]], keys: Sequence[int]

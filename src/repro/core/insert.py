@@ -31,7 +31,7 @@ from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.core.tuples import write_entry_mask
 from repro.errors import MessageDropped
 from repro.hashing.family import HashFamily
-from repro.hashing.vectorized import observations_np
+from repro.hashing.vectorized import observations_np, observations_u64
 from repro.obs import runtime as obs
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.node import Node
@@ -99,18 +99,22 @@ class Inserter:
         """``(vectors, positions)`` arrays of non-negative integer ids.
 
         The ``mixer`` family hashes the whole array at once with
-        :func:`repro.hashing.vectorized.observations_np`, bit-for-bit
-        identical to :meth:`observation`; other families (MD4) have no
-        vectorized twin and hash item by item.  Ids that are not a 1-D
-        integer array raise ``ValueError`` (see :func:`item_id_array`).
+        :func:`repro.hashing.vectorized.observations_np` (unsigned ids
+        with :func:`~repro.hashing.vectorized.observations_u64`, so no
+        ``uint64`` id at or above 2^63 wraps through ``int64``),
+        bit-for-bit identical to :meth:`observation`; other families
+        (MD4) have no vectorized twin and hash item by item.  Ids that
+        are not a 1-D integer array raise ``ValueError`` (see
+        :func:`item_id_array`).
         """
         config = self.config
-        ids = np.ascontiguousarray(item_id_array(item_ids), dtype=np.int64)
-        if config.hash_family_name == "mixer":
-            return observations_np(
-                ids, config.num_bitmaps, config.key_bits, seed=config.hash_seed
-            )
-        return self._scalar_observations(int(item) for item in ids)
+        ids = item_id_array(item_ids)
+        if config.hash_family_name != "mixer":
+            return self._scalar_observations(ids.tolist())
+        m, key_bits, seed = config.num_bitmaps, config.key_bits, config.hash_seed
+        if ids.dtype.kind == "u":
+            return observations_u64(ids.astype(np.uint64, copy=False), m, key_bits, seed)
+        return observations_np(ids.astype(np.int64, copy=False), m, key_bits, seed)
 
     def _scalar_observations(
         self, items: Iterable[Any]

@@ -49,8 +49,9 @@ def rho(y: int, width: int) -> int:
 def rank(y: int, width: int) -> int:
     """Durand–Flajolet 1-indexed rank: ``rho(y) + 1``, capped at ``width + 1``.
 
-    This is the quantity the LogLog estimator's ``alpha_m`` constant is
-    derived for; keeping both conventions explicit avoids off-by-one bias.
+    This is the register value super-LogLog keeps and its ``alpha-tilde``
+    constant is calibrated for; keeping both conventions explicit avoids
+    off-by-one bias.
     """
     return rho(y, width) + 1
 

@@ -2,7 +2,7 @@
 
 Populating DHS with millions of tuples is dominated by hashing and key
 splitting; this module reproduces ``MixerHash`` + ``split_key`` bit-for-
-bit over int64 arrays so workload loading runs at numpy speed.  Tests
+bit over integer arrays so workload loading runs at numpy speed.  Tests
 assert exact agreement with the scalar implementations.
 """
 
@@ -13,7 +13,13 @@ from typing import Tuple
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["splitmix64_np", "mix_with_seed_np", "observations_np", "popcount64"]
+__all__ = [
+    "splitmix64_np",
+    "mix_with_seed_np",
+    "observations_np",
+    "observations_u64",
+    "popcount64",
+]
 
 _U64 = np.uint64
 
@@ -57,8 +63,25 @@ def observations_np(
     """``(vector, position)`` arrays matching the scalar sketch path.
 
     ``item_ids`` must be non-negative integers (the library's workload
-    item ids).  ``m`` must be a positive power of two and ``key_bits``
-    must exceed ``log2(m)`` — the same contract
+    item ids); see :func:`observations_u64` for ``m`` and ``key_bits``.
+    """
+    if np.any(np.asarray(item_ids) < 0):
+        raise ValueError("vectorized hashing requires non-negative item ids")
+    return observations_u64(
+        np.asarray(item_ids, dtype=np.int64).astype(_U64), m, key_bits, seed
+    )
+
+
+def observations_u64(
+    item_ids: npt.NDArray[np.uint64],
+    m: int,
+    key_bits: int,
+    seed: int = 0,
+) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+    """:func:`observations_np` over uint64 ids, each hashed as its own value.
+
+    ``m`` must be a positive power of two and ``key_bits`` must exceed
+    ``log2(m)`` — the same contract
     :class:`repro.sketches.base.HashSketch` enforces (the ``m - 1``
     bucket mask and the ``log2(m)``-bit shift are wrong otherwise).
     Positions are clamped to ``position_bits - 1`` exactly like
@@ -72,10 +95,8 @@ def observations_np(
             f"key_bits ({key_bits}) must exceed log2(m) ({c}) to leave "
             "room for the position bits"
         )
-    if np.any(np.asarray(item_ids) < 0):
-        raise ValueError("vectorized hashing requires non-negative item ids")
     position_bits = key_bits - c
-    hashed = mix_with_seed_np(np.asarray(item_ids, dtype=np.int64).astype(_U64), seed)
+    hashed = mix_with_seed_np(item_ids, seed)
     truncated = hashed & _U64((1 << key_bits) - 1)
     vectors = (truncated & _U64(m - 1)).astype(np.int64)
     rest = truncated >> _U64(c)

@@ -4,9 +4,9 @@ A hash sketch (section 2.2 of the paper) maps each item through a
 pseudo-uniform hash, splits the hashed key into a bucket selector (the low
 ``c = log2 m`` bits) and a geometric observation ``rho`` of the remaining
 bits, and records the observation into one of ``m`` buckets.  Insertion is
-identical for every estimator in the family — PCSA, LogLog, super-LogLog
-and HyperLogLog differ only in what they retain per bucket and how they
-turn the buckets into a cardinality estimate.
+identical for both of the paper's estimators — PCSA and super-LogLog
+differ only in what they retain per bucket and how they turn the buckets
+into a cardinality estimate.
 
 The split used here is exactly the paper's DHS convention (section 3.4):
 ``vector = lsb_k(key) mod m`` and ``position = rho(lsb_k(key) div m)``,

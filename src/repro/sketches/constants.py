@@ -2,13 +2,10 @@
 
 * PCSA (Flajolet–Martin 1985): the magic constant ``phi = 0.77351`` from
   eq. 4 of the paper, and the ``1 + 0.31/m`` first-order bias factor.
-* LogLog (Durand–Flajolet 2003): ``alpha_m`` from the closed form
-  ``alpha_m = (Gamma(-1/m) * (1 - 2^(1/m)) / ln 2)^(-m)``.
-* super-LogLog: the truncation constant ``alpha-tilde``, calibrated by
-  register-level Monte Carlo (``tools/calibrate_sll.py``; Poissonized,
-  lambda = 4096 items/bucket, ~600k register draws per m, seed 20060401).
-* HyperLogLog (Flajolet et al. 2007, shipped as an extension): the usual
-  ``alpha_m`` bias-correction constants.
+* super-LogLog (Durand–Flajolet 2003): the truncation constant
+  ``alpha-tilde``, calibrated by register-level Monte Carlo
+  (``tools/calibrate_sll.py``; Poissonized, lambda = 4096 items/bucket,
+  ~600k register draws per m, seed 20060401).
 """
 
 from __future__ import annotations
@@ -19,11 +16,9 @@ from functools import cache
 __all__ = [
     "PCSA_PHI",
     "pcsa_bias_factor",
-    "loglog_alpha",
     "SLL_THETA0",
     "sll_alpha_tilde",
     "sll_truncated_count",
-    "hll_alpha",
 ]
 
 #: FM85's ``phi``: E(n) = (1/phi) * m * 2^(mean R) (paper eq. 4).
@@ -38,23 +33,6 @@ def pcsa_bias_factor(m: int) -> float:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return 1.0 + 0.31 / m
-
-
-def loglog_alpha(m: int) -> float:
-    """Durand–Flajolet ``alpha_m`` for the plain LogLog estimator.
-
-    Closed form ``(Gamma(-1/m)*(1-2^(1/m))/ln 2)^(-m)``; tends to
-    ``~0.39701`` as m grows.  ``Gamma(-1/m)`` and ``(1 - 2^(1/m))`` are both
-    negative, so the base is positive.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m == 1:
-        # The closed form degenerates (E[2^M] diverges for a single
-        # bucket); fall back to the calibrated truncation-free value.
-        return 0.5305263157894737
-    base = math.gamma(-1.0 / m) * (1.0 - 2.0 ** (1.0 / m)) / math.log(2.0)
-    return base ** (-m)
 
 
 #: Monte-Carlo calibrated alpha-tilde for the truncated (super-LogLog)
@@ -113,13 +91,3 @@ def sll_alpha_tilde(m: int) -> float:
     weight = (math.log2(m) - math.log2(lower)) / (math.log2(upper) - math.log2(lower))
     return _SLL_ALPHA_TILDE[lower] * (1 - weight) + _SLL_ALPHA_TILDE[upper] * weight
 
-
-def hll_alpha(m: int) -> float:
-    """HyperLogLog's harmonic-mean correction constant."""
-    if m <= 16:
-        return 0.673
-    if m <= 32:
-        return 0.697
-    if m <= 64:
-        return 0.709
-    return 0.7213 / (1.0 + 1.079 / m)

@@ -1,13 +1,13 @@
 """Cardinality estimators as pure functions of a sufficient statistic.
 
-Every estimator of the family reads its ``m`` buckets only through a
-small summary, so neither a sketch object nor a pass over ``m`` registers
-is needed to evaluate one:
+Each of the paper's two estimators reads its ``m`` buckets only through
+a small summary, so neither a sketch object nor a pass over ``m``
+registers is needed to evaluate one:
 
-* LogLog, super-LogLog and HyperLogLog are functions of the **rank
-  histogram** ``counts[r]`` = number of buckets whose register (the
-  1-indexed max rank, 0 = never hit) equals ``r`` — the statistic Ertl's
-  estimators are written over (arXiv 1706.07290).
+* super-LogLog is a function of the **rank histogram** ``counts[r]`` =
+  number of buckets whose register (the 1-indexed max rank, 0 = never
+  hit) equals ``r`` — the statistic Ertl's estimators are written over
+  (arXiv 1706.07290).
 * PCSA is a function of the **rank sum** ``sum_j R_j`` over the buckets'
   leftmost-zero positions (Pettie–Wang treat both sketches as functions
   of exactly this state, arXiv 2208.10578).
@@ -17,9 +17,8 @@ distributed count (:mod:`repro.core.count`) from the **popcounts of its
 bit planes** — ``planes[p]`` is an ``m``-bit integer whose bit ``j``
 says bucket ``j`` has position ``p``, and ``popcounts[p]`` its number of
 set bits; both then call the same function here, so each formula exists
-once.  The LogLog truncated sum and the PCSA rank sum are integer sums
-and the HyperLogLog indicator is an exact float sum inside
-:data:`HLL_EXACT_KEY_BITS`, so the two routes agree to the last bit.
+once.  The super-LogLog truncated sum and the PCSA rank sum are integer
+sums, so the two routes agree to the last bit.
 """
 
 from __future__ import annotations
@@ -28,33 +27,18 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.sketches.constants import (
     PCSA_PHI,
-    hll_alpha,
-    loglog_alpha,
     pcsa_bias_factor,
     sll_alpha_tilde,
     sll_truncated_count,
 )
-from repro.sketches.linear_counting import linear_counting_estimate
 
 __all__ = [
-    "HLL_EXACT_KEY_BITS",
     "PLANE_ESTIMATORS",
-    "hyperloglog_estimate",
-    "hyperloglog_indicator",
-    "loglog_estimate",
     "pcsa_estimate",
     "plane_rank_histogram",
     "register_rank_histogram",
     "superloglog_estimate",
 ]
-
-#: Largest ``key_bits`` for which :func:`hyperloglog_indicator` is exact.
-#: Every term ``counts[r] * 2^-r`` is a multiple of ``2^-position_bits``
-#: and every partial sum is at most ``m``, so no addition rounds while
-#: ``log2(m) + position_bits + 1 = key_bits + 1 <= 53`` (the float
-#: mantissa) — and an exact sum does not depend on the order of its terms.
-HLL_EXACT_KEY_BITS = 52
-
 
 # ----------------------------------------------------------------------
 # Sufficient statistics.
@@ -79,16 +63,8 @@ def plane_rank_histogram(popcounts: Sequence[int], m: int) -> List[int]:
 # ----------------------------------------------------------------------
 # Estimators.
 # ----------------------------------------------------------------------
-def loglog_estimate(counts: Sequence[int], m: int) -> float:
-    """Durand–Flajolet LogLog: ``alpha_m * m * 2^(mean rank)``."""
-    if counts[0] == m:
-        return 0.0
-    rank_sum = sum(rank * count for rank, count in enumerate(counts))
-    return loglog_alpha(m) * m * 2.0 ** (rank_sum / m)
-
-
 def superloglog_estimate(counts: Sequence[int], m: int) -> float:
-    """super-LogLog (paper eq. 2): LogLog over the ``m0`` smallest registers."""
+    """super-LogLog (paper eq. 2): ``alpha~ * m0 * 2^(mean of the m0 smallest ranks)``."""
     if counts[0] == m:
         return 0.0
     m0 = left = sll_truncated_count(m)
@@ -100,30 +76,6 @@ def superloglog_estimate(counts: Sequence[int], m: int) -> float:
         rank_sum += rank * count
         left -= count
     return sll_alpha_tilde(m) * m0 * 2.0 ** (rank_sum / m0)
-
-
-def hyperloglog_indicator(counts: Sequence[int]) -> float:
-    """HyperLogLog's ``sum_j 2^-M_j``, summed over the rank histogram.
-
-    Equal to the per-register sum in any order only inside
-    :data:`HLL_EXACT_KEY_BITS`; outside it callers sum the registers.
-    """
-    return sum(count * 2.0**-rank for rank, count in enumerate(counts) if count)
-
-
-def hyperloglog_estimate(indicator: float, zero_buckets: int, m: int) -> float:
-    """FFGM07 harmonic-mean estimate with the small-range correction.
-
-    ``indicator`` is ``sum_j 2^-M_j`` and ``zero_buckets`` the number of
-    never-hit buckets.  The large-range correction of the original paper
-    is unnecessary with 64-bit hashes and is deliberately omitted.
-    """
-    if zero_buckets == m:
-        return 0.0
-    raw = hll_alpha(m) * m * m / indicator
-    if raw <= 2.5 * m and zero_buckets:
-        return linear_counting_estimate(m, zero_buckets)
-    return raw
 
 
 def pcsa_estimate(rank_sum: int, m: int, bias_correction: bool = True) -> float:
@@ -142,17 +94,8 @@ def pcsa_estimate(rank_sum: int, m: int, bias_correction: bool = True) -> float:
 # ----------------------------------------------------------------------
 # Estimates straight from one metric's plane popcounts (the DHS count).
 # ----------------------------------------------------------------------
-def _loglog_from_planes(popcounts: Sequence[int], m: int) -> float:
-    return loglog_estimate(plane_rank_histogram(popcounts, m), m)
-
-
 def _superloglog_from_planes(popcounts: Sequence[int], m: int) -> float:
     return superloglog_estimate(plane_rank_histogram(popcounts, m), m)
-
-
-def _hyperloglog_from_planes(popcounts: Sequence[int], m: int) -> float:
-    counts = plane_rank_histogram(popcounts, m)
-    return hyperloglog_estimate(hyperloglog_indicator(counts), counts[0], m)
 
 
 def _pcsa_from_planes(popcounts: Sequence[int], m: int) -> float:
@@ -164,12 +107,9 @@ def _pcsa_from_planes(popcounts: Sequence[int], m: int) -> float:
     return pcsa_estimate(rank_sum, m) if rank_sum else 0.0
 
 
-#: Estimator name → ``(plane popcounts, m) -> estimate``.  The LogLog
-#: family counts disjoint planes (one per maximum position), PCSA nested
-#: ones.
+#: Estimator name → ``(plane popcounts, m) -> estimate``.  super-LogLog
+#: counts disjoint planes (one per maximum position), PCSA nested ones.
 PLANE_ESTIMATORS: Dict[str, Callable[[Sequence[int], int], float]] = {
-    "loglog": _loglog_from_planes,
     "sll": _superloglog_from_planes,
-    "hll": _hyperloglog_from_planes,
     "pcsa": _pcsa_from_planes,
 }

@@ -1,15 +1,11 @@
-"""LogLog and super-LogLog counting (Durand–Flajolet 2003).
+"""super-LogLog counting (Durand–Flajolet 2003).
 
 Each bucket retains only the *largest* observation — the rank
 ``rho + 1`` of the rightmost 1-bit the paper speaks of — so a bucket costs
-``O(log log n_max)`` bits instead of PCSA's ``O(log n_max)``.
-
-* :class:`LogLogSketch` implements the plain estimator
-  ``E(n) = alpha_m * m * 2^(mean M)``.
-* :class:`SuperLogLogSketch` adds the truncation rule (keep the
-  ``m0 = ⌊θ0·m⌋`` smallest registers, θ0 = 0.7) with the calibrated
-  ``alpha-tilde`` constant — the paper's eq. 2, standard error
-  ``≈ 1.05/sqrt(m)``.
+``O(log log n_max)`` bits instead of PCSA's ``O(log n_max)``.  The
+estimate applies the truncation rule (keep the ``m0 = ⌊θ0·m⌋`` smallest
+registers, θ0 = 0.7) with the calibrated ``alpha-tilde`` constant — the
+paper's eq. 2, standard error ``≈ 1.05/sqrt(m)``.
 """
 
 from __future__ import annotations
@@ -19,24 +15,19 @@ from typing import List
 from repro.errors import EstimationError
 from repro.hashing.family import HashFamily
 from repro.sketches.base import HashSketch
-from repro.sketches.estimators import (
-    loglog_estimate,
-    register_rank_histogram,
-    superloglog_estimate,
-)
+from repro.sketches.estimators import register_rank_histogram, superloglog_estimate
 
-__all__ = ["LogLogSketch", "SuperLogLogSketch"]
+__all__ = ["SuperLogLogSketch"]
 
 
-class LogLogSketch(HashSketch):
-    """Plain LogLog estimator (no truncation).
+class SuperLogLogSketch(HashSketch):
+    """super-LogLog: max-rank registers and the θ0-truncation rule (paper eq. 2).
 
-    Registers store the 1-indexed rank ``M = rho + 1`` so the classic
-    ``alpha_m = (Gamma(-1/m)(1-2^{1/m})/ln 2)^{-m}`` constant applies
-    without an off-by-one bias.  An empty bucket holds 0.
+    Registers store the 1-indexed rank ``M = rho + 1``; an empty bucket
+    holds 0.
     """
 
-    name = "loglog"
+    name = "sll"
 
     def __init__(
         self,
@@ -73,10 +64,10 @@ class LogLogSketch(HashSketch):
         return all(r == 0 for r in self._registers)
 
     def _merge_state(self, other: HashSketch) -> None:
-        assert isinstance(other, LogLogSketch)
+        assert isinstance(other, SuperLogLogSketch)
         self._registers = [max(a, b) for a, b in zip(self._registers, other._registers)]
 
-    def _copy_empty(self) -> "LogLogSketch":
+    def _copy_empty(self) -> "SuperLogLogSketch":
         return type(self)(m=self.m, key_bits=self.key_bits, hash_family=self.hash_family)
 
     # ------------------------------------------------------------------
@@ -87,14 +78,14 @@ class LogLogSketch(HashSketch):
         return list(self._registers)
 
     def estimate(self) -> float:
-        return loglog_estimate(register_rank_histogram(self._registers), self.m)
+        return superloglog_estimate(register_rank_histogram(self._registers), self.m)
 
     @classmethod
     def expected_std_error(cls, m: int) -> float:
-        """DF03: ``~1.30 / sqrt(m)`` for plain LogLog."""
+        """DF03 (and the paper, section 2.2.1): ``1.05 / sqrt(m)``."""
         if m < 1:
             raise EstimationError(f"m must be >= 1, got {m}")
-        return 1.30 / m**0.5
+        return 1.05 / m**0.5
 
     # ------------------------------------------------------------------
     # Serialization: one byte per register (ranks fit in 8 bits for any
@@ -111,7 +102,7 @@ class LogLogSketch(HashSketch):
         m: int,
         key_bits: int = 64,
         hash_family: HashFamily | None = None,
-    ) -> "LogLogSketch":
+    ) -> "SuperLogLogSketch":
         """Rebuild a sketch serialized by :meth:`to_bytes`."""
         sketch = cls(m=m, key_bits=key_bits, hash_family=hash_family)
         if len(data) != m:
@@ -123,18 +114,3 @@ class LogLogSketch(HashSketch):
         sketch._registers = registers
         return sketch
 
-
-class SuperLogLogSketch(LogLogSketch):
-    """super-LogLog: LogLog plus the θ0-truncation rule (paper eq. 2)."""
-
-    name = "sll"
-
-    def estimate(self) -> float:
-        return superloglog_estimate(register_rank_histogram(self._registers), self.m)
-
-    @classmethod
-    def expected_std_error(cls, m: int) -> float:
-        """DF03 (and the paper, section 2.2.1): ``1.05 / sqrt(m)``."""
-        if m < 1:
-            raise EstimationError(f"m must be >= 1, got {m}")
-        return 1.05 / m**0.5

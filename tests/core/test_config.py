@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.config import DEFAULT_LIM, DHSConfig
 from repro.errors import ConfigurationError
-from repro.sketches import (
-    HyperLogLogSketch,
-    LogLogSketch,
-    PCSASketch,
-    SuperLogLogSketch,
-)
+from repro.sketches import PCSASketch, SuperLogLogSketch
 
 
 class TestDefaults:
@@ -47,6 +42,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             DHSConfig(estimator="fm2006")
 
+    @pytest.mark.parametrize("name", ["hll", "loglog"])
+    def test_only_the_papers_two_estimators(self, name):
+        with pytest.raises(ConfigurationError, match=r"\['pcsa', 'sll'\]"):
+            DHSConfig(estimator=name)
+
     def test_key_bits_vs_selector(self):
         with pytest.raises(ConfigurationError):
             DHSConfig(key_bits=9, num_bitmaps=512)
@@ -82,8 +82,6 @@ class TestFactories:
         [
             ("pcsa", PCSASketch),
             ("sll", SuperLogLogSketch),
-            ("loglog", LogLogSketch),
-            ("hll", HyperLogLogSketch),
         ],
     )
     def test_sketch_class(self, name, cls):

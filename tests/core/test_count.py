@@ -8,7 +8,7 @@ from repro.overlay.chord import ChordRing
 from repro.overlay.failures import fail_fraction
 from repro.sim.seeds import rng_for
 
-ESTIMATORS = ["sll", "pcsa", "loglog", "hll"]
+ESTIMATORS = ["sll", "pcsa"]
 
 
 def make_dhs(n_nodes=64, bits=32, key_bits=16, m=4, seed=3, **kwargs):

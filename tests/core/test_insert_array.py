@@ -128,6 +128,17 @@ class TestArrayVsBulk:
             assert numpy.insert("docs", np.int64(item)) == native.insert("docs", item)
         assert stored_state(numpy) == stored_state(native)
 
+    @pytest.mark.parametrize("hash_family_name", ["mixer", "md4"])
+    @pytest.mark.parametrize("item", [2**63, 2**64 - 1])
+    def test_uint64_ids_past_int64_hash_as_their_own_value(self, hash_family_name, item):
+        """A ``uint64`` id at or above 2^63 is not wrapped to a negative."""
+        native = make_dhs(trace=True, hash_family_name=hash_family_name)
+        array = make_dhs(trace=True, hash_family_name=hash_family_name)
+        cost_native = native.insert("docs", item)
+        cost_array = array.insert_array("docs", np.array([item], dtype=np.uint64))
+        assert cost_array == cost_native
+        assert stored_state(array) == stored_state(native)
+
 
 class TestObservationArrays:
     def test_matches_insert_observations(self):

@@ -8,8 +8,6 @@ from repro.errors import ConfigurationError, IncompatibleSketchError
 from repro.hashing.bits import rho
 from repro.hashing.family import MD4Hash, MixerHash
 from repro.sketches import (
-    HyperLogLogSketch,
-    LogLogSketch,
     PCSASketch,
     SKETCH_TYPES,
     SuperLogLogSketch,
@@ -17,7 +15,7 @@ from repro.sketches import (
     split_key,
 )
 
-ALL_SKETCHES = [PCSASketch, LogLogSketch, SuperLogLogSketch, HyperLogLogSketch]
+ALL_SKETCHES = [PCSASketch, SuperLogLogSketch]
 
 
 @pytest.fixture(params=ALL_SKETCHES)
@@ -128,16 +126,12 @@ class TestMergeCompatibility:
 
     def test_cross_type_rejected(self):
         with pytest.raises(IncompatibleSketchError):
-            PCSASketch(m=16).merge(LogLogSketch(m=16))
-
-    def test_loglog_subclasses_not_interchangeable(self):
-        with pytest.raises(IncompatibleSketchError):
-            LogLogSketch(m=16).merge(SuperLogLogSketch(m=16))
+            PCSASketch(m=16).merge(SuperLogLogSketch(m=16))
 
 
 class TestRegistry:
     def test_all_types_registered(self):
-        assert set(SKETCH_TYPES) == {"pcsa", "loglog", "sll", "hll"}
+        assert set(SKETCH_TYPES) == {"pcsa", "sll"}
 
     def test_registry_constructs(self):
         for cls in SKETCH_TYPES.values():

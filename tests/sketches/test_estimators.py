@@ -1,19 +1,13 @@
-"""Behavioural tests shared by all four estimators: duplicate
-insensitivity, union semantics, accuracy, serialization."""
+"""Behavioural tests shared by both estimators: duplicate insensitivity,
+union semantics, accuracy, serialization."""
 
 import pytest
 
 from repro.hashing.family import MixerHash
-from repro.sketches import (
-    HyperLogLogSketch,
-    LogLogSketch,
-    PCSASketch,
-    SuperLogLogSketch,
-    union_all,
-)
+from repro.sketches import PCSASketch, SuperLogLogSketch, union_all
 from repro.errors import SketchError
 
-ALL_SKETCHES = [PCSASketch, LogLogSketch, SuperLogLogSketch, HyperLogLogSketch]
+ALL_SKETCHES = [PCSASketch, SuperLogLogSketch]
 
 
 @pytest.fixture(params=ALL_SKETCHES)
@@ -193,7 +187,7 @@ class TestSerialization:
         assert top_valid.bit(0, 14) and not top_valid.is_empty()
 
     def test_serialized_size_reflects_family(self):
-        """LogLog-family state must be smaller than PCSA's (log log vs log)."""
+        """super-LogLog state must be smaller than PCSA's (log log vs log)."""
         pcsa, sll = make(PCSASketch, m=64), make(SuperLogLogSketch, m=64)
         pcsa.add_all(range(1000))
         sll.add_all(range(1000))

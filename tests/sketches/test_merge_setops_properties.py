@@ -11,17 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SketchError
-from repro.sketches import (
-    HyperLogLogSketch,
-    LogLogSketch,
-    PCSASketch,
-    SuperLogLogSketch,
-)
+from repro.sketches import PCSASketch, SuperLogLogSketch
 from repro.sketches.merge import union_all
 from repro.sketches.setops import estimate_intersection
 from repro.hashing.family import MixerHash
 
-ALL_SKETCHES = [PCSASketch, LogLogSketch, SuperLogLogSketch, HyperLogLogSketch]
+ALL_SKETCHES = [PCSASketch, SuperLogLogSketch]
 
 items_strategy = st.lists(st.integers(min_value=0, max_value=10**9), max_size=150)
 sketch_cls_strategy = st.sampled_from(ALL_SKETCHES)

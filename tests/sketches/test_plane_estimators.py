@@ -4,7 +4,7 @@ The distributed count never builds a sketch: it hands the popcount of
 each of a metric's bit planes to
 :data:`repro.sketches.estimators.PLANE_ESTIMATORS`.  These properties
 generate plane sets of the two shapes a scan produces — disjoint
-(LogLog family: the bitmaps whose maximum is each position) and nested
+(super-LogLog: the bitmaps whose maximum is each position) and nested
 (PCSA: the bitmaps confirmed up to each position) — and require the
 popcount route and the ``record_mask`` + ``estimate()`` route to agree
 *exactly*, not approximately.
@@ -17,15 +17,12 @@ from hypothesis import strategies as st
 from repro.sketches import SKETCH_TYPES
 from repro.sketches.constants import sll_alpha_tilde, sll_truncated_count
 from repro.sketches.estimators import (
-    HLL_EXACT_KEY_BITS,
     PLANE_ESTIMATORS,
-    hyperloglog_indicator,
     plane_rank_histogram,
     register_rank_histogram,
     superloglog_estimate,
 )
 
-LOGLOG_FAMILY = ["loglog", "sll", "hll"]
 POSITION_BITS = 12
 
 
@@ -86,7 +83,7 @@ def nested_planes(draw):
     return m, planes
 
 
-@pytest.mark.parametrize("estimator", LOGLOG_FAMILY)
+@pytest.mark.parametrize("estimator", ["sll"])
 @given(disjoint_planes())
 @settings(max_examples=60, deadline=None)
 def test_loglog_family_planes_equal_rebuilt_sketch(estimator, case):
@@ -126,18 +123,6 @@ def test_all_resolved_at_top_position(estimator, m):
     expected = rebuilt(estimator, planes, m).estimate()
     assert expected > 0.0
     assert PLANE_ESTIMATORS[estimator](popcounts(planes), m) == expected
-
-
-def test_hll_histogram_sum_is_exact_up_to_the_documented_key_bits():
-    """One bucket at every rank: the worst case for summation order."""
-    m = 64
-    position_bits = HLL_EXACT_KEY_BITS - 6
-    registers = list(range(position_bits + 1)) + [0] * (m - position_bits - 1)
-    assert len(registers) == m
-    counts = register_rank_histogram(registers)
-    ascending = sum(2.0**-r for r in registers)
-    descending = sum(2.0**-r for r in reversed(registers))
-    assert hyperloglog_indicator(counts) == ascending == descending
 
 
 def min_loop_superloglog(counts, m):

@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.family import MixerHash
-from repro.sketches import (
-    HyperLogLogSketch,
-    LogLogSketch,
-    PCSASketch,
-    SuperLogLogSketch,
-)
+from repro.sketches import PCSASketch, SuperLogLogSketch
 
-ALL_SKETCHES = [PCSASketch, LogLogSketch, SuperLogLogSketch, HyperLogLogSketch]
+ALL_SKETCHES = [PCSASketch, SuperLogLogSketch]
 
 items_strategy = st.lists(st.integers(min_value=0, max_value=10**9), max_size=200)
 sketch_cls_strategy = st.sampled_from(ALL_SKETCHES)
@@ -54,12 +49,8 @@ def test_union_associative(cls, a, b, c):
 @given(sketch_cls_strategy, items_strategy, items_strategy)
 @settings(max_examples=60, deadline=None)
 def test_estimate_monotone_under_union(cls, a_items, b_items):
-    """Adding more state never decreases a LogLog/PCSA estimate...
-
-    ...except through the HLL small-range switch, which is only monotone
-    in expectation; we therefore check the per-bucket state, which is
-    strictly monotone for every estimator.
-    """
+    """Adding more state never takes any away: every register only
+    grows and every bitmap only gains bits."""
     base = build(cls, a_items)
     grown = base.union(build(cls, b_items))
     for lhs, rhs in zip(state_of(base), state_of(grown)):

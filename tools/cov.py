@@ -2,33 +2,26 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/cov.py [--json COVERAGE.json] \
-        [--fail-under PCT] [pytest args...]
+    PYTHONPATH=src python tools/cov.py [--fail-under PCT] [pytest args...]
 
 Runs pytest under a ``sys.settrace`` hook that records executed lines in
 ``src/repro`` only (everything else stays untraced at the call level, so
 the slowdown is modest), then compares them against the executable-line
-set derived from each module's compiled code objects.  No third-party
-coverage package is required, which keeps the tool usable in minimal
-containers; CI uses ``pytest-cov`` for the enforced gate and this script
-is the local, dependency-free equivalent.
+set derived from each module's compiled code objects, and prints the
+per-package figures.  No third-party coverage package is required, which
+keeps the tool usable in minimal containers; CI uses ``pytest-cov`` for
+the enforced gate and this script is the local, dependency-free
+equivalent.  It writes no file.
 
 Caveats: work dispatched to ``DHS_JOBS`` worker *processes* is not
 traced (the hook is per-process), and lines only reachable inside such
 workers will read as uncovered — the determinism tests exercise the same
 code serially, so in practice this costs a fraction of a percent.
-
-The ``--json`` dump feeds ``tools/make_report.py``'s coverage table::
-
-    {"total": {"statements": N, "covered": N, "percent": P},
-     "packages": {"repro.core": {...}, ...},
-     "files": {"src/repro/core/count.py": {...}, ...}}
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import threading
@@ -95,26 +88,15 @@ class LineCollector:
 
 
 def measure(collector: LineCollector, source: pathlib.Path) -> dict:
-    """Build the coverage report dict for every ``.py`` file under ``source``."""
-    files: Dict[str, dict] = {}
+    """Per-package and total coverage of every ``.py`` file under ``source``."""
     packages: Dict[str, dict] = {}
     total_statements = 0
     total_covered = 0
     for path in sorted(source.rglob("*.py")):
         statements = executable_lines(path)
         covered = collector.lines_for(path) & statements
-        rel = path.relative_to(_REPO_ROOT) if path.is_relative_to(_REPO_ROOT) else path
         parts = path.relative_to(source).parts
         package = "repro" if len(parts) == 1 else f"repro.{parts[0]}"
-        entry = {
-            "statements": len(statements),
-            "covered": len(covered),
-            "percent": round(100.0 * len(covered) / len(statements), 2)
-            if statements
-            else 100.0,
-            "missing": sorted(statements - covered),
-        }
-        files[str(rel)] = entry
         bucket = packages.setdefault(package, {"statements": 0, "covered": 0})
         bucket["statements"] += len(statements)
         bucket["covered"] += len(covered)
@@ -127,7 +109,6 @@ def measure(collector: LineCollector, source: pathlib.Path) -> dict:
             else 100.0
         )
     return {
-        "source": str(source.relative_to(_REPO_ROOT)),
         "total": {
             "statements": total_statements,
             "covered": total_covered,
@@ -136,7 +117,6 @@ def measure(collector: LineCollector, source: pathlib.Path) -> dict:
             else 100.0,
         },
         "packages": dict(sorted(packages.items())),
-        "files": files,
     }
 
 
@@ -162,7 +142,6 @@ def render_table(report: dict) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--source", default="src/repro")
-    parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument("--fail-under", type=float, default=None)
     parser.add_argument("pytest_args", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv[1:])
@@ -179,16 +158,7 @@ def main(argv: list[str]) -> int:
     report = measure(collector, source)
     print(render_table(report))
     if exit_code:
-        # A run cut short by ``-x`` measured only the tests before the
-        # failure; its figure must not overwrite a real measurement.
-        if args.json_path:
-            print(f"not writing {args.json_path}: pytest exited {int(exit_code)}")
         return int(exit_code)
-    if args.json_path:
-        pathlib.Path(args.json_path).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json_path}")
     if args.fail_under is not None and report["total"]["percent"] < args.fail_under:
         print(
             f"coverage {report['total']['percent']:.2f}% is below the "
