@@ -19,14 +19,12 @@ metrics (sections 4.2/4.3) while byte counts are not.
 The scan keeps exactly that: per metric, one integer bit plane per
 position (the bitmaps *newly resolved* there on the way down, the
 bitmaps *still confirmed* there on the way up; below ``bit_shift`` the
-assumed-set planes).  The estimate is computed from the planes'
-popcounts by the pure functions of :mod:`repro.sketches.estimators` —
-the same functions the local sketches' ``estimate()`` call, so the
-distributed estimate is bit-identical to the centralized one — in
-O(positions) integer operations per metric.  No sketch object is built
-to count, and no metric's planes are cut out of its block's:
-:attr:`CountResult.sketches` cuts them and rebuilds a sketch only when
-a caller reads one (set expressions over metrics, tests).
+assumed-set planes).  Estimates come from the planes' popcounts through
+:mod:`repro.sketches.estimators`, whose float formulas the local
+sketches' ``estimate()`` share, so the distributed estimate is
+bit-identical to the centralized one.  No sketch object is built to
+count: :attr:`CountResult.sketches` cuts a metric's planes out of its
+block's and rebuilds a sketch only when a caller reads one.
 
 Hot path: a count reads every requested metric with one ``&`` per
 block of 64 metrics.  The counter numbers metrics in the order they are
@@ -42,12 +40,12 @@ the ``now`` it was built at, and a block that gained members since
 rebuilds.  A probe is then one ``&`` against the interval's pending
 lanes and one popcount per touched block, and the walk stops when
 ``pending & ~found`` is zero in every block.  Per-metric work is left
-to where a per-metric answer is needed: the confidence discount of an
-exhausted interval, read repair, and each metric's popcount vector,
-read once after the scan from its block's packed planes: a block with
-one requested lane takes one ``bit_count`` per plane (its planes hold
-bits in that lane only), one with more joins its planes into one
-buffer and popcounts every lane of every position in one numpy pass.
+to read repair and to one pass after the scan.  A one-metric count
+takes a ``bit_count`` per plane.  A count of more joins each block's
+planes, and the lanes each exhausted interval left unresolved, into
+one numpy popcount matrix, from which the batched estimators of
+:mod:`repro.sketches.estimators` compute every lane's estimate and
+each lane's confidence multiplies its intervals' eq. 5 factors.
 
 The per-interval random probe keys are drawn up front, one per
 interval, by :meth:`~repro.core.mapping.BitIntervalMap.random_keys`:
@@ -72,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -104,7 +103,7 @@ from repro.overlay.replication import entry_expiry, replica_chain
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 from repro.sketches.base import HashSketch
-from repro.sketches.estimators import PLANE_ESTIMATORS
+from repro.sketches.estimators import LANE_ESTIMATORS, PLANE_ESTIMATORS, Popcounts
 
 if TYPE_CHECKING:  # annotation only — the facade constructs the arena
     from repro.core.regstore import RegArena
@@ -147,17 +146,20 @@ class _Request:
 
     ``blocks`` are the blocks the request touches; ``lanes[k]`` places
     its ``k``-th metric as (index into ``blocks``, bit offset of its
-    lane); ``spans[i]`` sets every bit of every requested lane of
-    ``blocks[i]`` — a scan's starting pending/active masks; and
-    ``lane_masks[i]`` holds the :func:`_nonzero_lanes` constants of
-    those lanes and their count.  A metric never changes lane, so the
-    layout holds for as long as the counter lives.
+    lane) and ``places`` maps each metric to its place; ``spans[i]``
+    sets every bit of every requested lane of ``blocks[i]`` — a scan's
+    starting pending/active masks; ``lane_masks[i]`` holds, for those
+    lanes, every bit but the top, ``2^(m-1) - 1`` in each, the top bits
+    and their count; and ``rows[k]`` is the ``k``-th metric's row in
+    the blocks' lane popcount matrices stacked in block order.  A metric
+    never changes lane, so the layout holds while the counter lives.
     """
 
-    __slots__ = ("blocks", "lanes", "spans", "lane_masks")
+    __slots__ = ("blocks", "lanes", "places", "spans", "lane_masks", "rows")
 
     def __init__(
         self,
+        metric_ids: Sequence[Hashable],
         blocks: List[_Block],
         lanes: List[Tuple[int, int]],
         spans: List[int],
@@ -166,26 +168,32 @@ class _Request:
     ) -> None:
         self.blocks = blocks
         self.lanes = lanes
+        self.places = dict(zip(metric_ids, lanes))
         self.spans = spans
         self.lane_masks: List[Tuple[int, int, int, int]] = []
+        first_rows = [0]
         for span in spans:
             tops = span & lane_tops
             self.lane_masks.append(
                 (span ^ tops, tops - (tops >> (m - 1)), tops, tops.bit_count())
             )
+            first_rows.append(first_rows[-1] + tops.bit_length() // m)
+        self.rows = np.array([first_rows[i] + offset // m for i, offset in lanes])
 
 
 class _Scan:
     """One scan: its request, and what its probes decide only once.
 
     ``full_reads[i]`` reads every requested lane of the request's
-    ``blocks[i]``, with the stamps a current row of it carries now.
+    ``blocks[i]``, with the stamps a current row of it carries now;
+    ``exhausted`` gets one ``(p, unresolved masks)`` per budget-exhausted
+    interval, in scan order.
     """
 
     __slots__ = (
-        "metrics", "blocks", "lanes", "spans", "full_reads", "lane_masks",
-        "origin", "now", "result", "expected_items", "lossy", "repair",
-        "event", "trace", "live_node", "record", "probed_ids",
+        "metrics", "request", "blocks", "lanes", "spans", "full_reads",
+        "lane_masks", "exhausted", "origin", "now", "result", "expected_items",
+        "lossy", "repair", "event", "trace", "live_node", "record", "probed_ids",
     )
 
     def __init__(
@@ -200,10 +208,12 @@ class _Scan:
         expected_items: Optional[float],
     ) -> None:
         self.metrics = metrics
+        self.request = request
         self.blocks = blocks = request.blocks
         self.lanes = request.lanes
         self.spans = spans = request.spans
         self.lane_masks = request.lane_masks
+        self.exhausted: List[Tuple[float, List[int]]] = []
         self.full_reads: List[_BlockRead] = []
         for i, block in enumerate(blocks):
             size = len(block.members)
@@ -233,39 +243,25 @@ def _answering(node: Node) -> Node:
     return node
 
 
-def _nonzero_lanes(mask: int, lows: int, rests: int, tops: int) -> int:
-    """The top bit of every lane of ``mask`` that has any bit set.
-
-    ``tops`` holds the top bit of each lane ``mask`` may use, ``lows``
-    the other bits of those lanes and ``rests`` ``2^(m-1) - 1`` in each.
-    Adding ``rests`` to a lane's other bits carries into its top bit
-    exactly when they are not all zero, and never out of the lane;
-    OR-ing ``mask`` back adds the lanes whose top bit was set.  Every
-    operand is non-negative: CPython's bitwise operations on negative
-    ints cost a two's-complement copy each.
-    """
-    return (((mask & lows) + rests) | mask) & tops
-
-
-def _lane_popcounts(planes: Sequence[int], lanes: int, m: int) -> List[List[int]]:
-    """``[lane][position]``: the set bits of each ``m``-bit lane of each plane.
+def _lane_popcounts(planes: Sequence[int], lanes: int, m: int) -> Popcounts:
+    """``[lane, position]``: the set bits of each ``m``-bit lane of each plane.
 
     The planes hold ``lanes`` lanes from bit 0 up.  They are joined into
     one buffer of 64-bit words and popcounted in one numpy pass; a lane
-    of 64 bits or more sums its words, narrower lanes share a word and
-    are popcounted one lane slot of the word at a time.
+    of 64 bits or more adds its ``m // 64`` word columns, narrower lanes
+    share a word and are popcounted one lane slot of the word at a time.
     """
     words = -(-lanes * m // 64)
     buffer = b"".join(plane.to_bytes(8 * words, "little") for plane in planes)
     matrix = np.frombuffer(buffer, dtype="<u8").reshape(len(planes), words)
     if m >= 64:
-        counts = popcount64(matrix).reshape(len(planes), lanes, m // 64).sum(axis=2)
+        words_popcounts, step = popcount64(matrix), m // 64
+        counts = reduce(np.add, [words_popcounts[:, k::step] for k in range(step)])
     else:
         lane = np.uint64((1 << m) - 1)
         slots = [popcount64((matrix >> np.uint64(s)) & lane) for s in range(0, 64, m)]
         counts = np.stack(slots, axis=2).reshape(len(planes), -1)[:, :lanes]
-    result: List[List[int]] = counts.T.tolist()
-    return result
+    return counts.T
 
 
 class _PlaneSketches(Mapping[Hashable, HashSketch]):
@@ -505,36 +501,46 @@ class Counter:
         # the counting RNG per scan, independent of which intervals the
         # scan actually reaches before resolving.
         keys = self.mapping.random_keys(self._rng)
-        result = CountResult(
-            estimates={},
-            sketches={},
-            cost=OpCost(),
-            confidence={metric: 1.0 for metric in metric_ids},
-        )
+        result = CountResult(estimates={}, sketches={}, cost=OpCost())
         scan = self._begin_scan(metric_ids, origin, now, result, prior)
         # Per touched block, one packed plane per position.
-        packed = [[0] * config.position_bits for _ in scan.blocks]
+        positions = config.position_bits
+        packed = [[0] * positions for _ in scan.blocks]
         if config.estimator == "sll":
             self._scan_downward(scan, packed, keys)
         else:
             self._scan_upward(scan, packed, keys)
-        places = dict(zip(metric_ids, scan.lanes))
+        places = scan.request.places
         result.sketches = _PlaneSketches(packed, places, config, self.hash_family)
-        # Each metric's plane popcounts.  A block's planes hold bits in
-        # requested lanes only, so with one requested lane they are its.
+        result.confidence = dict.fromkeys(places, 1.0)
         m = config.num_bitmaps
-        matrices = [
-            None if lanes == 1 else _lane_popcounts(planes, tops.bit_length() // m, m)
-            for planes, (_, _, tops, lanes) in zip(packed, scan.lane_masks)
-        ]
-        estimate = PLANE_ESTIMATORS[config.estimator]
-        for metric, (i, offset) in places.items():
-            matrix = matrices[i]
-            result.estimates[metric] = estimate(
-                list(map(int.bit_count, packed[i])) if matrix is None
-                else matrix[offset // m],
-                m,
+        if len(metric_ids) == 1:
+            # A block's planes hold bits in requested lanes only: one
+            # requested lane's popcounts are its planes'.
+            metric = metric_ids[0]
+            popcounts = list(map(int.bit_count, packed[0]))
+            result.estimates[metric] = PLANE_ESTIMATORS[config.estimator](popcounts, m)
+            for p, _ in scan.exhausted:
+                result.confidence[metric] *= p
+            return result
+        # One numpy pass per block: every lane's popcount at every
+        # position, then in each exhausted interval's unresolved mask.
+        matrix = np.concatenate([
+            _lane_popcounts(
+                planes + [masks[i] for _, masks in scan.exhausted],
+                tops.bit_length() // m, m,
             )
+            for i, (planes, (_, _, tops, _)) in enumerate(zip(packed, scan.lane_masks))
+        ])[scan.request.rows]
+        estimates = LANE_ESTIMATORS[config.estimator](matrix[:, :positions], m)
+        result.estimates = dict(zip(metric_ids, estimates))
+        # Each metric's eq. 5 factors, multiplied in scan order.
+        unresolved = matrix[:, positions:] > 0
+        confidence = np.ones(len(metric_ids))
+        for column, (p, _) in enumerate(scan.exhausted):
+            confidence[unresolved[:, column]] *= p
+        for k in np.flatnonzero(unresolved.any(axis=1)).tolist():
+            result.confidence[metric_ids[k]] = float(confidence[k])
         return result
 
     def _begin_scan(
@@ -585,7 +591,7 @@ class Counter:
                 spans.append(0)
             spans[i] |= lane << offset
             lanes.append((i, offset))
-        request = _Request(blocks, lanes, spans, self._lane_tops, m)
+        request = _Request(metric_ids, blocks, lanes, spans, self._lane_tops, m)
         if len(self._requests) == _REQUESTS_KEPT:
             self._requests.clear()
         self._requests[key] = request
@@ -760,7 +766,9 @@ class Counter:
         for i, mask in enumerate(needed):
             if mask:
                 lows, rests, tops, requested = lane_masks[i]
-                # _nonzero_lanes, inlined: this runs once per interval.
+                # The top bit of each lane with any bit set: adding rests
+                # to a lane's other bits carries into its top bit exactly
+                # when they are not all zero (all operands non-negative).
                 lanes = (((mask & lows) + rests) | mask) & tops
                 read = full_reads[i]
                 if lanes == tops:
@@ -979,14 +987,14 @@ class Counter:
 
         ``probes_done`` nodes of the interval were probed without
         resolving every pending bitmap; eq. 5 gives the probability that
-        those probes would have found live data had there been any, so
-        each unresolved metric's confidence is multiplied by it.
+        those probes would have found live data had there been any, and
+        the end of the scan multiplies each unresolved metric's
+        confidence by it.
         """
         unresolved = [pending ^ (pending & got) for pending, got in zip(needed, found)]
         if not any(unresolved):
             return
-        result = scan.result
-        result.exhausted_intervals += 1
+        scan.result.exhausted_intervals += 1
         nodes_here = max(1.0, self.mapping.expected_nodes(index, self.dht.size))
         expected_items = scan.expected_items
         if expected_items is not None:
@@ -1000,12 +1008,4 @@ class Counter:
         p = success_probability(
             (self.config.replication + 1) * items_here, nodes_here, probes_done
         )
-        confidence = result.confidence
-        m = self.config.num_bitmaps
-        for i, mask in enumerate(unresolved):
-            if mask:
-                members = scan.blocks[i].members
-                lows, rests, tops, _ = scan.lane_masks[i]
-                for bit in bits_of(_nonzero_lanes(mask, lows, rests, tops)):
-                    metric = members[bit // m]
-                    confidence[metric] = confidence.get(metric, 1.0) * p
+        scan.exhausted.append((p, unresolved))

@@ -81,8 +81,9 @@ class DHSHistogramBuilder:
         now: int = 0,
     ) -> HistogramReconstruction:
         """Rebuild the full histogram with one multi-metric count."""
-        result = self.dhs.count_many(self.all_metrics(), origin=origin, now=now)
-        counts = [result.estimates[metric] for metric in self.all_metrics()]
+        metrics = self.all_metrics()
+        result = self.dhs.count_many(metrics, origin=origin, now=now)
+        counts = [result.estimates[metric] for metric in metrics]
         return HistogramReconstruction(
             histogram=Histogram.from_counts(self.spec, counts),
             count_result=result,

@@ -576,11 +576,13 @@ class DHTProtocol(ABC):
 
     def random_live_node(self, rng: random.Random) -> int:
         """A uniformly random live (not lazily-failed) node id."""
-        if not self._ids:
+        ids = self._ids.buffer
+        if not ids:
             raise EmptyOverlayError("overlay has no live nodes")
         for _ in range(64):
-            candidate = rng.choice(self._ids)
-            if self.is_alive(candidate):
+            candidate = rng.choice(ids)
+            node = self._nodes.get(candidate)  # None: not materialized, so alive
+            if node is None or node.alive:
                 return candidate
         survivors = [node_id for node_id in self._ids if self.is_alive(node_id)]
         if not survivors:

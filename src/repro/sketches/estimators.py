@@ -19,11 +19,22 @@ says bucket ``j`` has position ``p``, and ``popcounts[p]`` its number of
 set bits; both then call the same function here, so each formula exists
 once.  The super-LogLog truncated sum and the PCSA rank sum are integer
 sums, so the two routes agree to the last bit.
+
+A multi-metric count estimates a whole block of metrics at once:
+:data:`LANE_ESTIMATORS` maps an estimator name to a function of the
+``(lanes, positions)`` popcount matrix that computes every lane's
+integer statistic in one numpy pass (:func:`superloglog_lanes`,
+:func:`pcsa_lanes`) and hands the statistics to the same float formula
+as the scalar path (:func:`superloglog_from_rank_sums`,
+:func:`pcsa_from_rank_sums`), so the estimates agree to the last bit too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.sketches.constants import (
     PCSA_PHI,
@@ -33,11 +44,16 @@ from repro.sketches.constants import (
 )
 
 __all__ = [
+    "LANE_ESTIMATORS",
     "PLANE_ESTIMATORS",
     "pcsa_estimate",
+    "pcsa_from_rank_sums",
+    "pcsa_lanes",
     "plane_rank_histogram",
     "register_rank_histogram",
     "superloglog_estimate",
+    "superloglog_from_rank_sums",
+    "superloglog_lanes",
 ]
 
 # ----------------------------------------------------------------------
@@ -67,7 +83,7 @@ def superloglog_estimate(counts: Sequence[int], m: int) -> float:
     """super-LogLog (paper eq. 2): ``alpha~ * m0 * 2^(mean of the m0 smallest ranks)``."""
     if counts[0] == m:
         return 0.0
-    m0 = left = sll_truncated_count(m)
+    left = sll_truncated_count(m)
     rank_sum = 0
     for rank, count in enumerate(counts):
         if count >= left:
@@ -75,7 +91,14 @@ def superloglog_estimate(counts: Sequence[int], m: int) -> float:
             break
         rank_sum += rank * count
         left -= count
-    return sll_alpha_tilde(m) * m0 * 2.0 ** (rank_sum / m0)
+    return superloglog_from_rank_sums([rank_sum], m)[0]
+
+
+def superloglog_from_rank_sums(rank_sums: Iterable[int], m: int) -> List[float]:
+    """super-LogLog's formula for each sum of a sketch's ``m0`` smallest ranks."""
+    m0 = sll_truncated_count(m)
+    scale = sll_alpha_tilde(m) * m0
+    return [scale * 2.0 ** (rank_sum / m0) for rank_sum in rank_sums]
 
 
 def pcsa_estimate(rank_sum: int, m: int, bias_correction: bool = True) -> float:
@@ -85,10 +108,16 @@ def pcsa_estimate(rank_sum: int, m: int, bias_correction: bool = True) -> float:
     ``R = 0`` without being empty, so emptiness (estimate 0) is not a
     function of ``rank_sum`` and is decided by the caller.
     """
-    value = (1.0 / PCSA_PHI) * m * 2.0 ** (rank_sum / m)
-    if bias_correction:
-        value /= pcsa_bias_factor(m)
-    return value
+    return pcsa_from_rank_sums([rank_sum], m, bias_correction)[0]
+
+
+def pcsa_from_rank_sums(
+    rank_sums: Iterable[int], m: int, bias_correction: bool = True
+) -> List[float]:
+    """PCSA's formula for each rank sum (of a *non-empty* sketch)."""
+    scale = (1.0 / PCSA_PHI) * m
+    bias = pcsa_bias_factor(m) if bias_correction else 1.0
+    return [scale * 2.0 ** (rank_sum / m) / bias for rank_sum in rank_sums]
 
 
 # ----------------------------------------------------------------------
@@ -112,4 +141,45 @@ def _pcsa_from_planes(popcounts: Sequence[int], m: int) -> float:
 PLANE_ESTIMATORS: Dict[str, Callable[[Sequence[int], int], float]] = {
     "sll": _superloglog_from_planes,
     "pcsa": _pcsa_from_planes,
+}
+
+
+# ----------------------------------------------------------------------
+# Every lane of a block at once: ``popcounts[lane, position]``.
+# ----------------------------------------------------------------------
+Popcounts = npt.NDArray[np.int64]
+
+
+def superloglog_lanes(popcounts: Popcounts, m: int) -> List[float]:
+    """Each lane's :func:`_superloglog_from_planes`, in one numpy pass.
+
+    A lane's rank histogram is ``[m - sum(pc), *pc]``; the ``m0``
+    smallest ranks take ``min(count, max(m0 - counts below, 0))`` from
+    each rank, the running remainder of :func:`superloglog_estimate`.
+    """
+    lanes, positions = popcounts.shape
+    counts = np.empty((lanes, positions + 1), dtype=np.int64)
+    counts[:, 1:] = popcounts
+    counts[:, 0] = m - popcounts.sum(axis=1)
+    below = np.cumsum(counts, axis=1) - counts
+    take = np.minimum(counts, np.maximum(sll_truncated_count(m) - below, 0))
+    estimates = superloglog_from_rank_sums((take @ np.arange(positions + 1)).tolist(), m)
+    for lane in np.flatnonzero(counts[:, 0] == m).tolist():
+        estimates[lane] = 0.0
+    return estimates
+
+
+def pcsa_lanes(popcounts: Popcounts, m: int) -> List[float]:
+    """Each lane's :func:`_pcsa_from_planes`: one row sum per lane."""
+    rank_sums = popcounts.sum(axis=1)
+    estimates = pcsa_from_rank_sums(rank_sums.tolist(), m)
+    for lane in np.flatnonzero(rank_sums == 0).tolist():
+        estimates[lane] = 0.0
+    return estimates
+
+
+#: Estimator name → ``(lane popcount matrix, m) -> estimate per lane``.
+LANE_ESTIMATORS: Dict[str, Callable[[Popcounts, int], List[float]]] = {
+    "sll": superloglog_lanes,
+    "pcsa": pcsa_lanes,
 }

@@ -153,12 +153,12 @@ def test_lane_popcounts_equal_bit_count_of_cut_planes(m, swar, monkeypatch):
                 for _ in range(rng.randint(1, 20))
             ]
             counts = _lane_popcounts(planes, lanes, m)
-            assert len(counts) == lanes
+            assert counts.shape == (lanes, len(planes))
+            assert counts.dtype == np.int64
             for k in range(lanes):
                 cut = [((plane >> (k * m)) & lane).bit_count() for plane in planes]
-                assert counts[k] == cut
-                assert type(counts[k][0]) is int
-            assert counts[silent] == [0] * len(planes)
+                assert counts[k].tolist() == cut
+            assert counts[silent].tolist() == [0] * len(planes)
 
 
 OVERLAY_BUILDERS = {

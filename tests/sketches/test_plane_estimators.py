@@ -2,14 +2,17 @@
 
 The distributed count never builds a sketch: it hands the popcount of
 each of a metric's bit planes to
-:data:`repro.sketches.estimators.PLANE_ESTIMATORS`.  These properties
+:data:`repro.sketches.estimators.PLANE_ESTIMATORS`, or a block's whole
+lane popcount matrix to ``LANE_ESTIMATORS``.  These properties
 generate plane sets of the two shapes a scan produces — disjoint
 (super-LogLog: the bitmaps whose maximum is each position) and nested
 (PCSA: the bitmaps confirmed up to each position) — and require the
 popcount route and the ``record_mask`` + ``estimate()`` route to agree
-*exactly*, not approximately.
+*exactly*, not approximately; the last test holds the batched route to
+the scalar one, lane by lane, bit for bit.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from repro.sketches import SKETCH_TYPES
 from repro.sketches.constants import sll_alpha_tilde, sll_truncated_count
 from repro.sketches.estimators import (
+    LANE_ESTIMATORS,
     PLANE_ESTIMATORS,
     plane_rank_histogram,
     register_rank_histogram,
@@ -167,3 +171,71 @@ def test_superloglog_running_remainder_at_the_truncation_edges(m):
     for counts in cases:
         assert sum(counts) == m
         assert superloglog_estimate(counts, m) == min_loop_superloglog(counts, m)
+
+
+# ----------------------------------------------------------------------
+# The batched lane estimators against the scalar one, lane by lane.
+# ----------------------------------------------------------------------
+def random_row(rng, m, positions):
+    """Popcounts of disjoint planes: ``m`` buckets over ``positions + 1`` ranks."""
+    ranks = rng.integers(0, positions + 1, size=m)
+    return np.bincount(ranks, minlength=positions + 1)[1:]
+
+
+def edge_rows(rng, m, positions):
+    """Rows at the edges of the truncation rule and of emptiness."""
+    m0 = sll_truncated_count(m)
+    empty = np.zeros(positions, dtype=np.int64)
+    yield empty  # counts[0] == m, PCSA rank sum 0
+    # counts[0] >= m0: at most m - m0 buckets hit.
+    hit = rng.integers(0, m - m0 + 1)
+    row = empty.copy()
+    np.add.at(row, rng.integers(0, positions, size=hit), 1)
+    yield row
+    # m0 reached exactly at the end of rank ``edge``: ranks 0..edge hold
+    # m0 buckets between them and every other bucket ranks higher.
+    if positions >= 2:
+        edge = int(rng.integers(1, positions))
+        low = np.bincount(rng.integers(0, edge + 1, size=m0), minlength=edge + 1)
+        high = np.bincount(
+            rng.integers(edge + 1, positions + 1, size=m - m0), minlength=positions + 1
+        )
+        row = high[1:].copy()
+        row[:edge] += low[1:]
+        assert row.sum() + low[0] == m and low[0] + row[:edge].sum() == m0
+        yield row
+    row = empty.copy()
+    row[-1] = m  # every bucket at the top rank
+    yield row
+
+
+def nested_row(rng, m, positions):
+    """Popcounts of nested planes: non-increasing from the first position."""
+    zeros = rng.integers(0, positions + 1, size=m)  # each bucket's leftmost zero
+    return np.array([(zeros > p).sum() for p in range(positions)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 64, 128, 512])
+def test_lane_estimators_equal_the_scalar_estimator_per_lane(m):
+    rng = np.random.default_rng(m)
+    for trial in range(12):
+        positions = int(rng.integers(1, 20))
+        lanes = int(rng.integers(1, 65))
+        edges = list(edge_rows(rng, m, positions))
+        shapes = {
+            "sll": lambda: random_row(rng, m, positions),
+            "pcsa": lambda: nested_row(rng, m, positions),
+        }
+        for estimator, draw in shapes.items():
+            rows = [draw() for _ in range(lanes)]
+            # Edge rows replace random ones, each at its own lane.
+            for lane, edge in zip(rng.permutation(lanes).tolist(), edges):
+                rows[lane] = edge
+            matrix = np.array(rows, dtype=np.int64)
+            if trial % 2:  # the layout _lane_popcounts returns: a transposed view
+                matrix = np.ascontiguousarray(matrix.T).T
+            batched = LANE_ESTIMATORS[estimator](matrix, m)
+            scalar = [PLANE_ESTIMATORS[estimator](row.tolist(), m) for row in matrix]
+            assert len(batched) == lanes
+            assert [float.hex(x) for x in batched] == [float.hex(x) for x in scalar]
+            assert {type(x) for x in batched} == {float}
