@@ -25,12 +25,12 @@ def check_insertion(report, params):
     # insertion; ~384 kB storage per node per relation, vs a ~400 kB
     # theoretical worst case.
     # O(log N) routing: within a small factor of log2(N).
-    assert 1.0 < report.mean_hops_per_insert < 1.5 * math.log2(report.n_nodes)
+    assert 1.0 < report["mean_hops_per_insert"] < 1.5 * math.log2(report["n_nodes"])
     # The byte model: tuple size (8 B) carried per hop.
-    assert report.mean_bytes_per_insert == 8 * report.mean_hops_per_insert
+    assert report["mean_bytes_per_insert"] == 8 * report["mean_hops_per_insert"]
     # Storage bounded by the paper's worst case (I x m x b per node).
-    assert report.mean_storage_bytes_per_node <= report.theoretical_worst_case_bytes
-    assert report.max_storage_bytes_per_node <= 3 * report.theoretical_worst_case_bytes
+    assert report["mean_storage_bytes_per_node"] <= report["theoretical_worst_case_bytes"]
+    assert report["max_storage_bytes_per_node"] <= 3 * report["theoretical_worst_case_bytes"]
 
 
 def check_table2(rows, params):
@@ -46,19 +46,19 @@ def check_table2(rows, params):
     # regime, bandwidth grows with m, hop count stays within a small
     # O(k log N) band.  The workload AND network are scaled together to
     # preserve the alpha = n/(2mN) ratio that governs probe success.
-    by = {(row.m, row.estimator): row for row in rows}
+    by = {(row["m"], row["estimator"]): row for row in rows}
     for estimator in ("sll", "pcsa"):
         # Errors are single-digit percentages throughout, like the paper,
         # and m=1024 is no worse than m=128 beyond trial noise.
         for m in (128, 256, 512, 1024):
-            assert by[(m, estimator)].error_pct < 10
+            assert by[(m, estimator)]["error_pct"] < 10
         assert (
-            by[(1024, estimator)].error_pct
-            < by[(128, estimator)].error_pct + 2.5
+            by[(1024, estimator)]["error_pct"]
+            < by[(128, estimator)]["error_pct"] + 2.5
         )
         # Bandwidth grows with m; hop count must not scale with m.
-        assert by[(1024, estimator)].bw_kbytes > by[(128, estimator)].bw_kbytes
-        assert by[(1024, estimator)].hops < 4 * by[(128, estimator)].hops
+        assert by[(1024, estimator)]["bw_kbytes"] > by[(128, estimator)]["bw_kbytes"]
+        assert by[(1024, estimator)]["hops"] < 4 * by[(128, estimator)]["hops"]
 
 
 def check_table3(rows, params):
@@ -74,30 +74,30 @@ def check_table3(rows, params):
     # hops of a single-metric count (the bit->interval map is shared),
     # while bytes scale with the bucket count.
     table, (sll_few, sll_many) = rows
-    by = {(row.m, row.estimator): row for row in table}
+    by = {(row["m"], row["estimator"]): row for row in table}
     for estimator in ("sll", "pcsa"):
         # Hops stay in a narrow band across m (cost independent of m).
-        assert by[(1024, estimator)].hops < 4 * by[(128, estimator)].hops
+        assert by[(1024, estimator)]["hops"] < 4 * by[(128, estimator)]["hops"]
         # Bytes do not collapse with m (they grow in the saturated
         # regime; at reduced scale per-probe responses are noisy, so
         # only the non-shrinking direction is asserted).
-        assert by[(1024, estimator)].bw_kbytes > 0.5 * by[(128, estimator)].bw_kbytes
+        assert by[(1024, estimator)]["bw_kbytes"] > 0.5 * by[(128, estimator)]["bw_kbytes"]
     # In the sLL scan bytes grow with m, as in the paper's Table 3.
-    assert by[(1024, "sll")].bw_kbytes > by[(128, "sll")].bw_kbytes
+    assert by[(1024, "sll")]["bw_kbytes"] > by[(128, "sll")]["bw_kbytes"]
     # Reconstruction hop cost ~ single count; bytes ~ bucket count.
     # 10x the buckets: bytes grow severalfold, hops by far less.
-    assert sll_many.bw_kbytes > 2 * sll_few.bw_kbytes
-    assert sll_many.hops < 3 * sll_few.hops
+    assert sll_many["bw_kbytes"] > 2 * sll_few["bw_kbytes"]
+    assert sll_many["hops"] < 3 * sll_few["hops"]
 
 
 def check_scalability(rows, params):
     # Paper (figure omitted): counting hops grow from ~109/97 (sLL/PCSA)
     # at 1024 nodes to only ~112/103 at 10240 nodes — logarithmic
     # scaling.  `python -m repro scalability --nodes N` runs larger ladders.
-    by = {(row.n_nodes, row.estimator): row for row in rows}
+    by = {(row["n_nodes"], row["estimator"]): row for row in rows}
     for estimator in ("sll", "pcsa"):
-        small = by[(256, estimator)].hops
-        large = by[(4096, estimator)].hops
+        small = by[(256, estimator)]["hops"]
+        large = by[(4096, estimator)]["hops"]
         # 16x the nodes: hops grow, but by at most ~log ratio, not 16x.
         growth = large / small
         assert growth < math.log2(4096) / math.log2(256) * 2.5
@@ -110,46 +110,46 @@ def check_accuracy(rows, params):
     # the sparse per-bitmap bits: at m=4096 PCSA degrades to ~44% versus
     # sLL's ~15%.  The collapse point scales with alpha = n/(2mN); at
     # reproduction scale it appears at the top of the same sweep.
-    by = {(row.m, row.estimator): row for row in rows}
+    by = {(row["m"], row["estimator"]): row for row in rows}
     # Moderate m: single-digit errors, improving with m.
-    assert by[(512, "sll")].error_pct < 10
-    assert by[(512, "pcsa")].error_pct < 10
-    assert by[(512, "sll")].error_pct < by[(64, "sll")].error_pct + 2
+    assert by[(512, "sll")]["error_pct"] < 10
+    assert by[(512, "pcsa")]["error_pct"] < 10
+    assert by[(512, "sll")]["error_pct"] < by[(64, "sll")]["error_pct"] + 2
     # Collapse regime at the top of the sweep: PCSA degrades much
     # faster than sLL (the paper's 44% vs 15% at m=4096).
-    assert by[(4096, "pcsa")].error_pct > by[(4096, "sll")].error_pct
-    assert by[(4096, "pcsa")].error_pct > 2 * by[(512, "pcsa")].error_pct
+    assert by[(4096, "pcsa")]["error_pct"] > by[(4096, "sll")]["error_pct"]
+    assert by[(4096, "pcsa")]["error_pct"] > 2 * by[(512, "pcsa")]["error_pct"]
     # The collapse is an *under*estimate (missed bits), as predicted.
-    assert by[(4096, "pcsa")].bias_pct < 0
+    assert by[(4096, "pcsa")]["bias_pct"] < 0
 
 
 def check_histogram_accuracy(rows, params):
     # Paper: mean per-cell error ~8.6% at m=64, ~7.7% at 128, ~6.8% at
     # 256 — tracking the sketch's O(1/sqrt(m)) noise because probe
     # misses are negligible in the measured regime.
-    by = {(row.m, row.estimator): row for row in rows}
+    by = {(row["m"], row["estimator"]): row for row in rows}
     # Error declines from m=64 to m=256 (the paper's 8.6 -> 6.8).
-    assert by[(256, "sll")].cell_error_pct < by[(64, "sll")].cell_error_pct
-    assert by[(128, "pcsa")].cell_error_pct < by[(64, "pcsa")].cell_error_pct + 2
+    assert by[(256, "sll")]["cell_error_pct"] < by[(64, "sll")]["cell_error_pct"]
+    assert by[(128, "pcsa")]["cell_error_pct"] < by[(64, "pcsa")]["cell_error_pct"] + 2
     # And stays within a small factor of the sketch-theoretic sigma.
     for estimator in ("sll", "pcsa"):
         assert (
-            by[(256, estimator)].cell_error_pct
-            < 4 * by[(256, estimator)].sketch_sigma_pct
+            by[(256, estimator)]["cell_error_pct"]
+            < 4 * by[(256, estimator)]["sketch_sigma_pct"]
         )
 
 
 def check_histogram_types(rows, params):
     # Footnote 5's future work: every kind is derived from one
     # DHS-maintained micro-bucket histogram at an equal bucket budget.
-    by = {row.kind: row for row in rows}
+    by = {row["kind"]: row for row in rows}
     # Variance-aware bucketings beat equi-width on skewed data.
-    assert by["v_optimal"].mean_range_error_pct < by["equi_width"].mean_range_error_pct
-    assert by["compressed"].mean_range_error_pct < by["equi_width"].mean_range_error_pct
+    assert by["v_optimal"]["mean_range_error_pct"] < by["equi_width"]["mean_range_error_pct"]
+    assert by["compressed"]["mean_range_error_pct"] < by["equi_width"]["mean_range_error_pct"]
     # DHS estimation noise does not wreck the derived constructions:
     # each stays within a few points of its exact-micro counterpart.
     for row in rows:
-        assert row.mean_range_error_pct < row.oracle_error_pct + 12
+        assert row["mean_range_error_pct"] < row["oracle_error_pct"] + 12
 
 
 def check_query_opt(report, params):
@@ -157,178 +157,178 @@ def check_query_opt(report, params):
     # versus FREddies' 71 MB, while reconstructing the DHS histograms
     # that find the optimum costs ~1 MB.
     # The DHS-informed plan beats the naive join order outright...
-    assert report.chosen_shipped_mb < report.naive_shipped_mb
+    assert report["chosen_shipped_mb"] < report["naive_shipped_mb"]
     # ...lands near the oracle's transfer volume...
-    assert report.chosen_shipped_mb <= 1.5 * report.oracle_shipped_mb
+    assert report["chosen_shipped_mb"] <= 1.5 * report["oracle_shipped_mb"]
     # ...and the histogram cost is orders of magnitude below the savings.
-    savings = report.naive_shipped_mb - report.chosen_shipped_mb
-    assert report.histogram_cost_mb < savings / 10
+    savings = report["naive_shipped_mb"] - report["chosen_shipped_mb"]
+    assert report["histogram_cost_mb"] < savings / 10
 
 
 def check_baselines(rows, params):
     # The constraint violations the paper attributes to each family.
-    by = {row.method: row for row in rows}
+    by = {row["method"]: row for row in rows}
     dhs = by["DHS (sLL)"]
 
     # Duplicate insensitivity (constraint 6).
-    assert dhs.duplicate_insensitive
-    assert not by["push-sum gossip"].duplicate_insensitive
-    assert not by["node sampling"].duplicate_insensitive
+    assert dhs["duplicate_insensitive"]
+    assert not by["push-sum gossip"]["duplicate_insensitive"]
+    assert not by["node sampling"]["duplicate_insensitive"]
     # The duplicate-sensitive families overestimate the distinct count.
-    assert by["push-sum gossip"].estimate > 1.5 * dhs.estimate
-    assert by["node sampling"].estimate > 1.5 * dhs.estimate
+    assert by["push-sum gossip"]["estimate"] > 1.5 * dhs["estimate"]
+    assert by["node sampling"]["estimate"] > 1.5 * dhs["estimate"]
 
     # Load balance (constraints 2/3): the single-node counter's hotspot
     # dwarfs DHS's spread (updates + query measured alike).
-    assert dhs.load_imbalance < by["single-node counter"].load_imbalance / 3
+    assert dhs["load_imbalance"] < by["single-node counter"]["load_imbalance"] / 3
 
     # Efficiency (constraint 1): DHS's one-shot query needs far fewer
     # hops than gossip's rounds or convergecast's full sweep.
-    assert dhs.query_hops < by["push-sum gossip"].query_hops / 5
-    assert dhs.query_hops < by["convergecast (sketch)"].query_hops / 2
-    assert by["push-sum gossip"].rounds > 1
+    assert dhs["query_hops"] < by["push-sum gossip"]["query_hops"] / 5
+    assert dhs["query_hops"] < by["convergecast (sketch)"]["query_hops"] / 2
+    assert by["push-sum gossip"]["rounds"] > 1
 
     # Sketch gossip fixes duplicates but pays sketch-sized messages
     # every round on every node — still a constraint-1 violation.
-    assert by["sketch gossip"].duplicate_insensitive
-    assert by["sketch gossip"].rounds > 1
-    assert by["sketch gossip"].query_bytes > 20 * dhs.query_bytes
+    assert by["sketch gossip"]["duplicate_insensitive"]
+    assert by["sketch gossip"]["rounds"] > 1
+    assert by["sketch gossip"]["query_bytes"] > 20 * dhs["query_bytes"]
 
     # Accuracy (constraint 4): DHS lands within sketch tolerance.
-    assert dhs.error_pct < 20
+    assert dhs["error_pct"] < 20
 
 
 def check_multidim(rows, params):
     # Section 4.2: counting many metrics at once costs the hops of
     # counting one; only response bytes grow with the dimensions.
-    one = next(r for r in rows if r.metrics == 1)
-    most = max(rows, key=lambda r: r.metrics)
+    one = next(r for r in rows if r["metrics"] == 1)
+    most = max(rows, key=lambda r: r["metrics"])
     # 64x the dimensions: bytes grow manyfold...
-    assert most.bytes_kb > 8 * one.bytes_kb
+    assert most["bytes_kb"] > 8 * one["bytes_kb"]
     # ...but hops stay in the same band (not remotely 64x).
-    assert most.hops < 4 * one.hops
+    assert most["hops"] < 4 * one["hops"]
 
 
 def check_churn(rows, params):
     # Section 3.3's TTL trade-off, measured.
-    by = {row.label: row for row in rows}
+    by = {row["label"]: row for row in rows}
     tight = by["ttl=4, refresh every 2"]
     lazy = by["ttl=16, refresh every 8"]
     decayed = by["ttl=4, refresh never"]
     immortal = by["ttl=inf, refresh never"]
 
     # Tight maintenance tracks best — and pays the most bandwidth.
-    assert tight.mean_error_pct < lazy.mean_error_pct
-    assert tight.mean_error_pct < immortal.mean_error_pct
-    assert tight.refresh_kb > lazy.refresh_kb > 0
+    assert tight["mean_error_pct"] < lazy["mean_error_pct"]
+    assert tight["mean_error_pct"] < immortal["mean_error_pct"]
+    assert tight["refresh_kb"] > lazy["refresh_kb"] > 0
     # TTL without refresh silently decays (worst of all).
-    assert decayed.mean_error_pct > tight.mean_error_pct
-    assert decayed.final_error_pct > 50
-    assert decayed.refresh_kb == 0
+    assert decayed["mean_error_pct"] > tight["mean_error_pct"]
+    assert decayed["final_error_pct"] > 50
+    assert decayed["refresh_kb"] == 0
 
 
 def check_robustness(rows, params):
     # Section 3.5: with R replicas the probability of losing DHS bit
     # information is p_f^R.  Lazy failure model (crashes discovered on
     # contact).
-    by = {(row.p_f, row.replication): row for row in rows}
+    by = {(row["p_f"], row["replication"]): row for row in rows}
     # Without replication, undetected failures destroy accuracy...
-    assert by[(0.3, 0)].error_pct > by[(0.0, 0)].error_pct + 10
+    assert by[(0.3, 0)]["error_pct"] > by[(0.0, 0)]["error_pct"] + 10
     # ...while R=3 holds the failure-free error through the whole sweep.
-    assert by[(0.3, 3)].error_pct < by[(0.0, 3)].error_pct + 5
-    assert by[(0.3, 3)].error_pct < by[(0.3, 0)].error_pct / 3
+    assert by[(0.3, 3)]["error_pct"] < by[(0.0, 3)]["error_pct"] + 5
+    assert by[(0.3, 3)]["error_pct"] < by[(0.3, 0)]["error_pct"] / 3
     # Routing around corpses costs extra hops, but not catastrophically.
-    assert by[(0.3, 0)].hops < 3 * by[(0.0, 0)].hops
+    assert by[(0.3, 0)]["hops"] < 3 * by[(0.0, 0)]["hops"]
 
 
 def check_faultmatrix(rows, params):
     by = {
-        (row.fault, row.intensity, row.policy, row.replication): row for row in rows
+        (row["fault"], row["intensity"], row["policy"], row["replication"]): row for row in rows
     }
     # (a) With no recovery, error grows with the drop rate at R=0.
     assert (
-        by[("drop", 0.3, "none", 0)].error_pct
-        > by[("drop", 0.1, "none", 0)].error_pct
+        by[("drop", 0.3, "none", 0)]["error_pct"]
+        > by[("drop", 0.1, "none", 0)]["error_pct"]
     )
     # (b) Retries + read-repair recover accuracy under heavy drops...
     assert (
-        by[("drop", 0.3, "retry+repair", 2)].error_pct
-        < by[("drop", 0.3, "none", 2)].error_pct / 2
+        by[("drop", 0.3, "retry+repair", 2)]["error_pct"]
+        < by[("drop", 0.3, "none", 2)]["error_pct"] / 2
     )
     # ...and anti-entropy's homecoming restores amnesiac deployments
     # that replication alone cannot: a rejoined-empty owner masks
     # replicas that spilled past its (possibly node-free) home interval,
     # where the interval-bounded walk never looks.
     assert (
-        by[("amnesia", 0.3, "retry+repair", 2)].error_pct
-        < by[("amnesia", 0.3, "none", 2)].error_pct / 2
+        by[("amnesia", 0.3, "retry+repair", 2)]["error_pct"]
+        < by[("amnesia", 0.3, "none", 2)]["error_pct"] / 2
     )
-    assert by[("amnesia", 0.3, "retry+repair", 2)].repair_writes > 0
+    assert by[("amnesia", 0.3, "retry+repair", 2)]["repair_writes"] > 0
     # (c) Lossy runs know they are lossy: drops always flag degraded and
     # depress confidence below the clean-run 1.0.
-    assert by[("drop", 0.3, "none", 0)].degraded_pct == 100.0
-    assert by[("drop", 0.3, "none", 0)].confidence < 0.5
+    assert by[("drop", 0.3, "none", 0)]["degraded_pct"] == 100.0
+    assert by[("drop", 0.3, "none", 0)]["confidence"] < 0.5
 
 
 def check_soak(rows, params):
     soak, gate = rows
-    by = {row.policy: row for row in soak}
+    by = {row["policy"]: row for row in soak}
     ae, rr = by["antientropy"], by["readrepair"]
     # (a) Proactive reconciliation keeps the replica chains converged:
     # the run ends at divergence 0 and every fault heals within its
     # window, while read-repair alone leaves standing divergence.
-    assert ae.final_divergence == 0
-    assert ae.mean_divergence < rr.mean_divergence
-    assert ae.mean_convergence_ticks < rr.mean_convergence_ticks
+    assert ae["final_divergence"] == 0
+    assert ae["mean_divergence"] < rr["mean_divergence"]
+    assert ae["mean_convergence_ticks"] < rr["mean_convergence_ticks"]
     # (b) The healing is not free — and every byte of it is visible:
     # SizeModel-charged digest + summary traffic, reported per round.
-    assert ae.repair_kb > 0
-    assert ae.repair_writes > 0
-    assert rr.repair_kb == 0
+    assert ae["repair_kb"] > 0
+    assert ae["repair_writes"] > 0
+    assert rr["repair_kb"] == 0
     # (c) Counts under churn under-read less with anti-entropy running.
-    assert ae.mean_underread_pct < rr.mean_underread_pct
+    assert ae["mean_underread_pct"] < rr["mean_underread_pct"]
 
     # The gate: on the paired fault-matrix cells, strictly lower
     # under-read on every amnesia and partition cell, from actual
     # repair work.
-    cells = {(row.fault, row.intensity, row.policy): row for row in gate}
+    cells = {(row["fault"], row["intensity"], row["policy"]): row for row in gate}
     for fault in params["gate"]["fault_kinds"]:
         for intensity in params["gate"]["intensities"]:
             rr = cells[(fault, intensity, "retry+readrepair")]
             ae = cells[(fault, intensity, "retry+repair")]
-            assert ae.underread_pct < rr.underread_pct
-            assert ae.repair_writes > rr.repair_writes
+            assert ae["underread_pct"] < rr["underread_pct"]
+            assert ae["repair_writes"] > rr["repair_writes"]
 
 
 def check_ablations(rows, params):
-    by = {row.label: row for row in rows["retries"]}
+    by = {row["label"]: row for row in rows["retries"]}
     # Starving the probe budget destroys accuracy; the default heals it.
-    assert by["lim=1"].error_pct > by["lim=5"].error_pct
+    assert by["lim=1"]["error_pct"] > by["lim=5"]["error_pct"]
     # Extra budget beyond the default costs probes/bandwidth for little
     # extra accuracy (hops can even dip slightly: intervals confirm and
     # exit earlier when more of their bits are found).
-    assert by["lim=10"].bytes_kb > by["lim=5"].bytes_kb
-    assert by["lim=10"].extra > by["lim=5"].extra  # nodes visited
-    assert by["lim=10"].error_pct <= by["lim=5"].error_pct + 3
+    assert by["lim=10"]["bytes_kb"] > by["lim=5"]["bytes_kb"]
+    assert by["lim=10"]["extra"] > by["lim=5"]["extra"]  # nodes visited
+    assert by["lim=10"]["error_pct"] <= by["lim=5"]["error_pct"] + 3
 
-    by = {row.label: row for row in rows["replication"]}
+    by = {row["label"]: row for row in rows["replication"]}
     # Replicas recover accuracy lost to crashes.
-    assert by["R=4"].error_pct < by["R=0"].error_pct
+    assert by["R=4"]["error_pct"] < by["R=0"]["error_pct"]
     # At constant R the insert surcharge is a constant number of hops.
-    assert by["R=4"].extra > by["R=0"].extra
+    assert by["R=4"]["extra"] > by["R=0"]["extra"]
 
-    by = {row.label: row for row in rows["bitshift"]}
+    by = {row["label"]: row for row in rows["bitshift"]}
     # Skipping the first b positions slashes write traffic...
-    assert by["b=4"].extra < 0.5 * by["b=0"].extra
+    assert by["b=4"]["extra"] < 0.5 * by["b=0"]["extra"]
     # ...while estimates stay usable (cardinality >> 2^b here).
-    assert by["b=4"].error_pct < by["b=0"].error_pct + 15
+    assert by["b=4"]["error_pct"] < by["b=0"]["error_pct"] + 15
 
-    by = {row.label: row for row in rows["overlays"]}
+    by = {row["label"]: row for row in rows["overlays"]}
     # Same accuracy class on every geometry, costs within a small factor.
     for other in ("kademlia", "pastry"):
-        assert abs(by["chord"].error_pct - by[other].error_pct) < 15
-        assert by[other].hops < 3 * by["chord"].hops
-        assert by["chord"].hops < 4 * by[other].hops
+        assert abs(by["chord"]["error_pct"] - by[other]["error_pct"]) < 15
+        assert by[other]["hops"] < 3 * by["chord"]["hops"]
+        assert by["chord"]["hops"] < 4 * by[other]["hops"]
 
 
 CHECKS = {

@@ -24,15 +24,21 @@ its own param dict:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, Params, populate_metric, sample_counts
-from repro.experiments.report import format_rows
+from repro.errors import ConfigurationError
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    Row,
+    populate_metric,
+    sample_counts,
+)
+from repro.experiments.report import Render, table
 from repro.overlay.chord import ChordRing
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.failures import fail_fraction
@@ -41,33 +47,7 @@ from repro.overlay.pastry import PastryOverlay
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 
-__all__ = ["ABLATIONS", "AblationRow", "format_ablation"]
-
-
-@dataclass
-class AblationRow:
-    """One configuration's measured error and cost."""
-
-    label: str
-    error_pct: float
-    hops: float
-    bytes_kb: float
-    extra: float = 0.0  # experiment-specific column
-
-
-def format_ablation(title: str, extra_header: str, rows: List[AblationRow]) -> str:
-    """Render an ablation sweep."""
-    return format_rows(
-        title,
-        [
-            ("config", "{0.label}"),
-            ("error %", "{0.error_pct:.1f}"),
-            ("hops", "{0.hops:.0f}"),
-            ("BW (kB)", "{0.bytes_kb:.1f}"),
-            (extra_header, "{0.extra:.1f}"),
-        ],
-        rows,
-    )
+__all__ = ["ABLATIONS"]
 
 
 def _measure(
@@ -77,13 +57,13 @@ def _measure(
     trials: int,
     seed: int,
     extra: Optional[float] = None,
-) -> AblationRow:
+) -> Row:
     """Count ``docs`` from ``trials`` random origins drawn under ``seed``.
 
     ``extra`` defaults to the mean number of nodes a count visited.
     """
     sample = sample_counts(dhs, {"docs": float(n_items)}, trials=trials, seed=seed)
-    return AblationRow(
+    return dict(
         label=label,
         error_pct=100 * sample.mean_abs_rel_error(),
         hops=sample.mean_hops(),
@@ -101,7 +81,7 @@ def _lim_cell(
     num_bitmaps: int,
     estimator: str,
     trials: int,
-) -> AblationRow:
+) -> Row:
     """One probe budget; the rebuilt deployment is seed-identical."""
     ring = ChordRing.build(n_nodes, seed=derive_seed(seed, "ring"))
     writer = DistributedHashSketch(
@@ -130,7 +110,7 @@ def _replication_cell(
     num_bitmaps: int,
     estimator: str,
     trials: int,
-) -> AblationRow:
+) -> Row:
     """One replication degree: populate, crash a fraction, count."""
     items = np.arange(n_items, dtype=np.int64)
     ring = ChordRing.build(n_nodes, seed=derive_seed(seed, "ring", degree))
@@ -161,7 +141,7 @@ def _bitshift_cell(
     n_items: int,
     num_bitmaps: int,
     trials: int,
-) -> AblationRow:
+) -> Row:
     """One bit-shift value on its own deployment."""
     items = np.arange(n_items, dtype=np.int64)
     ring = ChordRing.build(n_nodes, seed=derive_seed(seed, "ring", shift))
@@ -178,6 +158,14 @@ def _bitshift_cell(
     return _measure(dhs, f"b={shift}", n_items, trials, origins, insert_kb)
 
 
+#: overlay name -> (its builder, the label of its ring seed).
+_OVERLAYS: Dict[str, Tuple[Callable[..., DHTProtocol], str]] = {
+    "chord": (ChordRing.build, "chord"),
+    "kademlia": (KademliaOverlay.build, "kad"),
+    "pastry": (PastryOverlay.build, "pastry"),
+}
+
+
 def _overlay_cell(
     seed: int,
     *,
@@ -186,18 +174,11 @@ def _overlay_cell(
     n_items: int,
     num_bitmaps: int,
     trials: int,
-) -> AblationRow:
+) -> Row:
     """One overlay family hosting the same DHS deployment."""
     items = np.arange(n_items, dtype=np.int64)
-    overlay: DHTProtocol
-    if overlay_label == "chord":
-        overlay = ChordRing.build(n_nodes, seed=derive_seed(seed, "chord"))
-    elif overlay_label == "kademlia":
-        overlay = KademliaOverlay.build(n_nodes, seed=derive_seed(seed, "kad"))
-    elif overlay_label == "pastry":
-        overlay = PastryOverlay.build(n_nodes, seed=derive_seed(seed, "pastry"))
-    else:
-        raise ValueError(f"unknown overlay {overlay_label!r}")
+    build, label = _OVERLAYS[overlay_label]
+    overlay = build(n_nodes, seed=derive_seed(seed, label))
     dhs = DistributedHashSketch(
         overlay,
         DHSConfig(num_bitmaps=num_bitmaps, hash_seed=seed),
@@ -219,6 +200,11 @@ _AXES: Dict[str, Tuple[str, str]] = {
 
 def _cells(params: Params) -> List[TrialSpec]:
     """One cell per value of each study's axis, studies in ``_AXES`` order."""
+    for name in params["overlays"]["overlays"]:
+        if name not in _OVERLAYS:
+            raise ConfigurationError(
+                f"unknown overlay {name!r}; expected one of {sorted(_OVERLAYS)}"
+            )
     sweep: Dict[str, List[Dict[str, Any]]] = {}
     for study, (axis, keyword) in _AXES.items():
         fixed = {key: value for key, value in params[study].items() if key != axis}
@@ -243,9 +229,9 @@ def _cells(params: Params) -> List[TrialSpec]:
     )
 
 
-def _reduce(results: List[AblationRow], params: Params) -> Dict[str, List[AblationRow]]:
+def _reduce(results: List[Row], params: Params) -> Dict[str, List[Row]]:
     """Each study's rows, in grid order."""
-    rows: Dict[str, List[AblationRow]] = {}
+    rows: Dict[str, List[Row]] = {}
     cursor = 0
     for study, (axis, _) in _AXES.items():
         width = len(params[study][axis])
@@ -254,25 +240,45 @@ def _reduce(results: List[AblationRow], params: Params) -> Dict[str, List[Ablati
     return rows
 
 
-def _render(rows: Dict[str, List[AblationRow]], params: Params) -> Dict[str, str]:
-    crashes = params["replication"]["failure_fraction"]
-    overlays = " vs ".join(name.capitalize() for name in params["overlays"]["overlays"])
-    return {
-        "ablation_retries": format_ablation(
-            "Retry budget ablation (section 4.1)", "nodes visited", rows["retries"]
-        ),
-        "ablation_replication": format_ablation(
-            f"Replication under {crashes:.0%} crashes (section 3.5)",
-            "hops/insert",
-            rows["replication"],
-        ),
-        "ablation_bitshift": format_ablation(
-            "Bit-shift mapping ablation (section 3.5)", "insert kB", rows["bitshift"]
-        ),
-        "overlay_agnosticism": format_ablation(
-            f"DHS over {overlays}", "nodes visited", rows["overlays"]
-        ),
-    }
+def _study(stem: str, title: str, extra_header: str) -> Render:
+    """One study's table; ``extra`` is its experiment-specific column."""
+    return table(
+        stem,
+        title,
+        [
+            ("config", "{label}"),
+            ("error %", "{error_pct:.1f}"),
+            ("hops", "{hops:.0f}"),
+            ("BW (kB)", "{bytes_kb:.1f}"),
+            (extra_header, "{extra:.1f}"),
+        ],
+    )
+
+
+#: study -> its table; titles are templates over the study's params.
+_TABLES = {
+    "retries": _study(
+        "ablation_retries", "Retry budget ablation (section 4.1)", "nodes visited"
+    ),
+    "replication": _study(
+        "ablation_replication",
+        "Replication under {failure_fraction:.0%} crashes (section 3.5)",
+        "hops/insert",
+    ),
+    "bitshift": _study(
+        "ablation_bitshift", "Bit-shift mapping ablation (section 3.5)", "insert kB"
+    ),
+    "overlays": _study("overlay_agnosticism", "DHS over {names}", "nodes visited"),
+}
+
+
+def _render(rows: Dict[str, List[Row]], params: Params) -> Dict[str, str]:
+    """Every study's table, its title filled from the study's params."""
+    names = " vs ".join(name.capitalize() for name in params["overlays"]["overlays"])
+    texts: Dict[str, str] = {}
+    for study, render in _TABLES.items():
+        texts.update(render(rows[study], {**params[study], "names": names}))
+    return texts
 
 
 ABLATIONS = Experiment(

@@ -14,33 +14,23 @@ much faster than sLL past the collapse) is the reproduced claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.core.config import DHSConfig
 from repro.experiments.common import (
-    CountSample,
     Experiment,
     Params,
+    Row,
     build_ring,
     count_both,
+    mean_over_draws,
 )
-from repro.experiments.report import estimator_pairs, format_rows
+from repro.experiments.report import table
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import make_relation
 
-__all__ = ["ACCURACY", "AccuracyRow", "format_accuracy"]
-
-
-@dataclass
-class AccuracyRow:
-    """Mean |relative error| for one (m, estimator) configuration."""
-
-    m: int
-    estimator: str
-    error_pct: float
-    bias_pct: float
+__all__ = ["ACCURACY"]
 
 
 def _accuracy_cell(
@@ -52,13 +42,27 @@ def _accuracy_cell(
     scale: float,
     trials: int,
     lim: int,
-) -> Dict[str, CountSample]:
-    """One independent ``(m, hash_seed)`` cell: populate, count both ways."""
+) -> List[Row]:
+    """One independent ``(m, hash_seed)`` cell: populate, count both ways.
+
+    Its rows hold each estimator's error and bias as fractions; the
+    reduce averages them over the hash seeds in percent.
+    """
     n_items = max(2000, int(20_000_000 * scale))
     relation = make_relation("R", n_items, seed=derive_seed(seed, "rel", hash_seed))
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring", m, hash_seed))
     config = DHSConfig(num_bitmaps=m, lim=lim, hash_seed=hash_seed)
-    return count_both(ring, config, [relation], seed, trials, m, hash_seed)[1]
+    return [
+        dict(
+            m=m,
+            estimator=estimator,
+            error_pct=sample.mean_abs_rel_error(),
+            bias_pct=sample.mean_rel_bias(),
+        )
+        for estimator, sample in count_both(
+            ring, config, [relation], seed, trials, m, hash_seed
+        )[1].items()
+    ]
 
 
 def _cells(params: Params) -> List[TrialSpec]:
@@ -71,48 +75,6 @@ def _cells(params: Params) -> List[TrialSpec]:
         for m in params["ms"]
         for hash_seed in params["hash_seeds"]
     ]
-
-
-def _reduce(
-    results: List[Dict[str, CountSample]], params: Params
-) -> List[AccuracyRow]:
-    """Average each (m, estimator) over its hash seeds."""
-    rows: List[AccuracyRow] = []
-    cursor = 0
-    for m in params["ms"]:
-        samples: Dict[str, List[CountSample]] = {"sll": [], "pcsa": []}
-        for _ in params["hash_seeds"]:
-            cell = results[cursor]
-            cursor += 1
-            for estimator in ("sll", "pcsa"):
-                samples[estimator].append(cell[estimator])
-        for estimator, collected in samples.items():
-            errors = [s.mean_abs_rel_error() for s in collected]
-            biases = [s.mean_rel_bias() for s in collected]
-            rows.append(
-                AccuracyRow(
-                    m=m,
-                    estimator=estimator,
-                    error_pct=100 * sum(errors) / len(errors),
-                    bias_pct=100 * sum(biases) / len(biases),
-                )
-            )
-    return rows
-
-
-def format_accuracy(rows: List[AccuracyRow], lim: int = 5) -> str:
-    """Render the sweep with sLL/PCSA columns side by side."""
-    return format_rows(
-        f"Accuracy vs number of bitmaps (lim = {lim})",
-        [
-            ("m", "{0[0]}"),
-            ("sLL err %", "{0[1].error_pct:.1f}"),
-            ("PCSA err %", "{0[2].error_pct:.1f}"),
-            ("sLL bias %", "{0[1].bias_pct:+.1f}"),
-            ("PCSA bias %", "{0[2].bias_pct:+.1f}"),
-        ],
-        estimator_pairs(rows, "m"),
-    )
 
 
 ACCURACY = Experiment(
@@ -129,8 +91,17 @@ ACCURACY = Experiment(
         lim=5,
     ),
     cells=_cells,
-    reduce=_reduce,
-    render=lambda rows, params: {
-        "accuracy_vs_m": format_accuracy(rows, params["lim"])
-    },
+    reduce=mean_over_draws("hash_seeds", {"error_pct": 100, "bias_pct": 100}),
+    render=table(
+        "accuracy_vs_m",
+        "Accuracy vs number of bitmaps (lim = {lim})",
+        [
+            ("m", "{m}"),
+            ("sLL err %", "{sll[error_pct]:.1f}"),
+            ("PCSA err %", "{pcsa[error_pct]:.1f}"),
+            ("sLL bias %", "{sll[bias_pct]:+.1f}"),
+            ("PCSA bias %", "{pcsa[bias_pct]:+.1f}"),
+        ],
+        pair="m",
+    ),
 )

@@ -9,7 +9,6 @@ access-load imbalance, and duplicate (in)sensitivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.base import distinct_count
@@ -20,30 +19,16 @@ from repro.baselines.single_node import PartitionedCounter, SingleNodeCounter
 from repro.baselines.sketch_gossip import SketchGossip
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, Params, build_ring
+from repro.experiments.common import Experiment, Params, Row, build_ring
+from repro.experiments.report import table
 from repro.overlay.chord import ChordRing
 from repro.overlay.stats import OpCost
-from repro.experiments.report import format_rows
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 from repro.workloads.assignment import assign_items
 from repro.workloads.multisets import zipf_duplicated_multiset
 
-__all__ = ["BASELINES", "BaselineRow", "format_baselines"]
-
-
-@dataclass
-class BaselineRow:
-    """One method's measured behaviour on the shared scenario."""
-
-    method: str
-    estimate: float
-    error_pct: float
-    query_hops: int
-    query_bytes: float
-    rounds: int
-    load_imbalance: float
-    duplicate_insensitive: bool
+__all__ = ["BASELINES"]
 
 
 def _baseline_scenario(
@@ -68,7 +53,7 @@ def _baseline_cell(
     total_items: int,
     num_bitmaps: int,
     origin: Optional[int] = None,
-) -> BaselineRow:
+) -> Row:
     """Measure one method on the (rebuilt) shared scenario.
 
     ``origin`` carries the querying node pre-drawn by the driver, so the
@@ -79,8 +64,8 @@ def _baseline_cell(
 
     def measure(
         label: str, estimate: float, cost: OpCost, rounds: int, insensitive: bool
-    ) -> BaselineRow:
-        return BaselineRow(
+    ) -> Row:
+        return dict(
             method=label,
             estimate=estimate,
             error_pct=100 * abs(estimate - truth) / truth,
@@ -210,24 +195,6 @@ def _cells(params: Params) -> List[TrialSpec]:
     ]
 
 
-def format_baselines(rows: List[BaselineRow], truth_hint: str = "") -> str:
-    """Render the cross-family comparison."""
-    return format_rows(
-        f"DHS vs related-work families {truth_hint}".rstrip(),
-        [
-            ("method", "{0.method}"),
-            ("estimate", "{0.estimate:,.0f}"),
-            ("err %", "{0.error_pct:.1f}"),
-            ("hops", "{0.query_hops}"),
-            ("kB", lambda row: f"{row.query_bytes / 1024:.1f}"),
-            ("rounds", "{0.rounds}"),
-            ("load max/mean", "{0.load_imbalance:.1f}"),
-            ("dup-insens.", lambda row: "yes" if row.duplicate_insensitive else "NO"),
-        ],
-        rows,
-    )
-
-
 BASELINES = Experiment(
     name="baselines",
     description="§1 related-work families comparison",
@@ -241,9 +208,18 @@ BASELINES = Experiment(
     ),
     cells=_cells,
     # Every distinct item appears at least once: the truth is n_distinct.
-    render=lambda rows, params: {
-        "baselines": format_baselines(
-            rows, f"(distinct truth: {params['n_distinct']:,})"
-        )
-    },
+    render=table(
+        "baselines",
+        "DHS vs related-work families (distinct truth: {n_distinct:,})",
+        [
+            ("method", "{method}"),
+            ("estimate", "{estimate:,.0f}"),
+            ("err %", "{error_pct:.1f}"),
+            ("hops", "{query_hops}"),
+            ("kB", lambda row: f"{row['query_bytes'] / 1024:.1f}"),
+            ("rounds", "{rounds}"),
+            ("load max/mean", "{load_imbalance:.1f}"),
+            ("dup-insens.", lambda row: "yes" if row["duplicate_insensitive"] else "NO"),
+        ],
+    ),
 )

@@ -12,28 +12,17 @@ cardinality drifts), under different (ttl, refresh period) policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, Params
-from repro.experiments.report import format_rows
+from repro.experiments.common import Experiment, Params, Row
+from repro.experiments.report import table
 from repro.overlay.chord import ChordRing
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
-__all__ = ["CHURN", "ChurnRow", "format_churn"]
-
-
-@dataclass
-class ChurnRow:
-    """One maintenance policy's behaviour under churn."""
-
-    label: str
-    mean_error_pct: float  # |estimate/truth - 1|, averaged over rounds
-    final_error_pct: float
-    refresh_kb: float  # total refresh bandwidth spent
+__all__ = ["CHURN"]
 
 
 def _policy_label(ttl: Optional[int], refresh_every: Optional[int]) -> str:
@@ -52,7 +41,7 @@ def _churn_cell(
     n_nodes: int,
     items_per_node: int,
     num_bitmaps: int,
-) -> ChurnRow:
+) -> Row:
     """One maintenance policy simulated over every churn round."""
     rng = rng_for(seed, "churn", str(ttl), str(refresh_every))
     ring = ChordRing.build(n_nodes, seed=derive_seed(seed, "ring"))
@@ -97,7 +86,7 @@ def _churn_cell(
             "files", origin=ring.random_live_node(rng), now=now
         ).estimate()
         errors.append(abs(estimate / truth - 1.0))
-    return ChurnRow(
+    return dict(
         label=_policy_label(ttl, refresh_every),
         mean_error_pct=100 * sum(errors) / len(errors),
         final_error_pct=100 * errors[-1],
@@ -114,20 +103,6 @@ def _cells(params: Params) -> List[TrialSpec]:
         )
         for ttl, refresh_every in params["policies"]
     ]
-
-
-def format_churn(rows: List[ChurnRow]) -> str:
-    """Render the churn-policy comparison."""
-    return format_rows(
-        "Soft-state maintenance under churn (section 3.3)",
-        [
-            ("policy", "{0.label}"),
-            ("mean err %", "{0.mean_error_pct:.1f}"),
-            ("final err %", "{0.final_error_pct:.1f}"),
-            ("refresh kB", "{0.refresh_kb:.0f}"),
-        ],
-        rows,
-    )
 
 
 CHURN = Experiment(
@@ -148,5 +123,14 @@ CHURN = Experiment(
         num_bitmaps=64,
     ),
     cells=_cells,
-    render=lambda rows, params: {"churn_policies": format_churn(rows)},
+    render=table(
+        "churn_policies",
+        "Soft-state maintenance under churn (section 3.3)",
+        [
+            ("policy", "{label}"),
+            ("mean err %", "{mean_error_pct:.1f}"),
+            ("final err %", "{final_error_pct:.1f}"),
+            ("refresh kB", "{refresh_kb:.0f}"),
+        ],
+    ),
 )

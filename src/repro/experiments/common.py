@@ -53,11 +53,13 @@ from repro.workloads.relations import Relation
 __all__ = [
     "Experiment",
     "Params",
+    "Row",
     "concat",
+    "first",
+    "mean_over_draws",
     "env_scale",
     "build_ring",
     "populate_metric",
-    "populate_relation",
     "populate_histogram_metrics",
     "filter_bucket_metric",
     "populate_filter_histogram_metrics",
@@ -92,10 +94,48 @@ def env_scale(default: float = DEFAULT_SCALE) -> float:
 #: Resolved experiment params: an entry's defaults with overrides applied.
 Params = Dict[str, Any]
 
+#: One result row: field name -> value.
+Row = Dict[str, Any]
+
 
 def concat(results: List[Any], params: Params) -> Any:
     """Reduce cells that each return a list of rows to one list."""
     return [row for rows in results for row in rows]
+
+
+def first(results: List[Any], params: Params) -> Any:
+    """Reduce a one-cell grid to its cell's result."""
+    return results[0]
+
+
+def mean_over_draws(
+    draws: str, scaled: Mapping[str, float], percent: Sequence[str] = ()
+) -> Callable[[List[Any], Params], List[Row]]:
+    """A ``reduce`` averaging rows over draws.
+
+    The cells come in runs of ``params[draws]`` consecutive draws (a
+    count, or the sequence of draws) of one point, and each cell gives
+    the same list of row dicts.  A run's rows are its first draw's, each
+    field ``f`` of ``scaled`` replaced by ``scaled[f] * sum / draws`` of
+    its draw values, summed in draw order, and then by 100 times that if
+    ``f`` is in ``percent``.
+    """
+
+    def reduce(results: List[Any], params: Params) -> List[Row]:
+        size = params[draws]
+        if not isinstance(size, int):
+            size = len(size)
+        rows: List[Row] = []
+        for start in range(0, len(results), size):
+            for same in zip(*results[start : start + size]):
+                row = dict(same[0])
+                for name, scale in scaled.items():
+                    mean = scale * sum(draw[name] for draw in same) / size
+                    row[name] = 100 * mean if name in percent else mean
+                rows.append(row)
+        return rows
+
+    return reduce
 
 
 @dataclass(frozen=True)
@@ -108,10 +148,12 @@ class Experiment:
     :class:`~repro.sim.parallel.TrialSpec` per independent cell, called
     with its seed and kwargs plus every other param its keyword-only
     signature names; ``reduce`` folds their results, in grid order, into
-    rows (default: the list).  A single-shot experiment gives
-    ``run(**params)`` instead.  ``render(rows, params)`` maps a stem to
-    each text it prints; ``--output`` writes only the ``results`` stems.
-    ``--nodes N`` sets the params ``node_params(N)`` returns.
+    rows (default: the list).  An experiment that is one deployment is a
+    one-cell grid reduced by :func:`first`; ``run_trials`` runs a single
+    cell in-process.  Rows are plain dicts.  ``render(rows, params)``
+    maps a stem to each text it prints (see :mod:`.report`);
+    ``--output`` writes only the ``results`` stems.  ``--nodes N`` sets
+    the params ``node_params(N)`` returns.
     """
 
     name: str
@@ -119,9 +161,8 @@ class Experiment:
     results: Tuple[str, ...]
     params: Mapping[str, Any]
     render: Callable[[Any, Params], Dict[str, str]]
-    cells: Optional[Callable[[Params], List[TrialSpec]]] = None
+    cells: Callable[[Params], List[TrialSpec]]
     reduce: Optional[Callable[[List[Any], Params], Any]] = None
-    run: Optional[Callable[..., Any]] = None
     node_params: Callable[[int], Params] = lambda n_nodes: {"n_nodes": n_nodes}
 
     def resolve(self, overrides: Mapping[str, Any]) -> Params:
@@ -150,7 +191,6 @@ class Experiment:
 
     def grid(self, params: Params) -> List[TrialSpec]:
         """The cells of resolved ``params``, each given the params it names."""
-        assert self.cells is not None, f"{self.name} is single-shot"
         return [
             replace(spec, kwargs={**_named(spec.fn, params), **spec.kwargs})
             for spec in self.cells(params)
@@ -158,8 +198,6 @@ class Experiment:
 
     def execute(self, params: Params, jobs: Optional[int] = None) -> Any:
         """Rows of resolved ``params``; cells fan out through ``run_trials``."""
-        if self.run is not None:
-            return self.run(**params)
         return self.fold(run_trials(self.grid(params), jobs=jobs), params)
 
     def fold(self, results: List[Any], params: Params) -> Any:
@@ -258,16 +296,6 @@ def _owner_blocks(
             block, held = [], 0
     if block:
         yield block
-
-
-def populate_relation(
-    dhs: DistributedHashSketch,
-    relation: Relation,
-    seed: int = 0,
-    now: int = 0,
-) -> OpCost:
-    """Insert every tuple of a relation under the metric ``relation.name``."""
-    return populate_metric(dhs, relation.name, relation.item_ids(), seed=seed, now=now)
 
 
 def bucket_metric(relation_name: str, bucket: int) -> Hashable:
@@ -388,38 +416,26 @@ def sample_counts(
     trials: int = 8,
     seed: int = 0,
     now: int = 0,
-    metrics_per_count: Optional[Sequence[Hashable]] = None,
 ) -> CountSample:
     """Run repeated counts from random querying nodes and aggregate.
 
     Each trial picks a random origin node (as the paper does), counts
-    every metric in ``metric_truths`` one at a time — or all at once
-    when ``metrics_per_count`` is given — and records cost and accuracy.
+    every metric in ``metric_truths`` one at a time and records cost and
+    accuracy.
     """
     rng = rng_for(seed, "count-origins")
     sample = CountSample()
     for _ in range(trials):
         origin = dhs.dht.random_live_node(rng)
-        if metrics_per_count is not None:
-            result = dhs.count_many(list(metrics_per_count), origin=origin, now=now)
+        for metric, truth in metric_truths.items():
+            result = dhs.count(metric, origin=origin, now=now)
             sample.hops.append(result.cost.hops)
             sample.nodes_visited.append(result.unique_probed)
             sample.bytes.append(result.cost.bytes)
             sample.lookups.append(result.cost.lookups)
-            for metric, truth in metric_truths.items():
-                if metric in result.estimates and truth > 0:
-                    sample.estimates.append(result.estimates[metric])
-                    sample.truths.append(truth)
-        else:
-            for metric, truth in metric_truths.items():
-                result = dhs.count(metric, origin=origin, now=now)
-                sample.hops.append(result.cost.hops)
-                sample.nodes_visited.append(result.unique_probed)
-                sample.bytes.append(result.cost.bytes)
-                sample.lookups.append(result.cost.lookups)
-                if truth > 0:
-                    sample.estimates.append(result.estimate())
-                    sample.truths.append(truth)
+            if truth > 0:
+                sample.estimates.append(result.estimate())
+                sample.truths.append(truth)
     return sample
 
 
@@ -441,7 +457,12 @@ def count_both(
         ring, config, seed=derive_seed(seed, "writer", *path)
     )
     for relation in relations:
-        populate_relation(writer, relation, seed=derive_seed(seed, "load", *path))
+        populate_metric(
+            writer,
+            relation.name,
+            relation.item_ids(),
+            seed=derive_seed(seed, "load", *path),
+        )
     truths = {relation.name: float(relation.size) for relation in relations}
     samples: Dict[str, CountSample] = {}
     for estimator in ("sll", "pcsa"):

@@ -44,8 +44,7 @@ budget-exhausted intervals).  A lossy run should *know* it is lossy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -53,8 +52,14 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.common import Experiment, Params, populate_metric
-from repro.experiments.report import format_rows
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    Row,
+    mean_over_draws,
+    populate_metric,
+)
+from repro.experiments.report import table
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.sim.parallel import TrialSpec
@@ -64,9 +69,7 @@ __all__ = [
     "FAULTMATRIX",
     "FAULT_MATRIX_KINDS",
     "POLICIES",
-    "FaultMatrixRow",
     "PolicySpec",
-    "format_faultmatrix",
 ]
 
 
@@ -121,10 +124,6 @@ def _plan_for(kind: str, intensity: float) -> FaultPlan:
     Every kind strikes at tick 1 so the tick-0 population is always
     clean; ``intensity`` is the drop probability or the victim fraction.
     """
-    if kind not in FAULT_MATRIX_KINDS:
-        raise ConfigurationError(
-            f"unknown fault kind {kind!r}; expected one of {FAULT_MATRIX_KINDS}"
-        )
     if intensity == 0.0:
         return FaultPlan.empty()
     if kind == "drop":
@@ -136,22 +135,6 @@ def _plan_for(kind: str, intensity: float) -> FaultPlan:
     else:
         event = FaultEvent(kind, at=1, fraction=intensity, duration=0)
     return FaultPlan(events=(event,))
-
-
-@dataclass
-class FaultMatrixRow:
-    """Mean outcome at one (fault, intensity, policy, R) point."""
-
-    fault: str
-    intensity: float
-    policy: str
-    replication: int
-    error_pct: float
-    underread_pct: float
-    hops: float
-    degraded_pct: float
-    confidence: float
-    repair_writes: float
 
 
 def _faultmatrix_cell(
@@ -167,17 +150,18 @@ def _faultmatrix_cell(
     num_bitmaps: int,
     estimator: str,
     trials: int,
-) -> Tuple[float, float, float, float, float, float]:
+) -> List[Row]:
     """One matrix cell: inject, recover, count.
 
-    Returns mean ``(error, underread, hops, degraded, confidence,
-    repair_writes)`` over ``trials`` counts from random origins.
-    Deployment, fault and origin seeds deliberately exclude the policy
-    name: every policy faces the *identical* ring, victims, drop stream
-    and querying nodes, so policy columns are paired comparisons rather
-    than fresh draws.  ``underread`` is each count's clamped shortfall
-    against the lossless ``local_sketch`` reference of the same
-    deployment — the fault-attributable part of the error.
+    Gives one row of means over ``trials`` counts from random origins,
+    error, underread and degraded share as fractions (the reduce turns
+    their means over the draws into percent).  Deployment, fault and
+    origin seeds deliberately exclude the policy name: every policy
+    faces the *identical* ring, victims, drop stream and querying nodes,
+    so policy columns are paired comparisons rather than fresh draws.
+    ``underread`` is each count's clamped shortfall against the lossless
+    ``local_sketch`` reference of the same deployment — the
+    fault-attributable part of the error.
     """
     cell = (fault_kind, str(intensity), replication, draw)
     items = np.arange(n_items, dtype=np.int64)
@@ -225,18 +209,29 @@ def _faultmatrix_cell(
         degraded.append(1.0 if result.degraded else 0.0)
         confidences.append(min(result.confidence.values(), default=1.0))
         repair_writes += result.cost.repair_writes
-    return (
-        sum(errors) / trials,
-        sum(underreads) / trials,
-        sum(hops) / trials,
-        sum(degraded) / trials,
-        sum(confidences) / trials,
-        repair_writes / trials,
-    )
+    return [
+        dict(
+            fault=fault_kind,
+            intensity=intensity,
+            policy=policy_name,
+            replication=replication,
+            error_pct=sum(errors) / trials,
+            underread_pct=sum(underreads) / trials,
+            hops=sum(hops) / trials,
+            degraded_pct=sum(degraded) / trials,
+            confidence=sum(confidences) / trials,
+            repair_writes=repair_writes / trials,
+        )
+    ]
 
 
 def _cells(params: Params) -> List[TrialSpec]:
     """One independent deployment per (kind, intensity, policy, R, draw)."""
+    for kind in params["fault_kinds"]:
+        if kind not in FAULT_MATRIX_KINDS:
+            raise ConfigurationError(
+                f"unknown fault kind {kind!r}; expected one of {FAULT_MATRIX_KINDS}"
+            )
     for name in params["policies"]:
         if name not in POLICIES:
             raise ConfigurationError(
@@ -254,65 +249,12 @@ def _cells(params: Params) -> List[TrialSpec]:
                 "draw": draw,
             },
         )
-        for kind, intensity, policy, replication in _points(params)
-        for draw in range(params["draws"])
-    ]
-
-
-def _points(params: Params) -> List[Tuple[str, float, str, int]]:
-    return [
-        (kind, intensity, policy, replication)
         for kind in params["fault_kinds"]
         for intensity in params["intensities"]
         for policy in params["policies"]
         for replication in params["replications"]
+        for draw in range(params["draws"])
     ]
-
-
-def _reduce(
-    results: List[Tuple[float, ...]], params: Params
-) -> List[FaultMatrixRow]:
-    """Average every matrix point over its draws."""
-    draws = params["draws"]
-    rows: List[FaultMatrixRow] = []
-    for index, (kind, intensity, policy, replication) in enumerate(_points(params)):
-        points = results[index * draws : (index + 1) * draws]
-        mean = [sum(column) / len(points) for column in zip(*points)]
-        rows.append(
-            FaultMatrixRow(
-                fault=kind,
-                intensity=intensity,
-                policy=policy,
-                replication=replication,
-                error_pct=100 * mean[0],
-                underread_pct=100 * mean[1],
-                hops=mean[2],
-                degraded_pct=100 * mean[3],
-                confidence=mean[4],
-                repair_writes=mean[5],
-            )
-        )
-    return rows
-
-
-def format_faultmatrix(rows: List[FaultMatrixRow]) -> str:
-    """Render the fault matrix grid."""
-    return format_rows(
-        "Fault matrix: fault x intensity x policy x replication",
-        [
-            ("fault", "{0.fault}"),
-            ("p", "{0.intensity:.2f}"),
-            ("policy", "{0.policy}"),
-            ("R", "{0.replication}"),
-            ("error %", "{0.error_pct:.1f}"),
-            ("under %", "{0.underread_pct:.1f}"),
-            ("hops", "{0.hops:.0f}"),
-            ("degr %", "{0.degraded_pct:.0f}"),
-            ("conf", "{0.confidence:.3f}"),
-            ("repairs", "{0.repair_writes:.1f}"),
-        ],
-        rows,
-    )
 
 
 #: Every random choice flows through ``derive_seed`` label paths, so the
@@ -335,6 +277,35 @@ FAULTMATRIX = Experiment(
         draws=2,
     ),
     cells=_cells,
-    reduce=_reduce,
-    render=lambda rows, params: {"fault_matrix": format_faultmatrix(rows)},
+    reduce=mean_over_draws(
+        "draws",
+        dict.fromkeys(
+            (
+                "error_pct",
+                "underread_pct",
+                "hops",
+                "degraded_pct",
+                "confidence",
+                "repair_writes",
+            ),
+            1,
+        ),
+        percent=("error_pct", "underread_pct", "degraded_pct"),
+    ),
+    render=table(
+        "fault_matrix",
+        "Fault matrix: fault x intensity x policy x replication",
+        [
+            ("fault", "{fault}"),
+            ("p", "{intensity:.2f}"),
+            ("policy", "{policy}"),
+            ("R", "{replication}"),
+            ("error %", "{error_pct:.1f}"),
+            ("under %", "{underread_pct:.1f}"),
+            ("hops", "{hops:.0f}"),
+            ("degr %", "{degraded_pct:.0f}"),
+            ("conf", "{confidence:.3f}"),
+            ("repairs", "{repair_writes:.1f}"),
+        ],
+    ),
 )

@@ -13,29 +13,14 @@ declining-error-with-m shape at laptop scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
-from repro.experiments.common import Experiment, Params, concat
-from repro.experiments.report import estimator_pairs, format_rows
+from repro.experiments.common import Experiment, Params, Row, concat
+from repro.experiments.report import table
 from repro.experiments.table3 import reconstruct_both
 from repro.sim.parallel import TrialSpec
 
-__all__ = [
-    "HISTOGRAM_ACCURACY",
-    "HistogramAccuracyRow",
-    "format_histogram_accuracy",
-]
-
-
-@dataclass
-class HistogramAccuracyRow:
-    """Mean per-cell error for one (m, estimator)."""
-
-    m: int
-    estimator: str
-    cell_error_pct: float
-    sketch_sigma_pct: float
+__all__ = ["HISTOGRAM_ACCURACY"]
 
 
 def _histogram_accuracy_cell(
@@ -46,10 +31,10 @@ def _histogram_accuracy_cell(
     n_buckets: int,
     n_items: int,
     trials: int,
-) -> List[HistogramAccuracyRow]:
+) -> List[Row]:
     """One ``m``: rebuild the (seed-identical) workload, measure both estimators."""
     return [
-        HistogramAccuracyRow(
+        dict(
             m=m,
             estimator=estimator,
             cell_error_pct=100
@@ -78,23 +63,6 @@ def _cells(params: Params) -> List[TrialSpec]:
     ]
 
 
-def format_histogram_accuracy(rows: List[HistogramAccuracyRow]) -> str:
-    """Render the per-cell error sweep."""
-    return format_rows(
-        "Histogram per-cell error vs m",
-        [
-            ("m", "{0[0]}"),
-            ("sLL cell err %", "{0[1].cell_error_pct:.1f}"),
-            ("PCSA cell err %", "{0[2].cell_error_pct:.1f}"),
-            (
-                "theory sigma % (sLL/PCSA)",
-                "{0[1].sketch_sigma_pct:.1f} / {0[2].sketch_sigma_pct:.1f}",
-            ),
-        ],
-        estimator_pairs(rows, "m"),
-    )
-
-
 HISTOGRAM_ACCURACY = Experiment(
     name="histogram-accuracy",
     description="§5.2 per-cell histogram error",
@@ -110,7 +78,18 @@ HISTOGRAM_ACCURACY = Experiment(
     ),
     cells=_cells,
     reduce=concat,
-    render=lambda rows, params: {
-        "histogram_accuracy": format_histogram_accuracy(rows)
-    },
+    render=table(
+        "histogram_accuracy",
+        "Histogram per-cell error vs m",
+        [
+            ("m", "{m}"),
+            ("sLL cell err %", "{sll[cell_error_pct]:.1f}"),
+            ("PCSA cell err %", "{pcsa[cell_error_pct]:.1f}"),
+            (
+                "theory sigma % (sLL/PCSA)",
+                "{sll[sketch_sigma_pct]:.1f} / {pcsa[sketch_sigma_pct]:.1f}",
+            ),
+        ],
+        pair="m",
+    ),
 )

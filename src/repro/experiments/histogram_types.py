@@ -9,7 +9,6 @@ truth — the quantity a query optimizer actually consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -18,32 +17,26 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.experiments.common import (
     Experiment,
+    Params,
+    Row,
     build_ring,
+    first,
     populate_histogram_metrics,
 )
-from repro.experiments.report import format_rows
+from repro.experiments.report import table
 from repro.histograms.advanced import derive_histogram
 from repro.histograms.buckets import BucketSpec
 from repro.histograms.builder import DHSHistogramBuilder
 from repro.histograms.histogram import Histogram
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import make_relation
 
-__all__ = ["HISTOGRAM_TYPES", "HistogramTypeRow", "format_histogram_types"]
-
-
-@dataclass
-class HistogramTypeRow:
-    """Range-estimation quality of one histogram kind."""
-
-    kind: str
-    buckets: int
-    mean_range_error_pct: float
-    #: Same construction from the exact micro-histogram (DHS-noise-free).
-    oracle_error_pct: float
+__all__ = ["HISTOGRAM_TYPES"]
 
 
 def _run(
+    seed: int,
     *,
     kinds: Sequence[str],
     n_nodes: int,
@@ -53,8 +46,7 @@ def _run(
     num_bitmaps: int,
     theta: float,
     n_queries: int,
-    seed: int,
-) -> List[HistogramTypeRow]:
+) -> List[Row]:
     """Compare derived histogram kinds at an equal bucket budget."""
     relation = make_relation(
         "R", n_items, domain=1000, theta=theta, seed=derive_seed(seed, "rel")
@@ -89,33 +81,25 @@ def _run(
         ]
         return 100 * sum(errors) / len(errors)
 
-    rows: List[HistogramTypeRow] = []
+    rows: List[Row] = []
     for kind in kinds:
         derived = derive_histogram(dhs_micro, kind, budget)
         oracle = derive_histogram(exact_micro, kind, budget)
         rows.append(
-            HistogramTypeRow(
+            dict(
                 kind=kind,
                 buckets=budget,
                 mean_range_error_pct=mean_error(derived),
+                # Same construction from the exact micro-histogram
+                # (DHS-noise-free).
                 oracle_error_pct=mean_error(oracle),
             )
         )
     return rows
 
 
-def format_histogram_types(rows: List[HistogramTypeRow]) -> str:
-    """Render the histogram-kind comparison."""
-    return format_rows(
-        "Histogram types derived from DHS micro-buckets (footnote 5)",
-        [
-            ("kind", "{0.kind}"),
-            ("buckets", "{0.buckets}"),
-            ("range err % (DHS)", "{0.mean_range_error_pct:.1f}"),
-            ("range err % (exact micro)", "{0.oracle_error_pct:.1f}"),
-        ],
-        rows,
-    )
+def _cells(params: Params) -> List[TrialSpec]:
+    return [TrialSpec(fn=_run, seed=params["seed"])]
 
 
 HISTOGRAM_TYPES = Experiment(
@@ -133,6 +117,16 @@ HISTOGRAM_TYPES = Experiment(
         theta=1.0,
         n_queries=300,
     ),
-    run=_run,
-    render=lambda rows, params: {"histogram_types": format_histogram_types(rows)},
+    cells=_cells,
+    reduce=first,
+    render=table(
+        "histogram_types",
+        "Histogram types derived from DHS micro-buckets (footnote 5)",
+        [
+            ("kind", "{kind}"),
+            ("buckets", "{buckets}"),
+            ("range err % (DHS)", "{mean_range_error_pct:.1f}"),
+            ("range err % (exact micro)", "{oracle_error_pct:.1f}"),
+        ],
+    ),
 )

@@ -15,66 +15,35 @@ distribution after loading a relation's histogram metrics.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 from typing import List
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.experiments.common import (
     Experiment,
+    Params,
+    Row,
     build_ring,
+    first,
     populate_histogram_metrics,
 )
-from repro.experiments.report import format_kv
+from repro.experiments.report import key_values
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import rng_for
 from repro.workloads.relations import make_relation
 
-__all__ = ["INSERTION", "InsertionReport"]
-
-
-@dataclass
-class InsertionReport:
-    """Measured insertion/storage statistics."""
-
-    n_nodes: int
-    num_bitmaps: int
-    n_buckets: int
-    relation_size: int
-    mean_hops_per_insert: float
-    mean_bytes_per_insert: float
-    mean_storage_bytes_per_node: float
-    max_storage_bytes_per_node: float
-    theoretical_worst_case_bytes: float
-
-    def format(self) -> str:
-        return format_kv(
-            "Insertion & maintenance costs (section 5.2)",
-            [
-                ("nodes", self.n_nodes),
-                ("bitmaps (m)", self.num_bitmaps),
-                ("histogram buckets", self.n_buckets),
-                ("relation tuples", self.relation_size),
-                ("mean hops / insertion", self.mean_hops_per_insert),
-                ("mean bytes / insertion", self.mean_bytes_per_insert),
-                ("mean storage / node (kB)", self.mean_storage_bytes_per_node / 1024),
-                ("max storage / node (kB)", self.max_storage_bytes_per_node / 1024),
-                (
-                    "theoretical worst case (kB)",
-                    self.theoretical_worst_case_bytes / 1024,
-                ),
-            ],
-        )
+__all__ = ["INSERTION"]
 
 
 def _run(
+    seed: int,
     *,
     n_nodes: int,
     num_bitmaps: int,
     n_buckets: int,
     scale: float,
     probe_inserts: int,
-    seed: int,
-) -> InsertionReport:
+) -> Row:
     """Measure per-insertion cost and per-node storage for one relation."""
     ring = build_ring(n_nodes, seed=seed)
     config = DHSConfig(num_bitmaps=num_bitmaps)
@@ -96,7 +65,7 @@ def _run(
     populate_histogram_metrics(dhs, relation, n_buckets, seed=seed)
     storage = list(dhs.storage_bytes_per_node().values())
 
-    return InsertionReport(
+    return dict(
         n_nodes=n_nodes,
         num_bitmaps=num_bitmaps,
         n_buckets=n_buckets,
@@ -111,6 +80,10 @@ def _run(
     )
 
 
+def _cells(params: Params) -> List[TrialSpec]:
+    return [TrialSpec(fn=_run, seed=params["seed"])]
+
+
 INSERTION = Experiment(
     name="insertion",
     description="§5.2 insertion & maintenance costs",
@@ -123,6 +96,30 @@ INSERTION = Experiment(
         scale=1e-2,
         probe_inserts=2000,
     ),
-    run=_run,
-    render=lambda report, params: {"insertion_costs": report.format()},
+    cells=_cells,
+    reduce=first,
+    render=key_values(
+        "insertion_costs",
+        "Insertion & maintenance costs (section 5.2)",
+        [
+            ("nodes", "n_nodes"),
+            ("bitmaps (m)", "num_bitmaps"),
+            ("histogram buckets", "n_buckets"),
+            ("relation tuples", "relation_size"),
+            ("mean hops / insertion", "mean_hops_per_insert"),
+            ("mean bytes / insertion", "mean_bytes_per_insert"),
+            (
+                "mean storage / node (kB)",
+                lambda row: row["mean_storage_bytes_per_node"] / 1024,
+            ),
+            (
+                "max storage / node (kB)",
+                lambda row: row["max_storage_bytes_per_node"] / 1024,
+            ),
+            (
+                "theoretical worst case (kB)",
+                lambda row: row["theoretical_worst_case_bytes"] / 1024,
+            ),
+        ],
+    ),
 )

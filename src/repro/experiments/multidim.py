@@ -9,39 +9,36 @@ and bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, build_ring, populate_metric
-from repro.experiments.report import format_rows
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    Row,
+    build_ring,
+    first,
+    populate_metric,
+)
+from repro.experiments.report import table
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
 import numpy as np
 
-__all__ = ["MULTIDIM", "MultiDimRow", "format_multidim"]
-
-
-@dataclass
-class MultiDimRow:
-    """Cost of counting ``metrics`` dimensions in one operation."""
-
-    metrics: int
-    hops: float
-    bytes_kb: float
-    lookups: float
+__all__ = ["MULTIDIM"]
 
 
 def _run(
+    seed: int,
     *,
     metric_counts: Sequence[int],
     n_nodes: int,
     items_per_metric: int,
     num_bitmaps: int,
     trials: int,
-    seed: int,
-) -> List[MultiDimRow]:
+) -> List[Row]:
     """Hop/byte cost versus number of metrics per counting operation."""
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring"))
     dhs = DistributedHashSketch(
@@ -60,7 +57,7 @@ def _run(
             seed=derive_seed(seed, "load", i),
         )
     rng = rng_for(seed, "origins")
-    rows: List[MultiDimRow] = []
+    rows: List[Row] = []
     for count in metric_counts:
         hops, bytes_, lookups = [], [], []
         for _ in range(trials):
@@ -71,7 +68,7 @@ def _run(
             bytes_.append(result.cost.bytes)
             lookups.append(result.cost.lookups)
         rows.append(
-            MultiDimRow(
+            dict(
                 metrics=count,
                 hops=sum(hops) / trials,
                 bytes_kb=sum(bytes_) / trials / 1024,
@@ -81,18 +78,8 @@ def _run(
     return rows
 
 
-def format_multidim(rows: List[MultiDimRow]) -> str:
-    """Render the metric-count sweep."""
-    return format_rows(
-        "Multi-dimension counting: cost vs metrics per operation",
-        [
-            ("metrics", "{0.metrics}"),
-            ("hops", "{0.hops:.0f}"),
-            ("BW (kB)", "{0.bytes_kb:.1f}"),
-            ("DHT lookups", "{0.lookups:.0f}"),
-        ],
-        rows,
-    )
+def _cells(params: Params) -> List[TrialSpec]:
+    return [TrialSpec(fn=_run, seed=params["seed"])]
 
 
 MULTIDIM = Experiment(
@@ -107,6 +94,16 @@ MULTIDIM = Experiment(
         num_bitmaps=64,
         trials=3,
     ),
-    run=_run,
-    render=lambda rows, params: {"multidim": format_multidim(rows)},
+    cells=_cells,
+    reduce=first,
+    render=table(
+        "multidim",
+        "Multi-dimension counting: cost vs metrics per operation",
+        [
+            ("metrics", "{metrics}"),
+            ("hops", "{hops:.0f}"),
+            ("BW (kB)", "{bytes_kb:.1f}"),
+            ("DHT lookups", "{lookups:.0f}"),
+        ],
+    ),
 )

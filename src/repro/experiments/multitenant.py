@@ -18,7 +18,6 @@ function of the deployment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -28,10 +27,11 @@ from repro.core.dhs import DistributedHashSketch
 from repro.experiments.common import (
     Experiment,
     Params,
+    Row,
     build_ring,
     sample_counts,
 )
-from repro.experiments.report import format_rows
+from repro.experiments.report import table
 from repro.obs import runtime as obs
 from repro.obs.metrics import GAUGE_RING_MEMBERSHIP_BYTES_PER_NODE
 from repro.overlay.stats import OpCost
@@ -46,26 +46,8 @@ from repro.workloads.multitenant import (
 
 __all__ = [
     "MULTITENANT",
-    "MultitenantRow",
-    "format_multitenant",
     "populate_tenants",
 ]
-
-
-@dataclass
-class MultitenantRow:
-    """Storage balance and counting cost for one overlay size."""
-
-    n_nodes: int
-    n_tenants: int
-    active_tenants: int
-    total_ops: int
-    theta: float
-    storage_max_mean: float
-    storage_gini: float
-    hops: float
-    error: float
-    membership_bytes_per_node: float
 
 
 def populate_tenants(
@@ -136,7 +118,7 @@ def _multitenant_cell(
     num_bitmaps: int,
     count_tenants: int,
     trials: int,
-) -> MultitenantRow:
+) -> Row:
     """One overlay size: load the tenant mix, snapshot balance, count."""
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring", n_nodes))
     dhs = DistributedHashSketch(
@@ -164,7 +146,7 @@ def _multitenant_cell(
     if obs.METERING:
         # Pure function of the deployment: safe inside a trial cell.
         obs.METRICS.set_gauge(GAUGE_RING_MEMBERSHIP_BYTES_PER_NODE, bytes_per_node)
-    return MultitenantRow(
+    return dict(
         n_nodes=n_nodes,
         n_tenants=n_tenants,
         active_tenants=int(active.size),
@@ -206,23 +188,9 @@ def _cells(params: Params) -> List[TrialSpec]:
     ]
 
 
-def format_multitenant(rows: List[MultitenantRow]) -> str:
-    """Render the multi-tenant balance sweep."""
-    return format_rows(
-        f"Multi-tenant Zipf workload (theta={rows[0].theta:g})" if rows else
-        "Multi-tenant Zipf workload",
-        [
-            ("nodes", "{0.n_nodes}"),
-            ("tenants", "{0.active_tenants}/{0.n_tenants}"),
-            ("ops", "{0.total_ops}"),
-            ("storage max/mean", "{0.storage_max_mean:.2f}"),
-            ("gini", "{0.storage_gini:.3f}"),
-            ("hops", "{0.hops:.0f}"),
-            ("err", lambda row: f"{100.0 * row.error:.1f}%"),
-            ("B/node", "{0.membership_bytes_per_node:.1f}"),
-        ],
-        sorted(rows, key=lambda r: r.n_nodes),
-    )
+def _by_size(results: List[Row], params: Params) -> List[Row]:
+    """The cells' rows, smallest overlay first."""
+    return sorted(results, key=lambda row: row["n_nodes"])
 
 
 MULTITENANT = Experiment(
@@ -242,6 +210,20 @@ MULTITENANT = Experiment(
         scale=1e-2,
     ),
     cells=_cells,
-    render=lambda rows, params: {"multitenant": format_multitenant(rows)},
+    reduce=_by_size,
+    render=table(
+        "multitenant",
+        "Multi-tenant Zipf workload (theta={theta:g})",
+        [
+            ("nodes", "{n_nodes}"),
+            ("tenants", "{active_tenants}/{n_tenants}"),
+            ("ops", "{total_ops}"),
+            ("storage max/mean", "{storage_max_mean:.2f}"),
+            ("gini", "{storage_gini:.3f}"),
+            ("hops", "{hops:.0f}"),
+            ("err", lambda row: f"{100.0 * row['error']:.1f}%"),
+            ("B/node", "{membership_bytes_per_node:.1f}"),
+        ],
+    ),
     node_params=lambda n_nodes: {"node_counts": (n_nodes,)},
 )

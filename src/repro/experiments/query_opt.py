@@ -17,71 +17,39 @@ The ``query-opt`` entry measures, for a join over Q/R/S/T:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.experiments.common import (
     Experiment,
+    Params,
+    Row,
     build_ring,
+    first,
     populate_histogram_metrics,
 )
-from repro.experiments.report import format_kv
+from repro.experiments.report import key_values
 from repro.histograms.buckets import BucketSpec
 from repro.query.catalog import Catalog
 from repro.query.engine import execute_plan
 from repro.query.optimizer import optimize
 from repro.query.plans import left_deep_plan
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import standard_relations
 
-__all__ = ["QUERY_OPT", "QueryOptReport"]
-
-
-@dataclass
-class QueryOptReport:
-    """Actual transfer volumes of the competing strategies."""
-
-    relation_names: List[str]
-    chosen_plan: str
-    chosen_shipped_mb: float
-    naive_plan: str
-    naive_shipped_mb: float
-    oracle_plan: str
-    oracle_shipped_mb: float
-    histogram_cost_mb: float
-    histogram_cost_hops: int
-
-    def format(self) -> str:
-        return format_kv(
-            "Query optimization with DHS histograms",
-            [
-                ("join", " ⋈ ".join(self.relation_names)),
-                ("DHS-histogram plan", self.chosen_plan),
-                ("  actual transfer (MB)", self.chosen_shipped_mb),
-                ("naive plan", self.naive_plan),
-                ("  actual transfer (MB)", self.naive_shipped_mb),
-                ("oracle plan", self.oracle_plan),
-                ("  actual transfer (MB)", self.oracle_shipped_mb),
-                ("histogram reconstruction (MB)", self.histogram_cost_mb),
-                ("histogram reconstruction (hops)", self.histogram_cost_hops),
-                (
-                    "savings vs naive (MB)",
-                    self.naive_shipped_mb - self.chosen_shipped_mb,
-                ),
-            ],
-        )
+__all__ = ["QUERY_OPT"]
 
 
 def _run(
+    seed: int,
     *,
     n_nodes: int,
     num_bitmaps: int,
     n_buckets: int,
     scale: float,
-    seed: int,
-) -> QueryOptReport:
+) -> Row:
     """Compare DHS-informed, naive, and oracle join orders."""
     relations = standard_relations(scale=scale, seed=derive_seed(seed, "relations"))
     by_name = {relation.name: relation for relation in relations}
@@ -115,7 +83,7 @@ def _run(
     naive_result = execute_plan(naive, by_name)
     oracle_result = execute_plan(oracle.root, by_name)
 
-    return QueryOptReport(
+    return dict(
         relation_names=names,
         chosen_plan=chosen.describe(),
         chosen_shipped_mb=chosen_result.shipped_mb,
@@ -128,11 +96,34 @@ def _run(
     )
 
 
+def _cells(params: Params) -> List[TrialSpec]:
+    return [TrialSpec(fn=_run, seed=params["seed"])]
+
+
 QUERY_OPT = Experiment(
     name="query-opt",
     description="§5.2 join-ordering savings",
     results=("query_opt",),
     params=dict(seed=1, n_nodes=128, num_bitmaps=128, n_buckets=20, scale=2e-3),
-    run=_run,
-    render=lambda report, params: {"query_opt": report.format()},
+    cells=_cells,
+    reduce=first,
+    render=key_values(
+        "query_opt",
+        "Query optimization with DHS histograms",
+        [
+            ("join", lambda row: " ⋈ ".join(row["relation_names"])),
+            ("DHS-histogram plan", "chosen_plan"),
+            ("  actual transfer (MB)", "chosen_shipped_mb"),
+            ("naive plan", "naive_plan"),
+            ("  actual transfer (MB)", "naive_shipped_mb"),
+            ("oracle plan", "oracle_plan"),
+            ("  actual transfer (MB)", "oracle_shipped_mb"),
+            ("histogram reconstruction (MB)", "histogram_cost_mb"),
+            ("histogram reconstruction (hops)", "histogram_cost_hops"),
+            (
+                "savings vs naive (MB)",
+                lambda row: row["naive_shipped_mb"] - row["chosen_shipped_mb"],
+            ),
+        ],
+    ),
 )

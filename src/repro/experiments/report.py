@@ -7,13 +7,37 @@ rows the same way the paper lays them out.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-__all__ = ["estimator_pairs", "format_table", "format_rows", "format_kv"]
+__all__ = [
+    "Render",
+    "format_table",
+    "format_rows",
+    "format_kv",
+    "key_values",
+    "table",
+]
 
-#: A column's cell: a ``str.format`` template of the row (``"{0.hops:.0f}"``)
-#: or a function of it.
-Column = Union[str, Callable[[Any], str]]
+#: One result row: field name -> value.
+Row = Mapping[str, Any]
+
+#: A column's cell: a ``str.format`` template over the row's fields
+#: (``"{hops:.0f}"``) or a function of the row.
+Column = Union[str, Callable[[Row], str]]
+
+#: An entry's ``render``: its rows and params to one text per stem.
+Render = Callable[[Any, Dict[str, Any]], Dict[str, str]]
 
 
 def format_table(title: str, headers: Sequence[str], rows: List[Sequence[object]]) -> str:
@@ -31,15 +55,28 @@ def format_table(title: str, headers: Sequence[str], rows: List[Sequence[object]
 
 
 def format_rows(
-    title: str, columns: Sequence[Tuple[str, Column]], rows: Iterable[Any]
+    title: str,
+    columns: Sequence[Tuple[str, Column]],
+    rows: Iterable[Row],
+    pair: Optional[str] = None,
 ) -> str:
-    """Render one line per row under ``(header, cell)`` columns."""
+    """Render one line per row under ``(header, cell)`` columns.
+
+    With ``pair``, one line per value of that field instead, ascending:
+    the line's row is ``{pair: value, "sll": row, "pcsa": row}``, so a
+    template reads ``"{sll[hops]:.0f} / {pcsa[hops]:.0f}"``.
+    """
+    if pair is not None:
+        by: Dict[Any, Dict[str, Any]] = {}
+        for row in rows:
+            by.setdefault(row[pair], {pair: row[pair]})[row["estimator"]] = row
+        rows = [by[value] for value in sorted(by)]
     return format_table(
         title,
         [header for header, _ in columns],
         [
             [
-                cell.format(row) if isinstance(cell, str) else cell(row)
+                cell.format(**row) if isinstance(cell, str) else cell(row)
                 for _, cell in columns
             ]
             for row in rows
@@ -47,12 +84,46 @@ def format_rows(
     )
 
 
-def estimator_pairs(rows: Iterable[Any], key: str) -> List[Tuple[Any, Any, Any]]:
-    """``(value, sLL row, PCSA row)`` per value of the ``key`` field, ascending."""
-    by: dict[Any, dict[str, Any]] = {}
-    for row in rows:
-        by.setdefault(getattr(row, key), {})[row.estimator] = row
-    return [(value, by[value]["sll"], by[value]["pcsa"]) for value in sorted(by)]
+def table(
+    stem: str,
+    title: str,
+    columns: Sequence[Tuple[str, Column]],
+    pair: Optional[str] = None,
+) -> Render:
+    """The ``render`` of an entry printing one table, ``stem``.
+
+    ``title`` is a ``str.format`` template over the entry's params; the
+    rows render through :func:`format_rows`.
+    """
+
+    def render(rows: Iterable[Row], params: Dict[str, Any]) -> Dict[str, str]:
+        return {stem: format_rows(title.format(**params), columns, rows, pair)}
+
+    return render
+
+
+def key_values(
+    stem: str,
+    title: str,
+    lines: Sequence[Tuple[str, Union[str, Callable[[Row], object]]]],
+) -> Render:
+    """The ``render`` of an entry whose one row prints as key/value lines.
+
+    A line's value is the row field it names, or a function of the row.
+    """
+
+    def render(row: Row, params: Dict[str, Any]) -> Dict[str, str]:
+        return {
+            stem: format_kv(
+                title.format(**params),
+                [
+                    (key, row[value] if isinstance(value, str) else value(row))
+                    for key, value in lines
+                ],
+            )
+        }
+
+    return render
 
 
 def format_kv(title: str, pairs: Sequence[tuple[str, object]]) -> str:

@@ -10,35 +10,27 @@ overhead of routing around the corpses, for several replication degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
+from repro.errors import ConfigurationError
 from repro.experiments.common import (
     Experiment,
     Params,
+    Row,
+    mean_over_draws,
     populate_metric,
     sample_counts,
 )
-from repro.experiments.report import format_rows
+from repro.experiments.report import table
 from repro.overlay.chord import ChordRing
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
-__all__ = ["ROBUSTNESS", "RobustnessRow", "format_robustness"]
-
-
-@dataclass
-class RobustnessRow:
-    """Error and cost at one (p_f, R) point."""
-
-    p_f: float
-    replication: int
-    error_pct: float
-    hops: float
+__all__ = ["ROBUSTNESS"]
 
 
 def _robustness_cell(
@@ -52,10 +44,11 @@ def _robustness_cell(
     num_bitmaps: int,
     estimator: str,
     trials: int,
-) -> List[Tuple[float, float, float]]:
+) -> List[Row]:
     """One (replication, draw): degrade one deployment through every p_f.
 
-    Returns ``(p_f, error, hops)`` per fraction, in ascending order.
+    Gives one row per fraction, in ascending order, its error a fraction
+    that the reduce averages over the draws in percent.
     """
     items = np.arange(n_items, dtype=np.int64)
     ring = ChordRing.build(n_nodes, seed=derive_seed(seed, "ring", replication, draw))
@@ -73,7 +66,7 @@ def _robustness_cell(
         dhs, "docs", items, seed=derive_seed(seed, "load", replication, draw)
     )
     failed = 0
-    points: List[Tuple[float, float, float]] = []
+    points: List[Row] = []
     for p_f in failure_fractions:
         target = int(n_nodes * p_f)
         if target > failed:
@@ -89,7 +82,14 @@ def _robustness_cell(
             trials=trials,
             seed=derive_seed(seed, "origins", replication, draw, target),
         )
-        points.append((p_f, sample.mean_abs_rel_error(), sample.mean_hops()))
+        points.append(
+            dict(
+                p_f=p_f,
+                replication=replication,
+                error_pct=sample.mean_abs_rel_error(),
+                hops=sample.mean_hops(),
+            )
+        )
     return points
 
 
@@ -104,7 +104,9 @@ def _cells(params: Params) -> List[TrialSpec]:
     """
     fractions = tuple(params["failure_fractions"])
     if list(fractions) != sorted(fractions):
-        raise ValueError("failure_fractions must be ascending")
+        raise ConfigurationError(
+            f"failure_fractions must be ascending, got {fractions}"
+        )
     return [
         TrialSpec(
             fn=_robustness_cell,
@@ -118,40 +120,6 @@ def _cells(params: Params) -> List[TrialSpec]:
         for replication in params["replications"]
         for draw in range(params["draws"])
     ]
-
-
-def _reduce(
-    results: List[List[Tuple[float, float, float]]], params: Params
-) -> List[RobustnessRow]:
-    """Average every (p_f, R) point over its draws."""
-    draws = params["draws"]
-    rows: List[RobustnessRow] = []
-    for index, replication in enumerate(params["replications"]):
-        # One tuple per p_f, holding that point of every draw.
-        for points in zip(*results[index * draws : (index + 1) * draws]):
-            rows.append(
-                RobustnessRow(
-                    p_f=points[0][0],
-                    replication=replication,
-                    error_pct=100 * sum(error for _, error, _ in points) / draws,
-                    hops=sum(hops for _, _, hops in points) / draws,
-                )
-            )
-    return rows
-
-
-def format_robustness(rows: List[RobustnessRow]) -> str:
-    """Render the (p_f x R) grid."""
-    return format_rows(
-        "Counting under undetected failures (section 3.5, lazy p_f model)",
-        [
-            ("p_f", "{0.p_f:.2f}"),
-            ("R", "{0.replication}"),
-            ("error %", "{0.error_pct:.1f}"),
-            ("hops", "{0.hops:.0f}"),
-        ],
-        rows,
-    )
 
 
 ROBUSTNESS = Experiment(
@@ -170,6 +138,15 @@ ROBUSTNESS = Experiment(
         draws=3,
     ),
     cells=_cells,
-    reduce=_reduce,
-    render=lambda rows, params: {"failure_robustness": format_robustness(rows)},
+    reduce=mean_over_draws("draws", {"error_pct": 100, "hops": 1}),
+    render=table(
+        "failure_robustness",
+        "Counting under undetected failures (section 3.5, lazy p_f model)",
+        [
+            ("p_f", "{p_f:.2f}"),
+            ("R", "{replication}"),
+            ("error %", "{error_pct:.1f}"),
+            ("hops", "{hops:.0f}"),
+        ],
+    ),
 )

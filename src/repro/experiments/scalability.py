@@ -20,7 +20,6 @@ any ``DHS_JOBS`` width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -30,11 +29,12 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import (
     Experiment,
     Params,
+    Row,
     build_ring,
     concat,
     count_both,
 )
-from repro.experiments.report import estimator_pairs, format_rows
+from repro.experiments.report import table
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.multitenant import load_balance
@@ -42,29 +42,13 @@ from repro.workloads.relations import make_relation
 
 __all__ = [
     "SCALABILITY",
-    "ScalabilityRow",
     "fit_log2_coefficient",
-    "format_scalability",
     "sweep_node_counts",
 ]
 
 #: Largest overlay the paper actually evaluated (everything above is
 #: extrapolation); the O(log N) fit is anchored to cells at or below it.
 PAPER_MAX_NODES = 10_240
-
-
-@dataclass
-class ScalabilityRow:
-    """Mean counting cost at one network size."""
-
-    n_nodes: int
-    estimator: str
-    hops: float
-    nodes_visited: float
-    lookups: float
-    error: float = 0.0
-    load_max_mean: float = 0.0
-    load_gini: float = 0.0
 
 
 def sweep_node_counts(
@@ -93,7 +77,7 @@ def _scalability_cell(
     num_bitmaps: int,
     scale: float,
     trials: int,
-) -> List[ScalabilityRow]:
+) -> List[Row]:
     """One network size: same workload (same ``rel`` sub-seed) every cell."""
     n_items = max(1000, int(20_000_000 * scale))
     relation = make_relation("R", n_items, seed=derive_seed(seed, "rel"))
@@ -107,7 +91,7 @@ def _scalability_cell(
         )
     )
     return [
-        ScalabilityRow(
+        dict(
             n_nodes=n_nodes,
             estimator=estimator,
             hops=sample.mean_hops(),
@@ -131,7 +115,7 @@ def _cells(params: Params) -> List[TrialSpec]:
 
 
 def fit_log2_coefficient(
-    rows: Sequence[ScalabilityRow], max_fit_nodes: int = PAPER_MAX_NODES
+    rows: Sequence[Row], max_fit_nodes: int = PAPER_MAX_NODES
 ) -> float:
     """Through-origin least-squares ``c`` in ``hops ~ c * log2 N``.
 
@@ -142,31 +126,21 @@ def fit_log2_coefficient(
     numerator = 0.0
     denominator = 0.0
     for row in rows:
-        if row.n_nodes > max_fit_nodes:
+        if row["n_nodes"] > max_fit_nodes:
             continue
-        x = math.log2(row.n_nodes)
-        numerator += x * row.hops
+        x = math.log2(row["n_nodes"])
+        numerator += x * row["hops"]
         denominator += x * x
     return numerator / denominator if denominator else 0.0
 
 
-def format_scalability(rows: List[ScalabilityRow]) -> str:
-    """Render the scalability sweep against the O(log N) fit."""
+def _with_fit(results: List[List[Row]], params: Params) -> List[Row]:
+    """Every cell's rows, each with ``fit_hops``, the fit's hops at its N."""
+    rows = concat(results, params)
     coefficient = fit_log2_coefficient(rows)
-    return format_rows(
-        "Scalability: counting cost vs network size (sLL/PCSA)",
-        [
-            ("nodes", "{0[0]}"),
-            ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
-            ("c*log2N", lambda pair: f"{coefficient * math.log2(pair[0]):.0f}"),
-            ("nodes visited", "{0[1].nodes_visited:.0f} / {0[2].nodes_visited:.0f}"),
-            ("DHT lookups", "{0[1].lookups:.0f} / {0[2].lookups:.0f}"),
-            ("err", lambda p: f"{100.0 * p[1].error:.1f} / {100.0 * p[2].error:.1f}%"),
-            ("load max/mean", "{0[1].load_max_mean:.2f}"),
-            ("gini", "{0[1].load_gini:.3f}"),
-        ],
-        estimator_pairs(rows, "n_nodes"),
-    )
+    return [
+        {**row, "fit_hops": coefficient * math.log2(row["n_nodes"])} for row in rows
+    ]
 
 
 SCALABILITY = Experiment(
@@ -181,8 +155,28 @@ SCALABILITY = Experiment(
         trials=3,
     ),
     cells=_cells,
-    reduce=concat,
-    render=lambda rows, params: {"scalability": format_scalability(rows)},
+    reduce=_with_fit,
+    render=table(
+        "scalability",
+        "Scalability: counting cost vs network size (sLL/PCSA)",
+        [
+            ("nodes", "{n_nodes}"),
+            ("hops", "{sll[hops]:.0f} / {pcsa[hops]:.0f}"),
+            ("c*log2N", "{sll[fit_hops]:.0f}"),
+            ("nodes visited", "{sll[nodes_visited]:.0f} / {pcsa[nodes_visited]:.0f}"),
+            ("DHT lookups", "{sll[lookups]:.0f} / {pcsa[lookups]:.0f}"),
+            (
+                "err",
+                lambda pair: (
+                    f"{100.0 * pair['sll']['error']:.1f} / "
+                    f"{100.0 * pair['pcsa']['error']:.1f}%"
+                ),
+            ),
+            ("load max/mean", "{sll[load_max_mean]:.2f}"),
+            ("gini", "{sll[load_gini]:.3f}"),
+        ],
+        pair="n_nodes",
+    ),
     # --nodes N caps the geometric N=10^3 -> N ladder (1000000 runs the
     # full 1e3/1e4/1e5/1e6 sweep); the workload stays fixed.
     node_params=lambda n_nodes: {"node_counts": sweep_node_counts(n_nodes)},

@@ -40,7 +40,6 @@ across runs and worker counts).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DHSConfig
@@ -48,9 +47,9 @@ from repro.core.dhs import DistributedHashSketch
 from repro.core.maintenance import MaintenanceConfig
 from repro.core.policy import RetryPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.common import Experiment, Params
-from repro.experiments.faultmatrix import FAULTMATRIX, FaultMatrixRow
-from repro.experiments.report import format_rows
+from repro.experiments.common import Experiment, Params, Row
+from repro.experiments.faultmatrix import FAULTMATRIX
+from repro.experiments.report import table
 from repro.overlay.chord import ChordRing
 from repro.overlay.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.sim.parallel import TrialSpec
@@ -61,8 +60,6 @@ __all__ = [
     "SOAK",
     "SOAK_FAULT_CYCLE",
     "SOAK_POLICIES",
-    "SoakRow",
-    "format_soak",
     "soak_plan",
 ]
 
@@ -76,26 +73,6 @@ SOAK_POLICIES: Dict[str, Optional[int]] = {
 }
 
 _RETRY = RetryPolicy(max_attempts=3, backoff_hops=1)
-
-
-@dataclass
-class SoakRow:
-    """One policy's health trajectory over the whole soak run."""
-
-    policy: str
-    ticks: int
-    faults: int
-    mean_divergence: float
-    peak_divergence: int
-    final_divergence: int
-    mean_convergence_ticks: float
-    repair_kb: float
-    repair_writes: int
-    mean_underread_pct: float
-    final_underread_pct: float
-    degraded_pct: float
-    min_confidence: float
-    trace_digest: str
 
 
 def soak_plan(
@@ -160,7 +137,7 @@ def _soak_cell(
     estimator: str,
     replication: int,
     count_every: int,
-) -> SoakRow:
+) -> Row:
     """One policy soaked over the full schedule.
 
     Every seed path deliberately excludes ``policy_name``: both policies
@@ -262,7 +239,7 @@ def _soak_cell(
         convergence.append((healed if healed is not None else horizon) - start)
     digest = hashlib.blake2b(repr(trace).encode(), digest_size=16).hexdigest()
     n_counts = max(1, len(underreads))
-    return SoakRow(
+    return dict(
         policy=policy_name,
         ticks=ticks,
         faults=len(plan.events),
@@ -300,52 +277,47 @@ def _gate_params(params: Params) -> Params:
     return FAULTMATRIX.resolve({**params["gate"], "seed": params["seed"]})
 
 
-def _reduce(
-    results: List[Any], params: Params
-) -> Tuple[List[SoakRow], List[FaultMatrixRow]]:
+def _reduce(results: List[Any], params: Params) -> Tuple[List[Row], List[Row]]:
     """The soak rows, and the gate's fault-matrix rows."""
     split = len(params["policies"])
     return results[:split], FAULTMATRIX.fold(results[split:], _gate_params(params))
 
 
-def format_soak(rows: List[SoakRow]) -> str:
-    """Render the soak comparison."""
-    return format_rows(
-        "Continuous-churn soak: divergence, convergence and repair cost",
-        [
-            ("policy", "{0.policy}"),
-            ("ticks", "{0.ticks}"),
-            ("faults", "{0.faults}"),
-            ("div mean", "{0.mean_divergence:.1f}"),
-            ("div peak", "{0.peak_divergence}"),
-            ("div end", "{0.final_divergence}"),
-            ("conv ticks", "{0.mean_convergence_ticks:.1f}"),
-            ("repair kB", "{0.repair_kb:.1f}"),
-            ("writes", "{0.repair_writes}"),
-            ("under %", "{0.mean_underread_pct:.1f}"),
-            ("end under %", "{0.final_underread_pct:.1f}"),
-            ("degr %", "{0.degraded_pct:.0f}"),
-            ("min conf", "{0.min_confidence:.3f}"),
-        ],
-        rows,
-    )
+_TABLE = table(
+    "soak",
+    "Continuous-churn soak: divergence, convergence and repair cost",
+    [
+        ("policy", "{policy}"),
+        ("ticks", "{ticks}"),
+        ("faults", "{faults}"),
+        ("div mean", "{mean_divergence:.1f}"),
+        ("div peak", "{peak_divergence}"),
+        ("div end", "{final_divergence}"),
+        ("conv ticks", "{mean_convergence_ticks:.1f}"),
+        ("repair kB", "{repair_kb:.1f}"),
+        ("writes", "{repair_writes}"),
+        ("under %", "{mean_underread_pct:.1f}"),
+        ("end under %", "{final_underread_pct:.1f}"),
+        ("degr %", "{degraded_pct:.0f}"),
+        ("min conf", "{min_confidence:.3f}"),
+    ],
+)
 
 
-def _render(
-    rows: Tuple[List[SoakRow], List[FaultMatrixRow]], params: Params
-) -> Dict[str, str]:
+def _render(rows: Tuple[List[Row], List[Row]], params: Params) -> Dict[str, str]:
+    """The soak table with its bandwidth line, and the gate's lines."""
     soak, gate = rows
-    by = {row.policy: row for row in soak}
-    texts = {"soak": format_soak(soak)}
+    by = {row["policy"]: row for row in soak}
+    texts = _TABLE(soak, params)
     if "antientropy" in by:
         ae = by["antientropy"]
-        rounds = max(1, ae.ticks)  # antientropy_every=1: one round per tick
+        rounds = max(1, ae["ticks"])  # antientropy_every=1: one round per tick
         texts["soak"] += (
-            f"\nanti-entropy repair bandwidth: {ae.repair_kb:.1f} kB over "
-            f"{rounds} rounds ({1024 * ae.repair_kb / rounds:.0f} B/round, "
-            f"{ae.repair_writes} entries rewritten)"
+            f"\nanti-entropy repair bandwidth: {ae['repair_kb']:.1f} kB over "
+            f"{rounds} rounds ({1024 * ae['repair_kb'] / rounds:.0f} B/round, "
+            f"{ae['repair_writes']} entries rewritten)"
         )
-    cells = {(row.fault, row.intensity, row.policy): row for row in gate}
+    cells = {(row["fault"], row["intensity"], row["policy"]): row for row in gate}
     gate_params = _gate_params(params)
     lines: List[str] = []
     for fault in gate_params["fault_kinds"]:
@@ -354,8 +326,8 @@ def _render(
             ae = cells[(fault, intensity, "retry+repair")]
             lines.append(
                 f"{fault:10s} p={intensity:.2f}  "
-                f"readrepair under-read {rr.underread_pct:5.1f}%  ->  "
-                f"antientropy {ae.underread_pct:5.1f}%"
+                f"readrepair under-read {rr['underread_pct']:5.1f}%  ->  "
+                f"antientropy {ae['underread_pct']:5.1f}%"
             )
     texts["soak_gate"] = "Anti-entropy under-read gate\n" + "\n".join(lines)
     return texts

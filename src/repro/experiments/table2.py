@@ -12,35 +12,23 @@ setup of evaluating DHS-sLL and DHS-PCSA "within DHS".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.core.config import DHSConfig
 from repro.experiments.common import (
     Experiment,
     Params,
+    Row,
     build_ring,
     concat,
     count_both,
 )
-from repro.experiments.report import estimator_pairs, format_rows
+from repro.experiments.report import table
 from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed
 from repro.workloads.relations import standard_relations
 
-__all__ = ["TABLE2", "Table2Row", "format_table2"]
-
-
-@dataclass
-class Table2Row:
-    """One (m, estimator) cell row of Table 2."""
-
-    m: int
-    estimator: str
-    nodes_visited: float
-    hops: float
-    bw_kbytes: float
-    error_pct: float
+__all__ = ["TABLE2"]
 
 
 def _table2_cell(
@@ -52,14 +40,14 @@ def _table2_cell(
     trials: int,
     lim: int,
     key_bits: int,
-) -> List[Table2Row]:
+) -> List[Row]:
     """One ``m``: populate once, count with both estimators."""
     relations = standard_relations(scale=scale, seed=derive_seed(seed, "relations"))
     ring = build_ring(n_nodes, seed=derive_seed(seed, "ring", m))
     config = DHSConfig(key_bits=key_bits, num_bitmaps=m, lim=lim, hash_seed=seed)
     _, samples = count_both(ring, config, relations, seed, trials, m)
     return [
-        Table2Row(
+        dict(
             m=m,
             estimator=estimator,
             nodes_visited=sample.mean_nodes(),
@@ -69,21 +57,6 @@ def _table2_cell(
         )
         for estimator, sample in samples.items()
     ]
-
-
-def format_table2(rows: List[Table2Row], scale: float) -> str:
-    """Render the rows like the paper's Table 2 (sLL/PCSA pairs)."""
-    return format_rows(
-        f"Table 2: counting costs, sLL/PCSA (workload scale {scale:g})",
-        [
-            ("m", "{0[0]}"),
-            ("nodes visited", "{0[1].nodes_visited:.0f} / {0[2].nodes_visited:.0f}"),
-            ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
-            ("BW (kBytes)", "{0[1].bw_kbytes:.1f} / {0[2].bw_kbytes:.1f}"),
-            ("error (%)", "{0[1].error_pct:.1f} / {0[2].error_pct:.1f}"),
-        ],
-        estimator_pairs(rows, "m"),
-    )
 
 
 def _cells(params: Params) -> List[TrialSpec]:
@@ -114,7 +87,16 @@ TABLE2 = Experiment(
     ),
     cells=_cells,
     reduce=concat,
-    render=lambda rows, params: {
-        "table2_counting": format_table2(rows, params["scale"])
-    },
+    render=table(
+        "table2_counting",
+        "Table 2: counting costs, sLL/PCSA (workload scale {scale:g})",
+        [
+            ("m", "{m}"),
+            ("nodes visited", "{sll[nodes_visited]:.0f} / {pcsa[nodes_visited]:.0f}"),
+            ("hops", "{sll[hops]:.0f} / {pcsa[hops]:.0f}"),
+            ("BW (kBytes)", "{sll[bw_kbytes]:.1f} / {pcsa[bw_kbytes]:.1f}"),
+            ("error (%)", "{sll[error_pct]:.1f} / {pcsa[error_pct]:.1f}"),
+        ],
+        pair="m",
+    ),
 )

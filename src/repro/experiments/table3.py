@@ -11,7 +11,6 @@ claim: one ``m``, 10 and 100 buckets, at ``seed + 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.core.config import DHSConfig
@@ -19,10 +18,11 @@ from repro.core.dhs import DistributedHashSketch
 from repro.experiments.common import (
     Experiment,
     Params,
+    Row,
     build_ring,
     populate_histogram_metrics,
 )
-from repro.experiments.report import estimator_pairs, format_rows
+from repro.experiments.report import table
 from repro.histograms.buckets import BucketSpec
 from repro.histograms.builder import DHSHistogramBuilder
 from repro.histograms.histogram import Histogram
@@ -30,19 +30,7 @@ from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 from repro.workloads.relations import make_relation
 
-__all__ = ["TABLE3", "Table3Row", "format_table3", "reconstruct_both"]
-
-
-@dataclass
-class Table3Row:
-    """One (m, estimator) row of Table 3 plus accuracy diagnostics."""
-
-    m: int
-    estimator: str
-    nodes_visited: float
-    hops: float
-    bw_kbytes: float
-    mean_cell_error_pct: float
+__all__ = ["TABLE3", "reconstruct_both"]
 
 
 def reconstruct_both(
@@ -97,11 +85,11 @@ def _table3_cell(
     n_buckets: int,
     scale: float,
     trials: int,
-) -> List[Table3Row]:
+) -> List[Row]:
     """One ``m``: rebuild the workload, reconstruct with both estimators."""
     n_items = max(2000, int(20_000_000 * scale))
     return [
-        Table3Row(
+        dict(
             m=m,
             estimator=estimator,
             nodes_visited=sum(run.count_result.unique_probed for run in runs) / trials,
@@ -123,24 +111,6 @@ def _table3_cell(
     ]
 
 
-def format_table3(rows: List[Table3Row], scale: float) -> str:
-    """Render like the paper's Table 3 (sLL/PCSA pairs) + accuracy."""
-    return format_rows(
-        f"Table 3: histogram reconstruction, sLL/PCSA (scale {scale:g})",
-        [
-            ("m", "{0[0]}"),
-            ("nodes visited", "{0[1].nodes_visited:.0f} / {0[2].nodes_visited:.0f}"),
-            ("hops", "{0[1].hops:.0f} / {0[2].hops:.0f}"),
-            ("BW (kBytes)", "{0[1].bw_kbytes:.1f} / {0[2].bw_kbytes:.1f}"),
-            (
-                "cell err (%)",
-                "{0[1].mean_cell_error_pct:.1f} / {0[2].mean_cell_error_pct:.1f}",
-            ),
-        ],
-        estimator_pairs(rows, "m"),
-    )
-
-
 def _cells(params: Params) -> List[TrialSpec]:
     table = [
         TrialSpec(fn=_table3_cell, seed=params["seed"], kwargs={"m": m})
@@ -158,29 +128,47 @@ def _cells(params: Params) -> List[TrialSpec]:
 
 
 def _reduce(
-    results: List[List[Table3Row]], params: Params
-) -> Tuple[List[Table3Row], List[Table3Row]]:
+    results: List[List[Row]], params: Params
+) -> Tuple[List[Row], List[Row]]:
     """The table's rows, and the sLL row of each bucket count."""
     split = len(params["ms"])
     table = [row for rows in results[:split] for row in rows]
     pair = [
-        row for rows in results[split:] for row in rows if row.estimator == "sll"
+        row for rows in results[split:] for row in rows if row["estimator"] == "sll"
     ]
     return table, pair
 
 
-def _render(
-    rows: Tuple[List[Table3Row], List[Table3Row]], params: Params
-) -> Dict[str, str]:
-    table, pair = rows
+_TABLE = table(
+    "table3_histograms",
+    "Table 3: histogram reconstruction, sLL/PCSA (scale {scale:g})",
+    [
+        ("m", "{m}"),
+        ("nodes visited", "{sll[nodes_visited]:.0f} / {pcsa[nodes_visited]:.0f}"),
+        ("hops", "{sll[hops]:.0f} / {pcsa[hops]:.0f}"),
+        ("BW (kBytes)", "{sll[bw_kbytes]:.1f} / {pcsa[bw_kbytes]:.1f}"),
+        (
+            "cell err (%)",
+            "{sll[mean_cell_error_pct]:.1f} / {pcsa[mean_cell_error_pct]:.1f}",
+        ),
+    ],
+    pair="m",
+)
+
+
+def _render(rows: Tuple[List[Row], List[Row]], params: Params) -> Dict[str, str]:
+    """The table, and the bucket-count pair's hops and bytes."""
+    rows_by_m, pair = rows
     counts = params["bucket_counts"]
+    hops = [f"{row['hops']:.0f}" for row in pair]
+    kbytes = [f"{row['bw_kbytes']:.1f} kB" for row in pair]
     return {
-        "table3_histograms": format_table3(table, params["scale"]),
+        **_TABLE(rows_by_m, params),
         "table3_bucket_independence": (
             f"Histogram reconstruction: {' vs '.join(map(str, counts))} buckets "
             f"(m={params['bucket_m']}, sLL)\n"
-            f"hops:  {' -> '.join(f'{row.hops:.0f}' for row in pair)}\n"
-            f"bytes: {' -> '.join(f'{row.bw_kbytes:.1f} kB' for row in pair)}"
+            f"hops:  {' -> '.join(hops)}\n"
+            f"bytes: {' -> '.join(kbytes)}"
         ),
     }
 

@@ -18,17 +18,24 @@ from __future__ import annotations
 import pathlib
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
-from repro.experiments.common import Experiment, build_ring, populate_metric
+from repro.experiments.common import (
+    Experiment,
+    Params,
+    build_ring,
+    first,
+    populate_metric,
+)
 from repro.obs import runtime as obs
 from repro.obs.export import LoadRow, dumps_jsonl, format_load_table, format_snapshot, render_span_tree
 from repro.obs.metrics import MetricsRegistry, Snapshot
 from repro.obs.span import Span, Tracer
+from repro.sim.parallel import TrialSpec
 from repro.sim.seeds import derive_seed, rng_for
 
 __all__ = [
@@ -37,7 +44,6 @@ __all__ = [
     "TraceRun",
     "run_traced_count",
     "build_load_rows",
-    "format_trace",
 ]
 
 
@@ -139,9 +145,13 @@ def run_traced_count(scenario: TraceScenario = TraceScenario()) -> TraceRun:
     )
 
 
-def format_trace(run: TraceRun, max_spans: int = 120) -> str:
+#: Spans the report's tree shows, from the first.
+_MAX_SPANS = 120
+
+
+def _render(run: TraceRun, params: Params) -> Dict[str, str]:
     """The ``repro trace`` report: span tree, metrics, load table."""
-    shown = run.spans[:max_spans]
+    shown = run.spans[:_MAX_SPANS]
     parts: List[str] = []
     header: Dict[str, str] = {
         "seed": str(run.scenario.seed),
@@ -171,12 +181,17 @@ def format_trace(run: TraceRun, max_spans: int = 120) -> str:
             run.load_rows, title="Per-interval query access load (paper Fig. 7)"
         )
     )
-    return "\n".join(parts)
+    return {"trace": "\n".join(parts)}
 
 
-def _run(trace_jsonl: Optional[str] = None, **scenario: Any) -> TraceRun:
-    """The traced run; ``trace_jsonl`` also dumps its spans to that path."""
-    run = run_traced_count(TraceScenario(**scenario))
+def _run(
+    seed: int, *, scenario: TraceScenario, trace_jsonl: Optional[str]
+) -> TraceRun:
+    """The traced run of ``scenario``, which carries ``seed`` too.
+
+    ``trace_jsonl`` also dumps its spans to that path.
+    """
+    run = run_traced_count(scenario)
     if trace_jsonl is not None:
         path = pathlib.Path(trace_jsonl)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -184,11 +199,18 @@ def _run(trace_jsonl: Optional[str] = None, **scenario: Any) -> TraceRun:
     return run
 
 
+def _cells(params: Params) -> List[TrialSpec]:
+    """One cell: the scenario of the params, seed included."""
+    scenario = TraceScenario(**{name: params[name] for name in asdict(TraceScenario())})
+    return [TrialSpec(fn=_run, seed=params["seed"], kwargs={"scenario": scenario})]
+
+
 TRACE = Experiment(
     name="trace",
     description="traced count: span tree, metrics, Fig. 7 load table",
     results=(),
     params={**asdict(TraceScenario()), "trace_jsonl": None},
-    run=_run,
-    render=lambda run, params: {"trace": format_trace(run)},
+    cells=_cells,
+    reduce=first,
+    render=_render,
 )

@@ -21,10 +21,10 @@ worker count or scheduling order.  This holds because:
   rule DHS502 enforces this at the call sites;
 * results are collected in **submission order**, not completion order.
 
-Drivers whose trials share a sequential RNG stream across cells (e.g.
+An experiment whose trials share a sequential RNG stream (e.g.
 ``multidim``, which advances one ``Counter`` over every metric batch)
-cannot be split without changing their output and deliberately stay
-serial.
+cannot be split without changing its output, so its grid is one cell;
+a single spec always runs in-process, so it stays serial at any width.
 
 ``DHS_JOBS`` (default 1) selects the pool width when the caller does not
 pass ``jobs`` explicitly; ``DHS_JOBS=1`` short-circuits to a plain
@@ -40,8 +40,9 @@ and the parallel path alike.  Using the same capture-and-merge sequence
 on both paths is what makes ``snapshot()`` bit-identical at any
 ``DHS_JOBS`` width even for float-valued counters, whose addition is
 order-sensitive (tests/obs/test_parallel_metrics.py pins this).
-Span tracing does not cross process boundaries: traced runs (the golden
-trace, ``repro.cli trace``) run serially by convention.
+Span tracing does not cross process boundaries: the traced run (the
+golden trace, ``python -m repro trace``) is a one-cell grid, so it runs
+in-process.
 """
 
 from __future__ import annotations

@@ -8,16 +8,10 @@ at miniature scale so the suite stays fast.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.accuracy import format_accuracy
-from repro.experiments.baselines import format_baselines
 from repro.experiments.common import CountSample, env_scale
-from repro.experiments.histogram_accuracy import format_histogram_accuracy
-from repro.experiments.multidim import format_multidim
 from repro.experiments.registry import run
 from repro.experiments.report import format_kv, format_table
-from repro.experiments.scalability import format_scalability
-from repro.experiments.table2 import format_table2
-from repro.experiments.table3 import format_table3
+from tests.experiments.rendering import render
 
 
 class TestReport:
@@ -83,24 +77,24 @@ class TestTable2:
 
     def test_rows_well_formed(self, table2_rows):
         for row in table2_rows:
-            assert row.estimator in ("sll", "pcsa")
-            assert row.hops > 0
-            assert row.bw_kbytes > 0
-            assert row.error_pct >= 0
+            assert row["estimator"] in ("sll", "pcsa")
+            assert row["hops"] > 0
+            assert row["bw_kbytes"] > 0
+            assert row["error_pct"] >= 0
 
     def test_bandwidth_grows_with_m(self, table2_rows):
-        by = {(r.m, r.estimator): r for r in table2_rows}
-        assert by[(64, "sll")].bw_kbytes > by[(16, "sll")].bw_kbytes
+        by = {(r["m"], r["estimator"]): r for r in table2_rows}
+        assert by[(64, "sll")]["bw_kbytes"] > by[(16, "sll")]["bw_kbytes"]
 
     def test_format(self, table2_rows):
-        text = format_table2(table2_rows, 5e-4)
+        text = render("table2", table2_rows, scale=5e-4)["table2_counting"]
         assert "Table 2" in text
         assert "64" in text
 
     def test_deterministic(self, table2_rows):
         again = run("table2", n_nodes=32, ms=(16, 64), scale=5e-4, trials=1, seed=3)
-        assert [(r.m, r.estimator, r.hops) for r in again] == [
-            (r.m, r.estimator, r.hops) for r in table2_rows
+        assert [(r["m"], r["estimator"], r["hops"]) for r in again] == [
+            (r["m"], r["estimator"], r["hops"]) for r in table2_rows
         ]
 
 
@@ -111,11 +105,11 @@ class TestTable3:
             bucket_counts=(),
         )
         assert len(rows) == 2
-        text = format_table3(rows, 2e-4)
+        text = render("table3", (rows, []), scale=2e-4, bucket_counts=())["table3_histograms"]
         assert "Table 3" in text
         for row in rows:
-            assert row.hops > 0
-            assert row.bw_kbytes > 0
+            assert row["hops"] > 0
+            assert row["bw_kbytes"] > 0
 
 
 class TestScalability:
@@ -124,11 +118,11 @@ class TestScalability:
             "scalability",
             node_counts=(16, 256), num_bitmaps=16, scale=2e-4, trials=2, seed=3
         )
-        by = {(r.n_nodes, r.estimator): r for r in rows}
-        assert by[(256, "sll")].hops > by[(16, "sll")].hops
+        by = {(r["n_nodes"], r["estimator"]): r for r in rows}
+        assert by[(256, "sll")]["hops"] > by[(16, "sll")]["hops"]
         # 16x more nodes must NOT mean 16x more hops (logarithmic cost).
-        assert by[(256, "sll")].hops < 6 * by[(16, "sll")].hops
-        assert "Scalability" in format_scalability(rows)
+        assert by[(256, "sll")]["hops"] < 6 * by[(16, "sll")]["hops"]
+        assert "Scalability" in render("scalability", rows)["scalability"]
 
     def test_rows_carry_error_and_load_balance(self):
         rows = run(
@@ -136,21 +130,18 @@ class TestScalability:
             node_counts=(32,), num_bitmaps=16, scale=2e-4, trials=2, seed=3
         )
         for row in rows:
-            assert row.error >= 0.0
-            assert row.load_max_mean >= 1.0
-            assert 0.0 <= row.load_gini < 1.0
+            assert row["error"] >= 0.0
+            assert row["load_max_mean"] >= 1.0
+            assert 0.0 <= row["load_gini"] < 1.0
 
     def test_log_fit_anchored_to_small_cells(self):
         import math
 
-        from repro.experiments.scalability import (
-            ScalabilityRow,
-            fit_log2_coefficient,
-        )
+        from repro.experiments.scalability import fit_log2_coefficient
 
         rows = [
-            ScalabilityRow(1024, "sll", hops=50.0, nodes_visited=1, lookups=1),
-            ScalabilityRow(100_000, "sll", hops=999.0, nodes_visited=1, lookups=1),
+            dict(n_nodes=1024, estimator="sll", hops=50.0, nodes_visited=1, lookups=1),
+            dict(n_nodes=100_000, estimator="sll", hops=999.0, nodes_visited=1, lookups=1),
         ]
         # Only the N<=1e4 cell shapes the fit: c = hops / log2(N).
         assert fit_log2_coefficient(rows) == pytest.approx(50.0 / 10.0)
@@ -170,8 +161,6 @@ class TestScalability:
 
 class TestMultitenant:
     def test_small_run_balances_and_counts(self):
-        from repro.experiments.multitenant import format_multitenant
-
         rows = run(
             "multitenant",
             node_counts=(32,),
@@ -184,12 +173,12 @@ class TestMultitenant:
         )
         assert len(rows) == 1
         row = rows[0]
-        assert row.active_tenants <= row.n_tenants
-        assert row.storage_max_mean >= 1.0
-        assert 0.0 <= row.storage_gini < 1.0
-        assert row.hops > 0 and row.error >= 0.0
-        assert row.membership_bytes_per_node == 8.0
-        assert "Multi-tenant" in format_multitenant(rows)
+        assert row["active_tenants"] <= row["n_tenants"]
+        assert row["storage_max_mean"] >= 1.0
+        assert 0.0 <= row["storage_gini"] < 1.0
+        assert row["hops"] > 0 and row["error"] >= 0.0
+        assert row["membership_bytes_per_node"] == 8.0
+        assert "Multi-tenant" in render("multitenant", rows)["multitenant"]
 
     def test_parallel_identity(self):
         kwargs = dict(
@@ -212,7 +201,7 @@ class TestAccuracy:
             "accuracy", ms=(16, 64), n_nodes=32, scale=1e-3, trials=1, hash_seeds=(0,), seed=3
         )
         assert len(rows) == 4
-        assert "Accuracy" in format_accuracy(rows)
+        assert "Accuracy" in render("accuracy", rows)["accuracy_vs_m"]
 
 
 class TestHistogramAccuracy:
@@ -222,9 +211,9 @@ class TestHistogramAccuracy:
         )
         assert len(rows) == 2
         for row in rows:
-            assert row.cell_error_pct >= 0
-            assert row.sketch_sigma_pct > 0
-        assert "Histogram" in format_histogram_accuracy(rows)
+            assert row["cell_error_pct"] >= 0
+            assert row["sketch_sigma_pct"] > 0
+        assert "Histogram" in render("histogram-accuracy", rows)["histogram_accuracy"]
 
 
 class TestInsertion:
@@ -232,12 +221,12 @@ class TestInsertion:
         report = run(
             "insertion", n_nodes=64, num_bitmaps=16, n_buckets=5, scale=2e-4, probe_inserts=100, seed=3
         )
-        assert 1 < report.mean_hops_per_insert < 12
-        assert report.mean_bytes_per_insert == pytest.approx(
-            8 * report.mean_hops_per_insert
+        assert 1 < report["mean_hops_per_insert"] < 12
+        assert report["mean_bytes_per_insert"] == pytest.approx(
+            8 * report["mean_hops_per_insert"]
         )
-        assert report.mean_storage_bytes_per_node <= report.theoretical_worst_case_bytes
-        assert "Insertion" in report.format()
+        assert report["mean_storage_bytes_per_node"] <= report["theoretical_worst_case_bytes"]
+        assert "Insertion" in render("insertion", report)["insertion_costs"]
 
 
 class TestQueryOpt:
@@ -245,10 +234,10 @@ class TestQueryOpt:
         report = run(
             "query-opt", n_nodes=32, num_bitmaps=32, n_buckets=5, scale=2e-4, seed=3
         )
-        assert report.oracle_shipped_mb <= report.naive_shipped_mb + 1e-9
-        assert report.chosen_shipped_mb > 0
-        assert report.histogram_cost_mb > 0
-        assert "Query optimization" in report.format()
+        assert report["oracle_shipped_mb"] <= report["naive_shipped_mb"] + 1e-9
+        assert report["chosen_shipped_mb"] > 0
+        assert report["histogram_cost_mb"] > 0
+        assert "Query optimization" in render("query-opt", report)["query_opt"]
 
 
 class TestBaselinesComparison:
@@ -257,7 +246,7 @@ class TestBaselinesComparison:
             "baselines", n_nodes=32, n_distinct=2000, total_items=5000, num_bitmaps=32,
             seed=3,
         )
-        methods = {row.method for row in rows}
+        methods = {row["method"] for row in rows}
         assert methods == {
             "DHS (sLL)",
             "single-node counter",
@@ -267,14 +256,14 @@ class TestBaselinesComparison:
             "convergecast (sketch)",
             "node sampling",
         }
-        assert "DHS" in format_baselines(rows)
+        assert "DHS" in render("baselines", rows, n_distinct=2000)["baselines"]
 
     def test_duplicate_sensitivity_flags(self):
         rows = run(
             "baselines", n_nodes=32, n_distinct=2000, total_items=5000, num_bitmaps=32,
             seed=3,
         )
-        flags = {row.method: row.duplicate_insensitive for row in rows}
+        flags = {row["method"]: row["duplicate_insensitive"] for row in rows}
         assert flags["DHS (sLL)"]
         assert flags["sketch gossip"]
         assert not flags["push-sum gossip"]
@@ -288,6 +277,6 @@ class TestMultiDim:
             num_bitmaps=16, trials=2, seed=3,
         )
         one, eight = rows[0], rows[1]
-        assert eight.bytes_kb > one.bytes_kb
-        assert eight.hops < 8 * max(one.hops, 1)
-        assert "Multi-dimension" in format_multidim(rows)
+        assert eight["bytes_kb"] > one["bytes_kb"]
+        assert eight["hops"] < 8 * max(one["hops"], 1)
+        assert "Multi-dimension" in render("multidim", rows)["multidim"]

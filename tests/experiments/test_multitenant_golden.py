@@ -12,11 +12,10 @@ after verifying the change is an intended behaviour change.
 
 import json
 import pathlib
-from dataclasses import asdict
 
-from repro.experiments.multitenant import format_multitenant
 from repro.experiments.registry import run
 from repro.workloads.multitenant import tenant_op_counts
+from tests.experiments.rendering import render
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "multitenant_golden.json"
 
@@ -49,6 +48,6 @@ class TestMultitenantGolden:
             jobs=1,
         )
         # Every numeric field exactly equal (JSON floats round-trip).
-        assert [asdict(row) for row in rows] == golden["rows"]
+        assert rows == golden["rows"]
         # ... and the rendered summary row byte-for-byte.
-        assert format_multitenant(rows) == golden["report"]
+        assert render("multitenant", rows, theta=params["theta"])["multitenant"] == golden["report"]

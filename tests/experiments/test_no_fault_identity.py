@@ -113,7 +113,7 @@ class TestGoldenDrivers:
             n_nodes=64, n_items=20_000, num_bitmaps=64, estimator="sll",
             trials=2, draws=2, seed=9,
         )
-        got = [[r.p_f, r.replication, r.error_pct, r.hops] for r in rows]
+        got = [[r["p_f"], r["replication"], r["error_pct"], r["hops"]] for r in rows]
         assert got == GOLDEN["drivers"]["robustness"]
 
     def test_accuracy_driver_unchanged(self):
@@ -123,7 +123,7 @@ class TestGoldenDrivers:
             trials=2, hash_seeds=(0, 1),
         )
         fields = GOLDEN["drivers"]["accuracy_fields"]
-        got = [[getattr(r, f) for f in fields] for r in rows]
+        got = [[r[f] for f in fields] for r in rows]
         assert got == GOLDEN["drivers"]["accuracy"]
 
 

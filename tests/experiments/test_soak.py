@@ -6,8 +6,9 @@ from repro.core.config import DHSConfig
 from repro.core.dhs import DistributedHashSketch
 from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, run
-from repro.experiments.soak import GATE, SOAK_FAULT_CYCLE, format_soak, soak_plan
+from repro.experiments.soak import GATE, SOAK_FAULT_CYCLE, soak_plan
 from repro.overlay.chord import ChordRing
+from tests.experiments.rendering import render
 
 SMOKE = dict(
     ticks=40, fault_every=10, fraction=0.15, duration=3,
@@ -18,14 +19,18 @@ SMOKE = dict(
 
 
 @pytest.fixture(scope="module")
-def rows():
-    rows, _ = run("soak", **SMOKE)
-    return rows
+def results():
+    return run("soak", **SMOKE)
+
+
+@pytest.fixture(scope="module")
+def rows(results):
+    return results[0]
 
 
 @pytest.fixture(scope="module")
 def by(rows):
-    return {row.policy: row for row in rows}
+    return {row["policy"]: row for row in rows}
 
 
 class TestPlan:
@@ -50,26 +55,26 @@ class TestPlan:
 
 class TestAcceptance:
     def test_antientropy_ends_converged(self, by):
-        assert by["antientropy"].final_divergence == 0
+        assert by["antientropy"]["final_divergence"] == 0
 
     def test_antientropy_bounds_divergence(self, by):
-        assert by["antientropy"].mean_divergence < by["readrepair"].mean_divergence
+        assert by["antientropy"]["mean_divergence"] < by["readrepair"]["mean_divergence"]
         assert (
-            by["antientropy"].mean_convergence_ticks
-            < by["readrepair"].mean_convergence_ticks
+            by["antientropy"]["mean_convergence_ticks"]
+            < by["readrepair"]["mean_convergence_ticks"]
         )
 
     def test_repair_bandwidth_is_charged(self, by):
         # Every reconciliation byte flows through the SizeModel; the
         # read-repair-only policy never pays any.
-        assert by["antientropy"].repair_kb > 0
-        assert by["antientropy"].repair_writes > 0
-        assert by["readrepair"].repair_kb == 0
+        assert by["antientropy"]["repair_kb"] > 0
+        assert by["antientropy"]["repair_writes"] > 0
+        assert by["readrepair"]["repair_kb"] == 0
 
     def test_antientropy_underreads_less(self, by):
         assert (
-            by["antientropy"].mean_underread_pct
-            < by["readrepair"].mean_underread_pct
+            by["antientropy"]["mean_underread_pct"]
+            < by["readrepair"]["mean_underread_pct"]
         )
 
 
@@ -82,27 +87,27 @@ class TestHarness:
         kwargs = dict(SMOKE, ticks=16, n_nodes=24, fault_every=None)
         first, _ = run("soak", jobs=1, **kwargs)
         second, _ = run("soak", jobs=2, **kwargs)
-        assert [r.trace_digest for r in first] == [r.trace_digest for r in second]
+        assert [r["trace_digest"] for r in first] == [r["trace_digest"] for r in second]
         for row in first:
-            assert row.faults == 0
-            assert row.final_divergence == 0
+            assert row["faults"] == 0
+            assert row["final_divergence"] == 0
 
     def test_no_fault_policies_estimate_identically(self):
         kwargs = dict(SMOKE, ticks=16, n_nodes=24, fault_every=None)
-        rows = {r.policy: r for r in run("soak", **kwargs)[0]}
+        rows = {r["policy"]: r for r in run("soak", **kwargs)[0]}
         # Reconciliation OR-merges existing values only, so with no
         # faults the two policies' counts cannot differ.
         assert (
-            rows["antientropy"].mean_underread_pct
-            == rows["readrepair"].mean_underread_pct
+            rows["antientropy"]["mean_underread_pct"]
+            == rows["readrepair"]["mean_underread_pct"]
         )
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             run("soak", policies=("wishful",), **SMOKE)
 
-    def test_format_renders_every_row(self, rows):
-        table = format_soak(rows)
+    def test_format_renders_every_row(self, results, rows):
+        table = render("soak", results, **SMOKE)["soak"]
         assert "div mean" in table and "repair kB" in table
         assert table.count("\n") >= len(rows)
 

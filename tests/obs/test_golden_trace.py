@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.tracing import TraceScenario, format_trace, run_traced_count
+from repro.experiments.tracing import TraceScenario, run_traced_count
+from tests.experiments.rendering import render
 
 FIXTURE = Path(__file__).parent / "golden_trace.jsonl"
 
@@ -104,7 +105,7 @@ class TestGoldenTrace:
             assert estimate == pytest.approx(run.truth, rel=0.5)
 
     def test_format_trace_renders(self, run):
-        text = format_trace(run)
+        text = render("trace", run)["trace"]
         assert "Span tree" in text
         assert "dhs.count" in text
         assert "Per-interval query access load" in text

@@ -102,9 +102,9 @@ class TestScaleSmoke:
         coefficient = fit_log2_coefficient(serial)
         assert coefficient > 0.0
         for row in serial:
-            if row.n_nodes == N_SCALE:
-                predicted = coefficient * math.log2(row.n_nodes)
-                assert row.hops <= 2.0 * predicted
+            if row["n_nodes"] == N_SCALE:
+                predicted = coefficient * math.log2(row["n_nodes"])
+                assert row["hops"] <= 2.0 * predicted
 
 
 #: What tracing (spans + events + counters) may add to a count, per
@@ -200,13 +200,13 @@ def test_zipf_populate_of_1e5_tenants_balance_and_budget():
 def test_long_soak_heals_and_is_byte_identical_across_jobs():
     gate = {**GATE, "n_nodes": 24, "n_items": 500, "trials": 1, "draws": 1}
     base = dict(ticks=200, n_nodes=128, items_per_tick=40, seed=3, gate=gate)
-    rows = {r.policy: r for r in run("soak", fault_every=25, **base)[0]}
+    rows = {r["policy"]: r for r in run("soak", fault_every=25, **base)[0]}
     antientropy = rows["antientropy"]
-    assert antientropy.faults > 0
-    assert antientropy.final_divergence == 0, "soak ended with standing divergence"
-    assert antientropy.mean_underread_pct < rows["readrepair"].mean_underread_pct
+    assert antientropy["faults"] > 0
+    assert antientropy["final_divergence"] == 0, "soak ended with standing divergence"
+    assert antientropy["mean_underread_pct"] < rows["readrepair"]["mean_underread_pct"]
 
     first, _ = run("soak", fault_every=None, jobs=1, **base)
     second, _ = run("soak", fault_every=None, jobs=2, **base)
-    assert [r.trace_digest for r in first] == [r.trace_digest for r in second]
-    assert all(r.final_divergence == 0 for r in first)
+    assert [r["trace_digest"] for r in first] == [r["trace_digest"] for r in second]
+    assert all(r["final_divergence"] == 0 for r in first)
