@@ -423,8 +423,6 @@ class Counter:
         """
         if not metric_ids:
             raise ValueError("count_many needs at least one metric id")
-        if len(set(metric_ids)) != len(metric_ids):
-            raise ValueError("metric ids must be unique")
         if origin is None:
             origin = self.dht.random_live_node(self._rng)
         if not obs.TRACING:
@@ -567,6 +565,10 @@ class Counter:
         request = self._requests.get(key)
         if request is not None:
             return request
+        # Checked once per layout: a request with a duplicate is never
+        # kept, so every count that repeats one raises here.
+        if len(set(metric_ids)) != len(metric_ids):
+            raise ValueError("metric ids must be unique")
         m = self.config.num_bitmaps
         lane = self._lane
         places = self._places

@@ -15,7 +15,17 @@ public API a downstream user works with::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # annotation only
     import random
@@ -41,6 +51,7 @@ from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.core.regstore import RegArena
 from repro.core.tuples import merge_store_values, storage_entries
 from repro.overlay.dht import DHTProtocol
+from repro.overlay.replication import ChainView
 from repro.overlay.stats import OpCost
 from repro.sketches.base import HashSketch
 
@@ -94,6 +105,10 @@ class DistributedHashSketch:
             policy=policy, arena=self.arena,
         )
         dht.store_merge = merge_store_values
+        #: The last anti-entropy round's view, with the change stamp
+        #: read after the round's own writes (see
+        #: :meth:`replica_divergence`).
+        self._round: Optional[Tuple[ChainView, int]] = None
 
     # ------------------------------------------------------------------
     # Writing.
@@ -232,7 +247,9 @@ class DistributedHashSketch:
         ``rng`` raises ``ValueError``.  See
         :func:`repro.core.maintenance.antientropy_sweep`.
         """
-        return antientropy_sweep(
+        self._round = None  # one round's view is kept at a time
+        view = ChainView(self.dht, now) if self.config.replication > 0 else None
+        stats = antientropy_sweep(
             self.dht,
             self.config.replication,
             now,
@@ -241,11 +258,28 @@ class DistributedHashSketch:
             arena=self.arena,
             sample=sample,
             rng=rng,
+            view=view,
         )
+        if view is not None:
+            self._round = (view, self.dht.stamp.value)
+        return stats
 
     def replica_divergence(self, now: int = 0) -> int:
-        """Missing replica copies across all chains (0 when converged)."""
-        return replica_divergence(self.dht, self.config.replication, now)
+        """Missing replica copies across all chains (0 when converged).
+
+        Reads the packed views of the anti-entropy round that ran just
+        before, when they are still exact: the same ``now``, and the
+        DHT's change stamp where the round left it (no store write,
+        join, leave, crash or fault-state change since).  Otherwise it
+        packs every node afresh.  Either way it returns what a fresh
+        recount returns.
+        """
+        view = None
+        if self._round is not None:
+            kept, stamp = self._round
+            if kept.now == now and stamp == self.dht.stamp.value:
+                view = kept
+        return replica_divergence(self.dht, self.config.replication, now, view)
 
     def make_scheduler(
         self,

@@ -75,8 +75,10 @@ def sweep_expired(dht: DHTProtocol, now: int) -> int:
     entries, so sweeping only reclaims storage.
     """
     removed = 0
-    for node_id in list(dht.node_ids()):
-        removed += purge_expired(dht.node(node_id), now)
+    for node_id in dht.node_ids():
+        node = dht.node_if_materialized(node_id)
+        if node is not None:  # a member never materialized stores nothing
+            removed += purge_expired(node, now)
     return removed
 
 
@@ -90,6 +92,7 @@ def antientropy_sweep(
     arena: Optional["RegArena"] = None,
     sample: Optional[int] = None,
     rng: Optional["random.Random"] = None,
+    view: Optional[ChainView] = None,
 ) -> AntiEntropyStats:
     """One proactive anti-entropy round (digest exchange + OR-merge).
 
@@ -108,6 +111,12 @@ def antientropy_sweep(
     A no-op (empty stats) when replication is disabled: with no chains
     there is nothing to reconcile, and pushing copies would manufacture
     replication the configuration never asked for.
+
+    The round runs on ``view`` when given (a fresh ``ChainView(dht,
+    now)`` the caller keeps), else on one built here.  The round
+    refreshes the view at every write, so afterwards it equals a fresh
+    scan: the facade hands it to the divergence gauge that follows
+    (:func:`replica_divergence`).
     """
     if replication <= 0:
         return AntiEntropyStats()
@@ -137,9 +146,8 @@ def antientropy_sweep(
         write_entry(node, metric, vector, bit, expiry, arena=arena)
 
     return antientropy_round(
-        dht,
+        view if view is not None else ChainView(dht, now),
         replication,
-        now,
         model=model,
         visible=visible,
         segment_of=segment_of,
@@ -149,7 +157,12 @@ def antientropy_sweep(
     )
 
 
-def replica_divergence(dht: DHTProtocol, replication: int, now: int = 0) -> int:
+def replica_divergence(
+    dht: DHTProtocol,
+    replication: int,
+    now: int = 0,
+    view: Optional[ChainView] = None,
+) -> int:
     """Total replica-chain divergence, in missing (node, entry) copies.
 
     For every responsive node, the live bits it is primary for (none of
@@ -159,10 +172,19 @@ def replica_divergence(dht: DHTProtocol, replication: int, now: int = 0) -> int:
     replication covers chains, so no-fault runs sit at zero — and the
     soak experiment's central gauge: after a fault it spikes, and
     bounded anti-entropy rounds must drive it back to zero.
+
+    ``view``, when given, is the view of the anti-entropy round that
+    ran just before, still exact: asked at the same ``now``, with the
+    deployment's change stamp where it was after the round's last
+    write (no store write, join, leave, crash or fault-clock step
+    since).  The gauge then pays only for its popcounts and for packing
+    the nodes a sampled round skipped.  Without one, it packs every
+    node into a fresh view.
     """
     if replication <= 0:
         return 0
-    view = ChainView(dht, now)
+    if view is None:
+        view = ChainView(dht, now)
     view.pack(view.ids)  # the gauge reads every node: no int goes stale
     total = 0
     for node_id in view.ids:

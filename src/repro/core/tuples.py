@@ -23,8 +23,10 @@ Two storage backends share this slot interface
 
 Every function here accepts either slot type; passing an ``arena``
 selects which one a fresh slot becomes.  Every writer here, and a sweep
-that removes an entry, also drops the node's derived counting rows
-(``Node.read_rows``, see :mod:`repro.core.count`).
+that removes an entry, marks the change with
+:func:`~repro.overlay.node.store_changed`: it drops the node's derived
+counting rows (``Node.read_rows``, see :mod:`repro.core.count`) and
+moves the deployment's change stamp.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
 import numpy as np
 import numpy.typing as npt
 
-from repro.overlay.node import Node, StoreValue
+from repro.overlay.node import Node, StoreValue, store_changed
 
 if TYPE_CHECKING:  # imported for annotations only — no runtime cycle
     from repro.core.regstore import RegArena
@@ -158,10 +160,10 @@ def _slot_for(
 ) -> PackedSlot:
     """The slot for ``(metric_id, bit)``, created on the chosen backend.
 
-    Every writer gets its slot here, about to change it: the node's
-    derived read rows are dropped here too.
+    Every writer gets its slot here, about to change it, so the store
+    change is marked here too (:func:`~repro.overlay.node.store_changed`).
     """
-    node.read_rows = None
+    store_changed(node)
     key = (metric_id, bit)
     raw = node.store.get(key)
     if isinstance(raw, PackedSlot):
@@ -330,7 +332,7 @@ def purge_expired(node: Node, now: int) -> int:
     for slot_key in dead_slots:
         del node.store[slot_key]
     if removed:
-        node.read_rows = None
+        store_changed(node)
     return removed
 
 

@@ -83,7 +83,7 @@ class DHSHistogramBuilder:
         """Rebuild the full histogram with one multi-metric count."""
         metrics = self.all_metrics()
         result = self.dhs.count_many(metrics, origin=origin, now=now)
-        counts = [result.estimates[metric] for metric in metrics]
+        counts = list(result.estimates.values())  # in request order
         return HistogramReconstruction(
             histogram=Histogram.from_counts(self.spec, counts),
             count_result=result,

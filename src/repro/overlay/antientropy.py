@@ -36,12 +36,13 @@ flooding copies around the ring:
   This is the only code that returns a bit the walk cannot read to a
   node it can.
 
-A round runs on one :class:`~repro.overlay.replication.ChainView`:
-chain peers come off one sorted id list, and each store is scanned once
-into one packed int (a fixed slice per ``(metric, bit)`` key) the round
-refreshes where it writes.  Both checks of a pair are then a few big-int
-operations: the push is converged iff ``primary & ~dst == 0``, the
-homecoming iff ``src & expand(vis(dst) & ~vis(src)) & ~dst == 0``.
+A round runs on one :class:`~repro.overlay.replication.ChainView`, which
+the caller builds: chain peers come off one sorted id list, and each
+store is scanned once into one packed int (a fixed slice per
+``(metric, bit)`` key) the round refreshes where it writes.  Both checks
+of a pair are then a few big-int operations: the push is converged iff
+``primary & ~dst == 0``, the homecoming iff
+``src & expand(vis(dst) & ~vis(src)) & ~dst == 0``.
 **Only a direction that fails its check spells its views out**: a
 converged direction is charged its two roots and builds no dict or
 summary.  A segment mismatches iff it holds an offered bit the
@@ -62,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, List, Optional, cast
 
 from repro.obs import runtime as obs
-from repro.overlay.dht import DHTProtocol
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
 from repro.overlay.node import Node
 from repro.overlay.replication import ChainView, RegisterSlot, entry_expiry
@@ -181,9 +181,8 @@ def _sync_direction(
 
 
 def antientropy_round(
-    dht: DHTProtocol,
+    view: ChainView,
     replication: int,
-    now: int,
     *,
     model: Optional[SizeModel] = None,
     visible: VisibleFn,
@@ -194,16 +193,19 @@ def antientropy_round(
 ) -> AntiEntropyStats:
     """One reconciliation round over every responsive node's replica chain.
 
-    Each responsive node reconciles with its ``max(1, replication)``
-    responsive chain successors.  ``sample`` (with a seeded ``rng``)
-    limits the round to a deterministic subset of initiators — the
-    scheduler's knob for spreading repair load over several ticks.  A
-    ``sample`` below 1 or without an ``rng`` raises ``ValueError``
-    rather than quietly running the full round.
+    The round runs on ``view``, a fresh :class:`ChainView` of the
+    deployment at the round's tick, and leaves it equal to a fresh
+    scan of the stores it wrote: the caller may read the round's end
+    state from it.  Each responsive node reconciles with its
+    ``max(1, replication)`` responsive chain successors.  ``sample``
+    (with a seeded ``rng``) limits the round to a deterministic subset
+    of initiators — the scheduler's knob for spreading repair load over
+    several ticks.  A ``sample`` below 1 or without an ``rng`` raises
+    ``ValueError`` rather than quietly running the full round.
     """
     size_model = model if model is not None else DEFAULT_SIZE_MODEL
     stats = AntiEntropyStats()
-    view = ChainView(dht, now)
+    now = view.now
     ids = view.ids
     if sample is not None:
         if sample < 1:

@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.obs import runtime as obs
 from repro.overlay.idarray import SortedIdArray
 from repro.overlay.idspace import IdSpace
-from repro.overlay.node import Node, StoreValue
+from repro.overlay.node import Node, Stamp, StoreValue, store_changed
 from repro.overlay.stats import LoadTracker, OpCost
 from repro.sim.seeds import rng_for
 
@@ -90,6 +90,9 @@ class DHTProtocol(ABC):
         self._nodes: dict[int, Node] = {}
         #: Sorted ids of all live members (numpy-backed).
         self._ids: SortedIdArray = SortedIdArray(bits=space.bits)
+        #: Moves on every store write, membership change and liveness
+        #: change here; every node this DHT materializes shares it.
+        self.stamp = Stamp()
         #: Whether operations record per-hop ``nodes_visited`` lists.
         #: Off by default: the counters (hops/messages/bytes) are always
         #: kept, but the per-hop list append in the innermost routing
@@ -190,7 +193,7 @@ class DHTProtocol(ABC):
         if node is not None:
             return node
         if node_id in self._ids:
-            node = Node(node_id)
+            node = Node(node_id, self.stamp)
             self._nodes[node_id] = node
             return node
         raise NodeNotFoundError(node_id)
@@ -216,7 +219,7 @@ class DHTProtocol(ABC):
         node_id = self.space.wrap(node_id)
         if node_id in self._ids:
             raise ValueError(f"node id {node_id:#x} already present")
-        node = Node(node_id)
+        node = Node(node_id, self.stamp)
         self._nodes[node_id] = node
         self._ids.insert(node_id)
         self._membership_changed()
@@ -267,8 +270,7 @@ class DHTProtocol(ABC):
                     except TypeError:
                         heir.store[key] = value
             if node.store:
-                # The heir's read rows are rebuilt on the next probe.
-                heir.read_rows = None
+                store_changed(heir)
 
     def fail_node(self, node_id: int) -> None:
         """Crash ``node_id`` (data lost)."""
@@ -283,6 +285,7 @@ class DHTProtocol(ABC):
         """
         self.node(node_id).alive = False
         self._route_cache.clear()
+        self.stamp.value += 1
 
     def is_alive(self, node_id: int) -> bool:
         """Whether ``node_id`` is present and not lazily failed.
@@ -308,7 +311,7 @@ class DHTProtocol(ABC):
         if node is not None:
             return node if node.alive else None
         if node_id in self._ids:
-            node = Node(node_id)
+            node = Node(node_id, self.stamp)
             self._nodes[node_id] = node
             return node
         return None
@@ -371,7 +374,8 @@ class DHTProtocol(ABC):
 
     def _membership_changed(self) -> None:
         """Drop the memos derived from ``_ids`` (contacts, interval reach,
-        routes)."""
+        routes) and move the change stamp."""
+        self.stamp.value += 1
         self._contact_cache.clear()
         self._reach_cache.clear()
         self._route_cache.clear()

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.errors import ConfigurationError, MessageDropped
 from repro.obs import runtime as obs
 from repro.overlay.dht import DHTProtocol, FaultHooks, LookupResult
-from repro.overlay.node import Node
+from repro.overlay.node import Node, store_changed
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 
@@ -158,6 +158,7 @@ class FaultInjector(DHTProtocol, FaultHooks):
         # Share membership and accounting with the wrapped overlay.
         self._nodes = inner._nodes
         self._ids = inner._ids
+        self.stamp = inner.stamp
         self.load = inner.load
         self.store_merge = merge
         self.plan = plan
@@ -202,6 +203,8 @@ class FaultInjector(DHTProtocol, FaultHooks):
             raise ConfigurationError(
                 f"logical clock cannot run backwards ({self.clock} -> {now})"
             )
+        # Who answers is a function of the clock: the stamp moves.
+        self.stamp.value += 1
         events = self._events
         while True:
             rejoin_t = min(self._rejoins) if self._rejoins else None
@@ -277,7 +280,7 @@ class FaultInjector(DHTProtocol, FaultHooks):
             # marked failed (hence materialized), but be robust anyway.
             node = self.node(node_id)
             node.store.clear()
-            node.read_rows = None
+            store_changed(node)
             node.alive = True
         else:
             # Evicted while down (a lookup discovered the corpse):

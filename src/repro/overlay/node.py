@@ -17,7 +17,15 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Tuple
 
-__all__ = ["Node", "NodeStore", "ReadRows", "StoreKey", "StoreValue"]
+__all__ = [
+    "Node",
+    "NodeStore",
+    "ReadRows",
+    "Stamp",
+    "StoreKey",
+    "StoreValue",
+    "store_changed",
+]
 
 #: Store keys are application-defined hashables (DHS uses ``(metric, bit)``).
 StoreKey = Hashable
@@ -29,6 +37,23 @@ NodeStore = Dict[StoreKey, StoreValue]
 ReadRows = Dict[int, Tuple[int, Hashable]]
 
 
+class Stamp:
+    """A deployment's change counter, shared by its DHT and its nodes.
+
+    ``value`` moves on every store write (:func:`store_changed`), every
+    join or leave and every change of who answers (a lazy crash, a
+    fault-clock step) — and on nothing else.  A reader that derived
+    something from the stores, the membership and the fault state keeps
+    the ``value`` it read then: while ``value`` is unchanged, so is what
+    it derived, and checking costs one int compare at any ring size.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 class Node:
     """One overlay node.
 
@@ -36,15 +61,16 @@ class Node:
     ``store``: one packed integer per (block of up to 64 metrics,
     position), holding each member's live vector bitmap at that position
     in its own ``m``-bit lane (see :mod:`repro.core.count`).  The store
-    stays the source of truth.  Every store mutation resets the cache to
-    ``None`` (the writers of :mod:`repro.core.tuples`, the graceful-leave
-    merge into an heir, the amnesia wipe), and a departed node's rows
+    stays the source of truth.  Every store mutation calls
+    :func:`store_changed` (the writers of :mod:`repro.core.tuples`, the
+    graceful-leave merge into an heir, the amnesia wipe), which resets
+    the cache to ``None`` and moves ``stamp``; a departed node's rows
     leave with it.
     """
 
-    __slots__ = ("node_id", "alive", "store", "read_rows")
+    __slots__ = ("node_id", "alive", "store", "read_rows", "stamp")
 
-    def __init__(self, node_id: int) -> None:
+    def __init__(self, node_id: int, stamp: Optional[Stamp] = None) -> None:
         self.node_id = node_id
         self.alive = True
         #: Application-level storage; DHS keeps one packed
@@ -53,7 +79,20 @@ class Node:
         #: Derived read rows; ``None`` until the first probe, and again
         #: after every store mutation.
         self.read_rows: Optional[ReadRows] = None
+        #: The owning DHT's change counter; a node built on its own
+        #: gets its own.
+        self.stamp = stamp if stamp is not None else Stamp()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
         return f"Node({self.node_id:#x}, {state}, entries={len(self.store)})"
+
+
+def store_changed(node: Node) -> None:
+    """Mark ``node.store`` as changed: every store mutation calls this.
+
+    The node's derived read rows drop (rebuilt on the next probe), and
+    its deployment's :class:`Stamp` moves.
+    """
+    node.read_rows = None
+    node.stamp.value += 1

@@ -115,8 +115,18 @@ class ChainView:
     in one store scan, and the round's single writer calls :meth:`refresh`
     after writing a slot, so it always equals a fresh scan.  A
     ``{key: live}`` dict (:meth:`unpack`) is built only where a view
-    must be spelled out key by key, in store order.  Nothing outlives
-    the round.
+    must be spelled out key by key, in store order.  A member never
+    materialized (lazy membership) has an empty store: it packs as 0
+    and stays unmaterialized.
+
+    A view is exact for as long as its ``now``, the stores, the
+    membership and the fault state are what they were when it was last
+    brought up to date, and no longer: the divergence gauge reads the
+    view of the round that ran just before it only when it asks at the
+    same ``now`` and the deployment's
+    :class:`~repro.overlay.node.Stamp` has not moved since that round's
+    last write (no store write, join, leave, crash or fault-clock step
+    in between); otherwise it builds its own.
     """
 
     def __init__(self, dht: DHTProtocol, now: int) -> None:
@@ -169,12 +179,15 @@ class ChainView:
                 packed[node_id] = self._pack(node_id)
 
     def _pack(self, node_id: int) -> int:
-        """One store scan; a foreign value under a slot key packs as 0."""
+        """One store scan; a foreign value under a slot key packs as 0,
+        and so does a node never materialized."""
         now = self.now
         shifts = self._shifts
-        store = cast(_SlotStore, self.dht.node(node_id).store)
+        node = self.dht.node_if_materialized(node_id)
+        if node is None:
+            return 0
         packed = widest = 0
-        for key, value in store.items():
+        for key, value in cast(_SlotStore, node.store).items():
             shift = shifts.get(key)
             if shift is None:
                 if not is_slot_key(key):

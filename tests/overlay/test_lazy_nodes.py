@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+from repro.core.config import DHSConfig
+from repro.core.dhs import DistributedHashSketch
 from repro.errors import NodeNotFoundError
 from repro.obs import runtime as obs
 from repro.obs.metrics import (
@@ -118,6 +120,46 @@ class TestLazyMaterialization:
                 expected = oracle.lookup(ref, key, start)
                 assert got.node_id == expected.node_id
                 assert got.cost.nodes_visited == expected.nodes_visited
+
+
+class TestMaintenanceOnLazyRing:
+    """The maintenance plane touches only the nodes that hold state.
+
+    An N = 10^5 ring with one item stored (owner and two replicas) and
+    an empty joiner right after the owner: the gauge finds the
+    joiner's missing copy, one round writes it, and a sweep after the
+    TTL frees all four copies.  None of them materializes a member it
+    does not write, and each returns what it returned when it
+    materialized every member.
+    """
+
+    def test_sweep_gauge_and_round_materialize_only_what_they_write(self):
+        ring = ChordRing.build(100_000, seed=5)
+        dhs = DistributedHashSketch(
+            ring, DHSConfig(num_bitmaps=16, replication=2, ttl=4), seed=5
+        )
+        dhs.insert("docs", 42, now=1)
+        owner = min(n for n, node in ring._nodes.items() if node.store)
+        ring.add_node(owner + 1)
+        materialized = set(ring._nodes)
+        assert len(materialized) == 4
+
+        assert dhs.replica_divergence(1) == 1
+        assert set(ring._nodes) == materialized
+        stats = dhs.antientropy(1)
+        assert set(ring._nodes) == materialized
+        assert ring.node(owner + 1).store  # the round's one write
+        assert (
+            stats.pairs, stats.pairs_converged, stats.segments_checked,
+            stats.segments_mismatched, stats.entries_sent, stats.entries_written,
+        ) == (200_002, 200_001, 1, 1, 1, 1)
+        assert (stats.cost.hops, stats.cost.messages, stats.cost.bytes) == (
+            800_011, 800_011, 12_800_176.0,
+        )
+        assert dhs.replica_divergence(1) == 0
+        assert dhs.sweep_expired(6) == 4
+        assert dhs.replica_divergence(6) == 0
+        assert set(ring._nodes) == materialized
 
 
 class TestMemoryRegression:
