@@ -24,7 +24,6 @@ from typing import (
     Iterable,
     Optional,
     Sequence,
-    Tuple,
 )
 
 if TYPE_CHECKING:  # annotation only
@@ -105,10 +104,9 @@ class DistributedHashSketch:
             policy=policy, arena=self.arena,
         )
         dht.store_merge = merge_store_values
-        #: The last anti-entropy round's view, with the change stamp
-        #: read after the round's own writes (see
-        #: :meth:`replica_divergence`).
-        self._round: Optional[Tuple[ChainView, int]] = None
+        #: The replica-chain view that rounds and the divergence gauge
+        #: share, kept across ticks (see :meth:`_chain_view`).
+        self._view: Optional[ChainView] = None
 
     # ------------------------------------------------------------------
     # Writing.
@@ -247,9 +245,8 @@ class DistributedHashSketch:
         ``rng`` raises ``ValueError``.  See
         :func:`repro.core.maintenance.antientropy_sweep`.
         """
-        self._round = None  # one round's view is kept at a time
-        view = ChainView(self.dht, now) if self.config.replication > 0 else None
-        stats = antientropy_sweep(
+        view = self._chain_view(now) if self.config.replication > 0 else None
+        return antientropy_sweep(
             self.dht,
             self.config.replication,
             now,
@@ -260,26 +257,33 @@ class DistributedHashSketch:
             rng=rng,
             view=view,
         )
-        if view is not None:
-            self._round = (view, self.dht.stamp.value)
-        return stats
 
     def replica_divergence(self, now: int = 0) -> int:
         """Missing replica copies across all chains (0 when converged).
 
-        Reads the packed views of the anti-entropy round that ran just
-        before, when they are still exact: the same ``now``, and the
-        DHT's change stamp where the round left it (no store write,
-        join, leave, crash or fault-state change since).  Otherwise it
-        packs every node afresh.  Either way it returns what a fresh
-        recount returns.
+        Reads the chain view the rounds keep, brought to ``now``: only
+        the pairs whose ints changed since their last check or count are
+        counted again.  It returns what a fresh recount returns.
         """
-        view = None
-        if self._round is not None:
-            kept, stamp = self._round
-            if kept.now == now and stamp == self.dht.stamp.value:
-                view = kept
-        return replica_divergence(self.dht, self.config.replication, now, view)
+        if self.config.replication <= 0:
+            return 0
+        return replica_divergence(
+            self.dht, self.config.replication, now, self._chain_view(now)
+        )
+
+    def _chain_view(self, now: int) -> ChainView:
+        """The deployment's chain view, brought to ``now``.
+
+        One view serves every round and gauge reading while the nodes
+        that answer stay the same; it re-packs only the stores that
+        changed or expired since.  A join, leave, crash or fault-state
+        change (or a ``now`` earlier than the view's) makes it build
+        afresh, with every pair unchecked.
+        """
+        view = self._view
+        if view is None or not view.advance(now):
+            view = self._view = ChainView(self.dht, now)
+        return view
 
     def make_scheduler(
         self,

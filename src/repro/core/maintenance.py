@@ -101,10 +101,10 @@ def antientropy_sweep(
     module cannot import the interval geometry or the store writer
     (layering), so both are injected here as closures — walk visibility
     is the overlay's memoised ``interval_reach`` of each bit's interval,
-    folded once per round into a bitmask of positions per node
-    (unstored positions are seen everywhere), segments are the
-    bit→interval mapping, and writes land on the deployment's storage
-    backend via ``arena``.
+    folded into a bitmask of positions per node (unstored positions are
+    seen everywhere) once per view, since a view serves one membership;
+    segments are the bit→interval mapping, and writes land on the
+    deployment's storage backend via ``arena``.
     This round is the only background healer: it re-covers replica
     chains and brings bits the walk cannot read back to a chain peer it
     can (homecoming).
@@ -112,19 +112,50 @@ def antientropy_sweep(
     there is nothing to reconcile, and pushing copies would manufacture
     replication the configuration never asked for.
 
-    The round runs on ``view`` when given (a fresh ``ChainView(dht,
-    now)`` the caller keeps), else on one built here.  The round
-    refreshes the view at every write, so afterwards it equals a fresh
-    scan: the facade hands it to the divergence gauge that follows
-    (:func:`replica_divergence`).
+    The round runs on ``view`` when given (one the caller keeps across
+    rounds and has brought to ``now`` with
+    :meth:`~repro.overlay.replication.ChainView.advance`, or a fresh
+    ``ChainView(dht, now)``), else on a fresh one built here.  It checks
+    only the pairs the view holds dirty and refreshes the view at every
+    write, so afterwards the view equals a fresh scan and knows which
+    pairs the round found converged: the divergence gauge that follows
+    (:func:`replica_divergence`) reads it.
     """
     if replication <= 0:
         return AntiEntropyStats()
     model = size_model if size_model is not None else DEFAULT_SIZE_MODEL
+    if view is None:
+        view = ChainView(dht, now)
+    visible = view.visible
+    if visible is None:
+        visible = view.visible = _walk_visibility(dht, mapping)
 
-    # Per node, the positions whose counting walk reads it: the reach
-    # of each stored position's interval, plus the never-stored
-    # positions, which every node sees.
+    def segment_of(bit: int) -> int:
+        return mapping.interval_index(bit) if mapping.is_stored(bit) else -1
+
+    def write_fn(
+        node: Node, metric: Hashable, vector: int, bit: int, expiry: Optional[int]
+    ) -> None:
+        write_entry(node, metric, vector, bit, expiry, arena=arena)
+
+    return antientropy_round(
+        view,
+        replication,
+        model=model,
+        visible=visible,
+        segment_of=segment_of,
+        write_fn=write_fn,
+        rng=rng,
+        sample=sample,
+    )
+
+
+def _walk_visibility(dht: DHTProtocol, mapping: BitIntervalMap) -> Callable[[int], int]:
+    """Per node, the positions whose counting walk reads it.
+
+    The reach of each stored position's interval, plus the never-stored
+    positions, which every node sees: a function of the membership.
+    """
     everywhere = 0
     reads: Dict[int, int] = {}
     for bit in range(mapping.config.position_bits):
@@ -137,24 +168,7 @@ def antientropy_sweep(
     def visible(node_id: int) -> int:
         return everywhere | reads.get(node_id, 0)
 
-    def segment_of(bit: int) -> int:
-        return mapping.interval_index(bit) if mapping.is_stored(bit) else -1
-
-    def write_fn(
-        node: Node, metric: Hashable, vector: int, bit: int, expiry: Optional[int]
-    ) -> None:
-        write_entry(node, metric, vector, bit, expiry, arena=arena)
-
-    return antientropy_round(
-        view if view is not None else ChainView(dht, now),
-        replication,
-        model=model,
-        visible=visible,
-        segment_of=segment_of,
-        write_fn=write_fn,
-        rng=rng,
-        sample=sample,
-    )
+    return visible
 
 
 def replica_divergence(
@@ -173,25 +187,18 @@ def replica_divergence(
     soak experiment's central gauge: after a fault it spikes, and
     bounded anti-entropy rounds must drive it back to zero.
 
-    ``view``, when given, is the view of the anti-entropy round that
-    ran just before, still exact: asked at the same ``now``, with the
-    deployment's change stamp where it was after the round's last
-    write (no store write, join, leave, crash or fault-clock step
-    since).  The gauge then pays only for its popcounts and for packing
-    the nodes a sampled round skipped.  Without one, it packs every
-    node into a fresh view.
+    ``view``, when given, is a view brought to ``now`` — in a soak, the
+    one the tick's anti-entropy round just ran on.  The gauge keeps each
+    pair's contribution on it and computes only those of the pairs
+    whose ints changed since; a pair the last round found converged and
+    that has not changed since contributes 0.  Without one, it packs
+    every node into a fresh view and computes every pair.
     """
     if replication <= 0:
         return 0
     if view is None:
         view = ChainView(dht, now)
-    view.pack(view.ids)  # the gauge reads every node: no int goes stale
-    total = 0
-    for node_id in view.ids:
-        primary = view.primary(node_id, replication)
-        for replica in view.successors(node_id, replication):
-            total += (primary & ~view.packed(replica)).bit_count()
-    return total
+    return view.divergence(replication)
 
 
 @dataclass(frozen=True)

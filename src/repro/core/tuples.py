@@ -22,16 +22,18 @@ Two storage backends share this slot interface
   writes.
 
 Every function here accepts either slot type; passing an ``arena``
-selects which one a fresh slot becomes.  Every writer here, and a sweep
-that removes an entry, marks the change with
+selects which one a fresh slot becomes.  Every writer here that changes
+a slot (a vector added or promoted, an expiry raised), and a sweep that
+removes an entry, marks the change with
 :func:`~repro.overlay.node.store_changed`: it drops the node's derived
-counting rows (``Node.read_rows``, see :mod:`repro.core.count`) and
-moves the deployment's change stamp.
+counting rows (``Node.read_rows``, see :mod:`repro.core.count`), moves
+the deployment's change stamp and stamps the node.  A write that changes
+nothing marks nothing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -123,6 +125,28 @@ class PackedSlot:
                 mask |= 1 << vector
         return mask
 
+    def live_span(self, now: int) -> Tuple[int, float]:
+        """``live_mask(now)`` and the last tick through which it holds.
+
+        Every TTL'd vector alive at ``now`` stays alive through its
+        expiry, and none that is dead comes back, so ``live_mask`` is
+        the same from ``now`` through the earliest live expiry (or a
+        lower bound on it); infinite when nothing live can expire.
+        """
+        expiring = self.expiring
+        if not expiring:
+            return self.mask, _NEVER
+        if now <= self._ttl_min:
+            return self.mask | self._ttl_or, self._ttl_min
+        mask = self.mask
+        until = _NEVER
+        for vector, expiry in expiring.items():
+            if expiry >= now:
+                mask |= 1 << vector
+                if expiry < until:
+                    until = expiry
+        return mask, until
+
     def entries(self) -> int:
         """Stored entry count (live or stale)."""
         return self.mask.bit_count() + (len(self.expiring) if self.expiring else 0)
@@ -160,10 +184,10 @@ def _slot_for(
 ) -> PackedSlot:
     """The slot for ``(metric_id, bit)``, created on the chosen backend.
 
-    Every writer gets its slot here, about to change it, so the store
-    change is marked here too (:func:`~repro.overlay.node.store_changed`).
+    Every writer gets its slot here and marks the store change
+    (:func:`~repro.overlay.node.store_changed`) only if it then changes
+    the slot: a fresh slot always gets its first entry.
     """
-    store_changed(node)
     key = (metric_id, bit)
     raw = node.store.get(key)
     if isinstance(raw, PackedSlot):
@@ -189,23 +213,25 @@ def write_entry(
     """
     slot = _slot_for(node, metric_id, bit, arena)
     vector_bit = 1 << vector_id
+    if slot.mask & vector_bit:
+        # Already stored forever: nothing to add, and a TTL refresh
+        # cannot shorten it.
+        return
     if expiry is None:
         # Immortal: fold into the mask; it dominates any pending TTL.
-        if slot.mask & vector_bit:
-            return  # already immortal — nothing to change
+        store_changed(node)
         slot.mask |= vector_bit
         expiring = slot.expiring
         if expiring:
             expiring.pop(vector_id, None)  # a TTL'd entry is promoted
         return
-    if slot.mask & vector_bit:
-        return  # already stored forever; a TTL refresh cannot shorten it
     expiring = slot.expiring
     if expiring is None:
         expiring = slot.expiring = {}
     new_expiry = float(expiry)
     current = expiring.get(vector_id)
     if current is None:
+        store_changed(node)
         expiring[vector_id] = new_expiry
         slot._ttl_or |= vector_bit
         if new_expiry < slot._ttl_min:
@@ -214,6 +240,7 @@ def write_entry(
         # Refresh (max-wins): ``_ttl_min`` may now be a stale lower
         # bound, which only makes the live_mask short-circuit fire less
         # often — never incorrectly.
+        store_changed(node)
         expiring[vector_id] = new_expiry
 
 
@@ -235,16 +262,21 @@ def write_entry_mask(
     OR of the pre-packed ``delta`` row) instead of up to ``m`` per-vector
     writes; a TTL'd one is one pass over the slot's expiry map, new
     vectors appended in ascending order, existing ones refreshed
-    max-wins.  An empty ``add_mask`` creates no slot.
+    max-wins.  An empty ``add_mask`` creates no slot, and a write that
+    adds no vector and raises no expiry changes nothing, so it marks no
+    store change.
     """
-    if expiry is not None:
-        if add_mask:
-            _write_ttl_mask(_slot_for(node, metric_id, bit, arena), add_mask, expiry)
+    if not add_mask:
         return
     slot = _slot_for(node, metric_id, bit, arena)
+    if expiry is not None:
+        if _write_ttl_mask(slot, add_mask, expiry):
+            store_changed(node)
+        return
     new_bits = add_mask & ~slot.mask
     if not new_bits:
         return
+    store_changed(node)
     expiring = slot.expiring
     if expiring:
         for vector in bits_of(new_bits & slot._ttl_or):
@@ -252,11 +284,14 @@ def write_entry_mask(
     slot.or_mask(add_mask, delta)
 
 
-def _write_ttl_mask(slot: PackedSlot, add_mask: int, expiry: int) -> None:
-    """``write_entry`` of every vector in ``add_mask`` at ``expiry``, ascending."""
+def _write_ttl_mask(slot: PackedSlot, add_mask: int, expiry: int) -> bool:
+    """``write_entry`` of every vector in ``add_mask`` at ``expiry``, ascending.
+
+    Returns whether the slot changed: a vector added or an expiry raised.
+    """
     ttl_bits = add_mask & ~slot.mask  # immortal vectors cannot be shortened
     if not ttl_bits:
-        return
+        return False
     expiring = slot.expiring
     if expiring is None:
         expiring = slot.expiring = {}
@@ -264,13 +299,16 @@ def _write_ttl_mask(slot: PackedSlot, add_mask: int, expiry: int) -> None:
     # the vectors not yet in ``expiring``.
     new_vectors = ttl_bits & ~slot._ttl_or
     new_expiry = float(expiry)
+    changed = False
     for vector in bits_of(ttl_bits):
         if expiring.get(vector, -_NEVER) < new_expiry:
             expiring[vector] = new_expiry
+            changed = True
     if new_vectors:
         slot._ttl_or |= new_vectors
         if new_expiry < slot._ttl_min:
             slot._ttl_min = new_expiry
+    return changed
 
 
 def vectors_mask(node: Node, metric_id: Hashable, bit: int, now: int = 0) -> int:

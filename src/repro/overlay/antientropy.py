@@ -37,17 +37,26 @@ flooding copies around the ring:
   node it can.
 
 A round runs on one :class:`~repro.overlay.replication.ChainView`, which
-the caller builds: chain peers come off one sorted id list, and each
-store is scanned once into one packed int (a fixed slice per
-``(metric, bit)`` key) the round refreshes where it writes.  Both checks
-of a pair are then a few big-int operations: the push is converged iff
-``primary & ~dst == 0``, the homecoming iff
-``src & expand(vis(dst) & ~vis(src)) & ~dst == 0``.
-**Only a direction that fails its check spells its views out**: a
-converged direction is charged its two roots and builds no dict or
-summary.  A segment mismatches iff it holds an offered bit the
-receiver lacks.  Reads, writes and charges are exactly the
-pair-by-pair protocol's (``test_antientropy_differential.py``).
+the caller keeps across rounds: chain peers come off one sorted id list,
+and each store is scanned into one packed int (a fixed slice per
+``(metric, bit)`` key) that the view re-scans only when the store
+changed or one of its TTL'd entries expired, and that the round
+refreshes where it writes.  Both checks of a pair are then a few big-int
+operations: the push is converged iff ``primary & ~dst == 0``, the
+homecoming iff ``src & expand(vis(dst) & ~vis(src)) & ~dst == 0``.  They
+read only the ints of the initiator, its ``R`` predecessors and its
+successor, so **a pair converged at its last check whose ints have not
+changed since is not checked again**: it would charge its two roots,
+write nothing and be converged, and the round counts it so without
+running it.  A write marks every pair that reads the written node dirty,
+so a pair later in the same round that a repair unsettles is checked in
+that round, as a pass over every pair would.  **Only a direction that
+fails its check spells its views out**: a converged direction is charged
+its two roots and builds no dict or summary.  A segment mismatches iff
+it holds an offered bit the receiver lacks.  Reads, writes and charges
+are exactly the pair-by-pair protocol's, round after round
+(``tests/overlay/test_antientropy_differential.py``,
+``tests/core/test_round_differential.py``).
 
 Layering note: this module sits in the overlay and must not import the
 core DHS machinery, so slots are duck-typed (:class:`RegisterSlot`) and
@@ -58,6 +67,7 @@ writer arrive as callables injected by
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, List, Optional, cast
@@ -193,15 +203,20 @@ def antientropy_round(
 ) -> AntiEntropyStats:
     """One reconciliation round over every responsive node's replica chain.
 
-    The round runs on ``view``, a fresh :class:`ChainView` of the
-    deployment at the round's tick, and leaves it equal to a fresh
-    scan of the stores it wrote: the caller may read the round's end
-    state from it.  Each responsive node reconciles with its
-    ``max(1, replication)`` responsive chain successors.  ``sample``
-    (with a seeded ``rng``) limits the round to a deterministic subset
-    of initiators — the scheduler's knob for spreading repair load over
-    several ticks.  A ``sample`` below 1 or without an ``rng`` raises
-    ``ValueError`` rather than quietly running the full round.
+    The round runs on ``view``, a :class:`ChainView` of the deployment
+    brought up to the round's tick (fresh, or kept and advanced), and
+    leaves it equal to a fresh scan of the stores it wrote: the caller
+    may read the round's end state from it.  Each responsive node
+    reconciles with its ``max(1, replication)`` responsive chain
+    successors, in ring order.  Only the view's dirty pairs are checked:
+    a pair the view holds clean was converged when last checked and
+    reads the same ints, so checking it again would charge its roots,
+    write nothing and find it converged.  It is counted in ``pairs``
+    and ``pairs_converged`` all the same.  ``sample`` (with a seeded
+    ``rng``) limits the round to a deterministic subset of initiators —
+    the scheduler's knob for spreading repair load over several ticks.
+    A ``sample`` below 1 or without an ``rng`` raises ``ValueError``
+    rather than quietly running the full round.
     """
     size_model = model if model is not None else DEFAULT_SIZE_MODEL
     stats = AntiEntropyStats()
@@ -215,6 +230,14 @@ def antientropy_round(
         if sample < len(ids):
             ids = sorted(rng.sample(ids, sample))
     degree = max(1, replication)
+    fanout = view.track(degree)
+    stats.pairs = len(ids) * fanout
+    dirty = view.dirty
+    # The initiators' indices, or ``None`` when every node initiates.
+    chosen = None if ids is view.ids else {view.index(node_id) for node_id in ids}
+    due = sorted(
+        pair for pair in dirty if chosen is None or pair // fanout in chosen
+    )
     packed = view.packed
 
     def _sync(src_id: int, dst_id: int, offered: int) -> bool:
@@ -227,12 +250,14 @@ def antientropy_round(
         )
         return False
 
-    def _pair(left_id: int, right_id: int) -> None:
+    def _pair(left_id: int, right_id: int) -> bool:
         """Primary push left -> right, then homecoming pull right -> left.
 
         A direction whose offer the receiver already holds is converged;
         only the others take the repair path (:func:`_sync_direction`).
+        Returns whether both directions were converged.
         """
+        view.pack((right_id,))  # every int the pair reads, before the first read
         converged = _sync(left_id, right_id, view.primary(left_id, degree))
         # The live bits at right whose interval's walk reads left but
         # not right: the ones to bring home.  Most neighbours are seen
@@ -241,31 +266,49 @@ def antientropy_round(
         if positions:
             home = packed(right_id) & view.expand(positions)
             converged = _sync(right_id, left_id, home) and converged
-        stats.pairs_converged += converged
+        return converged
 
     def _run() -> None:
-        for left_id in ids:
-            successors = view.successors(left_id, degree)
-            # Every int a pair reads is packed before the first is read.
-            view.pack(successors)
-            stats.pairs += len(successors)
-            for right_id in successors:
-                if obs.TRACING:
-                    with obs.TRACER.span(
-                        "dhs.antientropy.reconcile",
-                        tick=now, left=left_id, right=right_id,
-                    ):
-                        _pair(left_id, right_id)
-                else:
-                    _pair(left_id, right_id)
+        """Check the due pairs in ring order; a pair a write makes dirty
+        later in the order is due in this round too."""
+        touched: List[int] = []
+        view.touched = touched
+        last = -1
+        while due:
+            pair = heapq.heappop(due)
+            if pair == last:
+                continue
+            last = pair
+            left_id, right_id = view.pair(pair)
+            if obs.TRACING:
+                with obs.TRACER.span(
+                    "dhs.antientropy.reconcile",
+                    tick=now, left=left_id, right=right_id,
+                ):
+                    converged = _pair(left_id, right_id)
+            else:
+                converged = _pair(left_id, right_id)
+            if converged:
+                del dirty[pair]
+                continue
+            dirty[pair] = None
+            stats.pairs_converged -= 1
+            for later in touched:
+                if later > pair and (chosen is None or later // fanout in chosen):
+                    heapq.heappush(due, later)
+            touched.clear()
 
-    if obs.TRACING:
-        with obs.TRACER.span(
-            "dhs.antientropy.round", tick=now, initiators=len(ids)
-        ):
+    stats.pairs_converged = stats.pairs
+    try:
+        if obs.TRACING:
+            with obs.TRACER.span(
+                "dhs.antientropy.round", tick=now, initiators=len(ids)
+            ):
+                _run()
+        else:
             _run()
-    else:
-        _run()
+    finally:
+        view.touched = None
     _charge_roots(stats, size_model, 2 * stats.pairs)
     if obs.METERING:
         obs.METRICS.inc("dhs.antientropy.pairs", stats.pairs)

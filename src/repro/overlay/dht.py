@@ -206,6 +206,15 @@ class DHTProtocol(ABC):
         """
         return self._nodes.get(node_id)
 
+    def nodes_changed_since(self, value: int) -> List[Node]:
+        """The materialized nodes whose store changed after stamp ``value``.
+
+        One pass over the materialized nodes, reading each one's
+        ``changed`` mark; a member never materialized has an empty store
+        that never changed.
+        """
+        return [node for node in self._nodes.values() if node.changed > value]
+
     def has_node(self, node_id: int) -> bool:
         """Whether ``node_id`` is a live member."""
         return node_id in self._ids
@@ -286,6 +295,7 @@ class DHTProtocol(ABC):
         self.node(node_id).alive = False
         self._route_cache.clear()
         self.stamp.value += 1
+        self.stamp.membership += 1
 
     def is_alive(self, node_id: int) -> bool:
         """Whether ``node_id`` is present and not lazily failed.
@@ -374,8 +384,9 @@ class DHTProtocol(ABC):
 
     def _membership_changed(self) -> None:
         """Drop the memos derived from ``_ids`` (contacts, interval reach,
-        routes) and move the change stamp."""
+        routes) and move the change stamp and its membership counter."""
         self.stamp.value += 1
+        self.stamp.membership += 1
         self._contact_cache.clear()
         self._reach_cache.clear()
         self._route_cache.clear()

@@ -35,6 +35,7 @@ bit-identical at any ``DHS_JOBS`` parallelism.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -169,6 +170,8 @@ class FaultInjector(DHTProtocol, FaultHooks):
         self.dropped_messages = 0
         #: node id -> tick at which it answers again (transient faults).
         self._down_until: Dict[int, int] = {}
+        #: Heap of the ticks at which an outage ends.
+        self._outage_ends: List[int] = []
         #: rejoin tick -> amnesiac node ids returning (empty) then.
         self._rejoins: Dict[int, List[int]] = {}
         self._events: Tuple[FaultEvent, ...] = tuple(
@@ -203,8 +206,10 @@ class FaultInjector(DHTProtocol, FaultHooks):
             raise ConfigurationError(
                 f"logical clock cannot run backwards ({self.clock} -> {now})"
             )
-        # Who answers is a function of the clock: the stamp moves.
+        # Who answers is a function of the clock: the stamp moves.  Its
+        # membership counter moves only if this step applies something.
         self.stamp.value += 1
+        applied = False
         events = self._events
         while True:
             rejoin_t = min(self._rejoins) if self._rejoins else None
@@ -218,6 +223,7 @@ class FaultInjector(DHTProtocol, FaultHooks):
                 break
             t = min(due)
             self.clock = t
+            applied = True
             if rejoin_t == t:
                 for node_id in self._rejoins.pop(t):
                     self._rejoin(node_id)
@@ -225,6 +231,12 @@ class FaultInjector(DHTProtocol, FaultHooks):
                 self._apply_event(self._next_event)
                 self._next_event += 1
         self.clock = now
+        ends = self._outage_ends
+        while ends and ends[0] <= now:
+            heapq.heappop(ends)
+            applied = True
+        if applied:
+            self.stamp.membership += 1
 
     def _victims(self, index: int) -> List[int]:
         event = self._events[index]
@@ -270,6 +282,7 @@ class FaultInjector(DHTProtocol, FaultHooks):
                 self._down_until[node_id] = max(
                     self._down_until.get(node_id, 0), until
                 )
+            heapq.heappush(self._outage_ends, until)
 
     def _rejoin(self, node_id: int) -> None:
         """An amnesiac node returns with an empty store."""

@@ -38,7 +38,7 @@ ReadRows = Dict[int, Tuple[int, Hashable]]
 
 
 class Stamp:
-    """A deployment's change counter, shared by its DHT and its nodes.
+    """A deployment's change counters, shared by its DHT and its nodes.
 
     ``value`` moves on every store write (:func:`store_changed`), every
     join or leave and every change of who answers (a lazy crash, a
@@ -46,12 +46,21 @@ class Stamp:
     something from the stores, the membership and the fault state keeps
     the ``value`` it read then: while ``value`` is unchanged, so is what
     it derived, and checking costs one int compare at any ring size.
+    Each node keeps the ``value`` of its own last store change
+    (``Node.changed``), so a reader finds the stores that changed since
+    it last read them without rescanning the others.
+
+    ``membership`` moves only when the set of nodes that answer can have
+    changed: a join or a leave, a lazy crash, and a fault event, rejoin
+    or outage end that a fault-clock step applies.  A clock step that
+    applies none of these, and a store write, leave it alone.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "membership")
 
     def __init__(self) -> None:
         self.value = 0
+        self.membership = 0
 
 
 class Node:
@@ -64,11 +73,11 @@ class Node:
     stays the source of truth.  Every store mutation calls
     :func:`store_changed` (the writers of :mod:`repro.core.tuples`, the
     graceful-leave merge into an heir, the amnesia wipe), which resets
-    the cache to ``None`` and moves ``stamp``; a departed node's rows
-    leave with it.
+    the cache to ``None``, moves ``stamp`` and records its new value in
+    ``changed``; a departed node's rows leave with it.
     """
 
-    __slots__ = ("node_id", "alive", "store", "read_rows", "stamp")
+    __slots__ = ("node_id", "alive", "store", "read_rows", "stamp", "changed")
 
     def __init__(self, node_id: int, stamp: Optional[Stamp] = None) -> None:
         self.node_id = node_id
@@ -82,6 +91,8 @@ class Node:
         #: The owning DHT's change counter; a node built on its own
         #: gets its own.
         self.stamp = stamp if stamp is not None else Stamp()
+        #: ``stamp.value`` at the last store change; 0 for none yet.
+        self.changed = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
@@ -91,8 +102,11 @@ class Node:
 def store_changed(node: Node) -> None:
     """Mark ``node.store`` as changed: every store mutation calls this.
 
-    The node's derived read rows drop (rebuilt on the next probe), and
-    its deployment's :class:`Stamp` moves.
+    The node's derived read rows drop (rebuilt on the next probe), its
+    deployment's :class:`Stamp` moves, and ``node.changed`` records
+    where it moved to.
     """
     node.read_rows = None
-    node.stamp.value += 1
+    stamp = node.stamp
+    stamp.value += 1
+    node.changed = stamp.value

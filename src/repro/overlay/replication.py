@@ -9,6 +9,7 @@ neighbours), so insertion stays ``O(log N)`` total for constant ``R``.
 
 from __future__ import annotations
 
+import heapq
 from typing import (
     Callable,
     Dict,
@@ -17,6 +18,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Set,
     Tuple,
     cast,
 )
@@ -39,6 +41,8 @@ __all__ = [
 SlotKey = Tuple[Hashable, int]
 #: A node store as the DHS reads it (other keys are skipped at runtime).
 _SlotStore = Dict[SlotKey, object]
+#: The expiry of what never expires.
+_NEVER = float("inf")
 
 
 class RegisterSlot(Protocol):
@@ -52,6 +56,8 @@ class RegisterSlot(Protocol):
     expiring: Optional[Dict[int, float]]
 
     def live_mask(self, now: int) -> int: ...
+
+    def live_span(self, now: int) -> Tuple[int, float]: ...
 
 
 def is_slot_key(key: object) -> bool:
@@ -93,18 +99,21 @@ def replica_chain(dht: DHTProtocol, node_id: int, degree: int) -> List[int]:
 
 
 class ChainView:
-    """Replica chains and live register state, fixed for one maintenance round.
+    """Replica chains and live register state, kept up to date across rounds.
 
-    A round only writes stores: membership and fault state cannot change
-    under it, so the chain members are listed once and a node's
-    neighbours are read off that sorted list by index, wrap-around stop
-    included (a node has at most ``len(ids) - 1`` neighbours).  The
-    members are the nodes that answer right now: anti-entropy and the
-    divergence gauge chain only over peers they can exchange messages
-    with, so a corpse or a partitioned node is skipped.
+    The chain members are the nodes that answer right now: anti-entropy
+    and the divergence gauge chain only over peers they can exchange
+    messages with, so a corpse or a partitioned node is skipped.  They
+    are listed once, sorted, and a node's neighbours are read off that
+    list by index, wrap-around stop included (a node has at most
+    ``len(ids) - 1`` neighbours).  A view therefore serves one
+    membership: it keeps the deployment's
+    :attr:`~repro.overlay.node.Stamp.membership` it was built at, and
+    :meth:`advance` refuses once that moved (or ``now`` went back), so
+    the keeper builds a fresh view then.
 
     A node's live register state is one packed Python int
-    (:meth:`packed`): every ``(metric, bit)`` key the round meets gets a
+    (:meth:`packed`): every ``(metric, bit)`` key the view meets gets a
     fixed slice of ``width`` bits, at an offset assigned the first time
     the key is seen, so the same key sits at the same bits on every
     node and chain arithmetic is a handful of big-int operations.
@@ -119,19 +128,31 @@ class ChainView:
     materialized (lazy membership) has an empty store: it packs as 0
     and stays unmaterialized.
 
-    A view is exact for as long as its ``now``, the stores, the
-    membership and the fault state are what they were when it was last
-    brought up to date, and no longer: the divergence gauge reads the
-    view of the round that ran just before it only when it asks at the
-    same ``now`` and the deployment's
-    :class:`~repro.overlay.node.Stamp` has not moved since that round's
-    last write (no store write, join, leave, crash or fault-clock step
-    in between); otherwise it builds its own.
+    Between rounds, :meth:`advance` moves the view to a later ``now``
+    and re-packs two kinds of node only: those whose store changed
+    since the view last read it (``Node.changed`` past the stamp value
+    the view read), and those where ``now`` passed the earliest expiry
+    of their live TTL'd entries.  A re-pack that yields the same int
+    invalidates nothing.
+
+    For one chain degree (:meth:`track`), pair ``p`` is initiator
+    ``ids[p // fanout]`` and its ``p % fanout``-th chain successor, in
+    the order a round checks them.  A pair's checks read only the packed
+    ints of its initiator, of the initiator's ``degree`` predecessors and
+    of its successor, so :attr:`dirty` holds every pair that must be
+    checked again, mapped to its divergence contribution once the gauge
+    computed it: a pair leaves it when a round finds it converged (a
+    converged pair misses no copy), and re-enters when one of those
+    ints changes.  A fresh view has every pair dirty.
     """
 
     def __init__(self, dht: DHTProtocol, now: int) -> None:
         self.dht = dht
         self.now = now
+        #: The membership counter this view's chains were listed at.
+        self._membership = dht.stamp.membership
+        #: The stamp value up to which every packed store was read.
+        self._seen = dht.stamp.value
         #: Chain members, sorted: the responsive nodes.
         self.ids: List[int] = dht.responsive_node_ids()
         self._index = {node_id: index for index, node_id in enumerate(self.ids)}
@@ -146,8 +167,99 @@ class ChainView:
         #: :meth:`expand` memo; stale once a key or the width changes.
         self._expanded: Dict[int, int] = {}
         #: :meth:`primary` memo per ``(node, degree)``; stale after any
-        #: write or a change of width.
+        #: packed int changes or the width does.
         self._primaries: Dict[Tuple[int, int], int] = {}
+        #: Per packed node with a live TTL'd entry, the last tick its
+        #: int holds through, and a heap of those ticks.
+        self._until: Dict[int, float] = {}
+        self._expiries: List[Tuple[float, int]] = []
+        #: The tracked chain degree, and chain successors per initiator.
+        self._degree = 0
+        self.fanout = 0
+        #: Pairs to check again -> divergence contribution (``None``
+        #: until the gauge computes it).
+        self.dirty: Dict[int, Optional[int]] = {}
+        #: While a round runs, every pair it makes dirty, in order.
+        self.touched: Optional[List[int]] = None
+        #: The walk visibility the round's caller derived for this
+        #: membership; it lives exactly as long as the view does.
+        self.visible: Optional[Callable[[int], int]] = None
+
+    def advance(self, now: int) -> bool:
+        """Bring the view to ``now``; ``False`` if it cannot follow.
+
+        It cannot once the membership counter moved or ``now`` is
+        earlier than the view's (an expired entry may live again).
+        Otherwise it re-packs the nodes whose store changed or whose
+        earliest live expiry ``now`` passed, and marks the pairs that
+        read a changed int dirty.
+        """
+        dht = self.dht
+        stamp = dht.stamp
+        if stamp.membership != self._membership or now < self.now:
+            return False
+        self.now = now
+        packed = self._packed
+        stale: Set[int] = set()
+        if stamp.value != self._seen:
+            for node in dht.nodes_changed_since(self._seen):
+                if node.node_id in packed:
+                    stale.add(node.node_id)
+            self._seen = stamp.value
+        expiries, until = self._expiries, self._until
+        while expiries and expiries[0][0] < now:
+            at, node_id = heapq.heappop(expiries)
+            if until.get(node_id) == at:
+                stale.add(node_id)
+        for node_id in sorted(stale):
+            old, width = packed.pop(node_id), self._width
+            if self.packed(node_id) != old or self._width != width:
+                self._touch(node_id)
+        return True
+
+    def track(self, degree: int) -> int:
+        """Track pairs at chain ``degree``; returns the successors per initiator.
+
+        A new degree makes every pair dirty.
+        """
+        if degree != self._degree:
+            self._degree = degree
+            self.fanout = max(0, min(degree, len(self.ids) - 1))
+            self.dirty = dict.fromkeys(range(len(self.ids) * self.fanout))
+        return self.fanout
+
+    def index(self, node_id: int) -> int:
+        """``node_id``'s position in :attr:`ids`."""
+        return self._index[node_id]
+
+    def pair(self, pair: int) -> Tuple[int, int]:
+        """Initiator and chain successor of tracked pair ``pair``."""
+        index, step = divmod(pair, self.fanout)
+        return self.ids[index], self._laps[index + 1 + step]
+
+    def _touch(self, node_id: int) -> None:
+        """``node_id``'s packed int changed: its pairs are dirty again.
+
+        Those are ``node_id``'s own pairs, every pair of the initiators
+        it is a chain predecessor of, and the pairs whose successor it is.
+        """
+        self._primaries.clear()
+        fanout = self.fanout
+        index = self._index.get(node_id)
+        if not fanout or index is None:
+            return
+        size = len(self.ids)
+        pairs: List[int] = []
+        for step in range(fanout + 1):
+            base = (index + step) % size * fanout
+            pairs.extend(range(base, base + fanout))
+        for step in range(fanout):
+            pairs.append((index - 1 - step) % size * fanout + step)
+        dirty = self.dirty
+        for pair in pairs:
+            dirty[pair] = None
+        if self.touched is not None:
+            self.touched.extend(pairs)
 
     def successors(self, node_id: int, degree: int) -> List[int]:
         """The first ``degree`` chain successors, nearest first."""
@@ -185,23 +297,36 @@ class ChainView:
         shifts = self._shifts
         node = self.dht.node_if_materialized(node_id)
         if node is None:
+            self._expire(node_id, _NEVER)
             return 0
         packed = widest = 0
+        until = _NEVER
         for key, value in cast(_SlotStore, node.store).items():
             shift = shifts.get(key)
             if shift is None:
                 if not is_slot_key(key):
                     continue
                 shift = self._add_key(key)
-            live_mask = getattr(value, "live_mask", None)
-            if live_mask is not None:
-                live = live_mask(now)
+            live_span = getattr(value, "live_span", None)
+            if live_span is not None:
+                live, expires = live_span(now)
                 widest |= live
                 packed |= live << shift
+                if expires < until:
+                    until = expires
         if widest > self._full:  # a slice bled into its neighbour
             self._widen(widest.bit_length())
             return self._pack(node_id)
+        self._expire(node_id, until)
         return packed
+
+    def _expire(self, node_id: int, until: float) -> None:
+        """Re-pack ``node_id`` once ``now`` passes ``until``."""
+        if until == _NEVER:
+            self._until.pop(node_id, None)
+        elif self._until.get(node_id) != until:
+            self._until[node_id] = until
+            heapq.heappush(self._expiries, (until, node_id))
 
     def _add_key(self, key: SlotKey) -> int:
         shift = self._shifts[key] = len(self._shifts) * self._width
@@ -253,17 +378,20 @@ class ChainView:
         """Re-read the slot at ``key`` after the round wrote to it."""
         slot = cast(RegisterSlot, self.dht.node(node_id).store[key])
         live = slot.live_mask(self.now)
-        self._primaries.clear()
         packed = self._packed.get(node_id)
         if packed is None:
             return  # packed from a fresh scan on first use
         shift = self._shifts.get(key)
         if shift is None:
             shift = self._add_key(key)
+        width = self._width
         if live > self._full:
             self._widen(live.bit_length())
             packed, shift = self._packed[node_id], self._shifts[key]
-        self._packed[node_id] = (packed & ~(self._full << shift)) | (live << shift)
+        fresh = (packed & ~(self._full << shift)) | (live << shift)
+        if fresh != packed or self._width != width:
+            self._packed[node_id] = fresh
+            self._touch(node_id)
 
     def primary(self, node_id: int, degree: int) -> int:
         """Live bits ``node_id`` is primary for, packed.
@@ -286,6 +414,26 @@ class ChainView:
                 primary &= ~packed[pred]
             self._primaries[node_id, degree] = primary
         return primary
+
+    def divergence(self, degree: int) -> int:
+        """Missing copies over every tracked pair at ``degree``: the gauge.
+
+        A pair's contribution is the count of its initiator's primary
+        bits its successor lacks.  A pair out of :attr:`dirty` was found
+        converged and has not changed since, so it contributes 0; a
+        dirty one keeps its contribution until one of its ints changes.
+        """
+        self.track(degree)
+        dirty = self.dirty
+        stale = [pair for pair, missing in dirty.items() if missing is None]
+        if len(stale) >= len(self.ids):
+            self.pack(self.ids)  # one pass rather than chain by chain
+        packed = self._packed
+        for pair in stale:
+            node_id, replica = self.pair(pair)
+            self.pack((replica,))
+            dirty[pair] = (self.primary(node_id, degree) & ~packed[replica]).bit_count()
+        return sum(missing for missing in dirty.values() if missing)
 
 
 def replicate_to_successors(

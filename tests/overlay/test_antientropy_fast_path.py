@@ -21,6 +21,7 @@ from repro.core.tuples import write_entry
 from repro.overlay import antientropy
 from repro.overlay.chord import ChordRing
 from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.node import store_changed
 from repro.overlay.pastry import PastryOverlay
 from repro.overlay.replication import ChainView
 from tests.overlay import antientropy_oracle as oracle
@@ -92,7 +93,11 @@ def oracle_geometry(dhs):
 
 
 def drop_replicas(dhs, k):
-    """Delete one primary entry from the first replica of ``k`` nodes."""
+    """Delete one primary entry from the first replica of ``k`` nodes.
+
+    Each deletion marks its store change, as every store mutation must:
+    the facade's kept chain view re-reads only the stores marked changed.
+    """
     dht = dhs.dht
     view = ChainView(dht, NOW)
     dropped = []
@@ -107,6 +112,7 @@ def drop_replicas(dhs, k):
         if replica in {r for _, r in dropped}:
             continue
         dht.node(replica).store[key].mask &= ~(mask & -mask)
+        store_changed(dht.node(replica))  # as every store mutation does
         dropped.append((node_id, replica))
     assert len(dropped) == k
     return dropped
